@@ -66,7 +66,7 @@ fuzz:
 	$(GO) test ./internal/asm -run '^$$' -fuzz FuzzAssemble -fuzztime $(FUZZTIME)
 
 # Pre-record every workload's reference stream into the local trace
-# cache; later `iramsim -replay $(TRACE_DIR) ...` runs skip the VM.
+# cache; later `iramsim -trace-dir $(TRACE_DIR) ...` runs skip the VM.
 TRACE_DIR ?= .trace-cache
 trace-cache:
 	$(GO) run ./cmd/iramsim -record $(TRACE_DIR)

@@ -18,7 +18,6 @@
 //	-machine f    JSON machine description overriding core.Proposed()
 //	-j N          worker goroutines for the experiment sweep
 //	-trace-dir d  workload trace cache: replay recorded streams, record on miss
-//	-replay d     synonym for -trace-dir (replay emphasis)
 //	-record d     re-record workload traces into d; with no experiments,
 //	              pre-populate every workload's stream and exit
 //	-result-cache d   assembled-result cache dir (default .result-cache)
@@ -74,7 +73,6 @@ type cliConfig struct {
 	machine       string
 	workers       int
 	record        string
-	replay        string
 	traceDir      string
 	resultCache   string
 	noResultCache bool
@@ -103,7 +101,6 @@ func main() {
 	flag.StringVar(&c.machine, "machine", "", "JSON machine description file (overrides the paper's integrated device)")
 	flag.IntVar(&c.workers, "j", runtime.NumCPU(), "worker goroutines for the experiment sweep")
 	flag.StringVar(&c.traceDir, "trace-dir", "", "workload trace cache dir: replay recorded reference streams, record on miss")
-	flag.StringVar(&c.replay, "replay", "", "replay workload traces from this cache dir (synonym for -trace-dir)")
 	flag.StringVar(&c.record, "record", "", "re-record workload traces into this cache dir; with no experiments, pre-populate every workload and exit")
 	flag.StringVar(&c.resultCache, "result-cache", ".result-cache", "assembled-result cache dir (content-addressed; warm reruns decode instead of simulating)")
 	flag.BoolVar(&c.noResultCache, "no-result-cache", false, "disable the result cache (every unit recomputes)")
@@ -296,24 +293,20 @@ func mainErr(c cliConfig) error {
 	return runErr
 }
 
-// resolveTraceDir folds the three cache-directory spellings into one.
-// -trace-dir and -replay replay cached streams (recording on miss);
-// -record always re-records. Replayed and live streams are
-// reference-for-reference identical, so experiment output does not
-// depend on the mode. Naming two different directories is an error
-// rather than a silent precedence rule.
+// resolveTraceDir folds the two cache-directory spellings into one.
+// -trace-dir replays cached streams (recording on miss); -record always
+// re-records. Replayed and live streams are reference-for-reference
+// identical, so experiment output does not depend on the mode. Naming
+// two different directories is an error rather than a silent
+// precedence rule.
 func resolveTraceDir(c cliConfig) (string, error) {
-	dir := c.traceDir
-	for _, d := range []string{c.replay, c.record} {
-		if d == "" {
-			continue
-		}
-		if dir != "" && dir != d {
-			return "", fmt.Errorf("conflicting trace cache dirs %q and %q (-record/-replay/-trace-dir)", dir, d)
-		}
-		dir = d
+	if c.record == "" {
+		return c.traceDir, nil
 	}
-	return dir, nil
+	if c.traceDir != "" && c.traceDir != c.record {
+		return "", fmt.Errorf("conflicting trace cache dirs %q and %q (-record/-trace-dir)", c.traceDir, c.record)
+	}
+	return c.record, nil
 }
 
 // recordAll pre-populates the trace cache with every workload's
@@ -409,7 +402,7 @@ func usage() {
 	fmt.Fprintln(os.Stderr, "usage: iramsim [flags] <experiment> [...]")
 	fmt.Fprintln(os.Stderr, "experiments: spec cost table1 fig2 fig7 fig8 fig11 fig12 table3 table4 banks mattson realcpi fig13..fig17 ablate-{linesize,victim,unit,scoreboard,inc,engines,jouppi} designspace scoma fabric selftest workloads fig910 all")
 	fmt.Fprintln(os.Stderr, "machine descriptions: -machine examples/machine-32bank.json (see examples/)")
-	fmt.Fprintln(os.Stderr, "trace cache: -trace-dir/-replay/-record <dir> (record-all: iramsim -record <dir>)")
+	fmt.Fprintln(os.Stderr, "trace cache: -trace-dir/-record <dir> (record-all: iramsim -record <dir>)")
 	fmt.Fprintln(os.Stderr, "design-space search: iramsim designspace -ds-banks 8..128:8 -ds-columns 256..4096:*2 \\")
 	fmt.Fprintln(os.Stderr, "  -ds-ways 1,2,4 -ds-victims 0,16 -ds-coarse 4 -ds-refine 2 -ds-frontier pareto.json")
 	fmt.Fprintln(os.Stderr, "  (points group into column-size families; each family costs ONE trace pass per bench)")

@@ -114,32 +114,6 @@ func TestSweepDeterminismWithCache(t *testing.T) {
 	}
 }
 
-// TestFastPathMatchesReplayTables: the rendered Figure 7/8 (and
-// dependent Table 3) output must be byte-identical whether the
-// measurements come from the single-pass stack-distance fast path
-// (the default) or from per-configuration cache replay. Together with
-// TestSweepDeterminism above — which runs the fast path — this extends
-// the determinism guarantee to cover both measurement paths.
-func TestFastPathMatchesReplayTables(t *testing.T) {
-	opts := quickOpts()
-	names := []string{"fig7", "fig8", "table3"}
-	render := func(ms *experiments.MeasurementSet) []byte {
-		var buf bytes.Buffer
-		if err := runNames(names, opts, ms, 4, nil, &buf, io.Discard); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	fast := render(experiments.NewMeasurementSet(opts))
-	replay := render(experiments.NewReplayMeasurementSet(opts))
-	if len(fast) == 0 {
-		t.Fatal("fast path produced no output")
-	}
-	if !bytes.Equal(fast, replay) {
-		t.Errorf("fast and replay tables differ:\n--- fast ---\n%s\n--- replay ---\n%s", fast, replay)
-	}
-}
-
 // TestMetricsFlag drives the -metrics/-trace path end to end: a quick
 // fig7+fig13 run with a live registry must (a) leave the experiment
 // output byte-identical to an uninstrumented run, (b) dump JSON that

@@ -29,7 +29,7 @@ func renderWith(t *testing.T, opts experiments.Options) []byte {
 // TestReplayMatchesLive is the pipeline's end-to-end golden check:
 // rendered experiment output is byte-identical across the three source
 // modes — live generation, a recording pass (-record), and a replay
-// pass over the cache the recording left behind (-replay).
+// pass over the cache the recording left behind (-trace-dir).
 func TestReplayMatchesLive(t *testing.T) {
 	opts := quickOpts()
 	live := renderWith(t, opts)
@@ -61,7 +61,7 @@ func TestReplayMatchesLive(t *testing.T) {
 	repOpts.TraceSource = workload.Traced{Store: store, Seed: opts.Seed}
 	rep := renderWith(t, repOpts)
 	if !bytes.Equal(live, rep) {
-		t.Errorf("-replay output differs from live:\n%s", firstDiff(live, rep))
+		t.Errorf("-trace-dir output differs from live:\n%s", firstDiff(live, rep))
 	}
 	// The replay pass served every stream from the cache: no new files.
 	entries, err = os.ReadDir(store.Dir())
@@ -112,10 +112,8 @@ func TestResolveTraceDir(t *testing.T) {
 	}{
 		{"none", cliConfig{}, "", false},
 		{"trace-dir", cliConfig{traceDir: "a"}, "a", false},
-		{"replay", cliConfig{replay: "a"}, "a", false},
 		{"record", cliConfig{record: "a"}, "a", false},
-		{"agreeing", cliConfig{record: "a", replay: "a"}, "a", false},
-		{"record-vs-replay", cliConfig{record: "a", replay: "b"}, "", true},
+		{"agreeing", cliConfig{record: "a", traceDir: "a"}, "a", false},
 		{"record-vs-trace-dir", cliConfig{record: "a", traceDir: "b"}, "", true},
 	}
 	for _, tc := range cases {

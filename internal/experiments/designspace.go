@@ -338,14 +338,15 @@ func DesignspaceJob(o Options) sweep.Job {
 						return nil, err
 					}
 					atomic.AddInt64(&passes, 1)
-					m, err := workload.RunFamily(w, o.Budget, workload.NewFamilyCacheSet(col, pts), o.source())
+					f := workload.NewFamilyCacheSet(col, pts)
+					instr, err := o.source().Stream(w, o.Budget, f)
 					if err != nil {
 						return nil, err
 					}
 					// Distil the live profiler state down to the
 					// serializable summary the assembly (and the result
 					// cache) consumes.
-					return m.Summary(pts), nil
+					return f.Summary(w, instr, pts), nil
 				},
 			})
 		}
@@ -798,40 +799,4 @@ func (r *DesignspaceResult) WriteFrontierCSV(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// designPointReference is the pre-rewrite per-point path — one full
-// trace pass per (geometry, bench) through CacheSet — retained as the
-// oracle the family-shared path is verified against (see
-// designspace_test.go).
-func designPointReference(o Options, dev core.Device, p DesignPoint, bench string) (DesignRow, error) {
-	w, err := workload.ByName(bench)
-	if err != nil {
-		return DesignRow{}, err
-	}
-	m, err := workload.RunDevicesFrom(w, o.Budget, dev, core.Reference(), o.source())
-	if err != nil {
-		return DesignRow{}, err
-	}
-	cs := m.Caches
-	withVictim := p.VictimEntries > 0
-	d := cs.PropDStats()
-	if withVictim {
-		d = cs.PropDVictimStats()
-	}
-	rates := m.Rates(true, withVictim)
-	r, err := cpumodel.Evaluate(cpumodel.ConfigFor(dev), rates, o.GSPNInstr, o.Seed)
-	if err != nil {
-		return DesignRow{}, err
-	}
-	return DesignRow{
-		Point:    p,
-		Bench:    bench,
-		IMissPct: cs.PropIStats().Ifetch.Percent(),
-		DMissPct: d.Data().Percent(),
-		AreaMM2:  dev.AreaMM2(),
-		MemCPI:   r.MemCPI,
-		TotalCPI: r.TotalCPI,
-		HasCPI:   true,
-	}, nil
 }

@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/cpumodel"
 	"repro/internal/sweep"
+	"repro/internal/workload"
 )
 
 // dsQuick returns the reduced-fidelity options the designspace tests
@@ -15,6 +17,42 @@ func dsQuick() Options {
 	o.Budget = 50_000
 	o.GSPNInstr = 2_000
 	return o
+}
+
+// designPointReference is the pre-rewrite per-point path — one full
+// trace pass per (geometry, bench) through CacheSet plus a GSPN run —
+// kept as the oracle the family-shared path is verified against.
+func designPointReference(o Options, dev core.Device, p DesignPoint, bench string) (DesignRow, error) {
+	w, err := workload.ByName(bench)
+	if err != nil {
+		return DesignRow{}, err
+	}
+	cs := workload.NewCacheSetFor(dev, core.Reference())
+	instr, err := o.source().Stream(w, o.Budget, cs)
+	if err != nil {
+		return DesignRow{}, err
+	}
+	m := &workload.Measurement{Workload: w, Caches: cs, Instr: instr}
+	withVictim := p.VictimEntries > 0
+	d := cs.PropDStats()
+	if withVictim {
+		d = cs.PropDVictimStats()
+	}
+	rates := m.Rates(true, withVictim)
+	r, err := cpumodel.Evaluate(cpumodel.ConfigFor(dev), rates, o.GSPNInstr, o.Seed)
+	if err != nil {
+		return DesignRow{}, err
+	}
+	return DesignRow{
+		Point:    p,
+		Bench:    bench,
+		IMissPct: cs.PropIStats().Ifetch.Percent(),
+		DMissPct: d.Data().Percent(),
+		AreaMM2:  dev.AreaMM2(),
+		MemCPI:   r.MemCPI,
+		TotalCPI: r.TotalCPI,
+		HasCPI:   true,
+	}, nil
 }
 
 // TestDesignspaceMatchesPerPoint is the search's equivalence anchor:

@@ -57,7 +57,7 @@ type Options struct {
 	Workers int
 	// TraceSource, when non-nil, supplies every workload's reference
 	// stream instead of live VM execution — the trace record/replay
-	// pipeline behind the iramsim -record/-replay/-trace-dir flags.
+	// pipeline behind the iramsim -record/-trace-dir flags.
 	// Replayed streams are reference-for-reference identical to live
 	// generation, so every experiment's output is unchanged.
 	TraceSource workload.Source
@@ -140,10 +140,9 @@ func Quick() Options {
 // simulates it and the others block until that result is ready, so a
 // workload is never simulated twice.
 type MeasurementSet struct {
-	opts   Options
-	replay bool
-	mu     sync.Mutex
-	m      map[string]*msEntry
+	opts Options
+	mu   sync.Mutex
+	m    map[string]*msEntry
 }
 
 // msEntry is one workload's single-flight slot.
@@ -158,15 +157,6 @@ func NewMeasurementSet(o Options) *MeasurementSet {
 	return &MeasurementSet{opts: o, m: make(map[string]*msEntry)}
 }
 
-// NewReplayMeasurementSet is NewMeasurementSet but with every workload
-// measured by per-configuration cache replay instead of the
-// stack-distance fast path. The two must produce identical results; it
-// exists so tests (and a skeptical user) can regenerate any figure on
-// the reference path.
-func NewReplayMeasurementSet(o Options) *MeasurementSet {
-	return &MeasurementSet{opts: o, replay: true, m: make(map[string]*msEntry)}
-}
-
 // Get measures the workload (once, even under concurrent callers).
 func (s *MeasurementSet) Get(w workload.Workload) (*workload.Measurement, error) {
 	s.mu.Lock()
@@ -177,19 +167,17 @@ func (s *MeasurementSet) Get(w workload.Workload) (*workload.Measurement, error)
 	}
 	s.mu.Unlock()
 	e.once.Do(func() {
-		prop, ref := s.opts.Device(), core.Reference()
-		src := s.opts.source()
-		if s.replay {
-			e.m, e.err = workload.RunReplayDevicesFrom(w, s.opts.Budget, prop, ref, src)
-		} else {
-			e.m, e.err = workload.RunDevicesFrom(w, s.opts.Budget, prop, ref, src)
+		cs := workload.NewCacheSetFor(s.opts.Device(), core.Reference())
+		instr, err := s.opts.source().Stream(w, s.opts.Budget, cs)
+		if err != nil {
+			e.err = err
+			return
 		}
-		if e.err == nil {
-			// Single-flight makes this the one place a workload's
-			// measurement materialises, so each workload publishes its
-			// cache-level metrics exactly once per sweep.
-			publishCacheMetrics(s.opts.Obs, w.Name, e.m)
-		}
+		e.m = &workload.Measurement{Workload: w, Caches: cs, Instr: instr}
+		// Single-flight makes this the one place a workload's
+		// measurement materialises, so each workload publishes its
+		// cache-level metrics exactly once per sweep.
+		publishCacheMetrics(s.opts.Obs, w.Name, e.m)
 	})
 	return e.m, e.err
 }

@@ -203,6 +203,35 @@ func TestPathSanitizesKeys(t *testing.T) {
 	}
 }
 
+// TestStoreReadsCommittedEntry pins on-disk compatibility:
+// testdata/compat holds an entry written by an earlier build of this
+// store. A copy of it must hit with the exact payload, under the same
+// file name.
+func TestStoreReadsCommittedEntry(t *testing.T) {
+	const (
+		key  = "fig7/126.gcc-2b33a9570d42f8af1c84dbe8b8c9bb50664f9b19ca8f7ee100548b9945a52f5d"
+		file = "fig7_126.gcc-2b33a9570d42f8af1c84dbe8b8c9bb50664f9b19ca8f7ee100548b9945a52f5d.res"
+	)
+	raw, err := os.ReadFile(filepath.Join("testdata", "compat", file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newStore(t)
+	if err := os.WriteFile(filepath.Join(s.Dir(), file), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := filepath.Base(s.Path(key)); got != file {
+		t.Errorf("Path(%q) = %s, want %s", key, got, file)
+	}
+	got, ok := s.Get(key)
+	if !ok {
+		t.Fatal("committed entry read as a miss")
+	}
+	if want := "unit result bytes written by an earlier build"; string(got) != want {
+		t.Errorf("Get = %q, want %q", got, want)
+	}
+}
+
 // putSized writes an entry of n payload bytes and backdates its mtime
 // so eviction order is deterministic regardless of test speed.
 func putSized(t *testing.T, s *Store, key string, n int, age time.Duration) {
@@ -216,6 +245,9 @@ func putSized(t *testing.T, s *Store, key string, n int, age time.Duration) {
 	}
 }
 
+// TestPruneEvictsOldestFirst drives the embedded blobstore Prune through
+// the result format: it must count the ".res" entries Put writes and
+// evict the oldest, so Get misses on exactly that key.
 func TestPruneEvictsOldestFirst(t *testing.T) {
 	s := newStore(t)
 	putSized(t, s, "old", 100, 3*time.Hour)
@@ -241,55 +273,5 @@ func TestPruneEvictsOldestFirst(t *testing.T) {
 		if _, ok := s.Get(key); !ok {
 			t.Errorf("entry %q evicted out of order", key)
 		}
-	}
-}
-
-func TestPruneUnderCapIsNoop(t *testing.T) {
-	s := newStore(t)
-	putSized(t, s, "a", 50, time.Hour)
-	putSized(t, s, "b", 50, time.Hour)
-	removed, freed, err := s.Prune(1 << 20)
-	if err != nil || removed != 0 || freed != 0 {
-		t.Fatalf("Prune under cap = (%d, %d, %v), want noop", removed, freed, err)
-	}
-}
-
-func TestPruneZeroEmptiesStore(t *testing.T) {
-	s := newStore(t)
-	putSized(t, s, "a", 10, time.Hour)
-	putSized(t, s, "b", 10, time.Hour)
-	if removed, _, err := s.Prune(0); err != nil || removed != 2 {
-		t.Fatalf("Prune(0) removed %d (err %v), want 2", removed, err)
-	}
-	if size, _ := s.Size(); size != 0 {
-		t.Errorf("store size after Prune(0) = %d", size)
-	}
-}
-
-// TestPruneSweepsStaleTemps: an orphaned temp file from a crashed
-// writer is removed once clearly stale; a fresh one (possibly an
-// in-flight Put from another process) is left alone.
-func TestPruneSweepsStaleTemps(t *testing.T) {
-	s := newStore(t)
-	stale := filepath.Join(s.dir, "crashed.tmp")
-	fresh := filepath.Join(s.dir, "inflight.tmp")
-	for _, p := range []string{stale, fresh} {
-		if err := os.WriteFile(p, []byte("partial"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	old := time.Now().Add(-2 * staleTempAge)
-	if err := os.Chtimes(stale, old, old); err != nil {
-		t.Fatal(err)
-	}
-
-	if _, _, err := s.Prune(1 << 20); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(stale); !os.IsNotExist(err) {
-		t.Error("stale temp file survived prune")
-	}
-	if _, err := os.Stat(fresh); err != nil {
-		t.Error("fresh temp file was swept; may race an in-flight Put")
 	}
 }

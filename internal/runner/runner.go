@@ -154,9 +154,10 @@ func Known(name string) bool {
 }
 
 // Validate rejects malformed requests before any work is scheduled:
-// unknown experiment names, an unparsable or invalid machine
-// description (the core.FromJSON validation errors, verbatim), and
-// non-positive processor counts. The daemon surfaces these as 400s.
+// unknown experiment names, then everything Options rejects — an
+// unparsable or invalid machine description (the core.FromJSON
+// validation errors, verbatim) and non-positive processor counts. The
+// daemon surfaces these as 400s.
 func (r Request) Validate() error {
 	if len(r.Experiments) == 0 {
 		return fmt.Errorf("runner: no experiments requested")
@@ -166,17 +167,8 @@ func (r Request) Validate() error {
 			return fmt.Errorf("runner: unknown experiment %q", name)
 		}
 	}
-	for _, p := range r.Procs {
-		if p < 1 {
-			return fmt.Errorf("runner: bad processor count %d", p)
-		}
-	}
-	if len(r.Machine) > 0 {
-		if _, err := core.FromJSON(r.Machine); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := r.Options()
+	return err
 }
 
 // Options resolves the request into experiment options (without the

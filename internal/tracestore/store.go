@@ -10,9 +10,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 
+	"repro/internal/blobstore"
 	"repro/internal/trace"
 )
 
@@ -23,12 +23,10 @@ import (
 // key component, or a format bump, misses cleanly instead of replaying
 // a stale stream.
 //
-// Writes commit by atomic rename: a recording streams into a unique
-// temp file in the cache directory and only an error-free, fully
-// flushed file is renamed onto the final path. Concurrent recorders
-// racing on one key each produce a complete file and the last rename
-// wins; readers only ever observe absent or complete entries, never
-// partial ones.
+// The embedded blobstore.Store owns the directory of ".trc" entries,
+// their atomic commit, Prune and Size; readers only ever observe absent
+// or complete entries. This layer adds the trace encoding and its
+// verification.
 //
 // Replays verify the entry (full decode, end-of-trace record, count
 // cross-check) before any reference reaches the caller's sink, so a
@@ -36,7 +34,7 @@ import (
 // never pollutes a measurement. Verification results are memoised per
 // path for the life of the Store.
 type Store struct {
-	dir string
+	*blobstore.Store
 
 	mu       sync.Mutex
 	verified map[string]bool
@@ -47,17 +45,12 @@ var ErrMiss = errors.New("trace: store miss")
 
 // NewStore opens (creating if needed) a trace cache directory.
 func NewStore(dir string) (*Store, error) {
-	if dir == "" {
-		return nil, errors.New("trace: empty store directory")
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	b, err := blobstore.Open(dir, ".trc")
+	if err != nil {
 		return nil, fmt.Errorf("trace: store: %w", err)
 	}
-	return &Store{dir: dir, verified: make(map[string]bool)}, nil
+	return &Store{Store: b, verified: make(map[string]bool)}, nil
 }
-
-// Dir returns the cache directory.
-func (s *Store) Dir() string { return s.dir }
 
 // Key identifies one recorded stream. Version selects the file format
 // generation; leave it zero for the current trace.FormatVersion.
@@ -75,82 +68,49 @@ func (k Key) normalized() Key {
 	return k
 }
 
-// Path returns the file path an entry for k lives at (whether or not
-// it exists). The name embeds every key component plus a hash of the
+// entryName names k's entry: every key component plus a hash of the
 // canonical key string, so humans can read the cache directory and
 // collisions cannot alias two keys.
-func (s *Store) Path(k Key) string {
+func entryName(k Key) string {
 	k = k.normalized()
 	sum := sha256.Sum256([]byte(fmt.Sprintf("%s|%d|%d|%d", k.Workload, k.Budget, k.Seed, k.Version)))
-	name := fmt.Sprintf("%s-b%d-s%d-v%d-%x.trc",
-		sanitize(k.Workload), k.Budget, k.Seed, k.Version, sum[:6])
-	return filepath.Join(s.dir, name)
+	return fmt.Sprintf("%s-b%d-s%d-v%d-%x", k.Workload, k.Budget, k.Seed, k.Version, sum[:6])
 }
 
-// sanitize maps a workload name onto the filename-safe alphabet.
-func sanitize(name string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '.', r == '_', r == '-':
-			return r
-		default:
-			return '_'
-		}
-	}, name)
-}
+// Path returns the file path an entry for k lives at (whether or not
+// it exists).
+func (s *Store) Path(k Key) string { return s.Store.Path(entryName(k)) }
 
 // Record generates the stream for k via gen and atomically installs it
 // in the cache, delivering every reference to sink as it is produced
 // (pass trace.Discard to only populate the cache). It returns the tally of
-// references recorded. An existing entry is replaced.
+// references recorded. An existing entry is replaced; a failing gen
+// installs nothing and its error is returned as is.
 func (s *Store) Record(k Key, gen func(trace.Sink) error, sink trace.Sink) (trace.Counts, error) {
 	k = k.normalized()
 	if k.Version != trace.FormatVersion {
 		return trace.Counts{}, fmt.Errorf("trace: store: cannot record format version %d (writer is version %d)",
 			k.Version, trace.FormatVersion)
 	}
-	path := s.Path(k)
-	tmp, err := os.CreateTemp(s.dir, ".rec-*.tmp")
-	if err != nil {
-		return trace.Counts{}, fmt.Errorf("trace: store: %w", err)
-	}
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	w, err := trace.NewWriter(tmp)
-	if err != nil {
-		return trace.Counts{}, fmt.Errorf("trace: store: %w", err)
-	}
 	var counts trace.Counts
-	if err := gen(trace.Tee{w, &counts, sink}); err != nil {
+	err := s.Commit(entryName(k), func(f io.Writer) error {
+		w, err := trace.NewWriter(f)
+		if err != nil {
+			return fmt.Errorf("trace: store: %w", err)
+		}
+		if err := gen(trace.Tee{w, &counts, sink}); err != nil {
+			return err
+		}
+		if err := w.Close(); err != nil {
+			return fmt.Errorf("trace: store: %w", err)
+		}
+		return nil
+	})
+	if err != nil {
 		return counts, err
 	}
-	if err := w.Close(); err != nil {
-		return counts, fmt.Errorf("trace: store: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return counts, fmt.Errorf("trace: store: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return counts, fmt.Errorf("trace: store: %w", err)
-	}
-	// CreateTemp's 0600 would make a shared cache dir unreadable for
-	// other users; traces are world-readable artifacts.
-	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
-		return counts, fmt.Errorf("trace: store: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		tmp = nil
-		return counts, fmt.Errorf("trace: store: %w", err)
-	}
-	tmp = nil // committed; nothing to clean up
 	s.mu.Lock()
-	s.verified[path] = true
+	s.verified[s.Path(k)] = true
 	s.mu.Unlock()
 	return counts, nil
 }

@@ -241,6 +241,42 @@ func TestStorePathShape(t *testing.T) {
 	}
 }
 
+// TestStoreReadsCommittedEntry pins on-disk compatibility:
+// testdata/compat holds testStream(64) recorded by an earlier build of
+// this store. A copy of it must replay reference for reference, under
+// the same file name.
+func TestStoreReadsCommittedEntry(t *testing.T) {
+	const file = "compat-b64-s1-v2-46185a41c709.trc"
+	k := Key{Workload: "compat", Budget: 64, Seed: 1}
+	raw, err := os.ReadFile(filepath.Join("testdata", "compat", file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newStore(t)
+	if err := os.WriteFile(filepath.Join(s.Dir(), file), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := filepath.Base(s.Path(k)); got != file {
+		t.Errorf("Path(%+v) = %s, want %s", k, got, file)
+	}
+	var rep collect
+	if _, err := s.ReplayTo(k, &rep); err != nil {
+		t.Fatalf("committed entry: %v", err)
+	}
+	var want collect
+	if err := testStream(64)(&want); err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.refs) != len(want.refs) {
+		t.Fatalf("replayed %d refs, want %d", len(rep.refs), len(want.refs))
+	}
+	for i := range want.refs {
+		if rep.refs[i] != want.refs[i] {
+			t.Fatalf("ref %d: replayed %+v, want %+v", i, rep.refs[i], want.refs[i])
+		}
+	}
+}
+
 // TestStoreGenError verifies a failing generator never installs an
 // entry.
 func TestStoreGenError(t *testing.T) {

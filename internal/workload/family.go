@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/cache"
-	"repro/internal/cpumodel"
 	"repro/internal/stackdist"
 	"repro/internal/trace"
 )
@@ -128,10 +127,6 @@ func NewFamilyCacheSet(columnBytes int, points []FamilyPoint) *FamilyCacheSet {
 	return f
 }
 
-// Passes reports how many trace passes this measurement costs: always
-// exactly one, however many points the family answers.
-func (f *FamilyCacheSet) Passes() int { return 1 }
-
 // Compounds reports the number of in-pass victim replays.
 func (f *FamilyCacheSet) Compounds() int { return len(f.vics) }
 
@@ -217,47 +212,4 @@ func (f *FamilyCacheSet) DVictimStats(p FamilyPoint) cache.Stats {
 		panic(fmt.Sprintf("workload: family point %+v has no victim compound", p))
 	}
 	return f.vics[i].Stats()
-}
-
-// FamilyMeasurement is the distilled result of one (column family,
-// workload) pass: every point of the family is answerable from it.
-type FamilyMeasurement struct {
-	Workload Workload
-	Set      *FamilyCacheSet
-	Instr    int64
-}
-
-// RunFamily streams the workload once through the family measurement
-// state. It is the family counterpart of RunDevicesFrom: one call, one
-// trace pass, every design point of the family answered.
-func RunFamily(w Workload, budget int64, f *FamilyCacheSet, src Source) (*FamilyMeasurement, error) {
-	instr, err := src.Stream(w, budget, f)
-	if err != nil {
-		return nil, err
-	}
-	return &FamilyMeasurement{Workload: w, Set: f, Instr: instr}, nil
-}
-
-// Rates converts one family point's statistics into integrated-system
-// GSPN inputs, matching Measurement.Rates(true, p.VictimEntries > 0) on
-// the corresponding device bit for bit.
-func (m *FamilyMeasurement) Rates(p FamilyPoint) cpumodel.AppRates {
-	counts := m.Set.RefCounts()
-	app := cpumodel.AppRates{
-		Name:      m.Workload.Name,
-		BaseCPI:   m.Workload.BaseCPI,
-		LoadFrac:  counts.LoadFrac(),
-		StoreFrac: counts.StoreFrac(),
-	}
-	if app.BaseCPI < 1 {
-		app.BaseCPI = 1
-	}
-	app.IHit = 1 - m.Set.IStats(p.Banks).Ifetch.Rate()
-	d := m.Set.DStats(p.Banks, p.Ways)
-	if p.VictimEntries > 0 {
-		d = m.Set.DVictimStats(p)
-	}
-	app.LoadHit = 1 - d.Load.Rate()
-	app.StoreHit = 1 - d.Store.Rate()
-	return app
 }

@@ -27,36 +27,35 @@ func TestFamilyMatchesPerPoint(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, col := range []int{256, 512} {
-			fam, err := RunFamily(w, 120_000, NewFamilyCacheSet(col, points), Live{})
+			fam := NewFamilyCacheSet(col, points)
+			instr, err := Live{}.Stream(w, 120_000, fam)
 			if err != nil {
 				t.Fatal(err)
 			}
+			sum := fam.Summary(w, instr, points)
 			for _, p := range points {
 				dev := core.Proposed().WithOrganisation(p.Banks, col, p.VictimEntries, p.Ways)
 				if err := dev.Validate(); err != nil {
 					t.Fatalf("col=%d %+v: %v", col, p, err)
 				}
-				m, err := RunDevices(w, 120_000, dev, core.Reference())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if a, b := fam.Set.RefCounts(), m.Caches.RefCounts(); a != b {
+				m := measureWith(t, w, 120_000, NewCacheSetFor(dev, core.Reference()))
+				if a, b := fam.RefCounts(), m.Caches.RefCounts(); a != b {
 					t.Errorf("%s col=%d %+v counts: family %+v, point %+v", name, col, p, a, b)
 				}
-				if a, b := fam.Set.IStats(p.Banks), m.Caches.PropIStats(); a != b {
+				if a, b := fam.IStats(p.Banks), m.Caches.PropIStats(); a != b {
 					t.Errorf("%s col=%d %+v I: family %+v, point %+v", name, col, p, a, b)
 				}
-				if a, b := fam.Set.DStats(p.Banks, p.Ways), m.Caches.PropDStats(); a != b {
+				if a, b := fam.DStats(p.Banks, p.Ways), m.Caches.PropDStats(); a != b {
 					t.Errorf("%s col=%d %+v D: family %+v, point %+v", name, col, p, a, b)
 				}
-				if a, b := fam.Set.DVictimStats(p), m.Caches.PropDVictimStats(); a != b {
+				if a, b := fam.DVictimStats(p), m.Caches.PropDVictimStats(); a != b {
 					t.Errorf("%s col=%d %+v D+victim: family %+v, point %+v", name, col, p, a, b)
 				}
-				if a, b := fam.Rates(p), m.Rates(true, p.VictimEntries > 0); a != b {
+				if a, b := sum.Rates(p), m.Rates(true, p.VictimEntries > 0); a != b {
 					t.Errorf("%s col=%d %+v rates: family %+v, point %+v", name, col, p, a, b)
 				}
-				if fam.Instr != m.Instr {
-					t.Errorf("%s col=%d %+v instr: family %d, point %d", name, col, p, fam.Instr, m.Instr)
+				if instr != m.Instr {
+					t.Errorf("%s col=%d %+v instr: family %d, point %d", name, col, p, instr, m.Instr)
 				}
 			}
 		}
@@ -74,8 +73,5 @@ func TestFamilyCompoundsDeduplicated(t *testing.T) {
 	})
 	if got := f.Compounds(); got != 2 {
 		t.Errorf("compounds = %d, want 2", got)
-	}
-	if got := f.Passes(); got != 1 {
-		t.Errorf("passes = %d, want 1", got)
 	}
 }

@@ -22,8 +22,8 @@ type FamilyGeom struct {
 // victim compounds, which only exist as live data structures), a
 // summary is a plain exported-field struct, so it can travel through
 // the result cache (gob) and, later, over the wire to iramsimd
-// clients. Its accessors mirror FamilyCacheSet's and reproduce
-// FamilyMeasurement.Rates bit for bit.
+// clients. Its accessors mirror FamilyCacheSet's, and Rates matches
+// Measurement.Rates on the equivalent single device bit for bit.
 type FamilySummary struct {
 	Bench    string
 	BaseCPI  float64
@@ -36,26 +36,27 @@ type FamilySummary struct {
 	DVic   map[FamilyPoint]cache.Stats // victim-bearing point -> stats
 }
 
-// Summary distills the measurement for the given registered points.
-// The points must be (a subset of) those the family set was built
-// with; statistics for unregistered geometries would panic exactly as
-// they do on FamilyCacheSet.
-func (m *FamilyMeasurement) Summary(points []FamilyPoint) *FamilySummary {
+// Summary distills the set, after w's stream of instr instructions has
+// passed through it, for the given registered points. The points must
+// be (a subset of) those the family set was built with; statistics for
+// unregistered geometries would panic exactly as they do on
+// FamilyCacheSet.
+func (f *FamilyCacheSet) Summary(w Workload, instr int64, points []FamilyPoint) *FamilySummary {
 	s := &FamilySummary{
-		Bench:    m.Workload.Name,
-		BaseCPI:  m.Workload.BaseCPI,
-		Refs:     m.Set.RefCounts(),
-		Instr:    m.Instr,
-		Compound: m.Set.Compounds(),
+		Bench:    w.Name,
+		BaseCPI:  w.BaseCPI,
+		Refs:     f.RefCounts(),
+		Instr:    instr,
+		Compound: f.Compounds(),
 		IBanks:   make(map[int]cache.Stats),
 		DGeom:    make(map[FamilyGeom]cache.Stats),
 		DVic:     make(map[FamilyPoint]cache.Stats),
 	}
 	for _, p := range points {
-		s.IBanks[p.Banks] = m.Set.IStats(p.Banks)
-		s.DGeom[FamilyGeom{Banks: p.Banks, Ways: p.Ways}] = m.Set.DStats(p.Banks, p.Ways)
+		s.IBanks[p.Banks] = f.IStats(p.Banks)
+		s.DGeom[FamilyGeom{Banks: p.Banks, Ways: p.Ways}] = f.DStats(p.Banks, p.Ways)
 		if p.VictimEntries > 0 {
-			s.DVic[FamilyPoint{Banks: p.Banks, Ways: p.Ways, VictimEntries: p.VictimEntries}] = m.Set.DVictimStats(p)
+			s.DVic[FamilyPoint{Banks: p.Banks, Ways: p.Ways, VictimEntries: p.VictimEntries}] = f.DVictimStats(p)
 		}
 	}
 	return s
@@ -99,25 +100,8 @@ func (s *FamilySummary) DVictimStats(p FamilyPoint) cache.Stats {
 }
 
 // Rates converts one family point's statistics into integrated-system
-// GSPN inputs. The arithmetic replicates FamilyMeasurement.Rates
-// operation for operation, so a summary read back from the result
-// cache feeds the GSPN bit-identical inputs.
+// GSPN inputs, matching Measurement.Rates(true, p.VictimEntries > 0) on
+// the corresponding device bit for bit.
 func (s *FamilySummary) Rates(p FamilyPoint) cpumodel.AppRates {
-	app := cpumodel.AppRates{
-		Name:      s.Bench,
-		BaseCPI:   s.BaseCPI,
-		LoadFrac:  s.Refs.LoadFrac(),
-		StoreFrac: s.Refs.StoreFrac(),
-	}
-	if app.BaseCPI < 1 {
-		app.BaseCPI = 1
-	}
-	app.IHit = 1 - s.IStats(p.Banks).Ifetch.Rate()
-	d := s.DStats(p.Banks, p.Ways)
-	if p.VictimEntries > 0 {
-		d = s.DVictimStats(p)
-	}
-	app.LoadHit = 1 - d.Load.Rate()
-	app.StoreHit = 1 - d.Store.Rate()
-	return app
+	return firstLevelRates(s.Bench, s.BaseCPI, s.Refs, s.IStats(p.Banks), s.DVictimStats(p))
 }

@@ -40,10 +40,10 @@ var (
 // CacheMeasurer is what one simulation pass of a workload produces:
 // miss statistics for every cache organisation in the Figure 7/8 grids,
 // the proposed column-buffer caches of Tables 3/4, and the reference
-// system's L2. Two implementations exist — CacheSet, the single-pass
-// stack-distance profiler, and ReplayCacheSet, the original
-// one-simulated-cache-per-configuration path — and they produce
-// identical statistics (see TestFastMatchesReplay).
+// system's L2. CacheSet, the single-pass stack-distance profiler, is
+// the implementation; the tests hold a second, ReplayCacheSet (one
+// simulated cache per configuration), as the oracle it must match
+// exactly (see TestFastMatchesReplay).
 type CacheMeasurer interface {
 	trace.Sink
 	// RefCounts tallies the reference stream by kind.
@@ -96,12 +96,6 @@ type CacheSet struct {
 	convShift uint   // log2 of the conventional line size
 	lastILine uint64 // previous ifetch conventional line + 1 (0 = none)
 	lastDLine uint64 // previous load/store conventional line + 1 (0 = none)
-}
-
-// NewCacheSet builds the profilers and fallback models for one run of
-// the paper's configurations.
-func NewCacheSet() *CacheSet {
-	return NewCacheSetFor(core.Proposed(), core.Reference())
 }
 
 // NewCacheSetFor builds the measurement set for an explicit device
@@ -249,154 +243,6 @@ func (cs *CacheSet) L2Stats() cache.Stats {
 	return cs.l2.Stats()
 }
 
-// ReplayCacheSet is the original measurement path: one simulated cache
-// per configuration, every reference replayed through all of them. It
-// is retained as the fallback/oracle the fast path is verified against,
-// and for organisations outside the profiled grid.
-type ReplayCacheSet struct {
-	// Proposed organisation.
-	PropI       *cache.SetAssoc   // 8 KB DM, 512 B lines (column buffers)
-	PropD       *cache.SetAssoc   // 16 KB 2-way, 512 B lines, no victim
-	PropDVictim *cache.WithVictim // same + 16×32 B victim cache
-
-	// Conventional I-caches, direct-mapped, 32 B lines (Figure 7 bars).
-	ConvI map[int]*cache.SetAssoc // size KB -> cache
-
-	// Conventional D-caches, 32 B lines (Figure 8 bars).
-	ConvD1 map[int]*cache.SetAssoc // direct-mapped, size KB -> cache
-	ConvD2 map[int]*cache.SetAssoc // 2-way, size KB -> cache
-
-	// Reference-system second-level cache (unified, 2-way, 32 B lines,
-	// 256 KB): sees only first-level misses from the 16 KB ConvI/ConvD1
-	// pair, exactly as in the Figure 10 grey components.
-	L2 *cache.SetAssoc
-
-	Counts trace.Counts
-
-	refKB int // the L1 grid point whose misses feed the L2
-}
-
-// NewReplayCacheSet builds fresh caches for one replay measurement run
-// of the paper's configurations.
-func NewReplayCacheSet() *ReplayCacheSet {
-	return NewReplayCacheSetFor(core.Proposed(), core.Reference())
-}
-
-// NewReplayCacheSetFor is NewCacheSetFor's replay-path counterpart.
-func NewReplayCacheSetFor(prop, ref core.Device) *ReplayCacheSet {
-	convLine := uint64(ref.DCacheLineBytes)
-	cs := &ReplayCacheSet{
-		PropI: cache.NewSetAssoc(
-			fmt.Sprintf("prop %dKB DM %dB I", prop.ICacheBytes>>10, prop.ICacheLineBytes),
-			uint64(prop.ICacheBytes), uint64(prop.ICacheLineBytes), 1),
-		PropD: cache.NewSetAssoc(
-			fmt.Sprintf("prop %dKB %d-way %dB D", prop.DCacheBytes>>10, prop.DCacheWays, prop.DCacheLineBytes),
-			uint64(prop.DCacheBytes), uint64(prop.DCacheLineBytes), prop.DCacheWays),
-		ConvI:  make(map[int]*cache.SetAssoc),
-		ConvD1: make(map[int]*cache.SetAssoc),
-		ConvD2: make(map[int]*cache.SetAssoc),
-		refKB:  ref.ICacheBytes >> 10,
-	}
-	if prop.VictimEntries > 0 {
-		cs.PropDVictim = cache.NewWithVictim(
-			cache.NewSetAssoc("prop D + victim main", uint64(prop.DCacheBytes),
-				uint64(prop.DCacheLineBytes), prop.DCacheWays),
-			cache.NewVictim(prop.VictimEntries, uint64(prop.VictimLineBytes)))
-	}
-	if ref.L2Bytes > 0 {
-		cs.L2 = cache.NewSetAssoc(
-			fmt.Sprintf("%dKB %d-way %dB unified L2", ref.L2Bytes>>10, ref.L2Ways, ref.L2LineBytes),
-			uint64(ref.L2Bytes), uint64(ref.L2LineBytes), ref.L2Ways)
-	}
-	for _, kb := range ConvISizesKB {
-		cs.ConvI[kb] = cache.NewDirectMapped(
-			fmt.Sprintf("%dKB DM 32B I", kb), uint64(kb)<<10, convLine)
-	}
-	for _, kb := range ConvDSizesKB {
-		cs.ConvD1[kb] = cache.NewDirectMapped(
-			fmt.Sprintf("%dKB DM 32B D", kb), uint64(kb)<<10, convLine)
-		cs.ConvD2[kb] = cache.NewSetAssoc(
-			fmt.Sprintf("%dKB 2-way 32B D", kb), uint64(kb)<<10, convLine, 2)
-	}
-	return cs
-}
-
-// Ref implements trace.Sink: one reference drives every cache model.
-func (cs *ReplayCacheSet) Ref(r trace.Ref) {
-	cs.Counts.Ref(r)
-	if r.Kind == trace.Ifetch {
-		cs.PropI.Access(r.Addr, r.Kind)
-		hit16 := false
-		for kb, c := range cs.ConvI {
-			if c.Access(r.Addr, r.Kind) && kb == cs.refKB {
-				hit16 = true
-			}
-		}
-		// The reference system's L2 sees first-level I misses.
-		if cs.L2 != nil && !hit16 {
-			cs.L2.Access(r.Addr, r.Kind)
-		}
-		return
-	}
-	cs.PropD.Access(r.Addr, r.Kind)
-	if cs.PropDVictim != nil {
-		cs.PropDVictim.Access(r.Addr, r.Kind)
-	}
-	hit16 := false
-	for kb, c := range cs.ConvD1 {
-		if c.Access(r.Addr, r.Kind) && kb == cs.refKB {
-			hit16 = true
-		}
-	}
-	for _, c := range cs.ConvD2 {
-		c.Access(r.Addr, r.Kind)
-	}
-	if cs.L2 != nil && !hit16 {
-		cs.L2.Access(r.Addr, r.Kind)
-	}
-}
-
-// Refs implements trace.BatchSink.
-func (cs *ReplayCacheSet) Refs(rs []trace.Ref) {
-	for i := range rs {
-		cs.Ref(rs[i])
-	}
-}
-
-// RefCounts implements CacheMeasurer.
-func (cs *ReplayCacheSet) RefCounts() trace.Counts { return cs.Counts }
-
-// PropIStats implements CacheMeasurer.
-func (cs *ReplayCacheSet) PropIStats() cache.Stats { return cs.PropI.Stats() }
-
-// PropDStats implements CacheMeasurer.
-func (cs *ReplayCacheSet) PropDStats() cache.Stats { return cs.PropD.Stats() }
-
-// PropDVictimStats implements CacheMeasurer.
-func (cs *ReplayCacheSet) PropDVictimStats() cache.Stats {
-	if cs.PropDVictim == nil {
-		return cs.PropD.Stats()
-	}
-	return cs.PropDVictim.Stats()
-}
-
-// ConvIStats implements CacheMeasurer.
-func (cs *ReplayCacheSet) ConvIStats(kb int) cache.Stats { return cs.ConvI[kb].Stats() }
-
-// ConvDMStats implements CacheMeasurer.
-func (cs *ReplayCacheSet) ConvDMStats(kb int) cache.Stats { return cs.ConvD1[kb].Stats() }
-
-// Conv2WStats implements CacheMeasurer.
-func (cs *ReplayCacheSet) Conv2WStats(kb int) cache.Stats { return cs.ConvD2[kb].Stats() }
-
-// L2Stats implements CacheMeasurer.
-func (cs *ReplayCacheSet) L2Stats() cache.Stats {
-	if cs.L2 == nil {
-		return cache.Stats{}
-	}
-	return cs.L2.Stats()
-}
-
 // Source produces a workload's reference stream. The two
 // implementations are Live (build the program and execute it on the
 // functional simulator — the default) and Traced (replay a recorded
@@ -471,91 +317,54 @@ func (t Traced) Stream(w Workload, budget int64, sink trace.Sink) (int64, error)
 	return counts.Ifetches, nil
 }
 
-// Measurement is the distilled result of one workload run.
+// Measurement is the distilled result of one workload run: Caches after
+// a Source streamed the workload into it, and the instruction count the
+// Source returned.
 type Measurement struct {
 	Workload Workload
 	Caches   CacheMeasurer
 	Instr    int64
 }
 
-// Run executes the workload for the given instruction budget (<= 0
-// means the workload's own default) and measures every cache model via
-// the single-pass profiled path.
-func Run(w Workload, budget int64) (*Measurement, error) {
-	return runWith(w, budget, NewCacheSet(), Live{})
-}
-
-// RunDevices is Run against an explicit device pair (the -machine path
-// and the designspace sweep).
-func RunDevices(w Workload, budget int64, prop, ref core.Device) (*Measurement, error) {
-	return runWith(w, budget, NewCacheSetFor(prop, ref), Live{})
-}
-
-// RunDevicesFrom is RunDevices with the reference stream drawn from an
-// explicit Source (the trace record/replay path).
-func RunDevicesFrom(w Workload, budget int64, prop, ref core.Device, src Source) (*Measurement, error) {
-	return runWith(w, budget, NewCacheSetFor(prop, ref), src)
-}
-
-// RunReplay is Run on the per-configuration cache-replay path. The two
-// paths produce identical statistics; it exists as the oracle for tests
-// and as the template for organisations the profilers cannot express.
-func RunReplay(w Workload, budget int64) (*Measurement, error) {
-	return runWith(w, budget, NewReplayCacheSet(), Live{})
-}
-
-// RunReplayDevices is RunReplay against an explicit device pair.
-func RunReplayDevices(w Workload, budget int64, prop, ref core.Device) (*Measurement, error) {
-	return runWith(w, budget, NewReplayCacheSetFor(prop, ref), Live{})
-}
-
-// RunReplayDevicesFrom is RunReplayDevices with an explicit Source.
-func RunReplayDevicesFrom(w Workload, budget int64, prop, ref core.Device, src Source) (*Measurement, error) {
-	return runWith(w, budget, NewReplayCacheSetFor(prop, ref), src)
-}
-
-func runWith(w Workload, budget int64, cs CacheMeasurer, src Source) (*Measurement, error) {
-	instr, err := src.Stream(w, budget, cs)
-	if err != nil {
-		return nil, err
-	}
-	return &Measurement{Workload: w, Caches: cs, Instr: instr}, nil
-}
-
 // Rates converts the measurement into GSPN inputs for the given system.
 // For the integrated system, withVictim selects whether the data-cache
 // hit probability includes the victim cache (Table 4) or not (Table 3).
 func (m *Measurement) Rates(integrated, withVictim bool) cpumodel.AppRates {
-	cs := m.Caches
-	counts := cs.RefCounts()
-	app := cpumodel.AppRates{
-		Name:      m.Workload.Name,
-		BaseCPI:   m.Workload.BaseCPI,
-		LoadFrac:  counts.LoadFrac(),
-		StoreFrac: counts.StoreFrac(),
-	}
-	if app.BaseCPI < 1 {
-		app.BaseCPI = 1
-	}
+	cs, w := m.Caches, m.Workload
 	if integrated {
-		app.IHit = 1 - cs.PropIStats().Ifetch.Rate()
 		d := cs.PropDStats()
 		if withVictim {
 			d = cs.PropDVictimStats()
 		}
-		app.LoadHit = 1 - d.Load.Rate()
-		app.StoreHit = 1 - d.Store.Rate()
-		return app
+		return firstLevelRates(w.Name, w.BaseCPI, cs.RefCounts(), cs.PropIStats(), d)
 	}
 	// Reference system: 16 KB first-level caches + measured conditional
 	// L2 hit rates.
-	app.IHit = 1 - cs.ConvIStats(RefL1KB).Ifetch.Rate()
-	d := cs.ConvDMStats(RefL1KB)
-	app.LoadHit = 1 - d.Load.Rate()
-	app.StoreHit = 1 - d.Store.Rate()
+	app := firstLevelRates(w.Name, w.BaseCPI, cs.RefCounts(), cs.ConvIStats(RefL1KB), cs.ConvDMStats(RefL1KB))
 	l2 := cs.L2Stats()
 	app.IL2Hit = 1 - l2.Ifetch.Rate()
 	app.LoadL2Hit = 1 - l2.Load.Rate()
 	app.StoreL2Hit = 1 - l2.Store.Rate()
+	return app
+}
+
+// firstLevelRates builds the GSPN inputs every system shares: the
+// reference mix and the first-level hit rates, i for instruction
+// fetches and d for loads and stores. Measurement.Rates and
+// FamilySummary.Rates both start here, so a family point and the
+// equivalent single-device measurement feed the GSPN identical bits.
+func firstLevelRates(name string, baseCPI float64, counts trace.Counts, i, d cache.Stats) cpumodel.AppRates {
+	app := cpumodel.AppRates{
+		Name:      name,
+		BaseCPI:   baseCPI,
+		LoadFrac:  counts.LoadFrac(),
+		StoreFrac: counts.StoreFrac(),
+		IHit:      1 - i.Ifetch.Rate(),
+		LoadHit:   1 - d.Load.Rate(),
+		StoreHit:  1 - d.Store.Rate(),
+	}
+	if app.BaseCPI < 1 {
+		app.BaseCPI = 1
+	}
 	return app
 }

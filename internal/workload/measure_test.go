@@ -2,30 +2,34 @@ package workload
 
 import (
 	"testing"
+
+	"repro/internal/core"
 )
+
+// measureWith streams w's live reference stream for budget through cs.
+func measureWith(t *testing.T, w Workload, budget int64, cs CacheMeasurer) *Measurement {
+	t.Helper()
+	instr, err := Live{}.Stream(w, budget, cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Measurement{Workload: w, Caches: cs, Instr: instr}
+}
 
 // TestFastMatchesReplay is the workload half of the property-based
 // equivalence suite (the random-trace half lives in
-// internal/stackdist): the single-pass profiled measurement and the
-// per-configuration replay must report identical miss counts for every
-// size/associativity in the Figure 7/8 grid, the proposed caches, the
-// victim-augmented cache, and the conditional L2.
+// internal/stackdist): for every workload at the -quick budget, the
+// single-pass profiled measurement and the per-configuration replay
+// oracle must report identical miss counts for every size/associativity
+// in the Figure 7/8 grid, the proposed caches, the victim-augmented
+// cache, and the conditional L2, and identical GSPN inputs for all four
+// system/victim variants. The figures and tables are rendered from
+// exactly these values.
 func TestFastMatchesReplay(t *testing.T) {
-	for _, name := range []string{"129.compress", "101.tomcatv", "126.gcc", "synopsys", "145.fpppp"} {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			w, err := ByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fast, err := Run(w, 150_000)
-			if err != nil {
-				t.Fatal(err)
-			}
-			replay, err := RunReplay(w, 150_000)
-			if err != nil {
-				t.Fatal(err)
-			}
+	for _, w := range All() {
+		t.Run(w.Name, func(t *testing.T) {
+			fast := measure(t, w.Name)
+			replay := measureWith(t, w, testBudget, NewReplayCacheSet())
 			f, r := fast.Caches, replay.Caches
 			if fc, rc := f.RefCounts(), r.RefCounts(); fc != rc {
 				t.Errorf("counts: fast %+v, replay %+v", fc, rc)
@@ -58,25 +62,27 @@ func TestFastMatchesReplay(t *testing.T) {
 			if fast.Instr != replay.Instr {
 				t.Errorf("instructions: fast %d, replay %d", fast.Instr, replay.Instr)
 			}
+			for _, integrated := range []bool{true, false} {
+				for _, victim := range []bool{true, false} {
+					if a, b := fast.Rates(integrated, victim), replay.Rates(integrated, victim); a != b {
+						t.Errorf("rates integrated=%v victim=%v: fast %+v, replay %+v",
+							integrated, victim, a, b)
+					}
+				}
+			}
 		})
 	}
 }
 
 // TestRatesAgreeAcrossPaths checks the GSPN input derivation end to
-// end on both measurement paths.
+// end on both measurement paths at a budget off the -quick grid.
 func TestRatesAgreeAcrossPaths(t *testing.T) {
 	w, err := ByName("102.swim")
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := Run(w, 120_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replay, err := RunReplay(w, 120_000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fast := measureWith(t, w, 120_000, NewCacheSetFor(core.Proposed(), core.Reference()))
+	replay := measureWith(t, w, 120_000, NewReplayCacheSet())
 	for _, integrated := range []bool{true, false} {
 		for _, victim := range []bool{true, false} {
 			a := fast.Rates(integrated, victim)

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/trace"
 	"repro/internal/vm"
 )
@@ -23,10 +24,7 @@ func measure(t *testing.T, name string) *Measurement {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Run(w, testBudget)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := measureWith(t, w, testBudget, NewCacheSetFor(core.Proposed(), core.Reference()))
 	measured[name] = m
 	return m
 }

@@ -27,6 +27,7 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/coherence"
+	"repro/internal/core"
 	"repro/internal/cpumodel"
 	"repro/internal/isa"
 	"repro/internal/mpsim"
@@ -106,7 +107,7 @@ func Run(p *Program, cfg RunConfig) (*RunStats, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	cs := workload.NewCacheSet()
+	cs := workload.NewCacheSetFor(core.Proposed(), core.Reference())
 	cpu, err := vm.RunProgram(p, cs, cfg.Budget)
 	if err != nil {
 		return nil, err
