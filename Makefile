@@ -34,10 +34,11 @@ bench:
 
 # The acceptance benchmarks: the single-pass measurement fast path
 # (Figure 7/8 regeneration, live, trace-replay, and result-cache warm),
-# the multiprocessor SPLASH runs (Figures 13-17), and the family-shared
-# design-space search (replay-fed), with allocation stats.
+# the GSPN CPI experiments (Table 3, Figure 12), the multiprocessor
+# SPLASH runs (Figures 13-17), and the family-shared design-space search
+# (replay-fed), with allocation stats.
 bench-figures:
-	$(GO) test -run '^$$' -bench 'Designspace$$|Fig[78](Replay|Warm)?$$|Fig1[3-7]' -benchmem -benchtime 2x .
+	$(GO) test -run '^$$' -bench 'Designspace$$|Fig[78](Replay|Warm)?$$|Fig12$$|Table3$$|Fig1[3-7]' -benchmem -benchtime 2x .
 
 # Record the current Fig7/Fig8 numbers as the checked-in baseline.
 bench-baseline:
@@ -49,7 +50,7 @@ bench-baseline:
 # (deterministic). -require keeps the guard honest: the acceptance
 # benchmarks must actually run, so the observability hooks cannot
 # regress them unnoticed by a pattern that matches nothing.
-BENCH_REQUIRED = BenchmarkFig7,BenchmarkFig8,BenchmarkFig7Replay,BenchmarkFig8Replay,BenchmarkFig7Warm,BenchmarkFig13LU,BenchmarkFig14MP3D,BenchmarkFig15Ocean,BenchmarkFig16Water,BenchmarkFig17Pthor,BenchmarkDesignspace
+BENCH_REQUIRED = BenchmarkFig7,BenchmarkFig8,BenchmarkFig7Replay,BenchmarkFig8Replay,BenchmarkFig7Warm,BenchmarkTable3,BenchmarkFig12,BenchmarkFig13LU,BenchmarkFig14MP3D,BenchmarkFig15Ocean,BenchmarkFig16Water,BenchmarkFig17Pthor,BenchmarkDesignspace
 
 bench-check:
 	$(MAKE) -s bench-figures | $(GO) run ./cmd/benchguard -baseline BENCH_baseline.json -threshold 0.20 -require $(BENCH_REQUIRED)
@@ -57,13 +58,15 @@ bench-check:
 bench-check-ci:
 	$(MAKE) -s bench-figures | $(GO) run ./cmd/benchguard -baseline BENCH_baseline.json -time=false -require $(BENCH_REQUIRED)
 
-# Exercise the trace codec and assembler fuzz targets for a minute each
-# (CI runs a 10-second smoke; this is the pre-commit depth).
+# Exercise the trace codec, assembler and GSPN equivalence fuzz targets
+# for a minute each (CI runs a 10-second smoke; this is the pre-commit
+# depth).
 FUZZTIME ?= 60s
 fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzReaderNext -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzFileRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/asm -run '^$$' -fuzz FuzzAssemble -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/gspn -run '^$$' -fuzz FuzzSimEquivalence -fuzztime $(FUZZTIME)
 
 # Pre-record every workload's reference stream into the local trace
 # cache; later `iramsim -trace-dir $(TRACE_DIR) ...` runs skip the VM.

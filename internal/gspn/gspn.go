@@ -30,7 +30,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"sync"
 )
 
@@ -76,6 +78,7 @@ type place struct {
 type transition struct {
 	name     string
 	kind     Kind
+	class    int32   // Immediate: index of priority in Net.prios (set by seal)
 	delay    float64 // Deterministic
 	rate     float64 // Exponential
 	weight   float64 // Immediate conflict resolution
@@ -87,51 +90,134 @@ type transition struct {
 
 // Net is an immutable-after-build Petri net structure. Build the net
 // with Place/Immediate/Timed/Exponential and the arc methods, then
-// create Sims from it; one Net can back many concurrent Sims.
+// create Sims from it; one Net can back many concurrent Sims. The first
+// NewSim seals the net: any later builder call panics.
 type Net struct {
 	places []place
 	trans  []transition
 	sealed bool
 
-	// dep[p] lists the timed transitions whose enabling condition reads
-	// place p (an input or inhibitor arc), ascending and deduplicated.
-	// Built once on first NewSim; it lets a Sim reschedule only the
-	// transitions a firing could have affected instead of rescanning
-	// every transition per event (the dominant cost of large nets).
+	// The fields below are derived once, on the first NewSim, and are
+	// read-only afterwards.
 	sealOnce sync.Once
-	dep      [][]TransID
+	// adj holds, for every place p, the timed transitions whose enabling
+	// condition reads p (an input or inhibitor arc) at list p, and the
+	// immediate ones at list NumPlaces()+p; list i is
+	// adj[adjOff[i]:adjOff[i+1]], ascending and deduplicated. A firing
+	// changes only the places on its own arcs, so a Sim revisits only
+	// these lists instead of every transition per event (the dominant
+	// cost of large nets).
+	adj    []TransID
+	adjOff []int32
+	// prios holds the distinct immediate priorities, highest first.
+	prios []int
+	// nTimed counts the timed transitions (the timed heap's capacity);
+	// maxAff bounds the candidate list one firing hands to
+	// rescheduleAffected.
+	nTimed, maxAff int
 }
 
-// seal freezes the net and derives the place -> dependent-timed-
-// transitions adjacency. Iterating transitions in ascending id keeps
-// every dep list ascending, which the incremental reschedule relies on
-// to sample newly enabled transitions in the same order as a full
-// scan (RNG-stream equivalence).
+// dep lists the timed transitions whose enabling reads place p.
+func (n *Net) dep(p PlaceID) []TransID {
+	return n.adj[n.adjOff[p]:n.adjOff[p+1]]
+}
+
+// immDep lists the immediate transitions whose enabling reads place p.
+func (n *Net) immDep(p PlaceID) []TransID {
+	i := len(n.places) + int(p)
+	return n.adj[n.adjOff[i]:n.adjOff[i+1]]
+}
+
+// seal freezes the net and derives the adjacency, the priority classes
+// and the per-Sim buffer sizes. Every dep list is ascending, which the
+// incremental reschedule relies on to sample newly enabled transitions
+// in the same order as a full scan (RNG-stream equivalence).
 func (n *Net) seal() {
 	n.sealed = true
-	n.dep = make([][]TransID, len(n.places))
+	np := len(n.places)
+	list := func(tr *transition, p PlaceID) int {
+		if tr.kind == Immediate {
+			return np + int(p)
+		}
+		return int(p)
+	}
+	// Compressed rows: count each list's length, turn the counts into
+	// list ends, then place transitions in descending id order, moving
+	// each list's offset down to its start. Lists come out ascending,
+	// and sealing costs a fixed few allocations whatever the net size.
+	n.adjOff = make([]int32, 2*np+1)
+	var reads []PlaceID
+	for ti := range n.trans {
+		tr := &n.trans[ti]
+		reads = tr.readPlaces(reads)
+		for _, p := range reads {
+			n.adjOff[list(tr, p)]++
+		}
+		if tr.kind != Immediate {
+			n.nTimed++
+		} else if !slices.Contains(n.prios, tr.priority) {
+			n.prios = append(n.prios, tr.priority)
+		}
+	}
+	for i := 1; i < len(n.adjOff); i++ {
+		n.adjOff[i] += n.adjOff[i-1]
+	}
+	n.adj = make([]TransID, n.adjOff[2*np])
+	for ti := len(n.trans) - 1; ti >= 0; ti-- {
+		tr := &n.trans[ti]
+		reads = tr.readPlaces(reads)
+		for _, p := range reads {
+			i := list(tr, p)
+			n.adjOff[i]--
+			n.adj[n.adjOff[i]] = TransID(ti)
+		}
+	}
+
+	slices.Sort(n.prios)
+	slices.Reverse(n.prios)
 	for ti := range n.trans {
 		tr := &n.trans[ti]
 		if tr.kind == Immediate {
-			continue
+			tr.class = int32(slices.Index(n.prios, tr.priority))
 		}
-		seen := make(map[PlaceID]bool, len(tr.in)+len(tr.inhibit))
-		for _, arcs := range [][]arc{tr.in, tr.inhibit} {
+		aff := 1
+		for _, arcs := range [2][]arc{tr.in, tr.out} {
 			for _, a := range arcs {
-				if !seen[a.place] {
-					seen[a.place] = true
-					n.dep[a.place] = append(n.dep[a.place], TransID(ti))
-				}
+				aff += len(n.dep(a.place))
+			}
+		}
+		n.maxAff = max(n.maxAff, aff)
+	}
+}
+
+// readPlaces returns buf refilled with the distinct places tr's
+// enabling condition reads (its input and inhibitor arcs), in arc order.
+func (tr *transition) readPlaces(buf []PlaceID) []PlaceID {
+	buf = buf[:0]
+	for _, arcs := range [2][]arc{tr.in, tr.inhibit} {
+		for _, a := range arcs {
+			if !slices.Contains(buf, a.place) {
+				buf = append(buf, a.place)
 			}
 		}
 	}
+	return buf
 }
 
 // NewNet returns an empty net.
 func NewNet() *Net { return &Net{} }
 
+// checkOpen panics once the net is sealed: Sims share the derived
+// adjacency, which a later mutation would leave stale.
+func (n *Net) checkOpen() {
+	if n.sealed {
+		panic("gspn: net modified after NewSim")
+	}
+}
+
 // Place adds a place with an initial marking and returns its id.
 func (n *Net) Place(name string, initial int) PlaceID {
+	n.checkOpen()
 	if initial < 0 {
 		panic(fmt.Sprintf("gspn: place %s: negative initial marking", name))
 	}
@@ -143,7 +229,8 @@ func (n *Net) Place(name string, initial int) PlaceID {
 // among enabled immediate transitions of the same priority; priority
 // classes fire strictly highest-first.
 func (n *Net) Immediate(name string, weight float64, priority int) TransID {
-	if weight <= 0 {
+	n.checkOpen()
+	if !(weight > 0) {
 		panic(fmt.Sprintf("gspn: transition %s: weight must be positive", name))
 	}
 	n.trans = append(n.trans, transition{
@@ -154,7 +241,8 @@ func (n *Net) Immediate(name string, weight float64, priority int) TransID {
 
 // Timed adds a deterministically timed transition with a fixed delay.
 func (n *Net) Timed(name string, delay float64) TransID {
-	if delay <= 0 {
+	n.checkOpen()
+	if !(delay > 0) {
 		panic(fmt.Sprintf("gspn: transition %s: delay must be positive", name))
 	}
 	n.trans = append(n.trans, transition{name: name, kind: Deterministic, delay: delay})
@@ -164,7 +252,8 @@ func (n *Net) Timed(name string, delay float64) TransID {
 // Exponential adds an exponentially timed transition with the given
 // rate (mean delay 1/rate).
 func (n *Net) Exponential(name string, rate float64) TransID {
-	if rate <= 0 {
+	n.checkOpen()
+	if !(rate > 0) {
 		panic(fmt.Sprintf("gspn: transition %s: rate must be positive", name))
 	}
 	n.trans = append(n.trans, transition{name: name, kind: Exponential, rate: rate})
@@ -191,6 +280,7 @@ func (n *Net) Inhibit(t TransID, p PlaceID, mult int) {
 }
 
 func (n *Net) checkArc(t TransID, p PlaceID, mult int) {
+	n.checkOpen()
 	if int(t) < 0 || int(t) >= len(n.trans) {
 		panic("gspn: arc references unknown transition")
 	}
@@ -225,7 +315,9 @@ var ErrDeadlock = errors.New("gspn: deadlock (no enabled transitions)")
 // maxImmediateChain bounds consecutive immediate firings per event.
 const maxImmediateChain = 1 << 16
 
-// Sim is one Monte-Carlo run of a Net.
+// Sim is one Monte-Carlo run of a Net. Every per-event cost is
+// proportional to what the firing touched, not to the size of the net,
+// and a Step allocates nothing.
 type Sim struct {
 	net     *Net
 	rng     *rand.Rand
@@ -237,32 +329,70 @@ type Sim struct {
 	tokTime []float64 // ∫ marking dt per place
 	lastT   float64
 
-	touched  []PlaceID // places whose marking changed since last reschedule
+	// heap holds the scheduled timed transitions as a binary min-heap
+	// ordered by (sched, id); heapPos[t] is t's index in it, or -1. The
+	// order makes its minimum the first strict minimum of a linear scan
+	// over sched: ties, common with deterministic delays, go to the
+	// lowest id. It is hand-rolled because container/heap's any-typed
+	// Push and Pop would allocate on every event.
+	heap    []TransID
+	heapPos []int
+	// immSet holds one bitset over transition ids per immediate priority
+	// class (Net.prios order, words uint64s apiece) marking the enabled
+	// immediates; immCount[c] is the population of class c.
+	immSet   []uint64
+	immCount []int
+	words    int
+	// nonzero marks the places with a non-zero marking, the only ones
+	// accrue visits.
+	nonzero  []uint64
 	affected []TransID // scratch for rescheduleAffected
-	// fullRescan forces the O(transitions) reference reschedule after
-	// every firing — the pre-adjacency behaviour, kept as the oracle the
-	// incremental path is pinned against (see TestRescheduleEquivalence).
-	fullRescan bool
 }
 
 // NewSim creates a simulation of the net with the given random seed.
 func NewSim(n *Net, seed int64) *Sim {
 	n.sealOnce.Do(n.seal)
+	np, nt, nc := len(n.places), len(n.trans), len(n.prios)
+	words := (nt + 63) / 64
+	// One backing array per element type, each at its final size.
+	ints := make([]int, np+nt+nc)
+	floats := make([]float64, np+nt)
+	bitsets := make([]uint64, nc*words+(np+63)/64)
+	ids := make([]TransID, n.nTimed+n.maxAff)
 	s := &Sim{
-		net:     n,
-		rng:     rand.New(rand.NewSource(seed)),
-		marking: make([]int, len(n.places)),
-		sched:   make([]float64, len(n.trans)),
-		firings: make([]int64, len(n.trans)),
-		tokTime: make([]float64, len(n.places)),
+		net:      n,
+		rng:      rand.New(rand.NewSource(seed)),
+		marking:  ints[:np:np],
+		heapPos:  ints[np : np+nt : np+nt],
+		immCount: ints[np+nt:],
+		tokTime:  floats[:np:np],
+		sched:    floats[np:],
+		firings:  make([]int64, nt),
+		immSet:   bitsets[: nc*words : nc*words],
+		nonzero:  bitsets[nc*words:],
+		words:    words,
+		heap:     ids[:0:n.nTimed],
+		affected: ids[n.nTimed:n.nTimed],
 	}
 	for i, p := range n.places {
 		s.marking[i] = p.initial
+		if p.initial != 0 {
+			s.nonzero[i>>6] |= 1 << (uint(i) & 63)
+		}
 	}
-	for i := range s.sched {
-		s.sched[i] = math.Inf(1)
+	for t := range s.sched {
+		s.sched[t] = math.Inf(1)
+		s.heapPos[t] = -1
 	}
-	s.reschedule()
+	// Ascending id order: the initial samples draw from the RNG in the
+	// same order as a full scan.
+	for t := range n.trans {
+		if tr := &n.trans[t]; tr.kind == Immediate {
+			s.refreshImmediate(TransID(t), tr)
+		} else {
+			s.applySchedule(TransID(t), tr)
+		}
+	}
 	return s
 }
 
@@ -299,71 +429,89 @@ func (s *Sim) enabled(t TransID) bool {
 	return true
 }
 
-// fire consumes and produces tokens for transition t, recording the
-// places it changed for the next incremental reschedule.
+// fire consumes and produces tokens for transition t.
 func (s *Sim) fire(t TransID) {
 	tr := &s.net.trans[t]
 	for _, a := range tr.in {
-		s.marking[a.place] -= a.mult
-		s.touched = append(s.touched, a.place)
+		s.addTokens(a.place, -a.mult)
 	}
 	for _, a := range tr.out {
-		s.marking[a.place] += a.mult
-		s.touched = append(s.touched, a.place)
+		s.addTokens(a.place, a.mult)
 	}
 	s.firings[t]++
 }
 
-// reschedule re-derives timed-transition schedules after a marking
-// change: newly enabled transitions sample a firing time, disabled ones
-// are cancelled. This is the full O(transitions) scan; the hot path
-// uses rescheduleAffected, which visits only the transitions a firing
-// could have touched and is pinned RNG-for-RNG against this one.
-func (s *Sim) reschedule() {
-	for i := range s.net.trans {
-		tr := &s.net.trans[i]
-		if tr.kind == Immediate {
-			continue
-		}
-		s.applySchedule(TransID(i), tr)
+// addTokens changes p's marking by d and keeps p's non-zero bit current.
+// Markings can go negative: enabled tests each input arc on its own, so
+// two input arcs from one place consume more than either requires.
+func (s *Sim) addTokens(p PlaceID, d int) {
+	s.marking[p] += d
+	w, bit := &s.nonzero[p>>6], uint64(1)<<(uint(p)&63)
+	if s.marking[p] != 0 {
+		*w |= bit
+	} else {
+		*w &^= bit
 	}
 }
 
-// applySchedule is the per-transition reschedule step shared by the
-// full and incremental paths: sample when newly enabled, cancel when
-// newly disabled.
+// applySchedule is the per-transition reschedule step: sample when
+// newly enabled, cancel when newly disabled.
 func (s *Sim) applySchedule(t TransID, tr *transition) {
 	en := s.enabled(t)
 	switch {
 	case en && math.IsInf(s.sched[t], 1):
 		s.sched[t] = s.now + s.sample(tr)
+		// A sample that overflows to +Inf can never be the earliest
+		// event and is redrawn on the next visit, like an unscheduled
+		// slot, so it stays off the heap.
+		if !math.IsInf(s.sched[t], 1) {
+			s.heapPush(t)
+		}
 	case !en && !math.IsInf(s.sched[t], 1):
 		s.sched[t] = math.Inf(1)
+		s.heapRemove(t)
 	}
 }
 
-// rescheduleAffected is the incremental reschedule: only transitions
-// with an input or inhibitor arc on a place the last firing changed can
-// have flipped their enabling, so only dep(touched places) — plus the
-// just-fired timed transition itself (fired >= 0), which must resample
-// even when it has no input arcs at all (a source transition is in no
-// dep list) — need revisiting. Candidates are processed in ascending
-// id order after deduplication, so the exponential transitions that
-// sample here consume the RNG stream in exactly the order the full
-// rescan would: identical firings and markings for a fixed seed.
-func (s *Sim) rescheduleAffected(fired TransID) {
-	if s.fullRescan || s.net.dep == nil {
-		s.touched = s.touched[:0]
-		s.reschedule()
-		return
+// refreshImmediate re-tests immediate transition t into its class set.
+func (s *Sim) refreshImmediate(t TransID, tr *transition) {
+	c := int(tr.class)
+	w := &s.immSet[c*s.words+int(t)>>6]
+	bit := uint64(1) << (uint(t) & 63)
+	if en := s.enabled(t); en != (*w&bit != 0) {
+		*w ^= bit
+		if en {
+			s.immCount[c]++
+		} else {
+			s.immCount[c]--
+		}
 	}
+}
+
+// rescheduleAffected brings the enabling state up to date after t
+// fired. Only transitions with an input or inhibitor arc on a place t's
+// arcs changed can have flipped: the immediates among them are
+// re-tested into their class sets, and the timed ones — plus t itself
+// when timed, which must resample even when it has no input arcs at all
+// (a source transition is in no dep list) — are rescheduled. Timed
+// candidates are processed in ascending id order after deduplication,
+// so the exponential transitions that sample here consume the RNG
+// stream in exactly the order a full rescan would: identical firings
+// and markings for a fixed seed.
+func (s *Sim) rescheduleAffected(t TransID) {
+	n := s.net
+	tr := &n.trans[t]
 	aff := s.affected[:0]
-	for _, p := range s.touched {
-		aff = append(aff, s.net.dep[p]...)
+	for _, arcs := range [2][]arc{tr.in, tr.out} {
+		for _, a := range arcs {
+			for _, u := range n.immDep(a.place) {
+				s.refreshImmediate(u, &n.trans[u])
+			}
+			aff = append(aff, n.dep(a.place)...)
+		}
 	}
-	s.touched = s.touched[:0]
-	if fired >= 0 && s.net.trans[fired].kind != Immediate {
-		aff = append(aff, fired)
+	if tr.kind != Immediate {
+		aff = append(aff, t)
 	}
 	// Insertion sort: the affected sets of the cpumodel nets are a
 	// handful of entries, and sort.Slice would allocate its closure on
@@ -374,12 +522,12 @@ func (s *Sim) rescheduleAffected(fired TransID) {
 		}
 	}
 	prev := TransID(-1)
-	for _, t := range aff {
-		if t == prev {
+	for _, u := range aff {
+		if u == prev {
 			continue
 		}
-		prev = t
-		s.applySchedule(t, &s.net.trans[t])
+		prev = u
+		s.applySchedule(u, &n.trans[u])
 	}
 	s.affected = aff[:0]
 }
@@ -394,54 +542,59 @@ func (s *Sim) sample(tr *transition) float64 {
 // settleImmediates fires enabled immediate transitions until none is
 // enabled (reaching a tangible marking).
 func (s *Sim) settleImmediates() error {
+settle:
 	for iter := 0; ; iter++ {
 		if iter >= maxImmediateChain {
 			return ErrLivelock
 		}
-		// Find the highest priority class with an enabled transition.
-		bestPrio := math.MinInt64
-		var totalW float64
-		for i := range s.net.trans {
-			tr := &s.net.trans[i]
-			if tr.kind != Immediate || !s.enabled(TransID(i)) {
-				continue
-			}
-			if tr.priority > bestPrio {
-				bestPrio = tr.priority
-				totalW = 0
-			}
-			if tr.priority == bestPrio {
-				totalW += tr.weight
-			}
+		// The highest priority class with an enabled transition.
+		c := 0
+		for c < len(s.immCount) && s.immCount[c] == 0 {
+			c++
 		}
-		if totalW == 0 {
+		if c == len(s.immCount) {
 			return nil // tangible marking
 		}
-		// Weighted-random selection within the class.
-		pick := s.rng.Float64() * totalW
-		for i := range s.net.trans {
-			tr := &s.net.trans[i]
-			if tr.kind != Immediate || tr.priority != bestPrio || !s.enabled(TransID(i)) {
-				continue
-			}
-			pick -= tr.weight
-			if pick <= 0 {
-				s.fire(TransID(i))
-				break
+		// Weighted-random selection within the class. Both walks visit
+		// the enabled transitions in ascending id order, as a full scan
+		// does, so the weight sum, the draw and the pick are the same.
+		set := s.immSet[c*s.words : (c+1)*s.words]
+		var totalW float64
+		for wi, w := range set {
+			for ; w != 0; w &= w - 1 {
+				totalW += s.net.trans[wi<<6|bits.TrailingZeros64(w)].weight
 			}
 		}
-		s.rescheduleAffected(-1)
+		pick := s.rng.Float64() * totalW
+		for wi, w := range set {
+			for ; w != 0; w &= w - 1 {
+				t := TransID(wi<<6 | bits.TrailingZeros64(w))
+				pick -= s.net.trans[t].weight
+				if pick <= 0 {
+					s.fire(t)
+					s.rescheduleAffected(t)
+					continue settle
+				}
+			}
+		}
+		// Rounding left pick above zero after the last weight: nothing
+		// fires and the next iteration draws again.
 	}
 }
 
-// accrue integrates token-time up to time t.
+// accrue integrates token-time up to time t. A place without tokens
+// would add 0·dt = +0 to its integral, which is never -0, so visiting
+// only the marked places leaves every integral bit-identical.
 func (s *Sim) accrue(t float64) {
 	dt := t - s.lastT
 	if dt <= 0 {
 		return
 	}
-	for i, m := range s.marking {
-		s.tokTime[i] += float64(m) * dt
+	for wi, w := range s.nonzero {
+		for ; w != 0; w &= w - 1 {
+			i := wi<<6 | bits.TrailingZeros64(w)
+			s.tokTime[i] += float64(s.marking[i]) * dt
+		}
 	}
 	s.lastT = t
 }
@@ -453,25 +606,82 @@ func (s *Sim) Step() error {
 	if err := s.settleImmediates(); err != nil {
 		return err
 	}
-	best := -1
-	bestT := math.Inf(1)
-	for i, at := range s.sched {
-		if at < bestT {
-			bestT = at
-			best = i
-		}
-	}
-	if best < 0 {
+	if len(s.heap) == 0 {
 		return ErrDeadlock
 	}
+	best := s.heap[0]
+	bestT := s.sched[best]
 	s.accrue(bestT)
 	s.now = bestT
 	s.sched[best] = math.Inf(1)
-	s.fire(TransID(best))
-	s.rescheduleAffected(TransID(best))
+	s.heapRemove(best)
+	s.fire(best)
+	s.rescheduleAffected(best)
 	// Settle any immediates enabled by the firing so observers always
 	// see tangible markings.
 	return s.settleImmediates()
+}
+
+// heapLess orders timed transitions by (firing time, id).
+func (s *Sim) heapLess(i, j int) bool {
+	a, b := s.heap[i], s.heap[j]
+	return s.sched[a] < s.sched[b] || (s.sched[a] == s.sched[b] && a < b)
+}
+
+func (s *Sim) heapSwap(i, j int) {
+	s.heap[i], s.heap[j] = s.heap[j], s.heap[i]
+	s.heapPos[s.heap[i]] = i
+	s.heapPos[s.heap[j]] = j
+}
+
+func (s *Sim) heapPush(t TransID) {
+	s.heapPos[t] = len(s.heap)
+	s.heap = append(s.heap, t)
+	s.heapUp(len(s.heap) - 1)
+}
+
+// heapRemove takes t off the heap, moving the last entry into its slot.
+func (s *Sim) heapRemove(t TransID) {
+	i, last := s.heapPos[t], len(s.heap)-1
+	if i != last {
+		s.heapSwap(i, last)
+	}
+	s.heap = s.heap[:last]
+	s.heapPos[t] = -1
+	if i != last && !s.heapDown(i) {
+		s.heapUp(i)
+	}
+}
+
+func (s *Sim) heapUp(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !s.heapLess(i, p) {
+			return
+		}
+		s.heapSwap(i, p)
+		i = p
+	}
+}
+
+// heapDown sifts entry i toward the leaves and reports whether it moved.
+func (s *Sim) heapDown(i int) bool {
+	start := i
+	for {
+		c := 2*i + 1
+		if c >= len(s.heap) {
+			break
+		}
+		if r := c + 1; r < len(s.heap) && s.heapLess(r, c) {
+			c = r
+		}
+		if !s.heapLess(c, i) {
+			break
+		}
+		s.heapSwap(i, c)
+		i = c
+	}
+	return i > start
 }
 
 // RunUntilFirings advances the simulation until transition t has fired

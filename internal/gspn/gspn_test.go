@@ -2,7 +2,9 @@ package gspn
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -329,6 +331,9 @@ func TestBuilderPanics(t *testing.T) {
 			tr := n.Timed("t", 1)
 			n.In(tr, p, 0)
 		},
+		func() { NewNet().Immediate("t", math.NaN(), 0) },
+		func() { NewNet().Timed("t", math.NaN()) },
+		func() { NewNet().Exponential("t", math.NaN()) },
 	}
 	for i, f := range cases {
 		func() {
@@ -339,6 +344,35 @@ func TestBuilderPanics(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+
+	// Once a Sim shares the net's derived adjacency, every builder call
+	// must panic instead of leaving it stale: a late place with an Out
+	// arc, for one, would index past the adjacency on the next Step.
+	n := buildMixedNet()
+	p, tr := PlaceID(0), TransID(0)
+	NewSim(n, 1)
+	late := map[string]func(){
+		"Place":       func() { n.Place("late", 0) },
+		"Immediate":   func() { n.Immediate("late", 1, 0) },
+		"Timed":       func() { n.Timed("late", 1) },
+		"Exponential": func() { n.Exponential("late", 1) },
+		"In":          func() { n.In(tr, p, 1) },
+		"Out":         func() { n.Out(tr, p, 1) },
+		"Inhibit":     func() { n.Inhibit(tr, p, 1) },
+	}
+	for name, f := range late {
+		func() {
+			defer func() {
+				if r := recover(); r != "gspn: net modified after NewSim" {
+					t.Errorf("%s after NewSim: recovered %v, want the sealed-net panic", name, r)
+				}
+			}()
+			f()
+		}()
+	}
+	if n.NumPlaces() != 5 || n.NumTrans() != 7 {
+		t.Errorf("sealed net grew to %d places, %d transitions", n.NumPlaces(), n.NumTrans())
 	}
 }
 
@@ -383,43 +417,436 @@ func buildMixedNet() *Net {
 	return n
 }
 
-// TestRescheduleEquivalence pins the incremental (adjacency-driven)
-// reschedule against the full-rescan reference path: for a fixed seed
-// the two must produce identical firing counts, markings, and clocks
-// at every step — the exponential samples must consume the shared RNG
-// stream in exactly the same order.
-func TestRescheduleEquivalence(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
-		fast := NewSim(buildMixedNet(), seed)
-		ref := NewSim(buildMixedNet(), seed)
-		ref.fullRescan = true
-		for step := 0; step < 2000; step++ {
-			errFast, errRef := fast.Step(), ref.Step()
-			if (errFast == nil) != (errRef == nil) {
-				t.Fatalf("seed %d step %d: incremental err=%v, full-rescan err=%v",
-					seed, step, errFast, errRef)
+// buildBankNet is a test-local net shaped like internal/cpumodel's
+// Figure 9 bank model under its Figure 10 processor. Instruction
+// fetches, loads and stores each pick one of the banks by a weighted
+// immediate conflict, queue for it, are served for a fixed access time
+// and then precharge it. Every bank shares the same delays, so the timed
+// heap sees ties at most events. Load completion adds two priority
+// classes above the base one, a store may not issue while the processor
+// is stalled (an inhibitor arc), and in the l2 variant every bank access
+// holds one shared port place. At 64 banks the net has about 780
+// transitions, so the enabled sets span many bitset words.
+func buildBankNet(banks int, l2 bool) *Net {
+	n := NewNet()
+	ps := func(p ...PlaceID) []PlaceID { return p }
+	// wire gives tr unit-multiplicity input and output arcs.
+	wire := func(tr TransID, in, out []PlaceID) TransID {
+		for _, p := range in {
+			n.In(tr, p, 1)
+		}
+		for _, p := range out {
+			n.Out(tr, p, 1)
+		}
+		return tr
+	}
+	fetch, instr, decide := n.Place("fetch", 1), n.Place("instr", 0), n.Place("decide", 0)
+	run, lsu, stalled := n.Place("run", 1), n.Place("lsu", 1), n.Place("stalled", 0)
+	ldOut, ldDone, stDone := n.Place("ldOut", 0), n.Place("ldDone", 0), n.Place("stDone", 0)
+	var port []PlaceID
+	if l2 {
+		port = ps(n.Place("port", 1))
+	}
+	free := make([]PlaceID, banks)
+	for b := range free {
+		free[b] = n.Place(fmt.Sprintf("free%d", b), 1)
+	}
+	bankPath := func(tag string, req, done PlaceID) {
+		for b := 0; b < banks; b++ {
+			name := func(what string) string { return fmt.Sprintf("%s%s%d", tag, what, b) }
+			q, svc, pre := n.Place(name("Q"), 0), n.Place(name("Svc"), 0), n.Place(name("Pre"), 0)
+			wire(n.Immediate(name("Sel"), float64(1+b%3), 0), ps(req), ps(q))
+			wire(n.Immediate(name("Start"), 1, 0), append(ps(q, free[b]), port...), ps(svc))
+			wire(n.Timed(name("Acc"), 6), ps(svc), append(ps(done, pre), port...))
+			wire(n.Timed(name("PreT"), 4), ps(pre), ps(free[b]))
+		}
+	}
+
+	iReq := n.Place("iReq", 0)
+	wire(n.Immediate("ihit", 0.9, 0), ps(fetch), ps(instr))
+	wire(n.Immediate("imiss", 0.1, 0), ps(fetch), ps(iReq))
+	bankPath("i", iReq, instr)
+	wire(n.Timed("issue", 1), ps(instr, run), ps(decide, run))
+
+	ldReq, stReq := n.Place("ldReq", 0), n.Place("stReq", 0)
+	wire(n.Immediate("other", 0.6, 0), ps(decide), ps(fetch))
+	wire(n.Immediate("load", 0.25, 0), ps(decide), ps(fetch, ldReq))
+	wire(n.Immediate("store", 0.15, 0), ps(decide), ps(fetch, stReq))
+
+	ldIss, ldFast, ldMem := n.Place("ldIss", 0), n.Place("ldFast", 0), n.Place("ldMem", 0)
+	wire(n.Immediate("ldIssue", 1, 0), ps(ldReq, lsu), ps(ldIss))
+	wire(n.Immediate("ldHit", 0.7, 0), ps(ldIss), ps(ldFast))
+	wire(n.Timed("ldHitDone", 1), ps(ldFast), ps(lsu))
+	wire(n.Immediate("ldMiss", 0.3, 0), ps(ldIss), ps(ldMem, ldOut))
+	bankPath("ld", ldMem, ldDone)
+	wire(n.Immediate("ldComplStalled", 1, 2), ps(ldDone, stalled, ldOut), ps(lsu, run))
+	wire(n.Immediate("ldCompl", 1, 1), ps(ldDone, ldOut), ps(lsu))
+	wire(n.Exponential("stall", 0.5), ps(run, ldOut), ps(stalled, ldOut))
+
+	stIss, stFast, stMem := n.Place("stIss", 0), n.Place("stFast", 0), n.Place("stMem", 0)
+	stIssue := wire(n.Immediate("stIssue", 1, 0), ps(stReq, lsu), ps(stIss))
+	n.Inhibit(stIssue, stalled, 1)
+	wire(n.Immediate("stHit", 0.8, 0), ps(stIss), ps(stFast))
+	wire(n.Timed("stHitDone", 1), ps(stFast), ps(lsu))
+	wire(n.Immediate("stMiss", 0.2, 0), ps(stIss), ps(stMem))
+	bankPath("st", stMem, stDone)
+	wire(n.Immediate("stDrain", 1, 0), ps(stDone), ps(lsu))
+	return n
+}
+
+// refSim is the reference simulator Sim is pinned against. It holds the
+// pre-incremental algorithms verbatim, over the same *Net: settling
+// scans every transition for the highest enabled class, every firing is
+// followed by a full reschedule of all timed transitions, the next event
+// is the first strict minimum of a linear scan over sched, and accrual
+// visits every place.
+type refSim struct {
+	net     *Net
+	rng     *rand.Rand
+	marking []int
+	sched   []float64
+	now     float64
+	firings []int64
+	tokTime []float64
+	lastT   float64
+}
+
+func newRefSim(n *Net, seed int64) *refSim {
+	s := &refSim{
+		net:     n,
+		rng:     rand.New(rand.NewSource(seed)),
+		marking: make([]int, len(n.places)),
+		sched:   make([]float64, len(n.trans)),
+		firings: make([]int64, len(n.trans)),
+		tokTime: make([]float64, len(n.places)),
+	}
+	for i, p := range n.places {
+		s.marking[i] = p.initial
+	}
+	for i := range s.sched {
+		s.sched[i] = math.Inf(1)
+	}
+	s.reschedule()
+	return s
+}
+
+func (s *refSim) TimeAvgTokens(p PlaceID) float64 {
+	if s.now == 0 {
+		return float64(s.marking[p])
+	}
+	return s.tokTime[p] / s.now
+}
+
+func (s *refSim) enabled(t TransID) bool {
+	tr := &s.net.trans[t]
+	for _, a := range tr.in {
+		if s.marking[a.place] < a.mult {
+			return false
+		}
+	}
+	for _, a := range tr.inhibit {
+		if s.marking[a.place] >= a.mult {
+			return false
+		}
+	}
+	return true
+}
+
+func (s *refSim) fire(t TransID) {
+	tr := &s.net.trans[t]
+	for _, a := range tr.in {
+		s.marking[a.place] -= a.mult
+	}
+	for _, a := range tr.out {
+		s.marking[a.place] += a.mult
+	}
+	s.firings[t]++
+}
+
+func (s *refSim) reschedule() {
+	for i := range s.net.trans {
+		tr := &s.net.trans[i]
+		if tr.kind == Immediate {
+			continue
+		}
+		en := s.enabled(TransID(i))
+		switch {
+		case en && math.IsInf(s.sched[i], 1):
+			s.sched[i] = s.now + s.sample(tr)
+		case !en && !math.IsInf(s.sched[i], 1):
+			s.sched[i] = math.Inf(1)
+		}
+	}
+}
+
+func (s *refSim) sample(tr *transition) float64 {
+	if tr.kind == Deterministic {
+		return tr.delay
+	}
+	return s.rng.ExpFloat64() / tr.rate
+}
+
+func (s *refSim) settleImmediates() error {
+	for iter := 0; ; iter++ {
+		if iter >= maxImmediateChain {
+			return ErrLivelock
+		}
+		bestPrio := math.MinInt64
+		var totalW float64
+		for i := range s.net.trans {
+			tr := &s.net.trans[i]
+			if tr.kind != Immediate || !s.enabled(TransID(i)) {
+				continue
 			}
-			if errFast != nil {
-				break
+			if tr.priority > bestPrio {
+				bestPrio = tr.priority
+				totalW = 0
 			}
-			if fast.Now() != ref.Now() {
-				t.Fatalf("seed %d step %d: clock %v != %v", seed, step, fast.Now(), ref.Now())
-			}
-			for i := 0; i < fast.net.NumTrans(); i++ {
-				if fast.Firings(TransID(i)) != ref.Firings(TransID(i)) {
-					t.Fatalf("seed %d step %d: firings(%s) %d != %d", seed, step,
-						fast.net.TransName(TransID(i)),
-						fast.Firings(TransID(i)), ref.Firings(TransID(i)))
-				}
-			}
-			for i := 0; i < fast.net.NumPlaces(); i++ {
-				if fast.Marking(PlaceID(i)) != ref.Marking(PlaceID(i)) {
-					t.Fatalf("seed %d step %d: marking(%s) %d != %d", seed, step,
-						fast.net.PlaceName(PlaceID(i)),
-						fast.Marking(PlaceID(i)), ref.Marking(PlaceID(i)))
-				}
+			if tr.priority == bestPrio {
+				totalW += tr.weight
 			}
 		}
+		if totalW == 0 {
+			return nil
+		}
+		pick := s.rng.Float64() * totalW
+		for i := range s.net.trans {
+			tr := &s.net.trans[i]
+			if tr.kind != Immediate || tr.priority != bestPrio || !s.enabled(TransID(i)) {
+				continue
+			}
+			pick -= tr.weight
+			if pick <= 0 {
+				s.fire(TransID(i))
+				break
+			}
+		}
+		s.reschedule()
+	}
+}
+
+func (s *refSim) accrue(t float64) {
+	dt := t - s.lastT
+	if dt <= 0 {
+		return
+	}
+	for i, m := range s.marking {
+		s.tokTime[i] += float64(m) * dt
+	}
+	s.lastT = t
+}
+
+func (s *refSim) Step() error {
+	if err := s.settleImmediates(); err != nil {
+		return err
+	}
+	best := -1
+	bestT := math.Inf(1)
+	for i, at := range s.sched {
+		if at < bestT {
+			bestT = at
+			best = i
+		}
+	}
+	if best < 0 {
+		return ErrDeadlock
+	}
+	s.accrue(bestT)
+	s.now = bestT
+	s.sched[best] = math.Inf(1)
+	s.fire(TransID(best))
+	s.reschedule()
+	return s.settleImmediates()
+}
+
+// requireSameState fails unless sim and ref agree exactly on the clock,
+// every firing count, every marking and every place's time-averaged
+// token count. step is -1 before the first Step.
+func requireSameState(t testing.TB, seed int64, step int, sim *Sim, ref *refSim) {
+	t.Helper()
+	n := sim.net
+	fail := func(what string, got, want any) {
+		t.Helper()
+		t.Fatalf("seed %d step %d: %s = %v, reference %v", seed, step, what, got, want)
+	}
+	if sim.Now() != ref.now {
+		fail("clock", sim.Now(), ref.now)
+	}
+	for i := range ref.firings {
+		if got, want := sim.Firings(TransID(i)), ref.firings[i]; got != want {
+			fail("firings of "+n.TransName(TransID(i)), got, want)
+		}
+	}
+	for i := range ref.marking {
+		p := PlaceID(i)
+		if got, want := sim.Marking(p), ref.marking[i]; got != want {
+			fail("marking of "+n.PlaceName(p), got, want)
+		}
+		if got, want := sim.TimeAvgTokens(p), ref.TimeAvgTokens(p); got != want {
+			fail("TimeAvgTokens of "+n.PlaceName(p), got, want)
+		}
+	}
+}
+
+// lockstep runs a Sim and a refSim of one net from one seed side by
+// side for up to steps steps, requiring the same state after every step
+// and the same error, if any, at the same step.
+func lockstep(t testing.TB, n *Net, seed int64, steps int) {
+	t.Helper()
+	sim, ref := NewSim(n, seed), newRefSim(n, seed)
+	requireSameState(t, seed, -1, sim, ref)
+	for step := 0; step < steps; step++ {
+		errSim, errRef := sim.Step(), ref.Step()
+		if errSim != errRef {
+			t.Fatalf("seed %d step %d: Step error %v, reference %v", seed, step, errSim, errRef)
+		}
+		requireSameState(t, seed, step, sim, ref)
+		if errSim != nil {
+			return
+		}
+	}
+}
+
+// TestRescheduleEquivalence pins Sim against the reference simulator:
+// for a fixed seed both must produce identical clocks, firing counts,
+// markings and token-time integrals at every step, so the immediate
+// picks and the exponential samples consume the shared RNG stream in
+// exactly the same order. The bank nets exercise model scale: timed
+// ties at every event, three priority classes, a shared port place, and
+// enabled sets spanning several bitset words at 64 banks.
+func TestRescheduleEquivalence(t *testing.T) {
+	nets := []struct {
+		name string
+		net  *Net
+	}{{"mixed", buildMixedNet()}}
+	for _, banks := range []int{2, 16, 64} {
+		for _, l2 := range []bool{false, true} {
+			nets = append(nets, struct {
+				name string
+				net  *Net
+			}{fmt.Sprintf("banks%d-l2=%v", banks, l2), buildBankNet(banks, l2)})
+		}
+	}
+	for _, c := range nets {
+		t.Run(c.name, func(t *testing.T) {
+			for seed := int64(1); seed <= 5; seed++ {
+				lockstep(t, c.net, seed, 5000)
+			}
+		})
+	}
+}
+
+// fuzzNet decodes data into a small net: up to 6 places with initial
+// markings and up to 8 transitions, each immediate (weight and one of
+// three priorities), deterministic (delay 1 or 2, so the timed heap
+// sees ties) or exponential, with up to 4 input, output or inhibitor
+// arcs of multiplicity 1-3. The byte after the net is the seed; missing
+// bytes read as zero.
+func fuzzNet(data []byte) (*Net, int64) {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	n := NewNet()
+	np := 1 + next()%6
+	for i := 0; i < np; i++ {
+		n.Place(fmt.Sprintf("p%d", i), next()%4)
+	}
+	nt := 1 + next()%8
+	for i := 0; i < nt; i++ {
+		name := fmt.Sprintf("t%d", i)
+		var tr TransID
+		switch next() % 3 {
+		case 0:
+			tr = n.Immediate(name, float64(1+next()%4)/2, next()%3)
+		case 1:
+			tr = n.Timed(name, float64(1+next()%2))
+		default:
+			tr = n.Exponential(name, float64(1+next()%4)/2)
+		}
+		for k := next() % 5; k > 0; k-- {
+			kind, p, mult := next()%3, PlaceID(next()%np), 1+next()%3
+			switch kind {
+			case 0:
+				n.In(tr, p, mult)
+			case 1:
+				n.Out(tr, p, mult)
+			default:
+				n.Inhibit(tr, p, mult)
+			}
+		}
+	}
+	return n, int64(next())
+}
+
+// FuzzSimEquivalence runs Sim and the reference simulator in lockstep
+// over random small nets: any divergence in state or in ErrDeadlock /
+// ErrLivelock is a bug in the incremental event loop.
+func FuzzSimEquivalence(f *testing.F) {
+	f.Add([]byte{})
+	// A timed loop feeding a weighted immediate conflict, one side
+	// inhibited by its own output, drained by a second timed transition.
+	f.Add([]byte{3, 1, 0, 0, 0, 3,
+		1, 0, 3, 0, 0, 0, 1, 0, 0, 1, 1, 0,
+		0, 2, 0, 3, 0, 1, 0, 1, 2, 0, 2, 2, 2,
+		0, 0, 0, 2, 0, 1, 0, 1, 3, 0,
+		1, 1, 1, 0, 2, 1,
+		7})
+	// Two equal-delay servers racing for one queue (heap ties), an
+	// exponential source and a drain consuming two tokens at once.
+	f.Add([]byte{1, 2, 0, 3,
+		1, 1, 2, 0, 0, 0, 1, 1, 0,
+		1, 1, 2, 0, 0, 0, 1, 1, 0,
+		2, 1, 1, 1, 0, 0,
+		1, 0, 1, 0, 1, 1,
+		3})
+	// Three priority classes competing for tokens a timed loop supplies.
+	f.Add([]byte{4, 3, 0, 0, 0, 1, 3,
+		0, 0, 0, 2, 0, 0, 0, 1, 1, 0,
+		0, 1, 1, 3, 0, 0, 0, 1, 2, 0, 2, 2, 1,
+		0, 3, 2, 3, 0, 0, 0, 1, 3, 0, 2, 3, 0,
+		1, 0, 3, 0, 4, 0, 1, 4, 0, 1, 0, 0,
+		5})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n, seed := fuzzNet(data)
+		lockstep(t, n, seed, 200)
+	})
+}
+
+// TestStepZeroAllocs: after warm-up, a Step of a 64-bank net allocates
+// nothing — every per-Sim buffer is sized in NewSim, which costs the
+// same few allocations whatever the net size.
+func TestStepZeroAllocs(t *testing.T) {
+	newSimAllocs := func(n *Net) float64 {
+		NewSim(n, 1) // seal outside the measurement
+		return testing.AllocsPerRun(10, func() { NewSim(n, 1) })
+	}
+	small, large := newSimAllocs(buildBankNet(2, true)), newSimAllocs(buildBankNet(64, true))
+	if small != large || large > 8 {
+		t.Errorf("NewSim allocates %v times at 2 banks, %v at 64, want the same, at most 8", small, large)
+	}
+
+	s := NewSim(buildBankNet(64, true), 1)
+	for i := 0; i < 1000; i++ {
+		if err := s.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var err error
+	allocs := testing.AllocsPerRun(5000, func() {
+		if err == nil {
+			err = s.Step()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Errorf("Step allocates %.2f times per call, want 0", allocs)
 	}
 }
 
@@ -452,8 +879,7 @@ func TestSharedNetConcurrentSims(t *testing.T) {
 	}
 }
 
-// BenchmarkSimStep measures the per-event cost of the simulator loop
-// with the incremental reschedule (the default path).
+// BenchmarkSimStep measures the per-event cost of the simulator loop.
 func BenchmarkSimStep(b *testing.B) {
 	s := NewSim(buildMixedNet(), 1)
 	b.ReportAllocs()
@@ -465,11 +891,10 @@ func BenchmarkSimStep(b *testing.B) {
 	}
 }
 
-// BenchmarkSimStepFullRescan is the same loop on the full-rescan
-// reference path, so the adjacency win is visible in one bench diff.
+// BenchmarkSimStepFullRescan is the same loop on the reference
+// simulator, so the incremental win is visible in one bench diff.
 func BenchmarkSimStepFullRescan(b *testing.B) {
-	s := NewSim(buildMixedNet(), 1)
-	s.fullRescan = true
+	s := newRefSim(buildMixedNet(), 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
