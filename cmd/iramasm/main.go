@@ -32,6 +32,7 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/cache"
+	"repro/internal/core"
 	"repro/internal/dis"
 	"repro/internal/isa"
 	"repro/internal/trace"
@@ -369,7 +370,7 @@ const maxCacheSize = 1 << 30
 // silently degenerate geometry deep inside the replay loop.
 func parseCacheSpec(s string) (cache.Cache, error) {
 	if s == "proposed" {
-		return cache.Proposed(), nil
+		return cache.NewWithVictim(core.Proposed().DCache()), nil
 	}
 	parts := strings.Split(s, ":")
 	if len(parts) != 3 {

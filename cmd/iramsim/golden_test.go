@@ -148,20 +148,30 @@ func TestMachineFlag(t *testing.T) {
 
 	// The same experiments on the default device must differ: the
 	// refactor threads the device through, it doesn't just print it.
+	render := func(o experiments.Options, names ...string) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := runNames(names, o, experiments.NewMeasurementSet(o), 2, nil, &buf, io.Discard); err != nil {
+			t.Fatalf("%v on %q: %v", names, o.Device().Name, err)
+		}
+		return buf.Bytes()
+	}
 	defOpts := quickOpts()
-	defMS := experiments.NewMeasurementSet(defOpts)
-	var defBuf bytes.Buffer
-	if err := runNames([]string{"fig7"}, defOpts, defMS, 1, nil, &defBuf, io.Discard); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"fig7", "ablate-victim", "ablate-unit", "ablate-inc", "ablate-engines", "ablate-jouppi"} {
+		if bytes.Equal(render(defOpts, name), render(opts, name)) {
+			t.Errorf("%s output identical for default and 32-bank devices; -machine is not reaching the simulators", name)
+		}
 	}
-	var machBuf bytes.Buffer
-	machMS := experiments.NewMeasurementSet(opts)
-	if err := runNames([]string{"fig7"}, opts, machMS, 1, nil, &machBuf, io.Discard); err != nil {
-		t.Fatal(err)
+
+	// Every ablation runs on a device without a victim cache.
+	novic, err := core.FromJSON([]byte(`{"VictimEntries": 0, "VictimLineBytes": 0}`))
+	if err != nil {
+		t.Fatalf("victimless device: %v", err)
 	}
-	if bytes.Equal(defBuf.Bytes(), machBuf.Bytes()) {
-		t.Error("fig7 output identical for default and 32-bank devices; -machine is not reaching the simulators")
-	}
+	noOpts := quickOpts()
+	noOpts.Machine = &novic
+	render(noOpts, "ablate-linesize", "ablate-victim", "ablate-unit", "ablate-scoreboard",
+		"ablate-inc", "ablate-engines", "ablate-jouppi")
 }
 
 // TestMachineFlagRejectsBadConfig: an invalid geometry must fail at

@@ -12,6 +12,7 @@ import (
 	"log"
 
 	"repro/internal/cache"
+	"repro/internal/core"
 	"repro/internal/trace"
 	"repro/iram"
 )
@@ -44,8 +45,8 @@ func main() {
 	}
 
 	// Hand-picked cache organisations to compare.
-	proposed := cache.Proposed()    // column buffers + victim
-	plain := cache.ProposedDCache() // column buffers only
+	proposed := cache.NewWithVictim(core.Proposed().DCache()) // column buffers + victim
+	plain, _ := core.Proposed().DCache()                      // column buffers only
 	conv := cache.NewDirectMapped("conv 16KB", 16<<10, 32)
 
 	sink := trace.SinkFunc(func(r trace.Ref) {

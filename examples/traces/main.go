@@ -16,6 +16,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/cache"
+	"repro/internal/core"
 	"repro/internal/trace"
 	"repro/internal/vm"
 	"repro/internal/workload"
@@ -49,12 +50,15 @@ func main() {
 	fmt.Printf("captured %d references of %s to %s (%.2f bytes/ref)\n\n",
 		tw.Count(), w.Name, path, float64(info.Size())/float64(tw.Count()))
 
-	// 2. Replay: one pass of the trace drives a whole design sweep.
+	// 2. Replay: one pass of the trace drives a whole design sweep,
+	// ending with the paper device's D-cache, without and with its
+	// victim cache.
+	plain, _ := core.Proposed().DCache()
 	sweep := []cache.Cache{
 		cache.NewDirectMapped("16KB DM 32B", 16<<10, 32),
 		cache.NewSetAssoc("16KB 2W 32B", 16<<10, 32, 2),
-		cache.ProposedDCache(),
-		cache.Proposed(),
+		plain,
+		cache.NewWithVictim(core.Proposed().DCache()),
 	}
 	in, err := os.Open(path)
 	if err != nil {
@@ -78,7 +82,7 @@ func main() {
 
 	fmt.Println("data-cache miss rates from one captured trace:")
 	for _, c := range sweep {
-		fmt.Printf("  %-34s %7.3f%%\n", c.Name(), c.Stats().Data().Percent())
+		fmt.Printf("  %-40s %7.3f%%\n", c.Name(), c.Stats().Data().Percent())
 	}
 	fmt.Println("\ntomcatv's Figure 8 story in four lines: the 512B-line cache thrashes,")
 	fmt.Println("the victim cache absorbs the conflicts, conventional caches sit between.")

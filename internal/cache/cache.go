@@ -171,18 +171,6 @@ func NewDirectMapped(name string, size, lineSize uint64) *SetAssoc {
 	return NewSetAssoc(name, size, lineSize, 1)
 }
 
-// ProposedICache is the paper's instruction cache: 16 column buffers of
-// 512 B, direct-mapped (8 KB total).
-func ProposedICache() *SetAssoc {
-	return NewDirectMapped("proposed 8KB DM 512B", 8<<10, 512)
-}
-
-// ProposedDCache is the paper's data cache: 16 banks × 2 column buffers
-// of 512 B, i.e. 16 KB 2-way set-associative with 512 B lines.
-func ProposedDCache() *SetAssoc {
-	return NewSetAssoc("proposed 16KB 2-way 512B", 16<<10, 512, 2)
-}
-
 // Name implements Cache.
 func (c *SetAssoc) Name() string { return c.name }
 
@@ -325,9 +313,6 @@ func NewVictim(n int, lineSize uint64) *Victim {
 	return &Victim{lineSize: lineSize, entries: make([]line, n)}
 }
 
-// ProposedVictim is the paper's 16 × 32 B victim cache.
-func ProposedVictim() *Victim { return NewVictim(16, VictimLineSize) }
-
 // Lookup probes the victim cache and updates LRU on hit.
 func (v *Victim) Lookup(addr uint64) bool {
 	lineAddr := addr / v.lineSize
@@ -399,12 +384,6 @@ func NewWithVictim(main *SetAssoc, vic *Victim) *WithVictim {
 		vic.Insert(sub)
 	}
 	return w
-}
-
-// Proposed returns the paper's complete data-cache organisation:
-// 16 KB 2-way column-buffer cache plus 16×32 B victim cache.
-func Proposed() *WithVictim {
-	return NewWithVictim(ProposedDCache(), ProposedVictim())
 }
 
 // Name implements Cache.

@@ -8,6 +8,24 @@ import (
 	"repro/internal/trace"
 )
 
+// The paper's caches (Section 5), as literals: the package has no
+// device description to derive them from, and the tests pin the
+// mechanisms at exactly the paper's geometry.
+
+// paperICache is the 8 KB direct-mapped I-cache: 16 column buffers of
+// 512 B.
+func paperICache() *SetAssoc { return NewDirectMapped("paper 8KB DM 512B", 8<<10, 512) }
+
+// paperDCache is the 16 KB 2-way D-cache: 16 banks × 2 column buffers
+// of 512 B.
+func paperDCache() *SetAssoc { return NewSetAssoc("paper 16KB 2-way 512B", 16<<10, 512, 2) }
+
+// paperVictim is the 16 × 32 B victim cache.
+func paperVictim() *Victim { return NewVictim(16, VictimLineSize) }
+
+// paperWithVictim is the D-cache plus victim cache.
+func paperWithVictim() *WithVictim { return NewWithVictim(paperDCache(), paperVictim()) }
+
 func TestDirectMappedBasics(t *testing.T) {
 	c := NewDirectMapped("t", 1024, 32) // 32 sets
 	if c.Access(0, trace.Load) {
@@ -88,17 +106,17 @@ func TestInvalidate(t *testing.T) {
 }
 
 func TestProposedGeometries(t *testing.T) {
-	ic := ProposedICache()
+	ic := paperICache()
 	if ic.Sets() != 16 || ic.Ways() != 1 || ic.LineSize() != 512 {
 		t.Errorf("I-cache geometry: %d sets, %d ways, %d B lines",
 			ic.Sets(), ic.Ways(), ic.LineSize())
 	}
-	dc := ProposedDCache()
+	dc := paperDCache()
 	if dc.Sets() != 16 || dc.Ways() != 2 || dc.LineSize() != 512 {
 		t.Errorf("D-cache geometry: %d sets, %d ways, %d B lines",
 			dc.Sets(), dc.Ways(), dc.LineSize())
 	}
-	v := ProposedVictim()
+	v := paperVictim()
 	if len(v.entries) != 16 || v.lineSize != 32 {
 		t.Errorf("victim geometry: %d entries, %d B", len(v.entries), v.lineSize)
 	}
@@ -108,8 +126,8 @@ func TestProposedGeometries(t *testing.T) {
 // three sequential streams aliasing into one 2-way set thrash without
 // the victim cache; with it, only 32 B-block boundary crossings miss.
 func TestVictimAbsorbsConflicts(t *testing.T) {
-	plain := ProposedDCache()
-	withV := Proposed()
+	plain := paperDCache()
+	withV := paperWithVictim()
 	// Three streams, 8 KiB apart: same set in a 16-set 512 B cache.
 	bases := []uint64{0x100000, 0x102000, 0x104000}
 	run := func(c Cache) float64 {
@@ -133,7 +151,7 @@ func TestVictimAbsorbsConflicts(t *testing.T) {
 // TestVictimNoMainReload verifies the paper's explicit rule: a victim
 // hit does not reload the main cache (the size disparity forbids it).
 func TestVictimNoMainReload(t *testing.T) {
-	w := Proposed()
+	w := paperWithVictim()
 	a := uint64(0x100000)
 	b := uint64(0x102000)   // same set
 	c := uint64(0x104000)   // same set
@@ -154,7 +172,7 @@ func TestVictimNoMainReload(t *testing.T) {
 // TestVictimFillsFromEvictedMRUBlock: the victim receives the
 // most-recently-accessed 32 B sub-block of the evicted line.
 func TestVictimFillsFromEvictedMRUBlock(t *testing.T) {
-	w := Proposed()
+	w := paperWithVictim()
 	a := uint64(0x100000)
 	w.Access(a+200, trace.Load) // a's line in main; last access at offset 200
 	w.Access(a+100, trace.Load) // ...now at offset 100
@@ -226,8 +244,8 @@ func TestHigherAssocNoWorse(t *testing.T) {
 func TestVictimNeverIncreasesMisses(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		plain := ProposedDCache()
-		withV := Proposed()
+		plain := paperDCache()
+		withV := paperWithVictim()
 		for i := 0; i < 6000; i++ {
 			var addr uint64
 			switch rng.Intn(3) {
@@ -253,7 +271,7 @@ func TestVictimNeverIncreasesMisses(t *testing.T) {
 }
 
 func TestFlushClearsContents(t *testing.T) {
-	c := ProposedDCache()
+	c := paperDCache()
 	c.Access(1234, trace.Load)
 	c.Flush()
 	if c.Probe(1234) {
@@ -279,7 +297,7 @@ func TestEvictionCallback(t *testing.T) {
 }
 
 func TestVictimInvalidate(t *testing.T) {
-	v := ProposedVictim()
+	v := paperVictim()
 	v.Insert(0x1000)
 	if !v.Invalidate(0x1010) { // same 32 B block
 		t.Error("Invalidate missed resident block")
@@ -355,8 +373,8 @@ func TestStreamBufferMultipleStreams(t *testing.T) {
 // the conflicting re-references are to *evicted* blocks, not to the
 // next sequential ones.
 func TestVictimBeatsStreamOnConflicts(t *testing.T) {
-	vic := Proposed()
-	str := NewWithStream(ProposedDCache(), NewStreamBuffer(4, 4))
+	vic := paperWithVictim()
+	str := NewWithStream(paperDCache(), NewStreamBuffer(4, 4))
 	bases := []uint64{0x100000, 0x102000, 0x104000} // same proposed set
 	run := func(c Cache) float64 {
 		for i := uint64(0); i < 4096; i += 8 {

@@ -37,14 +37,6 @@ import (
 // cache lines (false sharing would outweigh the prefetching benefits).
 const BlockSize = 32
 
-// DefaultColumnBytes is the paper's DRAM column (and cache line) size;
-// device-derived constructors use the device's own column size instead.
-const DefaultColumnBytes = 512
-
-// unitsPerColumn is how many coherence units one paper column holds —
-// the INC's set granularity (Figure 6: 7 data blocks + 1 tag block).
-const unitsPerColumn = DefaultColumnBytes / BlockSize
-
 // PageSize is the home-placement granularity.
 const PageSize = 4096
 
@@ -61,33 +53,28 @@ type Latencies struct {
 	InvalRT    uint64 // invalidation round trip
 }
 
-// DefaultLatencies returns Table 6 plus the two modelling choices the
-// table leaves implicit (INCExtra = 1 cycle of the "1 to 2" the paper
-// quotes; LocalCold = 12 for the reference system's cold local misses,
-// an SLC lookup followed by a DRAM access behind a conventional bus).
-func DefaultLatencies() Latencies {
+// LatenciesFor derives the Table 6 latency set from a machine
+// description: the local-memory cost is the DRAM access time and the
+// per-flit fabric cost follows from the coherence unit size and the
+// device's raw I/O bandwidth (32 B at 1.25 GB/s ≈ 25 ns = 5 cycles on
+// core.Proposed()). The rest is Table 6 plus the two modelling choices
+// the table leaves implicit: INCExtra = 1 cycle of the "1 to 2" the
+// paper quotes, and LocalCold = 12 for the reference system's cold
+// local misses, an SLC lookup followed by a DRAM access behind a
+// conventional bus.
+func LatenciesFor(d core.Device) Latencies {
 	t := paperref.Table6
-	return Latencies{
+	l := Latencies{
 		CacheHit:   uint64(t.ColumnBufferHit),
-		FlitCycles: 5, // 32 B at ~1.25 GB/s is ~25 ns = 5 cycles @200 MHz
+		FlitCycles: 5,
 		VictimHit:  uint64(t.VictimHit),
-		LocalMem:   uint64(t.LocalMemory),
+		LocalMem:   uint64(d.DRAM.AccessCycles),
 		INCExtra:   1,
 		SLCHit:     uint64(t.SLCHit),
 		LocalCold:  12,
 		RemoteLoad: uint64(t.RemoteLoad),
 		InvalRT:    uint64(t.InvalidationRT),
 	}
-}
-
-// LatenciesFor derives the Table 6 latency set from a machine
-// description: the local-memory cost is the DRAM access time and the
-// per-flit fabric cost follows from the coherence unit size and the
-// device's raw I/O bandwidth. For core.Proposed() this reproduces
-// DefaultLatencies() exactly (32 B at 1.25 GB/s ≈ 25 ns = 5 cycles).
-func LatenciesFor(d core.Device) Latencies {
-	l := DefaultLatencies()
-	l.LocalMem = uint64(d.DRAM.AccessCycles)
 	if bw := d.IOBandwidthGBs(); bw > 0 {
 		l.FlitCycles = uint64(float64(d.CoherenceUnitBytes) * float64(d.ClockMHz) * 1e6 / (bw * 1e9))
 	}
@@ -158,7 +145,7 @@ type Node interface {
 }
 
 // NewMachine builds a machine with n nodes using the given node
-// constructor (one of NewIntegratedNode / NewReferenceNode wrappers).
+// constructor.
 func NewMachine(n int, lat Latencies, mk func(id int) Node) *Machine {
 	if n < 1 || n > 64 {
 		panic(fmt.Sprintf("coherence: node count %d outside 1..64", n))
@@ -355,19 +342,6 @@ type INC struct {
 	Invalidates int64
 }
 
-// NewINC builds an INC of the given total data capacity in bytes
-// (1 MB in the paper's simulations) holding blocks of unitBytes, with
-// the paper's 7-way organisation.
-func NewINC(capacityBytes, unitBytes uint64) *INC {
-	return NewINCWays(capacityBytes, unitBytes, 7)
-}
-
-// NewINCWays builds an INC with explicit associativity (for the
-// ablation study; the paper's column organisation fixes it at 7).
-func NewINCWays(capacityBytes, unitBytes uint64, ways int) *INC {
-	return NewINCGeom(capacityBytes, unitBytes, ways, unitsPerColumn)
-}
-
 // NewINCGeom builds an INC whose sets each span unitsPerSet units of
 // capacity — one DRAM column in the device organisation, so for a
 // 512 B column with 32 B units each column holds 7 data blocks plus
@@ -390,19 +364,6 @@ func NewINCGeom(capacityBytes, unitBytes uint64, ways, unitsPerSet int) *INC {
 		blocks: make([]uint64, sets*ways),
 		valid:  make([]bool, sets*ways),
 	}
-}
-
-// NewMachineINC builds an integrated machine whose nodes use an INC
-// of the given associativity and capacity (ablation support; the paper
-// uses 7 ways and 1 MB).
-func NewMachineINC(cfg Config, n, ways int, incBytes uint64) *Machine {
-	lat := DefaultLatencies()
-	withVictim := cfg == IntegratedVictim
-	return NewMachine(n, lat, func(id int) Node {
-		node := NewIntegratedNode(id, lat, withVictim, incBytes)
-		node.inc = NewINCWays(incBytes, BlockSize, ways)
-		return node
-	})
 }
 
 func (c *INC) set(block uint64) int { return int(block % uint64(c.sets)) }
@@ -483,52 +444,31 @@ type IntegratedNode struct {
 	ColumnFills int64
 }
 
-// NewIntegratedNode builds a node with the paper's cache organisation.
-// withVictim selects the victim-cache-augmented variant of Figures
-// 13–17. incBytes is the INC capacity (1 MB in the paper).
-func NewIntegratedNode(id int, lat Latencies, withVictim bool, incBytes uint64) *IntegratedNode {
-	return NewIntegratedNodeUnit(id, lat, withVictim, incBytes, BlockSize)
-}
-
-// NewIntegratedNodeUnit builds a node with a non-default coherence
-// unit (the false-sharing ablation).
-func NewIntegratedNodeUnit(id int, lat Latencies, withVictim bool, incBytes, unit uint64) *IntegratedNode {
-	n := &IntegratedNode{
-		id:         id,
-		lat:        lat,
-		unit:       unit,
-		line:       DefaultColumnBytes,
-		victimLine: cache.VictimLineSize,
-		dcache:     cache.ProposedDCache(),
-		inc:        NewINC(incBytes, unit),
-	}
-	if withVictim {
-		n.victim = cache.ProposedVictim()
-	}
-	return n
-}
-
 // NewIntegratedNodeDevice builds a node whose cache organisation —
 // column buffers, victim cache, and INC geometry — is derived from a
-// machine description instead of the paper literals. For
-// core.Proposed() this matches NewIntegratedNodeUnit exactly.
+// machine description. withVictim selects the victim-cache-augmented
+// variant of Figures 13–17 (a device without a victim cache has no
+// such variant); unit is the coherence unit, which the false-sharing
+// ablation raises above the device's.
 func NewIntegratedNodeDevice(id int, lat Latencies, withVictim bool, unit uint64, d core.Device) *IntegratedNode {
-	// Each INC set spans one column of capacity regardless of the
-	// ablation unit, as in the legacy constructor.
-	perSet := d.DRAM.ColumnBytes / d.CoherenceUnitBytes
+	dc, vc := d.DCache()
 	n := &IntegratedNode{
 		id:         id,
 		lat:        lat,
 		unit:       unit,
 		line:       uint64(d.DRAM.ColumnBytes),
 		victimLine: uint64(d.VictimLineBytes),
-		dcache: cache.NewSetAssoc(
-			fmt.Sprintf("%dKB %d-way %dB device D-cache", d.DCacheBytes>>10, d.DCacheWays, d.DCacheLineBytes),
-			uint64(d.DCacheBytes), uint64(d.DCacheLineBytes), d.DCacheWays),
-		inc: NewINCGeom(uint64(d.INCBytes), unit, d.INCWays, perSet),
+		dcache:     dc,
+		// Each INC set spans one column of capacity regardless of the
+		// ablation unit (Figure 6: 7 data blocks + 1 tag block).
+		inc: NewINCGeom(uint64(d.INCBytes), unit, d.INCWays, d.DRAM.ColumnBytes/d.CoherenceUnitBytes),
 	}
-	if withVictim && d.VictimEntries > 0 {
-		n.victim = cache.NewVictim(d.VictimEntries, uint64(d.VictimLineBytes))
+	if withVictim && vc != nil {
+		// NewWithVictim claims dc's eviction hook, once: every column
+		// fill stages the evicted line's most recently used sub-block
+		// into vc. The node drives dc and vc itself.
+		cache.NewWithVictim(dc, vc)
+		n.victim = vc
 	}
 	return n
 }
@@ -589,12 +529,6 @@ func (n *IntegratedNode) Access(addr uint64, write, local bool) (uint64, bool) {
 // fill loads the column containing addr into the D-cache, staging the
 // evicted line's MRU sub-block into the victim cache.
 func (n *IntegratedNode) fill(addr uint64, kind trace.Kind) {
-	if n.victim != nil {
-		n.dcache.OnEvict = func(e cache.Eviction) {
-			sub := e.Addr + uint64(e.LastSub)/n.victimLine*n.victimLine
-			n.victim.Insert(sub)
-		}
-	}
 	n.dcache.Access(addr, kind)
 	n.ColumnFills++
 	// The whole column is now valid: clear any poisoned blocks in it.
@@ -634,30 +568,18 @@ type ReferenceNode struct {
 	slc     pagedBits // infinite second-level cache: block presence
 }
 
-// NewReferenceNode builds a reference node.
-func NewReferenceNode(id int, lat Latencies) *ReferenceNode {
-	return NewReferenceNodeUnit(id, lat, BlockSize)
-}
-
-// NewReferenceNodeUnit builds a reference node with a non-default
-// coherence unit.
-func NewReferenceNodeUnit(id int, lat Latencies, unit uint64) *ReferenceNode {
-	return NewReferenceNodeDevice(id, lat, unit, core.Reference())
-}
-
 // NewReferenceNodeDevice builds a reference node whose first-level
 // cache is derived from a machine description (the D-cache fields of a
 // non-integrated device). core.Reference() reproduces the paper's
 // 16 KB direct-mapped FLC with 32 B lines.
 func NewReferenceNodeDevice(id int, lat Latencies, unit uint64, d core.Device) *ReferenceNode {
+	flc, _ := d.DCache()
 	return &ReferenceNode{
 		id:      id,
 		lat:     lat,
 		unit:    unit,
 		flcLine: uint64(d.DCacheLineBytes),
-		flc: cache.NewSetAssoc(
-			fmt.Sprintf("FLC %dKB %d-way %dB", d.DCacheBytes>>10, d.DCacheWays, d.DCacheLineBytes),
-			uint64(d.DCacheBytes), uint64(d.DCacheLineBytes), d.DCacheWays),
+		flc:     flc,
 	}
 }
 
@@ -719,21 +641,10 @@ func (c Config) String() string {
 	}
 }
 
-// INCBytes is the paper's per-node Inter-Node Cache capacity.
-const INCBytes = 1 << 20
-
 // NewConfiguredMachine builds an n-node machine of the given config
-// with Table 6 latencies and the paper's 32 B coherence unit.
+// on the paper's devices, with the paper's 32 B coherence unit.
 func NewConfiguredMachine(cfg Config, n int) *Machine {
-	return NewConfiguredMachineUnit(cfg, n, BlockSize)
-}
-
-// NewConfiguredMachineUnit builds a machine with a non-default
-// coherence unit. The paper argues (Section 6.2) that the 512 B cache
-// lines must NOT be used as coherence units — this constructor lets
-// the ablation experiments demonstrate why.
-func NewConfiguredMachineUnit(cfg Config, n int, unit uint64) *Machine {
-	return NewConfiguredMachineDevices(cfg, n, unit, core.Proposed(), core.Reference())
+	return NewConfiguredMachineDevices(cfg, n, BlockSize, core.Proposed(), core.Reference())
 }
 
 // NewConfiguredMachineDevices builds a machine of the given config

@@ -4,11 +4,25 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
 func newRefMachine(n int) *Machine {
 	return NewConfiguredMachine(ReferenceCCNUMA, n)
+}
+
+// newUnitMachine builds a paper machine with a non-default coherence
+// unit (the false-sharing ablation).
+func newUnitMachine(cfg Config, n int, unit uint64) *Machine {
+	return NewConfiguredMachineDevices(cfg, n, unit, core.Proposed(), core.Reference())
+}
+
+// newPaperINC is the paper's INC organisation at a test capacity: 7
+// ways over 32 B blocks, 16 blocks of capacity (one 512 B column) per
+// set.
+func newPaperINC(capacityBytes uint64) *INC {
+	return NewINCGeom(capacityBytes, 32, 7, 512/32)
 }
 
 func newIntMachine(n int, victim bool) *Machine {
@@ -149,7 +163,7 @@ func TestPoisonedSubBlock(t *testing.T) {
 }
 
 func TestINCSevenWayAssociativity(t *testing.T) {
-	inc := NewINC(512*8, 32)
+	inc := newPaperINC(512 * 8)
 	sets := uint64(inc.Sets())
 	if sets < 2 {
 		t.Fatalf("degenerate INC: %d sets", sets)
@@ -170,7 +184,7 @@ func TestINCSevenWayAssociativity(t *testing.T) {
 }
 
 func TestINCInvalidate(t *testing.T) {
-	inc := NewINC(512*8, 32)
+	inc := newPaperINC(512 * 8)
 	inc.Insert(40)
 	if !inc.Invalidate(40) {
 		t.Error("Invalidate missed")
@@ -186,7 +200,7 @@ func TestINCInvalidate(t *testing.T) {
 // TestINCEventAccounting: Evictions counts only valid LRU ways dropped
 // by Insert, and Invalidates counts only blocks actually removed.
 func TestINCEventAccounting(t *testing.T) {
-	inc := NewINC(512*8, 32)
+	inc := newPaperINC(512 * 8)
 	sets := uint64(inc.Sets())
 	// Filling the seven ways of set 0 evicts nothing.
 	for i := uint64(0); i < 7; i++ {
@@ -314,7 +328,7 @@ func TestUnitConstructorValidation(t *testing.T) {
 					t.Errorf("unit %d accepted", unit)
 				}
 			}()
-			NewConfiguredMachineUnit(IntegratedVictim, 2, unit)
+			newUnitMachine(IntegratedVictim, 2, unit)
 		}()
 	}
 	// S-COMA only supports the 32 B unit.
@@ -324,12 +338,12 @@ func TestUnitConstructorValidation(t *testing.T) {
 				t.Error("S-COMA with a 512 B unit accepted")
 			}
 		}()
-		NewConfiguredMachineUnit(SimpleCOMA, 2, 512)
+		newUnitMachine(SimpleCOMA, 2, 512)
 	}()
 }
 
 func TestLargeUnitInvalidatesWholeRange(t *testing.T) {
-	m := NewConfiguredMachineUnit(IntegratedVictim, 2, 512)
+	m := newUnitMachine(IntegratedVictim, 2, 512)
 	// Node 0 caches a local column; node 1 writes one block in the
 	// same 512 B unit; every block of the unit must then be stale for
 	// node 0 (false sharing at work).
@@ -337,5 +351,35 @@ func TestLargeUnitInvalidatesWholeRange(t *testing.T) {
 	m.Access(1, 480, true)
 	if got := m.Access(0, 64, false); got < m.Lat.RemoteLoad {
 		t.Errorf("sibling block after unit invalidation = %d, want a recall", got)
+	}
+}
+
+// TestAccessZeroAllocs: once the directory and presence tables cover
+// an address range, an access that fills a column buffer (or the
+// reference FLC) and evicts a resident line allocates nothing — the
+// victim staging hook included.
+func TestAccessZeroAllocs(t *testing.T) {
+	const (
+		base   = 0x100000
+		region = 64 << 10 // four D-caches: every access of a sweep misses
+		stride = 512
+	)
+	for _, cfg := range []Config{ReferenceCCNUMA, IntegratedPlain, IntegratedVictim, SimpleCOMA} {
+		m := NewConfiguredMachine(cfg, 2)
+		m.Place(base, region, 0)
+		sweep := func() {
+			for a := uint64(base); a < base+region; a += stride {
+				m.Access(0, a, false)
+			}
+		}
+		sweep() // first touch grows the directory and presence tables
+		hits := m.Hits
+		perSweep := testing.AllocsPerRun(10, sweep)
+		if m.Hits != hits {
+			t.Fatalf("%s: %d hits in the measured sweeps, want every access to fill", cfg, m.Hits-hits)
+		}
+		if got := perSweep / (region / stride); got > 0.01 {
+			t.Errorf("%s: %.3f allocations per filling access, want 0", cfg, got)
+		}
 	}
 }

@@ -1,8 +1,6 @@
 package coherence
 
 import (
-	"fmt"
-
 	"repro/internal/cache"
 	"repro/internal/core"
 )
@@ -52,26 +50,22 @@ type SCOMANode struct {
 	Allocations int64
 }
 
-// NewSCOMANode builds a Simple-COMA node with the paper's organisation.
-func NewSCOMANode(id int, lat Latencies, withVictim bool) *SCOMANode {
-	return NewSCOMANodeDevice(id, lat, withVictim, core.Proposed())
-}
-
 // NewSCOMANodeDevice builds a Simple-COMA node whose column buffers and
 // victim cache are derived from a machine description.
 func NewSCOMANodeDevice(id int, lat Latencies, withVictim bool, d core.Device) *SCOMANode {
+	dc, vc := d.DCache()
 	n := &SCOMANode{
 		id:         id,
 		lat:        lat,
 		unit:       uint64(d.CoherenceUnitBytes),
 		line:       uint64(d.DRAM.ColumnBytes),
 		victimLine: uint64(d.VictimLineBytes),
-		dcache: cache.NewSetAssoc(
-			fmt.Sprintf("%dKB %d-way %dB device D-cache", d.DCacheBytes>>10, d.DCacheWays, d.DCacheLineBytes),
-			uint64(d.DCacheBytes), uint64(d.DCacheLineBytes), d.DCacheWays),
+		dcache:     dc,
 	}
-	if withVictim && d.VictimEntries > 0 {
-		n.victim = cache.NewVictim(d.VictimEntries, uint64(d.VictimLineBytes))
+	if withVictim && vc != nil {
+		// As in the integrated node: the staging hook is installed once.
+		cache.NewWithVictim(dc, vc)
+		n.victim = vc
 	}
 	return n
 }
@@ -114,12 +108,6 @@ func (n *SCOMANode) Access(addr uint64, write, local bool) (uint64, bool) {
 }
 
 func (n *SCOMANode) localFill(addr uint64, kind kindT) {
-	if n.victim != nil {
-		n.dcache.OnEvict = func(e cache.Eviction) {
-			sub := e.Addr + uint64(e.LastSub)/n.victimLine*n.victimLine
-			n.victim.Insert(sub)
-		}
-	}
 	n.dcache.Access(addr, kind)
 	lineBase := addr / n.line * n.line
 	for b := lineBase / n.unit; b <= (lineBase+n.line-1)/n.unit; b++ {
@@ -153,13 +141,6 @@ type kindT = cacheKind
 // SimpleCOMA is the additional machine configuration (the paper's
 // second protocol-engine personality).
 const SimpleCOMA Config = 3
-
-// NewSCOMAMachine builds an n-node Simple-COMA machine with the
-// integrated node's cache organisation (victim cache included, as in
-// the best-performing CC-NUMA variant).
-func NewSCOMAMachine(n int) *Machine {
-	return NewSCOMAMachineDevice(n, core.Proposed())
-}
 
 // NewSCOMAMachineDevice builds an n-node Simple-COMA machine derived
 // from a machine description.

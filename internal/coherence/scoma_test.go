@@ -3,7 +3,7 @@ package coherence
 import "testing"
 
 func TestSCOMAFirstTouchAllocates(t *testing.T) {
-	m := NewSCOMAMachine(2)
+	m := NewConfiguredMachine(SimpleCOMA, 2)
 	addr := uint64(PageSize) // home node 1, remote for node 0
 	got := m.Access(0, addr, false)
 	// First touch: page allocation + remote block fetch.
@@ -18,7 +18,7 @@ func TestSCOMAFirstTouchAllocates(t *testing.T) {
 }
 
 func TestSCOMAReaccessIsLocalSpeed(t *testing.T) {
-	m := NewSCOMAMachine(2)
+	m := NewConfiguredMachine(SimpleCOMA, 2)
 	addr := uint64(PageSize)
 	m.Access(0, addr, false) // alloc + fetch (also primes the column)
 	// Re-access: column buffer hit — the whole point of S-COMA.
@@ -28,7 +28,7 @@ func TestSCOMAReaccessIsLocalSpeed(t *testing.T) {
 }
 
 func TestSCOMASecondBlockSamePageNoAlloc(t *testing.T) {
-	m := NewSCOMAMachine(2)
+	m := NewConfiguredMachine(SimpleCOMA, 2)
 	m.Access(0, PageSize, false)
 	// Another block in the same page: fetch but no allocation trap.
 	got := m.Access(0, PageSize+4*BlockSize, false)
@@ -38,7 +38,7 @@ func TestSCOMASecondBlockSamePageNoAlloc(t *testing.T) {
 }
 
 func TestSCOMAInvalidationForcesRefetch(t *testing.T) {
-	m := NewSCOMAMachine(2)
+	m := NewConfiguredMachine(SimpleCOMA, 2)
 	addr := uint64(PageSize)
 	m.Access(0, addr, false) // node 0 caches it
 	m.Access(1, addr, true)  // home writes: node 0's copy invalidated
@@ -49,7 +49,7 @@ func TestSCOMAInvalidationForcesRefetch(t *testing.T) {
 }
 
 func TestSCOMALocalDataUnaffected(t *testing.T) {
-	m := NewSCOMAMachine(2)
+	m := NewConfiguredMachine(SimpleCOMA, 2)
 	if got := m.Access(0, 0, false); got != m.Lat.LocalMem {
 		t.Errorf("local cold = %d, want %d", got, m.Lat.LocalMem)
 	}

@@ -267,14 +267,19 @@ func (d Device) validateReference() error {
 	return nil
 }
 
-// Caches instantiates the device's cache models (fresh state).
-func (d Device) Caches() (icache *cache.SetAssoc, dcache *cache.WithVictim) {
-	ic := cache.NewSetAssoc("device I-cache",
-		uint64(d.ICacheBytes), uint64(d.ICacheLineBytes), 1)
-	dc := cache.NewSetAssoc("device D-cache",
+// DCache instantiates the device's data cache and its victim cache
+// (nil when the device has none), fresh and unwired. It is the one
+// builder of every replayed model of the device's data side; a caller
+// that uses the victim cache wires its staging with
+// cache.NewWithVictim.
+func (d Device) DCache() (*cache.SetAssoc, *cache.Victim) {
+	dc := cache.NewSetAssoc(
+		fmt.Sprintf("%dKB %d-way %dB device D-cache", d.DCacheBytes>>10, d.DCacheWays, d.DCacheLineBytes),
 		uint64(d.DCacheBytes), uint64(d.DCacheLineBytes), d.DCacheWays)
-	vc := cache.NewVictim(d.VictimEntries, uint64(d.VictimLineBytes))
-	return ic, cache.NewWithVictim(dc, vc)
+	if d.VictimEntries <= 0 {
+		return dc, nil
+	}
+	return dc, cache.NewVictim(d.VictimEntries, uint64(d.VictimLineBytes))
 }
 
 // Fabric instantiates the device's interconnect interface.

@@ -46,13 +46,15 @@ func TestValidateCatchesImbalance(t *testing.T) {
 }
 
 func TestCachesMatchSpec(t *testing.T) {
-	d := Proposed()
-	ic, dc := d.Caches()
-	if ic.Sets() != 16 || ic.LineSize() != 512 {
-		t.Errorf("I-cache instantiation: %d sets, %d B", ic.Sets(), ic.LineSize())
+	dc, vc := Proposed().DCache()
+	if dc.Sets() != 16 || dc.Ways() != 2 || dc.LineSize() != 512 {
+		t.Errorf("D-cache instantiation: %d sets, %d ways, %d B", dc.Sets(), dc.Ways(), dc.LineSize())
 	}
-	if dc.Main.Sets() != 16 || dc.Main.Ways() != 2 {
-		t.Errorf("D-cache instantiation: %d sets, %d ways", dc.Main.Sets(), dc.Main.Ways())
+	if vc == nil {
+		t.Fatal("paper device built without its victim cache")
+	}
+	if _, vc := Proposed().WithGeometry(16, 512, 0).DCache(); vc != nil {
+		t.Error("victimless device built a victim cache")
 	}
 }
 

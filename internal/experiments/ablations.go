@@ -5,11 +5,11 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/coherence"
+	"repro/internal/core"
 	"repro/internal/cpumodel"
 	"repro/internal/mpsim"
 	"repro/internal/report"
 	"repro/internal/splash"
-	"repro/internal/stackdist"
 	"repro/internal/sweep"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -63,11 +63,10 @@ func AblateLineSizeJob(o Options) sweep.Job {
 	})}
 }
 
-// ablateLineSizeBench measures one benchmark at every line size using
-// one stack-distance set profiler per line size (a 16 KB 2-way cache at
-// line size L is the 16KB/(2·L)-sets × 2-ways geometry). Runs of
-// references within one 32 B block — necessarily within one block of
-// every larger line size too — collapse into MRU-hit bumps.
+// ablateLineSizeBench measures one benchmark at every line size in one
+// trace pass. A D-cache of the device's capacity and associativity at
+// line size L is the one-point family of DCacheBytes/(ways·L) banks ×
+// ways at column size L.
 func ablateLineSizeBench(o Options, name string) ([]LineSizeRow, error) {
 	lineSizes := []int{32, 64, 128, 256, 512, 1024}
 	w, err := workload.ByName(name)
@@ -77,40 +76,23 @@ func ablateLineSizeBench(o Options, name string) ([]LineSizeRow, error) {
 	// The capacity and associativity under ablation come from the device
 	// under test; only the line size varies.
 	dev := o.Device()
-	dBytes, dWays := uint64(dev.DCacheBytes), dev.DCacheWays
-	profs := make([]*stackdist.SetProfiler, len(lineSizes))
+	points := make([]workload.FamilyPoint, len(lineSizes))
+	fams := make([]*workload.FamilyCacheSet, len(lineSizes))
+	tee := make(trace.Tee, len(lineSizes))
 	for i, ls := range lineSizes {
-		profs[i] = stackdist.NewSetProfiler(uint64(ls),
-			[]stackdist.Geometry{{Sets: dBytes / (uint64(dWays) * uint64(ls)), Ways: dWays}})
+		points[i] = workload.FamilyPoint{Banks: dev.DCacheBytes / (dev.DCacheWays * ls), Ways: dev.DCacheWays}
+		fams[i] = workload.NewFamilyCacheSet(ls, points[i:i+1])
+		tee[i] = fams[i]
 	}
-	var lastLine uint64 // previous data ref's 32 B line + 1 (0 = none)
-	sink := trace.SinkFunc(func(r trace.Ref) {
-		if r.Kind == trace.Ifetch {
-			return
-		}
-		if line := r.Addr >> 5; line+1 == lastLine {
-			for _, p := range profs {
-				p.AddRepeats(r.Kind, 1)
-			}
-			return
-		} else {
-			lastLine = line + 1
-		}
-		for _, p := range profs {
-			p.Access(r.Addr, r.Kind)
-		}
-	})
-	if err := o.stream(w, sink); err != nil {
+	if err := o.stream(w, trace.DataOnly{Next: tee}); err != nil {
 		return nil, err
 	}
 	rows := make([]LineSizeRow, len(lineSizes))
 	for i, ls := range lineSizes {
-		sets := dBytes / (uint64(dWays) * uint64(ls))
-		miss := profs[i].MissCounter(sets, dWays, trace.Load)
-		miss.Add(profs[i].MissCounter(sets, dWays, trace.Store))
+		p := points[i]
 		rows[i] = LineSizeRow{
 			Bench: name, LineBytes: ls,
-			MissPct: miss.Percent(),
+			MissPct: fams[i].DStats(p.Banks, p.Ways).Data().Percent(),
 		}
 	}
 	return rows, nil
@@ -199,18 +181,17 @@ func ablateVictimBench(o Options, name string) ([]VictimSizeRow, error) {
 		return nil, err
 	}
 	dev := o.Device()
-	mkMain := func() *cache.SetAssoc {
-		return cache.NewSetAssoc("ablate-victim main", uint64(dev.DCacheBytes),
-			uint64(dev.DCacheLineBytes), dev.DCacheWays)
-	}
+	// Every size keeps the device's victim line (the paper's 32 B on a
+	// device without a victim cache).
 	vline := uint64(dev.VictimLineBytes)
 	if vline == 0 {
 		vline = cache.VictimLineSize
 	}
-	plain := mkMain()
+	plain, _ := dev.DCache()
 	withV := make([]*cache.WithVictim, 0, len(entries)-1)
 	for _, e := range entries[1:] {
-		withV = append(withV, cache.NewWithVictim(mkMain(), cache.NewVictim(e, vline)))
+		main, _ := dev.DCache()
+		withV = append(withV, cache.NewWithVictim(main, cache.NewVictim(e, vline)))
 	}
 	sink := trace.SinkFunc(func(r trace.Ref) {
 		if r.Kind == trace.Ifetch {
@@ -300,7 +281,7 @@ func AblateCoherenceUnitJob(o Options) sweep.Job {
 	}
 	units = append(units, sweep.Unit{
 		Name: "ablate-unit/falseshare",
-		Run:  func() (interface{}, error) { return ablateUnitMicro() },
+		Run:  func() (interface{}, error) { return ablateUnitMicro(o) },
 	})
 	return sweep.Job{Name: "ablate-unit", Units: units, Assemble: concatRows[UnitRow](func(rows []UnitRow) interface{} {
 		return &UnitResult{Procs: ablateUnitProcs, Rows: rows}
@@ -319,10 +300,17 @@ func ablateUnitBench(o Options, name string) ([]UnitRow, error) {
 	}
 	var rows []UnitRow
 	for _, u := range []uint64{32, 128, 512} {
-		r := b.RunUnit(ablateUnitProcs, coherence.IntegratedVictim, sz, u)
+		r := b.RunMachine(ablateUnitProcs, unitMachine(o, u), sz)
 		rows = append(rows, UnitRow{Bench: name, UnitBytes: u, Cycles: r.Cycles})
 	}
 	return rows, nil
+}
+
+// unitMachine is the coherence-unit study's machine: the device under
+// test, integrated+victim, with a coherence unit of unit bytes.
+func unitMachine(o Options, unit uint64) *coherence.Machine {
+	return coherence.NewConfiguredMachineDevices(coherence.IntegratedVictim, ablateUnitProcs,
+		unit, o.Device(), core.Reference())
 }
 
 // ablateUnitMicro is a false-sharing microbenchmark: each processor
@@ -330,10 +318,10 @@ func ablateUnitBench(o Options, name string) ([]UnitRow, error) {
 // into one 512 B region. With 32 B units every processor owns its
 // counter; with 512 B units the writes ping-pong ownership of the
 // whole unit.
-func ablateUnitMicro() ([]UnitRow, error) {
+func ablateUnitMicro(o Options) ([]UnitRow, error) {
 	var rows []UnitRow
 	for _, u := range []uint64{32, 128, 512} {
-		m := coherence.NewConfiguredMachineUnit(coherence.IntegratedVictim, ablateUnitProcs, u)
+		m := unitMachine(o, u)
 		r := mpsim.Run(ablateUnitProcs, m, m.Lat.SyncCosts(), func(p *mpsim.Proc) {
 			addr := uint64(0x1000 + p.ID*coherence.BlockSize)
 			for i := 0; i < 400; i++ {
@@ -489,7 +477,7 @@ func AblateINCAssociativityJob(o Options) sweep.Job {
 	// Undersizing tracks the data set: small enough that the remote
 	// working set does not rattle around in capacity slack, large
 	// enough that conflicts (not pure capacity) decide the outcome.
-	smallINC := uint64(256 << 10)
+	smallINC := 256 << 10
 	if o.MPQuick {
 		sz = splash.Quick()
 		smallINC = 16 << 10
@@ -504,7 +492,10 @@ func AblateINCAssociativityJob(o Options) sweep.Job {
 					if err != nil {
 						return nil, err
 					}
-					m := coherence.NewMachineINC(coherence.IntegratedVictim, 4, ways, smallINC)
+					dev := o.Device()
+					dev.INCWays, dev.INCBytes = ways, smallINC
+					m := coherence.NewConfiguredMachineDevices(coherence.IntegratedVictim, 4,
+						uint64(dev.CoherenceUnitBytes), dev, core.Reference())
 					r := b.RunMachine(4, m, sz)
 					return INCRow{
 						Bench: name, Ways: ways,
@@ -580,7 +571,9 @@ func AblateEnginesJob(o Options) sweep.Job {
 					if err != nil {
 						return nil, err
 					}
-					m := coherence.NewConfiguredMachine(coherence.IntegratedVictim, procs)
+					dev := o.Device()
+					m := coherence.NewConfiguredMachineDevices(coherence.IntegratedVictim, procs,
+						uint64(dev.CoherenceUnitBytes), dev, core.Reference())
 					m.EnableEngines(engines)
 					r := b.RunMachine(procs, m, sz)
 					q, _ := m.EngineStats()
@@ -664,9 +657,16 @@ func ablateJouppiBench(o Options, name string) (JouppiRow, error) {
 	if err != nil {
 		return JouppiRow{}, err
 	}
-	plain := cache.ProposedDCache()
-	vic := cache.Proposed()
-	str := cache.NewWithStream(cache.ProposedDCache(), cache.NewStreamBuffer(4, 4))
+	dev := o.Device()
+	plain, _ := dev.DCache()
+	// Without a victim cache the "+ victim" column is the plain cache.
+	dc, vc := dev.DCache()
+	var vic cache.Cache = dc
+	if vc != nil {
+		vic = cache.NewWithVictim(dc, vc)
+	}
+	sc, _ := dev.DCache()
+	str := cache.NewWithStream(sc, cache.NewStreamBuffer(4, 4))
 	sink := trace.SinkFunc(func(r trace.Ref) {
 		if r.Kind == trace.Ifetch {
 			return

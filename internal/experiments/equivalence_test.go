@@ -44,8 +44,12 @@ func TestConfigEquivalence(t *testing.T) {
 	}
 
 	// Multiprocessor latencies (Table 6) and synchronisation costs.
-	if got, want := coherence.LatenciesFor(prop), coherence.DefaultLatencies(); got != want {
-		t.Errorf("LatenciesFor(Proposed) = %+v, want DefaultLatencies %+v", got, want)
+	wantLat := coherence.Latencies{
+		CacheHit: 1, FlitCycles: 5, VictimHit: 1, LocalMem: 6, INCExtra: 1,
+		SLCHit: 6, LocalCold: 12, RemoteLoad: 80, InvalRT: 80,
+	}
+	if got := coherence.LatenciesFor(prop); got != wantLat {
+		t.Errorf("LatenciesFor(Proposed) = %+v, want Table 6 literals %+v", got, wantLat)
 	}
 	if got, want := coherence.LatenciesFor(prop).SyncCosts(), mpsim.DefaultSyncCosts(); got != want {
 		t.Errorf("SyncCosts from device = %+v, want DefaultSyncCosts %+v", got, want)

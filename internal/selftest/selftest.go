@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/cache"
+	"repro/internal/core"
 	"repro/internal/trace"
 	"repro/internal/vm"
 )
@@ -162,7 +163,7 @@ func Run(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("selftest: generator bug: %w", err)
 	}
 
-	dcache := cache.Proposed()
+	dcache := cache.NewWithVictim(core.Proposed().DCache())
 	sink := trace.SinkFunc(func(r trace.Ref) {
 		if r.Kind != trace.Ifetch {
 			dcache.Access(r.Addr, r.Kind)

@@ -19,7 +19,6 @@ import (
 	"fmt"
 
 	"repro/internal/coherence"
-	"repro/internal/core"
 	"repro/internal/mpsim"
 )
 
@@ -71,26 +70,10 @@ func (b Benchmark) Run(n int, cfg coherence.Config, sz Size) mpsim.Result {
 	return b.kernel(n, coherence.NewConfiguredMachine(cfg, n), sz)
 }
 
-// RunDevices executes the benchmark over machines derived from an
-// explicit device pair (the -machine path): prop describes the
-// integrated node, ref the conventional CC-NUMA node.
-func (b Benchmark) RunDevices(n int, cfg coherence.Config, sz Size, prop, ref core.Device) mpsim.Result {
-	unit := uint64(prop.CoherenceUnitBytes)
-	return b.kernel(n, coherence.NewConfiguredMachineDevices(cfg, n, unit, prop, ref), sz)
-}
-
 // RunMachine executes the benchmark over a caller-supplied machine
 // (custom latencies, INC organisation, ...).
 func (b Benchmark) RunMachine(n int, m *coherence.Machine, sz Size) mpsim.Result {
 	return b.kernel(n, m, sz)
-}
-
-// RunUnit executes the benchmark with a custom coherence unit — the
-// false-sharing ablation: the paper warns that using the 512 B cache
-// lines as coherence units would make "the false-sharing costs ...
-// outweigh the prefetching benefits" (Section 6.2).
-func (b Benchmark) RunUnit(n int, cfg coherence.Config, sz Size, unit uint64) mpsim.Result {
-	return b.kernel(n, coherence.NewConfiguredMachineUnit(cfg, n, unit), sz)
 }
 
 // All returns the five benchmarks in the paper's figure order

@@ -178,22 +178,6 @@ func (p *SetProfiler) Access(addr uint64, kind trace.Kind) {
 	}
 }
 
-// AddRepeats credits n additional MRU hits of the given kind to every
-// tracker without touching LRU state. It is only correct when the
-// profiler's previous Access was to the same line as each repeated
-// reference (the line is then at the MRU position of its set in every
-// tracker, and re-accessing it changes no ordering). Callers use it to
-// collapse runs of same-line references — ~7/8 of an instruction
-// stream at 32-byte lines — into one counter bump.
-func (p *SetProfiler) AddRepeats(kind trace.Kind, n int64) {
-	if n == 0 {
-		return
-	}
-	for ti := range p.trackers {
-		p.trackers[ti].hist[kind][0] += n
-	}
-}
-
 // counter derives the miss statistics of the (sets, ways) organisation
 // for one kind from the tracker histograms.
 func (p *SetProfiler) counter(t *tracker, ways int, kind trace.Kind) stats.Counter {

@@ -165,35 +165,6 @@ func TestSetProfilerPosRouting(t *testing.T) {
 	}
 }
 
-// TestAddRepeats checks that collapsing same-line runs is equivalent to
-// replaying them.
-func TestAddRepeats(t *testing.T) {
-	geoms := []Geometry{{Sets: 16, Ways: 2}, {Sets: 64, Ways: 1}}
-	full := NewSetProfiler(32, geoms)
-	collapsed := NewSetProfiler(32, geoms)
-	rng := rand.New(rand.NewSource(11))
-	var lastLine uint64 = ^uint64(0)
-	for i := 0; i < 30_000; i++ {
-		a := uint64(rng.Intn(1 << 12))
-		reps := rng.Intn(4)
-		full.Access(a, trace.Load)
-		collapsed.Access(a, trace.Load)
-		lastLine = a >> 5
-		for r := 0; r < reps; r++ {
-			b := lastLine<<5 + uint64(rng.Intn(32)) // same 32 B line
-			full.Access(b, trace.Store)
-			collapsed.AddRepeats(trace.Store, 1)
-		}
-	}
-	for _, g := range geoms {
-		for k := trace.Ifetch; k <= trace.Store; k++ {
-			if got, want := collapsed.MissCounter(g.Sets, g.Ways, k), full.MissCounter(g.Sets, g.Ways, k); got != want {
-				t.Errorf("geometry %+v kind %v: collapsed %+v, full %+v", g, k, got, want)
-			}
-		}
-	}
-}
-
 // TestProfilerMatchesFullyAssociative checks the Mattson profiler
 // against brute-force fully-associative LRU simulation at every
 // power-of-two capacity.

@@ -1,9 +1,10 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/stackdist"
@@ -20,6 +21,111 @@ type FamilyPoint struct {
 	Banks, Ways, VictimEntries int
 }
 
+// comparePoints orders points by banks, then ways, then victim entries.
+func comparePoints(a, b FamilyPoint) int {
+	if c := cmp.Compare(a.Banks, b.Banks); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Ways, b.Ways); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.VictimEntries, b.VictimEntries)
+}
+
+// lineSet profiles a reference stream at one line size: one
+// stack-distance set profiler for the ifetch stream and one for the
+// data stream, plus the victim-cache compounds replayed in the same
+// pass. Every profiled measurement is a lineSet: FamilyCacheSet is one
+// at the column size, and CacheSet adds one at the conventional line
+// size.
+//
+// Runs of references to the same line collapse into repeat counters
+// that never touch the profilers: a same-line re-reference is an MRU
+// hit in every tracker with no LRU movement, so statistics count each
+// one as a hit at read time. Reading leaves the set unchanged, so
+// finished measurements can be read from several goroutines.
+type lineSet struct {
+	shift uint
+	iprof *stackdist.SetProfiler
+	dprof *stackdist.SetProfiler
+
+	// vics replay every data reference: a victim cache's contents
+	// depend on main-cache eviction order and sub-block recency (and a
+	// victim hit deliberately does not refill the main cache, so the
+	// main cache diverges from pure LRU), which no histogram captures.
+	vics []*cache.WithVictim
+
+	lastILine uint64   // previous ifetch line + 1 (0 = none)
+	lastDLine uint64   // previous load/store line + 1 (0 = none)
+	repeats   [3]int64 // same-line repeats indexed by trace.Kind
+}
+
+// init sets up the profilers for the given line size, which must be a
+// power of two, over the I- and D-geometries.
+func (s *lineSet) init(lineBytes int, ig, dg []stackdist.Geometry) {
+	line := uint64(lineBytes)
+	if line == 0 || line&(line-1) != 0 {
+		panic(fmt.Sprintf("workload: line size %d not a power of two", lineBytes))
+	}
+	s.shift = uint(bits.TrailingZeros64(line))
+	s.iprof = stackdist.NewSetProfiler(line, ig)
+	s.dprof = stackdist.NewSetProfiler(line, dg)
+}
+
+// ref feeds one reference and reports whether it reached the profilers
+// (a line change), leaving their Pos valid for it; a repeat of the
+// previous line only bumps a counter.
+func (s *lineSet) ref(r trace.Ref) bool {
+	line := r.Addr>>s.shift + 1
+	if r.Kind == trace.Ifetch {
+		if line == s.lastILine {
+			s.repeats[trace.Ifetch]++
+			return false
+		}
+		s.lastILine = line
+		s.iprof.Access(r.Addr, trace.Ifetch)
+		return true
+	}
+	// The compounds see every data reference, repeats included: a
+	// repeat after a victim hit is not a main-cache MRU hit.
+	for _, v := range s.vics {
+		v.Access(r.Addr, r.Kind)
+	}
+	if line == s.lastDLine {
+		s.repeats[r.Kind]++
+		return false
+	}
+	s.lastDLine = line
+	s.dprof.Access(r.Addr, r.Kind)
+	return true
+}
+
+// iStats returns the direct-mapped I-cache statistics at the given set
+// count.
+func (s *lineSet) iStats(sets uint64) cache.Stats {
+	st := setStats(s.iprof, sets, 1)
+	st.Ifetch.Total += s.repeats[trace.Ifetch]
+	return st
+}
+
+// dStats returns the D-cache statistics at the given set count and
+// associativity.
+func (s *lineSet) dStats(sets uint64, ways int) cache.Stats {
+	st := setStats(s.dprof, sets, ways)
+	st.Load.Total += s.repeats[trace.Load]
+	st.Store.Total += s.repeats[trace.Store]
+	return st
+}
+
+// setStats assembles per-kind miss statistics for one geometry.
+func setStats(p *stackdist.SetProfiler, sets uint64, ways int) cache.Stats {
+	return cache.Stats{
+		Ifetch: p.MissCounter(sets, ways, trace.Ifetch),
+		Load:   p.MissCounter(sets, ways, trace.Load),
+		Store:  p.MissCounter(sets, ways, trace.Store),
+	}
+}
+
 // FamilyCacheSet measures every point of one column-size family in a
 // single pass over a reference stream. The column size is the profiler
 // line size, so all bank counts collapse into set-count trackers of one
@@ -27,35 +133,14 @@ type FamilyPoint struct {
 // answers every ways value sharing a bank count), and N = |banks| ×
 // |ways| × |victims| design points cost one trace pass instead of N.
 //
-// Victim-bearing points are the exception: a victim cache's contents
-// depend on main-cache eviction order and sub-block recency (and a
-// victim hit deliberately does not refill the main cache, so the main
-// cache diverges from pure LRU), which no histogram captures. Each
-// distinct (banks, ways, victim) combination therefore keeps a
-// cache.WithVictim compound replayed in the same pass — fed every data
-// reference, exactly as CacheSet feeds its single victim compound — so
-// family results stay bit-identical to the per-point path. The victim
-// axis multiplies in-pass replay work, not trace passes.
-//
-// Runs of references to the same column line collapse into pending
-// repeat counters flushed on line change: per the stack-distance
-// inclusion argument a same-line re-reference is an MRU hit in every
-// tracker with no LRU movement, so batching changes no histogram.
+// Victim-bearing points are the exception: each distinct (banks, ways,
+// victim) combination keeps a cache.WithVictim compound replayed in
+// the same pass, so the victim axis multiplies in-pass replay work,
+// not trace passes.
 type FamilyCacheSet struct {
-	column   uint64
-	colShift uint
-	counts   trace.Counts
-
-	iprof *stackdist.SetProfiler // ifetch stream: {sets: banks, ways: 1}
-	dprof *stackdist.SetProfiler // data stream: {sets: banks, ways}
-
-	vics   []*cache.WithVictim
-	vicIdx map[FamilyPoint]int
-
-	lastILine uint64 // previous ifetch column line + 1 (0 = none)
-	lastDLine uint64 // previous load/store column line + 1 (0 = none)
-	iPend     int64
-	dPend     [3]int64 // pending data repeats indexed by trace.Kind
+	lineSet
+	counts trace.Counts
+	vicPts []FamilyPoint // sorted; vicPts[i] is the point of vics[i]
 }
 
 // NewFamilyCacheSet builds the single-pass measurement state for one
@@ -64,17 +149,15 @@ type FamilyCacheSet struct {
 // columnBytes) — the design-space search filters through
 // core.Device.Validate before building families.
 func NewFamilyCacheSet(columnBytes int, points []FamilyPoint) *FamilyCacheSet {
-	col := uint64(columnBytes)
-	if col == 0 || col&(col-1) != 0 {
-		panic(fmt.Sprintf("workload: column size %d not a power of two", columnBytes))
-	}
-	f := &FamilyCacheSet{
-		column:   col,
-		colShift: uint(bits.TrailingZeros64(col)),
-		vicIdx:   make(map[FamilyPoint]int),
-	}
+	f := new(FamilyCacheSet)
+	f.init(columnBytes, points)
+	return f
+}
 
-	var ig, dg []stackdist.Geometry
+// init builds f in place (CacheSet embeds its one-point family).
+func (f *FamilyCacheSet) init(columnBytes int, points []FamilyPoint) {
+	ig := make([]stackdist.Geometry, 0, len(points))
+	dg := make([]stackdist.Geometry, 0, len(points))
 	seenBanks := map[int]bool{}
 	for _, p := range points {
 		if p.Banks < 1 || p.Ways < 1 {
@@ -86,95 +169,34 @@ func NewFamilyCacheSet(columnBytes int, points []FamilyPoint) *FamilyCacheSet {
 		}
 		dg = append(dg, stackdist.Geometry{Sets: uint64(p.Banks), Ways: p.Ways})
 	}
-	f.iprof = stackdist.NewSetProfiler(col, ig)
-	f.dprof = stackdist.NewSetProfiler(col, dg)
+	f.lineSet.init(columnBytes, ig, dg)
 
 	// In-pass victim compounds, deduplicated and built in sorted order
-	// so the construction (and any iteration over f.vics) is
-	// deterministic regardless of the caller's point order.
-	var vicPts []FamilyPoint
-	for _, p := range points {
-		if p.VictimEntries <= 0 {
-			continue
-		}
-		key := FamilyPoint{Banks: p.Banks, Ways: p.Ways, VictimEntries: p.VictimEntries}
-		if _, ok := f.vicIdx[key]; ok {
-			continue
-		}
-		f.vicIdx[key] = -1 // placeholder until sorted
-		vicPts = append(vicPts, key)
-	}
-	sort.Slice(vicPts, func(i, j int) bool {
-		a, b := vicPts[i], vicPts[j]
-		if a.Banks != b.Banks {
-			return a.Banks < b.Banks
-		}
-		if a.Ways != b.Ways {
-			return a.Ways < b.Ways
-		}
-		return a.VictimEntries < b.VictimEntries
-	})
-	for _, p := range vicPts {
+	// so the construction is deterministic regardless of the caller's
+	// point order.
+	f.vicPts = slices.DeleteFunc(slices.Clone(points), func(p FamilyPoint) bool { return p.VictimEntries <= 0 })
+	slices.SortFunc(f.vicPts, comparePoints)
+	f.vicPts = slices.Compact(f.vicPts)
+	col := uint64(columnBytes)
+	f.vics = make([]*cache.WithVictim, len(f.vicPts))
+	for i, p := range f.vicPts {
 		if columnBytes%p.VictimEntries != 0 {
 			panic(fmt.Sprintf("workload: victim entries %d do not divide column %d", p.VictimEntries, columnBytes))
 		}
-		f.vicIdx[p] = len(f.vics)
-		f.vics = append(f.vics, cache.NewWithVictim(
+		f.vics[i] = cache.NewWithVictim(
 			cache.NewSetAssoc("family D + victim main",
 				uint64(p.Ways*p.Banks*columnBytes), col, p.Ways),
-			cache.NewVictim(p.VictimEntries, col/uint64(p.VictimEntries))))
+			cache.NewVictim(p.VictimEntries, col/uint64(p.VictimEntries)))
 	}
-	return f
 }
 
 // Compounds reports the number of in-pass victim replays.
 func (f *FamilyCacheSet) Compounds() int { return len(f.vics) }
 
-func (f *FamilyCacheSet) flushI() {
-	if f.iPend > 0 {
-		f.iprof.AddRepeats(trace.Ifetch, f.iPend)
-		f.iPend = 0
-	}
-}
-
-func (f *FamilyCacheSet) flushD() {
-	for k := range f.dPend {
-		if f.dPend[k] > 0 {
-			f.dprof.AddRepeats(trace.Kind(k), f.dPend[k])
-			f.dPend[k] = 0
-		}
-	}
-}
-
 // Ref implements trace.Sink.
 func (f *FamilyCacheSet) Ref(r trace.Ref) {
-	line := r.Addr >> f.colShift
-	if r.Kind == trace.Ifetch {
-		f.counts.Ifetches++
-		if line+1 == f.lastILine {
-			f.iPend++
-			return
-		}
-		f.flushI()
-		f.lastILine = line + 1
-		f.iprof.Access(r.Addr, trace.Ifetch)
-		return
-	}
 	f.counts.Ref(r)
-	// Victim compounds replay every data reference (matching CacheSet,
-	// which feeds its compound before any run-collapse check): a repeat
-	// after a victim hit is not a main-cache MRU hit, so compounds
-	// cannot share the run collapse.
-	for _, v := range f.vics {
-		v.Access(r.Addr, r.Kind)
-	}
-	if line+1 == f.lastDLine {
-		f.dPend[r.Kind]++
-		return
-	}
-	f.flushD()
-	f.lastDLine = line + 1
-	f.dprof.Access(r.Addr, r.Kind)
+	f.ref(r)
 }
 
 // Refs implements trace.BatchSink.
@@ -189,17 +211,11 @@ func (f *FamilyCacheSet) RefCounts() trace.Counts { return f.counts }
 
 // IStats returns the direct-mapped column-buffer I-cache statistics for
 // the given bank count.
-func (f *FamilyCacheSet) IStats(banks int) cache.Stats {
-	f.flushI()
-	return setStats(f.iprof, uint64(banks), 1)
-}
+func (f *FamilyCacheSet) IStats(banks int) cache.Stats { return f.iStats(uint64(banks)) }
 
 // DStats returns the victimless column-buffer D-cache statistics for
 // the given bank count and associativity.
-func (f *FamilyCacheSet) DStats(banks, ways int) cache.Stats {
-	f.flushD()
-	return setStats(f.dprof, uint64(banks), ways)
-}
+func (f *FamilyCacheSet) DStats(banks, ways int) cache.Stats { return f.dStats(uint64(banks), ways) }
 
 // DVictimStats returns the D-cache-plus-victim statistics for a
 // victim-bearing point; for VictimEntries == 0 it is DStats.
@@ -207,7 +223,7 @@ func (f *FamilyCacheSet) DVictimStats(p FamilyPoint) cache.Stats {
 	if p.VictimEntries <= 0 {
 		return f.DStats(p.Banks, p.Ways)
 	}
-	i, ok := f.vicIdx[p]
+	i, ok := slices.BinarySearchFunc(f.vicPts, p, comparePoints)
 	if !ok {
 		panic(fmt.Sprintf("workload: family point %+v has no victim compound", p))
 	}

@@ -1,17 +1,20 @@
 package workload
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/stackdist"
+	"repro/internal/trace"
 )
 
 // TestFamilyMatchesPerPoint is the design-space equivalence anchor: one
 // family pass must report, for every (banks, ways, victim) point, the
-// exact statistics the per-point measurement path (one CacheSet per
-// device, one trace pass per point) reports — including the
-// victim-compound replays, whose eviction-order state cannot come from
-// the histograms.
+// exact statistics the replay oracle reports for that device (one
+// simulated cache per configuration, one trace pass per point) —
+// including the victim-compound replays, whose eviction-order state
+// cannot come from the histograms.
 func TestFamilyMatchesPerPoint(t *testing.T) {
 	points := []FamilyPoint{
 		{Banks: 8, Ways: 1, VictimEntries: 0},
@@ -38,7 +41,7 @@ func TestFamilyMatchesPerPoint(t *testing.T) {
 				if err := dev.Validate(); err != nil {
 					t.Fatalf("col=%d %+v: %v", col, p, err)
 				}
-				m := measureWith(t, w, 120_000, NewCacheSetFor(dev, core.Reference()))
+				m := measureWith(t, w, 120_000, NewReplayCacheSetFor(dev, core.Reference()))
 				if a, b := fam.RefCounts(), m.Caches.RefCounts(); a != b {
 					t.Errorf("%s col=%d %+v counts: family %+v, point %+v", name, col, p, a, b)
 				}
@@ -73,5 +76,41 @@ func TestFamilyCompoundsDeduplicated(t *testing.T) {
 	})
 	if got := f.Compounds(); got != 2 {
 		t.Errorf("compounds = %d, want 2", got)
+	}
+}
+
+// TestLineSetCollapse checks that collapsing same-line runs into
+// repeat counts is equivalent to profiling every reference, on an
+// interleaved stream in which half the references repeat their
+// stream's previous line (data repeats mixing loads and stores).
+func TestLineSetCollapse(t *testing.T) {
+	ig := []stackdist.Geometry{{Sets: 64, Ways: 1}}
+	dg := []stackdist.Geometry{{Sets: 16, Ways: 2}, {Sets: 64, Ways: 1}}
+	var s lineSet
+	s.init(32, ig, dg)
+	fullI := stackdist.NewSetProfiler(32, ig)
+	fullD := stackdist.NewSetProfiler(32, dg)
+	rng := rand.New(rand.NewSource(11))
+	var lastI, lastD uint64
+	for i := 0; i < 60_000; i++ {
+		kind := trace.Kind(rng.Intn(3))
+		last, full := &lastD, fullD
+		if kind == trace.Ifetch {
+			last, full = &lastI, fullI
+		}
+		if rng.Intn(2) == 0 {
+			*last = uint64(rng.Intn(1 << 12))
+		}
+		ref := trace.Ref{Addr: *last&^31 + uint64(rng.Intn(32)), Kind: kind}
+		s.ref(ref)
+		full.Ref(ref)
+	}
+	if got, want := s.iStats(64), setStats(fullI, 64, 1); got != want {
+		t.Errorf("I 64x1: collapsed %+v, full %+v", got, want)
+	}
+	for _, g := range dg {
+		if got, want := s.dStats(g.Sets, g.Ways), setStats(fullD, g.Sets, g.Ways); got != want {
+			t.Errorf("D %+v: collapsed %+v, full %+v", g, got, want)
+		}
 	}
 }

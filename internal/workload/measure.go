@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"math/bits"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -11,17 +10,6 @@ import (
 	"repro/internal/trace"
 	"repro/internal/tracestore"
 	"repro/internal/vm"
-)
-
-// convLineSize and propLineSize are the paper's two line sizes:
-// conventional caches use 32 B lines (core.Reference's L1 line), the
-// proposed column-buffer caches 512 B lines (one DRAM column buffer,
-// core.Proposed's D-cache line). The measurement sets derive their
-// actual geometries from the devices they are built for; these named
-// defaults remain for the grid documentation and the ablations.
-const (
-	convLineSize = 32
-	propLineSize = 512
 )
 
 // RefL1KB is the reference system's first-level cache size in KB
@@ -66,36 +54,25 @@ type CacheMeasurer interface {
 }
 
 // CacheSet measures every Figure 7/8 configuration in a single profiled
-// pass. Instead of simulating one cache per grid point, it maintains
-// four stack-distance set profilers (conventional-I, proposed-I,
-// conventional-D, proposed-D) whose per-set LRU position histograms
-// answer every set count × associativity in the grid exactly
-// (internal/stackdist). Two organisations the profilers cannot express
-// still replay: the victim cache (its contents depend on eviction
-// order) and the L2 (it sees a conditional stream — only first-level
-// misses). Runs of references to the same 32 B line — the common case
-// for instruction fetches, at 8 instructions per line — collapse into
-// MRU-hit counter bumps without touching any LRU state.
+// pass. Instead of simulating one cache per grid point, it profiles the
+// stream at two line sizes (internal/stackdist), each answering every
+// set count × associativity registered at it exactly: the device's
+// column-buffer caches are its one-point FamilyCacheSet at the column
+// size (victim compound included), and the conventional Figure 7
+// I-caches and Figure 8 D-caches share one lineSet at the reference
+// line size. The reference system's L2 still replays: it sees a
+// conditional stream (only first-level misses), fed whenever a
+// conventional reference misses the 16 KB first-level geometry.
 type CacheSet struct {
 	counts trace.Counts
 
-	iconv *stackdist.SetProfiler // conventional lines, ifetch stream
-	iprop *stackdist.SetProfiler // column-buffer lines, ifetch stream
-	dconv *stackdist.SetProfiler // conventional lines, data stream
-	dprop *stackdist.SetProfiler // column-buffer lines, data stream
-	vic   *cache.WithVictim      // replay fallback: eviction-order state (nil: no victim)
-	l2    *cache.SetAssoc        // replay fallback: conditional stream (nil: no L2)
+	prop  FamilyCacheSet  // the device's point at its column size
+	point FamilyPoint     // that point
+	conv  lineSet         // conventional line size: Figure 7/8 grids
+	l2    *cache.SetAssoc // replay fallback: conditional stream (nil: no L2)
 
-	ipSets uint64 // proposed I-cache geometry in the iprop profiler
-	dpSets uint64 // proposed D-cache geometry in the dprop profiler
-	dpWays int
-
-	i16 int // iconv tracker index of the reference L1 geometry (512 sets)
-	d16 int // dconv tracker index of the same
-
-	convShift uint   // log2 of the conventional line size
-	lastILine uint64 // previous ifetch conventional line + 1 (0 = none)
-	lastDLine uint64 // previous load/store conventional line + 1 (0 = none)
+	i16 int // conv.iprof tracker index of the reference L1 geometry
+	d16 int // conv.dprof tracker index of the same
 }
 
 // NewCacheSetFor builds the measurement set for an explicit device
@@ -104,84 +81,54 @@ type CacheSet struct {
 // L2, and the L2 itself. The conventional size grids stay on the
 // Figure 7/8 axes; ref's L1 sizes must lie on them.
 func NewCacheSetFor(prop, ref core.Device) *CacheSet {
+	cs := &CacheSet{}
+	// The device's D-cache sets are its banks; on an integrated device
+	// the I-cache is one column buffer per bank (core.Device.Validate).
+	col := prop.DCacheLineBytes
+	cs.point = FamilyPoint{
+		Banks:         prop.DCacheBytes / (prop.DCacheWays * col),
+		Ways:          prop.DCacheWays,
+		VictimEntries: prop.VictimEntries,
+	}
+	cs.prop.init(col, []FamilyPoint{cs.point})
+
 	convLine := uint64(ref.DCacheLineBytes)
-	var ig []stackdist.Geometry
+	ig := make([]stackdist.Geometry, 0, len(ConvISizesKB))
 	for _, kb := range ConvISizesKB {
 		ig = append(ig, stackdist.Geometry{Sets: uint64(kb) << 10 / convLine, Ways: 1})
 	}
-	var dg []stackdist.Geometry
+	dg := make([]stackdist.Geometry, 0, 2*len(ConvDSizesKB))
 	for _, kb := range ConvDSizesKB {
 		dg = append(dg,
 			stackdist.Geometry{Sets: uint64(kb) << 10 / convLine, Ways: 1},
 			stackdist.Geometry{Sets: uint64(kb) << 10 / (2 * convLine), Ways: 2})
 	}
-	cs := &CacheSet{
-		ipSets: uint64(prop.ICacheBytes / prop.ICacheLineBytes),
-		dpSets: uint64(prop.DCacheBytes / (prop.DCacheWays * prop.DCacheLineBytes)),
-		dpWays: prop.DCacheWays,
-	}
-	cs.iconv = stackdist.NewSetProfiler(convLine, ig)
-	cs.iprop = stackdist.NewSetProfiler(uint64(prop.ICacheLineBytes),
-		[]stackdist.Geometry{{Sets: cs.ipSets, Ways: 1}})
-	cs.dconv = stackdist.NewSetProfiler(convLine, dg)
-	cs.dprop = stackdist.NewSetProfiler(uint64(prop.DCacheLineBytes),
-		[]stackdist.Geometry{{Sets: cs.dpSets, Ways: cs.dpWays}})
-	if prop.VictimEntries > 0 {
-		cs.vic = cache.NewWithVictim(
-			cache.NewSetAssoc("prop D + victim main", uint64(prop.DCacheBytes),
-				uint64(prop.DCacheLineBytes), prop.DCacheWays),
-			cache.NewVictim(prop.VictimEntries, uint64(prop.VictimLineBytes)))
-	}
+	cs.conv.init(ref.DCacheLineBytes, ig, dg)
+	cs.i16 = cs.conv.iprof.TrackerIndex(uint64(ref.ICacheBytes) / convLine)
+	cs.d16 = cs.conv.dprof.TrackerIndex(uint64(ref.DCacheBytes) / convLine)
 	if ref.L2Bytes > 0 {
 		cs.l2 = cache.NewSetAssoc(
 			fmt.Sprintf("%dKB %d-way %dB unified L2", ref.L2Bytes>>10, ref.L2Ways, ref.L2LineBytes),
 			uint64(ref.L2Bytes), uint64(ref.L2LineBytes), ref.L2Ways)
 	}
-	cs.convShift = uint(bits.TrailingZeros64(convLine))
-	cs.i16 = cs.iconv.TrackerIndex(uint64(ref.ICacheBytes) / convLine)
-	cs.d16 = cs.dconv.TrackerIndex(uint64(ref.DCacheBytes) / convLine)
 	return cs
 }
 
 // Ref implements trace.Sink: one reference drives every measurement.
 func (cs *CacheSet) Ref(r trace.Ref) {
-	line := r.Addr >> cs.convShift
-	if r.Kind == trace.Ifetch {
-		cs.counts.Ifetches++
-		if line+1 == cs.lastILine {
-			// Same line as the previous fetch: an MRU hit in every
-			// tracked I-geometry (both line sizes), and necessarily a
-			// 16 KB first-level hit, so the L2 never sees it.
-			cs.iconv.AddRepeats(trace.Ifetch, 1)
-			cs.iprop.AddRepeats(trace.Ifetch, 1)
-			return
-		}
-		cs.lastILine = line + 1
-		cs.iconv.Access(r.Addr, trace.Ifetch)
-		cs.iprop.Access(r.Addr, trace.Ifetch)
-		// The reference system's L2 sees 16 KB first-level I misses:
-		// the DM 16 KB cache hit iff the access hit at LRU position 0.
-		if cs.l2 != nil && cs.iconv.Pos[cs.i16] != 0 {
-			cs.l2.Access(r.Addr, trace.Ifetch)
-		}
-		return
-	}
 	cs.counts.Ref(r)
-	// The victim-cache organisation replays every data reference: its
-	// contents depend on main-cache eviction order and sub-block
-	// recency, which no stack-distance histogram captures.
-	if cs.vic != nil {
-		cs.vic.Access(r.Addr, r.Kind)
-	}
-	if line+1 == cs.lastDLine {
-		cs.dconv.AddRepeats(r.Kind, 1)
-		cs.dprop.AddRepeats(r.Kind, 1)
+	cs.prop.ref(r)
+	if !cs.conv.ref(r) || cs.l2 == nil {
 		return
 	}
-	cs.lastDLine = line + 1
-	cs.dconv.Access(r.Addr, r.Kind)
-	cs.dprop.Access(r.Addr, r.Kind)
-	if cs.l2 != nil && cs.dconv.Pos[cs.d16] != 0 {
+	// The reference system's L2 sees the 16 KB first-level misses: the
+	// first-level cache hit iff the access hit at LRU position 0 (a
+	// same-line repeat always hits, so only line changes can miss).
+	pos := cs.conv.dprof.Pos[cs.d16]
+	if r.Kind == trace.Ifetch {
+		pos = cs.conv.iprof.Pos[cs.i16]
+	}
+	if pos != 0 {
 		cs.l2.Access(r.Addr, r.Kind)
 	}
 }
@@ -196,43 +143,29 @@ func (cs *CacheSet) Refs(rs []trace.Ref) {
 // RefCounts implements CacheMeasurer.
 func (cs *CacheSet) RefCounts() trace.Counts { return cs.counts }
 
-// setStats assembles per-kind miss statistics for one geometry.
-func setStats(p *stackdist.SetProfiler, sets uint64, ways int) cache.Stats {
-	return cache.Stats{
-		Ifetch: p.MissCounter(sets, ways, trace.Ifetch),
-		Load:   p.MissCounter(sets, ways, trace.Load),
-		Store:  p.MissCounter(sets, ways, trace.Store),
-	}
-}
-
 // PropIStats implements CacheMeasurer.
-func (cs *CacheSet) PropIStats() cache.Stats { return setStats(cs.iprop, cs.ipSets, 1) }
+func (cs *CacheSet) PropIStats() cache.Stats { return cs.prop.IStats(cs.point.Banks) }
 
 // PropDStats implements CacheMeasurer.
-func (cs *CacheSet) PropDStats() cache.Stats { return setStats(cs.dprop, cs.dpSets, cs.dpWays) }
+func (cs *CacheSet) PropDStats() cache.Stats { return cs.prop.DStats(cs.point.Banks, cs.point.Ways) }
 
 // PropDVictimStats implements CacheMeasurer. Without a victim cache it
 // is simply the D-cache.
-func (cs *CacheSet) PropDVictimStats() cache.Stats {
-	if cs.vic == nil {
-		return cs.PropDStats()
-	}
-	return cs.vic.Stats()
-}
+func (cs *CacheSet) PropDVictimStats() cache.Stats { return cs.prop.DVictimStats(cs.point) }
 
 // ConvIStats implements CacheMeasurer.
 func (cs *CacheSet) ConvIStats(kb int) cache.Stats {
-	return setStats(cs.iconv, uint64(kb)<<10/convLineSize, 1)
+	return cs.conv.iStats(uint64(kb) << 10 >> cs.conv.shift)
 }
 
 // ConvDMStats implements CacheMeasurer.
 func (cs *CacheSet) ConvDMStats(kb int) cache.Stats {
-	return setStats(cs.dconv, uint64(kb)<<10/convLineSize, 1)
+	return cs.conv.dStats(uint64(kb)<<10>>cs.conv.shift, 1)
 }
 
 // Conv2WStats implements CacheMeasurer.
 func (cs *CacheSet) Conv2WStats(kb int) cache.Stats {
-	return setStats(cs.dconv, uint64(kb)<<10/(2*convLineSize), 2)
+	return cs.conv.dStats(uint64(kb)<<10>>(cs.conv.shift+1), 2)
 }
 
 // L2Stats implements CacheMeasurer.

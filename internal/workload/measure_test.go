@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
@@ -75,21 +76,29 @@ func TestFastMatchesReplay(t *testing.T) {
 }
 
 // TestRatesAgreeAcrossPaths checks the GSPN input derivation end to
-// end on both measurement paths at a budget off the -quick grid.
+// end on both measurement paths at a budget off the -quick grid, for
+// the paper's device and for the example 32-bank, 256 B-column device
+// with its 8-entry victim cache.
 func TestRatesAgreeAcrossPaths(t *testing.T) {
 	w, err := ByName("102.swim")
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast := measureWith(t, w, 120_000, NewCacheSetFor(core.Proposed(), core.Reference()))
-	replay := measureWith(t, w, 120_000, NewReplayCacheSet())
-	for _, integrated := range []bool{true, false} {
-		for _, victim := range []bool{true, false} {
-			a := fast.Rates(integrated, victim)
-			b := replay.Rates(integrated, victim)
-			if a != b {
-				t.Errorf("integrated=%v victim=%v: fast %+v, replay %+v",
-					integrated, victim, a, b)
+	bank32, err := core.LoadFile(filepath.Join("..", "..", "examples", "machine-32bank.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dev := range []core.Device{core.Proposed(), bank32} {
+		fast := measureWith(t, w, 120_000, NewCacheSetFor(dev, core.Reference()))
+		replay := measureWith(t, w, 120_000, NewReplayCacheSetFor(dev, core.Reference()))
+		for _, integrated := range []bool{true, false} {
+			for _, victim := range []bool{true, false} {
+				a := fast.Rates(integrated, victim)
+				b := replay.Rates(integrated, victim)
+				if a != b {
+					t.Errorf("%s integrated=%v victim=%v: fast %+v, replay %+v",
+						dev.Name, integrated, victim, a, b)
+				}
 			}
 		}
 	}
