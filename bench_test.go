@@ -13,6 +13,7 @@
 package repro_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/coherence"
@@ -31,15 +32,27 @@ func quickOpts() experiments.Options {
 	return o
 }
 
+// run builds the named experiment from the registry and runs it
+// serially, the engine's reference schedule.
+func run[T any](b *testing.B, name string, o experiments.Options, ms *experiments.MeasurementSet) T {
+	b.Helper()
+	j, err := experiments.JobFor(name, o, ms)
+	if err != nil {
+		b.Fatal(err)
+	}
+	v, err := sweep.RunSerial(j)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return v.(T)
+}
+
 // BenchmarkTable1 regenerates Table 1 (SS-5 vs SS-10/61 Synopsys).
 func BenchmarkTable1(b *testing.B) {
 	o := quickOpts()
 	var speedup float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Table1(o)
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := run[*experiments.Table1Result](b, "table1", o, nil)
 		speedup = r.Rows[1].ModelNsPerInst / r.Rows[0].ModelNsPerInst
 	}
 	b.ReportMetric(speedup, "ss5_speedup")
@@ -50,10 +63,7 @@ func BenchmarkFig2(b *testing.B) {
 	o := quickOpts()
 	var beyond float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig2(o)
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := run[*experiments.Fig2Result](b, "fig2", o, nil)
 		beyond = r.AvgNs["SS-10/61"][16<<20][512] / r.AvgNs["SS-5"][16<<20][512]
 	}
 	b.ReportMetric(beyond, "ss10_vs_ss5_at_16MB")
@@ -65,10 +75,7 @@ func BenchmarkFig7(b *testing.B) {
 	var fppppRatio float64
 	for i := 0; i < b.N; i++ {
 		ms := experiments.NewMeasurementSet(o)
-		r, err := experiments.Fig7(o, ms)
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := run[*experiments.Fig7Result](b, "fig7", o, ms)
 		for _, row := range r.Rows {
 			if row.Bench == "145.fpppp" && row.Proposed > 0 {
 				fppppRatio = row.Conv[8] / row.Proposed
@@ -84,10 +91,7 @@ func BenchmarkFig8(b *testing.B) {
 	var victimGain float64
 	for i := 0; i < b.N; i++ {
 		ms := experiments.NewMeasurementSet(o)
-		r, err := experiments.Fig8(o, ms)
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := run[*experiments.Fig8Result](b, "fig8", o, ms)
 		for _, row := range r.Rows {
 			if row.Bench == "101.tomcatv" {
 				victimGain = (row.PropLoad + row.PropStore) / (row.VicLoad + row.VicStore)
@@ -110,7 +114,7 @@ func BenchmarkFig7Warm(b *testing.B) {
 	run := func() {
 		eng := &sweep.Engine{Workers: 4, Cache: store}
 		job := experiments.Fig7Job(o, experiments.NewMeasurementSet(o))
-		if err := eng.Run([]sweep.Job{job}, func(sweep.JobResult) error { return nil }); err != nil {
+		if err := eng.Run(context.Background(), []sweep.Job{job}, func(sweep.JobResult) error { return nil }); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -139,30 +143,22 @@ func tracedOpts(b *testing.B) experiments.Options {
 // BenchmarkFig7 is the cost of re-executing the workload generators.
 func BenchmarkFig7Replay(b *testing.B) {
 	o := tracedOpts(b)
-	if _, err := experiments.Fig7(o, experiments.NewMeasurementSet(o)); err != nil {
-		b.Fatal(err) // untimed recording pass populates the cache
-	}
+	run[*experiments.Fig7Result](b, "fig7", o, experiments.NewMeasurementSet(o)) // untimed recording pass populates the cache
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ms := experiments.NewMeasurementSet(o)
-		if _, err := experiments.Fig7(o, ms); err != nil {
-			b.Fatal(err)
-		}
+		run[*experiments.Fig7Result](b, "fig7", o, ms)
 	}
 }
 
 // BenchmarkFig8Replay is BenchmarkFig8 with recorded traces.
 func BenchmarkFig8Replay(b *testing.B) {
 	o := tracedOpts(b)
-	if _, err := experiments.Fig8(o, experiments.NewMeasurementSet(o)); err != nil {
-		b.Fatal(err) // untimed recording pass populates the cache
-	}
+	run[*experiments.Fig8Result](b, "fig8", o, experiments.NewMeasurementSet(o)) // untimed recording pass populates the cache
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ms := experiments.NewMeasurementSet(o)
-		if _, err := experiments.Fig8(o, ms); err != nil {
-			b.Fatal(err)
-		}
+		run[*experiments.Fig8Result](b, "fig8", o, ms)
 	}
 }
 
@@ -178,16 +174,11 @@ func BenchmarkDesignspace(b *testing.B) {
 	o.DSColumns = []int{256, 512}
 	o.DSWays = []int{1, 2}
 	o.DSVictims = []int{0, 16}
-	if _, err := experiments.Designspace(o); err != nil {
-		b.Fatal(err) // untimed recording pass populates the trace cache
-	}
+	run[*experiments.DesignspaceResult](b, "designspace", o, nil) // untimed recording pass populates the trace cache
 	b.ResetTimer()
 	var pointsPerPass float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Designspace(o)
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := run[*experiments.DesignspaceResult](b, "designspace", o, nil)
 		a := r.Accounting
 		pointsPerPass = float64(a.Evaluated*a.Benches) / float64(a.Passes)
 	}
@@ -199,9 +190,7 @@ func BenchmarkFig11(b *testing.B) {
 	o := quickOpts()
 	for i := 0; i < b.N; i++ {
 		ms := experiments.NewMeasurementSet(o)
-		if _, err := experiments.Fig11(o, ms); err != nil {
-			b.Fatal(err)
-		}
+		run[*experiments.LatencyResult](b, "fig11", o, ms)
 	}
 }
 
@@ -211,10 +200,7 @@ func BenchmarkFig12(b *testing.B) {
 	var cpi30ns float64
 	for i := 0; i < b.N; i++ {
 		ms := experiments.NewMeasurementSet(o)
-		r, err := experiments.Fig12(o, ms)
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := run[*experiments.LatencyResult](b, "fig12", o, ms)
 		if v, ok := r.CPIAt("126.gcc", 0, 6); ok {
 			cpi30ns = v
 		}
@@ -227,9 +213,7 @@ func BenchmarkTable3(b *testing.B) {
 	o := quickOpts()
 	for i := 0; i < b.N; i++ {
 		ms := experiments.NewMeasurementSet(o)
-		if _, err := experiments.Table34(o, ms, false); err != nil {
-			b.Fatal(err)
-		}
+		run[*experiments.CPIResult](b, "table3", o, ms)
 	}
 }
 
@@ -239,10 +223,7 @@ func BenchmarkTable4(b *testing.B) {
 	var tomcatv float64
 	for i := 0; i < b.N; i++ {
 		ms := experiments.NewMeasurementSet(o)
-		r, err := experiments.Table34(o, ms, true)
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := run[*experiments.CPIResult](b, "table4", o, ms)
 		for _, row := range r.Rows {
 			if row.Bench == "101.tomcatv" {
 				tomcatv = row.TotalCPI
@@ -258,10 +239,7 @@ func BenchmarkBankSensitivity(b *testing.B) {
 	var util16 float64
 	for i := 0; i < b.N; i++ {
 		ms := experiments.NewMeasurementSet(o)
-		r, err := experiments.Banks(o, ms)
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := run[*experiments.BankResult](b, "banks", o, ms)
 		for _, row := range r.Rows {
 			if row.Integrated && row.Banks == 16 && row.Bench == "126.gcc" {
 				util16 = 100 * row.Utilization
@@ -274,14 +252,11 @@ func BenchmarkBankSensitivity(b *testing.B) {
 // splashBench runs one of Figures 13-17 and reports the victim-config
 // execution time relative to the reference CC-NUMA at the highest
 // processor count.
-func splashBench(b *testing.B, figure int) {
+func splashBench(b *testing.B, name string) {
 	o := quickOpts()
 	var rel float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.SplashFigure(o, figure)
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := run[*experiments.SplashResult](b, name, o, nil)
 		p := o.Procs[len(o.Procs)-1]
 		ref, _ := r.Cycles(coherence.ReferenceCCNUMA, p)
 		vic, _ := r.Cycles(coherence.IntegratedVictim, p)
@@ -293,28 +268,26 @@ func splashBench(b *testing.B, figure int) {
 }
 
 // BenchmarkFig13LU regenerates Figure 13 (LU).
-func BenchmarkFig13LU(b *testing.B) { splashBench(b, 13) }
+func BenchmarkFig13LU(b *testing.B) { splashBench(b, "fig13") }
 
 // BenchmarkFig14MP3D regenerates Figure 14 (MP3D).
-func BenchmarkFig14MP3D(b *testing.B) { splashBench(b, 14) }
+func BenchmarkFig14MP3D(b *testing.B) { splashBench(b, "fig14") }
 
 // BenchmarkFig15Ocean regenerates Figure 15 (OCEAN).
-func BenchmarkFig15Ocean(b *testing.B) { splashBench(b, 15) }
+func BenchmarkFig15Ocean(b *testing.B) { splashBench(b, "fig15") }
 
 // BenchmarkFig16Water regenerates Figure 16 (WATER).
-func BenchmarkFig16Water(b *testing.B) { splashBench(b, 16) }
+func BenchmarkFig16Water(b *testing.B) { splashBench(b, "fig16") }
 
 // BenchmarkFig17Pthor regenerates Figure 17 (PTHOR).
-func BenchmarkFig17Pthor(b *testing.B) { splashBench(b, 17) }
+func BenchmarkFig17Pthor(b *testing.B) { splashBench(b, "fig17") }
 
 // BenchmarkAblateLineSize sweeps the D-cache line size (Section 5.3/5.6
 // design tension).
 func BenchmarkAblateLineSize(b *testing.B) {
 	o := quickOpts()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblateLineSize(o); err != nil {
-			b.Fatal(err)
-		}
+		run[*experiments.LineSizeResult](b, "ablate-linesize", o, nil)
 	}
 }
 
@@ -323,9 +296,7 @@ func BenchmarkAblateLineSize(b *testing.B) {
 func BenchmarkAblateVictimSize(b *testing.B) {
 	o := quickOpts()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblateVictimSize(o); err != nil {
-			b.Fatal(err)
-		}
+		run[*experiments.VictimSizeResult](b, "ablate-victim", o, nil)
 	}
 }
 
@@ -335,10 +306,7 @@ func BenchmarkAblateCoherenceUnit(b *testing.B) {
 	o := quickOpts()
 	var blowup float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.AblateCoherenceUnit(o)
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := run[*experiments.UnitResult](b, "ablate-unit", o, nil)
 		var small, big uint64
 		for _, row := range r.Rows {
 			if row.Bench == "falseshare (micro)" {
@@ -361,9 +329,7 @@ func BenchmarkAblateCoherenceUnit(b *testing.B) {
 func BenchmarkAblateINC(b *testing.B) {
 	o := quickOpts()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblateINCAssociativity(o); err != nil {
-			b.Fatal(err)
-		}
+		run[*experiments.INCResult](b, "ablate-inc", o, nil)
 	}
 }
 
@@ -372,9 +338,7 @@ func BenchmarkAblateScoreboard(b *testing.B) {
 	o := quickOpts()
 	for i := 0; i < b.N; i++ {
 		ms := experiments.NewMeasurementSet(o)
-		if _, err := experiments.AblateScoreboard(o, ms); err != nil {
-			b.Fatal(err)
-		}
+		run[*experiments.ScoreboardResult](b, "ablate-scoreboard", o, ms)
 	}
 }
 
@@ -383,8 +347,6 @@ func BenchmarkAblateScoreboard(b *testing.B) {
 func BenchmarkAblateEngines(b *testing.B) {
 	o := quickOpts()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblateEngines(o); err != nil {
-			b.Fatal(err)
-		}
+		run[*experiments.EngineResult](b, "ablate-engines", o, nil)
 	}
 }

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/runner"
 )
 
 // goldenNames is the quick-fidelity experiment subset the golden test
@@ -24,13 +24,7 @@ var goldenNames = []string{"spec", "fig7", "fig8", "table3", "realcpi", "fig910"
 // shifts a simulated number fails here with a line diff. To bless an
 // intentional change: UPDATE_GOLDEN=1 go test -run TestQuickGolden ./cmd/iramsim
 func TestQuickGolden(t *testing.T) {
-	opts := quickOpts()
-	ms := experiments.NewMeasurementSet(opts)
-	var buf bytes.Buffer
-	if err := runNames(goldenNames, opts, ms, 1, nil, &buf, io.Discard); err != nil {
-		t.Fatalf("runNames: %v", err)
-	}
-	got := buf.Bytes()
+	got := runJobs(t, goldenNames, quickOpts(), runner.Config{Workers: 1})
 
 	path := filepath.Join("testdata", "quick_golden.txt")
 	if os.Getenv("UPDATE_GOLDEN") != "" {
@@ -60,13 +54,7 @@ func TestQuickGolden(t *testing.T) {
 // an intentional change:
 // UPDATE_GOLDEN=1 go test -run TestDesignspaceGolden ./cmd/iramsim
 func TestDesignspaceGolden(t *testing.T) {
-	opts := quickOpts()
-	ms := experiments.NewMeasurementSet(opts)
-	var buf bytes.Buffer
-	if err := runNames([]string{"designspace"}, opts, ms, 1, nil, &buf, io.Discard); err != nil {
-		t.Fatalf("runNames: %v", err)
-	}
-	got := buf.Bytes()
+	got := runJobs(t, []string{"designspace"}, quickOpts(), runner.Config{Workers: 1})
 	if !bytes.Contains(got, []byte("accounting: lattice=12")) {
 		t.Fatalf("designspace output missing the accounting note:\n%s", got)
 	}
@@ -133,12 +121,7 @@ func TestMachineFlag(t *testing.T) {
 
 	opts := quickOpts()
 	opts.Machine = &dev
-	ms := experiments.NewMeasurementSet(opts)
-	var buf bytes.Buffer
-	if err := runNames([]string{"spec", "fig7", "fig8", "fig910", "fig13"}, opts, ms, 1, nil, &buf, io.Discard); err != nil {
-		t.Fatalf("runNames with -machine device: %v", err)
-	}
-	out := buf.String()
+	out := string(runJobs(t, []string{"spec", "fig7", "fig8", "fig910", "fig13"}, opts, runner.Config{Workers: 1}))
 	if !strings.Contains(out, dev.Name) {
 		t.Errorf("spec output does not name the configured device %q", dev.Name)
 	}
@@ -150,11 +133,7 @@ func TestMachineFlag(t *testing.T) {
 	// refactor threads the device through, it doesn't just print it.
 	render := func(o experiments.Options, names ...string) []byte {
 		t.Helper()
-		var buf bytes.Buffer
-		if err := runNames(names, o, experiments.NewMeasurementSet(o), 2, nil, &buf, io.Discard); err != nil {
-			t.Fatalf("%v on %q: %v", names, o.Device().Name, err)
-		}
-		return buf.Bytes()
+		return runJobs(t, names, o, runner.Config{Workers: 2})
 	}
 	defOpts := quickOpts()
 	for _, name := range []string{"fig7", "ablate-victim", "ablate-unit", "ablate-inc", "ablate-engines", "ablate-jouppi"} {

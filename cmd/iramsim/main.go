@@ -6,8 +6,8 @@
 //
 //	iramsim [flags] <experiment> [...]
 //
-// Experiments: table1 fig2 fig7 fig8 fig11 fig12 table3 table4 banks
-// mattson realcpi fig13 fig14 fig15 fig16 fig17 cost all
+// Run with no arguments for the list of experiments; "all" runs the
+// full sequence.
 //
 // Flags:
 //
@@ -56,18 +56,10 @@ import (
 	"repro/internal/workload"
 )
 
-// jsonMode switches experiment output from rendered tables to JSON
-// (structured results for downstream plotting).
-var jsonMode bool
-
-// frontierPath is the -ds-frontier flag: when set, any experiment
-// result that can export a Pareto frontier is written there after
-// rendering.
-var frontierPath string
-
 // cliConfig gathers the parsed command-line flags.
 type cliConfig struct {
 	quick         bool
+	json          bool
 	budget, seed  int64
 	procs         string
 	machine       string
@@ -94,7 +86,7 @@ type cliConfig struct {
 func main() {
 	var c cliConfig
 	flag.BoolVar(&c.quick, "quick", false, "reduced-fidelity runs")
-	flag.BoolVar(&jsonMode, "json", false, "emit experiment results as JSON instead of tables")
+	flag.BoolVar(&c.json, "json", false, "emit experiment results as JSON instead of tables")
 	flag.Int64Var(&c.budget, "budget", 0, "per-workload instruction budget (0 = default)")
 	flag.Int64Var(&c.seed, "seed", 1, "Monte-Carlo seed")
 	flag.StringVar(&c.procs, "procs", "", "comma-separated processor counts for fig13..fig17")
@@ -235,14 +227,13 @@ func mainErr(c cliConfig) error {
 
 	cfg := runner.Config{
 		Workers:      c.workers,
-		JSON:         jsonMode,
+		JSON:         c.json,
 		Out:          os.Stdout,
 		Progress:     os.Stderr,
 		TraceDir:     traceDir,
 		RecordTraces: c.record != "",
 		FrontierPath: c.dsFrontier,
 	}
-	frontierPath = c.dsFrontier
 	if !c.noResultCache {
 		cfg.ResultCacheDir = c.resultCache
 	}
@@ -374,33 +365,9 @@ func writeTrace(path string, tr *obs.Tracer) error {
 	return nil
 }
 
-// runNames fans the named experiments' units out over the worker pool
-// and renders each experiment's result, in command-line order, as its
-// units complete. Kept as the byte-identity seam the determinism and
-// golden tests drive; it is a thin adapter over runner.RunJobs.
-func runNames(names []string, opts experiments.Options, ms *experiments.MeasurementSet,
-	workers int, tracer *obs.Tracer, out io.Writer, progress io.Writer) error {
-	return runner.RunJobs(context.Background(), names, opts, ms, runner.Config{
-		Workers:      workers,
-		JSON:         jsonMode,
-		Out:          out,
-		Progress:     progress,
-		Obs:          opts.Obs,
-		Trace:        tracer,
-		ResultCache:  opts.ResultCache,
-		FrontierPath: frontierPath,
-	})
-}
-
-// run executes one experiment serially; kept as the single-name entry
-// point (and for tests).
-func run(name string, opts experiments.Options, ms *experiments.MeasurementSet) error {
-	return runNames([]string{name}, opts, ms, 1, nil, os.Stdout, io.Discard)
-}
-
 func usage() {
 	fmt.Fprintln(os.Stderr, "usage: iramsim [flags] <experiment> [...]")
-	fmt.Fprintln(os.Stderr, "experiments: spec cost table1 fig2 fig7 fig8 fig11 fig12 table3 table4 banks mattson realcpi fig13..fig17 ablate-{linesize,victim,unit,scoreboard,inc,engines,jouppi} designspace scoma fabric selftest workloads fig910 all")
+	fmt.Fprintln(os.Stderr, "experiments:", strings.Join(experiments.Names(), " "), "all")
 	fmt.Fprintln(os.Stderr, "machine descriptions: -machine examples/machine-32bank.json (see examples/)")
 	fmt.Fprintln(os.Stderr, "trace cache: -trace-dir/-record <dir> (record-all: iramsim -record <dir>)")
 	fmt.Fprintln(os.Stderr, "design-space search: iramsim designspace -ds-banks 8..128:8 -ds-columns 256..4096:*2 \\")

@@ -2,8 +2,8 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,7 +12,23 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/resultstore"
+	"repro/internal/runner"
 )
+
+// runJobs renders names through runner.RunJobs, the layer main's
+// runner.Run call shares with the daemon, against opts (its registry
+// and result cache included) and a fresh MeasurementSet, and returns
+// the deterministic output.
+func runJobs(t *testing.T, names []string, opts experiments.Options, cfg runner.Config) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	cfg.Out = &buf
+	cfg.Obs, cfg.ResultCache = opts.Obs, opts.ResultCache
+	if err := runner.RunJobs(context.Background(), names, opts, experiments.NewMeasurementSet(opts), cfg); err != nil {
+		t.Fatalf("%v: %v", names, err)
+	}
+	return buf.Bytes()
+}
 
 // cheap experiments exercised through the dispatcher (the heavyweight
 // ones are covered by internal/experiments' own tests).
@@ -21,13 +37,9 @@ func TestRunDispatcher(t *testing.T) {
 	opts.Budget = 50_000
 	opts.GSPNInstr = 2_000
 	opts.Procs = []int{1, 2}
-	ms := experiments.NewMeasurementSet(opts)
-	for _, name := range []string{"cost", "spec", "fabric", "selftest", "table1", "fig13", "fig910", "workloads"} {
-		if err := run(name, opts, ms); err != nil {
-			t.Errorf("run(%q): %v", name, err)
-		}
-	}
-	if err := run("no-such-experiment", opts, ms); err == nil {
+	runJobs(t, []string{"cost", "spec", "fabric", "selftest", "table1", "fig13", "fig910", "workloads"}, opts, runner.Config{})
+	err := runner.RunJobs(context.Background(), []string{"no-such-experiment"}, opts, nil, runner.Config{})
+	if err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }
@@ -42,17 +54,13 @@ func quickOpts() experiments.Options {
 }
 
 // sweepOutput runs a representative experiment mix through the worker
-// pool and returns the deterministic stream. A fresh MeasurementSet
-// per call makes every run recompute from its seeds.
-func sweepOutput(t *testing.T, workers int, opts experiments.Options) []byte {
+// pool and returns the deterministic stream, as tables or as JSON. A
+// fresh MeasurementSet per call makes every run recompute from its
+// seeds.
+func sweepOutput(t *testing.T, workers int, opts experiments.Options, jsonMode bool) []byte {
 	t.Helper()
-	names := []string{"spec", "cost", "table1", "fig7", "fig8", "table3", "realcpi", "fig13", "ablate-scoreboard", "fabric"}
-	ms := experiments.NewMeasurementSet(opts)
-	var buf bytes.Buffer
-	if err := runNames(names, opts, ms, workers, nil, &buf, io.Discard); err != nil {
-		t.Fatalf("runNames(j=%d): %v", workers, err)
-	}
-	return buf.Bytes()
+	names := []string{"spec", "cost", "table1", "fig7", "fig8", "table3", "realcpi", "fig13", "ablate-scoreboard", "designspace", "fabric"}
+	return runJobs(t, names, opts, runner.Config{Workers: workers, JSON: jsonMode})
 }
 
 // TestSweepDeterminism: the sweep's experiment output is byte-identical
@@ -61,23 +69,21 @@ func sweepOutput(t *testing.T, workers int, opts experiments.Options) []byte {
 // table and JSON modes.
 func TestSweepDeterminism(t *testing.T) {
 	opts := quickOpts()
-	serial := sweepOutput(t, 1, opts)
+	serial := sweepOutput(t, 1, opts, false)
 	if len(serial) == 0 {
 		t.Fatal("serial sweep produced no output")
 	}
-	parallel := sweepOutput(t, 8, opts)
+	parallel := sweepOutput(t, 8, opts, false)
 	if !bytes.Equal(serial, parallel) {
 		t.Errorf("-j 1 and -j 8 output differ:\n--- j1 ---\n%s\n--- j8 ---\n%s", serial, parallel)
 	}
-	again := sweepOutput(t, 8, opts)
+	again := sweepOutput(t, 8, opts, false)
 	if !bytes.Equal(parallel, again) {
 		t.Errorf("two -j 8 runs of the same configuration differ")
 	}
 
-	jsonMode = true
-	defer func() { jsonMode = false }()
-	j1 := sweepOutput(t, 1, opts)
-	j8 := sweepOutput(t, 8, opts)
+	j1 := sweepOutput(t, 1, opts, true)
+	j8 := sweepOutput(t, 8, opts, true)
 	if !bytes.Equal(j1, j8) {
 		t.Errorf("JSON output differs between -j 1 and -j 8")
 	}
@@ -89,27 +95,25 @@ func TestSweepDeterminism(t *testing.T) {
 // stream byte-for-byte, in table and JSON modes.
 func TestSweepDeterminismWithCache(t *testing.T) {
 	opts := quickOpts()
-	baseline := sweepOutput(t, 4, opts)
+	baseline := sweepOutput(t, 4, opts, false)
 
 	store, err := resultstore.NewStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.ResultCache = store
-	if cold := sweepOutput(t, 1, opts); !bytes.Equal(baseline, cold) {
+	if cold := sweepOutput(t, 1, opts, false); !bytes.Equal(baseline, cold) {
 		t.Errorf("cold cached run differs from uncached baseline:\n--- plain ---\n%s\n--- cold ---\n%s", baseline, cold)
 	}
 	for _, w := range []int{2, 8} {
-		if warm := sweepOutput(t, w, opts); !bytes.Equal(baseline, warm) {
-			t.Errorf("warm cached run (-j %d) differs from uncached baseline", w)
+		if warm := sweepOutput(t, w, opts, false); !bytes.Equal(baseline, warm) {
+			t.Errorf("warm cached run (-j %d) differs from uncached baseline:\n%s", w, firstDiff(baseline, warm))
 		}
 	}
 
-	jsonMode = true
-	defer func() { jsonMode = false }()
 	plain := quickOpts()
-	j1 := sweepOutput(t, 1, plain)
-	if warm := sweepOutput(t, 8, opts); !bytes.Equal(j1, warm) {
+	j1 := sweepOutput(t, 1, plain, true)
+	if warm := sweepOutput(t, 8, opts, true); !bytes.Equal(j1, warm) {
 		t.Errorf("JSON output differs between uncached and warm cached runs")
 	}
 }
@@ -122,22 +126,12 @@ func TestSweepDeterminismWithCache(t *testing.T) {
 func TestMetricsFlag(t *testing.T) {
 	names := []string{"fig7", "fig13"}
 
-	plain := quickOpts()
-	plainMS := experiments.NewMeasurementSet(plain)
-	var plainBuf bytes.Buffer
-	if err := runNames(names, plain, plainMS, 2, nil, &plainBuf, io.Discard); err != nil {
-		t.Fatalf("uninstrumented run: %v", err)
-	}
+	plain := runJobs(t, names, quickOpts(), runner.Config{Workers: 2})
 
 	opts := quickOpts()
 	opts.Obs = obs.NewRegistry()
 	tracer := obs.NewTracer(1 << 10)
-	ms := experiments.NewMeasurementSet(opts)
-	var buf bytes.Buffer
-	if err := runNames(names, opts, ms, 2, tracer, &buf, io.Discard); err != nil {
-		t.Fatalf("instrumented run: %v", err)
-	}
-	if !bytes.Equal(plainBuf.Bytes(), buf.Bytes()) {
+	if got := runJobs(t, names, opts, runner.Config{Workers: 2, Trace: tracer}); !bytes.Equal(plain, got) {
 		t.Error("instrumentation changed the experiment output")
 	}
 
@@ -183,17 +177,12 @@ func TestMetricsFlag(t *testing.T) {
 }
 
 func TestRunDispatcherJSON(t *testing.T) {
-	jsonMode = true
-	defer func() { jsonMode = false }()
 	opts := experiments.Quick()
 	opts.Budget = 50_000
 	opts.GSPNInstr = 2_000
 	opts.Procs = []int{1}
-	ms := experiments.NewMeasurementSet(opts)
-	if err := run("table1", opts, ms); err != nil {
-		t.Errorf("json table1: %v", err)
-	}
-	if err := run("fig13", opts, ms); err != nil {
-		t.Errorf("json fig13: %v", err)
+	out := runJobs(t, []string{"table1", "fig13"}, opts, runner.Config{JSON: true})
+	if !bytes.Contains(out, []byte(`"experiment": "fig13"`)) {
+		t.Errorf("JSON mode did not render fig13 as JSON:\n%s", out)
 	}
 }

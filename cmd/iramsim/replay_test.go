@@ -2,11 +2,11 @@ package main
 
 import (
 	"bytes"
-	"io"
 	"os"
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/runner"
 	"repro/internal/tracestore"
 	"repro/internal/workload"
 )
@@ -18,12 +18,7 @@ var replayNames = []string{"fig7", "fig8", "table3", "table1", "mattson"}
 
 func renderWith(t *testing.T, opts experiments.Options) []byte {
 	t.Helper()
-	ms := experiments.NewMeasurementSet(opts)
-	var buf bytes.Buffer
-	if err := runNames(replayNames, opts, ms, 2, nil, &buf, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return runJobs(t, replayNames, opts, runner.Config{Workers: 2})
 }
 
 // TestReplayMatchesLive is the pipeline's end-to-end golden check:

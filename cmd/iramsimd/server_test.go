@@ -113,6 +113,7 @@ func TestSubmitBadRequests(t *testing.T) {
 		{"unknown-field", `{"experiments":["fig7"],"bogus":1}`, "bad request body"},
 		{"no-experiments", `{}`, "no experiments"},
 		{"unknown-experiment", `{"experiments":["fig99"]}`, `unknown experiment \"fig99\"`},
+		{"all-with-others", `{"experiments":["cost","all"]}`, `\"all\" must be the only experiment`},
 		{"bad-machine", `{"experiments":["fig7"],"machine":{"Banks":0}}`, "machine config"},
 	}
 	for _, c := range cases {

@@ -15,21 +15,30 @@ import (
 	"os"
 
 	"repro/internal/experiments"
+	"repro/internal/sweep"
 )
+
+// run builds the named experiment from the registry and runs its units
+// serially on this goroutine.
+func run(name string, opts experiments.Options) interface{} {
+	j, err := experiments.JobFor(name, opts, experiments.NewMeasurementSet(opts))
+	if err != nil {
+		log.Fatal(err)
+	}
+	v, err := sweep.RunSerial(j)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return v
+}
 
 func main() {
 	opts := experiments.Quick()
 
-	fig2, err := experiments.Fig2(opts)
-	if err != nil {
-		log.Fatal(err)
-	}
+	fig2 := run("fig2", opts).(*experiments.Fig2Result)
 	fig2.Table().Render(os.Stdout)
 
-	t1, err := experiments.Table1(opts)
-	if err != nil {
-		log.Fatal(err)
-	}
+	t1 := run("table1", opts).(*experiments.Table1Result)
 	t1.Table().Render(os.Stdout)
 
 	ss5 := t1.Rows[0]

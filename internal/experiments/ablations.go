@@ -35,32 +35,20 @@ type LineSizeRow struct {
 // LineSizeResult is the line-size ablation.
 type LineSizeResult struct{ Rows []LineSizeRow }
 
-// AblateLineSize sweeps the D-cache line size at fixed 16 KB 2-way
-// capacity. Paper grounding: Section 5.3 — long lines prefetch for
-// high-locality codes but multiply conflicts when only 16 sets remain
-// (tomcatv); and Section 5.6 — "increasing the line size will degrade
-// performance due to higher resultant cache conflicts".
-func AblateLineSize(o Options) (*LineSizeResult, error) {
-	v, err := sweep.RunSerial(AblateLineSizeJob(o))
-	if err != nil {
-		return nil, err
-	}
-	return v.(*LineSizeResult), nil
-}
-
-// AblateLineSizeJob enumerates the line-size ablation as one unit per
-// benchmark; each unit is one trace pass feeding every line size.
-func AblateLineSizeJob(o Options) sweep.Job {
+// AblateLineSizeJob sweeps the D-cache line size at fixed 16 KB 2-way
+// capacity, one unit per benchmark; each unit is one trace pass feeding
+// every line size. Paper grounding: Section 5.3 — long lines prefetch
+// for high-locality codes but multiply conflicts when only 16 sets
+// remain (tomcatv); and Section 5.6 — "increasing the line size will
+// degrade performance due to higher resultant cache conflicts".
+func AblateLineSizeJob(o Options, _ *MeasurementSet) sweep.Job {
 	units := make([]sweep.Unit, len(ablationBenches))
 	for i, name := range ablationBenches {
-		units[i] = sweep.Unit{
-			Name: "ablate-linesize/" + name,
-			Run:  func() (interface{}, error) { return ablateLineSizeBench(o, name) },
-		}
+		units[i] = uncached("ablate-linesize/"+name, func() ([]LineSizeRow, error) { return ablateLineSizeBench(o, name) })
 	}
-	return sweep.Job{Name: "ablate-linesize", Units: units, Assemble: concatRows[LineSizeRow](func(rows []LineSizeRow) interface{} {
-		return &LineSizeResult{Rows: rows}
-	})}
+	return job("ablate-linesize", units, func(parts [][]LineSizeRow) (interface{}, error) {
+		return &LineSizeResult{Rows: concat(parts)}, nil
+	})
 }
 
 // ablateLineSizeBench measures one benchmark at every line size in one
@@ -98,18 +86,6 @@ func ablateLineSizeBench(o Options, name string) ([]LineSizeRow, error) {
 	return rows, nil
 }
 
-// concatRows builds an Assemble function that concatenates per-unit
-// row slices (in unit order) and wraps them in a result value.
-func concatRows[T any](wrap func([]T) interface{}) func([]interface{}) (interface{}, error) {
-	return func(parts []interface{}) (interface{}, error) {
-		var rows []T
-		for _, p := range parts {
-			rows = append(rows, p.([]T)...)
-		}
-		return wrap(rows), nil
-	}
-}
-
 // Table renders the line-size ablation.
 func (r *LineSizeResult) Table() *report.Table {
 	t := report.NewTable("Ablation: D-cache line size (16 KB, 2-way), miss rate %",
@@ -142,31 +118,19 @@ type VictimSizeRow struct {
 // VictimSizeResult is the victim-size ablation.
 type VictimSizeResult struct{ Rows []VictimSizeRow }
 
-// AblateVictimSize sweeps the victim-cache entry count around the
-// paper's choice of 16 (one column's worth). Paper grounding: Section
-// 5.4 sizes the victim cache to exactly one 512 B column buffer.
-func AblateVictimSize(o Options) (*VictimSizeResult, error) {
-	v, err := sweep.RunSerial(AblateVictimSizeJob(o))
-	if err != nil {
-		return nil, err
-	}
-	return v.(*VictimSizeResult), nil
-}
-
-// AblateVictimSizeJob enumerates the victim-size ablation as one unit
-// per benchmark.
-func AblateVictimSizeJob(o Options) sweep.Job {
+// AblateVictimSizeJob sweeps the victim-cache entry count around the
+// paper's choice of 16 (one column's worth), one unit per benchmark.
+// Paper grounding: Section 5.4 sizes the victim cache to exactly one
+// 512 B column buffer.
+func AblateVictimSizeJob(o Options, _ *MeasurementSet) sweep.Job {
 	benches := []string{"101.tomcatv", "102.swim", "099.go"}
 	units := make([]sweep.Unit, len(benches))
 	for i, name := range benches {
-		units[i] = sweep.Unit{
-			Name: "ablate-victim/" + name,
-			Run:  func() (interface{}, error) { return ablateVictimBench(o, name) },
-		}
+		units[i] = uncached("ablate-victim/"+name, func() ([]VictimSizeRow, error) { return ablateVictimBench(o, name) })
 	}
-	return sweep.Job{Name: "ablate-victim", Units: units, Assemble: concatRows[VictimSizeRow](func(rows []VictimSizeRow) interface{} {
-		return &VictimSizeResult{Rows: rows}
-	})}
+	return job("ablate-victim", units, func(parts [][]VictimSizeRow) (interface{}, error) {
+		return &VictimSizeResult{Rows: concat(parts)}, nil
+	})
 }
 
 // ablateVictimBench measures one benchmark at every victim size. This
@@ -251,49 +215,30 @@ type UnitResult struct {
 	Rows  []UnitRow
 }
 
-// AblateCoherenceUnit runs SPLASH benchmarks with 32, 128, and 512 B
-// coherence units on the integrated+victim machine. Paper grounding:
-// Section 6.2 — "it is important not to use the long cache lines as
-// coherence units, because the false-sharing costs would outweigh the
-// prefetching benefits for most applications".
-func AblateCoherenceUnit(o Options) (*UnitResult, error) {
-	v, err := sweep.RunSerial(AblateCoherenceUnitJob(o))
-	if err != nil {
-		return nil, err
-	}
-	return v.(*UnitResult), nil
-}
-
 // ablateUnitProcs is the processor count of the coherence-unit study.
 const ablateUnitProcs = 4
 
-// AblateCoherenceUnitJob enumerates the coherence-unit ablation as one
-// unit per SPLASH benchmark plus one for the false-sharing
-// microbenchmark.
-func AblateCoherenceUnitJob(o Options) sweep.Job {
+// AblateCoherenceUnitJob runs SPLASH benchmarks with 32, 128, and
+// 512 B coherence units on the integrated+victim machine, one unit per
+// SPLASH benchmark plus one for the false-sharing microbenchmark. Paper
+// grounding: Section 6.2 — "it is important not to use the long cache
+// lines as coherence units, because the false-sharing costs would
+// outweigh the prefetching benefits for most applications".
+func AblateCoherenceUnitJob(o Options, _ *MeasurementSet) sweep.Job {
 	benches := []string{"MP3D", "WATER", "OCEAN"}
 	var units []sweep.Unit
 	for _, name := range benches {
-		units = append(units, sweep.Unit{
-			Name: "ablate-unit/" + name,
-			Run:  func() (interface{}, error) { return ablateUnitBench(o, name) },
-		})
+		units = append(units, uncached("ablate-unit/"+name, func() ([]UnitRow, error) { return ablateUnitBench(o, name) }))
 	}
-	units = append(units, sweep.Unit{
-		Name: "ablate-unit/falseshare",
-		Run:  func() (interface{}, error) { return ablateUnitMicro(o) },
+	units = append(units, uncached("ablate-unit/falseshare", func() ([]UnitRow, error) { return ablateUnitMicro(o) }))
+	return job("ablate-unit", units, func(parts [][]UnitRow) (interface{}, error) {
+		return &UnitResult{Procs: ablateUnitProcs, Rows: concat(parts)}, nil
 	})
-	return sweep.Job{Name: "ablate-unit", Units: units, Assemble: concatRows[UnitRow](func(rows []UnitRow) interface{} {
-		return &UnitResult{Procs: ablateUnitProcs, Rows: rows}
-	})}
 }
 
 // ablateUnitBench runs one SPLASH benchmark at every coherence unit.
 func ablateUnitBench(o Options, name string) ([]UnitRow, error) {
-	sz := splash.Full()
-	if o.MPQuick {
-		sz = splash.Quick()
-	}
+	sz := o.splashSize()
 	b, err := splash.ByName(name)
 	if err != nil {
 		return nil, err
@@ -370,41 +315,25 @@ type ScoreboardRow struct {
 // ScoreboardResult is the scoreboarding ablation.
 type ScoreboardResult struct{ Rows []ScoreboardRow }
 
-// AblateScoreboard sweeps the T23 stall rate of the Figure 10 GSPN.
-// Paper grounding: Section 5.5 — "to model a system without
-// scoreboarding, this rate for T23 is set to infinity. However, we
-// assumed the presence of scoreboarding logic for the integrated
-// system, therefore the rate of T23 was set [to] 1".
-func AblateScoreboard(o Options, ms *MeasurementSet) (*ScoreboardResult, error) {
-	v, err := sweep.RunSerial(AblateScoreboardJob(o, ms))
-	if err != nil {
-		return nil, err
-	}
-	return v.(*ScoreboardResult), nil
-}
-
-// AblateScoreboardJob enumerates the scoreboard ablation as one unit
-// per (benchmark, T23 rate) GSPN evaluation; the units share one
-// workload measurement through the single-flight MeasurementSet.
+// AblateScoreboardJob sweeps the T23 stall rate of the Figure 10 GSPN,
+// one unit per (benchmark, T23 rate) evaluation; the units share one
+// workload measurement through the single-flight MeasurementSet. Paper
+// grounding: Section 5.5 — "to model a system without scoreboarding,
+// this rate for T23 is set to infinity. However, we assumed the
+// presence of scoreboarding logic for the integrated system, therefore
+// the rate of T23 was set [to] 1".
 func AblateScoreboardJob(o Options, ms *MeasurementSet) sweep.Job {
 	rates := []float64{0, 2, 1, 0.5, 0.25} // 0 = stall immediately
 	var units []sweep.Unit
 	for _, name := range []string{"126.gcc", "101.tomcatv"} {
 		for _, rate := range rates {
-			units = append(units, sweep.Unit{
-				Name: fmt.Sprintf("ablate-scoreboard/%s/rate=%g", name, rate),
-				Seed: o.Seed,
-				Run:  func() (interface{}, error) { return ablateScoreboardPoint(o, ms, name, rate) },
-			})
+			units = append(units, uncached(fmt.Sprintf("ablate-scoreboard/%s/rate=%g", name, rate),
+				func() (ScoreboardRow, error) { return ablateScoreboardPoint(o, ms, name, rate) }))
 		}
 	}
-	return sweep.Job{Name: "ablate-scoreboard", Units: units, Assemble: func(parts []interface{}) (interface{}, error) {
-		res := &ScoreboardResult{Rows: make([]ScoreboardRow, len(parts))}
-		for i, p := range parts {
-			res.Rows[i] = p.(ScoreboardRow)
-		}
-		return res, nil
-	}}
+	return job("ablate-scoreboard", units, func(rows []ScoreboardRow) (interface{}, error) {
+		return &ScoreboardResult{Rows: rows}, nil
+	})
 }
 
 // ablateScoreboardPoint evaluates one benchmark at one T23 rate.
@@ -453,65 +382,45 @@ type INCRow struct {
 // INCResult is the INC-associativity ablation.
 type INCResult struct{ Rows []INCRow }
 
-// AblateINCAssociativity compares the paper's 7-way INC against
-// direct-mapped and lower-associativity organisations. Paper
-// grounding: Section 6.2 — the 512 B columns "enable access to seven
-// 32-Byte INC blocks each — providing 7 way associativity for cached
-// remote memory reducing conflict misses". The INC is deliberately
-// under-sized here (a 16 KB slice instead of 1 MB) so that conflicts —
-// not capacity slack — are what the associativity fights; the paper's
-// own INC is sized above the working sets for the same reason in
-// reverse (Section 6.1).
-func AblateINCAssociativity(o Options) (*INCResult, error) {
-	v, err := sweep.RunSerial(AblateINCAssociativityJob(o))
-	if err != nil {
-		return nil, err
-	}
-	return v.(*INCResult), nil
-}
-
-// AblateINCAssociativityJob enumerates the INC ablation as one unit
-// per (associativity, benchmark) multiprocessor run.
-func AblateINCAssociativityJob(o Options) sweep.Job {
-	sz := splash.Full()
+// AblateINCAssociativityJob compares the paper's 7-way INC against
+// direct-mapped and lower-associativity organisations, one unit per
+// (associativity, benchmark) multiprocessor run. Paper grounding:
+// Section 6.2 — the 512 B columns "enable access to seven 32-Byte INC
+// blocks each — providing 7 way associativity for cached remote memory
+// reducing conflict misses". The INC is deliberately under-sized here
+// (a 16 KB slice instead of 1 MB) so that conflicts — not capacity
+// slack — are what the associativity fights; the paper's own INC is
+// sized above the working sets for the same reason in reverse
+// (Section 6.1).
+func AblateINCAssociativityJob(o Options, _ *MeasurementSet) sweep.Job {
+	sz := o.splashSize()
 	// Undersizing tracks the data set: small enough that the remote
 	// working set does not rattle around in capacity slack, large
 	// enough that conflicts (not pure capacity) decide the outcome.
 	smallINC := 256 << 10
 	if o.MPQuick {
-		sz = splash.Quick()
 		smallINC = 16 << 10
 	}
 	var units []sweep.Unit
 	for _, ways := range []int{1, 2, 7} {
 		for _, name := range []string{"WATER", "LU"} {
-			units = append(units, sweep.Unit{
-				Name: fmt.Sprintf("ablate-inc/%s/ways=%d", name, ways),
-				Run: func() (interface{}, error) {
-					b, err := splash.ByName(name)
-					if err != nil {
-						return nil, err
-					}
-					dev := o.Device()
-					dev.INCWays, dev.INCBytes = ways, smallINC
-					m := coherence.NewConfiguredMachineDevices(coherence.IntegratedVictim, 4,
-						uint64(dev.CoherenceUnitBytes), dev, core.Reference())
-					r := b.RunMachine(4, m, sz)
-					return INCRow{
-						Bench: name, Ways: ways,
-						RemoteLoads: m.RemoteLoads, Cycles: r.Cycles,
-					}, nil
-				},
-			})
+			units = append(units, uncached(fmt.Sprintf("ablate-inc/%s/ways=%d", name, ways), func() (INCRow, error) {
+				b, err := splash.ByName(name)
+				if err != nil {
+					return INCRow{}, err
+				}
+				dev := o.Device()
+				dev.INCWays, dev.INCBytes = ways, smallINC
+				m := machine(dev, coherence.IntegratedVictim, 4)
+				r := b.RunMachine(4, m, sz)
+				return INCRow{
+					Bench: name, Ways: ways,
+					RemoteLoads: m.RemoteLoads, Cycles: r.Cycles,
+				}, nil
+			}))
 		}
 	}
-	return sweep.Job{Name: "ablate-inc", Units: units, Assemble: func(parts []interface{}) (interface{}, error) {
-		res := &INCResult{Rows: make([]INCRow, len(parts))}
-		for i, p := range parts {
-			res.Rows[i] = p.(INCRow)
-		}
-		return res, nil
-	}}
+	return job("ablate-inc", units, func(rows []INCRow) (interface{}, error) { return &INCResult{Rows: rows}, nil })
 }
 
 // Table renders the INC ablation.
@@ -539,58 +448,39 @@ type EngineResult struct {
 	Rows  []EngineRow
 }
 
-// AblateEngines varies the number of protocol engines per node. Paper
+// AblateEnginesJob varies the number of protocol engines per node, one
+// unit per (benchmark, engine count) multiprocessor run. Paper
 // grounding: Section 4.2 budgets 60K gates for *two* coherence and
 // communications engines; this ablation shows what one engine would
 // queue and what a fourth would buy, using the occupancy model of
 // internal/coherence/engines.go.
-func AblateEngines(o Options) (*EngineResult, error) {
-	v, err := sweep.RunSerial(AblateEnginesJob(o))
-	if err != nil {
-		return nil, err
-	}
-	return v.(*EngineResult), nil
-}
-
-// AblateEnginesJob enumerates the protocol-engine ablation as one unit
-// per (benchmark, engine count) multiprocessor run.
-func AblateEnginesJob(o Options) sweep.Job {
+func AblateEnginesJob(o Options, _ *MeasurementSet) sweep.Job {
+	sz := o.splashSize()
 	procs := 8
-	sz := splash.Full()
 	if o.MPQuick {
-		sz = splash.Quick()
 		procs = 4
 	}
 	var units []sweep.Unit
 	for _, name := range []string{"MP3D", "WATER"} {
 		for _, engines := range []int{1, 2, 4} {
-			units = append(units, sweep.Unit{
-				Name: fmt.Sprintf("ablate-engines/%s/engines=%d", name, engines),
-				Run: func() (interface{}, error) {
-					b, err := splash.ByName(name)
-					if err != nil {
-						return nil, err
-					}
-					dev := o.Device()
-					m := coherence.NewConfiguredMachineDevices(coherence.IntegratedVictim, procs,
-						uint64(dev.CoherenceUnitBytes), dev, core.Reference())
-					m.EnableEngines(engines)
-					r := b.RunMachine(procs, m, sz)
-					q, _ := m.EngineStats()
-					return EngineRow{
-						Bench: name, Engines: engines, Cycles: r.Cycles, QueueCycles: q,
-					}, nil
-				},
-			})
+			units = append(units, uncached(fmt.Sprintf("ablate-engines/%s/engines=%d", name, engines), func() (EngineRow, error) {
+				b, err := splash.ByName(name)
+				if err != nil {
+					return EngineRow{}, err
+				}
+				m := machine(o.Device(), coherence.IntegratedVictim, procs)
+				m.EnableEngines(engines)
+				r := b.RunMachine(procs, m, sz)
+				q, _ := m.EngineStats()
+				return EngineRow{
+					Bench: name, Engines: engines, Cycles: r.Cycles, QueueCycles: q,
+				}, nil
+			}))
 		}
 	}
-	return sweep.Job{Name: "ablate-engines", Units: units, Assemble: func(parts []interface{}) (interface{}, error) {
-		res := &EngineResult{Procs: procs, Rows: make([]EngineRow, len(parts))}
-		for i, p := range parts {
-			res.Rows[i] = p.(EngineRow)
-		}
-		return res, nil
-	}}
+	return job("ablate-engines", units, func(rows []EngineRow) (interface{}, error) {
+		return &EngineResult{Procs: procs, Rows: rows}, nil
+	})
 }
 
 // Table renders the engine ablation.
@@ -617,38 +507,20 @@ type JouppiRow struct {
 // JouppiResult is the victim-vs-stream-buffer ablation.
 type JouppiResult struct{ Rows []JouppiRow }
 
-// AblateJouppi compares the paper's victim cache against Jouppi's
-// stream buffers (both come from the paper's reference [18]). The
-// 512 B column fills already deliver the sequential prefetch a stream
-// buffer provides, so the victim cache — which recovers *evicted*
-// blocks — is the structure that pays off; this experiment quantifies
-// that design rationale.
-func AblateJouppi(o Options) (*JouppiResult, error) {
-	v, err := sweep.RunSerial(AblateJouppiJob(o))
-	if err != nil {
-		return nil, err
-	}
-	return v.(*JouppiResult), nil
-}
-
-// AblateJouppiJob enumerates the Jouppi comparison as one unit per
-// benchmark; each unit is one trace pass feeding all three structures.
-func AblateJouppiJob(o Options) sweep.Job {
+// AblateJouppiJob compares the paper's victim cache against Jouppi's
+// stream buffers (both come from the paper's reference [18]), one unit
+// per benchmark; each unit is one trace pass feeding all three
+// structures. The 512 B column fills already deliver the sequential
+// prefetch a stream buffer provides, so the victim cache — which
+// recovers *evicted* blocks — is the structure that pays off; this
+// experiment quantifies that design rationale.
+func AblateJouppiJob(o Options, _ *MeasurementSet) sweep.Job {
 	benches := []string{"101.tomcatv", "102.swim", "104.hydro2d", "099.go"}
 	units := make([]sweep.Unit, len(benches))
 	for i, name := range benches {
-		units[i] = sweep.Unit{
-			Name: "ablate-jouppi/" + name,
-			Run:  func() (interface{}, error) { return ablateJouppiBench(o, name) },
-		}
+		units[i] = uncached("ablate-jouppi/"+name, func() (JouppiRow, error) { return ablateJouppiBench(o, name) })
 	}
-	return sweep.Job{Name: "ablate-jouppi", Units: units, Assemble: func(parts []interface{}) (interface{}, error) {
-		res := &JouppiResult{Rows: make([]JouppiRow, len(parts))}
-		for i, p := range parts {
-			res.Rows[i] = p.(JouppiRow)
-		}
-		return res, nil
-	}}
+	return job("ablate-jouppi", units, func(rows []JouppiRow) (interface{}, error) { return &JouppiResult{Rows: rows}, nil })
 }
 
 // ablateJouppiBench measures one benchmark with all three structures.

@@ -5,13 +5,11 @@ import (
 	"testing"
 
 	"repro/internal/coherence"
+	"repro/internal/report"
 )
 
 func TestAblateLineSize(t *testing.T) {
-	r, err := AblateLineSize(topts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run[*LineSizeResult](t, "ablate-linesize", topts, nil)
 	get := func(bench string, line int) float64 {
 		for _, row := range r.Rows {
 			if row.Bench == bench && row.LineBytes == line {
@@ -35,10 +33,7 @@ func TestAblateLineSize(t *testing.T) {
 }
 
 func TestAblateVictimSize(t *testing.T) {
-	r, err := AblateVictimSize(topts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run[*VictimSizeResult](t, "ablate-victim", topts, nil)
 	get := func(bench string, entries int) float64 {
 		for _, row := range r.Rows {
 			if row.Bench == bench && row.Entries == entries {
@@ -62,10 +57,7 @@ func TestAblateVictimSize(t *testing.T) {
 }
 
 func TestAblateCoherenceUnit(t *testing.T) {
-	r, err := AblateCoherenceUnit(topts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run[*UnitResult](t, "ablate-unit", topts, nil)
 	get := func(bench string, unit uint64) uint64 {
 		for _, row := range r.Rows {
 			if row.Bench == bench && row.UnitBytes == unit {
@@ -85,10 +77,7 @@ func TestAblateCoherenceUnit(t *testing.T) {
 
 func TestAblateScoreboard(t *testing.T) {
 	ms := NewMeasurementSet(topts)
-	r, err := AblateScoreboard(topts, ms)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run[*ScoreboardResult](t, "ablate-scoreboard", topts, ms)
 	get := func(bench string, rate float64) float64 {
 		for _, row := range r.Rows {
 			if row.Bench == bench && row.Rate == rate {
@@ -105,10 +94,7 @@ func TestAblateScoreboard(t *testing.T) {
 }
 
 func TestAblateINCAssociativity(t *testing.T) {
-	r, err := AblateINCAssociativity(topts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run[*INCResult](t, "ablate-inc", topts, nil)
 	var dm, sevenWay int64
 	for _, row := range r.Rows {
 		if row.Bench != "WATER" {
@@ -127,10 +113,7 @@ func TestAblateINCAssociativity(t *testing.T) {
 }
 
 func TestAblateEngines(t *testing.T) {
-	r, err := AblateEngines(topts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run[*EngineResult](t, "ablate-engines", topts, nil)
 	get := func(bench string, engines int) EngineRow {
 		for _, row := range r.Rows {
 			if row.Bench == bench && row.Engines == engines {
@@ -153,10 +136,7 @@ func TestAblateEngines(t *testing.T) {
 }
 
 func TestAblateJouppi(t *testing.T) {
-	r, err := AblateJouppi(topts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run[*JouppiResult](t, "ablate-jouppi", topts, nil)
 	for _, row := range r.Rows {
 		switch row.Bench {
 		case "101.tomcatv", "102.swim":
@@ -174,32 +154,16 @@ func TestAblateJouppi(t *testing.T) {
 // TestAblationTablesRender smoke-renders every ablation table so a
 // formatting regression cannot slip through unrendered.
 func TestAblationTablesRender(t *testing.T) {
-	if r, err := AblateVictimSize(topts); err != nil || r.Table().String() == "" {
-		t.Errorf("victim table: %v", err)
-	}
-	if r, err := AblateCoherenceUnit(topts); err != nil || r.Table().String() == "" {
-		t.Errorf("unit table: %v", err)
-	}
 	ms := NewMeasurementSet(topts)
-	if r, err := AblateScoreboard(topts, ms); err != nil || r.Table().String() == "" {
-		t.Errorf("scoreboard table: %v", err)
-	}
-	if r, err := AblateINCAssociativity(topts); err != nil || r.Table().String() == "" {
-		t.Errorf("inc table: %v", err)
-	}
-	if r, err := AblateEngines(topts); err != nil || r.Table().String() == "" {
-		t.Errorf("engines table: %v", err)
-	}
-	if r, err := AblateJouppi(topts); err != nil || r.Table().String() == "" {
-		t.Errorf("jouppi table: %v", err)
+	for _, name := range []string{"ablate-victim", "ablate-unit", "ablate-scoreboard", "ablate-inc", "ablate-engines", "ablate-jouppi"} {
+		if run[interface{ Table() *report.Table }](t, name, topts, ms).Table().String() == "" {
+			t.Errorf("%s: empty table", name)
+		}
 	}
 }
 
 func TestSCOMAEndToEnd(t *testing.T) {
-	r, err := SCOMA(topts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run[*SCOMAResult](t, "scoma", topts, nil)
 	if len(r.Rows) != 5 {
 		t.Fatalf("%d rows", len(r.Rows))
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/cpumodel"
@@ -92,14 +91,16 @@ type FrontierRow struct {
 }
 
 // DesignAccounting is the search's cost ledger — the numbers that prove
-// the family sharing did its job (Passes ≤ Families × Benches, however
-// large Evaluated grows).
+// the family sharing did its job (Passes = Families × Benches, however
+// large Evaluated grows). It describes the search, not the run: a warm
+// result cache reports the same ledger as a cold run, and the work a
+// run actually did shows up as result-cache misses in its metrics.
 type DesignAccounting struct {
 	Lattice   int // valid points in the full axis lattice
 	Evaluated int // points with assembled miss-rate rows
 	Families  int // distinct column sizes
 	Benches   int
-	Passes    int // trace passes actually made
+	Passes    int // trace passes the search is built from, one per family unit
 	Compounds int // in-pass victim replays across all families
 	GSPNEvals int // (point, bench) GSPN evaluations
 	Rounds    int // refinement rounds that added points
@@ -294,22 +295,13 @@ func axisValuesOf(l *designLattice) (banks, cols, ways, vics []int) {
 	return
 }
 
-// Designspace runs the search serially.
-func Designspace(o Options) (*DesignspaceResult, error) {
-	v, err := sweep.RunSerial(DesignspaceJob(o))
-	if err != nil {
-		return nil, err
-	}
-	return v.(*DesignspaceResult), nil
-}
-
 // DesignspaceJob builds the search as a sweep job: one unit per
 // (column family, benchmark) making the family's single trace pass, and
 // an Assemble step that runs screening, adaptive refinement, and the
 // GSPN stage over the completed histograms. Unit count — and therefore
 // trace-pass count — is families × benches regardless of how many
 // lattice points the axes span.
-func DesignspaceJob(o Options) sweep.Job {
+func DesignspaceJob(o Options, _ *MeasurementSet) sweep.Job {
 	lat := newDesignLattice(o)
 	columns, byColumn := lat.families()
 
@@ -319,48 +311,40 @@ func DesignspaceJob(o Options) sweep.Job {
 	// and a refinement re-run with wider axes reuses any family whose
 	// registration list is unchanged.
 	famK := newKeyer("designspace", o, fmt.Sprintf("budget=%d", o.Budget))
-	var passes int64
 	var units []sweep.Unit
 	for _, col := range columns {
-		col := col
 		pts := byColumn[col]
 		for _, bench := range designspaceBenches {
-			bench := bench
 			uname := fmt.Sprintf("designspace/col=%d/%s", col, bench)
-			units = append(units, sweep.Unit{
-				Name:  uname,
-				Seed:  o.Seed,
-				Key:   famK.key(uname, 0, familyCodec.schema(), "pts="+familyPointsFingerprint(col, pts)),
-				Codec: familyCodec,
-				Run: func() (interface{}, error) {
-					w, err := workload.ByName(bench)
-					if err != nil {
-						return nil, err
-					}
-					atomic.AddInt64(&passes, 1)
-					f := workload.NewFamilyCacheSet(col, pts)
-					instr, err := o.source().Stream(w, o.Budget, f)
-					if err != nil {
-						return nil, err
-					}
-					// Distil the live profiler state down to the
-					// serializable summary the assembly (and the result
-					// cache) consumes.
-					return f.Summary(w, instr, pts), nil
-				},
-			})
+			units = append(units, cached(famK, uname, 0, familyCodec, func() (*workload.FamilySummary, error) {
+				w, err := workload.ByName(bench)
+				if err != nil {
+					return nil, err
+				}
+				f := workload.NewFamilyCacheSet(col, pts)
+				instr, err := o.source().Stream(w, o.Budget, f)
+				if err != nil {
+					return nil, err
+				}
+				// Distil the live profiler state down to the
+				// serializable summary the assembly (and the result
+				// cache) consumes.
+				return f.Summary(w, instr, pts), nil
+			}, "pts="+familyPointsFingerprint(col, pts)))
 		}
 	}
 
-	assemble := func(parts []interface{}) (interface{}, error) {
+	// Each family unit makes exactly one trace pass, so the search's
+	// pass count is its unit count whether a unit ran or decoded a
+	// cached summary: warm output equals cold.
+	assemble := func(parts []*workload.FamilySummary) (interface{}, error) {
 		// meas[column][bench] — unit order is family-major, bench-minor.
 		meas := make(map[int]map[string]*workload.FamilySummary, len(columns))
 		compounds := 0
 		for fi, col := range columns {
 			meas[col] = make(map[string]*workload.FamilySummary, len(designspaceBenches))
 			for bi, bench := range designspaceBenches {
-				m := parts[fi*len(designspaceBenches)+bi].(*workload.FamilySummary)
-				meas[col][bench] = m
+				meas[col][bench] = parts[fi*len(designspaceBenches)+bi]
 			}
 			compounds += meas[col][designspaceBenches[0]].Compounds()
 		}
@@ -501,27 +485,19 @@ func DesignspaceJob(o Options) sweep.Job {
 			dev := lat.devs[pr.i]
 			bench := designspaceBenches[pr.bi]
 			uname := fmt.Sprintf("designspace/gspn/%s/%s", p, bench)
-			gUnits[gi] = sweep.Unit{
-				Name:  uname,
-				Seed:  o.Seed,
-				Key:   gspnK.key(uname, o.Seed, gspnCodec.schema(), "pdev="+deviceHash(dev)),
-				Codec: gspnCodec,
-				Run: func() (interface{}, error) {
-					rates := meas[p.ColumnBytes][bench].Rates(fp)
-					return cpumodel.Evaluate(cpumodel.ConfigFor(dev), rates, o.GSPNInstr, o.Seed)
-				},
-			}
+			gUnits[gi] = cached(gspnK, uname, o.Seed, gspnCodec, func() (cpumodel.Result, error) {
+				rates := meas[p.ColumnBytes][bench].Rates(fp)
+				return cpumodel.Evaluate(cpumodel.ConfigFor(dev), rates, o.GSPNInstr, o.Seed)
+			}, "pdev="+deviceHash(dev))
 		}
-		gJob := sweep.Job{Name: "designspace/gspn", Units: gUnits,
-			Assemble: func(ps []interface{}) (interface{}, error) { return ps, nil }}
+		gJob := job("designspace/gspn", gUnits, func(rs []cpumodel.Result) (interface{}, error) { return rs, nil })
 		eng := &sweep.Engine{Workers: o.Workers, Cache: o.ResultCache}
-		gv, err := eng.RunJobContext(o.ctx(), gJob)
+		gv, err := eng.RunJob(o.ctx(), gJob)
 		if err != nil {
 			return nil, err
 		}
-		gParts := gv.([]interface{})
-		for gi, pr := range gPairs {
-			r := gParts[gi].(cpumodel.Result)
+		for gi, r := range gv.([]cpumodel.Result) {
+			pr := gPairs[gi]
 			row := &rows[pr.i][pr.bi]
 			row.MemCPI = r.MemCPI
 			row.TotalCPI = r.TotalCPI
@@ -535,7 +511,7 @@ func DesignspaceJob(o Options) sweep.Job {
 				Evaluated: len(selected),
 				Families:  len(columns),
 				Benches:   len(designspaceBenches),
-				Passes:    int(atomic.LoadInt64(&passes)),
+				Passes:    len(parts),
 				Compounds: compounds,
 				GSPNEvals: len(gUnits),
 				Rounds:    rounds,
@@ -553,7 +529,7 @@ func DesignspaceJob(o Options) sweep.Job {
 		return res, nil
 	}
 
-	return sweep.Job{Name: "designspace", Units: units, Assemble: assemble}
+	return job("designspace", units, assemble)
 }
 
 // estimateCPI is the screening heuristic: an analytic M/M/1-flavoured

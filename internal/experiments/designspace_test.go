@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -62,10 +63,7 @@ func designPointReference(o Options, dev core.Device, p DesignPoint, bench strin
 // compounds included.
 func TestDesignspaceMatchesPerPoint(t *testing.T) {
 	o := dsQuick() // default axes: 3 banks x 2 columns x {0,16} victims = 12 points
-	res, err := Designspace(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run[*DesignspaceResult](t, "designspace", o, nil)
 	if len(res.Points) != 12 {
 		t.Fatalf("default grid has %d points, want 12", len(res.Points))
 	}
@@ -100,10 +98,7 @@ func TestDesignspaceRefinementZeroIsExhaustive(t *testing.T) {
 		o := dsQuick()
 		o.DSCoarse = 1
 		o.DSRefine = refine
-		res, err := Designspace(o)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := run[*DesignspaceResult](t, "designspace", o, nil)
 		if res.Accounting.Rounds != 0 {
 			t.Errorf("refine=%d: %d rounds spent on an exhaustive grid", refine, res.Accounting.Rounds)
 		}
@@ -133,10 +128,7 @@ func TestDesignspaceRefinementConverges(t *testing.T) {
 	o.DSVictims = []int{0, 16}
 	o.DSCoarse = 6 // coarse banks indices {0, 6, 12, 18, 23}
 	o.DSRefine = 1 // one round reaches only index-neighbours of those
-	res, err := Designspace(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run[*DesignspaceResult](t, "designspace", o, nil)
 	a := res.Accounting
 	if a.Evaluated >= a.Lattice {
 		t.Errorf("refined search evaluated %d of %d lattice points — no saving", a.Evaluated, a.Lattice)
@@ -162,7 +154,7 @@ func TestDesignspaceDeterministicAcrossWorkers(t *testing.T) {
 		o := dsQuick()
 		o.Workers = workers
 		eng := &sweep.Engine{Workers: workers}
-		v, err := eng.RunJob(DesignspaceJob(o))
+		v, err := eng.RunJob(context.Background(), DesignspaceJob(o, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,10 +185,7 @@ func TestDesignspacePassReduction(t *testing.T) {
 	o.DSColumns = []int{256, 512}
 	o.DSWays = []int{1, 2, 4}
 	o.DSVictims = []int{0, 16}
-	res, err := Designspace(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run[*DesignspaceResult](t, "designspace", o, nil)
 	a := res.Accounting
 	if a.Lattice != 15*2*3*2 {
 		t.Fatalf("lattice = %d points, want 180", a.Lattice)
@@ -229,10 +218,7 @@ func TestDesignspaceFrontierExport(t *testing.T) {
 	o.DSBanks = []int{8, 16}
 	o.DSColumns = []int{512}
 	o.DSVictims = []int{0}
-	res, err := Designspace(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run[*DesignspaceResult](t, "designspace", o, nil)
 	var j, c bytes.Buffer
 	if err := res.WriteFrontierJSON(&j); err != nil {
 		t.Fatal(err)

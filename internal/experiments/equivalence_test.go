@@ -106,7 +106,7 @@ func TestDesignspaceDeterministic(t *testing.T) {
 	o.DSColumns = []int{512}
 	o.DSVictims = []int{0, 16}
 	render := func() []byte {
-		v, err := sweep.RunSerial(DesignspaceJob(o))
+		v, err := sweep.RunSerial(DesignspaceJob(o, nil))
 		if err != nil {
 			t.Fatalf("designspace: %v", err)
 		}
@@ -135,7 +135,7 @@ func TestDesignspaceFiltersInvalid(t *testing.T) {
 	o.DSBanks = []int{16}
 	o.DSColumns = []int{512}
 	o.DSVictims = []int{0, 3} // 512/3 is not an integer line size
-	j := DesignspaceJob(o)
+	j := DesignspaceJob(o, nil)
 	if want := 1 * len(designspaceBenches); len(j.Units) != want {
 		t.Errorf("designspace built %d units, want %d (one column family x benches)",
 			len(j.Units), want)

@@ -1,12 +1,14 @@
 // Package experiments implements every experiment of the reproduction:
-// one function per table or figure of the paper's evaluation, each
-// returning structured results plus a rendered report. The CLI
-// (cmd/iramsim), the Go benchmarks (bench_test.go), and the shape tests
-// all drive this package, so an experiment is defined in exactly one
-// place.
+// one job builder per table or figure of the paper's evaluation (plus
+// the ablations and extensions), each a list of independent sweep units
+// and an assembly step that returns structured results able to render
+// themselves. One registry names them all; JobFor looks a name up in
+// it. The CLI (cmd/iramsim), the daemon (cmd/iramsimd), the Go
+// benchmarks (bench_test.go), and the shape tests all drive this
+// package, so an experiment is defined in exactly one place.
 //
 // See DESIGN.md for the experiment index mapping table/figure numbers
-// to these functions.
+// to experiment names.
 package experiments
 
 import (
@@ -217,35 +219,15 @@ type Fig7Result struct {
 	Rows []Fig7Row
 }
 
-// Fig7 measures instruction-cache miss rates for every workload.
-func Fig7(o Options, ms *MeasurementSet) (*Fig7Result, error) {
-	v, err := sweep.RunSerial(Fig7Job(o, ms))
-	if err != nil {
-		return nil, err
-	}
-	return v.(*Fig7Result), nil
-}
-
 // Fig7Job enumerates Figure 7 as one unit per workload.
 func Fig7Job(o Options, ms *MeasurementSet) sweep.Job {
 	k := newKeyer("fig7", o, fmt.Sprintf("budget=%d", o.Budget))
 	ws := workload.All()
 	units := make([]sweep.Unit, len(ws))
 	for i, w := range ws {
-		units[i] = sweep.Unit{
-			Name:  "fig7/" + w.Name,
-			Key:   k.key("fig7/"+w.Name, 0, fig7Codec.schema()),
-			Codec: fig7Codec,
-			Run:   func() (interface{}, error) { return fig7Row(ms, w) },
-		}
+		units[i] = cached(k, "fig7/"+w.Name, 0, fig7Codec, func() (Fig7Row, error) { return fig7Row(ms, w) })
 	}
-	return sweep.Job{Name: "fig7", Units: units, Assemble: func(parts []interface{}) (interface{}, error) {
-		res := &Fig7Result{Rows: make([]Fig7Row, len(parts))}
-		for i, p := range parts {
-			res.Rows[i] = p.(Fig7Row)
-		}
-		return res, nil
-	}}
+	return job("fig7", units, func(rows []Fig7Row) (interface{}, error) { return &Fig7Result{Rows: rows}, nil })
 }
 
 // fig7Row measures one workload's I-cache miss rates.
@@ -298,35 +280,15 @@ type Fig8Result struct {
 	Rows []Fig8Row
 }
 
-// Fig8 measures data-cache miss rates for every workload.
-func Fig8(o Options, ms *MeasurementSet) (*Fig8Result, error) {
-	v, err := sweep.RunSerial(Fig8Job(o, ms))
-	if err != nil {
-		return nil, err
-	}
-	return v.(*Fig8Result), nil
-}
-
 // Fig8Job enumerates Figure 8 as one unit per workload.
 func Fig8Job(o Options, ms *MeasurementSet) sweep.Job {
 	k := newKeyer("fig8", o, fmt.Sprintf("budget=%d", o.Budget))
 	ws := workload.All()
 	units := make([]sweep.Unit, len(ws))
 	for i, w := range ws {
-		units[i] = sweep.Unit{
-			Name:  "fig8/" + w.Name,
-			Key:   k.key("fig8/"+w.Name, 0, fig8Codec.schema()),
-			Codec: fig8Codec,
-			Run:   func() (interface{}, error) { return fig8Row(ms, w) },
-		}
+		units[i] = cached(k, "fig8/"+w.Name, 0, fig8Codec, func() (Fig8Row, error) { return fig8Row(ms, w) })
 	}
-	return sweep.Job{Name: "fig8", Units: units, Assemble: func(parts []interface{}) (interface{}, error) {
-		res := &Fig8Result{Rows: make([]Fig8Row, len(parts))}
-		for i, p := range parts {
-			res.Rows[i] = p.(Fig8Row)
-		}
-		return res, nil
-	}}
+	return job("fig8", units, func(rows []Fig8Row) (interface{}, error) { return &Fig8Result{Rows: rows}, nil })
 }
 
 // fig8Row measures one workload's D-cache miss rates.
@@ -394,42 +356,26 @@ type CPIResult struct {
 	Rows   []CPIRow
 }
 
-// Table34 evaluates the Spec'95 CPI table with or without the victim
-// cache (Table 4 / Table 3 respectively).
-func Table34(o Options, ms *MeasurementSet, victim bool) (*CPIResult, error) {
-	v, err := sweep.RunSerial(Table34Job(o, ms, victim))
-	if err != nil {
-		return nil, err
-	}
-	return v.(*CPIResult), nil
-}
+// Table3Job enumerates Table 3 (no victim cache) as one unit per SPEC
+// workload.
+func Table3Job(o Options, ms *MeasurementSet) sweep.Job { return cpiJob("table3", o, ms, false) }
 
-// Table34Job enumerates Table 3 or 4 as one unit per SPEC workload.
-func Table34Job(o Options, ms *MeasurementSet, victim bool) sweep.Job {
-	name := "table3"
-	if victim {
-		name = "table4"
-	}
+// Table4Job enumerates Table 4 (with victim cache) as one unit per SPEC
+// workload.
+func Table4Job(o Options, ms *MeasurementSet) sweep.Job { return cpiJob("table4", o, ms, true) }
+
+// cpiJob enumerates one Spec'95 CPI table.
+func cpiJob(name string, o Options, ms *MeasurementSet, victim bool) sweep.Job {
 	k := newKeyer(name, o,
 		fmt.Sprintf("budget=%d", o.Budget), fmt.Sprintf("gspn=%d", o.GSPNInstr))
 	ws := workload.Spec()
 	units := make([]sweep.Unit, len(ws))
 	for i, w := range ws {
-		units[i] = sweep.Unit{
-			Name:  name + "/" + w.Name,
-			Seed:  o.Seed,
-			Key:   k.key(name+"/"+w.Name, o.Seed, cpiCodec.schema()),
-			Codec: cpiCodec,
-			Run:   func() (interface{}, error) { return cpiRow(o, ms, w, victim) },
-		}
+		units[i] = cached(k, name+"/"+w.Name, o.Seed, cpiCodec, func() (CPIRow, error) { return cpiRow(o, ms, w, victim) })
 	}
-	return sweep.Job{Name: name, Units: units, Assemble: func(parts []interface{}) (interface{}, error) {
-		res := &CPIResult{Victim: victim, Rows: make([]CPIRow, len(parts))}
-		for i, p := range parts {
-			res.Rows[i] = p.(CPIRow)
-		}
-		return res, nil
-	}}
+	return job(name, units, func(rows []CPIRow) (interface{}, error) {
+		return &CPIResult{Victim: victim, Rows: rows}, nil
+	})
 }
 
 // cpiRow evaluates one workload's CPI decomposition through the GSPN.

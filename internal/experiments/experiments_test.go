@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/coherence"
+	"repro/internal/sweep"
 	"repro/internal/workload"
 )
 
@@ -20,11 +21,23 @@ var (
 	tms = NewMeasurementSet(topts)
 )
 
-func TestFig7EndToEnd(t *testing.T) {
-	r, err := Fig7(topts, tms)
+// run builds the named experiment from the registry and runs it
+// serially, the engine's reference schedule.
+func run[T any](t testing.TB, name string, o Options, ms *MeasurementSet) T {
+	t.Helper()
+	j, err := JobFor(name, o, ms)
 	if err != nil {
 		t.Fatal(err)
 	}
+	v, err := sweep.RunSerial(j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v.(T)
+}
+
+func TestFig7EndToEnd(t *testing.T) {
+	r := run[*Fig7Result](t, "fig7", topts, tms)
 	if len(r.Rows) != 22 {
 		t.Fatalf("%d rows, want 22 (SPEC + synopsys + real kernels)", len(r.Rows))
 	}
@@ -37,10 +50,7 @@ func TestFig7EndToEnd(t *testing.T) {
 }
 
 func TestFig8EndToEnd(t *testing.T) {
-	r, err := Fig8(topts, tms)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run[*Fig8Result](t, "fig8", topts, tms)
 	if len(r.Rows) != 22 {
 		t.Fatalf("%d rows, want 22 (SPEC + synopsys + real kernels)", len(r.Rows))
 	}
@@ -62,14 +72,8 @@ func TestFig8EndToEnd(t *testing.T) {
 }
 
 func TestTables34EndToEnd(t *testing.T) {
-	t3, err := Table34(topts, tms, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t4, err := Table34(topts, tms, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t3 := run[*CPIResult](t, "table3", topts, tms)
+	t4 := run[*CPIResult](t, "table4", topts, tms)
 	if len(t3.Rows) != 18 || len(t4.Rows) != 18 {
 		t.Fatalf("row counts %d/%d, want 18", len(t3.Rows), len(t4.Rows))
 	}
@@ -116,10 +120,7 @@ func TestTables34EndToEnd(t *testing.T) {
 // system models and the integrated device comes out ahead — the memory
 // wall argument made with programs that actually compute something.
 func TestRealCPIEndToEnd(t *testing.T) {
-	r, err := RealCPI(topts, tms)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run[*RealCPIResult](t, "realcpi", topts, tms)
 	if len(r.Rows) != 3 {
 		t.Fatalf("%d rows, want 3", len(r.Rows))
 	}
@@ -143,14 +144,8 @@ func TestRealCPIEndToEnd(t *testing.T) {
 }
 
 func TestFig11Fig12EndToEnd(t *testing.T) {
-	f11, err := Fig11(topts, tms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f12, err := Fig12(topts, tms)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f11 := run[*LatencyResult](t, "fig11", topts, tms)
+	f12 := run[*LatencyResult](t, "fig12", topts, tms)
 	// CPI grows with memory latency in both systems.
 	lo, ok1 := f11.CPIAt("126.gcc", 6, 6)
 	hi, ok2 := f11.CPIAt("126.gcc", 6, 60)
@@ -173,10 +168,7 @@ func TestFig11Fig12EndToEnd(t *testing.T) {
 }
 
 func TestBanksEndToEnd(t *testing.T) {
-	r, err := Banks(topts, tms)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run[*BankResult](t, "banks", topts, tms)
 	// CPI differences across integrated bank counts are small (paper:
 	// below simulation noise), and per-bank utilisation rises as banks
 	// shrink.
@@ -201,10 +193,7 @@ func TestBanksEndToEnd(t *testing.T) {
 }
 
 func TestTable1EndToEnd(t *testing.T) {
-	r, err := Table1(topts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run[*Table1Result](t, "table1", topts, nil)
 	if len(r.Rows) != 2 {
 		t.Fatalf("%d rows", len(r.Rows))
 	}
@@ -225,10 +214,7 @@ func TestTable1EndToEnd(t *testing.T) {
 }
 
 func TestFig2EndToEnd(t *testing.T) {
-	r, err := Fig2(topts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run[*Fig2Result](t, "fig2", topts, nil)
 	// Crossover: SS-10 faster at 256 KB, SS-5 faster at 16 MB.
 	in5 := r.AvgNs["SS-5"][256<<10][512]
 	in10 := r.AvgNs["SS-10/61"][256<<10][512]
@@ -248,26 +234,23 @@ func TestFig2EndToEnd(t *testing.T) {
 }
 
 func TestSplashFigures(t *testing.T) {
-	for fig := 13; fig <= 17; fig++ {
-		r, err := SplashFigure(topts, fig)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, name := range []string{"fig13", "fig14", "fig15", "fig16", "fig17"} {
+		r := run[*SplashResult](t, name, topts, nil)
 		if len(r.Points) != len(topts.Procs)*3 {
-			t.Errorf("fig %d: %d points", fig, len(r.Points))
+			t.Errorf("%s: %d points", name, len(r.Points))
 		}
 		if _, ok := r.Cycles(coherence.IntegratedVictim, 4); !ok {
-			t.Errorf("fig %d: missing victim config", fig)
+			t.Errorf("%s: missing victim config", name)
 		}
 		if !strings.Contains(r.Table().String(), r.Bench) {
-			t.Errorf("fig %d: table missing benchmark name", fig)
+			t.Errorf("%s: table missing benchmark name", name)
 		}
 		if r.Bars(4).String() == "" {
-			t.Errorf("fig %d: empty bars", fig)
+			t.Errorf("%s: empty bars", name)
 		}
 	}
-	if _, err := SplashFigure(topts, 99); err == nil {
-		t.Error("SplashFigure accepted a bogus figure number")
+	if _, err := JobFor("fig99", topts, nil); err == nil {
+		t.Error("JobFor accepted a bogus figure")
 	}
 }
 
@@ -319,10 +302,7 @@ func TestFabricExperiment(t *testing.T) {
 }
 
 func TestFig2IntegratedFlat(t *testing.T) {
-	r, err := Fig2(topts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run[*Fig2Result](t, "fig2", topts, nil)
 	small := r.AvgNs["Integrated"][64<<10][512]
 	big := r.AvgNs["Integrated"][16<<20][512]
 	if big > 31 {
@@ -338,10 +318,7 @@ func TestFig2IntegratedFlat(t *testing.T) {
 }
 
 func TestGeoMeans(t *testing.T) {
-	r, err := Table34(topts, tms, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run[*CPIResult](t, "table4", topts, tms)
 	im, ip, fm, fp := r.GeoMeans()
 	if im <= 0 || fm <= 0 {
 		t.Fatalf("degenerate geomeans: %v %v", im, fm)

@@ -33,44 +33,20 @@ type LatencyResult struct {
 // fig1112Benches are the paper's representative high/low-CPI pair.
 var fig1112Benches = []string{"141.apsi", "126.gcc"}
 
-// Fig11 sweeps second-level-cache and memory latency for the
-// conventional reference CPU (141.apsi and 126.gcc, as in the paper).
-func Fig11(o Options, ms *MeasurementSet) (*LatencyResult, error) {
-	v, err := sweep.RunSerial(Fig11Job(o, ms))
-	if err != nil {
-		return nil, err
-	}
-	return v.(*LatencyResult), nil
-}
-
-// Fig11Job enumerates Figure 11 as one unit per benchmark; each unit
-// runs that benchmark's full latency grid through the GSPN.
+// Fig11Job enumerates Figure 11, the conventional reference CPU's CPI
+// over second-level-cache and memory latency (141.apsi and 126.gcc, as
+// in the paper), as one unit per benchmark; each unit runs that
+// benchmark's full latency grid through the GSPN.
 func Fig11Job(o Options, ms *MeasurementSet) sweep.Job {
 	k := newKeyer("fig11", o,
 		fmt.Sprintf("budget=%d", o.Budget), fmt.Sprintf("gspn=%d", o.GSPNInstr))
 	units := make([]sweep.Unit, len(fig1112Benches))
 	for i, name := range fig1112Benches {
-		units[i] = sweep.Unit{
-			Name:  "fig11/" + name,
-			Seed:  o.Seed,
-			Key:   k.key("fig11/"+name, o.Seed, latencyCodec.schema()),
-			Codec: latencyCodec,
-			Run:   func() (interface{}, error) { return fig11Bench(o, ms, name) },
-		}
+		units[i] = cached(k, "fig11/"+name, o.Seed, latencyCodec, func() ([]LatencyPoint, error) { return fig11Bench(o, ms, name) })
 	}
-	return sweep.Job{Name: "fig11", Units: units,
-		Assemble: assembleLatency(true)}
-}
-
-// assembleLatency concatenates per-benchmark latency points.
-func assembleLatency(conventional bool) func([]interface{}) (interface{}, error) {
-	return func(parts []interface{}) (interface{}, error) {
-		res := &LatencyResult{Conventional: conventional}
-		for _, p := range parts {
-			res.Points = append(res.Points, p.([]LatencyPoint)...)
-		}
-		return res, nil
-	}
+	return job("fig11", units, func(parts [][]LatencyPoint) (interface{}, error) {
+		return &LatencyResult{Conventional: true, Points: concat(parts)}, nil
+	})
 }
 
 // fig11Bench runs one benchmark's SLC × memory latency grid.
@@ -105,31 +81,18 @@ func fig11Bench(o Options, ms *MeasurementSet, name string) ([]LatencyPoint, err
 	return points, nil
 }
 
-// Fig12 sweeps memory latency for the integrated CPU.
-func Fig12(o Options, ms *MeasurementSet) (*LatencyResult, error) {
-	v, err := sweep.RunSerial(Fig12Job(o, ms))
-	if err != nil {
-		return nil, err
-	}
-	return v.(*LatencyResult), nil
-}
-
-// Fig12Job enumerates Figure 12 as one unit per benchmark.
+// Fig12Job enumerates Figure 12, the integrated CPU's CPI over memory
+// latency, as one unit per benchmark.
 func Fig12Job(o Options, ms *MeasurementSet) sweep.Job {
 	k := newKeyer("fig12", o,
 		fmt.Sprintf("budget=%d", o.Budget), fmt.Sprintf("gspn=%d", o.GSPNInstr))
 	units := make([]sweep.Unit, len(fig1112Benches))
 	for i, name := range fig1112Benches {
-		units[i] = sweep.Unit{
-			Name:  "fig12/" + name,
-			Seed:  o.Seed,
-			Key:   k.key("fig12/"+name, o.Seed, latencyCodec.schema()),
-			Codec: latencyCodec,
-			Run:   func() (interface{}, error) { return fig12Bench(o, ms, name) },
-		}
+		units[i] = cached(k, "fig12/"+name, o.Seed, latencyCodec, func() ([]LatencyPoint, error) { return fig12Bench(o, ms, name) })
 	}
-	return sweep.Job{Name: "fig12", Units: units,
-		Assemble: assembleLatency(false)}
+	return job("fig12", units, func(parts [][]LatencyPoint) (interface{}, error) {
+		return &LatencyResult{Points: concat(parts)}, nil
+	})
 }
 
 // fig12Bench runs one benchmark's memory-latency sweep.
@@ -207,52 +170,26 @@ type BankRow struct {
 // BankResult is the Section 5.6 study.
 type BankResult struct{ Rows []BankRow }
 
-// Banks evaluates 4/8/16 banks for the integrated system and 2-8 for
-// the conventional reference, reporting CPI and bank utilisation.
-func Banks(o Options, ms *MeasurementSet) (*BankResult, error) {
-	v, err := sweep.RunSerial(BanksJob(o, ms))
-	if err != nil {
-		return nil, err
-	}
-	return v.(*BankResult), nil
-}
-
-// BanksJob enumerates the bank study as one unit per
-// (benchmark, system, bank count) ensemble — the 5-seed Monte-Carlo
-// evaluations are the expensive part and they are all independent.
+// BanksJob enumerates the bank study — 4/8/16 banks for the integrated
+// system and 2-8 for the conventional reference, reporting CPI and bank
+// utilisation — as one unit per (benchmark, system, bank count)
+// ensemble: the 5-seed Monte-Carlo evaluations are the expensive part
+// and they are all independent.
 func BanksJob(o Options, ms *MeasurementSet) sweep.Job {
 	k := newKeyer("banks", o,
 		fmt.Sprintf("budget=%d", o.Budget), fmt.Sprintf("gspn=%d", o.GSPNInstr))
 	var units []sweep.Unit
 	for _, name := range []string{"126.gcc", "102.swim"} {
 		for _, b := range []int{4, 8, 16} {
-			uname := fmt.Sprintf("banks/%s/integrated/%d", name, b)
-			units = append(units, sweep.Unit{
-				Name:  uname,
-				Seed:  o.Seed,
-				Key:   k.key(uname, o.Seed, bankCodec.schema()),
-				Codec: bankCodec,
-				Run:   func() (interface{}, error) { return bankRow(o, ms, name, true, b) },
-			})
+			units = append(units, cached(k, fmt.Sprintf("banks/%s/integrated/%d", name, b), o.Seed, bankCodec,
+				func() (BankRow, error) { return bankRow(o, ms, name, true, b) }))
 		}
 		for _, b := range []int{2, 4, 8} {
-			uname := fmt.Sprintf("banks/%s/conventional/%d", name, b)
-			units = append(units, sweep.Unit{
-				Name:  uname,
-				Seed:  o.Seed,
-				Key:   k.key(uname, o.Seed, bankCodec.schema()),
-				Codec: bankCodec,
-				Run:   func() (interface{}, error) { return bankRow(o, ms, name, false, b) },
-			})
+			units = append(units, cached(k, fmt.Sprintf("banks/%s/conventional/%d", name, b), o.Seed, bankCodec,
+				func() (BankRow, error) { return bankRow(o, ms, name, false, b) }))
 		}
 	}
-	return sweep.Job{Name: "banks", Units: units, Assemble: func(parts []interface{}) (interface{}, error) {
-		res := &BankResult{Rows: make([]BankRow, len(parts))}
-		for i, p := range parts {
-			res.Rows[i] = p.(BankRow)
-		}
-		return res, nil
-	}}
+	return job("banks", units, func(rows []BankRow) (interface{}, error) { return &BankResult{Rows: rows}, nil })
 }
 
 // bankRow runs one 5-seed ensemble at the given bank count.
@@ -322,38 +259,21 @@ type Table1Row struct {
 // Table1Result is the Table 1 reproduction.
 type Table1Result struct{ Rows []Table1Row }
 
-// Table1 runs the Synopsys stand-in workload through the SS-5 and
-// SS-10/61 hierarchy models and compares with the published run times.
-func Table1(o Options) (*Table1Result, error) {
-	v, err := sweep.RunSerial(Table1Job(o))
-	if err != nil {
-		return nil, err
-	}
-	return v.(*Table1Result), nil
-}
-
-// Table1Job enumerates Table 1 as one unit per machine model; the
-// relative column needs both estimates, so it is computed at assembly.
-func Table1Job(o Options) sweep.Job {
+// Table1Job enumerates Table 1 — the Synopsys stand-in workload through
+// the SS-5 and SS-10/61 hierarchy models, against the published run
+// times — as one unit per machine model; the relative column needs both
+// estimates, so it is computed at assembly.
+func Table1Job(o Options, _ *MeasurementSet) sweep.Job {
 	k := newKeyer("table1", o, fmt.Sprintf("budget=%d", o.Budget))
 	builders := []func() *memsys.Hierarchy{memsys.SS5, memsys.SS10}
 	labels := []string{"ss5", "ss10"}
 	units := make([]sweep.Unit, len(builders))
 	for i, build := range builders {
-		units[i] = sweep.Unit{
-			Name:  "table1/" + labels[i],
-			Key:   k.key("table1/"+labels[i], 0, estimateCodec.schema()),
-			Codec: estimateCodec,
-			Run: func() (interface{}, error) {
-				return table1Estimate(o, build())
-			},
-		}
+		units[i] = cached(k, "table1/"+labels[i], 0, estimateCodec, func() (memsys.RunEstimate, error) {
+			return table1Estimate(o, build())
+		})
 	}
-	return sweep.Job{Name: "table1", Units: units, Assemble: func(parts []interface{}) (interface{}, error) {
-		ests := make([]memsys.RunEstimate, len(parts))
-		for i, p := range parts {
-			ests[i] = p.(memsys.RunEstimate)
-		}
+	return job("table1", units, func(ests []memsys.RunEstimate) (interface{}, error) {
 		best := ests[0].NsPerInstr
 		for _, e := range ests {
 			if e.NsPerInstr < best {
@@ -372,7 +292,7 @@ func Table1Job(o Options) sweep.Job {
 			})
 		}
 		return res, nil
-	}}
+	})
 }
 
 // table1Estimate runs the Synopsys stand-in on one hierarchy model.
@@ -416,16 +336,6 @@ type Fig2Result struct {
 	AvgNs map[string]map[uint64]map[uint64]float64
 }
 
-// Fig2 measures the stride/size latency surface on the SS-5 and
-// SS-10/61 models.
-func Fig2(o Options) (*Fig2Result, error) {
-	v, err := sweep.RunSerial(Fig2Job(o))
-	if err != nil {
-		return nil, err
-	}
-	return v.(*Fig2Result), nil
-}
-
 // fig2Surface is one machine's slice of the Figure 2 surface.
 type fig2Surface struct {
 	name  string
@@ -437,48 +347,45 @@ var (
 	fig2Strides = []uint64{16, 128, 512, 4096}
 )
 
-// Fig2Job enumerates Figure 2 as one unit per machine model.
-// The integrated device is not part of the paper's measured Figure 2,
-// but plotting it on the same axes is the whole argument: a flat
-// ~30 ns line where both workstations climb.
-func Fig2Job(o Options) sweep.Job {
+// Fig2Job enumerates Figure 2, the stride/size latency surface, as one
+// unit per machine model: the SS-5, the SS-10/61, and the integrated
+// device. The integrated device is not part of the paper's measured
+// Figure 2, but plotting it on the same axes is the whole argument: a
+// flat ~30 ns line where both workstations climb.
+func Fig2Job(o Options, _ *MeasurementSet) sweep.Job {
 	integrated := func() *memsys.Hierarchy { return memsys.IntegratedFrom(o.Device()) }
 	builders := []func() *memsys.Hierarchy{memsys.SS5, memsys.SS10, integrated}
 	labels := []string{"ss5", "ss10", "integrated"}
 	units := make([]sweep.Unit, len(builders))
 	for i, build := range builders {
-		units[i] = sweep.Unit{
-			Name: "fig2/" + labels[i],
-			Run: func() (interface{}, error) {
-				h := build()
-				h.Instrument(o.Obs)
-				s := fig2Surface{name: h.Name, avgNs: map[uint64]map[uint64]float64{}}
-				for _, sz := range fig2Sizes {
-					s.avgNs[sz] = map[uint64]float64{}
-					for _, st := range fig2Strides {
-						if st >= sz {
-							continue
-						}
-						s.avgNs[sz][st] = h.Walk(sz, st).AvgNs
+		units[i] = uncached("fig2/"+labels[i], func() (fig2Surface, error) {
+			h := build()
+			h.Instrument(o.Obs)
+			s := fig2Surface{name: h.Name, avgNs: map[uint64]map[uint64]float64{}}
+			for _, sz := range fig2Sizes {
+				s.avgNs[sz] = map[uint64]float64{}
+				for _, st := range fig2Strides {
+					if st >= sz {
+						continue
 					}
+					s.avgNs[sz][st] = h.Walk(sz, st).AvgNs
 				}
-				return s, nil
-			},
-		}
+			}
+			return s, nil
+		})
 	}
-	return sweep.Job{Name: "fig2", Units: units, Assemble: func(parts []interface{}) (interface{}, error) {
+	return job("fig2", units, func(surfaces []fig2Surface) (interface{}, error) {
 		res := &Fig2Result{
 			Sizes:   fig2Sizes,
 			Strides: fig2Strides,
 			AvgNs:   map[string]map[uint64]map[uint64]float64{},
 		}
-		for _, p := range parts {
-			s := p.(fig2Surface)
+		for _, s := range surfaces {
 			res.Machines = append(res.Machines, s.name)
 			res.AvgNs[s.name] = s.avgNs
 		}
 		return res, nil
-	}}
+	})
 }
 
 // Table renders the latency surface.
@@ -552,37 +459,16 @@ type MattsonResult struct{ Rows []MattsonRow }
 // them come from the same histogram — adding a size is free.
 var mattsonSizesKB = []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 
-// Mattson measures every workload's miss-ratio curve.
-func Mattson(o Options) (*MattsonResult, error) {
-	v, err := sweep.RunSerial(MattsonJob(o))
-	if err != nil {
-		return nil, err
-	}
-	return v.(*MattsonResult), nil
-}
-
 // MattsonJob enumerates the miss-ratio-curve study as one unit per
 // workload: one execution, one stack-distance profile, eleven sizes.
-func MattsonJob(o Options) sweep.Job {
+func MattsonJob(o Options, _ *MeasurementSet) sweep.Job {
 	k := newKeyer("mattson", o, fmt.Sprintf("budget=%d", o.Budget))
 	ws := workload.All()
 	units := make([]sweep.Unit, len(ws))
 	for i, w := range ws {
-		w := w
-		units[i] = sweep.Unit{
-			Name:  "mattson/" + w.Name,
-			Key:   k.key("mattson/"+w.Name, 0, mattsonCodec.schema()),
-			Codec: mattsonCodec,
-			Run:   func() (interface{}, error) { return mattsonRow(o, w) },
-		}
+		units[i] = cached(k, "mattson/"+w.Name, 0, mattsonCodec, func() (MattsonRow, error) { return mattsonRow(o, w) })
 	}
-	return sweep.Job{Name: "mattson", Units: units, Assemble: func(parts []interface{}) (interface{}, error) {
-		res := &MattsonResult{Rows: make([]MattsonRow, len(parts))}
-		for i, p := range parts {
-			res.Rows[i] = p.(MattsonRow)
-		}
-		return res, nil
-	}}
+	return job("mattson", units, func(rows []MattsonRow) (interface{}, error) { return &MattsonResult{Rows: rows}, nil })
 }
 
 // mattsonRow profiles one workload's reference stream.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/coherence"
-	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/interconnect"
 	"repro/internal/report"
@@ -29,91 +28,43 @@ type SplashResult struct {
 	Points []SplashPoint
 }
 
-// splashFigures maps figure numbers to benchmarks, in paper order.
-var splashFigures = map[int]string{
-	13: "LU", 14: "MP3D", 15: "OCEAN", 16: "WATER", 17: "PTHOR",
-}
-
-// SplashFigure runs one of Figures 13–17 (figure number 13..17).
-func SplashFigure(o Options, figure int) (*SplashResult, error) {
-	j, err := SplashFigureJob(o, figure)
-	if err != nil {
-		return nil, err
-	}
-	v, err := sweep.RunSerial(j)
-	if err != nil {
-		return nil, err
-	}
-	return v.(*SplashResult), nil
-}
-
-// SplashFigureJob enumerates one of Figures 13–17 as sweep units.
-func SplashFigureJob(o Options, figure int) (sweep.Job, error) {
-	name, ok := splashFigures[figure]
-	if !ok {
-		return sweep.Job{}, fmt.Errorf("experiments: no SPLASH figure %d (want 13-17)", figure)
-	}
-	return SplashNameJob(o, fmt.Sprintf("fig%d", figure), name), nil
-}
-
-// SplashByName runs the named SPLASH benchmark over all processor
-// counts and the three system configurations.
-func SplashByName(o Options, name string) (*SplashResult, error) {
-	v, err := sweep.RunSerial(SplashNameJob(o, "splash-"+name, name))
-	if err != nil {
-		return nil, err
-	}
-	return v.(*SplashResult), nil
-}
-
-// SplashNameJob enumerates one benchmark's SPLASH figure as one unit
-// per (processor count, machine configuration) simulation — the
-// per-processor-count multiprocessor runs are the dominant cost of
-// `iramsim all` and they are all independent.
-func SplashNameJob(o Options, jobName, bench string) sweep.Job {
-	sz := splash.Full()
-	if o.MPQuick {
-		sz = splash.Quick()
-	}
-	configs := []coherence.Config{
-		coherence.ReferenceCCNUMA,
-		coherence.IntegratedPlain,
-		coherence.IntegratedVictim,
-	}
-	k := newKeyer(jobName, o, fmt.Sprintf("mpquick=%v", o.MPQuick))
-	var units []sweep.Unit
-	for _, np := range o.Procs {
-		for _, cfg := range configs {
-			uname := fmt.Sprintf("%s/%s/p=%d/%s", jobName, bench, np, cfg)
-			units = append(units, sweep.Unit{
-				Name:  uname,
-				Key:   k.key(uname, 0, splashCodec.schema()),
-				Codec: splashCodec,
-				Run: func() (interface{}, error) {
+// SplashJob returns the builder of one SPLASH figure (Figures 13–17):
+// benchmark bench over every processor count and the three system
+// configurations, as the job called name. Each (processor count,
+// configuration) simulation is one unit — the multiprocessor runs are
+// the dominant cost of `iramsim all` and they are all independent.
+func SplashJob(name, bench string) func(Options, *MeasurementSet) sweep.Job {
+	return func(o Options, _ *MeasurementSet) sweep.Job {
+		sz := o.splashSize()
+		configs := []coherence.Config{
+			coherence.ReferenceCCNUMA,
+			coherence.IntegratedPlain,
+			coherence.IntegratedVictim,
+		}
+		k := newKeyer(name, o, fmt.Sprintf("mpquick=%v", o.MPQuick))
+		var units []sweep.Unit
+		for _, np := range o.Procs {
+			for _, cfg := range configs {
+				uname := fmt.Sprintf("%s/%s/p=%d/%s", name, bench, np, cfg)
+				units = append(units, cached(k, uname, 0, splashCodec, func() (SplashPoint, error) {
 					b, err := splash.ByName(bench)
 					if err != nil {
-						return nil, err
+						return SplashPoint{}, err
 					}
-					prop := o.Device()
-					m := coherence.NewConfiguredMachineDevices(cfg, np,
-						uint64(prop.CoherenceUnitBytes), prop, core.Reference())
+					m := machine(o.Device(), cfg, np)
 					r := b.RunMachine(np, m, sz)
 					if o.Obs != nil {
 						m.Publish(o.Obs)
 						r.Coord.Publish(o.Obs)
 					}
 					return SplashPoint{Config: cfg, Procs: np, Cycles: r.Cycles}, nil
-				},
-			})
+				}))
+			}
 		}
+		return job(name, units, func(points []SplashPoint) (interface{}, error) {
+			return &SplashResult{Bench: bench, Points: points}, nil
+		})
 	}
-	return sweep.Job{Name: jobName, Units: units, Assemble: func(parts []interface{}) (interface{}, error) {
-		res := &SplashResult{Bench: bench, Points: make([]SplashPoint, len(parts))}
-		for i, p := range parts {
-			res.Points[i] = p.(SplashPoint)
-		}
-		return res, nil
-	}}
 }
 
 // Cycles returns the execution time for a configuration/processor pair.
@@ -200,69 +151,49 @@ type SCOMAResult struct {
 	Rows  []SCOMARow
 }
 
-// SCOMA runs the SPLASH suite on the Simple-COMA machine alongside the
-// three Section 6 configurations. The paper implements both protocols
-// in the engines' microcode but evaluates only CC-NUMA; this is the
-// reproduction's look at the road not taken: S-COMA turns remote
-// re-accesses into local column-buffer hits at the price of page
-// allocation traps.
-func SCOMA(o Options) (*SCOMAResult, error) {
-	v, err := sweep.RunSerial(SCOMAJob(o))
-	if err != nil {
-		return nil, err
-	}
-	return v.(*SCOMAResult), nil
-}
-
 // scomaConfigs are the machine personalities compared by the S-COMA
 // extension, in column order.
 var scomaConfigs = []coherence.Config{
 	coherence.ReferenceCCNUMA, coherence.IntegratedVictim, coherence.SimpleCOMA,
 }
 
-// SCOMAJob enumerates the S-COMA study as one unit per
-// (benchmark, configuration) multiprocessor run.
-func SCOMAJob(o Options) sweep.Job {
+// SCOMAJob runs the SPLASH suite on the Simple-COMA machine alongside
+// the reference and integrated+victim configurations, one unit per
+// (benchmark, configuration) multiprocessor run. The paper implements
+// both protocols in the engines' microcode but evaluates only CC-NUMA;
+// this is the reproduction's look at the road not taken: S-COMA turns
+// remote re-accesses into local column-buffer hits at the price of page
+// allocation traps.
+func SCOMAJob(o Options, _ *MeasurementSet) sweep.Job {
 	const procs = 4
-	sz := splash.Full()
-	if o.MPQuick {
-		sz = splash.Quick()
-	}
+	sz := o.splashSize()
 	k := newKeyer("scoma", o, fmt.Sprintf("mpquick=%v", o.MPQuick))
 	benches := splash.All()
 	var units []sweep.Unit
 	for _, b := range benches {
 		for _, cfg := range scomaConfigs {
-			uname := fmt.Sprintf("scoma/%s/%s", b.Name, cfg)
-			units = append(units, sweep.Unit{
-				Name:  uname,
-				Key:   k.key(uname, 0, cyclesCodec.schema()),
-				Codec: cyclesCodec,
-				Run: func() (interface{}, error) {
-					prop := o.Device()
-					m := coherence.NewConfiguredMachineDevices(cfg, procs,
-						uint64(prop.CoherenceUnitBytes), prop, core.Reference())
-					r := b.RunMachine(procs, m, sz)
-					if o.Obs != nil {
-						m.Publish(o.Obs)
-						r.Coord.Publish(o.Obs)
-					}
-					return r.Cycles, nil
-				},
-			})
+			units = append(units, cached(k, fmt.Sprintf("scoma/%s/%s", b.Name, cfg), 0, cyclesCodec, func() (uint64, error) {
+				m := machine(o.Device(), cfg, procs)
+				r := b.RunMachine(procs, m, sz)
+				if o.Obs != nil {
+					m.Publish(o.Obs)
+					r.Coord.Publish(o.Obs)
+				}
+				return r.Cycles, nil
+			}))
 		}
 	}
-	return sweep.Job{Name: "scoma", Units: units, Assemble: func(parts []interface{}) (interface{}, error) {
+	return job("scoma", units, func(cycles []uint64) (interface{}, error) {
 		res := &SCOMAResult{Procs: procs}
 		for bi, b := range benches {
 			row := SCOMARow{Bench: b.Name, Cycles: map[coherence.Config]uint64{}}
 			for ci, cfg := range scomaConfigs {
-				row.Cycles[cfg] = parts[bi*len(scomaConfigs)+ci].(uint64)
+				row.Cycles[cfg] = cycles[bi*len(scomaConfigs)+ci]
 			}
 			res.Rows = append(res.Rows, row)
 		}
 		return res, nil
-	}}
+	})
 }
 
 // Table renders the S-COMA comparison.
@@ -284,16 +215,6 @@ func (r *SCOMAResult) Table() *report.Table {
 // ---------------------------------------------------------------------
 // Extension: fabric scaling (Section 8's Lego-block vision).
 // ---------------------------------------------------------------------
-
-// CostJob wraps the Section 3 cost arithmetic as a single-unit job.
-func CostJob() sweep.Job {
-	return sweep.Single("cost", 0, func() (interface{}, error) { return Cost(), nil })
-}
-
-// FabricJob wraps the fabric scaling study as a single-unit job.
-func FabricJob() sweep.Job {
-	return sweep.Single("fabric", 0, func() (interface{}, error) { return Fabric() })
-}
 
 // Fabric evaluates the S-Connect fabric's scaling: bisection bandwidth
 // growing with the machine, and remote latency against the paper's

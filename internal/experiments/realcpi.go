@@ -34,37 +34,17 @@ type RealCPIRow struct {
 // RealCPIResult is the real-program CPI data set.
 type RealCPIResult struct{ Rows []RealCPIRow }
 
-// RealCPI evaluates every GroupReal kernel on both systems.
-func RealCPI(o Options, ms *MeasurementSet) (*RealCPIResult, error) {
-	v, err := sweep.RunSerial(RealCPIJob(o, ms))
-	if err != nil {
-		return nil, err
-	}
-	return v.(*RealCPIResult), nil
-}
-
-// RealCPIJob enumerates the real-program study as one unit per kernel.
+// RealCPIJob enumerates the real-program study, every GroupReal kernel
+// on both systems, as one unit per kernel.
 func RealCPIJob(o Options, ms *MeasurementSet) sweep.Job {
 	k := newKeyer("realcpi", o,
 		fmt.Sprintf("budget=%d", o.Budget), fmt.Sprintf("gspn=%d", o.GSPNInstr))
 	ws := workload.Real()
 	units := make([]sweep.Unit, len(ws))
 	for i, w := range ws {
-		units[i] = sweep.Unit{
-			Name:  "realcpi/" + w.Name,
-			Seed:  o.Seed,
-			Key:   k.key("realcpi/"+w.Name, o.Seed, realcpiCodec.schema()),
-			Codec: realcpiCodec,
-			Run:   func() (interface{}, error) { return realCPIRow(o, ms, w) },
-		}
+		units[i] = cached(k, "realcpi/"+w.Name, o.Seed, realcpiCodec, func() (RealCPIRow, error) { return realCPIRow(o, ms, w) })
 	}
-	return sweep.Job{Name: "realcpi", Units: units, Assemble: func(parts []interface{}) (interface{}, error) {
-		res := &RealCPIResult{Rows: make([]RealCPIRow, len(parts))}
-		for i, p := range parts {
-			res.Rows[i] = p.(RealCPIRow)
-		}
-		return res, nil
-	}}
+	return job("realcpi", units, func(rows []RealCPIRow) (interface{}, error) { return &RealCPIResult{Rows: rows}, nil })
 }
 
 // realCPIRow evaluates one kernel through the GSPN on both systems.

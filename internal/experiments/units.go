@@ -2,81 +2,149 @@ package experiments
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
+	"repro/internal/coherence"
+	"repro/internal/core"
+	"repro/internal/splash"
 	"repro/internal/sweep"
 )
 
-// JobFor returns the named experiment as a sweep job: an enumerable
-// list of independent units plus the assembly step that rebuilds the
-// experiment's result in deterministic order. Every experiment the CLI
-// can run in a sweep is registered here; cmd/iramsim adds its own
-// single-unit jobs for the text-only outputs (spec, workloads, fig910,
-// selftest).
-func JobFor(name string, o Options, ms *MeasurementSet) (sweep.Job, error) {
-	switch name {
-	case "table1":
-		return Table1Job(o), nil
-	case "fig2":
-		return Fig2Job(o), nil
-	case "fig7":
-		return Fig7Job(o, ms), nil
-	case "fig8":
-		return Fig8Job(o, ms), nil
-	case "fig11":
-		return Fig11Job(o, ms), nil
-	case "fig12":
-		return Fig12Job(o, ms), nil
-	case "table3":
-		return Table34Job(o, ms, false), nil
-	case "table4":
-		return Table34Job(o, ms, true), nil
-	case "banks":
-		return BanksJob(o, ms), nil
-	case "mattson":
-		return MattsonJob(o), nil
-	case "realcpi":
-		return RealCPIJob(o, ms), nil
-	case "fig13", "fig14", "fig15", "fig16", "fig17":
-		n, _ := strconv.Atoi(strings.TrimPrefix(name, "fig"))
-		return SplashFigureJob(o, n)
-	case "cost":
-		return CostJob(), nil
-	case "fabric":
-		return FabricJob(), nil
-	case "scoma":
-		return SCOMAJob(o), nil
-	case "ablate-linesize":
-		return AblateLineSizeJob(o), nil
-	case "ablate-victim":
-		return AblateVictimSizeJob(o), nil
-	case "ablate-unit":
-		return AblateCoherenceUnitJob(o), nil
-	case "ablate-scoreboard":
-		return AblateScoreboardJob(o, ms), nil
-	case "ablate-inc":
-		return AblateINCAssociativityJob(o), nil
-	case "ablate-engines":
-		return AblateEnginesJob(o), nil
-	case "ablate-jouppi":
-		return AblateJouppiJob(o), nil
-	case "designspace":
-		return DesignspaceJob(o), nil
-	default:
-		return sweep.Job{}, fmt.Errorf("experiments: unknown experiment %q", name)
-	}
+// experiment is one registry row: the name the CLI and the daemon
+// accept, whether `iramsim all` runs it, and the builder of its job.
+type experiment struct {
+	name string
+	all  bool
+	job  func(Options, *MeasurementSet) sweep.Job
 }
 
-// SweepNames lists every experiment JobFor accepts, in the order
-// `iramsim all` runs them.
-func SweepNames() []string {
-	return []string{
-		"cost", "table1", "fig2", "fig7", "fig8", "fig11", "fig12",
-		"table3", "table4", "banks", "mattson", "realcpi",
-		"fig13", "fig14", "fig15", "fig16", "fig17",
-		"ablate-linesize", "ablate-victim", "ablate-unit",
-		"ablate-scoreboard", "ablate-inc", "ablate-engines", "ablate-jouppi",
-		"scoma", "fabric",
+// registry is the one list of experiments, in the order `iramsim all`
+// runs them; rows without all run only when named. Adding an
+// experiment is one builder plus one row.
+var registry = []experiment{
+	{"spec", true, specJob},
+	{"cost", true, costJob},
+	{"table1", true, Table1Job},
+	{"fig2", true, Fig2Job},
+	{"fig7", true, Fig7Job},
+	{"fig8", true, Fig8Job},
+	{"fig11", true, Fig11Job},
+	{"fig12", true, Fig12Job},
+	{"table3", true, Table3Job},
+	{"table4", true, Table4Job},
+	{"banks", true, BanksJob},
+	{"mattson", true, MattsonJob},
+	{"realcpi", true, RealCPIJob},
+	{"fig13", true, SplashJob("fig13", "LU")},
+	{"fig14", true, SplashJob("fig14", "MP3D")},
+	{"fig15", true, SplashJob("fig15", "OCEAN")},
+	{"fig16", true, SplashJob("fig16", "WATER")},
+	{"fig17", true, SplashJob("fig17", "PTHOR")},
+	{"ablate-linesize", true, AblateLineSizeJob},
+	{"ablate-victim", true, AblateVictimSizeJob},
+	{"ablate-unit", true, AblateCoherenceUnitJob},
+	{"ablate-scoreboard", true, AblateScoreboardJob},
+	{"ablate-inc", true, AblateINCAssociativityJob},
+	{"ablate-engines", true, AblateEnginesJob},
+	{"ablate-jouppi", true, AblateJouppiJob},
+	{"scoma", true, SCOMAJob},
+	{"fabric", true, fabricJob},
+	{"selftest", true, selftestJob},
+	{"designspace", false, DesignspaceJob},
+	{"workloads", false, workloadsJob},
+	{"fig910", false, fig910Job},
+}
+
+// JobFor returns the named experiment as a sweep job: an enumerable
+// list of independent units plus the assembly step that rebuilds the
+// experiment's result in deterministic order.
+func JobFor(name string, o Options, ms *MeasurementSet) (sweep.Job, error) {
+	for _, e := range registry {
+		if e.name == name {
+			return e.job(o, ms), nil
+		}
 	}
+	return sweep.Job{}, fmt.Errorf("experiments: unknown experiment %q", name)
+}
+
+// Known reports whether JobFor accepts name.
+func Known(name string) bool {
+	for _, e := range registry {
+		if e.name == name {
+			return true
+		}
+	}
+	return false
+}
+
+// Names lists every experiment JobFor accepts, in registry order.
+func Names() []string {
+	names := make([]string, len(registry))
+	for i, e := range registry {
+		names[i] = e.name
+	}
+	return names
+}
+
+// SweepNames lists the experiments `iramsim all` runs, in order.
+func SweepNames() []string {
+	var names []string
+	for _, e := range registry {
+		if e.all {
+			names = append(names, e.name)
+		}
+	}
+	return names
+}
+
+// cached builds a unit whose result the engine may serve from the
+// result cache. Its key folds in the codec's schema, so the key and the
+// codec that decodes a hit cannot disagree; seed and extra are the
+// other key inputs (see keyer.key).
+func cached[R any](k keyer, name string, seed int64, c gobCodec[R], run func() (R, error), extra ...string) sweep.Unit {
+	u := uncached(name, run)
+	u.Key = k.key(name, seed, c.schema(), extra...)
+	u.Codec = c
+	return u
+}
+
+// uncached builds a unit the engine always runs.
+func uncached[R any](name string, run func() (R, error)) sweep.Unit {
+	return sweep.Unit{Name: name, Run: func() (interface{}, error) { return run() }}
+}
+
+// job builds a sweep job whose units each return an R: wrap receives
+// the results in unit order and builds the experiment's value.
+func job[R any](name string, units []sweep.Unit, wrap func([]R) (interface{}, error)) sweep.Job {
+	return sweep.Job{Name: name, Units: units, Assemble: func(parts []interface{}) (interface{}, error) {
+		rs := make([]R, len(parts))
+		for i, p := range parts {
+			rs[i] = p.(R)
+		}
+		return wrap(rs)
+	}}
+}
+
+// concat joins per-unit row slices in unit order.
+func concat[R any](parts [][]R) []R {
+	var rows []R
+	for _, p := range parts {
+		rows = append(rows, p...)
+	}
+	return rows
+}
+
+// splashSize is the SPLASH data set the options select.
+func (o Options) splashSize() splash.Size {
+	if o.MPQuick {
+		return splash.Quick()
+	}
+	return splash.Full()
+}
+
+// machine builds a procs-node multiprocessor of configuration cfg:
+// integrated nodes from dev, reference nodes from core.Reference(), and
+// dev's coherence unit.
+func machine(dev core.Device, cfg coherence.Config, procs int) *coherence.Machine {
+	return coherence.NewConfiguredMachineDevices(cfg, procs,
+		uint64(dev.CoherenceUnitBytes), dev, core.Reference())
 }

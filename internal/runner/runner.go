@@ -11,7 +11,6 @@
 package runner
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -21,12 +20,10 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/cpumodel"
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/resultstore"
-	"repro/internal/selftest"
 	"repro/internal/sweep"
 	"repro/internal/tracestore"
 	"repro/internal/workload"
@@ -118,52 +115,29 @@ type Result struct {
 	Elapsed time.Duration
 }
 
-// cliNames are the text-only outputs registered here rather than in the
-// experiments package (they render repository metadata, not paper
-// figures): the datasheet, the workload table, the GSPN shape lines,
-// and the built-in self test.
-var cliNames = []string{"spec", "workloads", "fig910", "selftest"}
-
 // ExpandNames resolves the "all" shorthand to the full experiment
 // sequence and otherwise returns the names unchanged.
 func ExpandNames(names []string) []string {
 	if len(names) == 1 && names[0] == "all" {
-		all := append([]string{"spec"}, experiments.SweepNames()...)
-		return append(all, "selftest")
+		return experiments.SweepNames()
 	}
 	return names
 }
 
-// Known reports whether name is a runnable experiment.
-func Known(name string) bool {
-	switch name {
-	case "all", "designspace": // designspace is runnable but not part of "all"
-		return true
-	}
-	for _, n := range cliNames {
-		if n == name {
-			return true
-		}
-	}
-	for _, n := range experiments.SweepNames() {
-		if n == name {
-			return true
-		}
-	}
-	return false
-}
-
 // Validate rejects malformed requests before any work is scheduled:
-// unknown experiment names, then everything Options rejects — an
-// unparsable or invalid machine description (the core.FromJSON
-// validation errors, verbatim) and non-positive processor counts. The
-// daemon surfaces these as 400s.
+// unknown experiment names and "all" beside other names, then
+// everything Options rejects — an unparsable or invalid machine
+// description (the core.FromJSON validation errors, verbatim) and
+// non-positive processor counts. The daemon surfaces these as 400s.
 func (r Request) Validate() error {
 	if len(r.Experiments) == 0 {
 		return fmt.Errorf("runner: no experiments requested")
 	}
-	for _, name := range r.Experiments {
-		if !Known(name) {
+	for _, name := range ExpandNames(r.Experiments) {
+		switch {
+		case name == "all":
+			return fmt.Errorf(`runner: "all" must be the only experiment named`)
+		case !experiments.Known(name):
 			return fmt.Errorf("runner: unknown experiment %q", name)
 		}
 	}
@@ -267,7 +241,7 @@ func RunJobs(ctx context.Context, names []string, opts experiments.Options,
 	ms *experiments.MeasurementSet, cfg Config) error {
 	jobs := make([]sweep.Job, 0, len(names))
 	for _, name := range names {
-		j, err := jobFor(name, opts, ms)
+		j, err := experiments.JobFor(name, opts, ms)
 		if err != nil {
 			return err
 		}
@@ -281,7 +255,7 @@ func RunJobs(ctx context.Context, names []string, opts experiments.Options,
 		Cache:    cfg.ResultCache,
 		OnUnit:   cfg.OnUnit,
 	}
-	return eng.RunContext(ctx, jobs, func(r sweep.JobResult) error {
+	return eng.Run(ctx, jobs, func(r sweep.JobResult) error {
 		if cfg.Out != nil {
 			if err := render(cfg.Out, r.Name, r.Value, cfg.JSON, cfg.FrontierPath); err != nil {
 				return err
@@ -294,88 +268,11 @@ func RunJobs(ctx context.Context, names []string, opts experiments.Options,
 	})
 }
 
-// jobFor maps an experiment name to a sweep job. The text-only outputs
-// (spec, workloads, fig910, selftest) live here as single-unit jobs
-// that render into a buffer; everything else comes from the
-// experiments registry.
-func jobFor(name string, opts experiments.Options, ms *experiments.MeasurementSet) (sweep.Job, error) {
-	switch name {
-	case "spec":
-		return sweep.Single(name, 0, func() (interface{}, error) {
-			var buf bytes.Buffer
-			for _, line := range opts.Device().Datasheet() {
-				fmt.Fprintln(&buf, line)
-			}
-			fmt.Fprintln(&buf)
-			return buf.Bytes(), nil
-		}), nil
-	case "workloads":
-		return sweep.Single(name, 0, func() (interface{}, error) {
-			var buf bytes.Buffer
-			t := report.NewTable("Table 2: benchmark stand-ins",
-				"benchmark", "fp", "base CPI", "budget", "description")
-			for _, name := range workload.Names() {
-				w, err := workload.ByName(name)
-				if err != nil {
-					return nil, err
-				}
-				desc := w.Description
-				if len(desc) > 72 {
-					desc = desc[:69] + "..."
-				}
-				t.Row(w.Name, w.Float, w.BaseCPI, w.Budget, desc)
-			}
-			t.Render(&buf)
-			return buf.Bytes(), nil
-		}), nil
-	case "fig910":
-		return sweep.Single(name, 0, func() (interface{}, error) {
-			var buf bytes.Buffer
-			for _, cfg := range []cpumodel.SystemConfig{cpumodel.ConfigFor(opts.Device()), cpumodel.Reference()} {
-				m, err := cpumodel.Build(cfg, cpumodel.AppRates{
-					Name: "shape", BaseCPI: 1, LoadFrac: 0.25, StoreFrac: 0.1,
-					IHit: 0.95, LoadHit: 0.95, StoreHit: 0.95,
-					IL2Hit: 0.9, LoadL2Hit: 0.9, StoreL2Hit: 0.9,
-				})
-				if err != nil {
-					return nil, err
-				}
-				sh := m.Shape()
-				fmt.Fprintf(&buf,
-					"Figure 9/10 net (%s): %d places, %d immediate + %d deterministic + %d exponential transitions, %d banks, L2=%v"+"\n",
-					cfg.Name, sh.Places, sh.Immediate, sh.Deterministic, sh.Exponential, sh.Banks, sh.HasL2)
-			}
-			fmt.Fprintln(&buf)
-			return buf.Bytes(), nil
-		}), nil
-	case "selftest":
-		return sweep.Single(name, 0, func() (interface{}, error) {
-			var buf bytes.Buffer
-			r, err := selftest.Run(selftest.Config{WindowBytes: 256 << 10})
-			if err != nil {
-				return nil, err
-			}
-			fmt.Fprintf(&buf, "built-in self test: passed=%v phase=%s instructions=%d window=%dKB fills=%d\n\n",
-				r.Passed, r.Phase, r.Instructions, r.MemoryBytes>>10, r.CacheFills)
-			return buf.Bytes(), nil
-		}), nil
-	}
-	j, err := experiments.JobFor(name, opts, ms)
-	if err != nil {
-		return sweep.Job{}, fmt.Errorf("unknown experiment %q", name)
-	}
-	return j, nil
-}
-
 // render writes one experiment's assembled result to out in the same
 // format the serial CLI has always produced.
 func render(out io.Writer, name string, v interface{}, jsonMode bool, frontierPath string) error {
-	switch name {
-	case "cost", "fabric":
-		// rendered as plain tables even in JSON mode, as before
-		v.(*report.Table).Render(out)
-		return nil
-	}
+	// Text experiments render themselves; their bytes are the output
+	// in table and JSON mode alike.
 	if b, ok := v.([]byte); ok {
 		_, err := out.Write(b)
 		return err

@@ -28,7 +28,9 @@ func TestValidate(t *testing.T) {
 	}{
 		{"empty", Request{}, "no experiments"},
 		{"unknown", quickReq("fig99"), `unknown experiment "fig99"`},
-		{"known", quickReq("fig7", "spec", "designspace", "all"), ""},
+		{"known", quickReq("fig7", "spec", "designspace"), ""},
+		{"all", quickReq("all"), ""},
+		{"all-with-others", quickReq("cost", "all"), `"all" must be the only experiment`},
 		{"bad-procs", Request{Experiments: []string{"fig13"}, Procs: []int{0}}, "processor count"},
 		{"bad-machine-json", Request{Experiments: []string{"spec"}, Machine: json.RawMessage(`{`)}, "machine config"},
 		{"unknown-machine-field", Request{Experiments: []string{"spec"}, Machine: json.RawMessage(`{"NoSuchKnob":1}`)}, "machine config"},
@@ -84,8 +86,8 @@ func TestRunRendersAndReports(t *testing.T) {
 	}
 }
 
-// TestRunUnknownExperiment: a name that slips past the caller fails
-// with the same error the CLI has always printed.
+// TestRunUnknownExperiment: a name that slips past Validate fails the
+// run, naming the experiment, before any unit is scheduled.
 func TestRunUnknownExperiment(t *testing.T) {
 	err := Run(context.Background(), quickReq("fig99"), Config{})
 	if err == nil || !strings.Contains(err.Error(), `unknown experiment "fig99"`) {

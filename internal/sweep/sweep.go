@@ -6,9 +6,9 @@
 // The model is the same shape as a batch scheduler: an experiment is a
 // Job made of enumerable Units (the smallest independently runnable
 // pieces — one workload measurement, one GSPN evaluation, one
-// multiprocessor run), each carrying an explicit seed so its result
-// depends only on its inputs, never on scheduling. Workers execute
-// units in whatever order the pool dictates; the engine buffers the
+// multiprocessor run), each a function of its inputs alone (any seed
+// is one of them), never of scheduling. Workers execute units in
+// whatever order the pool dictates; the engine buffers the
 // partial results and assembles each job exactly once, emitting
 // finished jobs strictly in submission order as their frontier
 // completes. Determinism therefore holds for any worker count,
@@ -29,10 +29,10 @@ import (
 )
 
 // Unit is one independently runnable piece of an experiment. Run must
-// be self-contained: any randomness must come from Seed (or from seeds
-// closed over explicitly), and it must not mutate state shared with
-// other units except through concurrency-safe structures (e.g. the
-// single-flight measurement cache in internal/experiments).
+// be self-contained: any randomness must come from seeds closed over
+// explicitly, and it must not mutate state shared with other units
+// except through concurrency-safe structures (e.g. the single-flight
+// measurement cache in internal/experiments).
 type Unit struct {
 	// Name labels the unit in progress and error reports
 	// (e.g. "fig13/p=4/integrated + victim"). Unit names are cache-key
@@ -40,12 +40,6 @@ type Unit struct {
 	// deliberately — a rename usually accompanies a semantic change,
 	// and a spurious miss only costs recomputation.
 	Name string
-	// Seed is the unit's explicit random seed (0 when the unit is
-	// fully deterministic). It is informational here — the Run closure
-	// must already incorporate it — but carrying it on the unit keeps
-	// the seed assignment auditable and scheduling-independent. Like
-	// Name, it is a cache-key component.
-	Seed int64
 	// Run computes the unit's partial result.
 	Run func() (interface{}, error)
 	// Key, when non-empty, content-addresses the unit's result: an
@@ -95,10 +89,10 @@ type Job struct {
 }
 
 // Single wraps one function as a single-unit job.
-func Single(name string, seed int64, run func() (interface{}, error)) Job {
+func Single(name string, run func() (interface{}, error)) Job {
 	return Job{
 		Name:     name,
-		Units:    []Unit{{Name: name, Seed: seed, Run: run}},
+		Units:    []Unit{{Name: name, Run: run}},
 		Assemble: func(parts []interface{}) (interface{}, error) { return parts[0], nil },
 	}
 }
@@ -235,21 +229,18 @@ type completion struct {
 // and every earlier job are complete (so output streams during the
 // sweep). It returns the first unit or assembly error; emit may have
 // been called for jobs that finished before the failure.
-func (e *Engine) Run(jobs []Job, emit func(JobResult) error) error {
-	return e.RunContext(context.Background(), jobs, emit)
-}
-
-// RunContext is Run with cancellation: when ctx is canceled the engine
-// stops scheduling units — workers skip everything still queued (each
-// skip accounted exactly like a post-failure skip: counted, traced,
-// and printed so [completed/total] never skips numbers) — in-flight
-// units run to completion, and RunContext returns ctx.Err(). Jobs
+//
+// When ctx is canceled the engine stops scheduling units — workers
+// skip everything still queued (each skip accounted exactly like a
+// post-failure skip: counted, traced, and printed so [completed/total]
+// never skips numbers) — in-flight units run to completion, and Run
+// returns ctx.Err(). Jobs
 // whose every unit completed are still assembled and emitted; a job
 // with any skipped unit never assembles, so no partially assembled
 // job is ever emitted, and a skipped cacheable unit leaves no result-
 // store entry (it never ran). An abandoned HTTP request cancels its
 // sweep this way, freeing the worker pool for the next queued run.
-func (e *Engine) RunContext(ctx context.Context, jobs []Job, emit func(JobResult) error) error {
+func (e *Engine) Run(ctx context.Context, jobs []Job, emit func(JobResult) error) error {
 	workers := e.Workers
 	if workers < 1 {
 		workers = 1
@@ -462,17 +453,11 @@ func (e *Engine) RunContext(ctx context.Context, jobs []Job, emit func(JobResult
 // assembled value. It is the one-job convenience over Run, used by
 // multi-stage experiments (the design-space search) that fan nested
 // stages — refinement rounds, screened GSPN evaluations — back through
-// the engine instead of hand-rolling goroutine pools.
-func (e *Engine) RunJob(j Job) (interface{}, error) {
-	return e.RunJobContext(context.Background(), j)
-}
-
-// RunJobContext is RunJob with cancellation, so nested sweeps (the
-// designspace GSPN stage) abandon their queued units when the outer
-// run's context is canceled instead of finishing minutes of dead work.
-func (e *Engine) RunJobContext(ctx context.Context, j Job) (interface{}, error) {
+// the engine instead of hand-rolling goroutine pools. Canceling ctx
+// abandons the job's queued units, as for Run.
+func (e *Engine) RunJob(ctx context.Context, j Job) (interface{}, error) {
 	var out interface{}
-	err := e.RunContext(ctx, []Job{j}, func(r JobResult) error {
+	err := e.Run(ctx, []Job{j}, func(r JobResult) error {
 		out = r.Value
 		return nil
 	})
@@ -482,8 +467,7 @@ func (e *Engine) RunJobContext(ctx context.Context, j Job) (interface{}, error) 
 // RunSerial executes one job's units in order on the calling
 // goroutine and assembles the result. It is the serial reference
 // implementation: Engine.Run with any worker count produces the same
-// values. The monolithic experiment functions are wrappers over this,
-// so the CLI sweep and the direct API share one code path.
+// values.
 func RunSerial(j Job) (interface{}, error) {
 	parts := make([]interface{}, len(j.Units))
 	for i, u := range j.Units {

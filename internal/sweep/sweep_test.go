@@ -44,7 +44,7 @@ func runAll(t *testing.T, workers int, jobs []Job) []JobResult {
 	t.Helper()
 	var got []JobResult
 	e := &Engine{Workers: workers}
-	if err := e.Run(jobs, func(r JobResult) error {
+	if err := e.Run(context.Background(), jobs, func(r JobResult) error {
 		got = append(got, r)
 		return nil
 	}); err != nil {
@@ -134,7 +134,7 @@ func TestErrorPropagation(t *testing.T) {
 	})
 	var emitted []string
 	e := &Engine{Workers: 1}
-	err := e.Run(jobs, func(r JobResult) error {
+	err := e.Run(context.Background(), jobs, func(r JobResult) error {
 		emitted = append(emitted, r.Name)
 		return nil
 	})
@@ -164,7 +164,7 @@ func TestAssembleError(t *testing.T) {
 		},
 	}
 	e := &Engine{Workers: 2}
-	err := e.Run([]Job{j}, nil)
+	err := e.Run(context.Background(), []Job{j}, nil)
 	if err == nil || !strings.Contains(err.Error(), "asm") {
 		t.Fatalf("err = %v, want assembly error naming job", err)
 	}
@@ -175,7 +175,7 @@ func TestAssembleError(t *testing.T) {
 func TestEmitError(t *testing.T) {
 	stop := errors.New("emit failed")
 	e := &Engine{Workers: 2}
-	err := e.Run([]Job{slowFirst("x", 2)}, func(JobResult) error { return stop })
+	err := e.Run(context.Background(), []Job{slowFirst("x", 2)}, func(JobResult) error { return stop })
 	if !errors.Is(err, stop) {
 		t.Fatalf("err = %v, want emit error", err)
 	}
@@ -220,8 +220,8 @@ func TestZeroUnitJobs(t *testing.T) {
 
 // TestSingle: Single wraps a function as a one-unit job.
 func TestSingle(t *testing.T) {
-	j := Single("one", 7, func() (interface{}, error) { return "v", nil })
-	if len(j.Units) != 1 || j.Units[0].Seed != 7 {
+	j := Single("one", func() (interface{}, error) { return "v", nil })
+	if len(j.Units) != 1 || j.Units[0].Name != "one" {
 		t.Fatalf("bad job %+v", j)
 	}
 	v, err := RunSerial(j)
@@ -235,7 +235,7 @@ func TestSingle(t *testing.T) {
 func TestProgress(t *testing.T) {
 	var buf bytes.Buffer
 	e := &Engine{Workers: 2, Progress: &buf}
-	if err := e.Run([]Job{slowFirst("p", 3)}, nil); err != nil {
+	if err := e.Run(context.Background(), []Job{slowFirst("p", 3)}, nil); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
@@ -275,7 +275,7 @@ func TestProgressUnderFailure(t *testing.T) {
 
 	var buf bytes.Buffer
 	e := &Engine{Workers: 1, Progress: &buf}
-	if err := e.Run([]Job{job}, nil); !errors.Is(err, boom) {
+	if err := e.Run(context.Background(), []Job{job}, nil); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	out := buf.String()
@@ -305,7 +305,7 @@ func TestEngineObs(t *testing.T) {
 	tr := obs.NewTracer(64)
 	e := &Engine{Workers: 2, Obs: reg, Trace: tr}
 	jobs := []Job{slowFirst("a", 3), slowFirst("b", 2)}
-	if err := e.Run(jobs, func(JobResult) error { return nil }); err != nil {
+	if err := e.Run(context.Background(), jobs, func(JobResult) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	for name, want := range map[string]int64{
@@ -431,7 +431,7 @@ func TestEngineCache(t *testing.T) {
 	var ran int64
 
 	e := &Engine{Workers: 4, Cache: cache, Obs: reg}
-	cold, err := e.RunJob(cachedJob("c", 6, &ran))
+	cold, err := e.RunJob(context.Background(), cachedJob("c", 6, &ran))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +446,7 @@ func TestEngineCache(t *testing.T) {
 		}
 	}
 
-	warm, err := e.RunJob(cachedJob("c", 6, &ran))
+	warm, err := e.RunJob(context.Background(), cachedJob("c", 6, &ran))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,13 +478,13 @@ func TestEngineCacheDecodeFailure(t *testing.T) {
 	var ran int64
 
 	e := &Engine{Workers: 2, Cache: cache, Obs: reg}
-	if _, err := e.RunJob(cachedJob("d", 3, &ran)); err != nil {
+	if _, err := e.RunJob(context.Background(), cachedJob("d", 3, &ran)); err != nil {
 		t.Fatal(err)
 	}
 	for k := range cache.m {
 		cache.m[k] = []byte("not a number")
 	}
-	v, err := e.RunJob(cachedJob("d", 3, &ran))
+	v, err := e.RunJob(context.Background(), cachedJob("d", 3, &ran))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,7 +498,7 @@ func TestEngineCacheDecodeFailure(t *testing.T) {
 		t.Errorf("decode_failures = %d, want 3", got)
 	}
 	// The recompute overwrote the corrupt entries: a third run hits.
-	if _, err := e.RunJob(cachedJob("d", 3, &ran)); err != nil {
+	if _, err := e.RunJob(context.Background(), cachedJob("d", 3, &ran)); err != nil {
 		t.Fatal(err)
 	}
 	if ran != 6 {
@@ -522,7 +522,7 @@ func TestEngineCacheUnkeyedUnits(t *testing.T) {
 	}
 	e := &Engine{Workers: 1, Cache: cache}
 	for i := 0; i < 2; i++ {
-		if _, err := e.RunJob(mk()); err != nil {
+		if _, err := e.RunJob(context.Background(), mk()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -541,7 +541,7 @@ func TestEngineCacheUnkeyedUnits(t *testing.T) {
 func TestQueueDepth(t *testing.T) {
 	reg := obs.NewRegistry()
 	e := &Engine{Workers: 2, Obs: reg}
-	if err := e.Run([]Job{slowFirst("big", 5)}, nil); err != nil {
+	if err := e.Run(context.Background(), []Job{slowFirst("big", 5)}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Gauge("sweep", "queue_depth_max").Value(); got != 5 {
@@ -550,7 +550,7 @@ func TestQueueDepth(t *testing.T) {
 	if got := reg.Gauge("sweep", "queue_depth").Value(); got != 0 {
 		t.Errorf("queue_depth after run = %d, want 0", got)
 	}
-	if err := e.Run([]Job{slowFirst("small", 2)}, nil); err != nil {
+	if err := e.Run(context.Background(), []Job{slowFirst("small", 2)}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Gauge("sweep", "queue_depth_max").Value(); got != 5 {
@@ -603,7 +603,7 @@ func TestRunContextCancel(t *testing.T) {
 	e := &Engine{Workers: 2, Progress: &progress, Obs: reg, Cache: cache}
 	errCh := make(chan error, 1)
 	go func() {
-		errCh <- e.RunContext(ctx, []Job{job}, func(JobResult) error {
+		errCh <- e.Run(ctx, []Job{job}, func(JobResult) error {
 			emitted++
 			return nil
 		})
@@ -615,7 +615,7 @@ func TestRunContextCancel(t *testing.T) {
 	err := <-errCh
 
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunContext = %v, want context.Canceled", err)
+		t.Fatalf("Run = %v, want context.Canceled", err)
 	}
 	if lateRan != 0 {
 		t.Errorf("queued units ran %d times after cancellation, want 0", lateRan)
@@ -652,9 +652,9 @@ func TestRunContextPreCanceled(t *testing.T) {
 	cancel()
 	var ran int64
 	e := &Engine{Workers: 4}
-	v, err := e.RunJobContext(ctx, cachedJob("pre", 6, &ran))
+	v, err := e.RunJob(ctx, cachedJob("pre", 6, &ran))
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunJobContext = (%v, %v), want context.Canceled", v, err)
+		t.Fatalf("RunJob = (%v, %v), want context.Canceled", v, err)
 	}
 	if ran != 0 {
 		t.Errorf("%d units ran under a pre-canceled context", ran)
@@ -677,7 +677,7 @@ func TestOnUnitEvents(t *testing.T) {
 	}
 	var events []UnitEvent
 	e := &Engine{Workers: 1, OnUnit: func(ev UnitEvent) { events = append(events, ev) }}
-	err := e.Run(jobs, nil)
+	err := e.Run(context.Background(), jobs, nil)
 	if !errors.Is(err, boom) {
 		t.Fatalf("Run = %v, want boom", err)
 	}
