@@ -142,6 +142,17 @@ func TestMachineFlag(t *testing.T) {
 		}
 	}
 
+	// The fabric study builds its links from the device.
+	fast, err := core.FromJSON([]byte(`{"LinkGbit": 5}`))
+	if err != nil {
+		t.Fatalf("5 Gbit/s device: %v", err)
+	}
+	fastOpts := quickOpts()
+	fastOpts.Machine = &fast
+	if bytes.Equal(render(defOpts, "fabric"), render(fastOpts, "fabric")) {
+		t.Error("fabric output identical for 2.5 and 5 Gbit/s links; -machine is not reaching the fabric study")
+	}
+
 	// Every ablation runs on a device without a victim cache.
 	novic, err := core.FromJSON([]byte(`{"VictimEntries": 0, "VictimLineBytes": 0}`))
 	if err != nil {

@@ -13,7 +13,7 @@ import (
 // result must pass Validate(): a file cannot describe a device whose
 // column-buffer caches don't match its DRAM organisation.
 //
-// The field names are the Go field names of Device (and dram.Params /
+// The field names are the Go field names of Device (and DRAM /
 // costmodel.Inputs for the nested structs), e.g.:
 //
 //	{

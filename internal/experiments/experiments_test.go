@@ -289,7 +289,7 @@ func mustWorkload(t *testing.T, name string) workload.Workload {
 }
 
 func TestFabricExperiment(t *testing.T) {
-	tab, err := Fabric()
+	tab, err := Fabric(topts.Device())
 	if err != nil {
 		t.Fatal(err)
 	}

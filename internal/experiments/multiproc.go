@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/coherence"
+	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/interconnect"
 	"repro/internal/report"
@@ -216,16 +217,16 @@ func (r *SCOMAResult) Table() *report.Table {
 // Extension: fabric scaling (Section 8's Lego-block vision).
 // ---------------------------------------------------------------------
 
-// Fabric evaluates the S-Connect fabric's scaling: bisection bandwidth
-// growing with the machine, and remote latency against the paper's
-// sub-200 ns budget.
-func Fabric() (*report.Table, error) {
-	rows, err := interconnect.ScalingStudy(interconnect.Torus2D,
-		[]int{4, 16, 64, 256}, interconnect.Default())
+// Fabric evaluates the S-Connect fabric of d's nodes as it scales:
+// bisection bandwidth growing with the machine, and remote latency
+// against the paper's sub-200 ns budget.
+func Fabric(d core.Device) (*report.Table, error) {
+	rows, err := interconnect.ScalingStudy(interconnect.Torus2D, []int{4, 16, 64, 256}, d.Fabric())
 	if err != nil {
 		return nil, err
 	}
-	t := report.NewTable("Extension: S-Connect fabric scaling (2-D torus, 4 × 2.5 Gbit/s links)",
+	t := report.NewTable(
+		fmt.Sprintf("Extension: S-Connect fabric scaling (%s, %d × %g Gbit/s links)", interconnect.Torus2D, d.Links, d.LinkGbit),
 		"nodes", "mean hops", "diameter", "bisection GB/s", "remote read ns", "< 200ns")
 	for _, r := range rows {
 		t.Row(r.Nodes, fmt.Sprintf("%.2f", r.MeanHops), r.Diameter,

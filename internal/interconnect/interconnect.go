@@ -2,9 +2,8 @@
 // four 2.5 Gbit/s point-to-point links per processing element (the
 // S-Connect system), giving the node its off-chip bandwidth and the
 // sub-200 ns remote latency budget the multiprocessor latencies of
-// Table 6 are derived from. The model is analytic — message latency
-// and link occupancy — plus a small event-based link scheduler used to
-// study contention on a node's links.
+// Table 6 are derived from. The model is analytic: message latency
+// and aggregate bandwidth.
 package interconnect
 
 import "fmt"
@@ -26,20 +25,11 @@ func Default() LinkParams {
 	return LinkParams{GbitPerSec: 2.5, Efficiency: 0.8, FlightNs: 5, RouteNs: 10}
 }
 
-// BytesPerNs returns the usable payload bandwidth of one link.
-func (l LinkParams) BytesPerNs() float64 {
-	return l.GbitPerSec * l.Efficiency / 8
-}
-
-// Node is a processing element's link interface: several links whose
-// next-free times are tracked so concurrent messages queue.
+// Node is a processing element's link interface: Links identical
+// links that block transfers are striped across.
 type Node struct {
-	Links    int
-	Params   LinkParams
-	nextFree []float64
-
-	BytesSent int64
-	Messages  int64
+	Links  int
+	Params LinkParams
 }
 
 // NewNode creates a node interface with n links.
@@ -47,7 +37,7 @@ func NewNode(n int, p LinkParams) *Node {
 	if n < 1 {
 		panic("interconnect: need at least one link")
 	}
-	return &Node{Links: n, Params: p, nextFree: make([]float64, n)}
+	return &Node{Links: n, Params: p}
 }
 
 // PeakBytesPerSec returns the node's aggregate usable bandwidth.
@@ -55,27 +45,7 @@ func (n *Node) PeakBytesPerSec() float64 {
 	return float64(n.Links) * n.Params.GbitPerSec * 1e9 * n.Params.Efficiency / 8
 }
 
-// Send schedules a message of the given size at time nowNs on the
-// least-loaded link and returns its delivery time after hops switch
-// delays. Occupancy is tracked per link.
-func (n *Node) Send(nowNs float64, bytes int, hops int) (deliveredNs float64) {
-	best := 0
-	for i := 1; i < n.Links; i++ {
-		if n.nextFree[i] < n.nextFree[best] {
-			best = i
-		}
-	}
-	start := nowNs
-	if n.nextFree[best] > start {
-		start = n.nextFree[best]
-	}
-	serialise := float64(bytes) / n.bytesPerNs()
-	n.nextFree[best] = start + serialise
-	n.BytesSent += int64(bytes)
-	n.Messages++
-	return start + serialise + n.Params.FlightNs + float64(hops)*n.Params.RouteNs
-}
-
+// bytesPerNs returns the usable payload bandwidth of one link.
 func (n *Node) bytesPerNs() float64 {
 	return n.Params.GbitPerSec * n.Params.Efficiency / 8
 }

@@ -2,8 +2,11 @@ package interconnect
 
 import "testing"
 
+// paperNode is the paper's link interface: four default links.
+func paperNode() *Node { return NewNode(4, Default()) }
+
 func TestPeakBandwidth(t *testing.T) {
-	n := NewNode(4, Default())
+	n := paperNode()
 	// 4 × 2.5 Gbit/s × 0.8 / 8 = 1.0 GB/s usable payload.
 	if got := n.PeakBytesPerSec(); got != 1e9 {
 		t.Errorf("peak = %v B/s, want 1e9", got)
@@ -11,7 +14,7 @@ func TestPeakBandwidth(t *testing.T) {
 }
 
 func TestRemoteReadUnder200ns(t *testing.T) {
-	n := NewNode(4, Default())
+	n := paperNode()
 	if rt := n.RemoteReadNs(32, 2); rt >= 200 {
 		t.Errorf("32 B remote read = %v ns, want < 200 (paper's claim)", rt)
 	}
@@ -20,29 +23,8 @@ func TestRemoteReadUnder200ns(t *testing.T) {
 	}
 }
 
-func TestSendSerialisesOnLink(t *testing.T) {
-	n := NewNode(1, Default())
-	d1 := n.Send(0, 1000, 0)
-	d2 := n.Send(0, 1000, 0)
-	if d2 <= d1 {
-		t.Errorf("second message on a busy link must finish later: %v vs %v", d2, d1)
-	}
-	if n.BytesSent != 2000 || n.Messages != 2 {
-		t.Errorf("accounting: %d bytes, %d messages", n.BytesSent, n.Messages)
-	}
-}
-
-func TestSendSpreadsAcrossLinks(t *testing.T) {
-	n := NewNode(4, Default())
-	d1 := n.Send(0, 1000, 0)
-	d2 := n.Send(0, 1000, 0)
-	if d2 != d1 {
-		t.Errorf("idle links should give equal delivery times: %v vs %v", d1, d2)
-	}
-}
-
 func TestHopsAddLatency(t *testing.T) {
-	n := NewNode(4, Default())
+	n := paperNode()
 	near := n.RemoteReadNs(32, 1)
 	far := n.RemoteReadNs(32, 5)
 	if far <= near {
@@ -67,7 +49,7 @@ func TestNewNodePanics(t *testing.T) {
 }
 
 func TestRingHops(t *testing.T) {
-	f, err := NewFabric(Ring, 8, Default())
+	f, err := NewFabric(Ring, 8, paperNode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +70,7 @@ func TestRingHops(t *testing.T) {
 }
 
 func TestTorusHops(t *testing.T) {
-	f, err := NewFabric(Torus2D, 16, Default()) // 4x4
+	f, err := NewFabric(Torus2D, 16, paperNode()) // 4x4
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +91,7 @@ func TestTorusHops(t *testing.T) {
 }
 
 func TestBisectionGrowsWithMachine(t *testing.T) {
-	rows, err := ScalingStudy(Torus2D, []int{4, 16, 64, 256}, Default())
+	rows, err := ScalingStudy(Torus2D, []int{4, 16, 64, 256}, paperNode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,11 +109,28 @@ func TestBisectionGrowsWithMachine(t *testing.T) {
 	}
 }
 
+// TestFabricStripesOverNodeLinks: the fabric's remote latency follows
+// the link count of its nodes, not a fixed four.
+func TestFabricStripesOverNodeLinks(t *testing.T) {
+	four, err := NewFabric(Torus2D, 16, paperNode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	two, err := NewFabric(Torus2D, 16, NewNode(2, Default()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if two.RemoteLatencyNs() <= four.RemoteLatencyNs() {
+		t.Errorf("2-link remote read %.1f ns, want slower than 4-link %.1f ns",
+			two.RemoteLatencyNs(), four.RemoteLatencyNs())
+	}
+}
+
 func TestFabricErrors(t *testing.T) {
-	if _, err := NewFabric(Ring, 1, Default()); err == nil {
+	if _, err := NewFabric(Ring, 1, paperNode()); err == nil {
 		t.Error("1-node fabric accepted")
 	}
-	if _, err := NewFabric(Torus2D, 7, Default()); err == nil {
+	if _, err := NewFabric(Torus2D, 7, paperNode()); err == nil {
 		t.Error("non-tiling torus accepted")
 	}
 }
@@ -154,7 +153,7 @@ func TestMeanHopsMatchesPairwise(t *testing.T) {
 		{Torus2D, 4}, {Torus2D, 16}, {Torus2D, 12}, {Torus2D, 64}, {Torus2D, 256},
 	}
 	for _, c := range cases {
-		f, err := NewFabric(c.topo, c.nodes, Default())
+		f, err := NewFabric(c.topo, c.nodes, paperNode())
 		if err != nil {
 			t.Fatalf("%v/%d: %v", c.topo, c.nodes, err)
 		}

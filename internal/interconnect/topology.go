@@ -38,17 +38,19 @@ func (t Topology) String() string {
 type Fabric struct {
 	Topo  Topology
 	Nodes int
-	Link  LinkParams
+	// PE is every node's link interface.
+	PE *Node
 	// Cols is the torus width (≈ √Nodes, chosen automatically).
 	Cols int
 }
 
-// NewFabric lays out n nodes on the topology.
-func NewFabric(t Topology, n int, link LinkParams) (*Fabric, error) {
+// NewFabric lays out n nodes, each with the link interface pe, on the
+// topology.
+func NewFabric(t Topology, n int, pe *Node) (*Fabric, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("interconnect: a fabric needs at least 2 nodes")
 	}
-	f := &Fabric{Topo: t, Nodes: n, Link: link}
+	f := &Fabric{Topo: t, Nodes: n, PE: pe}
 	if t == Torus2D {
 		f.Cols = int(math.Round(math.Sqrt(float64(n))))
 		if f.Cols < 2 {
@@ -143,15 +145,14 @@ func (f *Fabric) BisectionLinks() int {
 
 // BisectionBytesPerSec returns the usable bisection bandwidth.
 func (f *Fabric) BisectionBytesPerSec() float64 {
-	return float64(f.BisectionLinks()) * f.Link.GbitPerSec * 1e9 * f.Link.Efficiency / 8
+	return float64(f.BisectionLinks()) * f.PE.Params.GbitPerSec * 1e9 * f.PE.Params.Efficiency / 8
 }
 
 // RemoteLatencyNs estimates the average remote read latency for a
 // 32-byte coherence block across the fabric, using the per-node
 // striped-link model of RemoteReadNs.
 func (f *Fabric) RemoteLatencyNs() float64 {
-	n := NewNode(4, f.Link)
-	return n.RemoteReadNs(32, int(math.Ceil(f.MeanHops())))
+	return f.PE.RemoteReadNs(32, int(math.Ceil(f.MeanHops())))
 }
 
 // ScalingRow is one machine size in a scaling study.
@@ -164,12 +165,13 @@ type ScalingRow struct {
 	Within200ns  bool
 }
 
-// ScalingStudy evaluates the fabric across machine sizes (the paper's
-// Lego-block growth story: plug in more PEs, bandwidth grows).
-func ScalingStudy(t Topology, sizes []int, link LinkParams) ([]ScalingRow, error) {
+// ScalingStudy evaluates the fabric of pe nodes across machine sizes
+// (the paper's Lego-block growth story: plug in more PEs, bandwidth
+// grows).
+func ScalingStudy(t Topology, sizes []int, pe *Node) ([]ScalingRow, error) {
 	rows := make([]ScalingRow, 0, len(sizes))
 	for _, n := range sizes {
-		f, err := NewFabric(t, n, link)
+		f, err := NewFabric(t, n, pe)
 		if err != nil {
 			return nil, err
 		}
