@@ -134,19 +134,6 @@ func ConfigFor(d core.Device) SystemConfig {
 	return cfg
 }
 
-// Integrated returns the proposed device's configuration: 16 banks,
-// 30 ns (6-cycle) access, no L2, scoreboarding rate 1.
-func Integrated() SystemConfig {
-	return ConfigFor(core.Proposed())
-}
-
-// Reference returns the conventional validation system of Section 5.5:
-// 16 KB first-level caches, a 256 KB unified second-level cache at
-// 6 cycles, dual-banked main memory at 60 ns (12 cycles at 200 MHz).
-func Reference() SystemConfig {
-	return ConfigFor(core.Reference())
-}
-
 // Model is a built net for one (config, application) pair.
 type Model struct {
 	Cfg   SystemConfig

@@ -3,6 +3,8 @@ package cpumodel
 import (
 	"math"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // perfect returns rates for an application that never misses.
@@ -20,7 +22,7 @@ const testInstr = 20000
 // TestPerfectCachesCPIOne: with 100% hit rates the pipeline issues one
 // instruction per cycle, so the memory CPI component is ~0.
 func TestPerfectCachesCPIOne(t *testing.T) {
-	for _, cfg := range []SystemConfig{Integrated(), Reference()} {
+	for _, cfg := range []SystemConfig{ConfigFor(core.Proposed()), ConfigFor(core.Reference())} {
 		r, err := Evaluate(cfg, perfect(), testInstr, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.Name, err)
@@ -42,7 +44,7 @@ func TestIMissPenalty(t *testing.T) {
 	app.LoadFrac, app.StoreFrac = 0, 0
 	app.IHit = 0
 	app.IL2Hit = 0
-	cfg := Integrated()
+	cfg := ConfigFor(core.Proposed())
 	r, err := Evaluate(cfg, app, testInstr, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +62,7 @@ func TestIMissPenalty(t *testing.T) {
 func TestLoadMissStallNoScoreboard(t *testing.T) {
 	app := perfect()
 	app.LoadHit = 0.5
-	cfg := Integrated()
+	cfg := ConfigFor(core.Proposed())
 	cfg.ScoreboardRate = 0 // stall immediately
 	r, err := Evaluate(cfg, app, testInstr, 3)
 	if err != nil {
@@ -78,8 +80,8 @@ func TestLoadMissStallNoScoreboard(t *testing.T) {
 func TestScoreboardingHidesLatency(t *testing.T) {
 	app := perfect()
 	app.LoadHit = 0.5
-	with := Integrated()
-	without := Integrated()
+	with := ConfigFor(core.Proposed())
+	without := ConfigFor(core.Proposed())
 	without.ScoreboardRate = 0
 	rw, err := Evaluate(with, app, testInstr, 4)
 	if err != nil {
@@ -104,7 +106,7 @@ func TestL2ReducesPenalty(t *testing.T) {
 	app := perfect()
 	app.LoadHit = 0.7
 	app.LoadL2Hit = 0.0
-	cfg := Reference()
+	cfg := ConfigFor(core.Reference())
 	rNoL2, err := Evaluate(cfg, app, testInstr, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +129,7 @@ func TestMissRateMonotonicity(t *testing.T) {
 		app := perfect()
 		app.LoadHit = hit
 		app.StoreHit = hit
-		r, err := Evaluate(Integrated(), app, testInstr, 6)
+		r, err := Evaluate(ConfigFor(core.Proposed()), app, testInstr, 6)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +149,7 @@ func TestBankUtilizationLowForRealisticRates(t *testing.T) {
 		LoadFrac: 0.23, StoreFrac: 0.09,
 		IHit: 0.985, LoadHit: 0.97, StoreHit: 0.97,
 	}
-	r, err := Evaluate(Integrated(), app, testInstr, 7)
+	r, err := Evaluate(ConfigFor(core.Proposed()), app, testInstr, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,8 +164,8 @@ func TestFewerBanksMoreContention(t *testing.T) {
 	app := perfect()
 	app.IHit = 0.7
 	app.LoadHit = 0.5
-	cfg16 := Integrated()
-	cfg2 := Integrated()
+	cfg16 := ConfigFor(core.Proposed())
+	cfg2 := ConfigFor(core.Proposed())
 	cfg2.Banks = 2
 	r16, err := Evaluate(cfg16, app, testInstr, 8)
 	if err != nil {
@@ -213,11 +215,11 @@ func TestStoresDoNotStall(t *testing.T) {
 	stApp := perfect()
 	stApp.LoadFrac, stApp.StoreFrac = 0.0, 0.25
 	stApp.StoreHit = 0.6
-	rl, err := Evaluate(Integrated(), ldApp, testInstr, 9)
+	rl, err := Evaluate(ConfigFor(core.Proposed()), ldApp, testInstr, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := Evaluate(Integrated(), stApp, testInstr, 9)
+	rs, err := Evaluate(ConfigFor(core.Proposed()), stApp, testInstr, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,11 +234,11 @@ func TestReproducible(t *testing.T) {
 	app := perfect()
 	app.LoadHit = 0.9
 	app.IHit = 0.95
-	r1, err := Evaluate(Integrated(), app, testInstr, 42)
+	r1, err := Evaluate(ConfigFor(core.Proposed()), app, testInstr, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Evaluate(Integrated(), app, testInstr, 42)
+	r2, err := Evaluate(ConfigFor(core.Proposed()), app, testInstr, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,11 +251,11 @@ func TestReproducible(t *testing.T) {
 // 16 bank subnets and no L2 plumbing; the reference adds the grey
 // components (L2 paths and the shared port) with only 2 banks.
 func TestNetShape(t *testing.T) {
-	integ, err := Build(Integrated(), perfect())
+	integ, err := Build(ConfigFor(core.Proposed()), perfect())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := Build(Reference(), perfect())
+	ref, err := Build(ConfigFor(core.Reference()), perfect())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,8 +294,8 @@ func TestAnalyticAgreesWithGSPN(t *testing.T) {
 			IHit: 0.97, LoadHit: 0.92, StoreHit: 0.95},
 	}
 	for _, app := range apps {
-		want := AnalyticMemCPI(Integrated(), app)
-		r, err := Evaluate(Integrated(), app, 40_000, 11)
+		want := AnalyticMemCPI(ConfigFor(core.Proposed()), app)
+		r, err := Evaluate(ConfigFor(core.Proposed()), app, 40_000, 11)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -315,8 +317,8 @@ func TestEnsembleNoise(t *testing.T) {
 		LoadFrac: 0.23, StoreFrac: 0.09,
 		IHit: 0.985, LoadHit: 0.97, StoreHit: 0.97,
 	}
-	cfg16 := Integrated()
-	cfg4 := Integrated()
+	cfg16 := ConfigFor(core.Proposed())
+	cfg4 := ConfigFor(core.Proposed())
 	cfg4.Banks = 4
 	e16, err := EvaluateN(cfg16, app, 15_000, 5)
 	if err != nil {
@@ -331,7 +333,7 @@ func TestEnsembleNoise(t *testing.T) {
 			e4.MemCPI.Mean(), e4.MemCPI.CI95(), e16.MemCPI.Mean(), e16.MemCPI.CI95())
 	}
 	// A much slower memory is NOT within noise.
-	slow := Integrated()
+	slow := ConfigFor(core.Proposed())
 	slow.MemCycles = 30
 	eSlow, err := EvaluateN(slow, app, 15_000, 5)
 	if err != nil {

@@ -25,6 +25,23 @@ import (
 // one code-heavy integer benchmark, one random-access benchmark.
 var ablationBenches = []string{"104.hydro2d", "101.tomcatv", "126.gcc", "129.compress"}
 
+// pivot groups per-benchmark rows for an ablation table: the
+// benchmarks in order of first appearance, and each benchmark's values
+// by column. cell splits one row into its benchmark, column and value.
+func pivot[R any, K comparable, V any](rows []R, cell func(R) (string, K, V)) ([]string, map[string]map[K]V) {
+	var benches []string
+	by := map[string]map[K]V{}
+	for _, row := range rows {
+		b, k, v := cell(row)
+		if by[b] == nil {
+			by[b] = map[K]V{}
+			benches = append(benches, b)
+		}
+		by[b][k] = v
+	}
+	return benches, by
+}
+
 // LineSizeRow is one (benchmark, line size) data-cache measurement.
 type LineSizeRow struct {
 	Bench     string
@@ -90,16 +107,10 @@ func ablateLineSizeBench(o Options, name string) ([]LineSizeRow, error) {
 func (r *LineSizeResult) Table() *report.Table {
 	t := report.NewTable("Ablation: D-cache line size (16 KB, 2-way), miss rate %",
 		"benchmark", "32B", "64B", "128B", "256B", "512B", "1024B")
-	byBench := map[string]map[int]float64{}
-	var order []string
-	for _, row := range r.Rows {
-		if byBench[row.Bench] == nil {
-			byBench[row.Bench] = map[int]float64{}
-			order = append(order, row.Bench)
-		}
-		byBench[row.Bench][row.LineBytes] = row.MissPct
-	}
-	for _, b := range order {
+	benches, byBench := pivot(r.Rows, func(row LineSizeRow) (string, int, float64) {
+		return row.Bench, row.LineBytes, row.MissPct
+	})
+	for _, b := range benches {
 		m := byBench[b]
 		t.Row(b, pct(m[32]), pct(m[64]), pct(m[128]), pct(m[256]), pct(m[512]), pct(m[1024]))
 	}
@@ -184,16 +195,10 @@ func ablateVictimBench(o Options, name string) ([]VictimSizeRow, error) {
 func (r *VictimSizeResult) Table() *report.Table {
 	t := report.NewTable("Ablation: victim cache entries (paper: 16×32 B), miss rate %",
 		"benchmark", "none", "4", "8", "16", "32", "64")
-	byBench := map[string]map[int]float64{}
-	var order []string
-	for _, row := range r.Rows {
-		if byBench[row.Bench] == nil {
-			byBench[row.Bench] = map[int]float64{}
-			order = append(order, row.Bench)
-		}
-		byBench[row.Bench][row.Entries] = row.MissPct
-	}
-	for _, b := range order {
+	benches, byBench := pivot(r.Rows, func(row VictimSizeRow) (string, int, float64) {
+		return row.Bench, row.Entries, row.MissPct
+	})
+	for _, b := range benches {
 		m := byBench[b]
 		t.Row(b, pct(m[0]), pct(m[4]), pct(m[8]), pct(m[16]), pct(m[32]), pct(m[64]))
 	}
@@ -285,16 +290,10 @@ func (r *UnitResult) Table() *report.Table {
 	t := report.NewTable(
 		fmt.Sprintf("Ablation: coherence unit size (integrated+victim, %d procs), cycles", r.Procs),
 		"benchmark", "32B unit", "128B unit", "512B unit", "512B/32B")
-	byBench := map[string]map[uint64]uint64{}
-	var order []string
-	for _, row := range r.Rows {
-		if byBench[row.Bench] == nil {
-			byBench[row.Bench] = map[uint64]uint64{}
-			order = append(order, row.Bench)
-		}
-		byBench[row.Bench][row.UnitBytes] = row.Cycles
-	}
-	for _, b := range order {
+	benches, byBench := pivot(r.Rows, func(row UnitRow) (string, uint64, uint64) {
+		return row.Bench, row.UnitBytes, row.Cycles
+	})
+	for _, b := range benches {
 		m := byBench[b]
 		ratio := float64(m[512]) / float64(m[32])
 		t.Row(b, m[32], m[128], m[512], fmt.Sprintf("%.2fx", ratio))

@@ -36,12 +36,6 @@ func TestConfigEquivalence(t *testing.T) {
 	if got := cpumodel.ConfigFor(ref); got != wantRef {
 		t.Errorf("ConfigFor(Reference) = %+v, want pre-refactor literals %+v", got, wantRef)
 	}
-	if got := cpumodel.Integrated(); got != wantInt {
-		t.Errorf("cpumodel.Integrated() = %+v, want %+v", got, wantInt)
-	}
-	if got := cpumodel.Reference(); got != wantRef {
-		t.Errorf("cpumodel.Reference() = %+v, want %+v", got, wantRef)
-	}
 
 	// Multiprocessor latencies (Table 6) and synchronisation costs.
 	wantLat := coherence.Latencies{

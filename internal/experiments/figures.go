@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/cpumodel"
 	"repro/internal/memsys"
 	"repro/internal/paperref"
@@ -65,7 +66,7 @@ func fig11Bench(o Options, ms *MeasurementSet, name string) ([]LatencyPoint, err
 	var points []LatencyPoint
 	for _, slc := range slcLats {
 		for _, mem := range memLats {
-			cfg := cpumodel.Reference()
+			cfg := cpumodel.ConfigFor(core.Reference())
 			cfg.L2Cycles = slc
 			cfg.MemCycles = mem
 			cfg.PrechargeCycles = mem / 2
@@ -209,7 +210,7 @@ func bankRow(o Options, ms *MeasurementSet, name string, integrated bool, banks 
 		cfg = cpumodel.ConfigFor(o.Device())
 		rates = m.Rates(true, true)
 	} else {
-		cfg = cpumodel.Reference()
+		cfg = cpumodel.ConfigFor(core.Reference())
 		rates = m.Rates(false, false)
 	}
 	cfg.Banks = banks

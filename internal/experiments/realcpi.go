@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/cpumodel"
 	"repro/internal/report"
 	"repro/internal/sweep"
@@ -59,7 +60,7 @@ func realCPIRow(o Options, ms *MeasurementSet, w workload.Workload) (RealCPIRow,
 		return RealCPIRow{}, err
 	}
 	refRates := m.Rates(false, false)
-	refRes, err := cpumodel.Evaluate(cpumodel.Reference(), refRates, o.GSPNInstr, o.Seed)
+	refRes, err := cpumodel.Evaluate(cpumodel.ConfigFor(core.Reference()), refRates, o.GSPNInstr, o.Seed)
 	if err != nil {
 		return RealCPIRow{}, err
 	}

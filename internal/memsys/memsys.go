@@ -164,10 +164,6 @@ func SpecFor(d core.Device) Spec {
 // IntegratedFrom builds the hierarchy model of a device specification.
 func IntegratedFrom(d core.Device) *Hierarchy { return SpecFor(d).Build() }
 
-// Integrated models the proposed processor/memory device: column-buffer
-// "cache" at 5 ns in front of a 30 ns DRAM array.
-func Integrated() *Hierarchy { return IntegratedFrom(core.Proposed()) }
-
 // Instrument publishes the hierarchy's per-level hit counts, prefetch
 // and memory access counts, and its access latency distribution into
 // reg's "cache" family (metric names are prefixed with the hierarchy

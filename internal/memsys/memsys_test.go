@@ -3,6 +3,7 @@ package memsys
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -62,7 +63,7 @@ func TestFigure2Crossover(t *testing.T) {
 }
 
 func TestIntegratedLatencyFlat(t *testing.T) {
-	h := Integrated()
+	h := IntegratedFrom(core.Proposed())
 	small := h.Walk(64<<10, 512).AvgNs
 	big := h.Walk(16<<20, 512).AvgNs
 	if big > 31 {

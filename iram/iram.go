@@ -148,7 +148,7 @@ func Run(p *Program, cfg RunConfig) (*RunStats, error) {
 		LoadHit:   1 - vicD.Load.Rate(),
 		StoreHit:  1 - vicD.Store.Rate(),
 	}
-	r, err := cpumodel.Evaluate(cpumodel.Integrated(), rates, cfg.GSPNInstructions, cfg.Seed)
+	r, err := cpumodel.Evaluate(cpumodel.ConfigFor(core.Proposed()), rates, cfg.GSPNInstructions, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
