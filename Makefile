@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-figures bench-baseline bench-check bench-check-ci fuzz trace-cache result-cache cache-gc loadtest vet lint results quick-results results-check clean
+.PHONY: all build test race bench bench-figures bench-baseline bench-check bench-check-ci fuzz trace-cache result-cache cache-gc loadtest vet lint loc results quick-results results-check clean
 
 all: build vet test
 
@@ -22,6 +22,13 @@ lint:
 
 test:
 	$(GO) test ./...
+
+# Go source lines outside the benchmark module, non-test and test: the
+# code size ROADMAP.md tracks from change to change.
+GO_SOURCES = find . \( -path ./bench -o -path './.*' \) -prune -o -name '*.go'
+loc:
+	@echo "non-test Go lines: $$($(GO_SOURCES) ! -name '*_test.go' -print | xargs cat | wc -l)"
+	@echo "test Go lines:     $$($(GO_SOURCES) -name '*_test.go' -print | xargs cat | wc -l)"
 
 # Full suite under the race detector (exercises the sweep engine, the
 # single-flight measurement cache, and the mpsim coordinator).
