@@ -1,10 +1,14 @@
 package main
 
 import (
+	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/workload"
 )
 
 func TestParseCacheSpec(t *testing.T) {
@@ -132,19 +136,19 @@ func TestCmdDisRoundTrip(t *testing.T) {
 		t.Fatalf("build: %v", err)
 	}
 	recovered := filepath.Join(dir, "recovered.s")
-	if err := cmdDis([]string{"-roundtrip", "-o", recovered, img}); err != nil {
+	if err := cmdDis([]string{"-roundtrip", "-o", recovered, img}, io.Discard); err != nil {
 		t.Fatalf("dis image: %v", err)
 	}
-	if err := cmdDis([]string{"-roundtrip", path}); err != nil {
+	if err := cmdDis([]string{"-roundtrip", path}, io.Discard); err != nil {
 		t.Fatalf("dis source: %v", err)
 	}
 	if err := cmdRun([]string{recovered}); err != nil {
 		t.Fatalf("run recovered assembly: %v", err)
 	}
-	if err := cmdDis([]string{}); err == nil {
+	if err := cmdDis([]string{}, io.Discard); err == nil {
 		t.Error("dis without file accepted")
 	}
-	if err := cmdDis([]string{"/nonexistent.img"}); err == nil {
+	if err := cmdDis([]string{"/nonexistent.img"}, io.Discard); err == nil {
 		t.Error("dis of missing file accepted")
 	}
 }
@@ -163,5 +167,68 @@ func TestCmdBuildAndRunImage(t *testing.T) {
 	}
 	if err := cmdBuild([]string{path}); err == nil {
 		t.Error("build without -o accepted")
+	}
+}
+
+func TestRunWorkloadRoundTrip(t *testing.T) {
+	var out bytes.Buffer
+	if err := cmdDis([]string{"-roundtrip", "-workload", "hashjoin"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "main:") {
+		t.Errorf("disassembly missing main label:\n%.400s", out.String())
+	}
+}
+
+func TestRunList(t *testing.T) {
+	var out bytes.Buffer
+	if err := cmdDis([]string{"-list"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	names := strings.Fields(out.String())
+	if len(names) != len(workload.All()) {
+		t.Errorf("-list printed %d names, want %d", len(names), len(workload.All()))
+	}
+}
+
+func TestRunFileAndOutput(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join(dir, "demo.s")
+	if err := os.WriteFile(src, []byte("main:\tli r1, 42\n\thalt\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "demo.dis.s")
+	var stdout bytes.Buffer
+	if err := cmdDis([]string{"-roundtrip", "-o", out, src}, &stdout); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(b), "addi r1, r0, 42") {
+		t.Errorf("unexpected disassembly:\n%s", b)
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("-o also wrote %d bytes to stdout", stdout.Len())
+	}
+}
+
+func TestRunErrors(t *testing.T) {
+	var out bytes.Buffer
+	if err := cmdDis(nil, &out); err == nil {
+		t.Error("no arguments accepted")
+	}
+	if err := cmdDis([]string{"-workload", "nonesuch"}, &out); err == nil {
+		t.Error("unknown workload accepted")
+	}
+	if err := cmdDis([]string{"-workload", "gemm", "extra.s"}, &out); err == nil {
+		t.Error("-workload with a file argument accepted")
+	}
+	if err := cmdDis([]string{"/nonexistent.img"}, &out); err == nil {
+		t.Error("missing file accepted")
+	}
+	if err := cmdDis([]string{"-nosuchflag"}, &out); err == nil {
+		t.Error("unknown flag accepted")
 	}
 }

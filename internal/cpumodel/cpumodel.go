@@ -136,20 +136,16 @@ func ConfigFor(d core.Device) SystemConfig {
 
 // Model is a built net for one (config, application) pair.
 type Model struct {
-	Cfg   SystemConfig
-	App   AppRates
-	net   *gspn.Net
-	ids   ids
-	banks int
+	Cfg SystemConfig
+	App AppRates
+	net *gspn.Net
+	ids ids
 }
 
 // ids collects the node handles needed for observation.
 type ids struct {
 	tIssue    gspn.TransID
 	pBankFree []gspn.PlaceID
-	pRun      gspn.PlaceID
-	pLSU      gspn.PlaceID
-	pStalled  gspn.PlaceID
 }
 
 // Build constructs the GSPN for the configuration and application.
@@ -160,7 +156,7 @@ func Build(cfg SystemConfig, app AppRates) (*Model, error) {
 	if cfg.Banks < 1 {
 		return nil, fmt.Errorf("cpumodel: config %s: need at least one bank", cfg.Name)
 	}
-	m := &Model{Cfg: cfg, App: app, banks: cfg.Banks}
+	m := &Model{Cfg: cfg, App: app}
 	m.net, m.ids = buildNet(cfg, app)
 	return m, nil
 }
@@ -185,10 +181,10 @@ func buildNet(cfg SystemConfig, app AppRates) (*gspn.Net, ids) {
 	pFetchReq := n.Place("fetchReq", 1) // need to fetch next instruction
 	pInstr := n.Place("instrReady", 0)  // P1: loaded instruction
 	pDecide := n.Place("decide", 0)     // P7: issued instruction to classify
-	id.pRun = n.Place("run", 1)         // absent while the CPU is stalled
-	id.pLSU = n.Place("lsuFree", 1)     // P10: one outstanding mem op
+	pRun := n.Place("run", 1)           // absent while the CPU is stalled
+	pLSU := n.Place("lsuFree", 1)       // P10: one outstanding mem op
 	pLdOut := n.Place("loadOutstanding", 0)
-	id.pStalled = n.Place("stalled", 0)
+	pStalled := n.Place("stalled", 0)
 	pLdComplete := n.Place("loadComplete", 0)
 
 	// L2 port (P6): mutual exclusion between instruction and data
@@ -207,9 +203,10 @@ func buildNet(cfg SystemConfig, app AppRates) (*gspn.Net, ids) {
 		id.pBankFree[b] = n.Place(fmt.Sprintf("bank%dFree", b), 1)
 	}
 
-	// bankPath wires "req place -> banks -> done place" and returns it.
-	// kindTag distinguishes instruction/load/store plumbing.
-	bankPath := func(kindTag string, pReq, pDone gspn.PlaceID, holdPort bool) {
+	// bankPath wires "req place -> banks -> done place". kindTag
+	// distinguishes instruction/load/store plumbing. With an L2 the
+	// access also holds the shared port.
+	bankPath := func(kindTag string, pReq, pDone gspn.PlaceID) {
 		for b := 0; b < cfg.Banks; b++ {
 			pQ := n.Place(fmt.Sprintf("%sQ%d", kindTag, b), 0)
 			pSvc := n.Place(fmt.Sprintf("%sSvc%d", kindTag, b), 0)
@@ -222,7 +219,7 @@ func buildNet(cfg SystemConfig, app AppRates) (*gspn.Net, ids) {
 			tStart := n.Immediate(fmt.Sprintf("%sStart%d", kindTag, b), 1, 0)
 			n.In(tStart, pQ, 1)
 			n.In(tStart, id.pBankFree[b], 1)
-			if holdPort {
+			if cfg.HasL2 {
 				n.In(tStart, pL2Port, 1)
 			}
 			n.Out(tStart, pSvc, 1)
@@ -231,7 +228,7 @@ func buildNet(cfg SystemConfig, app AppRates) (*gspn.Net, ids) {
 			n.In(tAcc, pSvc, 1)
 			n.Out(tAcc, pDone, 1)
 			n.Out(tAcc, pPre, 1)
-			if holdPort {
+			if cfg.HasL2 {
 				n.Out(tAcc, pL2Port, 1)
 			}
 
@@ -241,17 +238,39 @@ func buildNet(cfg SystemConfig, app AppRates) (*gspn.Net, ids) {
 		}
 	}
 
-	// l2Path wires "req -> L2 (holding the port) -> done".
-	l2Path := func(kindTag string, pReq, pDone gspn.PlaceID) {
-		pSvc := n.Place(kindTag+"L2Svc", 0)
-		tStart := n.Immediate(kindTag+"L2Start", 1, 0)
-		n.In(tStart, pReq, 1)
-		n.In(tStart, pL2Port, 1)
-		n.Out(tStart, pSvc, 1)
-		tEnd := n.Timed(kindTag+"L2Acc", cfg.L2Cycles)
-		n.In(tEnd, pSvc, 1)
-		n.Out(tEnd, pDone, 1)
-		n.Out(tEnd, pL2Port, 1)
+	// missPath wires one reference kind's first-level misses from pIss
+	// to pDone. With an L2, the l2T transition takes the conditional L2
+	// hits through the shared port; the memT transition sends the rest
+	// to the banks. Each of the two also puts a token in every place of
+	// also. reqTag names the request places, kindTag the L2 and bank
+	// plumbing.
+	missPath := func(reqTag, kindTag, l2T, memT string, pIss, pDone gspn.PlaceID, hit, l2Hit float64, also ...gspn.PlaceID) {
+		route := func(name string, weight float64, pReq gspn.PlaceID) {
+			t := n.Immediate(name, wf(weight), 0)
+			n.In(t, pIss, 1)
+			n.Out(t, pReq, 1)
+			for _, p := range also {
+				n.Out(t, p, 1)
+			}
+		}
+		toMem := 1 - hit
+		if cfg.HasL2 {
+			pL2Req := n.Place(reqTag+"L2Req", 0)
+			route(l2T, toMem*l2Hit, pL2Req)
+			pSvc := n.Place(kindTag+"L2Svc", 0)
+			tStart := n.Immediate(kindTag+"L2Start", 1, 0)
+			n.In(tStart, pL2Req, 1)
+			n.In(tStart, pL2Port, 1)
+			n.Out(tStart, pSvc, 1)
+			tEnd := n.Timed(kindTag+"L2Acc", cfg.L2Cycles)
+			n.In(tEnd, pSvc, 1)
+			n.Out(tEnd, pDone, 1)
+			n.Out(tEnd, pL2Port, 1)
+			toMem *= 1 - l2Hit
+		}
+		pMemReq := n.Place(reqTag+"MemReq", 0)
+		route(memT, toMem, pMemReq)
+		bankPath(kindTag, pMemReq, pDone)
 	}
 
 	// ----- instruction fetch (top of Figure 10) -----
@@ -260,34 +279,16 @@ func buildNet(cfg SystemConfig, app AppRates) (*gspn.Net, ids) {
 	n.In(tIHit, pFetchReq, 1)
 	n.Out(tIHit, pInstr, 1)
 
-	if cfg.HasL2 {
-		// T3: second-level hit; T4: fill from memory.
-		pIL2Req := n.Place("iL2Req", 0)
-		tIL2 := n.Immediate("T3_il2", wf((1-app.IHit)*app.IL2Hit), 0)
-		n.In(tIL2, pFetchReq, 1)
-		n.Out(tIL2, pIL2Req, 1)
-		l2Path("ifetch", pIL2Req, pInstr)
-
-		pIMemReq := n.Place("iMemReq", 0)
-		tIMem := n.Immediate("T4_imem", wf((1-app.IHit)*(1-app.IL2Hit)), 0)
-		n.In(tIMem, pFetchReq, 1)
-		n.Out(tIMem, pIMemReq, 1)
-		bankPath("ifetch", pIMemReq, pInstr, true)
-	} else {
-		pIMemReq := n.Place("iMemReq", 0)
-		tIMem := n.Immediate("T4_imem", wf(1-app.IHit), 0)
-		n.In(tIMem, pFetchReq, 1)
-		n.Out(tIMem, pIMemReq, 1)
-		bankPath("ifetch", pIMemReq, pInstr, false)
-	}
+	// T3: second-level hit; T4: fill from memory.
+	missPath("i", "ifetch", "T3_il2", "T4_imem", pFetchReq, pInstr, app.IHit, app.IL2Hit)
 
 	// ----- issue and classification -----
 	// T1: one instruction issues per cycle while the CPU is running.
 	id.tIssue = n.Timed("T1_issue", 1)
 	n.In(id.tIssue, pInstr, 1)
-	n.In(id.tIssue, id.pRun, 1)
+	n.In(id.tIssue, pRun, 1)
 	n.Out(id.tIssue, pDecide, 1)
-	n.Out(id.tIssue, id.pRun, 1)
+	n.Out(id.tIssue, pRun, 1)
 
 	// T7/T8/T9: non-memory / load / store. Fetching of the next
 	// instruction proceeds immediately in all three cases.
@@ -312,7 +313,7 @@ func buildNet(cfg SystemConfig, app AppRates) (*gspn.Net, ids) {
 	pLdIss := n.Place("ldIssued", 0)
 	tLdIssue := n.Immediate("ldIssue", 1, 0)
 	n.In(tLdIssue, pLdReq, 1)
-	n.In(tLdIssue, id.pLSU, 1)
+	n.In(tLdIssue, pLSU, 1)
 	n.Out(tLdIssue, pLdIss, 1)
 
 	// T14: data cache hit — completes in one cycle, LSU released, no
@@ -323,64 +324,40 @@ func buildNet(cfg SystemConfig, app AppRates) (*gspn.Net, ids) {
 	n.Out(tLdHit, pLdFast, 1)
 	tLdFastDone := n.Timed("ldHitDone", 1)
 	n.In(tLdFastDone, pLdFast, 1)
-	n.Out(tLdFastDone, id.pLSU, 1)
+	n.Out(tLdFastDone, pLSU, 1)
 
-	if cfg.HasL2 {
-		// T15: SLC hit.
-		pLdL2Req := n.Place("ldL2Req", 0)
-		tLdL2 := n.Immediate("T15_dl2", wf((1-app.LoadHit)*app.LoadL2Hit), 0)
-		n.In(tLdL2, pLdIss, 1)
-		n.Out(tLdL2, pLdL2Req, 1)
-		n.Out(tLdL2, pLdOut, 1)
-		l2Path("ld", pLdL2Req, pLdComplete)
-
-		// T12: main memory reference.
-		pLdMemReq := n.Place("ldMemReq", 0)
-		tLdMem := n.Immediate("T12_dmem", wf((1-app.LoadHit)*(1-app.LoadL2Hit)), 0)
-		n.In(tLdMem, pLdIss, 1)
-		n.Out(tLdMem, pLdMemReq, 1)
-		n.Out(tLdMem, pLdOut, 1)
-		bankPath("ld", pLdMemReq, pLdComplete, true)
-	} else {
-		pLdMemReq := n.Place("ldMemReq", 0)
-		tLdMem := n.Immediate("T12_dmem", wf(1-app.LoadHit), 0)
-		n.In(tLdMem, pLdIss, 1)
-		n.Out(tLdMem, pLdMemReq, 1)
-		n.Out(tLdMem, pLdOut, 1)
-		bankPath("ld", pLdMemReq, pLdComplete, false)
-	}
+	// T15: SLC hit; T12: main memory reference. Either leaves the load
+	// outstanding until it completes.
+	missPath("ld", "ld", "T15_dl2", "T12_dmem", pLdIss, pLdComplete, app.LoadHit, app.LoadL2Hit, pLdOut)
 
 	// Load completion: if the CPU is stalled waiting for this load,
 	// resume it (higher priority); otherwise just release the LSU.
 	tComplStalled := n.Immediate("ldComplStalled", 1, 2)
 	n.In(tComplStalled, pLdComplete, 1)
-	n.In(tComplStalled, id.pStalled, 1)
+	n.In(tComplStalled, pStalled, 1)
 	n.In(tComplStalled, pLdOut, 1)
-	n.Out(tComplStalled, id.pLSU, 1)
-	n.Out(tComplStalled, id.pRun, 1)
+	n.Out(tComplStalled, pLSU, 1)
+	n.Out(tComplStalled, pRun, 1)
 
 	tCompl := n.Immediate("ldCompl", 1, 1)
 	n.In(tCompl, pLdComplete, 1)
 	n.In(tCompl, pLdOut, 1)
-	n.Out(tCompl, id.pLSU, 1)
+	n.Out(tCompl, pLSU, 1)
 
 	// T23: scoreboard stall. While a load is outstanding the CPU keeps
 	// issuing until T23 fires (exponential, mean 1/rate instructions),
 	// then stalls until the load completes. Without scoreboarding the
 	// stall is immediate.
+	var tStall gspn.TransID
 	if cfg.ScoreboardRate > 0 {
-		tStall := n.Exponential("T23_stall", cfg.ScoreboardRate)
-		n.In(tStall, id.pRun, 1)
-		n.In(tStall, pLdOut, 1)
-		n.Out(tStall, id.pStalled, 1)
-		n.Out(tStall, pLdOut, 1)
+		tStall = n.Exponential("T23_stall", cfg.ScoreboardRate)
 	} else {
-		tStall := n.Immediate("T23_stall_now", 1, 0)
-		n.In(tStall, id.pRun, 1)
-		n.In(tStall, pLdOut, 1)
-		n.Out(tStall, id.pStalled, 1)
-		n.Out(tStall, pLdOut, 1)
+		tStall = n.Immediate("T23_stall_now", 1, 0)
 	}
+	n.In(tStall, pRun, 1)
+	n.In(tStall, pLdOut, 1)
+	n.Out(tStall, pStalled, 1)
+	n.Out(tStall, pLdOut, 1)
 
 	// ----- store path -----
 	// The store buffer postpones stores (P9 never stalls the CPU), but
@@ -388,7 +365,7 @@ func buildNet(cfg SystemConfig, app AppRates) (*gspn.Net, ids) {
 	pStIss := n.Place("stIssued", 0)
 	tStIssue := n.Immediate("stIssue", 1, 0)
 	n.In(tStIssue, pStReq, 1)
-	n.In(tStIssue, id.pLSU, 1)
+	n.In(tStIssue, pLSU, 1)
 	n.Out(tStIssue, pStIss, 1)
 
 	pStFast := n.Place("stFast", 0)
@@ -397,37 +374,21 @@ func buildNet(cfg SystemConfig, app AppRates) (*gspn.Net, ids) {
 	n.Out(tStHit, pStFast, 1)
 	tStFastDone := n.Timed("stHitDone", 1)
 	n.In(tStFastDone, pStFast, 1)
-	n.Out(tStFastDone, id.pLSU, 1)
+	n.Out(tStFastDone, pLSU, 1)
 
 	pStDone := n.Place("stDone", 0)
 	tStDrain := n.Immediate("stDrain", 1, 0)
 	n.In(tStDrain, pStDone, 1)
-	n.Out(tStDrain, id.pLSU, 1)
+	n.Out(tStDrain, pLSU, 1)
 
-	if cfg.HasL2 {
-		pStL2Req := n.Place("stL2Req", 0)
-		tStL2 := n.Immediate("T16_sl2", wf((1-app.StoreHit)*app.StoreL2Hit), 0)
-		n.In(tStL2, pStIss, 1)
-		n.Out(tStL2, pStL2Req, 1)
-		l2Path("st", pStL2Req, pStDone)
-
-		pStMemReq := n.Place("stMemReq", 0)
-		tStMem := n.Immediate("T17_smem", wf((1-app.StoreHit)*(1-app.StoreL2Hit)), 0)
-		n.In(tStMem, pStIss, 1)
-		n.Out(tStMem, pStMemReq, 1)
-		bankPath("st", pStMemReq, pStDone, true)
-	} else {
-		pStMemReq := n.Place("stMemReq", 0)
-		tStMem := n.Immediate("T17_smem", wf(1-app.StoreHit), 0)
-		n.In(tStMem, pStIss, 1)
-		n.Out(tStMem, pStMemReq, 1)
-		bankPath("st", pStMemReq, pStDone, false)
-	}
+	// T16: SLC hit; T17: main memory reference.
+	missPath("st", "st", "T16_sl2", "T17_smem", pStIss, pStDone, app.StoreHit, app.StoreL2Hit)
 
 	return n, id
 }
 
-// Result is one Monte-Carlo evaluation of a model.
+// Result is a Monte-Carlo evaluation of a model: each field's mean
+// over the seeds, and the memory CPI's confidence interval.
 type Result struct {
 	// MemCPI is the memory-system CPI component: cycles per instruction
 	// beyond the single issue cycle.
@@ -437,16 +398,15 @@ type Result struct {
 	TotalCPI float64
 	// BankUtilization is the mean busy fraction across banks.
 	BankUtilization float64
-	// StallFrac is the fraction of time the CPU was scoreboard-stalled.
-	StallFrac float64
-	// LSUBusyFrac is the fraction of time the load/store unit was busy.
-	LSUBusyFrac float64
-	// Instructions actually simulated.
-	Instructions int64
+	// MemCPICI95 is the ~95% confidence half-width of MemCPI across the
+	// seeds, so "differences below the error limits of the simulation"
+	// (Section 5.6) is a measurable statement. It is 0 for one seed.
+	MemCPICI95 float64
 }
 
-// Run evaluates the model for the given number of instructions.
-func (m *Model) Run(instructions int64, seed int64) (Result, error) {
+// run evaluates the model for one seed and the given number of
+// instructions.
+func (m *Model) run(instructions int64, seed int64) (Result, error) {
 	if instructions < 1 {
 		return Result{}, fmt.Errorf("cpumodel: need a positive instruction count")
 	}
@@ -464,19 +424,47 @@ func (m *Model) Run(instructions int64, seed int64) (Result, error) {
 		MemCPI:          netCPI - 1,
 		TotalCPI:        m.App.BaseCPI + netCPI - 1,
 		BankUtilization: 1 - freeSum/float64(len(m.ids.pBankFree)),
-		StallFrac:       sim.TimeAvgTokens(m.ids.pStalled),
-		LSUBusyFrac:     1 - sim.TimeAvgTokens(m.ids.pLSU),
-		Instructions:    instructions,
 	}, nil
 }
 
-// Evaluate is the one-call helper: build and run.
-func Evaluate(cfg SystemConfig, app AppRates, instructions, seed int64) (Result, error) {
+// Evaluate is the one way to run the GSPN: it builds the net once, runs
+// it for the given number of instructions once per seed, and returns
+// each field's mean over the seeds in seed order. One seed returns that
+// run's values exactly, with MemCPICI95 = 0.
+func Evaluate(cfg SystemConfig, app AppRates, instructions int64, seeds ...int64) (Result, error) {
+	if len(seeds) == 0 {
+		return Result{}, fmt.Errorf("cpumodel: need at least one seed")
+	}
 	m, err := Build(cfg, app)
 	if err != nil {
 		return Result{}, err
 	}
-	return m.Run(instructions, seed)
+	var mem, total, util stats.Running
+	for _, seed := range seeds {
+		r, err := m.run(instructions, seed)
+		if err != nil {
+			return Result{}, err
+		}
+		mem.Add(r.MemCPI)
+		total.Add(r.TotalCPI)
+		util.Add(r.BankUtilization)
+	}
+	return Result{
+		MemCPI:          mem.Mean(),
+		TotalCPI:        total.Mean(),
+		BankUtilization: util.Mean(),
+		MemCPICI95:      mem.CI95(),
+	}, nil
+}
+
+// WithinNoise reports whether two results' memory CPIs are
+// statistically indistinguishable at their combined 95% intervals.
+func WithinNoise(a, b Result) bool {
+	diff := a.MemCPI - b.MemCPI
+	if diff < 0 {
+		diff = -diff
+	}
+	return diff <= a.MemCPICI95+b.MemCPICI95
 }
 
 // NetShape describes the built GSPN's structure, for the Figure 9/10
@@ -492,7 +480,7 @@ type NetShape struct {
 
 // Shape returns the model's net structure.
 func (m *Model) Shape() NetShape {
-	sh := NetShape{Places: m.net.NumPlaces(), Banks: m.banks, HasL2: m.Cfg.HasL2}
+	sh := NetShape{Places: m.net.NumPlaces(), Banks: m.Cfg.Banks, HasL2: m.Cfg.HasL2}
 	for i := 0; i < m.net.NumTrans(); i++ {
 		switch m.net.TransKind(gspn.TransID(i)) {
 		case gspn.Immediate:
@@ -504,73 +492,4 @@ func (m *Model) Shape() NetShape {
 		}
 	}
 	return sh
-}
-
-// AnalyticMemCPI returns a closed-form first-order approximation of
-// the memory CPI component, ignoring bank contention and scoreboard
-// overlap:
-//
-//	CPI_mem ≈ missI·Tmem' + fL·missL·Tload' + (store drain stalls ≈ 0)
-//
-// where Tmem' folds the conditional L2 hit when present. It exists to
-// cross-validate the GSPN (see TestAnalyticAgreesWithGSPN): the Monte-
-// Carlo result must land near this value whenever contention is light,
-// and above it when contention matters.
-func AnalyticMemCPI(cfg SystemConfig, app AppRates) float64 {
-	memI := cfg.MemCycles
-	memD := cfg.MemCycles
-	if cfg.HasL2 {
-		memI = app.IL2Hit*cfg.L2Cycles + (1-app.IL2Hit)*(cfg.L2Cycles+cfg.MemCycles)
-		memD = app.LoadL2Hit*cfg.L2Cycles + (1-app.LoadL2Hit)*(cfg.L2Cycles+cfg.MemCycles)
-	}
-	overlap := 0.0
-	if cfg.ScoreboardRate > 0 {
-		overlap = 1 / cfg.ScoreboardRate // instructions issued under the miss
-	}
-	loadStall := memD - overlap
-	if loadStall < 0 {
-		loadStall = 0
-	}
-	return (1-app.IHit)*memI + app.LoadFrac*(1-app.LoadHit)*loadStall
-}
-
-// Ensemble is a multi-seed Monte-Carlo evaluation: the mean memory CPI
-// with a ~95% confidence half-width, so "differences below the error
-// limits of the simulation" (Section 5.6) is a measurable statement.
-type Ensemble struct {
-	MemCPI   stats.Running
-	TotalCPI stats.Running
-	BankUtil stats.Running
-}
-
-// EvaluateN runs the model across `seeds` independent seeds.
-func EvaluateN(cfg SystemConfig, app AppRates, instructions int64, seeds int) (*Ensemble, error) {
-	if seeds < 1 {
-		return nil, fmt.Errorf("cpumodel: need at least one seed")
-	}
-	m, err := Build(cfg, app)
-	if err != nil {
-		return nil, err
-	}
-	e := &Ensemble{}
-	for s := 0; s < seeds; s++ {
-		r, err := m.Run(instructions, int64(s+1))
-		if err != nil {
-			return nil, err
-		}
-		e.MemCPI.Add(r.MemCPI)
-		e.TotalCPI.Add(r.TotalCPI)
-		e.BankUtil.Add(r.BankUtilization)
-	}
-	return e, nil
-}
-
-// WithinNoise reports whether two ensembles' memory CPIs are
-// statistically indistinguishable at their combined 95% intervals.
-func WithinNoise(a, b *Ensemble) bool {
-	diff := a.MemCPI.Mean() - b.MemCPI.Mean()
-	if diff < 0 {
-		diff = -diff
-	}
-	return diff <= a.MemCPI.CI95()+b.MemCPI.CI95()
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/stats"
 )
 
 // perfect returns rates for an application that never misses.
@@ -14,6 +15,15 @@ func perfect() AppRates {
 		LoadFrac: 0.25, StoreFrac: 0.10,
 		IHit: 1, LoadHit: 1, StoreHit: 1,
 		IL2Hit: 1, LoadL2Hit: 1, StoreL2Hit: 1,
+	}
+}
+
+// gccLike is a realistic reference mix with light bank contention.
+func gccLike() AppRates {
+	return AppRates{
+		Name: "gcc-like", BaseCPI: 1.01,
+		LoadFrac: 0.23, StoreFrac: 0.09,
+		IHit: 0.985, LoadHit: 0.97, StoreHit: 0.97,
 	}
 }
 
@@ -144,12 +154,7 @@ func TestMissRateMonotonicity(t *testing.T) {
 // utilisation around 1–2% for gcc on 16 banks; a realistic miss mix
 // must give low utilisation here too.
 func TestBankUtilizationLowForRealisticRates(t *testing.T) {
-	app := AppRates{
-		Name: "gcc-like", BaseCPI: 1.01,
-		LoadFrac: 0.23, StoreFrac: 0.09,
-		IHit: 0.985, LoadHit: 0.97, StoreHit: 0.97,
-	}
-	r, err := Evaluate(ConfigFor(core.Proposed()), app, testInstr, 7)
+	r, err := Evaluate(ConfigFor(core.Proposed()), gccLike(), testInstr, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,6 +289,34 @@ func TestNetShape(t *testing.T) {
 	}
 }
 
+// analyticMemCPI returns a closed-form first-order approximation of
+// the memory CPI component, ignoring bank contention and scoreboard
+// overlap:
+//
+//	CPI_mem ≈ missI·Tmem' + fL·missL·Tload' + (store drain stalls ≈ 0)
+//
+// where Tmem' folds the conditional L2 hit when present. It is the
+// oracle for TestAnalyticAgreesWithGSPN: the Monte-Carlo result must
+// land near this value whenever contention is light, and above it when
+// contention matters.
+func analyticMemCPI(cfg SystemConfig, app AppRates) float64 {
+	memI := cfg.MemCycles
+	memD := cfg.MemCycles
+	if cfg.HasL2 {
+		memI = app.IL2Hit*cfg.L2Cycles + (1-app.IL2Hit)*(cfg.L2Cycles+cfg.MemCycles)
+		memD = app.LoadL2Hit*cfg.L2Cycles + (1-app.LoadL2Hit)*(cfg.L2Cycles+cfg.MemCycles)
+	}
+	overlap := 0.0
+	if cfg.ScoreboardRate > 0 {
+		overlap = 1 / cfg.ScoreboardRate // instructions issued under the miss
+	}
+	loadStall := memD - overlap
+	if loadStall < 0 {
+		loadStall = 0
+	}
+	return (1-app.IHit)*memI + app.LoadFrac*(1-app.LoadHit)*loadStall
+}
+
 // TestAnalyticAgreesWithGSPN cross-validates the Monte-Carlo model
 // against the closed-form first-order approximation at light load.
 func TestAnalyticAgreesWithGSPN(t *testing.T) {
@@ -294,7 +327,7 @@ func TestAnalyticAgreesWithGSPN(t *testing.T) {
 			IHit: 0.97, LoadHit: 0.92, StoreHit: 0.95},
 	}
 	for _, app := range apps {
-		want := AnalyticMemCPI(ConfigFor(core.Proposed()), app)
+		want := analyticMemCPI(ConfigFor(core.Proposed()), app)
 		r, err := Evaluate(ConfigFor(core.Proposed()), app, 40_000, 11)
 		if err != nil {
 			t.Fatal(err)
@@ -308,41 +341,78 @@ func TestAnalyticAgreesWithGSPN(t *testing.T) {
 	}
 }
 
+// TestEvaluateSeeds: an N-seed Evaluate is the running mean of N
+// one-seed calls, added in seed order, bit for bit; one seed carries no
+// interval; no seed is an error.
+func TestEvaluateSeeds(t *testing.T) {
+	cfg := ConfigFor(core.Proposed())
+	seeds := []int64{3, 1, 4, 5}
+	var mem, total, util stats.Running
+	for _, seed := range seeds {
+		r, err := Evaluate(cfg, gccLike(), 5000, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.MemCPICI95 != 0 {
+			t.Errorf("seed %d: one seed gives MemCPICI95 = %v, want 0", seed, r.MemCPICI95)
+		}
+		mem.Add(r.MemCPI)
+		total.Add(r.TotalCPI)
+		util.Add(r.BankUtilization)
+	}
+	got, err := Evaluate(cfg, gccLike(), 5000, seeds...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Result{
+		MemCPI:          mem.Mean(),
+		TotalCPI:        total.Mean(),
+		BankUtilization: util.Mean(),
+		MemCPICI95:      mem.CI95(),
+	}
+	if got != want {
+		t.Errorf("%d-seed Evaluate = %+v, want the running mean %+v", len(seeds), got, want)
+	}
+	if got.MemCPICI95 <= 0 {
+		t.Errorf("%d seeds give MemCPICI95 = %v, want > 0", len(seeds), got.MemCPICI95)
+	}
+	if _, err := Evaluate(cfg, gccLike(), 5000); err == nil {
+		t.Error("zero seeds accepted")
+	}
+}
+
 // TestEnsembleNoise: the §5.6 claim made measurable — bank-count CPI
 // differences for a realistic mix are within the ensembles' combined
 // 95% intervals, while a genuinely different configuration is not.
 func TestEnsembleNoise(t *testing.T) {
-	app := AppRates{
-		Name: "gcc-like", BaseCPI: 1.01,
-		LoadFrac: 0.23, StoreFrac: 0.09,
-		IHit: 0.985, LoadHit: 0.97, StoreHit: 0.97,
-	}
+	app := gccLike()
+	seeds := []int64{1, 2, 3, 4, 5}
 	cfg16 := ConfigFor(core.Proposed())
 	cfg4 := ConfigFor(core.Proposed())
 	cfg4.Banks = 4
-	e16, err := EvaluateN(cfg16, app, 15_000, 5)
+	e16, err := Evaluate(cfg16, app, 15_000, seeds...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e4, err := EvaluateN(cfg4, app, 15_000, 5)
+	e4, err := Evaluate(cfg4, app, 15_000, seeds...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !WithinNoise(e16, e4) {
 		t.Errorf("4 vs 16 banks differ beyond noise: %.4f±%.4f vs %.4f±%.4f",
-			e4.MemCPI.Mean(), e4.MemCPI.CI95(), e16.MemCPI.Mean(), e16.MemCPI.CI95())
+			e4.MemCPI, e4.MemCPICI95, e16.MemCPI, e16.MemCPICI95)
 	}
 	// A much slower memory is NOT within noise.
 	slow := ConfigFor(core.Proposed())
 	slow.MemCycles = 30
-	eSlow, err := EvaluateN(slow, app, 15_000, 5)
+	eSlow, err := Evaluate(slow, app, 15_000, seeds...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if WithinNoise(e16, eSlow) {
 		t.Error("a 5x memory latency change should exceed simulation noise")
 	}
-	if _, err := EvaluateN(cfg16, app, 1000, 0); err == nil {
+	if _, err := Evaluate(cfg16, app, 1000); err == nil {
 		t.Error("zero seeds accepted")
 	}
 }

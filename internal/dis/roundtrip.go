@@ -10,7 +10,8 @@ import (
 
 // RoundTrip proves the disassembly of p is exact: it disassembles,
 // reassembles, and compares the serialized images byte for byte. A nil
-// return means `iramdis | iramasm` reproduces the input image exactly.
+// return means `iramasm dis` then `iramasm build` reproduces the input
+// image exactly.
 func RoundTrip(p *isa.Program) error {
 	var orig bytes.Buffer
 	if err := isa.WriteImage(&orig, p); err != nil {

@@ -171,14 +171,23 @@ type BankRow struct {
 // BankResult is the Section 5.6 study.
 type BankResult struct{ Rows []BankRow }
 
+// bankSeeds is the size of each bank-study ensemble: seeds o.Seed to
+// o.Seed+bankSeeds-1.
+const bankSeeds = 5
+
 // BanksJob enumerates the bank study — 4/8/16 banks for the integrated
 // system and 2-8 for the conventional reference, reporting CPI and bank
 // utilisation — as one unit per (benchmark, system, bank count)
 // ensemble: the 5-seed Monte-Carlo evaluations are the expensive part
 // and they are all independent.
 func BanksJob(o Options, ms *MeasurementSet) sweep.Job {
-	k := newKeyer("banks", o,
-		fmt.Sprintf("budget=%d", o.Budget), fmt.Sprintf("gspn=%d", o.GSPNInstr))
+	params := []string{fmt.Sprintf("budget=%d", o.Budget), fmt.Sprintf("gspn=%d", o.GSPNInstr)}
+	if o.Seed != 1 {
+		// Earlier builds ran seeds 1-5 whatever the seed, and stored the
+		// rows under it; name the range so those entries miss.
+		params = append(params, fmt.Sprintf("seeds=%d+%d", o.Seed, bankSeeds))
+	}
+	k := newKeyer("banks", o, params...)
 	var units []sweep.Unit
 	for _, name := range []string{"126.gcc", "102.swim"} {
 		for _, b := range []int{4, 8, 16} {
@@ -193,7 +202,7 @@ func BanksJob(o Options, ms *MeasurementSet) sweep.Job {
 	return job("banks", units, func(rows []BankRow) (interface{}, error) { return &BankResult{Rows: rows}, nil })
 }
 
-// bankRow runs one 5-seed ensemble at the given bank count.
+// bankRow runs one ensemble of bankSeeds seeds at the given bank count.
 func bankRow(o Options, ms *MeasurementSet, name string, integrated bool, banks int) (BankRow, error) {
 	w, err := workload.ByName(name)
 	if err != nil {
@@ -203,7 +212,6 @@ func bankRow(o Options, ms *MeasurementSet, name string, integrated bool, banks 
 	if err != nil {
 		return BankRow{}, err
 	}
-	const seeds = 5
 	var cfg cpumodel.SystemConfig
 	var rates cpumodel.AppRates
 	if integrated {
@@ -214,14 +222,17 @@ func bankRow(o Options, ms *MeasurementSet, name string, integrated bool, banks 
 		rates = m.Rates(false, false)
 	}
 	cfg.Banks = banks
-	e, err := cpumodel.EvaluateN(cfg, rates, o.GSPNInstr, seeds)
+	seeds := make([]int64, bankSeeds)
+	for i := range seeds {
+		seeds[i] = o.Seed + int64(i)
+	}
+	r, err := cpumodel.Evaluate(cfg, rates, o.GSPNInstr, seeds...)
 	if err != nil {
 		return BankRow{}, err
 	}
 	return BankRow{
 		Bench: name, Integrated: integrated, Banks: banks,
-		MemCPI: e.MemCPI.Mean(), MemCPICI: e.MemCPI.CI95(),
-		Utilization: e.BankUtil.Mean(),
+		MemCPI: r.MemCPI, MemCPICI: r.MemCPICI95, Utilization: r.BankUtilization,
 	}, nil
 }
 

@@ -1,12 +1,15 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"os"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/cpumodel"
 	"repro/internal/resultstore"
 	"repro/internal/sweep"
 )
@@ -214,6 +217,41 @@ func TestEngineCacheCorruptionRecovers(t *testing.T) {
 			t.Error("healed entries decode to a different result")
 		}
 	})
+}
+
+// TestGSPNCodecReadsParentEntry: a GSPN entry written before Result
+// carried an interval (six fields, MemCPICI95 absent) still decodes at
+// GSPNResult:1 to the same three values with MemCPICI95 = 0, which is
+// what a one-seed Evaluate stores. Warm caches therefore keep hitting.
+func TestGSPNCodecReadsParentEntry(t *testing.T) {
+	type parentResult struct {
+		MemCPI          float64
+		TotalCPI        float64
+		BankUtilization float64
+		StallFrac       float64
+		LSUBusyFrac     float64
+		Instructions    int64
+	}
+	old := parentResult{
+		MemCPI: 1.0 / 3, TotalCPI: 1.0/3 + 1.07, BankUtilization: 0.1 / 7,
+		StallFrac: 0.25, LSUBusyFrac: 0.5, Instructions: 2000,
+	}
+	var buf bytes.Buffer
+	enc := gob.NewEncoder(&buf)
+	if err := enc.Encode(codecHeader{Type: "GSPNResult", Version: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Encode(&old); err != nil {
+		t.Fatal(err)
+	}
+	v, err := gspnCodec.Decode(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := cpumodel.Result{MemCPI: old.MemCPI, TotalCPI: old.TotalCPI, BankUtilization: old.BankUtilization}
+	if got := v.(cpumodel.Result); got != want {
+		t.Errorf("parent entry decodes to %+v, want %+v", got, want)
+	}
 }
 
 // TestDesignspaceCachedMatchesUncached: the search with a result cache

@@ -84,7 +84,8 @@ type RunConfig struct {
 	// Budget limits executed instructions (0 = run to halt, up to a
 	// 100M safety cap).
 	Budget int64
-	// BaseCPI is the functional-unit CPI component (default 1.0).
+	// BaseCPI is the functional-unit CPI component (default 1.0;
+	// below 1 is an error).
 	BaseCPI float64
 	// GSPNInstructions sets the Monte-Carlo length (default 50000).
 	GSPNInstructions int64
@@ -100,6 +101,9 @@ func Run(p *Program, cfg RunConfig) (*RunStats, error) {
 	}
 	if cfg.BaseCPI == 0 {
 		cfg.BaseCPI = 1
+	}
+	if cfg.BaseCPI < 1 {
+		return nil, fmt.Errorf("iram: base CPI %g below 1", cfg.BaseCPI)
 	}
 	if cfg.GSPNInstructions <= 0 {
 		cfg.GSPNInstructions = 50_000
@@ -139,16 +143,12 @@ func Run(p *Program, cfg RunConfig) (*RunStats, error) {
 			StoreMissPct: convD16.Store.Percent(),
 		},
 	}
-	rates := cpumodel.AppRates{
-		Name:      "user-program",
-		BaseCPI:   cfg.BaseCPI,
-		LoadFrac:  counts.LoadFrac(),
-		StoreFrac: counts.StoreFrac(),
-		IHit:      1 - propI.Ifetch.Rate(),
-		LoadHit:   1 - vicD.Load.Rate(),
-		StoreHit:  1 - vicD.Store.Rate(),
+	m := workload.Measurement{
+		Workload: workload.Workload{Name: "user-program", BaseCPI: cfg.BaseCPI},
+		Caches:   cs,
+		Instr:    cpu.Instructions,
 	}
-	r, err := cpumodel.Evaluate(cpumodel.ConfigFor(core.Proposed()), rates, cfg.GSPNInstructions, cfg.Seed)
+	r, err := cpumodel.Evaluate(cpumodel.ConfigFor(core.Proposed()), m.Rates(true, true), cfg.GSPNInstructions, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
