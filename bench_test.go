@@ -151,6 +151,25 @@ func BenchmarkFig7Replay(b *testing.B) {
 	}
 }
 
+// BenchmarkFig7ReplayCold is BenchmarkFig7Replay as every new process
+// runs it: each iteration opens a fresh tracestore.Store on the
+// recorded directory, so it pays the verify-before-replay pass that a
+// reused Store's memo lets BenchmarkFig7Replay skip.
+func BenchmarkFig7ReplayCold(b *testing.B) {
+	o := tracedOpts(b)
+	run[*experiments.Fig7Result](b, "fig7", o, experiments.NewMeasurementSet(o)) // untimed recording pass populates the cache
+	dir := o.TraceSource.(workload.Traced).Store.Dir()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		store, err := tracestore.NewStore(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		o.TraceSource = workload.Traced{Store: store, Seed: o.Seed}
+		run[*experiments.Fig7Result](b, "fig7", o, experiments.NewMeasurementSet(o))
+	}
+}
+
 // BenchmarkFig8Replay is BenchmarkFig8 with recorded traces.
 func BenchmarkFig8Replay(b *testing.B) {
 	o := tracedOpts(b)

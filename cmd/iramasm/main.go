@@ -260,7 +260,7 @@ func cmdTrace(args []string) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
+	defer f.Close() // error paths; the success path checks Close below
 	w, err := trace.NewWriter(f)
 	if err != nil {
 		return err
@@ -273,6 +273,9 @@ func cmdTrace(args []string) error {
 	}
 	info, err := f.Stat()
 	if err != nil {
+		return err
+	}
+	if err := f.Close(); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %d references (%d bytes, %.2f bytes/ref) to %s\n",

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/runner"
+	"repro/internal/trace"
 	"repro/internal/tracestore"
 	"repro/internal/workload"
 )
@@ -65,6 +66,56 @@ func TestReplayMatchesLive(t *testing.T) {
 	}
 	if len(entries) != cached {
 		t.Errorf("replay pass changed the cache: %d entries, was %d", len(entries), cached)
+	}
+
+	// Damage three entries: a flipped bit, a truncation and a version 1
+	// header. A fresh store (the recording store's memo would skip the
+	// verify) must re-record each one and render live's bytes.
+	damage := []func([]byte) []byte{
+		func(b []byte) []byte { b[len(b)/2] ^= 0x40; return b },
+		func(b []byte) []byte { return b[:len(b)-5] },
+		func(b []byte) []byte { b[7] = '1'; return b },
+	}
+	var damaged []tracestore.Key
+	for _, w := range workload.All() {
+		k := tracestore.Key{Workload: w.Name, Budget: opts.Budget, Seed: opts.Seed}
+		data, err := os.ReadFile(store.Path(k))
+		if err != nil {
+			continue
+		}
+		if err := os.WriteFile(store.Path(k), damage[len(damaged)](data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if damaged = append(damaged, k); len(damaged) == len(damage) {
+			break
+		}
+	}
+	if len(damaged) != len(damage) {
+		t.Fatalf("found %d recorded entries to damage, want %d", len(damaged), len(damage))
+	}
+	healing, err := tracestore.NewStore(store.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	healOpts := opts
+	healOpts.TraceSource = workload.Traced{Store: healing, Seed: opts.Seed}
+	if healed := renderWith(t, healOpts); !bytes.Equal(live, healed) {
+		t.Errorf("output over damaged entries differs from live:\n%s", firstDiff(live, healed))
+	}
+	check, err := tracestore.NewStore(store.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range damaged {
+		if _, err := check.ReplayTo(k, trace.Discard); err != nil {
+			t.Errorf("damaged entry %s was not healed: %v", k.Workload, err)
+		}
+	}
+	if entries, err = os.ReadDir(store.Dir()); err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != cached {
+		t.Errorf("healing pass left %d entries, want %d", len(entries), cached)
 	}
 }
 

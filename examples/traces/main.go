@@ -45,8 +45,13 @@ func main() {
 	if err := tw.Close(); err != nil {
 		log.Fatal(err)
 	}
-	info, _ := f.Stat()
-	f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("captured %d references of %s to %s (%.2f bytes/ref)\n\n",
 		tw.Count(), w.Name, path, float64(info.Size())/float64(tw.Count()))
 

@@ -1,12 +1,12 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/bits"
 )
 
 // Trace file format: Shade-style capture of a reference stream so that
@@ -28,7 +28,8 @@ import (
 //	   0      delta == +size of previous same-kind access (no payload)
 //	   1..8   n-byte little-endian signed delta from the previous
 //	          same-kind address
-//	   15     8-byte absolute address
+//	   15     8-byte absolute address (the Writer uses it only for the
+//	          first record, which has no previous address)
 //
 // Sequential streams (the common case: instruction fetches, array
 // sweeps) cost one byte per reference.
@@ -62,167 +63,226 @@ var ErrBadTrace = errors.New("trace: corrupt trace file")
 // the file.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-var sizeCodes = map[uint8]uint8{1: 0, 2: 1, 4: 2, 8: 3}
+// sizeFromCode maps an opcode's size field to the access size in bytes.
 var sizeFromCode = [4]uint8{1, 2, 4, 8}
 
-// Writer encodes a reference stream to an io.Writer. It implements
-// Sink, so it can be used directly as a VM sink or inside a Tee.
+// window is the codec's block size. The Writer encodes into a buffer
+// of this size and the Reader decodes out of one; each folds a whole
+// block into the CRC-32C when it flushes or refills, never a byte at a
+// time.
+const window = 1 << 16
+
+// maxRecord is the longest record: an opcode byte and an 8-byte
+// payload (the end-of-trace opcode and its count are as long).
+const maxRecord = 9
+
+// maxEmptyReads bounds consecutive (0, nil) reads from a source before
+// the Reader gives up with io.ErrNoProgress, as bufio.Reader does.
+const maxEmptyReads = 100
+
+// Writer encodes a reference stream to an io.Writer, one window-sized
+// block per write. It implements Sink, so it can be used directly as a
+// VM sink or inside a Tee.
 type Writer struct {
-	w    *bufio.Writer
-	last [3]uint64 // previous address per kind
-	n    int64
-	crc  uint32  // running CRC-32C of every byte written
-	one  [1]byte // scratch for checksumming single bytes without allocating
-	pay  [8]byte // scratch for payload encoding (a local would escape into write)
-	err  error
+	w     io.Writer
+	last  [3]uint64 // previous address per kind
+	count int64     // references encoded
+	crc   uint32    // CRC-32C of every byte flushed
+	err   error     // first encoding or write error; later calls do nothing
+	n     int       // bytes pending in buf
+	buf   [window]byte
 }
 
-// NewWriter creates a trace writer and emits the header.
+// NewWriter creates a trace writer. The header is buffered with the
+// first block, so a failing destination is reported by Close; the
+// error result is always nil.
 func NewWriter(w io.Writer) (*Writer, error) {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.Write(fileMagic[:]); err != nil {
-		return nil, err
-	}
-	return &Writer{w: bw, crc: crc32.Update(0, crcTable, fileMagic[:])}, nil
+	t := &Writer{w: w}
+	t.n = copy(t.buf[:], fileMagic[:])
+	return t, nil
 }
 
 // Ref implements Sink. Encoding errors are sticky and surfaced by
 // Close (a Sink cannot return errors per reference).
 func (t *Writer) Ref(r Ref) {
-	if t.err != nil {
-		return
-	}
-	sc, ok := sizeCodes[r.Size]
-	if !ok {
-		t.err = fmt.Errorf("trace: bad reference size %d", r.Size)
-		return
-	}
-	k := uint8(r.Kind)
-	if k > 2 {
-		t.err = fmt.Errorf("trace: bad reference kind %d", r.Kind)
-		return
-	}
-	head := k<<6 | sc<<4
-	prev := t.last[k]
-	t.last[k] = r.Addr
-	t.n++
-
-	delta := int64(r.Addr) - int64(prev)
-	if t.n > 1 && delta == int64(r.Size) {
-		t.writeByte(head | 0)
-		return
-	}
-	// Choose the shortest signed delta encoding.
-	if nb := signedLen(delta); t.n > 1 && nb <= 8 {
-		t.writeByte(head | uint8(nb))
-		binary.LittleEndian.PutUint64(t.pay[:], uint64(delta))
-		t.write(t.pay[:nb])
-		return
-	}
-	t.writeByte(head | 15)
-	binary.LittleEndian.PutUint64(t.pay[:], r.Addr)
-	t.write(t.pay[:])
+	one := [1]Ref{r}
+	t.Refs(one[:])
 }
 
-// writeByte emits one byte, folding it into the checksum.
-func (t *Writer) writeByte(b byte) {
-	if t.err != nil {
-		return
-	}
-	t.one[0] = b
-	t.crc = crc32.Update(t.crc, crcTable, t.one[:])
-	t.err = t.w.WriteByte(b)
-}
-
-// write emits a payload, folding it into the checksum.
-func (t *Writer) write(p []byte) {
-	if t.err != nil {
-		return
-	}
-	t.crc = crc32.Update(t.crc, crcTable, p)
-	_, t.err = t.w.Write(p)
-}
-
-// Refs implements BatchSink.
+// Refs implements BatchSink. It encodes each reference straight into
+// the block buffer, flushing the block when a record might not fit.
 func (t *Writer) Refs(rs []Ref) {
-	for i := range rs {
-		t.Ref(rs[i])
+	if t.err != nil {
+		return
 	}
+	n, last, count := t.n, t.last, t.count
+	for _, r := range rs {
+		sc, ok := sizeCode(r.Size)
+		if !ok {
+			t.err = fmt.Errorf("trace: bad reference size %d", r.Size)
+			break
+		}
+		k := uint8(r.Kind)
+		if k > 2 {
+			t.err = fmt.Errorf("trace: bad reference kind %d", r.Kind)
+			break
+		}
+		if window-n < maxRecord {
+			t.n = n
+			t.flush()
+			n = 0
+			if t.err != nil {
+				break
+			}
+		}
+		b := t.buf[n : n+maxRecord]
+		head := k<<6 | sc<<4
+		delta := int64(r.Addr - last[k])
+		last[k] = r.Addr
+		count++
+		switch {
+		case count == 1: // no previous address yet: absolute
+			head |= 15
+			binary.LittleEndian.PutUint64(b[1:], r.Addr)
+			n += maxRecord
+		case delta == int64(r.Size):
+			n++
+		default:
+			nb := signedLen(delta)
+			head |= uint8(nb)
+			binary.LittleEndian.PutUint64(b[1:], uint64(delta))
+			n += 1 + nb
+		}
+		b[0] = head
+	}
+	t.n, t.last, t.count = n, last, count
 }
 
-// signedLen returns the minimum bytes needed to hold v as a
-// little-endian signed integer (1..9; 9 means "use absolute").
-func signedLen(v int64) int {
-	for n := 1; n <= 8; n++ {
-		shift := uint(8 * n)
-		if shift >= 64 {
-			return 8
-		}
-		min := -(int64(1) << (shift - 1))
-		max := int64(1)<<(shift-1) - 1
-		if v >= min && v <= max {
-			return n
-		}
+// sizeCode returns the opcode's size field for an access of size
+// bytes, and false for a size the format cannot encode.
+func sizeCode(size uint8) (uint8, bool) {
+	switch size {
+	case 1:
+		return 0, true
+	case 2:
+		return 1, true
+	case 4:
+		return 2, true
+	case 8:
+		return 3, true
 	}
-	return 9
+	return 0, false
+}
+
+// signedLen returns the fewest bytes (1..8) that hold v as a
+// little-endian two's-complement integer.
+func signedLen(v int64) int {
+	if v < 0 {
+		v = ^v
+	}
+	// One sign bit plus the magnitude's significant bits.
+	return (64 - bits.LeadingZeros64(uint64(v)) + 8) / 8
+}
+
+// flush folds the pending block into the checksum and writes it out.
+func (t *Writer) flush() {
+	t.crc = crc32.Update(t.crc, crcTable, t.buf[:t.n])
+	t.write(t.buf[:t.n])
+	t.n = 0
+}
+
+// write hands p to the destination unless an error is already pending.
+func (t *Writer) write(p []byte) {
+	if t.err == nil {
+		_, t.err = t.w.Write(p)
+	}
 }
 
 // Count returns the number of references written.
-func (t *Writer) Count() int64 { return t.n }
+func (t *Writer) Count() int64 { return t.count }
 
 // Close writes the end-of-trace record, flushes the stream, and
 // returns any deferred encoding error. A trace without the end record
 // is corrupt by definition; abandon the output on error.
 func (t *Writer) Close() error {
-	t.writeByte(endMarker)
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(t.n))
-	t.write(buf[:])
+	if window-t.n < maxRecord {
+		t.flush()
+	}
+	t.buf[t.n] = endMarker
+	binary.LittleEndian.PutUint64(t.buf[t.n+1:], uint64(t.count))
+	t.n += maxRecord
+	t.flush()
 	// The checksum itself is excluded from the checksummed range.
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], t.crc)
-	if t.err == nil {
-		_, t.err = t.w.Write(sum[:])
-	}
-	if t.err != nil {
-		return t.err
-	}
-	return t.w.Flush()
+	binary.LittleEndian.PutUint32(t.buf[:4], t.crc)
+	t.write(t.buf[:4])
+	return t.err
 }
 
-// Reader decodes a trace file.
+// Reader decodes a trace file out of a window-sized buffer that it
+// refills from the source as records are consumed.
 type Reader struct {
-	r    *bufio.Reader
+	r    io.Reader
+	rerr error // the source's first error (io.EOF at the end of input)
+	base int64 // file offset of buf[0]
+	pos  int   // next undecoded byte in buf
+	end  int   // bytes buffered in buf
+	sum  int   // buf[:sum] is already folded into crc
+	crc  uint32
 	last [3]uint64
-	n    int64
-	off  int64   // bytes consumed, including the header
-	crc  uint32  // running CRC-32C of every byte consumed
-	one  [1]byte // scratch for checksumming single bytes without allocating
-	pay  [8]byte // scratch for payload decoding (a local would escape into fill)
-	done bool    // end-of-trace record seen and verified
+	n    int64 // references decoded
+	done bool  // end-of-trace record seen and verified
+	// buf is the decode window. The 8 bytes past window let a payload
+	// load read a whole word wherever its record starts; the record's
+	// mode says how many of those bytes count.
+	buf [window + 8]byte
 }
 
 // NewReader validates the header and returns a reader.
 func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
+	t := &Reader{r: r}
+	t.refill()
+	if t.end < len(fileMagic) {
+		if t.rerr != io.EOF {
+			return nil, fmt.Errorf("%w: missing header: %w", ErrBadTrace, t.rerr)
+		}
 		return nil, fmt.Errorf("%w: missing header", ErrBadTrace)
 	}
-	if magic != fileMagic {
+	if magic := [8]byte(t.buf[:8]); magic != fileMagic {
 		if [7]byte(magic[:7]) == [7]byte(fileMagic[:7]) {
 			return nil, fmt.Errorf("%w: unsupported format version %c (want %c)",
 				ErrBadTrace, magic[7], fileMagic[7])
 		}
 		return nil, fmt.Errorf("%w: bad magic", ErrBadTrace)
 	}
-	return &Reader{r: br, off: int64(len(magic)), crc: crc32.Update(0, crcTable, magic[:])}, nil
+	t.pos = len(fileMagic)
+	return t, nil
+}
+
+// refill folds the decoded bytes into the checksum, moves the
+// undecoded tail to the front of the window, and reads until a whole
+// record is buffered or the source reports an error. A source that
+// keeps returning no bytes and no error ends in io.ErrNoProgress.
+func (t *Reader) refill() {
+	t.crc = crc32.Update(t.crc, crcTable, t.buf[t.sum:t.pos])
+	t.base += int64(t.pos)
+	t.end = copy(t.buf[:], t.buf[t.pos:t.end])
+	t.pos, t.sum = 0, 0
+	for empty := 0; t.end < maxRecord && t.rerr == nil; {
+		n, err := t.r.Read(t.buf[t.end:window])
+		t.end += n
+		t.rerr = err
+		if n > 0 {
+			empty = 0
+		} else if empty++; empty == maxEmptyReads && err == nil {
+			t.rerr = io.ErrNoProgress
+		}
+	}
 }
 
 // Offset returns the number of bytes consumed so far (header included):
 // the file offset at which the next record starts, or at which decoding
 // stopped after an error.
-func (t *Reader) Offset() int64 { return t.off }
+func (t *Reader) Offset() int64 { return t.base + int64(t.pos) }
 
 // Next returns the next reference. At a verified end-of-trace record it
 // returns io.EOF; every other end of input is corruption. In particular
@@ -231,100 +291,11 @@ func (t *Reader) Offset() int64 { return t.off }
 // and io.ErrUnexpectedEOF, carrying the byte offset of the failure, and
 // never a bare io.EOF.
 func (t *Reader) Next() (Ref, error) {
-	if t.done {
-		return Ref{}, io.EOF
-	}
-	head, err := t.r.ReadByte()
-	if err == io.EOF {
-		return Ref{}, fmt.Errorf("%w: missing end-of-trace record at offset %d: %w",
-			ErrBadTrace, t.off, io.ErrUnexpectedEOF)
-	}
-	if err != nil {
+	var one [1]Ref
+	if _, err := t.Refs(one[:]); err != nil {
 		return Ref{}, err
 	}
-	t.off++
-	t.one[0] = head
-	t.crc = crc32.Update(t.crc, crcTable, t.one[:])
-	kind := Kind(head >> 6)
-	if kind > Store {
-		return t.finish(head)
-	}
-	size := sizeFromCode[(head>>4)&3]
-	mode := head & 0x0f
-
-	var addr uint64
-	switch {
-	case mode == 0:
-		addr = t.last[kind] + uint64(size)
-	case mode >= 1 && mode <= 8:
-		t.pay = [8]byte{}
-		if err := t.fill(t.pay[:mode], "delta"); err != nil {
-			return Ref{}, err
-		}
-		// Sign-extend the little-endian delta.
-		v := int64(binary.LittleEndian.Uint64(t.pay[:]))
-		shift := uint(64 - 8*mode)
-		v = v << shift >> shift
-		addr = uint64(int64(t.last[kind]) + v)
-	case mode == 15:
-		if err := t.fill(t.pay[:], "address"); err != nil {
-			return Ref{}, err
-		}
-		addr = binary.LittleEndian.Uint64(t.pay[:])
-	default:
-		return Ref{}, fmt.Errorf("%w: address mode %d at offset %d", ErrBadTrace, mode, t.off-1)
-	}
-	t.last[kind] = addr
-	t.n++
-	return Ref{Kind: kind, Addr: addr, Size: size}, nil
-}
-
-// fill reads a record payload, converting any short read into the
-// truncation error contract (ErrBadTrace + io.ErrUnexpectedEOF + byte
-// offset).
-func (t *Reader) fill(buf []byte, what string) error {
-	n, err := io.ReadFull(t.r, buf)
-	t.off += int64(n)
-	t.crc = crc32.Update(t.crc, crcTable, buf[:n])
-	if err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return fmt.Errorf("%w: truncated %s at offset %d: %w",
-				ErrBadTrace, what, t.off, io.ErrUnexpectedEOF)
-		}
-		return err
-	}
-	return nil
-}
-
-// finish validates the end-of-trace record: the count must match the
-// references decoded and nothing may follow it.
-func (t *Reader) finish(head byte) (Ref, error) {
-	if head != endMarker {
-		return Ref{}, fmt.Errorf("%w: bad end-of-trace opcode 0x%02x at offset %d",
-			ErrBadTrace, head, t.off-1)
-	}
-	var buf [8]byte
-	if err := t.fill(buf[:], "end-of-trace count"); err != nil {
-		return Ref{}, err
-	}
-	if count := int64(binary.LittleEndian.Uint64(buf[:])); count != t.n {
-		return Ref{}, fmt.Errorf("%w: end-of-trace count %d, decoded %d records", ErrBadTrace, count, t.n)
-	}
-	want := t.crc // everything up to and including the count field
-	var sum [4]byte
-	if err := t.fill(sum[:], "checksum"); err != nil {
-		return Ref{}, err
-	}
-	if got := binary.LittleEndian.Uint32(sum[:]); got != want {
-		return Ref{}, fmt.Errorf("%w: checksum %08x, computed %08x", ErrBadTrace, got, want)
-	}
-	if _, err := t.r.ReadByte(); err == nil {
-		return Ref{}, fmt.Errorf("%w: trailing data after end-of-trace record at offset %d", ErrBadTrace, t.off)
-	} else if err != io.EOF {
-		return Ref{}, err
-	}
-	t.done = true
-	return Ref{}, io.EOF
+	return one[0], nil
 }
 
 // BatchLen is the default replay staging-buffer length, matched to the
@@ -336,14 +307,129 @@ const BatchLen = 256
 // were filled. It returns io.EOF (possibly with n > 0) at a verified
 // end of trace, and otherwise exactly the errors Next returns.
 func (t *Reader) Refs(buf []Ref) (int, error) {
+	if t.done {
+		return 0, io.EOF
+	}
+	pos, end, last := t.pos, t.end, t.last
 	for i := range buf {
-		r, err := t.Next()
+		if end-pos < maxRecord {
+			t.pos = pos
+			t.refill()
+			pos, end = t.pos, t.end
+		}
+		if pos == end {
+			t.last, t.n = last, t.n+int64(i)
+			if t.rerr == io.EOF {
+				return i, fmt.Errorf("%w: missing end-of-trace record at offset %d: %w",
+					ErrBadTrace, t.Offset(), io.ErrUnexpectedEOF)
+			}
+			return i, t.rerr
+		}
+		head := t.buf[pos]
+		kind := Kind(head >> 6)
+		size := sizeFromCode[(head>>4)&3]
+		mode := int(head & 0x0f) // also the payload length, once checked
+		var err error
+		var addr uint64
+		switch {
+		case kind > Store:
+			t.pos = pos + 1
+			err = t.finish(head, t.n+int64(i))
+		case mode == 0:
+			addr = last[kind] + uint64(size)
+		case mode <= 8:
+			if pos+1+mode > end {
+				err = t.truncated("delta")
+				break
+			}
+			// Sign-extend the little-endian delta.
+			shift := uint(64 - 8*mode)
+			v := int64(binary.LittleEndian.Uint64(t.buf[pos+1:])) << shift >> shift
+			addr = last[kind] + uint64(v)
+		case mode == 15:
+			if pos+maxRecord > end {
+				err = t.truncated("address")
+				break
+			}
+			addr = binary.LittleEndian.Uint64(t.buf[pos+1:])
+			mode = 8 // payload length
+		default:
+			t.pos = pos + 1
+			err = fmt.Errorf("%w: address mode %d at offset %d", ErrBadTrace, mode, t.Offset()-1)
+		}
 		if err != nil {
+			t.last, t.n = last, t.n+int64(i)
 			return i, err
 		}
-		buf[i] = r
+		pos += 1 + mode
+		last[kind] = addr
+		buf[i] = Ref{Kind: kind, Addr: addr, Size: size}
 	}
+	t.pos, t.last, t.n = pos, last, t.n+int64(len(buf))
 	return len(buf), nil
+}
+
+// truncated consumes the rest of the input and reports a record cut
+// short by it: ErrBadTrace + io.ErrUnexpectedEOF + the byte offset at
+// which the input ended.
+func (t *Reader) truncated(what string) error {
+	t.pos = t.end
+	if t.rerr != io.EOF {
+		return t.rerr
+	}
+	return fmt.Errorf("%w: truncated %s at offset %d: %w",
+		ErrBadTrace, what, t.Offset(), io.ErrUnexpectedEOF)
+}
+
+// take consumes the next n <= maxRecord bytes of the end-of-trace
+// record.
+func (t *Reader) take(n int, what string) ([]byte, error) {
+	if t.end-t.pos < n {
+		t.refill()
+		if t.end-t.pos < n {
+			return nil, t.truncated(what)
+		}
+	}
+	t.pos += n
+	return t.buf[t.pos-n : t.pos], nil
+}
+
+// finish validates the end-of-trace record whose opcode it was handed:
+// the count must match the decoded references, the checksum the bytes
+// before it, and nothing may follow it.
+func (t *Reader) finish(head byte, decoded int64) error {
+	if head != endMarker {
+		return fmt.Errorf("%w: bad end-of-trace opcode 0x%02x at offset %d",
+			ErrBadTrace, head, t.Offset()-1)
+	}
+	b, err := t.take(8, "end-of-trace count")
+	if err != nil {
+		return err
+	}
+	if count := int64(binary.LittleEndian.Uint64(b)); count != decoded {
+		return fmt.Errorf("%w: end-of-trace count %d, decoded %d records", ErrBadTrace, count, decoded)
+	}
+	// The checksum covers everything up to and including the count.
+	t.crc = crc32.Update(t.crc, crcTable, t.buf[t.sum:t.pos])
+	t.sum = t.pos
+	want := t.crc
+	if b, err = t.take(4, "checksum"); err != nil {
+		return err
+	}
+	if got := binary.LittleEndian.Uint32(b); got != want {
+		return fmt.Errorf("%w: checksum %08x, computed %08x", ErrBadTrace, got, want)
+	}
+	if t.pos == t.end {
+		t.refill()
+	}
+	if t.pos < t.end {
+		return fmt.Errorf("%w: trailing data after end-of-trace record at offset %d", ErrBadTrace, t.Offset())
+	}
+	if t.rerr != io.EOF {
+		return t.rerr
+	}
+	t.done = true
+	return io.EOF
 }
 
 // Replay streams the remaining references into a sink, returning the

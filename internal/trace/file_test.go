@@ -285,3 +285,98 @@ func TestReplay(t *testing.T) {
 		t.Errorf("replay: n=%d err=%v counts=%+v", n, err, c)
 	}
 }
+
+// mixedStream returns n deterministic references that use every
+// address mode: sequential fetches, short and long deltas per kind, and
+// an absolute first record.
+func mixedStream(n int) []Ref {
+	rng := rand.New(rand.NewSource(int64(n)))
+	refs := make([]Ref, n)
+	pc, data := uint64(0x1000), uint64(0x200000)
+	for i := range refs {
+		switch rng.Intn(4) {
+		case 0, 1:
+			refs[i] = Ref{Ifetch, pc, 4}
+			pc += 4
+		case 2:
+			data += uint64(rng.Intn(1<<12)) * 8
+			refs[i] = Ref{Load, data, 8}
+		default:
+			refs[i] = Ref{Store, rng.Uint64() >> rng.Intn(64), 4}
+		}
+	}
+	return refs
+}
+
+// TestReplayZeroAllocs pins the decoder's allocation contract: a replay
+// with a caller-supplied batch buffer allocates once per stream (the
+// reader and its window), never per reference, so 10x the references
+// cost the same allocations.
+func TestReplayZeroAllocs(t *testing.T) {
+	buf := make([]Ref, BatchLen)
+	allocs := func(n int) float64 {
+		data := encode(t, mixedStream(n))
+		var c Counts
+		return testing.AllocsPerRun(5, func() {
+			r, err := NewReader(bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := r.ReplayBatch(&c, buf); err != nil || got != int64(n) {
+				t.Fatalf("replayed %d of %d references: %v", got, n, err)
+			}
+		})
+	}
+	if small, large := allocs(10_000), allocs(100_000); small != large {
+		t.Errorf("replay allocations grow with the stream: %v at 10k references, %v at 100k", small, large)
+	}
+}
+
+// TestWriterZeroAllocs is the encoder's twin of TestReplayZeroAllocs:
+// encoding to io.Discard in the VM's batch size allocates once per
+// stream.
+func TestWriterZeroAllocs(t *testing.T) {
+	allocs := func(n int) float64 {
+		refs := mixedStream(n)
+		return testing.AllocsPerRun(5, func() {
+			w, err := NewWriter(io.Discard)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < len(refs); i += BatchLen {
+				w.Refs(refs[i:min(i+BatchLen, len(refs))])
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(10_000), allocs(100_000); small != large {
+		t.Errorf("encode allocations grow with the stream: %v at 10k references, %v at 100k", small, large)
+	}
+}
+
+// stalled yields its bytes, then returns (0, nil) forever.
+type stalled struct{ data []byte }
+
+func (s *stalled) Read(p []byte) (int, error) {
+	n := copy(p, s.data)
+	s.data = s.data[n:]
+	return n, nil
+}
+
+// TestReaderNoProgress: a source that stops delivering bytes without
+// reporting an error ends decoding with io.ErrNoProgress, wherever it
+// stalls, instead of hanging the reader.
+func TestReaderNoProgress(t *testing.T) {
+	full := encode(t, mixedStream(1000))
+	for _, cut := range []int{0, 4, 8, 100, len(full) - 1} {
+		r, err := NewReader(&stalled{data: full[:cut]})
+		if err == nil {
+			_, err = r.Replay(Discard)
+		}
+		if !errors.Is(err, io.ErrNoProgress) {
+			t.Errorf("stalled after %d bytes: err %v, want io.ErrNoProgress", cut, err)
+		}
+	}
+}

@@ -3,8 +3,13 @@
 // (internal/cache, internal/memsys). It plays the role that the SHADE
 // tracing interface plays in the paper's methodology: the VM executes a
 // workload and pushes every instruction fetch, load, and store into a
-// Sink; cache and timing models consume the stream online, so no trace
-// is ever materialised on disk.
+// Sink, and cache and timing models consume the stream online.
+//
+// A stream can also be recorded to a compact binary file (Writer) and
+// replayed from it (Reader) into any number of later measurements
+// without re-running the program; internal/tracestore keeps such files
+// as a content-addressed cache. The file format is described in
+// file.go.
 package trace
 
 // Kind classifies a memory reference.
@@ -159,5 +164,11 @@ func (d DataOnly) Ref(r Ref) {
 	}
 }
 
-// Discard drops every reference. Useful as a placeholder.
-var Discard Sink = SinkFunc(func(Ref) {})
+// Discard drops every reference. Useful as a placeholder, and as the
+// sink of a decode that only verifies a trace: it takes whole batches.
+var Discard Sink = discard{}
+
+type discard struct{}
+
+func (discard) Ref(Ref)    {}
+func (discard) Refs([]Ref) {}

@@ -1,6 +1,7 @@
 package tracestore
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -163,6 +164,8 @@ func TestStoreCorruptionRerecords(t *testing.T) {
 		"truncated": func(b []byte) []byte { return b[:len(b)-5] },
 		"bitflip":   func(b []byte) []byte { b[len(b)/2] ^= 0x40; return b },
 		"empty":     func(b []byte) []byte { return nil },
+		// A version 1 header in a version 2 entry's place.
+		"stale version": func(b []byte) []byte { b[7] = '1'; return b },
 	}
 	for name, corrupt := range corruptions {
 		t.Run(name, func(t *testing.T) {
@@ -241,10 +244,11 @@ func TestStorePathShape(t *testing.T) {
 	}
 }
 
-// TestStoreReadsCommittedEntry pins on-disk compatibility:
-// testdata/compat holds testStream(64) recorded by an earlier build of
-// this store. A copy of it must replay reference for reference, under
-// the same file name.
+// TestStoreReadsCommittedEntry pins on-disk compatibility in both
+// directions: testdata/compat holds testStream(64) recorded by an
+// earlier build of this store. A copy of it must replay reference for
+// reference, under the same file name, and recording the same stream
+// today must write the same bytes.
 func TestStoreReadsCommittedEntry(t *testing.T) {
 	const file = "compat-b64-s1-v2-46185a41c709.trc"
 	k := Key{Workload: "compat", Budget: 64, Seed: 1}
@@ -274,6 +278,18 @@ func TestStoreReadsCommittedEntry(t *testing.T) {
 		if rep.refs[i] != want.refs[i] {
 			t.Fatalf("ref %d: replayed %+v, want %+v", i, rep.refs[i], want.refs[i])
 		}
+	}
+
+	fresh := newStore(t)
+	if _, err := fresh.Record(k, testStream(64), trace.Discard); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := os.ReadFile(fresh.Path(k))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rec, raw) {
+		t.Errorf("recording testStream(64) wrote %d bytes that differ from the committed %d-byte entry", len(rec), len(raw))
 	}
 }
 
