@@ -124,12 +124,15 @@ func cmdBuild(args []string) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
+	defer f.Close() // error paths; the success path checks Close below
 	if err := isa.WriteImage(f, p); err != nil {
 		return err
 	}
 	info, err := f.Stat()
 	if err != nil {
+		return err
+	}
+	if err := f.Close(); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %s: %d instructions, %d data segments, %d bytes\n",

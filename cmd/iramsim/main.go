@@ -39,6 +39,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -174,29 +175,27 @@ func request(c cliConfig) (runner.Request, error) {
 	return req, nil
 }
 
-func mainErr(c cliConfig) error {
+func mainErr(c cliConfig) (err error) {
 	if c.cpuprofile != "" {
-		f, err := os.Create(c.cpuprofile)
-		if err != nil {
-			return fmt.Errorf("cpuprofile: %w", err)
+		f, ferr := os.Create(c.cpuprofile)
+		if ferr != nil {
+			return fmt.Errorf("cpuprofile: %w", ferr)
 		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return fmt.Errorf("cpuprofile: %w", err)
+		if perr := pprof.StartCPUProfile(f); perr != nil {
+			f.Close()
+			return fmt.Errorf("cpuprofile: %w", perr)
 		}
-		defer pprof.StopCPUProfile()
+		defer func() {
+			pprof.StopCPUProfile()
+			if cerr := f.Close(); cerr != nil {
+				err = errors.Join(err, fmt.Errorf("cpuprofile: %w", cerr))
+			}
+		}()
 	}
 	if c.memprofile != "" {
 		defer func() {
-			f, err := os.Create(c.memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "iramsim: memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "iramsim: memprofile:", err)
+			if merr := writeHeapProfile(c.memprofile); merr != nil {
+				err = errors.Join(err, merr)
 			}
 		}()
 	}
@@ -329,6 +328,23 @@ func cacheGC(c cliConfig, progress io.Writer) error {
 	}
 	fmt.Fprintf(progress, "iramsim: result-cache gc: pruned %d entries (%d bytes) from %s\n",
 		removed, freed, c.resultCache)
+	return nil
+}
+
+// writeHeapProfile writes a heap profile, taken after a GC, to path.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("memprofile: %w", err)
+	}
+	runtime.GC()
+	werr := pprof.WriteHeapProfile(f)
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
+	}
+	if werr != nil {
+		return fmt.Errorf("memprofile: %w", werr)
+	}
 	return nil
 }
 

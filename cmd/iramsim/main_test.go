@@ -186,3 +186,15 @@ func TestRunDispatcherJSON(t *testing.T) {
 		t.Errorf("JSON mode did not render fig13 as JSON:\n%s", out)
 	}
 }
+
+// TestWriteHeapProfileErrors checks that a heap profile that cannot be
+// written fails the run instead of passing silently.
+func TestWriteHeapProfileErrors(t *testing.T) {
+	dir := t.TempDir()
+	if err := writeHeapProfile(filepath.Join(dir, "heap.pprof")); err != nil {
+		t.Fatalf("writable path: %v", err)
+	}
+	if err := writeHeapProfile(filepath.Join(dir, "missing", "heap.pprof")); err == nil {
+		t.Error("profile into a missing directory reported no error")
+	}
+}

@@ -3,6 +3,7 @@ package stackdist
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -23,13 +24,19 @@ type Geometry struct {
 // ways W answers every organisation with the same set count and
 // associativity <= W: an access hitting at position p hits every cache
 // with more than p ways.
+//
+// stops[kind] counts the references whose scan ended at this tracker on
+// an MRU hit (see SetProfiler): each is a position-0 hit here and in
+// every later tracker, folded in when statistics are read.
 type tracker struct {
 	sets    uint64
 	mask    uint64 // sets-1 when sets is a power of two
 	setPow2 bool
+	stop    bool // sets divides every later tracker's set count
 	ways    int
 	tags    []uint64
 	hist    [kindCount][]int64
+	stops   [kindCount]int64
 }
 
 // SetProfiler measures every requested set-associative geometry at one
@@ -37,19 +44,29 @@ type tracker struct {
 // sharing a set count share one tracker at the maximum requested
 // associativity, so e.g. the direct-mapped 16 KB and 2-way 32 KB
 // points of the Figure 8 grid cost one LRU scan between them.
+//
+// Trackers are kept in ascending set count, and an MRU hit ends the
+// scan at any tracker whose set count divides every later one's. That
+// is set refinement (Hill & Smith, "Evaluating Associativity in CPU
+// Caches", IEEE ToC 1989): when S divides S', each set at S' sets holds
+// a subset of the lines of one set at S sets. A line that is the most
+// recently used of its set at S is then also the most recently used of
+// its smaller set at S', so the access hits at position 0 there too,
+// and an MRU hit moves no LRU state. The Figure 7/8 set counts are all
+// powers of two, so there the first MRU hit ends the scan.
 type SetProfiler struct {
 	lineSize  uint64
 	lineShift uint
 	linePow2  bool
-	trackers  []tracker
+	trackers  []tracker      // ascending set count
 	index     map[uint64]int // set count -> tracker index
 
-	// Pos holds, per tracker (in TrackerIndex order), the LRU position
-	// the latest Access hit at, or -1 on a miss. It lets callers route
-	// fall-back structures (the reference system's L2 sees only
-	// first-level misses) without a second lookup. Reused across calls;
-	// never allocated per access.
-	Pos []int8
+	// pos holds, per tracker, the LRU position the latest Access hit
+	// at, or -1 on a miss, for the scanned trackers pos[:scanned]; the
+	// scan stopped on an MRU hit at trackers[scanned], if any. Reused
+	// across calls; never allocated per access.
+	pos     []int8
+	scanned int
 }
 
 // NewSetProfiler builds a profiler for the given line size covering
@@ -79,6 +96,7 @@ func NewSetProfiler(lineSize uint64, geoms []Geometry) *SetProfiler {
 			maxWays[g.Sets] = g.Ways
 		}
 	}
+	slices.Sort(order)
 	for _, sets := range order {
 		ways := maxWays[sets]
 		t := tracker{
@@ -95,7 +113,17 @@ func NewSetProfiler(lineSize uint64, geoms []Geometry) *SetProfiler {
 		}
 		p.trackers = append(p.trackers, t)
 	}
-	p.Pos = make([]int8, len(p.trackers))
+	// A tracker may stop the scan iff its set count divides the gcd of
+	// every later one's (vacuously true for the last).
+	var g uint64
+	for i := len(p.trackers) - 1; i >= 0; i-- {
+		t := &p.trackers[i]
+		t.stop = g%t.sets == 0
+		for a := t.sets; a != 0; {
+			g, a = a, g%a
+		}
+	}
+	p.pos = make([]int8, len(p.trackers))
 	p.index = make(map[uint64]int, len(p.trackers))
 	for i := range p.trackers {
 		p.index[p.trackers[i].sets] = i
@@ -103,7 +131,7 @@ func NewSetProfiler(lineSize uint64, geoms []Geometry) *SetProfiler {
 	return p
 }
 
-// TrackerIndex returns the index into Pos of the tracker covering the
+// TrackerIndex returns the index Pos takes for the tracker covering the
 // given set count, or -1 if no requested geometry uses it. The lookup
 // is O(1): design-space families register hundreds of set counts, and
 // assembling their statistics probes every one.
@@ -132,7 +160,20 @@ func (p *SetProfiler) MaxWays(sets uint64) int {
 // LineSize returns the profiler's line size in bytes.
 func (p *SetProfiler) LineSize() uint64 { return p.lineSize }
 
-// Access records one reference in every tracker and updates Pos.
+// Pos returns the LRU position the latest Access hit at in tracker ti
+// (TrackerIndex order), or -1 on a miss. It lets callers route
+// fall-back structures (the reference system's L2 sees only
+// first-level misses) without a second lookup. A tracker past the
+// scan's stop hit at position 0.
+func (p *SetProfiler) Pos(ti int) int {
+	if ti >= p.scanned {
+		return 0
+	}
+	return int(p.pos[ti])
+}
+
+// Access records one reference in every tracker, up to the first MRU
+// hit in a tracker that may stop the scan.
 func (p *SetProfiler) Access(addr uint64, kind trace.Kind) {
 	var la uint64
 	if p.linePow2 {
@@ -153,8 +194,13 @@ func (p *SetProfiler) Access(addr uint64, kind trace.Kind) {
 		if w[0] == tag {
 			// MRU hit: no reordering needed. This is the dominant case
 			// on instruction streams and the reason the scan is split.
+			if t.stop {
+				t.stops[kind]++
+				p.scanned = ti
+				return
+			}
 			t.hist[kind][0]++
-			p.Pos[ti] = 0
+			p.pos[ti] = 0
 			continue
 		}
 		pos := -1
@@ -166,23 +212,29 @@ func (p *SetProfiler) Access(addr uint64, kind trace.Kind) {
 		}
 		if pos < 0 {
 			t.hist[kind][t.ways]++
-			p.Pos[ti] = -1
+			p.pos[ti] = -1
 			copy(w[1:], w[:len(w)-1])
 			w[0] = tag
 			continue
 		}
 		t.hist[kind][pos]++
-		p.Pos[ti] = int8(pos)
+		p.pos[ti] = int8(pos)
 		copy(w[1:pos+1], w[:pos])
 		w[0] = tag
 	}
+	p.scanned = len(p.trackers)
 }
 
 // counter derives the miss statistics of the (sets, ways) organisation
-// for one kind from the tracker histograms.
-func (p *SetProfiler) counter(t *tracker, ways int, kind trace.Kind) stats.Counter {
-	var hits, total int64
-	for pos, n := range t.hist[kind] {
+// for one kind from tracker ti's histogram and the position-0 hits of
+// every scan that stopped at or before it.
+func (p *SetProfiler) counter(ti, ways int, kind trace.Kind) stats.Counter {
+	var hits int64
+	for i := range p.trackers[:ti+1] {
+		hits += p.trackers[i].stops[kind]
+	}
+	total := hits
+	for pos, n := range p.trackers[ti].hist[kind] {
 		total += n
 		if pos < ways {
 			hits += n
@@ -201,7 +253,7 @@ func (p *SetProfiler) MissCounter(sets uint64, ways int, kind trace.Kind) stats.
 	if ti < 0 || ways < 1 || ways > p.trackers[ti].ways {
 		panic(fmt.Sprintf("stackdist: geometry %d sets × %d ways not profiled", sets, ways))
 	}
-	return p.counter(&p.trackers[ti], ways, kind)
+	return p.counter(ti, ways, kind)
 }
 
 // Ref implements trace.Sink.

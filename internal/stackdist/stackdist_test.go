@@ -70,46 +70,70 @@ func fig78Geometries() []Geometry {
 	return gs
 }
 
+// partialGeometries mixes set counts that divide every later one
+// (4, 48 and 96 sets: an MRU hit there ends the scan) with set counts
+// that do not (8 through 40), at 1-4 ways, listed out of order.
+func partialGeometries() []Geometry {
+	var gs []Geometry
+	for i, sets := range []uint64{96, 12, 4, 40, 16, 48, 8, 24} {
+		for ways := 1; ways <= i%4+1; ways++ {
+			gs = append(gs, Geometry{Sets: sets, Ways: ways})
+		}
+	}
+	return gs
+}
+
 // TestSetProfilerMatchesReplay is the property-based equivalence test:
 // identical random and structured traces through the stack-distance
 // path and the per-config SetAssoc replay must produce equal miss
-// counts for every size/associativity in the Figure 7/8 grid.
+// counts for every size/associativity in the Figure 7/8 grid, and in a
+// grid whose set counts only partly divide each other, so that
+// trackers which stop the scan and trackers which do not are both
+// checked.
 func TestSetProfilerMatchesReplay(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		for name, refs := range genTraces(seed, 20_000) {
 			t.Run(fmt.Sprintf("%s/seed%d", name, seed), func(t *testing.T) {
-				geoms := fig78Geometries()
-				p := NewSetProfiler(32, geoms)
-				replicas := make([]*cache.SetAssoc, len(geoms))
-				for i, g := range geoms {
-					replicas[i] = cache.NewSetAssoc(
-						fmt.Sprintf("replay %d×%d", g.Sets, g.Ways),
-						g.Sets*uint64(g.Ways)*32, 32, g.Ways)
-				}
-				for _, r := range refs {
-					p.Access(r.Addr, r.Kind)
-					for _, c := range replicas {
-						c.Access(r.Addr, r.Kind)
-					}
-				}
-				for i, g := range geoms {
-					s := replicas[i].Stats()
-					for k, want := range []struct {
-						events, total int64
-					}{
-						{s.Ifetch.Events, s.Ifetch.Total},
-						{s.Load.Events, s.Load.Total},
-						{s.Store.Events, s.Store.Total},
-					} {
-						got := p.MissCounter(g.Sets, g.Ways, trace.Kind(k))
-						if got.Events != want.events || got.Total != want.total {
-							t.Errorf("%d sets × %d ways kind=%v: profiler %d/%d, replay %d/%d",
-								g.Sets, g.Ways, trace.Kind(k),
-								got.Events, got.Total, want.events, want.total)
-						}
-					}
-				}
+				matchReplay(t, fig78Geometries(), refs)
 			})
+			t.Run(fmt.Sprintf("partial/%s/seed%d", name, seed), func(t *testing.T) {
+				matchReplay(t, partialGeometries(), refs)
+			})
+		}
+	}
+}
+
+// matchReplay feeds refs to a profiler over geoms and to one SetAssoc
+// replica per geometry, and compares every geometry's miss counts.
+func matchReplay(t *testing.T, geoms []Geometry, refs []trace.Ref) {
+	p := NewSetProfiler(32, geoms)
+	replicas := make([]*cache.SetAssoc, len(geoms))
+	for i, g := range geoms {
+		replicas[i] = cache.NewSetAssoc(
+			fmt.Sprintf("replay %d×%d", g.Sets, g.Ways),
+			g.Sets*uint64(g.Ways)*32, 32, g.Ways)
+	}
+	for _, r := range refs {
+		p.Access(r.Addr, r.Kind)
+		for _, c := range replicas {
+			c.Access(r.Addr, r.Kind)
+		}
+	}
+	for i, g := range geoms {
+		s := replicas[i].Stats()
+		for k, want := range []struct {
+			events, total int64
+		}{
+			{s.Ifetch.Events, s.Ifetch.Total},
+			{s.Load.Events, s.Load.Total},
+			{s.Store.Events, s.Store.Total},
+		} {
+			got := p.MissCounter(g.Sets, g.Ways, trace.Kind(k))
+			if got.Events != want.events || got.Total != want.total {
+				t.Errorf("%d sets × %d ways kind=%v: profiler %d/%d, replay %d/%d",
+					g.Sets, g.Ways, trace.Kind(k),
+					got.Events, got.Total, want.events, want.total)
+			}
 		}
 	}
 }
@@ -119,8 +143,8 @@ func TestSetProfilerMatchesReplay(t *testing.T) {
 func TestSetProfilerSharedTracker(t *testing.T) {
 	geoms := []Geometry{{Sets: 64, Ways: 1}, {Sets: 64, Ways: 2}}
 	p := NewSetProfiler(32, geoms)
-	if len(p.Pos) != 1 {
-		t.Fatalf("expected 1 merged tracker, got %d", len(p.Pos))
+	if p.Trackers() != 1 {
+		t.Fatalf("expected 1 merged tracker, got %d", p.Trackers())
 	}
 	dm := cache.NewSetAssoc("dm", 64*32, 32, 1)
 	tw := cache.NewSetAssoc("2w", 64*2*32, 32, 2)
@@ -151,17 +175,49 @@ func TestSetProfilerPosRouting(t *testing.T) {
 		t.Error("TrackerIndex should return -1 for unknown set counts")
 	}
 	p.Access(0x000, trace.Load) // miss
-	if p.Pos[ti] != -1 {
-		t.Errorf("cold access Pos = %d, want -1", p.Pos[ti])
+	if p.Pos(ti) != -1 {
+		t.Errorf("cold access Pos = %d, want -1", p.Pos(ti))
 	}
 	p.Access(0x000, trace.Load) // MRU hit
-	if p.Pos[ti] != 0 {
-		t.Errorf("re-access Pos = %d, want 0", p.Pos[ti])
+	if p.Pos(ti) != 0 {
+		t.Errorf("re-access Pos = %d, want 0", p.Pos(ti))
 	}
 	p.Access(0x200, trace.Load) // same set (4 sets × 32 B), second way
 	p.Access(0x000, trace.Load) // now at LRU position 1
-	if p.Pos[ti] != 1 {
-		t.Errorf("second-way hit Pos = %d, want 1", p.Pos[ti])
+	if p.Pos(ti) != 1 {
+		t.Errorf("second-way hit Pos = %d, want 1", p.Pos(ti))
+	}
+
+	// Two trackers, registered largest first: 4 sets divides 8, so an
+	// MRU hit at 4 sets ends the scan before the 8-set tracker, which
+	// must still report position 0 rather than its previous -1.
+	p = NewSetProfiler(32, []Geometry{{Sets: 8, Ways: 1}, {Sets: 4, Ways: 2}})
+	small, large := p.TrackerIndex(4), p.TrackerIndex(8)
+	if small != 0 || large != 1 {
+		t.Fatalf("TrackerIndex(4), TrackerIndex(8) = %d, %d; want ascending 0, 1", small, large)
+	}
+	for _, step := range []struct {
+		addr       uint64
+		small, big int
+	}{
+		{0x000, -1, -1}, // cold in both
+		{0x000, 0, 0},   // MRU hit at 4 sets: the scan stops
+		{0x080, -1, -1}, // 4 sets: same set as 0x000; 8 sets: another set
+		{0x000, 1, 0},   // second way at 4 sets, still MRU at 8 sets
+		{0x080, 1, 0},   // second way at 4 sets, MRU of its own set at 8 sets
+		{0x080, 0, 0},   // MRU hit at 4 sets again ends the scan
+	} {
+		p.Access(step.addr, trace.Load)
+		if got := p.Pos(small); got != step.small {
+			t.Errorf("access %#x: 4-set Pos = %d, want %d", step.addr, got, step.small)
+		}
+		if got := p.Pos(large); got != step.big {
+			t.Errorf("access %#x: 8-set Pos = %d, want %d", step.addr, got, step.big)
+		}
+	}
+	c := p.MissCounter(8, 1, trace.Load)
+	if c.Events != 2 || c.Total != 6 {
+		t.Errorf("8-set misses %d/%d, want 2/6", c.Events, c.Total)
 	}
 }
 
@@ -231,6 +287,9 @@ func TestMissCounterPanicsOnBadCapacity(t *testing.T) {
 	NewProfiler(32).MissCounter(24, trace.Load)
 }
 
+// BenchmarkSetProfilerAccess feeds the Figure 7/8 grid uniform-random
+// addresses. They give few MRU hits, so nearly every access scans every
+// tracker: this is the input the scan's stop does not help.
 func BenchmarkSetProfilerAccess(b *testing.B) {
 	p := NewSetProfiler(32, fig78Geometries())
 	rng := rand.New(rand.NewSource(1))
@@ -243,6 +302,7 @@ func BenchmarkSetProfilerAccess(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p.Access(addrs[i&4095], trace.Load)
 	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "Mref/s")
 }
 
 func BenchmarkProfilerAccess(b *testing.B) {

@@ -48,6 +48,8 @@ type lineSet struct {
 	shift uint
 	iprof *stackdist.SetProfiler
 	dprof *stackdist.SetProfiler
+	isets uint64 // a set count iprof tracks: where refCounts reads totals
+	dsets uint64 // the same for dprof
 
 	// vics replay every data reference: a victim cache's contents
 	// depend on main-cache eviction order and sub-block recency (and a
@@ -70,7 +72,13 @@ func (s *lineSet) init(lineBytes int, ig, dg []stackdist.Geometry) {
 	s.shift = uint(bits.TrailingZeros64(line))
 	s.iprof = stackdist.NewSetProfiler(line, ig)
 	s.dprof = stackdist.NewSetProfiler(line, dg)
+	s.isets, s.dsets = ig[0].Sets, dg[0].Sets
 }
+
+// iRepeat reports whether an instruction fetch at addr repeats the
+// previous fetch's line. Most fetches do, so the Refs loops test this
+// before any call.
+func (s *lineSet) iRepeat(addr uint64) bool { return addr>>s.shift+1 == s.lastILine }
 
 // ref feeds one reference and reports whether it reached the profilers
 // (a line change), leaving their Pos valid for it; a repeat of the
@@ -98,6 +106,13 @@ func (s *lineSet) ref(r trace.Ref) bool {
 	s.lastDLine = line
 	s.dprof.Access(r.Addr, r.Kind)
 	return true
+}
+
+// refCounts tallies the stream by kind from each profiler's totals
+// and the repeats it never saw.
+func (s *lineSet) refCounts() trace.Counts {
+	d := s.dStats(s.dsets, 1)
+	return trace.Counts{Ifetches: s.iStats(s.isets).Ifetch.Total, Loads: d.Load.Total, Stores: d.Store.Total}
 }
 
 // iStats returns the direct-mapped I-cache statistics at the given set
@@ -139,7 +154,6 @@ func setStats(p *stackdist.SetProfiler, sets uint64, ways int) cache.Stats {
 // not trace passes.
 type FamilyCacheSet struct {
 	lineSet
-	counts trace.Counts
 	vicPts []FamilyPoint // sorted; vicPts[i] is the point of vics[i]
 }
 
@@ -194,20 +208,22 @@ func (f *FamilyCacheSet) init(columnBytes int, points []FamilyPoint) {
 func (f *FamilyCacheSet) Compounds() int { return len(f.vics) }
 
 // Ref implements trace.Sink.
-func (f *FamilyCacheSet) Ref(r trace.Ref) {
-	f.counts.Ref(r)
-	f.ref(r)
-}
+func (f *FamilyCacheSet) Ref(r trace.Ref) { f.ref(r) }
 
-// Refs implements trace.BatchSink.
+// Refs implements trace.BatchSink. An instruction fetch that repeats
+// its line only bumps the repeat counter.
 func (f *FamilyCacheSet) Refs(rs []trace.Ref) {
 	for i := range rs {
-		f.Ref(rs[i])
+		if rs[i].Kind == trace.Ifetch && f.iRepeat(rs[i].Addr) {
+			f.repeats[trace.Ifetch]++
+			continue
+		}
+		f.ref(rs[i])
 	}
 }
 
 // RefCounts tallies the reference stream by kind.
-func (f *FamilyCacheSet) RefCounts() trace.Counts { return f.counts }
+func (f *FamilyCacheSet) RefCounts() trace.Counts { return f.refCounts() }
 
 // IStats returns the direct-mapped column-buffer I-cache statistics for
 // the given bank count.

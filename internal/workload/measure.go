@@ -64,8 +64,6 @@ type CacheMeasurer interface {
 // conditional stream (only first-level misses), fed whenever a
 // conventional reference misses the 16 KB first-level geometry.
 type CacheSet struct {
-	counts trace.Counts
-
 	prop  FamilyCacheSet  // the device's point at its column size
 	point FamilyPoint     // that point
 	conv  lineSet         // conventional line size: Figure 7/8 grids
@@ -116,7 +114,6 @@ func NewCacheSetFor(prop, ref core.Device) *CacheSet {
 
 // Ref implements trace.Sink: one reference drives every measurement.
 func (cs *CacheSet) Ref(r trace.Ref) {
-	cs.counts.Ref(r)
 	cs.prop.ref(r)
 	if !cs.conv.ref(r) || cs.l2 == nil {
 		return
@@ -124,24 +121,31 @@ func (cs *CacheSet) Ref(r trace.Ref) {
 	// The reference system's L2 sees the 16 KB first-level misses: the
 	// first-level cache hit iff the access hit at LRU position 0 (a
 	// same-line repeat always hits, so only line changes can miss).
-	pos := cs.conv.dprof.Pos[cs.d16]
+	pos := cs.conv.dprof.Pos(cs.d16)
 	if r.Kind == trace.Ifetch {
-		pos = cs.conv.iprof.Pos[cs.i16]
+		pos = cs.conv.iprof.Pos(cs.i16)
 	}
 	if pos != 0 {
 		cs.l2.Access(r.Addr, r.Kind)
 	}
 }
 
-// Refs implements trace.BatchSink.
+// Refs implements trace.BatchSink. An instruction fetch that repeats
+// its line at both line sizes hits every I-cache and never reaches the
+// L2, so it only bumps the two repeat counters.
 func (cs *CacheSet) Refs(rs []trace.Ref) {
 	for i := range rs {
+		if rs[i].Kind == trace.Ifetch && cs.conv.iRepeat(rs[i].Addr) && cs.prop.iRepeat(rs[i].Addr) {
+			cs.conv.repeats[trace.Ifetch]++
+			cs.prop.repeats[trace.Ifetch]++
+			continue
+		}
 		cs.Ref(rs[i])
 	}
 }
 
 // RefCounts implements CacheMeasurer.
-func (cs *CacheSet) RefCounts() trace.Counts { return cs.counts }
+func (cs *CacheSet) RefCounts() trace.Counts { return cs.conv.refCounts() }
 
 // PropIStats implements CacheMeasurer.
 func (cs *CacheSet) PropIStats() cache.Stats { return cs.prop.IStats(cs.point.Banks) }
