@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-figures bench-baseline bench-check bench-check-ci fuzz trace-cache result-cache cache-gc loadtest vet lint loc results quick-results results-check clean
+.PHONY: all build test race bench bench-figures bench-baseline bench-check bench-check-ci fuzz trace-cache result-cache cache-gc vet lint loc results quick-results results-check clean
 
 all: build vet test
 
@@ -96,13 +96,6 @@ result-cache:
 CACHE_MAX_BYTES ?= 268435456
 cache-gc:
 	$(GO) run ./cmd/iramsim -result-cache $(RESULT_DIR) -result-cache-max-bytes $(CACHE_MAX_BYTES)
-
-# Self-contained iramsimd load test: warm the cache, then serve
-# LOADTEST_N concurrent overlapping requests entirely from cache while
-# a saturated probe server sheds load with 429s.
-LOADTEST_N ?= 8
-loadtest:
-	$(GO) run ./cmd/iramsimd -loadtest $(LOADTEST_N) -j 4
 
 # Regenerate every experiment at full fidelity (~15 serial minutes,
 # spread across all cores by default; see the iramsim -j flag).

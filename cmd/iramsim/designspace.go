@@ -44,6 +44,9 @@ func parseAxis(name, spec string) ([]int, error) {
 		}
 		for v := lo; v <= hi; v += step {
 			add(v)
+			if v > hi-step { // overflow guard
+				break
+			}
 		}
 	}
 	if len(out) == 0 {

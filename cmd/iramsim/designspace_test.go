@@ -1,9 +1,11 @@
 package main
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestParseAxis(t *testing.T) {
@@ -20,9 +22,24 @@ func TestParseAxis(t *testing.T) {
 		{"4,2..8:2", []int{4, 2, 6, 8}}, // duplicates dropped, first wins
 		{" 8 , 16 ", []int{8, 16}},
 		{"2..2:1", []int{2}},
+		// hi+step overflows: the range must still end.
+		{"9223372036854775800..9223372036854775807:4", []int{9223372036854775800, 9223372036854775804}},
 	}
 	for _, c := range cases {
-		got, err := parseAxis("ds-banks", c.spec)
+		var got []int
+		var err error
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			got, err = parseAxis("ds-banks", c.spec)
+		}()
+		select {
+		case <-done:
+		case <-time.After(3 * time.Second):
+			// A parse that never returns keeps growing its axis, so end
+			// the test binary instead of leaving it beside later tests.
+			panic(fmt.Sprintf("parseAxis(%q) did not return", c.spec))
+		}
 		if err != nil {
 			t.Errorf("parseAxis(%q): %v", c.spec, err)
 			continue

@@ -104,15 +104,33 @@ func itoa(n int) string {
 	return string(b[i:])
 }
 
+// machineFlag resolves a -machine file the way the flag does: request
+// reads it, and the runner's Request validation decodes and checks it.
+func machineFlag(path string) (core.Device, error) {
+	req, err := request(cliConfig{machine: path})
+	if err != nil {
+		return core.Device{}, err
+	}
+	req.Experiments = []string{"spec"}
+	if err := req.Validate(); err != nil {
+		return core.Device{}, err
+	}
+	opts, err := req.Options()
+	if err != nil {
+		return core.Device{}, err
+	}
+	return *opts.Machine, nil
+}
+
 // TestMachineFlag drives the -machine path end to end: the example
 // 32-bank / 256 B-column device loads, validates, and runs the cache
 // figures, the GSPN net, and a SPLASH multiprocessor figure, producing
 // output that names the configured device and differs from the paper
 // default where it should.
 func TestMachineFlag(t *testing.T) {
-	dev, err := core.LoadFile(filepath.Join("..", "..", "examples", "machine-32bank.json"))
+	dev, err := machineFlag(filepath.Join("..", "..", "examples", "machine-32bank.json"))
 	if err != nil {
-		t.Fatalf("LoadFile: %v", err)
+		t.Fatalf("-machine: %v", err)
 	}
 	if dev.DRAM.Banks != 32 || dev.DRAM.ColumnBytes != 256 || dev.VictimEntries != 8 {
 		t.Fatalf("example device = %d banks, %d B columns, %d victim entries; want 32/256/8",
@@ -168,23 +186,24 @@ func TestMachineFlag(t *testing.T) {
 // load time with the core validation error, not deep in a simulator.
 func TestMachineFlagRejectsBadConfig(t *testing.T) {
 	dir := t.TempDir()
-	bad := filepath.Join(dir, "bad.json")
-	// 32 banks but I-cache left at the 16-bank default: violates the
-	// one-column-buffer-per-bank identity.
-	if err := os.WriteFile(bad, []byte(`{"DRAM": {"Banks": 32}}`), 0o644); err != nil {
-		t.Fatal(err)
+	for _, c := range []struct{ name, body string }{
+		// 32 banks but I-cache left at the 16-bank default: violates
+		// the one-column-buffer-per-bank identity.
+		{"bad", `{"DRAM": {"Banks": 32}}`},
+		{"unknown", `{"NoSuchField": 1}`},
+		// A D-cache of no ways balances its buffer count, but no cache
+		// simulator can build it.
+		{"zero-ways", `{"DCacheWays": 0, "DCacheBytes": 0, "DRAM": {"BuffersPerBank": 1}}`},
+	} {
+		path := filepath.Join(dir, c.name+".json")
+		if err := os.WriteFile(path, []byte(c.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := machineFlag(path); err == nil || !strings.Contains(err.Error(), "machine config") {
+			t.Errorf("%s machine config: err = %v, want a machine config error", c.name, err)
+		}
 	}
-	if _, err := core.LoadFile(bad); err == nil {
-		t.Error("invalid machine config accepted")
-	}
-	if _, err := core.LoadFile(filepath.Join(dir, "missing.json")); err == nil {
+	if _, err := machineFlag(filepath.Join(dir, "missing.json")); err == nil {
 		t.Error("missing machine config accepted")
-	}
-	unknown := filepath.Join(dir, "unknown.json")
-	if err := os.WriteFile(unknown, []byte(`{"NoSuchField": 1}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := core.LoadFile(unknown); err == nil {
-		t.Error("unknown field accepted")
 	}
 }

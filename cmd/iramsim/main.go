@@ -31,10 +31,10 @@
 //	-trace f      write the sweep event trace to f after the run
 //	-debug-addr a serve expvar/pprof/metrics on host:port while running
 //
-// All orchestration — experiment dispatch, cache wiring, engine
-// construction, rendering — lives in internal/runner; this command is
-// a flag-parsing client of runner.Run, and cmd/iramsimd serves the
-// same runs over HTTP.
+// All orchestration — experiment dispatch, engine construction,
+// rendering — lives in internal/runner; this command parses flags,
+// opens the caches they name, and calls runner.Run, and cmd/iramsimd
+// serves the same runs over HTTP.
 package main
 
 import (
@@ -114,8 +114,9 @@ func main() {
 
 	// `iramsim -record <dir>` with no experiments is record-all mode,
 	// and `-result-cache-max-bytes` with no experiments is cache-gc
-	// mode; anything else without experiments is a usage error.
-	if flag.NArg() == 0 && c.record == "" && c.cacheMaxBytes == 0 {
+	// mode (which needs the result cache); anything else without
+	// experiments is a usage error.
+	if flag.NArg() == 0 && c.record == "" && (c.cacheMaxBytes == 0 || c.noResultCache) {
 		usage()
 		os.Exit(2)
 	}
@@ -204,24 +205,31 @@ func mainErr(c cliConfig) (err error) {
 	if err != nil {
 		return err
 	}
+	// Options resolves the seed the trace store keys its entries by.
+	opts, err := req.Options()
+	if err != nil {
+		return err
+	}
 	traceDir, err := resolveTraceDir(c)
 	if err != nil {
 		return err
 	}
+	if traceDir != "" {
+		if opts.TraceSource, err = runner.OpenTraceSource(traceDir, opts.Seed, c.record != ""); err != nil {
+			return err
+		}
+	}
 	if flag.NArg() == 0 && c.record != "" {
-		opts, err := req.Options()
-		if err != nil {
-			return err
-		}
-		src, err := runner.OpenTraceSource(traceDir, opts.Seed, true)
-		if err != nil {
-			return err
-		}
-		opts.TraceSource = src
 		return recordAll(opts, os.Stderr)
 	}
+	var store *resultstore.Store
+	if !c.noResultCache {
+		if store, err = resultstore.NewStore(c.resultCache); err != nil {
+			return err
+		}
+	}
 	if flag.NArg() == 0 {
-		return cacheGC(c, os.Stderr)
+		return cacheGC(store, c.cacheMaxBytes, os.Stderr)
 	}
 
 	cfg := runner.Config{
@@ -229,12 +237,13 @@ func mainErr(c cliConfig) (err error) {
 		JSON:         c.json,
 		Out:          os.Stdout,
 		Progress:     os.Stderr,
-		TraceDir:     traceDir,
-		RecordTraces: c.record != "",
+		TraceSource:  opts.TraceSource,
 		FrontierPath: c.dsFrontier,
 	}
-	if !c.noResultCache {
-		cfg.ResultCacheDir = c.resultCache
+	// A record run never consults the result cache: its purpose is to
+	// execute every workload so the traces get written.
+	if store != nil && c.record == "" {
+		cfg.ResultCache = store
 	}
 
 	// Observability is opt-in: with no flag set, the registry stays nil
@@ -277,8 +286,8 @@ func mainErr(c cliConfig) (err error) {
 			}
 		}
 	}
-	if runErr == nil && c.cacheMaxBytes > 0 && !c.noResultCache {
-		runErr = cacheGC(c, os.Stderr)
+	if runErr == nil && c.cacheMaxBytes > 0 && store != nil {
+		runErr = cacheGC(store, c.cacheMaxBytes, os.Stderr)
 	}
 	return runErr
 }
@@ -314,20 +323,16 @@ func recordAll(opts experiments.Options, progress io.Writer) error {
 	return nil
 }
 
-// cacheGC prunes the result cache to -result-cache-max-bytes, evicting
-// oldest-mtime entries first (`make cache-gc`, and the post-run prune
-// that keeps a long-running cache from filling the disk).
-func cacheGC(c cliConfig, progress io.Writer) error {
-	store, err := resultstore.NewStore(c.resultCache)
-	if err != nil {
-		return err
-	}
-	removed, freed, err := store.Prune(c.cacheMaxBytes)
+// cacheGC prunes the result cache to maxBytes, evicting oldest-mtime
+// entries first (`make cache-gc`, and the post-run prune that keeps a
+// long-running cache from filling the disk).
+func cacheGC(store *resultstore.Store, maxBytes int64, progress io.Writer) error {
+	removed, freed, err := store.Prune(maxBytes)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(progress, "iramsim: result-cache gc: pruned %d entries (%d bytes) from %s\n",
-		removed, freed, c.resultCache)
+		removed, freed, store.Dir())
 	return nil
 }
 

@@ -174,6 +174,25 @@ func TestMetricsFlag(t *testing.T) {
 	if !strings.Contains(string(tr), "# trace:") {
 		t.Errorf("trace missing summary line:\n%s", tr)
 	}
+
+	// The multiprocessor ablations publish the same families as the
+	// SPLASH figures.
+	ablations := quickOpts()
+	ablations.Obs = obs.NewRegistry()
+	runJobs(t, []string{"ablate-engines", "ablate-inc", "ablate-unit"}, ablations, runner.Config{Workers: 2})
+	var buf bytes.Buffer
+	if err := ablations.Obs.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	dump = nil
+	if err := json.Unmarshal(buf.Bytes(), &dump); err != nil {
+		t.Fatalf("ablation metrics dump is not valid JSON: %v", err)
+	}
+	for _, fam := range []string{"coherence", "mpsim"} {
+		if len(dump[fam]) == 0 {
+			t.Errorf("ablation metrics dump missing family %q; have %v", fam, dump)
+		}
+	}
 }
 
 func TestRunDispatcherJSON(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -65,6 +66,72 @@ func submitID(t *testing.T, ts *httptest.Server, req runner.Request) string {
 	return v.ID
 }
 
+// doneEvent is the terminal event every run stream ends with.
+type doneEvent struct {
+	Type        string `json:"type"`
+	State       string `json:"state"`
+	Error       string `json:"error"`
+	CacheHits   int64  `json:"cache_hits"`
+	CacheMisses int64  `json:"cache_misses"`
+}
+
+// submitAndWait POSTs one streaming run and returns its rendered output
+// plus the terminal done event. It reports failures as errors, so
+// concurrent clients can call it off the test goroutine.
+func submitAndWait(baseURL string, req runner.Request) ([]byte, doneEvent, error) {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return nil, doneEvent{}, err
+	}
+	resp, err := http.Post(baseURL+"/v1/runs?stream=1", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return nil, doneEvent{}, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		b, _ := io.ReadAll(resp.Body)
+		return nil, doneEvent{}, fmt.Errorf("submit: %s: %s", resp.Status, bytes.TrimSpace(b))
+	}
+	var id string
+	var done doneEvent
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	for sc.Scan() {
+		var ev struct {
+			doneEvent
+			Run string `json:"run"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			return nil, doneEvent{}, fmt.Errorf("bad event %q: %w", sc.Text(), err)
+		}
+		if ev.Run != "" {
+			id = ev.Run
+		}
+		if ev.Type == "done" {
+			done = ev.doneEvent
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, doneEvent{}, err
+	}
+	if done.Type != "done" {
+		return nil, doneEvent{}, fmt.Errorf("stream ended without a done event")
+	}
+	outResp, err := http.Get(baseURL + "/v1/runs/" + id + "/output")
+	if err != nil {
+		return nil, doneEvent{}, err
+	}
+	defer outResp.Body.Close()
+	output, err := io.ReadAll(outResp.Body)
+	if err != nil {
+		return nil, doneEvent{}, err
+	}
+	if outResp.StatusCode != http.StatusOK {
+		return nil, done, fmt.Errorf("output: %s: %s", outResp.Status, bytes.TrimSpace(output))
+	}
+	return output, done, nil
+}
+
 // waitState polls the run until it reaches a terminal state.
 func waitState(t *testing.T, ts *httptest.Server, id string) string {
 	t.Helper()
@@ -115,6 +182,7 @@ func TestSubmitBadRequests(t *testing.T) {
 		{"unknown-experiment", `{"experiments":["fig99"]}`, `unknown experiment \"fig99\"`},
 		{"all-with-others", `{"experiments":["cost","all"]}`, `\"all\" must be the only experiment`},
 		{"bad-machine", `{"experiments":["fig7"],"machine":{"Banks":0}}`, "machine config"},
+		{"zero-ways-machine", `{"experiments":["fig8"],"machine":{"DCacheWays":0,"DCacheBytes":0,"DRAM":{"BuffersPerBank":1}}}`, "machine config"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -228,6 +296,15 @@ func TestQueueFullRejects(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("429 without Retry-After")
+	}
+	// Shedding load is not failing: the server stays live.
+	health, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	health.Body.Close()
+	if health.StatusCode != http.StatusOK {
+		t.Errorf("healthz while shedding = %s, want 200", health.Status)
 	}
 
 	close(release)
@@ -371,9 +448,11 @@ func TestDrain(t *testing.T) {
 	s.drain(10 * time.Second) // idempotent; waits for executors
 }
 
-// TestWarmCacheEndToEnd drives the real runner twice over a shared
-// result store: the second run must be answered entirely from cache
-// with byte-identical output — the daemon's core value proposition.
+// TestWarmCacheEndToEnd drives the real runner over a shared result
+// store: after one cold run, warm runs — one alone, then eight at once,
+// overlapping on the same cache entries — must each be answered
+// entirely from cache with the cold run's bytes. That is the daemon's
+// core value proposition.
 func TestWarmCacheEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real simulation run")
@@ -407,4 +486,25 @@ func TestWarmCacheEndToEnd(t *testing.T) {
 	if hits := reg.Counter("iramsimd", "cache_hits").Value(); hits == 0 {
 		t.Error("daemon-wide cache_hits not accumulated")
 	}
+
+	const clients = 8
+	var wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			out, done, err := submitAndWait(ts.URL, req)
+			switch {
+			case err != nil:
+				t.Errorf("client %d: %v", i, err)
+			case done.State != "done":
+				t.Errorf("client %d: state %q (%s)", i, done.State, done.Error)
+			case done.CacheHits == 0 || done.CacheMisses != 0:
+				t.Errorf("client %d: hits=%d misses=%d, want hits>0 misses==0", i, done.CacheHits, done.CacheMisses)
+			case !bytes.Equal(out, cold):
+				t.Errorf("client %d: output differs from the cold run", i)
+			}
+		}(i)
+	}
+	wg.Wait()
 }

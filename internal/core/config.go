@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
 )
 
 // FromJSON decodes a machine description, overlaying the supplied
@@ -34,13 +33,4 @@ func FromJSON(data []byte) (Device, error) {
 		return Device{}, fmt.Errorf("core: machine config: %w", err)
 	}
 	return d, nil
-}
-
-// LoadFile reads a machine description from a JSON file (see FromJSON).
-func LoadFile(path string) (Device, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Device{}, fmt.Errorf("core: machine config: %w", err)
-	}
-	return FromJSON(data)
 }

@@ -20,6 +20,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/cache"
 	"repro/internal/costmodel"
@@ -284,6 +285,9 @@ func (d Device) Validate() error {
 			d.ICacheLineBytes, d.DRAM.ColumnBytes)
 	}
 	// The D-cache is two column buffers per bank (2-way).
+	if d.DCacheWays < 1 {
+		return fmt.Errorf("core: D-cache of %d ways, want at least 1", d.DCacheWays)
+	}
 	if d.DCacheBytes != d.DCacheWays*d.DRAM.Banks*d.DRAM.ColumnBytes {
 		return fmt.Errorf("core: D-cache %d B != ways × banks × column", d.DCacheBytes)
 	}
@@ -291,6 +295,15 @@ func (d Device) Validate() error {
 	if want := 1 + d.DCacheWays; d.DRAM.BuffersPerBank != want {
 		return fmt.Errorf("core: %d buffers per bank, want %d (1 I + %d D)",
 			d.DRAM.BuffersPerBank, want, d.DCacheWays)
+	}
+	// The column buffers are carved out of the array, so they cannot
+	// outgrow it. The product is taken without overflow: the other
+	// identities hold for a wrapped one too.
+	hi, perBank := bits.Mul64(uint64(d.DRAM.BuffersPerBank), uint64(d.DRAM.ColumnBytes))
+	hi2, buffers := bits.Mul64(perBank, uint64(d.DRAM.Banks))
+	if hi != 0 || hi2 != 0 || buffers > d.DRAM.CapacityBytes {
+		return fmt.Errorf("core: %d banks × %d buffers × %d B of column buffers exceed the %d B array",
+			d.DRAM.Banks, d.DRAM.BuffersPerBank, d.DRAM.ColumnBytes, d.DRAM.CapacityBytes)
 	}
 	// The victim cache, when present, is exactly one column's worth.
 	if d.VictimEntries != 0 && d.VictimEntries*d.VictimLineBytes != d.DRAM.ColumnBytes {

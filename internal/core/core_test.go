@@ -72,6 +72,14 @@ func TestValidateCatchesImbalance(t *testing.T) {
 		"engines":      func(d *Device) { d.ProtocolEngines = 1 },
 		"monster core": func(d *Device) { d.Cost.CPUCoreAreaMM2 = 200 },
 		"broken dram":  func(d *Device) { d.DRAM.Banks = 0 },
+		"zero ways": func(d *Device) {
+			d.DCacheWays, d.DCacheBytes, d.DRAM.BuffersPerBank = 0, 0, 1
+		},
+		// 1.5 GiB of column buffers in a 32 MiB array.
+		"1 Mi banks": func(d *Device) { *d = d.WithOrganisation(1<<20, 512, 16, 2) },
+		// banks × column wraps to zero, so only an overflow-free
+		// buffer product sees the size.
+		"wrapped banks": func(d *Device) { *d = d.WithOrganisation(1<<60, 512, 16, 2) },
 	}
 	for name, mutate := range mutations {
 		d := Proposed()

@@ -9,7 +9,6 @@ import (
 	"repro/internal/cpumodel"
 	"repro/internal/mpsim"
 	"repro/internal/report"
-	"repro/internal/splash"
 	"repro/internal/sweep"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -243,14 +242,12 @@ func AblateCoherenceUnitJob(o Options, _ *MeasurementSet) sweep.Job {
 
 // ablateUnitBench runs one SPLASH benchmark at every coherence unit.
 func ablateUnitBench(o Options, name string) ([]UnitRow, error) {
-	sz := o.splashSize()
-	b, err := splash.ByName(name)
-	if err != nil {
-		return nil, err
-	}
 	var rows []UnitRow
 	for _, u := range []uint64{32, 128, 512} {
-		r := b.RunMachine(ablateUnitProcs, unitMachine(o, u), sz)
+		r, err := o.runSplash(name, ablateUnitProcs, unitMachine(o, u))
+		if err != nil {
+			return nil, err
+		}
 		rows = append(rows, UnitRow{Bench: name, UnitBytes: u, Cycles: r.Cycles})
 	}
 	return rows, nil
@@ -392,7 +389,6 @@ type INCResult struct{ Rows []INCRow }
 // sized above the working sets for the same reason in reverse
 // (Section 6.1).
 func AblateINCAssociativityJob(o Options, _ *MeasurementSet) sweep.Job {
-	sz := o.splashSize()
 	// Undersizing tracks the data set: small enough that the remote
 	// working set does not rattle around in capacity slack, large
 	// enough that conflicts (not pure capacity) decide the outcome.
@@ -404,14 +400,13 @@ func AblateINCAssociativityJob(o Options, _ *MeasurementSet) sweep.Job {
 	for _, ways := range []int{1, 2, 7} {
 		for _, name := range []string{"WATER", "LU"} {
 			units = append(units, uncached(fmt.Sprintf("ablate-inc/%s/ways=%d", name, ways), func() (INCRow, error) {
-				b, err := splash.ByName(name)
-				if err != nil {
-					return INCRow{}, err
-				}
 				dev := o.Device()
 				dev.INCWays, dev.INCBytes = ways, smallINC
 				m := machine(dev, coherence.IntegratedVictim, 4)
-				r := b.RunMachine(4, m, sz)
+				r, err := o.runSplash(name, 4, m)
+				if err != nil {
+					return INCRow{}, err
+				}
 				return INCRow{
 					Bench: name, Ways: ways,
 					RemoteLoads: m.RemoteLoads, Cycles: r.Cycles,
@@ -454,7 +449,6 @@ type EngineResult struct {
 // queue and what a fourth would buy, using the occupancy model of
 // internal/coherence/engines.go.
 func AblateEnginesJob(o Options, _ *MeasurementSet) sweep.Job {
-	sz := o.splashSize()
 	procs := 8
 	if o.MPQuick {
 		procs = 4
@@ -463,13 +457,12 @@ func AblateEnginesJob(o Options, _ *MeasurementSet) sweep.Job {
 	for _, name := range []string{"MP3D", "WATER"} {
 		for _, engines := range []int{1, 2, 4} {
 			units = append(units, uncached(fmt.Sprintf("ablate-engines/%s/engines=%d", name, engines), func() (EngineRow, error) {
-				b, err := splash.ByName(name)
+				m := machine(o.Device(), coherence.IntegratedVictim, procs)
+				m.EnableEngines(engines)
+				r, err := o.runSplash(name, procs, m)
 				if err != nil {
 					return EngineRow{}, err
 				}
-				m := machine(o.Device(), coherence.IntegratedVictim, procs)
-				m.EnableEngines(engines)
-				r := b.RunMachine(procs, m, sz)
 				q, _ := m.EngineStats()
 				return EngineRow{
 					Bench: name, Engines: engines, Cycles: r.Cycles, QueueCycles: q,

@@ -173,15 +173,15 @@ type designLattice struct {
 	devs   []core.Device
 	axes   [][4]int            // per point: axis indices (banks, col, ways, vic)
 	index  map[DesignPoint]int // point -> lattice index
-	nAxis  [4]int              // axis lengths
+	values [4][]int            // axis values (banks, col, ways, vic)
 }
 
 func newDesignLattice(o Options) *designLattice {
 	bankAxis, colAxis, wayAxis, vicAxis := designspaceAxes(o)
 	base := o.Device()
 	l := &designLattice{
-		index: make(map[DesignPoint]int),
-		nAxis: [4]int{len(bankAxis), len(colAxis), len(wayAxis), len(vicAxis)},
+		index:  make(map[DesignPoint]int),
+		values: [4][]int{bankAxis, colAxis, wayAxis, vicAxis},
 	}
 	for bi, b := range bankAxis {
 		for ci, c := range colAxis {
@@ -233,7 +233,7 @@ func (l *designLattice) coarseSelection(stride int) []int {
 		return sel
 	}
 	on := func(axis, idx int) bool {
-		return idx%stride == 0 || idx == l.nAxis[axis]-1
+		return idx%stride == 0 || idx == len(l.values[axis])-1
 	}
 	var sel []int
 	for i, ax := range l.axes {
@@ -250,23 +250,22 @@ func (l *designLattice) neighbors(i int) []int {
 	var out []int
 	ax := l.axes[i]
 	p := l.points[i]
-	bankAxis, colAxis, wayAxis, vicAxis := axisValuesOf(l)
-	for axis := 0; axis < 4; axis++ {
+	for axis, vals := range l.values {
 		for _, d := range []int{-1, 1} {
 			ni := ax[axis] + d
-			if ni < 0 || ni >= l.nAxis[axis] {
+			if ni < 0 || ni >= len(vals) {
 				continue
 			}
 			q := p
 			switch axis {
 			case 0:
-				q.Banks = bankAxis[ni]
+				q.Banks = vals[ni]
 			case 1:
-				q.ColumnBytes = colAxis[ni]
+				q.ColumnBytes = vals[ni]
 			case 2:
-				q.Ways = wayAxis[ni]
+				q.Ways = vals[ni]
 			case 3:
-				q.VictimEntries = vicAxis[ni]
+				q.VictimEntries = vals[ni]
 			}
 			if j, ok := l.index[q]; ok {
 				out = append(out, j)
@@ -275,24 +274,6 @@ func (l *designLattice) neighbors(i int) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// axisValuesOf reconstructs the axis value lists from the lattice (the
-// lattice stores indices; values are recovered from the points). Axis
-// values absent from every valid point are unreachable anyway.
-func axisValuesOf(l *designLattice) (banks, cols, ways, vics []int) {
-	banks = make([]int, l.nAxis[0])
-	cols = make([]int, l.nAxis[1])
-	ways = make([]int, l.nAxis[2])
-	vics = make([]int, l.nAxis[3])
-	for i, p := range l.points {
-		ax := l.axes[i]
-		banks[ax[0]] = p.Banks
-		cols[ax[1]] = p.ColumnBytes
-		ways[ax[2]] = p.Ways
-		vics[ax[3]] = p.VictimEntries
-	}
-	return
 }
 
 // DesignspaceJob builds the search as a sweep job: one unit per
@@ -558,22 +539,9 @@ func estimateCPI(cfg cpumodel.SystemConfig, app cpumodel.AppRates) float64 {
 // frontier only ever contains GSPN-evaluated rows, so the heuristic
 // costs recall, never correctness of what is claimed.
 func benchFrontier(selected []int, rows map[int][]DesignRow, ests map[int][]float64, bi int) []int {
-	var out []int
-	for _, i := range selected {
-		dominated := false
-		for _, j := range selected {
-			if i == j {
-				continue
-			}
-			if screenDominates(ests[j][bi], rows[j][bi], ests[i][bi], rows[i][bi]) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			out = append(out, i)
-		}
-	}
+	out := nonDominated(selected, func(i int) [3]float64 {
+		return [3]float64{ests[i][bi], rows[i][bi].AreaMM2, rows[i][bi].DMissPct}
+	})
 	sort.Ints(out)
 	return out
 }
@@ -600,14 +568,29 @@ func screeningFrontier(selected []int, rows map[int][]DesignRow, ests map[int][]
 	return out
 }
 
-// screenDominates reports whether (estA, a) strictly dominates
-// (estB, b) in the screening order: minimise estimated CPI, area, and
-// D-miss.
-func screenDominates(estA float64, a DesignRow, estB float64, b DesignRow) bool {
-	if estA > estB || a.DMissPct > b.DMissPct || a.AreaMM2 > b.AreaMM2 {
-		return false
+// nonDominated returns, in input order, the items that no other item
+// dominates: one item dominates another when it is no worse on all
+// three objectives, each minimised, and better on at least one.
+func nonDominated[T any](items []T, objectives func(T) [3]float64) []T {
+	obj := make([][3]float64, len(items))
+	for i, it := range items {
+		obj[i] = objectives(it)
 	}
-	return estA < estB || a.DMissPct < b.DMissPct || a.AreaMM2 < b.AreaMM2
+	var out []T
+	for i, a := range obj {
+		dominated := false
+		for j, b := range obj {
+			if i != j && b[0] <= a[0] && b[1] <= a[1] && b[2] <= a[2] &&
+				(b[0] < a[0] || b[1] < a[1] || b[2] < a[2]) {
+				dominated = true
+				break
+			}
+		}
+		if !dominated {
+			out = append(out, items[i])
+		}
+	}
+	return out
 }
 
 // paretoFrontier extracts, per bench, the GSPN-evaluated rows that no
@@ -623,22 +606,11 @@ func paretoFrontier(res *DesignspaceResult) []FrontierRow {
 				cand = append(cand, r)
 			}
 		}
-		for i, r := range cand {
-			dominated := false
-			for j, q := range cand {
-				if i == j {
-					continue
-				}
-				if q.TotalCPI <= r.TotalCPI && q.AreaMM2 <= r.AreaMM2 && q.DMissPct <= r.DMissPct &&
-					(q.TotalCPI < r.TotalCPI || q.AreaMM2 < r.AreaMM2 || q.DMissPct < r.DMissPct) {
-					dominated = true
-					break
-				}
-			}
-			if !dominated {
-				out = append(out, FrontierRow{Bench: bench, Point: r.Point,
-					DMissPct: r.DMissPct, AreaMM2: r.AreaMM2, TotalCPI: r.TotalCPI})
-			}
+		for _, r := range nonDominated(cand, func(r DesignRow) [3]float64 {
+			return [3]float64{r.TotalCPI, r.AreaMM2, r.DMissPct}
+		}) {
+			out = append(out, FrontierRow{Bench: bench, Point: r.Point,
+				DMissPct: r.DMissPct, AreaMM2: r.AreaMM2, TotalCPI: r.TotalCPI})
 		}
 	}
 	sort.SliceStable(out, func(i, j int) bool {

@@ -118,28 +118,41 @@ func TestDesignspaceDeterministic(t *testing.T) {
 	}
 }
 
-// TestDesignspaceFiltersInvalid: a victim-entry count whose line size
-// cannot tile the column must be dropped from the lattice, not run.
-// Units are per (column family, bench), so the invalid point shrinks
-// the result, not the unit list.
+// TestDesignspaceFiltersInvalid: a geometry core.Device.Validate
+// rejects must be dropped from the lattice, not run. Units are per
+// (column family, bench), so an invalid point shrinks the result, not
+// the unit list; a lattice with no valid point is an empty search.
 func TestDesignspaceFiltersInvalid(t *testing.T) {
-	o := Quick()
-	o.Budget = 50_000
-	o.GSPNInstr = 2_000
-	o.DSBanks = []int{16}
-	o.DSColumns = []int{512}
-	o.DSVictims = []int{0, 3} // 512/3 is not an integer line size
-	j := DesignspaceJob(o, nil)
-	if want := 1 * len(designspaceBenches); len(j.Units) != want {
-		t.Errorf("designspace built %d units, want %d (one column family x benches)",
-			len(j.Units), want)
-	}
-	v, err := sweep.RunSerial(j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := v.(*DesignspaceResult)
-	if len(res.Points) != 1 {
-		t.Errorf("lattice kept %d points, want 1 (victim=3 filtered)", len(res.Points))
+	kept := DesignPoint{Banks: 16, ColumnBytes: 512, Ways: 2}
+	for _, c := range []struct {
+		name          string
+		ways, victims []int
+		want          []DesignPoint
+	}{
+		{"victim=3", nil, []int{0, 3}, []DesignPoint{kept}}, // 512/3 is not an integer line size
+		{"ways=0", []int{0, 2}, []int{0}, []DesignPoint{kept}},
+		{"only ways=0", []int{0}, []int{0}, nil},
+	} {
+		o := Quick()
+		o.Budget = 50_000
+		o.GSPNInstr = 2_000
+		o.DSBanks = []int{16}
+		o.DSColumns = []int{512}
+		o.DSWays = c.ways
+		o.DSVictims = c.victims
+		// Every case keeps at most one point, so at most the one
+		// 512 B column family.
+		j := DesignspaceJob(o, nil)
+		if want := len(c.want) * len(designspaceBenches); len(j.Units) != want {
+			t.Errorf("%s: designspace built %d units, want %d (column families x benches)",
+				c.name, len(j.Units), want)
+		}
+		v, err := sweep.RunSerial(j)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if res := v.(*DesignspaceResult); !reflect.DeepEqual(res.Points, c.want) {
+			t.Errorf("%s: lattice kept %v, want %v", c.name, res.Points, c.want)
+		}
 	}
 }

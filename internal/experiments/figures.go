@@ -376,12 +376,9 @@ func Fig2Job(o Options, _ *MeasurementSet) sweep.Job {
 			s := fig2Surface{name: h.Name, avgNs: map[uint64]map[uint64]float64{}}
 			for _, sz := range fig2Sizes {
 				s.avgNs[sz] = map[uint64]float64{}
-				for _, st := range fig2Strides {
-					if st >= sz {
-						continue
-					}
-					s.avgNs[sz][st] = h.Walk(sz, st).AvgNs
-				}
+			}
+			for _, w := range h.WalkSurface(fig2Sizes, fig2Strides) {
+				s.avgNs[w.ArrayBytes][w.Stride] = w.AvgNs
 			}
 			return s, nil
 		})

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/interconnect"
+	"repro/internal/mpsim"
 	"repro/internal/report"
 	"repro/internal/splash"
 	"repro/internal/sweep"
@@ -36,7 +37,6 @@ type SplashResult struct {
 // the dominant cost of `iramsim all` and they are all independent.
 func SplashJob(name, bench string) func(Options, *MeasurementSet) sweep.Job {
 	return func(o Options, _ *MeasurementSet) sweep.Job {
-		sz := o.splashSize()
 		configs := []coherence.Config{
 			coherence.ReferenceCCNUMA,
 			coherence.IntegratedPlain,
@@ -48,15 +48,9 @@ func SplashJob(name, bench string) func(Options, *MeasurementSet) sweep.Job {
 			for _, cfg := range configs {
 				uname := fmt.Sprintf("%s/%s/p=%d/%s", name, bench, np, cfg)
 				units = append(units, cached(k, uname, 0, splashCodec, func() (SplashPoint, error) {
-					b, err := splash.ByName(bench)
+					r, err := o.runSplash(bench, np, machine(o.Device(), cfg, np))
 					if err != nil {
 						return SplashPoint{}, err
-					}
-					m := machine(o.Device(), cfg, np)
-					r := b.RunMachine(np, m, sz)
-					if o.Obs != nil {
-						m.Publish(o.Obs)
-						r.Coord.Publish(o.Obs)
 					}
 					return SplashPoint{Config: cfg, Procs: np, Cycles: r.Cycles}, nil
 				}))
@@ -66,6 +60,21 @@ func SplashJob(name, bench string) func(Options, *MeasurementSet) sweep.Job {
 			return &SplashResult{Bench: bench, Points: points}, nil
 		})
 	}
+}
+
+// runSplash runs SPLASH benchmark bench on np processors of machine m
+// at the options' data-set size, and publishes the machine's protocol
+// and coordinator statistics to o.Obs. Every experiment's SPLASH runs
+// go through here, so -metrics covers each of them.
+func (o Options) runSplash(bench string, np int, m *coherence.Machine) (mpsim.Result, error) {
+	b, err := splash.ByName(bench)
+	if err != nil {
+		return mpsim.Result{}, err
+	}
+	r := b.RunMachine(np, m, o.splashSize())
+	m.Publish(o.Obs)
+	r.Coord.Publish(o.Obs)
+	return r, nil
 }
 
 // Cycles returns the execution time for a configuration/processor pair.
@@ -167,20 +176,14 @@ var scomaConfigs = []coherence.Config{
 // allocation traps.
 func SCOMAJob(o Options, _ *MeasurementSet) sweep.Job {
 	const procs = 4
-	sz := o.splashSize()
 	k := newKeyer("scoma", o, fmt.Sprintf("mpquick=%v", o.MPQuick))
 	benches := splash.All()
 	var units []sweep.Unit
 	for _, b := range benches {
 		for _, cfg := range scomaConfigs {
 			units = append(units, cached(k, fmt.Sprintf("scoma/%s/%s", b.Name, cfg), 0, cyclesCodec, func() (uint64, error) {
-				m := machine(o.Device(), cfg, procs)
-				r := b.RunMachine(procs, m, sz)
-				if o.Obs != nil {
-					m.Publish(o.Obs)
-					r.Coord.Publish(o.Obs)
-				}
-				return r.Cycles, nil
+				r, err := o.runSplash(b.Name, procs, machine(o.Device(), cfg, procs))
+				return r.Cycles, err
 			}))
 		}
 	}

@@ -3,11 +3,12 @@
 // plus the full fidelity surface (budget, seed, machine description,
 // design-space axes, quick mode) as plain serializable data; Run owns
 // everything a frontend would otherwise reimplement — building
-// experiments.Options, wiring the trace and result caches, constructing
-// the sweep engine, rendering each assembled result, and reporting
-// structured progress. cmd/iramsim is a thin flag-parsing client of
-// this package, and cmd/iramsimd serves the same Requests over HTTP:
-// one run path, two transports, byte-identical output.
+// experiments.Options, wiring in the trace and result stores its
+// caller opened, constructing the sweep engine, rendering each
+// assembled result, and reporting structured progress. cmd/iramsim is
+// a thin flag-parsing client of this package, and cmd/iramsimd serves
+// the same Requests over HTTP: one run path, two transports,
+// byte-identical output.
 package runner
 
 import (
@@ -23,7 +24,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/report"
-	"repro/internal/resultstore"
 	"repro/internal/sweep"
 	"repro/internal/tracestore"
 	"repro/internal/workload"
@@ -62,7 +62,8 @@ type Request struct {
 
 // Config carries the cross-cutting wiring a caller sets up once per
 // run: output streams, caches, observability, and progress callbacks.
-// The zero value runs serially with no caches and discards all output.
+// The caches are stores the caller opened and owns. The zero value runs
+// serially with no caches and discards all output.
 type Config struct {
 	// Workers sizes the sweep worker pool (<=0 means serial). A
 	// resource decision, so it lives here and not on the Request.
@@ -79,18 +80,14 @@ type Config struct {
 	Obs *obs.Registry
 	// Trace, when non-nil, records sweep unit events.
 	Trace *obs.Tracer
-	// TraceDir, when non-empty, replays recorded workload streams from
-	// this cache directory, recording on miss. RecordTraces forces
-	// re-recording (and disables the result cache: a record run's
-	// purpose is to execute every workload).
-	TraceDir     string
-	RecordTraces bool
-	// ResultCache, when non-nil, memoizes assembled unit results. When
-	// nil and ResultCacheDir is non-empty, Run opens a store there —
-	// the daemon passes a shared *resultstore.Store so concurrent runs
-	// single-flight their overlapping units in-process.
-	ResultCache    sweep.ResultCache
-	ResultCacheDir string
+	// TraceSource, when non-nil, delivers every workload's reference
+	// stream (OpenTraceSource wires a recorded-trace cache); nil runs
+	// the VM live.
+	TraceSource workload.Source
+	// ResultCache, when non-nil, memoizes assembled unit results. The
+	// daemon shares one *resultstore.Store across its runs so
+	// concurrent runs single-flight their overlapping units in-process.
+	ResultCache sweep.ResultCache
 	// FrontierPath, when non-empty, exports any result carrying a
 	// Pareto frontier (the designspace search) to this file after
 	// rendering (.csv = CSV, anything else JSON).
@@ -183,8 +180,8 @@ func (r Request) Options() (experiments.Options, error) {
 }
 
 // OpenTraceSource wires a workload trace cache directory into a
-// workload.Source (replay, record-on-miss; force re-records). Exposed
-// for the CLI's record-all mode, which streams workloads outside a run.
+// workload.Source (replay, record-on-miss; force re-records) for
+// Config.TraceSource.
 func OpenTraceSource(dir string, seed int64, force bool) (workload.Source, error) {
 	store, err := tracestore.NewStore(dir)
 	if err != nil {
@@ -204,25 +201,7 @@ func Run(ctx context.Context, req Request, cfg Config) error {
 	if err != nil {
 		return err
 	}
-	if cfg.TraceDir != "" {
-		src, err := OpenTraceSource(cfg.TraceDir, opts.Seed, cfg.RecordTraces)
-		if err != nil {
-			return err
-		}
-		opts.TraceSource = src
-	}
-	// The result cache is never consulted by a trace-record run: its
-	// purpose is to execute every workload so the traces get written.
-	if cfg.ResultCache == nil && cfg.ResultCacheDir != "" && !cfg.RecordTraces {
-		store, err := resultstore.NewStore(cfg.ResultCacheDir)
-		if err != nil {
-			return err
-		}
-		cfg.ResultCache = store
-	}
-	if cfg.RecordTraces {
-		cfg.ResultCache = nil
-	}
+	opts.TraceSource = cfg.TraceSource
 	opts.Workers = cfg.Workers
 	opts.Obs = cfg.Obs
 	opts.ResultCache = cfg.ResultCache

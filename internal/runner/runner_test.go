@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/resultstore"
 	"repro/internal/sweep"
 )
 
@@ -117,15 +118,24 @@ func TestRunCanceled(t *testing.T) {
 // TestRunWarmCache: the second run against the same result-cache dir is
 // served entirely from cache (hits > 0, misses == 0) with byte-identical
 // rendered output — the property the daemon's overlapping-request
-// workload depends on.
+// workload depends on. Each run opens its own store over the directory,
+// as two processes would.
 func TestRunWarmCache(t *testing.T) {
 	dir := t.TempDir()
+	open := func() *resultstore.Store {
+		t.Helper()
+		store, err := resultstore.NewStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return store
+	}
 	req := quickReq("fig7")
 
 	var cold bytes.Buffer
 	coldReg := obs.NewRegistry()
 	if err := Run(context.Background(), req, Config{
-		Out: &cold, Obs: coldReg, ResultCacheDir: dir, Workers: 4,
+		Out: &cold, Obs: coldReg, ResultCache: open(), Workers: 4,
 	}); err != nil {
 		t.Fatalf("cold run: %v", err)
 	}
@@ -137,7 +147,7 @@ func TestRunWarmCache(t *testing.T) {
 	warmReg := obs.NewRegistry()
 	var units, skipped int
 	if err := Run(context.Background(), req, Config{
-		Out: &warm, Obs: warmReg, ResultCacheDir: dir, Workers: 2,
+		Out: &warm, Obs: warmReg, ResultCache: open(), Workers: 2,
 		OnUnit: func(ev sweep.UnitEvent) {
 			units++
 			if ev.Skipped {

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -84,7 +85,11 @@ func TestRatesAgreeAcrossPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bank32, err := core.LoadFile(filepath.Join("..", "..", "examples", "machine-32bank.json"))
+	data, err := os.ReadFile(filepath.Join("..", "..", "examples", "machine-32bank.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bank32, err := core.FromJSON(data)
 	if err != nil {
 		t.Fatal(err)
 	}
