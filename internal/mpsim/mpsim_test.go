@@ -1,6 +1,8 @@
 package mpsim
 
 import (
+	"errors"
+	"runtime"
 	"testing"
 )
 
@@ -115,6 +117,59 @@ func TestUnlockWithoutHoldPanics(t *testing.T) {
 	Run(1, &flatMemory{lat: 1}, DefaultSyncCosts(), func(p *Proc) {
 		p.Unlock(3)
 	})
+}
+
+// TestRunPanicReleasesBodies: a body panic, a deadlock and an unlock
+// of a lock not held each re-raise out of Run with their own value,
+// and Run leaves no body behind — the goroutine count returns to its
+// level before the run, so a caller that recovers does not leak the
+// other processors.
+func TestRunPanicReleasesBodies(t *testing.T) {
+	const procs = 4
+	boom := errors.New("body failed")
+	cases := []struct {
+		name string
+		body func(p *Proc)
+		want any
+	}{
+		{"body panic", func(p *Proc) {
+			p.Read(uint64(p.ID))
+			if p.ID == 2 {
+				panic(boom)
+			}
+			p.Barrier()
+		}, boom},
+		{"deadlock", func(p *Proc) {
+			p.Read(uint64(p.ID))
+			p.Lock(0)
+			p.Barrier() // the holder waits here, the others for the lock
+		}, "mpsim: deadlock — all processors blocked"},
+		{"unlock misuse", func(p *Proc) {
+			p.Read(uint64(p.ID))
+			if p.ID == 1 {
+				p.Unlock(3)
+			}
+			p.Barrier()
+		}, "mpsim: proc 1 unlocking lock 3 it does not hold"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			got := func() (r any) {
+				defer func() { r = recover() }()
+				Run(procs, &flatMemory{lat: 1}, DefaultSyncCosts(), tc.body)
+				return nil
+			}()
+			if got != tc.want {
+				t.Fatalf("Run panicked with %v, want %v", got, tc.want)
+			}
+			// A stopped coroutine's goroutine has exited by the time
+			// Run returns, so any goroutine left over is a leaked body.
+			if after := runtime.NumGoroutine(); after > before {
+				t.Errorf("%d goroutines after the run, %d before: bodies leaked", after, before)
+			}
+		})
+	}
 }
 
 func TestEarlyFinisherDoesNotBlockBarrier(t *testing.T) {

@@ -28,9 +28,9 @@ func opsBody(ops int) func(p *Proc) {
 // TestRunZeroAllocsPerOp pins the coordinator hot path at ~0 heap
 // allocations per steady-state operation (the analogue of
 // memsys.TestAccessNsZeroAllocs for the multiprocessor path). Run has
-// fixed startup costs — goroutines, the heap, the reply channels — so
-// the guard measures the marginal allocations between a short and a
-// long run of the same body and requires them to vanish per op.
+// fixed startup costs — the coroutines, the slots, the heap — so the
+// guard measures the marginal allocations between a short and a long
+// run of the same body and requires them to vanish per op.
 func TestRunZeroAllocsPerOp(t *testing.T) {
 	const procs = 4
 	measure := func(ops int) float64 {
@@ -48,8 +48,9 @@ func TestRunZeroAllocsPerOp(t *testing.T) {
 }
 
 // BenchmarkCoordinatorOps measures the coordinator alone — a flat
-// memory model, so ns/op is the cost of one posted-and-served
-// operation: slot write, handoff, heap push/pop, grant.
+// memory model, so ns/op is the cost of one operation, self-served or
+// posted and served: slot write, coroutine switch, heap push/pop,
+// grant.
 func BenchmarkCoordinatorOps(b *testing.B) {
 	const procs = 4
 	b.ReportAllocs()

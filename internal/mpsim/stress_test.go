@@ -59,12 +59,14 @@ func stressBody(p *Proc) {
 	}
 }
 
-// TestCoordinatorStress runs many goroutine-backed processors through
-// a lock/barrier-heavy workload and checks the two properties the
-// sweep engine's determinism rests on: service timestamps never move
-// backwards, and repeated runs produce the identical access trace and
-// result, regardless of goroutine scheduling (run with -race to also
-// exercise the memory model's single-writer invariant).
+// TestCoordinatorStress runs many coroutine-backed processors through
+// a lock/barrier-heavy workload and checks the properties the sweep
+// engine's determinism rests on: service timestamps never move
+// backwards, every operation is self-served or granted exactly once,
+// and repeated runs produce the identical access trace and result,
+// coordinator accounting included (run with -race to also check that
+// the driver and the bodies never touch the simulation state
+// concurrently).
 func TestCoordinatorStress(t *testing.T) {
 	const procs = 32
 	run := func() (Result, []traceEntry) {
@@ -94,18 +96,10 @@ func TestCoordinatorStress(t *testing.T) {
 		}
 	}
 
-	// Grant delivery accounting (gate vs. channel, spin vs. park) depends
-	// on host scheduling by design — only the gate/channel split varies,
-	// never what is granted or when in virtual time. Normalise those
-	// fields before the determinism comparison.
-	normalise := func(r Result) Result {
-		r.Coord = r.Coord.Deterministic()
-		return r
-	}
-	// Conservation: every grant plus each proc's final done-wake is
-	// delivered exactly once, through the gate or the channel.
-	if got, want := ref.Coord.GateWakes+ref.Coord.ChannelWakes, ref.Coord.Grants+procs; got != int64(want) {
-		t.Errorf("gate+channel wakes = %d, want grants+procs = %d", got, want)
+	// Conservation: every access, lock operation and barrier arrival is
+	// either served inline or granted by the driver, exactly once.
+	if got, want := ref.Coord.SelfServes+ref.Coord.Grants, ref.Accesses+ref.LockOps+ref.Barriers; got != want {
+		t.Errorf("self-serves+grants = %d, want accesses+lock ops+barriers = %d", got, want)
 	}
 	if ref.Coord.MaxHeapDepth > procs {
 		t.Errorf("heap depth %d exceeds processor count %d", ref.Coord.MaxHeapDepth, procs)
@@ -113,7 +107,7 @@ func TestCoordinatorStress(t *testing.T) {
 
 	for rep := 0; rep < 3; rep++ {
 		r, trace := run()
-		if !reflect.DeepEqual(normalise(r), normalise(ref)) {
+		if !reflect.DeepEqual(r, ref) {
 			t.Fatalf("rep %d: result %+v != %+v (nondeterministic)", rep, r, ref)
 		}
 		if !reflect.DeepEqual(trace, refTrace) {

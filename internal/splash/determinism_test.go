@@ -9,21 +9,17 @@ import (
 	"repro/internal/mpsim"
 )
 
-// TestRunDeterministicAcrossGOMAXPROCS enforces the goroutine-
-// scheduling independence the mpsim package doc promises, directly on
-// the real workloads: every SPLASH kernel must return an identical
-// mpsim.Result for the same inputs across repeated runs and across
-// GOMAXPROCS 1 vs N (previously this was only enforced indirectly via
-// stdout diffs of the sweep engine).
+// TestRunDeterministicAcrossGOMAXPROCS enforces the host-scheduling
+// independence the mpsim package doc promises, directly on the real
+// workloads: every SPLASH kernel must return an identical mpsim.Result,
+// coordinator accounting included, for the same inputs across repeated
+// runs and across GOMAXPROCS 1 vs N (previously this was only enforced
+// indirectly via stdout diffs of the sweep engine).
 func TestRunDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	const procs = 4
 	sz := Quick()
-	// Coord's wake-delivery accounting varies with host scheduling by
-	// design; everything else in the Result must be bit-exact.
 	run := func(b Benchmark) mpsim.Result {
-		r := b.Run(procs, coherence.IntegratedVictim, sz)
-		r.Coord = r.Coord.Deterministic()
-		return r
+		return b.Run(procs, coherence.IntegratedVictim, sz)
 	}
 	for _, b := range All() {
 		t.Run(b.Name, func(t *testing.T) {
