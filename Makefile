@@ -71,15 +71,16 @@ bench-check:
 bench-check-ci:
 	$(MAKE) -s bench-figures | $(GO) run ./cmd/benchguard -baseline BENCH_baseline.json -time=false -require $(BENCH_REQUIRED)
 
-# Exercise the trace codec, assembler and GSPN equivalence fuzz targets
-# for a minute each (CI runs a 10-second smoke; this is the pre-commit
-# depth).
+# Exercise the trace codec, assembler, GSPN equivalence and designspace
+# axis-flag fuzz targets for a minute each (CI runs a 10-second smoke;
+# this is the pre-commit depth).
 FUZZTIME ?= 60s
 fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzReaderNext -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzFileRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/asm -run '^$$' -fuzz FuzzAssemble -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/gspn -run '^$$' -fuzz FuzzSimEquivalence -fuzztime $(FUZZTIME)
+	$(GO) test ./cmd/iramsim -run '^$$' -fuzz FuzzParseAxis -fuzztime $(FUZZTIME)
 
 # Pre-record every workload's reference stream into the local trace
 # cache; later `iramsim -trace-dir $(TRACE_DIR) ...` runs skip the VM.

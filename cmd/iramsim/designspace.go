@@ -6,19 +6,30 @@ import (
 	"strings"
 )
 
+// maxAxisValues caps one designspace axis. The search lattice is the
+// cross-product of four axes, so an unbounded axis is an unbounded
+// allocation.
+const maxAxisValues = 4096
+
 // parseAxis parses one designspace axis flag: comma-separated terms,
 // each a plain integer, an arithmetic range lo..hi:step, or a geometric
 // range lo..hi:*k (e.g. "8..128:8", "256..4096:*2", "0,8,16").
 // Duplicate values are dropped (first occurrence wins) so the search
-// lattice stays a proper cross-product.
+// lattice stays a proper cross-product. An axis whose terms expand to
+// more than maxAxisValues values, duplicates included, is an error.
 func parseAxis(name, spec string) ([]int, error) {
 	var out []int
 	seen := map[int]bool{}
+	n := 0 // values expanded so far, duplicates included
 	add := func(v int) {
+		n++
 		if !seen[v] {
 			seen[v] = true
 			out = append(out, v)
 		}
+	}
+	tooMany := func(count uint64) error {
+		return fmt.Errorf("-%s: axis %q has %d values, more than %d", name, spec, count, maxAxisValues)
 	}
 	for _, term := range strings.Split(spec, ",") {
 		term = strings.TrimSpace(term)
@@ -29,24 +40,31 @@ func parseAxis(name, spec string) ([]int, error) {
 		if err != nil {
 			return nil, fmt.Errorf("-%s: %w", name, err)
 		}
-		if !geo && step == 0 { // plain integer
+		switch {
+		case !geo && step == 0: // plain integer
 			add(lo)
-			continue
-		}
-		if geo {
+		case geo: // at most 63 values
 			for v := lo; v <= hi; v *= step {
 				add(v)
 				if v > hi/step { // overflow guard
 					break
 				}
 			}
-			continue
-		}
-		for v := lo; v <= hi; v += step {
-			add(v)
-			if v > hi-step { // overflow guard
-				break
+		default:
+			// Count the term before expanding it; (hi-lo)/step cannot
+			// overflow where hi-lo+1 can.
+			if count := uint64(n) + uint64((hi-lo)/step) + 1; count > maxAxisValues {
+				return nil, tooMany(count)
 			}
+			for v := lo; v <= hi; v += step {
+				add(v)
+				if v > hi-step { // overflow guard
+					break
+				}
+			}
+		}
+		if n > maxAxisValues {
+			return nil, tooMany(uint64(n))
 		}
 	}
 	if len(out) == 0 {

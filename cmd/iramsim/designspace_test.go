@@ -52,15 +52,18 @@ func TestParseAxis(t *testing.T) {
 
 func TestParseAxisErrors(t *testing.T) {
 	for _, spec := range []string{
-		"",         // empty axis
-		"x",        // not a number
-		"-4",       // negative
-		"8..4:2",   // end before start
-		"8..16",    // missing step
-		"8..16:0",  // zero step
-		"8..16:*1", // geometric step must be >= 2
-		"0..16:*2", // geometric from zero never terminates
-		"8..16:-2", // negative step
+		"",                         // empty axis
+		"x",                        // not a number
+		"-4",                       // negative
+		"8..4:2",                   // end before start
+		"8..16",                    // missing step
+		"8..16:0",                  // zero step
+		"8..16:*1",                 // geometric step must be >= 2
+		"0..16:*2",                 // geometric from zero never terminates
+		"8..16:-2",                 // negative step
+		"1..100000:1",              // over the axis cap
+		"0..4000:1,5000..9000:1",   // over the cap only together
+		"0..9223372036854775807:1", // hi-lo+1 overflows
 	} {
 		if _, err := parseAxis("ds-banks", spec); err == nil {
 			t.Errorf("parseAxis(%q) accepted, want error", spec)
@@ -68,4 +71,27 @@ func TestParseAxisErrors(t *testing.T) {
 			t.Errorf("parseAxis(%q) error %q does not name the flag", spec, err)
 		}
 	}
+}
+
+// FuzzParseAxis: any flag value parses to an error or to at most
+// maxAxisValues non-negative values, without panicking.
+func FuzzParseAxis(f *testing.F) {
+	for _, seed := range []string{"16", "0,8,16", "8..128:8", "256..4096:*2", "4,2..8:2",
+		"1..100000:1", "0..9223372036854775807:1", "1..9223372036854775807:*2"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		vals, err := parseAxis("ds-banks", spec)
+		if err != nil {
+			return
+		}
+		if len(vals) > maxAxisValues {
+			t.Fatalf("parseAxis(%q) returned %d values, cap %d", spec, len(vals), maxAxisValues)
+		}
+		for _, v := range vals {
+			if v < 0 {
+				t.Fatalf("parseAxis(%q) returned negative value %d", spec, v)
+			}
+		}
+	})
 }

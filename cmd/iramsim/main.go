@@ -28,12 +28,13 @@
 //	-cpuprofile f write a CPU profile to f
 //	-memprofile f write a heap profile to f on exit
 //	-metrics f    write simulator metrics (JSON) to f after the run
-//	-trace f      write the sweep event trace to f after the run
+//	-trace f      write one line per sweep unit (worker, outcome, timing) to f
 //	-debug-addr a serve expvar/pprof/metrics on host:port while running
 //
 // All orchestration — experiment dispatch, engine construction,
 // rendering — lives in internal/runner; this command parses flags,
-// opens the caches they name, and calls runner.Run, and cmd/iramsimd
+// opens the caches they name, calls runner.Run, and renders the run's
+// unit events as progress lines and the -trace log. cmd/iramsimd
 // serves the same runs over HTTP.
 package main
 
@@ -108,7 +109,7 @@ func main() {
 	flag.StringVar(&c.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
 	flag.StringVar(&c.memprofile, "memprofile", "", "write a heap profile to this file on exit")
 	flag.StringVar(&c.metrics, "metrics", "", "write simulator metrics as JSON to this file after the run")
-	flag.StringVar(&c.traceOut, "trace", "", "write the sweep event trace to this file after the run")
+	flag.StringVar(&c.traceOut, "trace", "", "write one line per sweep unit (worker, outcome, start and duration) to this file")
 	flag.StringVar(&c.debugAddr, "debug-addr", "", "serve expvar, pprof, and live metrics on this host:port")
 	flag.Parse()
 
@@ -236,7 +237,6 @@ func mainErr(c cliConfig) (err error) {
 		Workers:      c.workers,
 		JSON:         c.json,
 		Out:          os.Stdout,
-		Progress:     os.Stderr,
 		TraceSource:  opts.TraceSource,
 		FrontierPath: c.dsFrontier,
 	}
@@ -251,9 +251,6 @@ func mainErr(c cliConfig) (err error) {
 	if c.metrics != "" || c.debugAddr != "" {
 		cfg.Obs = obs.NewRegistry()
 	}
-	if c.traceOut != "" {
-		cfg.Trace = obs.NewTracer(obs.DefaultShardEvents)
-	}
 	if c.debugAddr != "" {
 		srv, err := cfg.Obs.ServeDebug(c.debugAddr)
 		if err != nil {
@@ -262,30 +259,37 @@ func mainErr(c cliConfig) (err error) {
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "iramsim: debug server listening on http://%s/debug/\n", srv.Addr)
 	}
+	var trace io.Writer
+	closeTrace := func() error { return nil }
+	if c.traceOut != "" {
+		if trace, closeTrace, err = createTrace(c.traceOut); err != nil {
+			return err
+		}
+	}
+	prog := newProgress(os.Stderr, trace, c.workers)
+	cfg.OnUnit = prog.unit
 
 	runErr := runner.Run(context.Background(), req, cfg)
+	if runErr == nil {
+		prog.summary()
+	}
 
-	// Dump metrics and trace even after a failed run: the sweep engine
-	// merges what it measured before reporting its first error, and a
+	// Dump metrics and close the trace even after a failed run: both
+	// hold every unit that finished before the first error, and a
 	// partial dump is exactly what debugging a failed sweep needs.
+	keep := func(err error) {
+		switch {
+		case err == nil:
+		case runErr == nil:
+			runErr = err
+		default:
+			fmt.Fprintln(os.Stderr, "iramsim:", err)
+		}
+	}
 	if c.metrics != "" {
-		if err := writeMetrics(c.metrics, cfg.Obs); err != nil {
-			if runErr == nil {
-				runErr = err
-			} else {
-				fmt.Fprintln(os.Stderr, "iramsim:", err)
-			}
-		}
+		keep(writeMetrics(c.metrics, cfg.Obs))
 	}
-	if c.traceOut != "" {
-		if err := writeTrace(c.traceOut, cfg.Trace); err != nil {
-			if runErr == nil {
-				runErr = err
-			} else {
-				fmt.Fprintln(os.Stderr, "iramsim:", err)
-			}
-		}
-	}
+	keep(closeTrace())
 	if runErr == nil && c.cacheMaxBytes > 0 && store != nil {
 		runErr = cacheGC(store, c.cacheMaxBytes, os.Stderr)
 	}
@@ -365,23 +369,6 @@ func writeMetrics(path string, reg *obs.Registry) error {
 	}
 	if werr != nil {
 		return fmt.Errorf("metrics: %w", werr)
-	}
-	return nil
-}
-
-// writeTrace drains the tracer's ring buffers to path in global
-// sequence order.
-func writeTrace(path string, tr *obs.Tracer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("trace: %w", err)
-	}
-	werr := tr.Drain(f)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return fmt.Errorf("trace: %w", werr)
 	}
 	return nil
 }

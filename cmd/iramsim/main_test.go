@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -119,23 +120,32 @@ func TestSweepDeterminismWithCache(t *testing.T) {
 }
 
 // TestMetricsFlag drives the -metrics/-trace path end to end: a quick
-// fig7+fig13 run with a live registry must (a) leave the experiment
-// output byte-identical to an uninstrumented run, (b) dump JSON that
-// encoding/json parses (no NaN/Inf leaks), and (c) populate the sweep,
-// cache, mpsim, and coherence metric families.
+// fig7+fig13 run with a live registry and a -trace log must (a) leave
+// the experiment output byte-identical to an uninstrumented run, (b)
+// dump JSON that encoding/json parses (no NaN/Inf leaks), (c) populate
+// the sweep, cache, mpsim, and coherence metric families, and (d) log
+// one unit_done line per completed unit.
 func TestMetricsFlag(t *testing.T) {
 	names := []string{"fig7", "fig13"}
 
 	plain := runJobs(t, names, quickOpts(), runner.Config{Workers: 2})
 
+	dir := t.TempDir()
+	tpath := filepath.Join(dir, "trace.log")
+	trace, closeTrace, err := createTrace(tpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := newProgress(io.Discard, trace, 2)
 	opts := quickOpts()
 	opts.Obs = obs.NewRegistry()
-	tracer := obs.NewTracer(1 << 10)
-	if got := runJobs(t, names, opts, runner.Config{Workers: 2, Trace: tracer}); !bytes.Equal(plain, got) {
+	if got := runJobs(t, names, opts, runner.Config{Workers: 2, OnUnit: prog.unit}); !bytes.Equal(plain, got) {
 		t.Error("instrumentation changed the experiment output")
 	}
+	if err := closeTrace(); err != nil {
+		t.Fatalf("closing the trace: %v", err)
+	}
 
-	dir := t.TempDir()
 	mpath := filepath.Join(dir, "metrics.json")
 	if err := writeMetrics(mpath, opts.Obs); err != nil {
 		t.Fatalf("writeMetrics: %v", err)
@@ -153,26 +163,20 @@ func TestMetricsFlag(t *testing.T) {
 			t.Errorf("metrics dump missing family %q; have %v", fam, dump)
 		}
 	}
-	if v, ok := dump["sweep"]["units_completed"].(float64); !ok || v <= 0 {
+	completed, ok := dump["sweep"]["units_completed"].(float64)
+	if !ok || completed <= 0 {
 		t.Errorf("sweep/units_completed = %v, want > 0", dump["sweep"]["units_completed"])
 	}
 	if v, ok := dump["mpsim"]["grants"].(float64); !ok || v < 0 {
 		t.Errorf("mpsim/grants = %v, want >= 0", dump["mpsim"]["grants"])
 	}
 
-	tpath := filepath.Join(dir, "trace.log")
-	if err := writeTrace(tpath, tracer); err != nil {
-		t.Fatalf("writeTrace: %v", err)
-	}
 	tr, err := os.ReadFile(tpath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(tr), "unit_done") {
-		t.Errorf("trace has no unit_done events:\n%s", tr)
-	}
-	if !strings.Contains(string(tr), "# trace:") {
-		t.Errorf("trace missing summary line:\n%s", tr)
+	if got := strings.Count(string(tr), " unit_done "); got != int(completed) {
+		t.Errorf("trace has %d unit_done lines, want one per completed unit (%v):\n%s", got, completed, tr)
 	}
 
 	// The multiprocessor ablations publish the same families as the

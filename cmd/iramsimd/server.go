@@ -63,6 +63,7 @@ type server struct {
 // broadcasts wake every streaming reader on each append.
 type run struct {
 	id     string
+	seq    int // submission number; id is "r<seq>"
 	req    runner.Request
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -77,9 +78,9 @@ type run struct {
 	done   chan struct{} // closed with closed=true
 }
 
-func newRun(id string, req runner.Request) *run {
+func newRun(seq int, req runner.Request) *run {
 	ctx, cancel := context.WithCancel(context.Background())
-	ru := &run{id: id, req: req, ctx: ctx, cancel: cancel,
+	ru := &run{id: fmt.Sprintf("r%d", seq), seq: seq, req: req, ctx: ctx, cancel: cancel,
 		state: "queued", done: make(chan struct{})}
 	ru.cond = sync.NewCond(&ru.mu)
 	return ru
@@ -184,7 +185,7 @@ func (s *server) submit(req runner.Request) (*run, int, error) {
 		return nil, http.StatusServiceUnavailable, errors.New("server is draining")
 	}
 	s.nextID++
-	ru := newRun(fmt.Sprintf("r%d", s.nextID), req)
+	ru := newRun(s.nextID, req)
 	select {
 	case s.queue <- ru:
 	default:
@@ -390,18 +391,15 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// handleList lists every run in submission order.
 func (s *server) handleList(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
-	ids := make([]string, 0, len(s.runs))
-	for id := range s.runs {
-		ids = append(ids, id)
-	}
-	runs := make([]*run, 0, len(ids))
-	for _, id := range ids {
-		runs = append(runs, s.runs[id])
+	runs := make([]*run, 0, len(s.runs))
+	for _, ru := range s.runs {
+		runs = append(runs, ru)
 	}
 	s.mu.Unlock()
-	sort.Slice(runs, func(i, j int) bool { return runs[i].id < runs[j].id })
+	sort.Slice(runs, func(i, j int) bool { return runs[i].seq < runs[j].seq })
 	out := make([]map[string]interface{}, 0, len(runs))
 	for _, ru := range runs {
 		state, _, _, _ := ru.snapshot()

@@ -256,6 +256,35 @@ func TestSubmitStreamsEvents(t *testing.T) {
 	}
 }
 
+// TestListSubmissionOrder: GET /v1/runs lists runs in submission
+// order, so r10 comes after r9, not after r1.
+func TestListSubmissionOrder(t *testing.T) {
+	stub := func(ctx context.Context, req runner.Request, cfg runner.Config) error { return nil }
+	_, ts := newTestServer(t, serverConfig{Queue: 16, RunFn: stub})
+	var want []string
+	for i := 0; i < 12; i++ {
+		want = append(want, submitID(t, ts, runner.Request{Experiments: []string{"cost"}}))
+	}
+	resp, err := http.Get(ts.URL + "/v1/runs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var runs []struct {
+		ID string `json:"id"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&runs); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, ru := range runs {
+		got = append(got, ru.ID)
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("listed %v, want submission order %v", got, want)
+	}
+}
+
 // TestQueueFullRejects: with one executor blocked and the queue full,
 // the next submission is shed with 429 + Retry-After — and accepted
 // runs still complete once the blockage clears.

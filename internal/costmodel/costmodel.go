@@ -89,24 +89,6 @@ func (m AreaModel) DeviceAreaMM2(p AreaParams) float64 {
 	return cells + banks + buffers + victim + p.CoreAreaMM2
 }
 
-// DollarsProxy converts a proxy die area into a device-cost estimate
-// using the CDRAM cost-per-area scaling of Section 3: the cell array
-// at plain DRAM cost, everything above it growing cost at
-// CostPerAreaFactor per unit of relative area added.
-func (m AreaModel) DollarsProxy(in Inputs, areaMM2 float64) float64 {
-	cells := m.CellMM2PerMbit * in.DRAMCapacityMbit
-	if cells <= 0 {
-		return 0
-	}
-	plain := in.DRAMCapacityMbit / 8 * in.DollarPerMByte
-	extraFrac := (areaMM2 - cells) / cells
-	if extraFrac < 0 {
-		extraFrac = 0
-	}
-	costPerArea := in.CDRAMCostIncrease / in.CDRAMAreaIncrease
-	return plain * (1 + extraFrac*costPerArea)
-}
-
 // Evaluate computes the Section 3 arithmetic.
 func Evaluate(in Inputs) Result {
 	mbytes := in.DRAMCapacityMbit / 8

@@ -90,22 +90,3 @@ func TestAreaProxyMonotone(t *testing.T) {
 		t.Error("adding a victim cache must grow the die")
 	}
 }
-
-// TestDollarsProxy checks the cost conversion: the cell array alone is
-// the plain $800 part, and extra area is priced at the CDRAM factor.
-func TestDollarsProxy(t *testing.T) {
-	m := DefaultArea()
-	in := Default()
-	cells := m.CellMM2PerMbit * in.DRAMCapacityMbit
-	if d := m.DollarsProxy(in, cells); d != 800 {
-		t.Errorf("bare cell array = $%v, want $800", d)
-	}
-	// 10% extra area at the 1.43x factor ≈ +14.3% cost.
-	d := m.DollarsProxy(in, cells*1.10)
-	if d < 910 || d > 920 {
-		t.Errorf("+10%% area = $%v, want ~$914", d)
-	}
-	if m.DollarsProxy(in, cells-10) != 800 {
-		t.Error("area below the cell array must clamp to the plain part")
-	}
-}

@@ -55,7 +55,7 @@ type Options struct {
 	DSRefine int
 	// Workers sizes the nested sweeps some experiments fan out from
 	// their assembly step (the designspace GSPN stage); <= 0 means
-	// serial. The CLI sets it from -j.
+	// serial. runner.Run copies it from Config.Workers.
 	Workers int
 	// TraceSource, when non-nil, supplies every workload's reference
 	// stream instead of live VM execution — the trace record/replay

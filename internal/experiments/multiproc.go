@@ -110,19 +110,6 @@ func (r *SplashResult) Table() *report.Table {
 	return t
 }
 
-// Bars renders a per-processor-count bar chart of the three configs.
-func (r *SplashResult) Bars(procs int) *report.Bars {
-	b := report.NewBars(fmt.Sprintf("%s at %d processors (cycles, shorter is better)", r.Bench, procs))
-	for _, cfg := range []coherence.Config{
-		coherence.ReferenceCCNUMA, coherence.IntegratedPlain, coherence.IntegratedVictim,
-	} {
-		if c, ok := r.Cycles(cfg, procs); ok {
-			b.Add(cfg.String(), float64(c), "cy")
-		}
-	}
-	return b
-}
-
 // ---------------------------------------------------------------------
 // Section 3: cost model.
 // ---------------------------------------------------------------------

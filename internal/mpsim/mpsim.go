@@ -47,7 +47,6 @@ import (
 	"errors"
 	"fmt"
 	"iter"
-	"sort"
 
 	"repro/internal/obs"
 )
@@ -629,9 +628,4 @@ func Speedup(results []Result) []float64 {
 		}
 	}
 	return out
-}
-
-// SortByProcs sorts results by processor count (helper for reports).
-func SortByProcs(rs []Result) {
-	sort.Slice(rs, func(i, j int) bool { return rs[i].Procs < rs[j].Procs })
 }

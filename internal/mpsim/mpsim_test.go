@@ -238,14 +238,6 @@ func TestSpeedupHelper(t *testing.T) {
 	}
 }
 
-func TestSortByProcs(t *testing.T) {
-	rs := []Result{{Procs: 4}, {Procs: 1}, {Procs: 2}}
-	SortByProcs(rs)
-	if rs[0].Procs != 1 || rs[2].Procs != 4 {
-		t.Errorf("sorted = %v", rs)
-	}
-}
-
 func TestImbalance(t *testing.T) {
 	balanced := Result{Procs: 2, Cycles: 100, ProcCycles: []uint64{100, 100}}
 	if got := balanced.Imbalance(); got != 1 {

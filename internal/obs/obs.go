@@ -1,21 +1,21 @@
 // Package obs is the simulator's observability layer: a metrics
-// registry (counters, gauges, streaming statistics, histograms) plus a
-// lightweight event tracer, both designed so that instrumentation can
-// stay compiled into the hot paths permanently.
+// registry (counters, gauges, streaming statistics, histograms)
+// designed so that instrumentation can stay compiled into the hot paths
+// permanently.
 //
 // Two properties are load-bearing for the rest of the repository:
 //
 //   - Off by default, invisible when off. Every instrumented component
-//     takes a nil-able handle; all metric and trace operations are
-//     nil-safe no-ops, so an uninstrumented run costs one pointer check
-//     per hook and allocates nothing (the memsys and mpsim zero-alloc
-//     guards run with these hooks compiled in).
+//     takes a nil-able handle; all metric operations are nil-safe
+//     no-ops, so an uninstrumented run costs one pointer check per hook
+//     and allocates nothing (the memsys and mpsim zero-alloc guards run
+//     with these hooks compiled in).
 //
 //   - Cheap and allocation-free when on. Counters and gauges are single
-//     atomics; Running/Histogram adapters take an uncontended mutex;
-//     trace events are written into preallocated ring buffers. No hook
-//     allocates on a hot path — allocation happens only at registration
-//     time and when the results are drained after the run.
+//     atomics; Running/Histogram adapters take an uncontended mutex. No
+//     hook allocates on a hot path — allocation happens only at
+//     registration time and when the results are rendered after the
+//     run.
 //
 // The registry renders as JSON (cmd/iramsim -metrics): families sorted
 // by name, every float sanitised so the dump never contains NaN or Inf
@@ -225,16 +225,6 @@ func (a *Running) Add(x float64) {
 	}
 	a.mu.Lock()
 	a.r.Add(x)
-	a.mu.Unlock()
-}
-
-// Merge folds a stats.Running (e.g. a sweep worker's shard) into a.
-func (a *Running) Merge(o stats.Running) {
-	if a == nil {
-		return
-	}
-	a.mu.Lock()
-	a.r.Merge(o)
 	a.mu.Unlock()
 }
 

@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"math"
 	"net/http"
 	"strings"
@@ -11,9 +10,9 @@ import (
 	"testing"
 )
 
-// TestNilSafety: a nil registry, tracer, and all nil metric handles are
-// usable no-ops — the "instrumentation off" configuration every hot
-// path compiles against.
+// TestNilSafety: a nil registry and all nil metric handles are usable
+// no-ops — the "instrumentation off" configuration every hot path
+// compiles against.
 func TestNilSafety(t *testing.T) {
 	var r *Registry
 	r.Counter("f", "c").Inc()
@@ -27,11 +26,6 @@ func TestNilSafety(t *testing.T) {
 	}
 	if len(r.Snapshot()) != 0 || r.Families() != nil {
 		t.Error("nil registry snapshot not empty")
-	}
-	var tr *Tracer
-	tr.Shard("w").Emit("ev", "detail", 1, 2)
-	if err := tr.Drain(&bytes.Buffer{}); err != nil {
-		t.Errorf("nil tracer drain: %v", err)
 	}
 }
 
@@ -128,68 +122,6 @@ func TestSafe(t *testing.T) {
 	}
 	if got := safe(1.5); got != 1.5 {
 		t.Errorf("safe(1.5) = %v", got)
-	}
-}
-
-// TestTracerDrainOrder: events from several shards drain in global
-// sequence order with their shard labels.
-func TestTracerDrainOrder(t *testing.T) {
-	tr := NewTracer(16)
-	a := tr.Shard("a")
-	b := tr.Shard("b")
-	a.Emit("start", "u1", 1, 0)
-	b.Emit("start", "u2", 2, 0)
-	a.Emit("done", "u1", 1, 10)
-	var buf bytes.Buffer
-	if err := tr.Drain(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if len(lines) != 4 { // 3 events + summary
-		t.Fatalf("got %d lines:\n%s", len(lines), buf.String())
-	}
-	for i, want := range []string{"u1", "u2", "u1"} {
-		if !strings.Contains(lines[i], want) {
-			t.Errorf("line %d = %q, want detail %q", i, lines[i], want)
-		}
-	}
-	var prev uint64
-	for _, l := range lines[:3] {
-		var seq uint64
-		if _, err := fmt.Sscanf(l, "%d", &seq); err != nil {
-			t.Fatalf("bad line %q", l)
-		}
-		if seq <= prev {
-			t.Errorf("sequence not increasing: %d after %d", seq, prev)
-		}
-		prev = seq
-	}
-	if !strings.Contains(lines[3], "3 events emitted, 3 retained, 0 dropped") {
-		t.Errorf("summary = %q", lines[3])
-	}
-}
-
-// TestTracerRingOverflow: a shard past capacity keeps the newest
-// events and reports the drop count.
-func TestTracerRingOverflow(t *testing.T) {
-	tr := NewTracer(4)
-	s := tr.Shard("w")
-	for i := 0; i < 10; i++ {
-		s.Emit("ev", "", int64(i), 0)
-	}
-	var buf bytes.Buffer
-	if err := tr.Drain(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "10 events emitted, 4 retained, 6 dropped") {
-		t.Errorf("overflow summary wrong:\n%s", out)
-	}
-	// The retained events are the last four (a=6..9).
-	for _, want := range []string{"a=6", "a=7", "a=8", "a=9"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("missing retained event %s:\n%s", want, out)
-		}
 	}
 }
 

@@ -98,65 +98,3 @@ func (t *Table) String() string {
 	t.Render(&b)
 	return b.String()
 }
-
-// Bars renders a labelled horizontal bar chart for one group of values
-// (a "figure" in text form). Values are scaled to maxWidth characters.
-type Bars struct {
-	Title    string
-	MaxWidth int
-	items    []barItem
-}
-
-type barItem struct {
-	label string
-	value float64
-	unit  string
-}
-
-// NewBars creates a bar chart.
-func NewBars(title string) *Bars { return &Bars{Title: title, MaxWidth: 48} }
-
-// Add appends one bar.
-func (b *Bars) Add(label string, value float64, unit string) {
-	b.items = append(b.items, barItem{label, value, unit})
-}
-
-// Render writes the chart to w.
-func (b *Bars) Render(w io.Writer) {
-	if b.Title != "" {
-		fmt.Fprintf(w, "%s\n%s\n", b.Title, strings.Repeat("-", len(b.Title)))
-	}
-	var maxV float64
-	maxL := 0
-	for _, it := range b.items {
-		if it.value > maxV {
-			maxV = it.value
-		}
-		if len(it.label) > maxL {
-			maxL = len(it.label)
-		}
-	}
-	for _, it := range b.items {
-		n := 0
-		if maxV > 0 {
-			n = int(it.value / maxV * float64(b.MaxWidth))
-		}
-		fmt.Fprintf(w, "%-*s %8.4g %-4s |%s\n",
-			maxL+1, it.label, it.value, it.unit, strings.Repeat("#", n))
-	}
-	fmt.Fprintln(w)
-}
-
-// String renders to a string.
-func (b *Bars) String() string {
-	var sb strings.Builder
-	b.Render(&sb)
-	return sb.String()
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

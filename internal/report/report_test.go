@@ -46,38 +46,6 @@ func TestFormatCell(t *testing.T) {
 	}
 }
 
-func TestBarsRender(t *testing.T) {
-	b := NewBars("Chart")
-	b.Add("one", 1, "x")
-	b.Add("two", 2, "x")
-	out := b.String()
-	if !strings.Contains(out, "Chart") || !strings.Contains(out, "one") {
-		t.Errorf("bars output missing labels:\n%s", out)
-	}
-	// The larger value must have the longer bar.
-	var oneHashes, twoHashes int
-	for _, line := range strings.Split(out, "\n") {
-		n := strings.Count(line, "#")
-		if strings.HasPrefix(line, "one") {
-			oneHashes = n
-		}
-		if strings.HasPrefix(line, "two") {
-			twoHashes = n
-		}
-	}
-	if twoHashes <= oneHashes {
-		t.Errorf("bar lengths wrong: one=%d two=%d\n%s", oneHashes, twoHashes, out)
-	}
-}
-
-func TestBarsZeroValues(t *testing.T) {
-	b := NewBars("z")
-	b.Add("only", 0, "")
-	if out := b.String(); !strings.Contains(out, "only") {
-		t.Error("zero-valued bars must still render")
-	}
-}
-
 func TestSeriesRender(t *testing.T) {
 	s := NewSeries("Speedup", "procs", "cycles")
 	for _, p := range []float64{1, 2, 4, 8} {

@@ -61,7 +61,7 @@ type Request struct {
 }
 
 // Config carries the cross-cutting wiring a caller sets up once per
-// run: output streams, caches, observability, and progress callbacks.
+// run: the output stream, caches, observability, and progress callbacks.
 // The caches are stores the caller opened and owns. The zero value runs
 // serially with no caches and discards all output.
 type Config struct {
@@ -73,13 +73,8 @@ type Config struct {
 	// Out receives the deterministic rendered experiment output; nil
 	// discards it (callers may consume OnResult instead).
 	Out io.Writer
-	// Progress receives human-readable per-unit progress lines; nil is
-	// silent. Timing-dependent, so never mix it into Out.
-	Progress io.Writer
 	// Obs, when non-nil, receives every metric family the run touches.
 	Obs *obs.Registry
-	// Trace, when non-nil, records sweep unit events.
-	Trace *obs.Tracer
 	// TraceSource, when non-nil, delivers every workload's reference
 	// stream (OpenTraceSource wires a recorded-trace cache); nil runs
 	// the VM live.
@@ -93,7 +88,9 @@ type Config struct {
 	// rendering (.csv = CSV, anything else JSON).
 	FrontierPath string
 	// OnUnit, when non-nil, receives one structured event per sweep
-	// unit as it completes — the daemon streams these to HTTP clients.
+	// unit as it completes — the CLI renders its progress lines and
+	// -trace log from these, and the daemon streams them to HTTP
+	// clients. Timing-dependent, so never mix them into Out.
 	OnUnit func(sweep.UnitEvent)
 	// OnResult, when non-nil, receives each experiment's assembled
 	// result after it is rendered.
@@ -227,12 +224,10 @@ func RunJobs(ctx context.Context, names []string, opts experiments.Options,
 		jobs = append(jobs, j)
 	}
 	eng := &sweep.Engine{
-		Workers:  cfg.Workers,
-		Progress: cfg.Progress,
-		Obs:      cfg.Obs,
-		Trace:    cfg.Trace,
-		Cache:    cfg.ResultCache,
-		OnUnit:   cfg.OnUnit,
+		Workers: cfg.Workers,
+		Obs:     cfg.Obs,
+		Cache:   cfg.ResultCache,
+		OnUnit:  cfg.OnUnit,
 	}
 	return eng.Run(ctx, jobs, func(r sweep.JobResult) error {
 		if cfg.Out != nil {

@@ -10,7 +10,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Running accumulates a stream of float64 samples using Welford's
@@ -46,7 +45,7 @@ func (r *Running) Add(x float64) {
 // variance, min, and max as if every sample behind o had been Added to
 // r directly (up to floating-point rounding). It uses Chan et al.'s
 // pairwise combination, which stays numerically stable when sharded
-// accumulators from parallel sweep workers are reduced into one.
+// accumulators are reduced into one.
 func (r *Running) Merge(o Running) {
 	if o.n == 0 {
 		return
@@ -235,19 +234,6 @@ func (h *Histogram) Mean() float64 {
 		sum += mid * float64(b)
 	}
 	return sum / float64(h.n)
-}
-
-// Median of a slice (the slice is sorted in place).
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sort.Float64s(xs)
-	n := len(xs)
-	if n%2 == 1 {
-		return xs[n/2]
-	}
-	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
 // GeoMean returns the geometric mean of positive values; zero or

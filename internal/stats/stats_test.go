@@ -316,18 +316,6 @@ func TestHistogramPanics(t *testing.T) {
 	}
 }
 
-func TestMedian(t *testing.T) {
-	if Median(nil) != 0 {
-		t.Error("empty median")
-	}
-	if Median([]float64{3, 1, 2}) != 2 {
-		t.Error("odd median")
-	}
-	if Median([]float64{4, 1, 2, 3}) != 2.5 {
-		t.Error("even median")
-	}
-}
-
 func TestGeoMean(t *testing.T) {
 	if g := GeoMean([]float64{2, 8}); math.Abs(g-4) > 1e-12 {
 		t.Errorf("geomean(2,8) = %v", g)

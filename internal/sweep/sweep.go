@@ -19,13 +19,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/stats"
 )
 
 // Unit is one independently runnable piece of an experiment. Run must
@@ -109,19 +107,11 @@ type JobResult struct {
 type Engine struct {
 	// Workers is the worker-pool size; values below 1 mean 1 (serial).
 	Workers int
-	// Progress, when non-nil, receives one line per completed unit and
-	// a final summary. Progress output is timing-dependent and must
-	// therefore go to a different stream than the deterministic
-	// experiment output (the CLI sends it to stderr).
-	Progress io.Writer
 	// Obs, when non-nil, receives sweep metrics under the "sweep"
 	// family: unit/job completion counters, per-unit and per-job
 	// timings, worker count, and queue-depth high-water mark. A nil
 	// registry costs one pointer check per hook.
 	Obs *obs.Registry
-	// Trace, when non-nil, records one unit_start/unit_done (or
-	// unit_skipped/unit_failed) event per unit into per-worker shards.
-	Trace *obs.Tracer
 	// Cache, when non-nil, memoizes unit results on disk: units
 	// carrying a Key and a Codec decode a stored result instead of
 	// running, and commit their result after running. Metrics appear
@@ -130,11 +120,11 @@ type Engine struct {
 	Cache ResultCache
 	// OnUnit, when non-nil, receives one structured event per unit as
 	// it completes (or is skipped after a failure/cancellation). It is
-	// the machine-readable twin of Progress: called on the coordinating
-	// goroutine, in completion order, so implementations need no
-	// locking but must not block for long — the sweep's emit frontier
-	// waits behind it. The daemon uses it to stream progress to HTTP
-	// clients.
+	// the engine's only per-unit report: the CLI renders its progress
+	// lines and -trace log from it, and the daemon streams it to HTTP
+	// clients. It is called on the coordinating goroutine, in
+	// completion order, so implementations need no locking but must
+	// not block for long — the sweep's emit frontier waits behind it.
 	OnUnit func(UnitEvent)
 }
 
@@ -146,6 +136,10 @@ type UnitEvent struct {
 	// Total is the sweep's unit count. Completed never skips numbers:
 	// skipped and failed units count too.
 	Completed, Total int
+	// Worker is the pool worker (0-based) that ran or skipped the
+	// unit, and Start is when that worker picked it up.
+	Worker int
+	Start  time.Time
 	// Skipped marks a unit abandoned after an earlier failure or a
 	// context cancellation; its Err is nil and it did not run.
 	Skipped bool
@@ -218,10 +212,12 @@ var errCanceled = errors.New("sweep: canceled")
 type task struct{ job, unit int }
 
 type completion struct {
-	t   task
-	val interface{}
-	err error
-	dur time.Duration
+	t      task
+	worker int
+	start  time.Time
+	val    interface{}
+	err    error
+	dur    time.Duration
 }
 
 // Run executes every unit of every job across the worker pool and
@@ -232,14 +228,14 @@ type completion struct {
 //
 // When ctx is canceled the engine stops scheduling units — workers
 // skip everything still queued (each skip accounted exactly like a
-// post-failure skip: counted, traced, and printed so [completed/total]
+// post-failure skip: counted and reported, so the Completed count
 // never skips numbers) — in-flight units run to completion, and Run
-// returns ctx.Err(). Jobs
-// whose every unit completed are still assembled and emitted; a job
-// with any skipped unit never assembles, so no partially assembled
-// job is ever emitted, and a skipped cacheable unit leaves no result-
-// store entry (it never ran). An abandoned HTTP request cancels its
-// sweep this way, freeing the worker pool for the next queued run.
+// returns ctx.Err(). Jobs whose every unit completed are still
+// assembled and emitted; a job with any skipped unit never assembles,
+// so no partially assembled job is ever emitted, and a skipped
+// cacheable unit leaves no result-store entry (it never ran). An
+// abandoned HTTP request cancels its sweep this way, freeing the
+// worker pool for the next queued run.
 func (e *Engine) Run(ctx context.Context, jobs []Job, emit func(JobResult) error) error {
 	workers := e.Workers
 	if workers < 1 {
@@ -257,11 +253,12 @@ func (e *Engine) Run(ctx context.Context, jobs []Job, emit func(JobResult) error
 	}
 
 	// Metric handles are resolved once here; all of them are nil-safe
-	// no-ops when e.Obs / e.Trace are nil.
+	// no-ops when e.Obs is nil.
 	cCompleted := e.Obs.Counter("sweep", "units_completed")
 	cFailed := e.Obs.Counter("sweep", "units_failed")
 	cSkipped := e.Obs.Counter("sweep", "units_skipped")
 	cEmitted := e.Obs.Counter("sweep", "jobs_emitted")
+	rUnit := e.Obs.Running("sweep", "unit_seconds")
 	rJob := e.Obs.Running("sweep", "job_seconds")
 	gQueue := e.Obs.Gauge("sweep", "queue_depth")
 	gQueueMax := e.Obs.Gauge("sweep", "queue_depth_max")
@@ -271,10 +268,9 @@ func (e *Engine) Run(ctx context.Context, jobs []Job, emit func(JobResult) error
 
 	// queue_depth tracks outstanding (queued + running) units live and
 	// queue_depth_max is its high-water mark: it rises as tasks are
-	// submitted below and falls as completions drain, so it reads as
-	// the largest concurrent batch across every Run sharing a registry
-	// (e.g. a design-space search's nested GSPN stage) and returns to
-	// zero when all sweeps are done.
+	// submitted below and falls as completions drain, so across every
+	// Run sharing a registry it reads as the most units outstanding at
+	// once, and it returns to zero when all sweeps are done.
 	taskCh := make(chan task, len(tasks))
 	for _, t := range tasks {
 		taskCh <- t
@@ -285,37 +281,18 @@ func (e *Engine) Run(ctx context.Context, jobs []Job, emit func(JobResult) error
 	doneCh := make(chan completion, workers+1)
 	var stop atomic.Bool
 	var wg sync.WaitGroup
-	// Per-worker duration accumulators, merged after the run: sharded
-	// so the hot path takes no lock. Trace shards are per-worker for
-	// the same reason (Emit is single-goroutine by contract).
-	durs := make([]stats.Running, workers)
-	shards := make([]*obs.Shard, workers)
-	if e.Trace != nil {
-		for w := range shards {
-			shards[w] = e.Trace.Shard(fmt.Sprintf("worker-%d", w))
-		}
-	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for t := range taskCh {
+				start := time.Now()
 				if stop.Load() || ctx.Err() != nil {
-					shards[w].Emit("unit_skipped", jobs[t.job].Units[t.unit].Name, int64(t.job), int64(t.unit))
-					doneCh <- completion{t: t, err: errCanceled}
+					doneCh <- completion{t: t, worker: w, start: start, err: errCanceled}
 					continue
 				}
-				shards[w].Emit("unit_start", jobs[t.job].Units[t.unit].Name, int64(t.job), int64(t.unit))
-				start := time.Now()
 				v, err := e.execUnit(&jobs[t.job].Units[t.unit], &cc)
-				d := time.Since(start)
-				durs[w].Add(d.Seconds())
-				if err != nil {
-					shards[w].Emit("unit_failed", jobs[t.job].Units[t.unit].Name, int64(t.job), d.Microseconds())
-				} else {
-					shards[w].Emit("unit_done", jobs[t.job].Units[t.unit].Name, int64(t.job), d.Microseconds())
-				}
-				doneCh <- completion{t: t, val: v, err: err, dur: d}
+				doneCh <- completion{t: t, worker: w, start: start, val: v, err: err, dur: time.Since(start)}
 			}
 		}(w)
 	}
@@ -328,7 +305,6 @@ func (e *Engine) Run(ctx context.Context, jobs []Job, emit func(JobResult) error
 		remaining[ji] = len(jobs[ji].Units)
 	}
 
-	start := time.Now()
 	next := 0 // frontier: next job to assemble and emit
 	var firstErr error
 
@@ -369,6 +345,9 @@ func (e *Engine) Run(ctx context.Context, jobs []Job, emit func(JobResult) error
 			Unit:      jobs[c.t.job].Units[c.t.unit].Name,
 			Completed: completed,
 			Total:     len(tasks),
+			Worker:    c.worker,
+			Start:     c.start,
+			Elapsed:   c.dur,
 		}
 		switch {
 		case c.err == nil:
@@ -376,56 +355,31 @@ func (e *Engine) Run(ctx context.Context, jobs []Job, emit func(JobResult) error
 			elapsed[c.t.job] += c.dur
 			remaining[c.t.job]--
 			cCompleted.Inc()
-			if e.Progress != nil {
-				fmt.Fprintf(e.Progress, "sweep: [%d/%d] %s (%.2fs)\n",
-					completed, len(tasks), jobs[c.t.job].Units[c.t.unit].Name, c.dur.Seconds())
-			}
-			ev.Elapsed = c.dur
-			if e.OnUnit != nil {
-				e.OnUnit(ev)
-			}
-			flush()
+			rUnit.Add(c.dur.Seconds())
 		case errors.Is(c.err, errCanceled):
 			// Canceled after an earlier failure or a context
-			// cancellation. The unit still counts toward
-			// [completed/total] — print it, so the counter the user
-			// watches never skips numbers.
+			// cancellation. The unit still counts toward Completed —
+			// report it, so the counter the user watches never skips
+			// numbers.
 			cSkipped.Inc()
-			if e.Progress != nil {
-				fmt.Fprintf(e.Progress, "sweep: [%d/%d] %s skipped\n",
-					completed, len(tasks), jobs[c.t.job].Units[c.t.unit].Name)
-			}
 			ev.Skipped = true
-			if e.OnUnit != nil {
-				e.OnUnit(ev)
-			}
 		default:
 			cFailed.Inc()
-			if e.Progress != nil {
-				fmt.Fprintf(e.Progress, "sweep: [%d/%d] %s failed: %v\n",
-					completed, len(tasks), jobs[c.t.job].Units[c.t.unit].Name, c.err)
-			}
+			rUnit.Add(c.dur.Seconds())
 			if firstErr == nil {
-				firstErr = fmt.Errorf("%s: %w", jobs[c.t.job].Units[c.t.unit].Name, c.err)
+				firstErr = fmt.Errorf("%s: %w", ev.Unit, c.err)
 				stop.Store(true)
 			}
 			ev.Err = c.err
-			ev.Elapsed = c.dur
-			if e.OnUnit != nil {
-				e.OnUnit(ev)
-			}
+		}
+		if e.OnUnit != nil {
+			e.OnUnit(ev)
+		}
+		if c.err == nil {
+			flush()
 		}
 	}
 	wg.Wait()
-
-	// Fold the per-worker duration shards into one accumulator for the
-	// summary line and the metrics registry — on failure too, so a
-	// metrics dump of a failed sweep still reports the work done.
-	var all stats.Running
-	for i := range durs {
-		all.Merge(durs[i])
-	}
-	e.Obs.Running("sweep", "unit_seconds").Merge(all)
 
 	if firstErr != nil {
 		return firstErr
@@ -437,24 +391,14 @@ func (e *Engine) Run(ctx context.Context, jobs []Job, emit func(JobResult) error
 		return err
 	}
 	flush() // jobs with zero units after the last task
-	if firstErr != nil {
-		return firstErr
-	}
-
-	if e.Progress != nil && len(tasks) > 0 {
-		fmt.Fprintf(e.Progress,
-			"sweep: %d units on %d workers in %.2fs (unit mean %.2fs, max %.2fs)\n",
-			len(tasks), workers, time.Since(start).Seconds(), all.Mean(), all.Max())
-	}
-	return nil
+	return firstErr
 }
 
 // RunJob runs a single job through the engine and returns its
-// assembled value. It is the one-job convenience over Run, used by
-// multi-stage experiments (the design-space search) that fan nested
-// stages — refinement rounds, screened GSPN evaluations — back through
-// the engine instead of hand-rolling goroutine pools. Canceling ctx
-// abandons the job's queued units, as for Run.
+// assembled value. It is the one-job convenience over Run, used by the
+// design-space search to fan its screened GSPN evaluations out from
+// its assembly step instead of hand-rolling a goroutine pool.
+// Canceling ctx abandons the job's queued units, as for Run.
 func (e *Engine) RunJob(ctx context.Context, j Job) (interface{}, error) {
 	var out interface{}
 	err := e.Run(ctx, []Job{j}, func(r JobResult) error {

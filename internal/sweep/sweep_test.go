@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -230,80 +229,14 @@ func TestSingle(t *testing.T) {
 	}
 }
 
-// TestProgress: one line per unit plus a summary, on the progress
-// writer only.
-func TestProgress(t *testing.T) {
-	var buf bytes.Buffer
-	e := &Engine{Workers: 2, Progress: &buf}
-	if err := e.Run(context.Background(), []Job{slowFirst("p", 3)}, nil); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("got %d progress lines, want 4:\n%s", len(lines), buf.String())
-	}
-	for _, l := range lines[:3] {
-		if !strings.HasPrefix(l, "sweep: [") {
-			t.Errorf("unit line %q", l)
-		}
-	}
-	if !strings.Contains(lines[3], "3 units on 2 workers") {
-		t.Errorf("summary line %q", lines[3])
-	}
-}
-
-// TestProgressUnderFailure: after a unit fails, the [completed/total]
-// counter keeps counting — the failed unit prints a "failed" line and
-// canceled units print "skipped" lines, so the numbering never skips.
-func TestProgressUnderFailure(t *testing.T) {
-	boom := errors.New("boom")
-	units := []Unit{
-		{Name: "f/fail", Run: func() (interface{}, error) { return nil, boom }},
-	}
-	const trailing = 30
-	for i := 0; i < trailing; i++ {
-		units = append(units, Unit{
-			Name: fmt.Sprintf("f/u%d", i),
-			Run: func() (interface{}, error) {
-				time.Sleep(time.Millisecond)
-				return 0, nil
-			},
-		})
-	}
-	job := Job{Name: "f", Units: units,
-		Assemble: func(parts []interface{}) (interface{}, error) { return nil, nil }}
-
-	var buf bytes.Buffer
-	e := &Engine{Workers: 1, Progress: &buf}
-	if err := e.Run(context.Background(), []Job{job}, nil); !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	out := buf.String()
-	total := trailing + 1
-	// Every completion number appears exactly once: no gaps in the
-	// counter even though most units were canceled.
-	for i := 1; i <= total; i++ {
-		marker := fmt.Sprintf("[%d/%d]", i, total)
-		if strings.Count(out, marker) != 1 {
-			t.Errorf("progress counter %s missing or duplicated:\n%s", marker, out)
-		}
-	}
-	if !strings.Contains(out, "f/fail failed: boom") {
-		t.Errorf("no failed line for the failing unit:\n%s", out)
-	}
-	// Cancellation is best-effort, but with 30 slow trailing units on
-	// one worker at least one must be skipped after the stop flag lands.
-	if !strings.Contains(out, "skipped") {
-		t.Errorf("no skipped lines after failure:\n%s", out)
-	}
-}
-
 // TestEngineObs: the engine publishes unit/job accounting into the
-// registry and per-unit events into the tracer.
+// registry, and each unit event names the worker that ran it and when
+// that worker picked it up.
 func TestEngineObs(t *testing.T) {
 	reg := obs.NewRegistry()
-	tr := obs.NewTracer(64)
-	e := &Engine{Workers: 2, Obs: reg, Trace: tr}
+	var events []UnitEvent
+	before := time.Now()
+	e := &Engine{Workers: 2, Obs: reg, OnUnit: func(ev UnitEvent) { events = append(events, ev) }}
 	jobs := []Job{slowFirst("a", 3), slowFirst("b", 2)}
 	if err := e.Run(context.Background(), jobs, func(JobResult) error { return nil }); err != nil {
 		t.Fatal(err)
@@ -326,15 +259,16 @@ func TestEngineObs(t *testing.T) {
 	if snap.N() != 5 {
 		t.Errorf("unit_seconds n = %d, want 5", snap.N())
 	}
-	var trace bytes.Buffer
-	if err := tr.Drain(&trace); err != nil {
-		t.Fatal(err)
+	if len(events) != 5 {
+		t.Fatalf("got %d unit events, want 5", len(events))
 	}
-	if got := strings.Count(trace.String(), "unit_start"); got != 5 {
-		t.Errorf("unit_start events = %d, want 5:\n%s", got, trace.String())
-	}
-	if got := strings.Count(trace.String(), "unit_done"); got != 5 {
-		t.Errorf("unit_done events = %d, want 5:\n%s", got, trace.String())
+	for _, ev := range events {
+		if ev.Worker < 0 || ev.Worker >= 2 {
+			t.Errorf("%s: Worker = %d, want 0 or 1", ev.Unit, ev.Worker)
+		}
+		if ev.Start.Before(before) {
+			t.Errorf("%s: Start %v not set to the pickup time", ev.Unit, ev.Start)
+		}
 	}
 }
 
@@ -563,13 +497,12 @@ func TestQueueDepth(t *testing.T) {
 
 // TestRunContextCancel: canceling mid-sweep skips everything still
 // queued with the same accounting as post-failure skips (counted,
-// printed, [completed/total] never skips numbers), leaves no cache
-// entry for a unit that never ran, and returns ctx.Err().
+// reported, Completed never skips numbers), leaves no cache entry for a
+// unit that never ran, and returns ctx.Err().
 func TestRunContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cache := newMapCache()
 	reg := obs.NewRegistry()
-	var progress bytes.Buffer
 
 	started := make(chan struct{}, 2)
 	release := make(chan struct{})
@@ -600,7 +533,8 @@ func TestRunContextCancel(t *testing.T) {
 	}}
 
 	emitted := 0
-	e := &Engine{Workers: 2, Progress: &progress, Obs: reg, Cache: cache}
+	var events []UnitEvent
+	e := &Engine{Workers: 2, Obs: reg, Cache: cache, OnUnit: func(ev UnitEvent) { events = append(events, ev) }}
 	errCh := make(chan error, 1)
 	go func() {
 		errCh <- e.Run(ctx, []Job{job}, func(JobResult) error {
@@ -629,11 +563,17 @@ func TestRunContextCancel(t *testing.T) {
 	if got := reg.Counter("sweep", "units_completed").Value(); got != 2 {
 		t.Errorf("units_completed = %d, want 2", got)
 	}
-	out := progress.String()
-	for _, want := range []string{"[4/4]", "skipped"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("progress output missing %q:\n%s", want, out)
+	skipped := 0
+	for i, ev := range events {
+		if ev.Completed != i+1 || ev.Total != 4 {
+			t.Errorf("event %d: Completed/Total = %d/%d, want %d/4", i, ev.Completed, ev.Total, i+1)
 		}
+		if ev.Skipped {
+			skipped++
+		}
+	}
+	if len(events) != 4 || skipped != 2 {
+		t.Errorf("got %d events with %d skipped, want 4 with 2 skipped", len(events), skipped)
 	}
 	// In-flight units committed their results; skipped units must not
 	// have partial (or any) entries.

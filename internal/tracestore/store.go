@@ -1,6 +1,6 @@
 // Package tracestore caches recorded reference streams on disk so a
 // workload is executed once and replayed into every subsequent
-// measurement (ROADMAP item 3: generate once, replay everywhere).
+// measurement: generate once, replay everywhere.
 package tracestore
 
 import (
