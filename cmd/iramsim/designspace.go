@@ -4,19 +4,17 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-)
 
-// maxAxisValues caps one designspace axis. The search lattice is the
-// cross-product of four axes, so an unbounded axis is an unbounded
-// allocation.
-const maxAxisValues = 4096
+	"repro/internal/runner"
+)
 
 // parseAxis parses one designspace axis flag: comma-separated terms,
 // each a plain integer, an arithmetic range lo..hi:step, or a geometric
 // range lo..hi:*k (e.g. "8..128:8", "256..4096:*2", "0,8,16").
 // Duplicate values are dropped (first occurrence wins) so the search
 // lattice stays a proper cross-product. An axis whose terms expand to
-// more than maxAxisValues values, duplicates included, is an error.
+// more than runner.MaxAxisValues values, duplicates included, is an
+// error.
 func parseAxis(name, spec string) ([]int, error) {
 	var out []int
 	seen := map[int]bool{}
@@ -29,7 +27,7 @@ func parseAxis(name, spec string) ([]int, error) {
 		}
 	}
 	tooMany := func(count uint64) error {
-		return fmt.Errorf("-%s: axis %q has %d values, more than %d", name, spec, count, maxAxisValues)
+		return fmt.Errorf("-%s: axis %q has %d values, more than %d", name, spec, count, runner.MaxAxisValues)
 	}
 	for _, term := range strings.Split(spec, ",") {
 		term = strings.TrimSpace(term)
@@ -53,7 +51,7 @@ func parseAxis(name, spec string) ([]int, error) {
 		default:
 			// Count the term before expanding it; (hi-lo)/step cannot
 			// overflow where hi-lo+1 can.
-			if count := uint64(n) + uint64((hi-lo)/step) + 1; count > maxAxisValues {
+			if count := uint64(n) + uint64((hi-lo)/step) + 1; count > runner.MaxAxisValues {
 				return nil, tooMany(count)
 			}
 			for v := lo; v <= hi; v += step {
@@ -63,7 +61,7 @@ func parseAxis(name, spec string) ([]int, error) {
 				}
 			}
 		}
-		if n > maxAxisValues {
+		if n > runner.MaxAxisValues {
 			return nil, tooMany(uint64(n))
 		}
 	}

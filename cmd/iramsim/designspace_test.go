@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/runner"
 )
 
 func TestParseAxis(t *testing.T) {
@@ -74,7 +76,7 @@ func TestParseAxisErrors(t *testing.T) {
 }
 
 // FuzzParseAxis: any flag value parses to an error or to at most
-// maxAxisValues non-negative values, without panicking.
+// runner.MaxAxisValues non-negative values, without panicking.
 func FuzzParseAxis(f *testing.F) {
 	for _, seed := range []string{"16", "0,8,16", "8..128:8", "256..4096:*2", "4,2..8:2",
 		"1..100000:1", "0..9223372036854775807:1", "1..9223372036854775807:*2"} {
@@ -85,8 +87,8 @@ func FuzzParseAxis(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if len(vals) > maxAxisValues {
-			t.Fatalf("parseAxis(%q) returned %d values, cap %d", spec, len(vals), maxAxisValues)
+		if len(vals) > runner.MaxAxisValues {
+			t.Fatalf("parseAxis(%q) returned %d values, cap %d", spec, len(vals), runner.MaxAxisValues)
 		}
 		for _, v := range vals {
 			if v < 0 {

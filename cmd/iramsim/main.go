@@ -116,10 +116,19 @@ func main() {
 	// `iramsim -record <dir>` with no experiments is record-all mode,
 	// and `-result-cache-max-bytes` with no experiments is cache-gc
 	// mode (which needs the result cache); anything else without
-	// experiments is a usage error.
-	if flag.NArg() == 0 && c.record == "" && (c.cacheMaxBytes == 0 || c.noResultCache) {
-		usage()
-		os.Exit(2)
+	// experiments is a usage error. Neither mode runs a sweep unit, so
+	// neither has a -trace log or metrics to write.
+	if flag.NArg() == 0 {
+		if c.record == "" && (c.cacheMaxBytes == 0 || c.noResultCache) {
+			usage()
+			os.Exit(2)
+		}
+		for _, f := range []struct{ name, path string }{{"trace", c.traceOut}, {"metrics", c.metrics}} {
+			if f.path != "" {
+				fmt.Fprintf(os.Stderr, "iramsim: -%s needs experiments; record-all and cache-gc modes run none\n", f.name)
+				os.Exit(2)
+			}
+		}
 	}
 
 	// mainErr carries the defers (profile flushes) that os.Exit would

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"flag"
 	"io"
+	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -42,6 +46,53 @@ func TestRunDispatcher(t *testing.T) {
 	err := runner.RunJobs(context.Background(), []string{"no-such-experiment"}, opts, nil, runner.Config{})
 	if err == nil {
 		t.Error("unknown experiment accepted")
+	}
+}
+
+// TestNoExperimentModesRejectRunFlags: record-all (-record d) and
+// cache-gc (-result-cache-max-bytes N) run no experiment, so -trace and
+// -metrics have nothing to write; each is a usage error (exit status 2,
+// naming the flag) raised before either mode creates its cache. The
+// test runs main in a child copy of the test binary, which takes its
+// iramsim arguments from IRAMSIM_MAIN_ARGS, one per line.
+func TestNoExperimentModesRejectRunFlags(t *testing.T) {
+	if args, ok := os.LookupEnv("IRAMSIM_MAIN_ARGS"); ok {
+		os.Args = append([]string{"iramsim"}, strings.Split(args, "\n")...)
+		flag.CommandLine = flag.NewFlagSet("iramsim", flag.ExitOnError)
+		main()
+		os.Exit(0)
+	}
+	for _, mode := range []struct {
+		name string
+		args func(cache string) []string
+	}{
+		{"record-all", func(cache string) []string { return []string{"-quick", "-record", cache} }},
+		{"cache-gc", func(cache string) []string { return []string{"-result-cache", cache, "-result-cache-max-bytes", "1"} }},
+	} {
+		for _, name := range []string{"trace", "metrics"} {
+			t.Run(mode.name+"/"+name, func(t *testing.T) {
+				dir := t.TempDir()
+				cache, out := filepath.Join(dir, "cache"), filepath.Join(dir, "out")
+				args := append(mode.args(cache), "-"+name, out)
+				cmd := exec.Command(os.Args[0], "-test.run=^TestNoExperimentModesRejectRunFlags$")
+				cmd.Env = append(os.Environ(), "IRAMSIM_MAIN_ARGS="+strings.Join(args, "\n"))
+				var stderr bytes.Buffer
+				cmd.Stderr = &stderr
+				err := cmd.Run()
+				var exit *exec.ExitError
+				if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+					t.Fatalf("iramsim %v: %v, want exit status 2 (stderr %q)", args, err, stderr.String())
+				}
+				if !strings.Contains(stderr.String(), "-"+name+" ") {
+					t.Errorf("stderr %q does not name -%s", stderr.String(), name)
+				}
+				for _, path := range []string{out, cache} {
+					if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
+						t.Errorf("%s exists after the usage error (stat: %v)", path, err)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -183,6 +183,9 @@ func TestSubmitBadRequests(t *testing.T) {
 		{"all-with-others", `{"experiments":["cost","all"]}`, `\"all\" must be the only experiment`},
 		{"bad-machine", `{"experiments":["fig7"],"machine":{"Banks":0}}`, "machine config"},
 		{"zero-ways-machine", `{"experiments":["fig8"],"machine":{"DCacheWays":0,"DCacheBytes":0,"DRAM":{"BuffersPerBank":1}}}`, "machine config"},
+		// About 10 KB, well under the body limit: the axis cap, not the
+		// size limit, must reject it.
+		{"axis-over-cap", `{"experiments":["designspace"],"ds_banks":[8` + strings.Repeat(",8", 4999) + `]}`, "ds_banks has 5000 values"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -24,23 +24,29 @@
 // scale of the paper's remote operations.
 //
 // Admission structure: each body runs as an iter.Pull coroutine, and
-// Run is one driver loop. It resumes every granted body until the body
-// posts its next operation, pops the earliest posted operation from a
-// binary min-heap keyed by (virtual time, processor id), serves it,
-// and repeats. Posted operations live in per-processor preallocated
-// slots, so the hot path is allocation-free. When a serve step leaves
-// exactly one processor runnable, that processor is also handed an
-// admission horizon (the (time, id) key of the earliest other posted
-// operation) and services its own operations inline, without yielding
-// to the driver, until its clock reaches the horizon; this makes
-// single-processor runs and serialised phases of multiprocessor runs
-// switch-free while preserving the exact global service order.
+// Run is one driver loop. A body posts an operation into its
+// processor's preallocated slot, so the hot path is allocation-free.
+// serve is the one routine that applies an operation (access latency,
+// lock acquire, handoff and release, barrier arrival and release) and
+// grants the bodies it releases. The driver resumes every granted body
+// until the body posts its next operation, pops the earliest posted
+// operation from a binary min-heap keyed by (virtual time, processor
+// id), serves it, and repeats. A body the driver resumed alone, whose
+// operation sorts before the heap's top, holds the operation the
+// driver would pop next, so it calls serve on itself: it keeps running
+// if that granted it alone, and yields otherwise, and the driver
+// resumes everything serve granted before it pops again. Single-
+// processor runs and serialised phases of multiprocessor runs thus
+// switch only where a lock or barrier blocks or releases another body,
+// and the service order is the one the heap alone would give.
 //
 // Concurrency invariant: exactly one body or the driver runs at a
-// time. A body runs only between its grant and its next post, and the
-// driver resumes granted bodies one after another. Workload code may
-// therefore update shared host-side data (matrices, particle arrays)
-// without locking; all updates are totally ordered by the driver.
+// time. A body runs only between its grant and its next post, the
+// driver resumes granted bodies one after another, and a body serves
+// itself only while it is the one body the driver resumed. Workload
+// code may therefore update shared host-side data (matrices, particle
+// arrays) without locking; all updates are totally ordered by the
+// service order.
 package mpsim
 
 import (
@@ -54,15 +60,10 @@ import (
 // Memory is the architecture timing model (implemented by
 // internal/coherence.Machine).
 type Memory interface {
-	// Access services one reference and returns its latency in cycles.
-	Access(proc int, addr uint64, write bool) uint64
-}
-
-// TimedMemory is an optional extension: models that track global time
-// (e.g. protocol-engine occupancy) receive the issuing processor's
-// virtual clock. When a Memory also implements TimedMemory, the
-// simulator calls AccessAt instead of Access.
-type TimedMemory interface {
+	// AccessAt services one reference issued at virtual time now, the
+	// issuing processor's clock (models that track global time, such
+	// as protocol-engine occupancy, need it), and returns its latency
+	// in cycles.
 	AccessAt(proc int, addr uint64, write bool, now uint64) uint64
 }
 
@@ -137,89 +138,32 @@ type request struct {
 }
 
 func (p *Proc) op(kind opKind, addr uint64, write bool, lockID int) {
-	if p.sim.fast[p.ID].ok && p.selfServe(kind, addr, write, lockID) {
-		return
+	s := p.sim
+	pid := p.post(kind, addr, write, lockID)
+	if s.alone && (len(s.heap) == 0 || s.less(pid, s.heap[0])) {
+		// The driver would pop this operation next: serve it here.
+		s.serve(pid)
+		if len(s.ready) == 1 { // granted this body alone
+			s.ready = s.ready[:0]
+			s.selfServes++
+			return
+		}
+	} else {
+		s.push(pid)
 	}
-	p.post(kind, addr, write, lockID)
 	if !p.yield(struct{}{}) {
 		panic(errStopped)
 	}
 }
 
-// post fills the processor's slot and queues it for admission.
-func (p *Proc) post(kind opKind, addr uint64, write bool, lockID int) {
-	s := p.sim
+// post fills the processor's slot and advances its clock by the
+// compute cycles accumulated since its last operation.
+func (p *Proc) post(kind opKind, addr uint64, write bool, lockID int) int32 {
 	pid := int32(p.ID)
-	slot := &s.slots[pid]
-	slot.kind = kind
-	slot.addr = addr
-	slot.write = write
-	slot.lockID = lockID
-	s.time[pid] += p.pending
+	p.sim.slots[pid] = request{kind: kind, write: write, addr: addr, lockID: lockID}
+	p.sim.time[pid] += p.pending
 	p.pending = 0
-	s.push(pid)
-}
-
-// selfServe runs one operation inline in the body's coroutine, without
-// yielding to the driver. It is only entered when the last grant
-// carried self-serve rights (this proc was the sole runnable
-// processor), and it only serves operations strictly below the
-// admission horizon — the (time, id) key of the earliest other posted
-// operation — so the global service order is exactly what the driver
-// would have produced. Operations it cannot serve (synchronisation
-// handoffs, anything at or past the horizon) return false and take the
-// normal posted path.
-func (p *Proc) selfServe(kind opKind, addr uint64, write bool, lockID int) bool {
-	s := p.sim
-	pid := int32(p.ID)
-	h := &s.fast[p.ID]
-	t := s.time[p.ID] + p.pending
-	if t > h.time || (t == h.time && pid >= h.id) {
-		return false
-	}
-	switch kind {
-	case opAccess:
-		p.pending = 0
-		var lat uint64
-		if s.tmem != nil {
-			lat = s.tmem.AccessAt(p.ID, addr, write, t)
-		} else {
-			lat = s.mem.Access(p.ID, addr, write)
-		}
-		s.time[p.ID] = t + lat
-		s.accesses++
-		s.selfServes++
-		return true
-	case opLock:
-		l := s.lock(lockID)
-		if l.held {
-			return false // will block until a handoff grants it
-		}
-		p.pending = 0
-		s.lockOps++
-		s.selfServes++
-		l.held = true
-		l.owner = pid
-		if l.lastFree > t {
-			t = l.lastFree
-		}
-		s.time[p.ID] = t + s.costs.LockAcquire
-		return true
-	case opUnlock:
-		l := s.lock(lockID)
-		if !l.held || l.owner != pid || len(l.waiters) > 0 {
-			// Handoffs (and misuse panics) go through the driver.
-			return false
-		}
-		p.pending = 0
-		s.lockOps++
-		s.selfServes++
-		s.time[p.ID] = t
-		l.lastFree = t
-		l.held = false
-		return true
-	}
-	return false // barriers always post
+	return pid
 }
 
 // Result summarises one simulation run.
@@ -233,16 +177,16 @@ type Result struct {
 	Coord      CoordStats
 }
 
-// CoordStats is the admission machinery's own accounting: how
-// operations were served (inline under self-serve rights vs. granted
-// by the driver) and how deep the admission heap got. It is
-// bookkeeping about the simulator, not the simulated machine. Every
-// field is exact, as deterministic as the rest of Result: each access,
-// lock operation and barrier arrival is either self-served or granted
-// exactly once.
+// CoordStats is the admission machinery's own accounting: how bodies
+// went on after their operations were served (running on after serving
+// themselves, or resumed by the driver) and how deep the admission heap
+// got. It is bookkeeping about the simulator, not the simulated machine.
+// Every field is exact, as deterministic as the rest of Result: each
+// access, lock operation and barrier arrival ends in exactly one
+// self-serve or one grant.
 type CoordStats struct {
-	SelfServes   int64 // operations served inline, without yielding to the driver
-	Grants       int64 // grants issued by the driver
+	SelfServes   int64 // operations a body served itself and ran on from
+	Grants       int64 // bodies the driver resumed after serve released them
 	MaxHeapDepth int   // admission heap high-water mark
 }
 
@@ -258,41 +202,21 @@ func (c CoordStats) Publish(reg *obs.Registry) {
 	reg.Gauge("mpsim", "heap_depth_max").SetMax(int64(c.MaxHeapDepth))
 }
 
-// Imbalance returns the load imbalance: max finish time over mean
-// finish time (1.0 = perfectly balanced). A high value means barriers
-// and partitioning, not the memory system, bound the run.
-func (r Result) Imbalance() float64 {
-	if len(r.ProcCycles) == 0 || r.Cycles == 0 {
-		return 1
-	}
-	var sum uint64
-	for _, t := range r.ProcCycles {
-		sum += t
-	}
-	mean := float64(sum) / float64(len(r.ProcCycles))
-	if mean == 0 {
-		return 1
-	}
-	return float64(r.Cycles) / mean
-}
-
 // sim is the driver's state. Only one body or the driver runs at a
 // time, so it needs no lock.
 type sim struct {
 	mem   Memory
-	tmem  TimedMemory // non-nil when mem implements TimedMemory
 	costs SyncCosts
 
 	slots []request // per-proc posted-operation slots
 	time  []uint64
 	heap  []int32 // min-heap of posted procs keyed by (time, proc id)
-	ready []int32 // granted procs, resumed by the driver before its next serve
+	ready []int32 // procs serve granted, resumed before the driver pops again
+	alone bool    // the driver resumed one body, which may serve itself
 	alive int     // procs that have not finished
 
 	locks []lockState // keyed by lock id
 	bar   barrierState
-
-	fast []horizon // per-proc self-serve rights, written before a grant
 
 	accesses int64
 	lockOps  int64
@@ -302,16 +226,6 @@ type sim struct {
 	selfServes int64
 	grants     int64
 	maxHeap    int
-}
-
-// horizon is a processor's self-serve admission bound: the (time, id)
-// key of the earliest operation posted by any other processor at grant
-// time. The driver writes it immediately before granting the
-// processor, and only that processor reads it.
-type horizon struct {
-	time uint64
-	id   int32
-	ok   bool
 }
 
 type lockState struct {
@@ -340,16 +254,13 @@ func Run(n int, mem Memory, costs SyncCosts, body func(p *Proc)) Result {
 		slots: make([]request, n),
 		time:  make([]uint64, n),
 		heap:  make([]int32, 0, n),
-		ready: make([]int32, n),
-		fast:  make([]horizon, n),
+		ready: make([]int32, 0, n),
 		bar:   barrierState{waiting: make([]int32, 0, n)},
 		alive: n,
 	}
-	s.tmem, _ = mem.(TimedMemory)
 	next := make([]func() (struct{}, bool), n)
 	stops := make([]func(), n)
 	for i := range n {
-		s.ready[i] = int32(i) // every body starts granted
 		p := &Proc{ID: i, N: n, sim: s}
 		next[i], stops[i] = iter.Pull(p.coroutine(body))
 	}
@@ -361,20 +272,30 @@ func Run(n int, mem Memory, costs SyncCosts, body func(p *Proc)) Result {
 		}
 	}()
 
-	for {
-		for _, pid := range s.ready {
+	// Every body runs to its first post; a sole processor runs alone.
+	s.alone = n == 1
+	for _, resume := range next {
+		resume()
+	}
+	run := make([]int32, 0, n)
+	for s.alive > 0 {
+		if len(s.ready) == 0 {
+			if len(s.heap) == 0 {
+				// Everyone alive is blocked: this is a workload deadlock
+				// (e.g. a barrier not joined by all procs). Fail loudly.
+				panic("mpsim: deadlock — all processors blocked")
+			}
+			s.serve(s.pop())
+			continue
+		}
+		// A body resumed alone may serve itself and grant others into
+		// the emptied ready list; the next pass resumes them.
+		run, s.ready = s.ready, run[:0]
+		s.alone = len(run) == 1
+		s.grants += int64(len(run))
+		for _, pid := range run {
 			next[pid]()
 		}
-		s.ready = s.ready[:0]
-		if len(s.heap) == 0 {
-			if s.alive == 0 {
-				break
-			}
-			// Everyone alive is blocked: this is a workload deadlock
-			// (e.g. a barrier not joined by all procs). Fail loudly.
-			panic("mpsim: deadlock — all processors blocked")
-		}
-		s.serve(s.pop())
 	}
 
 	res := Result{
@@ -412,7 +333,7 @@ func (p *Proc) coroutine(body func(*Proc)) iter.Seq[struct{}] {
 		}()
 		p.yield = yield
 		body(p)
-		p.post(opDone, 0, false, 0)
+		p.sim.push(p.post(opDone, 0, false, 0))
 	}
 }
 
@@ -469,37 +390,9 @@ func (s *sim) pop() int32 {
 	return top
 }
 
-// grant releases the proc to run its body until its next post. It
-// revokes any stale self-serve rights: the plain grant is used
-// whenever a serve step releases more than one body (lock handoffs,
-// barrier releases).
+// grant releases the proc to run its body until its next post.
 func (s *sim) grant(pid int32) {
-	s.fast[pid].ok = false
 	s.ready = append(s.ready, pid)
-	s.grants++
-}
-
-// grantFast is grant for serve steps that release exactly one
-// processor. When no other body is granted (ready is empty — always
-// true for single-grant steps, by the driver-loop invariant), the
-// granted processor is the only body to run before its next post, so
-// it is handed the admission horizon and may serve its own operations
-// inline, without yielding to the driver, while it stays below that
-// horizon.
-func (s *sim) grantFast(pid int32) {
-	if len(s.ready) != 0 {
-		s.grant(pid)
-		return
-	}
-	h := &s.fast[pid]
-	if len(s.heap) > 0 {
-		top := s.heap[0]
-		h.time, h.id, h.ok = s.time[top], top, true
-	} else {
-		h.time, h.id, h.ok = ^uint64(0), int32(1<<30), true
-	}
-	s.ready = append(s.ready, pid)
-	s.grants++
 }
 
 // lock returns the state for the lock id, growing the slot table on
@@ -514,19 +407,17 @@ func (s *sim) lock(id int) *lockState {
 	return &s.locks[id]
 }
 
+// serve applies the operation in pid's slot and grants every body it
+// releases. It is the only code that applies an operation: the driver
+// calls it on the heap's minimum, and a body the driver resumed alone
+// calls it on itself when its operation sorts before the heap's top.
 func (s *sim) serve(pid int32) {
 	r := &s.slots[pid]
 	switch r.kind {
 	case opAccess:
-		var lat uint64
-		if s.tmem != nil {
-			lat = s.tmem.AccessAt(int(pid), r.addr, r.write, s.time[pid])
-		} else {
-			lat = s.mem.Access(int(pid), r.addr, r.write)
-		}
-		s.time[pid] += lat
+		s.time[pid] += s.mem.AccessAt(int(pid), r.addr, r.write, s.time[pid])
 		s.accesses++
-		s.grantFast(pid)
+		s.grant(pid)
 
 	case opLock:
 		s.lockOps++
@@ -539,7 +430,7 @@ func (s *sim) serve(pid int32) {
 				t = l.lastFree
 			}
 			s.time[pid] = t + s.costs.LockAcquire
-			s.grantFast(pid)
+			s.grant(pid)
 			return
 		}
 		// Block until handoff (no grant: the proc posts nothing more
@@ -564,14 +455,12 @@ func (s *sim) serve(pid int32) {
 				t = now
 			}
 			s.time[w] = t + s.costs.LockHandoff
-			// Two grants: the waiter and the unlocker both run before
-			// the next serve, so neither may self-serve.
 			s.grant(w)
 			s.grant(pid)
 			return
 		}
 		l.held = false
-		s.grantFast(pid)
+		s.grant(pid)
 
 	case opBarrier:
 		s.barriers++
@@ -597,35 +486,10 @@ func (s *sim) serve(pid int32) {
 // completion time.
 func (s *sim) releaseBarrier() {
 	release := s.bar.maxTime + s.costs.Barrier
-	if len(s.bar.waiting) == 1 {
-		// Sole waiter (single-processor runs, or the last survivor of a
-		// shrinking barrier): it resumes alone, so it keeps self-serve
-		// rights across the barrier.
-		w := s.bar.waiting[0]
+	for _, w := range s.bar.waiting {
 		s.time[w] = release
-		s.grantFast(w)
-	} else {
-		for _, w := range s.bar.waiting {
-			s.time[w] = release
-			s.grant(w)
-		}
+		s.grant(w)
 	}
 	s.bar.waiting = s.bar.waiting[:0]
 	s.bar.maxTime = 0
-}
-
-// Speedup computes relative speedups from a series of Results ordered
-// by processor count, normalised to the first entry.
-func Speedup(results []Result) []float64 {
-	out := make([]float64, len(results))
-	if len(results) == 0 || results[0].Cycles == 0 {
-		return out
-	}
-	base := float64(results[0].Cycles)
-	for i, r := range results {
-		if r.Cycles > 0 {
-			out[i] = base / float64(r.Cycles)
-		}
-	}
-	return out
 }

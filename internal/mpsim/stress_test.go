@@ -1,6 +1,9 @@
 package mpsim
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -16,15 +19,12 @@ type traceEntry struct {
 }
 
 // tracingMemory records every access with the issuing processor's
-// virtual time. It implements TimedMemory, so the coordinator hands it
-// the clock it schedules by; the trace therefore exposes the global
-// service order.
+// virtual time, the clock the coordinator schedules by; the trace
+// therefore exposes the global service order.
 type tracingMemory struct {
 	lat   uint64
 	trace []traceEntry
 }
-
-func (m *tracingMemory) Access(proc int, addr uint64, write bool) uint64 { return m.lat }
 
 func (m *tracingMemory) AccessAt(proc int, addr uint64, write bool, now uint64) uint64 {
 	m.trace = append(m.trace, traceEntry{proc, addr, write, now})
@@ -139,4 +139,25 @@ func TestCoordStatsPublish(t *testing.T) {
 		t.Errorf("heap_depth_max = %d, want %d", got, r.Coord.MaxHeapDepth)
 	}
 	r.Coord.Publish(nil) // must not panic
+}
+
+// TestServiceOrderPinned pins the global service order: stressBody at
+// several processor counts, every serviced access and every run's
+// clocks folded into one SHA-256. Any change to the admission order,
+// the lock and barrier rules or the timing they apply moves the
+// digest.
+func TestServiceOrderPinned(t *testing.T) {
+	const want = "ec8567da6fb86c8955179f98991ef05c71ef6f66e31ae6f8aebeac5f707a2a4e"
+	h := sha256.New()
+	for _, procs := range []int{1, 2, 3, 8, 32} {
+		mem := &tracingMemory{lat: 4}
+		r := Run(procs, mem, DefaultSyncCosts(), stressBody)
+		for _, e := range mem.trace {
+			fmt.Fprintf(h, "%d %d %v %d\n", e.Proc, e.Addr, e.Write, e.Now)
+		}
+		fmt.Fprintf(h, "cycles %d %v\n", r.Cycles, r.ProcCycles)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("service-order digest = %s, want %s", got, want)
+	}
 }

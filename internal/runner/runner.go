@@ -60,6 +60,12 @@ type Request struct {
 	DSRefine int `json:"ds_refine,omitempty"`
 }
 
+// MaxAxisValues caps one design-space axis (Request.DSBanks..DSVictims
+// and the iramsim -ds-* flags). The search lattice is the
+// cross-product of four axes, so an unbounded axis is an unbounded
+// allocation.
+const MaxAxisValues = 4096
+
 // Config carries the cross-cutting wiring a caller sets up once per
 // run: the output stream, caches, observability, and progress callbacks.
 // The caches are stores the caller opened and owns. The zero value runs
@@ -121,8 +127,9 @@ func ExpandNames(names []string) []string {
 // Validate rejects malformed requests before any work is scheduled:
 // unknown experiment names and "all" beside other names, then
 // everything Options rejects — an unparsable or invalid machine
-// description (the core.FromJSON validation errors, verbatim) and
-// non-positive processor counts. The daemon surfaces these as 400s.
+// description (the core.FromJSON validation errors, verbatim),
+// non-positive processor counts and design-space axes longer than
+// MaxAxisValues. The daemon surfaces these as 400s.
 func (r Request) Validate() error {
 	if len(r.Experiments) == 0 {
 		return fmt.Errorf("runner: no experiments requested")
@@ -166,6 +173,15 @@ func (r Request) Options() (experiments.Options, error) {
 			return experiments.Options{}, err
 		}
 		opts.Machine = &dev
+	}
+	for _, axis := range []struct {
+		field string
+		vals  []int
+	}{{"ds_banks", r.DSBanks}, {"ds_columns", r.DSColumns}, {"ds_ways", r.DSWays}, {"ds_victims", r.DSVictims}} {
+		if len(axis.vals) > MaxAxisValues {
+			return experiments.Options{}, fmt.Errorf("runner: %s has %d values, more than %d",
+				axis.field, len(axis.vals), MaxAxisValues)
+		}
 	}
 	opts.DSBanks = append([]int(nil), r.DSBanks...)
 	opts.DSColumns = append([]int(nil), r.DSColumns...)

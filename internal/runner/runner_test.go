@@ -36,6 +36,16 @@ func TestValidate(t *testing.T) {
 		{"bad-machine-json", Request{Experiments: []string{"spec"}, Machine: json.RawMessage(`{`)}, "machine config"},
 		{"unknown-machine-field", Request{Experiments: []string{"spec"}, Machine: json.RawMessage(`{"NoSuchKnob":1}`)}, "machine config"},
 		{"invalid-machine", Request{Experiments: []string{"spec"}, Machine: json.RawMessage(`{"Banks":0}`)}, "machine config"},
+		// Each design-space axis takes up to MaxAxisValues values, the
+		// cap the iramsim -ds-* flags enforce.
+		{"ds_banks-at-cap", Request{Experiments: []string{"designspace"}, DSBanks: make([]int, MaxAxisValues)}, ""},
+		{"ds_banks-over-cap", Request{Experiments: []string{"designspace"}, DSBanks: make([]int, MaxAxisValues+1)}, "ds_banks has 4097 values"},
+		{"ds_columns-at-cap", Request{Experiments: []string{"designspace"}, DSColumns: make([]int, MaxAxisValues)}, ""},
+		{"ds_columns-over-cap", Request{Experiments: []string{"designspace"}, DSColumns: make([]int, MaxAxisValues+1)}, "ds_columns has 4097 values"},
+		{"ds_ways-at-cap", Request{Experiments: []string{"designspace"}, DSWays: make([]int, MaxAxisValues)}, ""},
+		{"ds_ways-over-cap", Request{Experiments: []string{"designspace"}, DSWays: make([]int, MaxAxisValues+1)}, "ds_ways has 4097 values"},
+		{"ds_victims-at-cap", Request{Experiments: []string{"designspace"}, DSVictims: make([]int, MaxAxisValues)}, ""},
+		{"ds_victims-over-cap", Request{Experiments: []string{"designspace"}, DSVictims: make([]int, MaxAxisValues+1)}, "ds_victims has 4097 values"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

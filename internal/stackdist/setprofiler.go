@@ -147,16 +147,6 @@ func (p *SetProfiler) TrackerIndex(sets uint64) int {
 // win: one pass answers every (set count, ways <= tracker ways) point.
 func (p *SetProfiler) Trackers() int { return len(p.trackers) }
 
-// MaxWays returns the associativity the tracker for the given set
-// count maintains (every ways <= MaxWays is answerable), or 0 if the
-// set count is not profiled.
-func (p *SetProfiler) MaxWays(sets uint64) int {
-	if i, ok := p.index[sets]; ok {
-		return p.trackers[i].ways
-	}
-	return 0
-}
-
 // LineSize returns the profiler's line size in bytes.
 func (p *SetProfiler) LineSize() uint64 { return p.lineSize }
 

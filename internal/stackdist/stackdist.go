@@ -200,9 +200,6 @@ func (p *Profiler) MissCounterAll(capacityLines uint64) stats.Counter {
 	return c
 }
 
-// Totals returns the per-kind reference count seen so far.
-func (p *Profiler) Totals(kind trace.Kind) int64 { return p.total[kind] }
-
 // Ref implements trace.Sink.
 func (p *Profiler) Ref(r trace.Ref) { p.Access(r.Addr, r.Kind) }
 

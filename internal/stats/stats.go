@@ -41,33 +41,6 @@ func (r *Running) Add(x float64) {
 	r.m2 += d * (x - r.mean)
 }
 
-// Merge folds another accumulator into r, producing the same mean,
-// variance, min, and max as if every sample behind o had been Added to
-// r directly (up to floating-point rounding). It uses Chan et al.'s
-// pairwise combination, which stays numerically stable when sharded
-// accumulators are reduced into one.
-func (r *Running) Merge(o Running) {
-	if o.n == 0 {
-		return
-	}
-	if r.n == 0 {
-		*r = o
-		return
-	}
-	rn, on := float64(r.n), float64(o.n)
-	n := rn + on
-	d := o.mean - r.mean
-	r.mean += d * on / n
-	r.m2 += o.m2 + d*d*rn*on/n
-	if o.min < r.min {
-		r.min = o.min
-	}
-	if o.max > r.max {
-		r.max = o.max
-	}
-	r.n += o.n
-}
-
 // N returns the number of samples recorded.
 func (r *Running) N() int64 { return r.n }
 

@@ -126,84 +126,6 @@ func TestRunningMatchesDirect(t *testing.T) {
 	}
 }
 
-// TestRunningMerge (property): merging two accumulators over split
-// halves of a stream equals one accumulator over the whole stream.
-func TestRunningMerge(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(200)
-		cut := rng.Intn(n + 1)
-		var whole, a, b Running
-		for i := 0; i < n; i++ {
-			x := rng.NormFloat64()*50 + 10
-			whole.Add(x)
-			if i < cut {
-				a.Add(x)
-			} else {
-				b.Add(x)
-			}
-		}
-		a.Merge(b)
-		return a.N() == whole.N() &&
-			math.Abs(a.Mean()-whole.Mean()) < 1e-9 &&
-			math.Abs(a.Variance()-whole.Variance()) < 1e-9 &&
-			a.Min() == whole.Min() && a.Max() == whole.Max() &&
-			math.Abs(a.CI95()-whole.CI95()) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestRunningMergeEdgeCases(t *testing.T) {
-	// empty + empty
-	var a, b Running
-	a.Merge(b)
-	if a.N() != 0 || a.Mean() != 0 || a.CI95() != 0 {
-		t.Error("empty+empty not zero")
-	}
-	// empty + populated adopts the populated side wholesale.
-	var c Running
-	b.Add(4)
-	b.Add(8)
-	c.Merge(b)
-	if c.N() != 2 || c.Mean() != 6 || c.Min() != 4 || c.Max() != 8 {
-		t.Errorf("empty.Merge(populated) = %v", c)
-	}
-	// populated + empty is a no-op.
-	var empty Running
-	before := c
-	c.Merge(empty)
-	if c != before {
-		t.Error("merge of empty accumulator changed state")
-	}
-	// single + single: CI95 half-width becomes defined (n=2).
-	var s1, s2 Running
-	s1.Add(1)
-	s2.Add(3)
-	s1.Merge(s2)
-	if s1.N() != 2 || s1.Mean() != 2 {
-		t.Errorf("single+single: n=%d mean=%v", s1.N(), s1.Mean())
-	}
-	wantCI := 1.96 * math.Sqrt(2) / math.Sqrt(2) // sd=sqrt(2), se=sd/sqrt(2)=1
-	if math.Abs(s1.CI95()-wantCI) > 1e-12 {
-		t.Errorf("single+single CI95 = %v, want %v", s1.CI95(), wantCI)
-	}
-	// merging a single sample into a populated accumulator keeps the
-	// variance consistent with direct accumulation.
-	var direct, left, right Running
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7} {
-		direct.Add(x)
-		left.Add(x)
-	}
-	direct.Add(9)
-	right.Add(9)
-	left.Merge(right)
-	if math.Abs(left.Variance()-direct.Variance()) > 1e-12 {
-		t.Errorf("merge single: variance %v vs %v", left.Variance(), direct.Variance())
-	}
-}
-
 func TestCounter(t *testing.T) {
 	c := Counter{Events: 3, Total: 12}
 	if c.Rate() != 0.25 || c.Percent() != 25 {

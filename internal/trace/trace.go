@@ -141,19 +141,6 @@ func (c *Counts) StoreFrac() float64 {
 	return float64(c.Stores) / float64(c.Ifetches)
 }
 
-// Filter forwards only references matching the kind to the inner sink.
-type Filter struct {
-	Keep Kind
-	Next Sink
-}
-
-// Ref implements Sink.
-func (f Filter) Ref(r Ref) {
-	if r.Kind == f.Keep {
-		f.Next.Ref(r)
-	}
-}
-
 // DataOnly forwards loads and stores (not ifetches) to the inner sink.
 type DataOnly struct{ Next Sink }
 

@@ -32,16 +32,6 @@ func TestTee(t *testing.T) {
 	}
 }
 
-func TestFilter(t *testing.T) {
-	var c Counts
-	f := Filter{Keep: Store, Next: &c}
-	f.Ref(Ref{Kind: Load})
-	f.Ref(Ref{Kind: Store})
-	if c.Total() != 1 || c.Stores != 1 {
-		t.Errorf("filter passed wrong refs: %+v", c)
-	}
-}
-
 func TestDataOnly(t *testing.T) {
 	var c Counts
 	d := DataOnly{Next: &c}
