@@ -45,13 +45,16 @@ bench:
 # the GSPN CPI experiments (Table 3, Figure 12), the multiprocessor
 # SPLASH runs (Figures 13-17), the family-shared design-space search
 # (replay-fed), the stack-distance profiling layer alone (Figure 7/8
-# CacheSet and a design-space family, in Mref/s), and the mpsim
-# coordinator alone, with allocation stats. The coordinator benchmark
-# reports ns per operation, so it runs a fixed million operations
-# rather than two.
+# CacheSet and a design-space family, in Mref/s), the mpsim
+# coordinator alone, and the GSPN event loop alone (a small mixed net
+# and a 16-bank net shaped like the cpumodel nets, in Mfiring/s), with
+# allocation stats. The coordinator and GSPN benchmarks report ns per
+# operation or step, so they run a fixed million of them rather than
+# two.
 bench-figures:
 	$(GO) test -run '^$$' -bench 'Designspace$$|Fig[78](Replay|ReplayCold|Warm)?$$|Fig12$$|Table3$$|Fig1[3-7]|CacheSetRefs$$' -benchmem -benchtime 2x . ./internal/workload
 	$(GO) test -run '^$$' -bench 'CoordinatorOps$$' -benchmem -benchtime 1000000x ./internal/mpsim
+	$(GO) test -run '^$$' -bench 'SimStep(Banks)?$$' -benchmem -benchtime 1000000x ./internal/gspn
 
 # Record the current Fig7/Fig8 numbers as the checked-in baseline.
 bench-baseline:
@@ -63,7 +66,7 @@ bench-baseline:
 # (deterministic). -require keeps the guard honest: the acceptance
 # benchmarks must actually run, so the observability hooks cannot
 # regress them unnoticed by a pattern that matches nothing.
-BENCH_REQUIRED = BenchmarkFig7,BenchmarkFig8,BenchmarkFig7Replay,BenchmarkFig7ReplayCold,BenchmarkFig8Replay,BenchmarkFig7Warm,BenchmarkTable3,BenchmarkFig12,BenchmarkFig13LU,BenchmarkFig14MP3D,BenchmarkFig15Ocean,BenchmarkFig16Water,BenchmarkFig17Pthor,BenchmarkDesignspace,BenchmarkCacheSetRefs,BenchmarkFamilyCacheSetRefs,BenchmarkCoordinatorOps
+BENCH_REQUIRED = BenchmarkFig7,BenchmarkFig8,BenchmarkFig7Replay,BenchmarkFig7ReplayCold,BenchmarkFig8Replay,BenchmarkFig7Warm,BenchmarkTable3,BenchmarkFig12,BenchmarkFig13LU,BenchmarkFig14MP3D,BenchmarkFig15Ocean,BenchmarkFig16Water,BenchmarkFig17Pthor,BenchmarkDesignspace,BenchmarkCacheSetRefs,BenchmarkFamilyCacheSetRefs,BenchmarkCoordinatorOps,BenchmarkSimStep,BenchmarkSimStepBanks
 
 bench-check:
 	$(MAKE) -s bench-figures | $(GO) run ./cmd/benchguard -baseline BENCH_baseline.json -threshold 0.20 -require $(BENCH_REQUIRED)

@@ -194,6 +194,9 @@ func TestMachineFlagRejectsBadConfig(t *testing.T) {
 		// A D-cache of no ways balances its buffer count, but no cache
 		// simulator can build it.
 		{"zero-ways", `{"DCacheWays": 0, "DCacheBytes": 0, "DRAM": {"BuffersPerBank": 1}}`},
+		// The GSPN times precharge with a deterministic transition,
+		// which needs a positive delay.
+		{"zero-precharge", `{"DRAM": {"PrechargeCycles": 0}}`},
 	} {
 		path := filepath.Join(dir, c.name+".json")
 		if err := os.WriteFile(path, []byte(c.body), 0o644); err != nil {

@@ -117,14 +117,24 @@ func main() {
 	// and `-result-cache-max-bytes` with no experiments is cache-gc
 	// mode (which needs the result cache); anything else without
 	// experiments is a usage error. Neither mode runs a sweep unit, so
-	// neither has a -trace log or metrics to write.
+	// neither has a -trace log, metrics, a frontier or JSON results to
+	// write, nor a run to serve on a debug address.
 	if flag.NArg() == 0 {
 		if c.record == "" && (c.cacheMaxBytes == 0 || c.noResultCache) {
 			usage()
 			os.Exit(2)
 		}
-		for _, f := range []struct{ name, path string }{{"trace", c.traceOut}, {"metrics", c.metrics}} {
-			if f.path != "" {
+		for _, f := range []struct {
+			name string
+			set  bool
+		}{
+			{"trace", c.traceOut != ""},
+			{"metrics", c.metrics != ""},
+			{"ds-frontier", c.dsFrontier != ""},
+			{"debug-addr", c.debugAddr != ""},
+			{"json", c.json},
+		} {
+			if f.set {
 				fmt.Fprintf(os.Stderr, "iramsim: -%s needs experiments; record-all and cache-gc modes run none\n", f.name)
 				os.Exit(2)
 			}

@@ -50,9 +50,10 @@ func TestRunDispatcher(t *testing.T) {
 }
 
 // TestNoExperimentModesRejectRunFlags: record-all (-record d) and
-// cache-gc (-result-cache-max-bytes N) run no experiment, so -trace and
-// -metrics have nothing to write; each is a usage error (exit status 2,
-// naming the flag) raised before either mode creates its cache. The
+// cache-gc (-result-cache-max-bytes N) run no experiment, so -trace,
+// -metrics, -ds-frontier, -debug-addr and -json have nothing to act on;
+// each is a usage error (exit status 2, naming the flag) raised before
+// either mode creates its cache. The
 // test runs main in a child copy of the test binary, which takes its
 // iramsim arguments from IRAMSIM_MAIN_ARGS, one per line.
 func TestNoExperimentModesRejectRunFlags(t *testing.T) {
@@ -69,11 +70,18 @@ func TestNoExperimentModesRejectRunFlags(t *testing.T) {
 		{"record-all", func(cache string) []string { return []string{"-quick", "-record", cache} }},
 		{"cache-gc", func(cache string) []string { return []string{"-result-cache", cache, "-result-cache-max-bytes", "1"} }},
 	} {
-		for _, name := range []string{"trace", "metrics"} {
+		for _, name := range []string{"trace", "metrics", "ds-frontier", "debug-addr", "json"} {
 			t.Run(mode.name+"/"+name, func(t *testing.T) {
 				dir := t.TempDir()
 				cache, out := filepath.Join(dir, "cache"), filepath.Join(dir, "out")
-				args := append(mode.args(cache), "-"+name, out)
+				args := append(mode.args(cache), "-"+name)
+				switch name {
+				case "json": // a boolean flag: no value
+				case "debug-addr":
+					args = append(args, "127.0.0.1:0")
+				default:
+					args = append(args, out)
+				}
 				cmd := exec.Command(os.Args[0], "-test.run=^TestNoExperimentModesRejectRunFlags$")
 				cmd.Env = append(os.Environ(), "IRAMSIM_MAIN_ARGS="+strings.Join(args, "\n"))
 				var stderr bytes.Buffer

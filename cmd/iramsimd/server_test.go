@@ -183,6 +183,11 @@ func TestSubmitBadRequests(t *testing.T) {
 		{"all-with-others", `{"experiments":["cost","all"]}`, `\"all\" must be the only experiment`},
 		{"bad-machine", `{"experiments":["fig7"],"machine":{"Banks":0}}`, "machine config"},
 		{"zero-ways-machine", `{"experiments":["fig8"],"machine":{"DCacheWays":0,"DCacheBytes":0,"DRAM":{"BuffersPerBank":1}}}`, "machine config"},
+		// Each used to pass validation and then panic in a sweep worker,
+		// taking the daemon down: a zero precharge time in the GSPN, a
+		// 65th node in the coherence directory.
+		{"zero-precharge-machine", `{"experiments":["table3"],"machine":{"DRAM":{"PrechargeCycles":0}}}`, "machine config"},
+		{"procs-over-cap", `{"experiments":["fig14"],"quick":true,"procs":[65]}`, "processor count 65 outside 1..64"},
 		// About 10 KB, well under the body limit: the axis cap, not the
 		// size limit, must reject it.
 		{"axis-over-cap", `{"experiments":["designspace"],"ds_banks":[8` + strings.Repeat(",8", 4999) + `]}`, "ds_banks has 5000 values"},

@@ -146,11 +146,15 @@ type Node interface {
 	Invalidate(base, size uint64)
 }
 
-// NewMachine builds a machine with n nodes using the given node
-// constructor.
+// MaxNodes is the largest node count a Machine supports: the directory
+// keeps each block's sharers in one uint64 bitmask.
+const MaxNodes = 64
+
+// NewMachine builds a machine with n nodes, 1 to MaxNodes, using the
+// given node constructor.
 func NewMachine(n int, lat Latencies, mk func(id int) Node) *Machine {
-	if n < 1 || n > 64 {
-		panic(fmt.Sprintf("coherence: node count %d outside 1..64", n))
+	if n < 1 || n > MaxNodes {
+		panic(fmt.Sprintf("coherence: node count %d outside 1..%d", n, MaxNodes))
 	}
 	m := &Machine{Lat: lat, Unit: BlockSize}
 	for i := 0; i < n; i++ {

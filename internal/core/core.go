@@ -50,8 +50,10 @@ func (p DRAM) Validate() error {
 		return fmt.Errorf("core: DRAM needs at least one bank, got %d", p.Banks)
 	case p.AccessCycles < 1:
 		return fmt.Errorf("core: DRAM access time must be positive, got %d", p.AccessCycles)
-	case p.PrechargeCycles < 0:
-		return fmt.Errorf("core: negative DRAM precharge time %d", p.PrechargeCycles)
+	case p.PrechargeCycles < 1:
+		// The GSPN bank model times precharge with a deterministic
+		// transition, which needs a positive delay.
+		return fmt.Errorf("core: DRAM precharge time must be positive, got %d", p.PrechargeCycles)
 	case p.ColumnBytes < 1 || p.ColumnBytes&(p.ColumnBytes-1) != 0:
 		return fmt.Errorf("core: DRAM column size must be a power of two, got %d", p.ColumnBytes)
 	default:

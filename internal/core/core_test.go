@@ -97,10 +97,11 @@ func TestValidateCatchesImbalance(t *testing.T) {
 
 func TestValidateRejectsBadParams(t *testing.T) {
 	bad := []DRAM{
-		{Banks: 0, AccessCycles: 1, ColumnBytes: 512},
-		{Banks: 1, AccessCycles: 0, ColumnBytes: 512},
+		{Banks: 0, AccessCycles: 1, PrechargeCycles: 1, ColumnBytes: 512},
+		{Banks: 1, AccessCycles: 0, PrechargeCycles: 1, ColumnBytes: 512},
 		{Banks: 1, AccessCycles: 1, PrechargeCycles: -1, ColumnBytes: 512},
-		{Banks: 1, AccessCycles: 1, ColumnBytes: 100}, // not power of two
+		{Banks: 1, AccessCycles: 1, PrechargeCycles: 0, ColumnBytes: 512},
+		{Banks: 1, AccessCycles: 1, PrechargeCycles: 1, ColumnBytes: 100}, // not power of two
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {

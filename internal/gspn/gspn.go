@@ -24,6 +24,13 @@
 // immediate transition is enabled, the marking is vanishing and one
 // enabled immediate transition (highest priority class first, then
 // weighted-random within the class) fires without advancing time.
+//
+// The first NewSim seals the net and derives, for every transition, the
+// tables its firings read: its enabling tests, its marking changes, and
+// the immediate and timed transitions whose enabling it can change. A
+// Step then costs what its firings touch, whatever the net size, and
+// allocates nothing; for a fixed seed it fires, marks and integrates
+// exactly as a full rescan of every transition after every firing would.
 package gspn
 
 import (
@@ -91,7 +98,9 @@ type transition struct {
 // Net is an immutable-after-build Petri net structure. Build the net
 // with Place/Immediate/Timed/Exponential and the arc methods, then
 // create Sims from it; one Net can back many concurrent Sims. The first
-// NewSim seals the net: any later builder call panics.
+// NewSim seals the net: any later builder call panics. Sealing derives
+// per-transition tables that every firing reads, so a Sim never walks
+// the arc lists.
 type Net struct {
 	places []place
 	trans  []transition
@@ -100,94 +109,178 @@ type Net struct {
 	// The fields below are derived once, on the first NewSim, and are
 	// read-only afterwards.
 	sealOnce sync.Once
-	// adj holds, for every place p, the timed transitions whose enabling
-	// condition reads p (an input or inhibitor arc) at list p, and the
-	// immediate ones at list NumPlaces()+p; list i is
-	// adj[adjOff[i]:adjOff[i+1]], ascending and deduplicated. A firing
-	// changes only the places on its own arcs, so a Sim revisits only
-	// these lists instead of every transition per event (the dominant
-	// cost of large nets).
-	adj    []TransID
-	adjOff []int32
+	// rows[t] locates transition t's tables in the flat arrays below,
+	// and each table ends where rows[t+1]'s begins (rows has a closing
+	// entry): t's enabling tests (input arcs, then inhibitor arcs), the
+	// marking changes of its firing (inputs, then outputs), and the
+	// immediates and the timed transitions a firing of t must revisit,
+	// each list ascending and deduplicated.
+	rows   []row
+	tests  []bound
+	deltas []delta
+	aff    []TransID
+	// weight[t] is immediate t's conflict weight (0 for a timed one).
+	weight []float64
 	// prios holds the distinct immediate priorities, highest first.
 	prios []int
-	// nTimed counts the timed transitions (the timed heap's capacity);
-	// maxAff bounds the candidate list one firing hands to
-	// rescheduleAffected.
-	nTimed, maxAff int
+	// nTimed counts the timed transitions (the timed heap's capacity).
+	nTimed int
 }
 
-// dep lists the timed transitions whose enabling reads place p.
-func (n *Net) dep(p PlaceID) []TransID {
-	return n.adj[n.adjOff[p]:n.adjOff[p+1]]
+// row holds the start offsets of one transition's tables: tests in
+// Net.tests, delta in Net.deltas, and imm and timed in Net.aff, where
+// its immediate list runs up to timed and its timed list up to the next
+// row's imm.
+type row struct {
+	test, delta, imm, timed int32
 }
 
-// immDep lists the immediate transitions whose enabling reads place p.
-func (n *Net) immDep(p PlaceID) []TransID {
-	i := len(n.places) + int(p)
-	return n.adj[n.adjOff[i]:n.adjOff[i+1]]
+// bound is one enabling test: place p's marking must lie in [lo, hi],
+// both ends inclusive so that every int marking tests as the arc does.
+// An input arc of multiplicity m is [m, MaxInt], an inhibitor arc
+// [MinInt, m-1].
+type bound struct {
+	p      PlaceID
+	lo, hi int
 }
 
-// seal freezes the net and derives the adjacency, the priority classes
-// and the per-Sim buffer sizes. Every dep list is ascending, which the
-// incremental reschedule relies on to sample newly enabled transitions
-// in the same order as a full scan (RNG-stream equivalence).
+// delta is one marking change of a firing: d tokens into place p.
+type delta struct {
+	p PlaceID
+	d int
+}
+
+// affected returns the immediates and the timed transitions a firing of
+// t must revisit.
+func (n *Net) affected(t TransID) (imm, timed []TransID) {
+	r := &n.rows[t]
+	return n.aff[r.imm:r.timed], n.aff[r.timed:n.rows[t+1].imm]
+}
+
+// seal freezes the net and derives the priority classes, the timed
+// heap's size and every transition's tables, in a fixed few allocations
+// whatever the net size.
+//
+// A firing changes only the places on its own input and output arcs, so
+// only transitions with an input or inhibitor arc on one of those places
+// can change enabling: those are t's affected lists. A timed t is in its
+// own timed list, since it must resample after firing even when it has
+// no input arcs at all (a source transition reads no place). The timed
+// list is ascending, which the reschedule relies on to sample newly
+// enabled transitions in the same order as a full scan (RNG-stream
+// equivalence).
 func (n *Net) seal() {
 	n.sealed = true
-	np := len(n.places)
+	np, nt := len(n.places), len(n.trans)
+	// Reader lists as compressed rows: list p holds the timed
+	// transitions that read place p (an input or inhibitor arc), list
+	// np+p the immediate ones. Count each list's length, turn the counts
+	// into list ends, then place transitions in descending id order,
+	// moving each list's offset down to its start, so lists come out
+	// ascending.
 	list := func(tr *transition, p PlaceID) int {
 		if tr.kind == Immediate {
 			return np + int(p)
 		}
 		return int(p)
 	}
-	// Compressed rows: count each list's length, turn the counts into
-	// list ends, then place transitions in descending id order, moving
-	// each list's offset down to its start. Lists come out ascending,
-	// and sealing costs a fixed few allocations whatever the net size.
-	n.adjOff = make([]int32, 2*np+1)
+	off := make([]int32, 2*np+1)
 	var reads []PlaceID
+	var nTests, nDeltas int
 	for ti := range n.trans {
 		tr := &n.trans[ti]
 		reads = tr.readPlaces(reads)
 		for _, p := range reads {
-			n.adjOff[list(tr, p)]++
+			off[list(tr, p)]++
 		}
+		nTests += len(tr.in) + len(tr.inhibit)
+		nDeltas += len(tr.in) + len(tr.out)
 		if tr.kind != Immediate {
 			n.nTimed++
 		} else if !slices.Contains(n.prios, tr.priority) {
 			n.prios = append(n.prios, tr.priority)
 		}
 	}
-	for i := 1; i < len(n.adjOff); i++ {
-		n.adjOff[i] += n.adjOff[i-1]
+	for i := 1; i < len(off); i++ {
+		off[i] += off[i-1]
 	}
-	n.adj = make([]TransID, n.adjOff[2*np])
-	for ti := len(n.trans) - 1; ti >= 0; ti-- {
+	readers := make([]TransID, off[2*np])
+	for ti := nt - 1; ti >= 0; ti-- {
 		tr := &n.trans[ti]
 		reads = tr.readPlaces(reads)
 		for _, p := range reads {
 			i := list(tr, p)
-			n.adjOff[i]--
-			n.adj[n.adjOff[i]] = TransID(ti)
+			off[i]--
+			readers[off[i]] = TransID(ti)
 		}
 	}
+	timedReaders := func(p PlaceID) []TransID { return readers[off[p]:off[p+1]] }
+	immReaders := func(p PlaceID) []TransID { return readers[off[np+int(p)]:off[np+int(p)+1]] }
 
 	slices.Sort(n.prios)
 	slices.Reverse(n.prios)
+	// Every touched place's readers, plus the transition itself, bound
+	// the affected lists before deduplication.
+	nAff := nt
 	for ti := range n.trans {
 		tr := &n.trans[ti]
-		if tr.kind == Immediate {
-			tr.class = int32(slices.Index(n.prios, tr.priority))
-		}
-		aff := 1
 		for _, arcs := range [2][]arc{tr.in, tr.out} {
 			for _, a := range arcs {
-				aff += len(n.dep(a.place))
+				nAff += len(timedReaders(a.place)) + len(immReaders(a.place))
 			}
 		}
-		n.maxAff = max(n.maxAff, aff)
 	}
+	n.rows = make([]row, nt+1)
+	n.tests = make([]bound, 0, nTests)
+	n.deltas = make([]delta, 0, nDeltas)
+	n.aff = make([]TransID, 0, nAff)
+	n.weight = make([]float64, nt)
+	// set sorts and deduplicates the list n.aff[from:].
+	set := func(from int32) {
+		slices.Sort(n.aff[from:])
+		n.aff = n.aff[:int(from)+len(slices.Compact(n.aff[from:]))]
+	}
+	for ti := range n.trans {
+		tr := &n.trans[ti]
+		r := &n.rows[ti]
+		r.test, r.delta = int32(len(n.tests)), int32(len(n.deltas))
+		for _, a := range tr.in {
+			n.tests = append(n.tests, bound{a.place, a.mult, math.MaxInt})
+		}
+		for _, a := range tr.inhibit {
+			n.tests = append(n.tests, bound{a.place, math.MinInt, a.mult - 1})
+		}
+		for _, a := range tr.in {
+			n.deltas = append(n.deltas, delta{a.place, -a.mult})
+		}
+		for _, a := range tr.out {
+			n.deltas = append(n.deltas, delta{a.place, a.mult})
+		}
+
+		r.imm = int32(len(n.aff))
+		for _, arcs := range [2][]arc{tr.in, tr.out} {
+			for _, a := range arcs {
+				n.aff = append(n.aff, immReaders(a.place)...)
+			}
+		}
+		set(r.imm)
+		r.timed = int32(len(n.aff))
+		if tr.kind != Immediate {
+			n.aff = append(n.aff, TransID(ti))
+		}
+		for _, arcs := range [2][]arc{tr.in, tr.out} {
+			for _, a := range arcs {
+				n.aff = append(n.aff, timedReaders(a.place)...)
+			}
+		}
+		set(r.timed)
+
+		if tr.kind == Immediate {
+			tr.class = int32(slices.Index(n.prios, tr.priority))
+			n.weight[ti] = tr.weight
+		}
+	}
+	n.rows[nt] = row{int32(len(n.tests)), int32(len(n.deltas)), int32(len(n.aff)), int32(len(n.aff))}
 }
 
 // readPlaces returns buf refilled with the distinct places tr's
@@ -208,7 +301,7 @@ func (tr *transition) readPlaces(buf []PlaceID) []PlaceID {
 func NewNet() *Net { return &Net{} }
 
 // checkOpen panics once the net is sealed: Sims share the derived
-// adjacency, which a later mutation would leave stale.
+// tables, which a later mutation would leave stale.
 func (n *Net) checkOpen() {
 	if n.sealed {
 		panic("gspn: net modified after NewSim")
@@ -345,8 +438,7 @@ type Sim struct {
 	words    int
 	// nonzero marks the places with a non-zero marking, the only ones
 	// accrue visits.
-	nonzero  []uint64
-	affected []TransID // scratch for rescheduleAffected
+	nonzero []uint64
 }
 
 // NewSim creates a simulation of the net with the given random seed.
@@ -358,7 +450,6 @@ func NewSim(n *Net, seed int64) *Sim {
 	ints := make([]int, np+nt+nc)
 	floats := make([]float64, np+nt)
 	bitsets := make([]uint64, nc*words+(np+63)/64)
-	ids := make([]TransID, n.nTimed+n.maxAff)
 	s := &Sim{
 		net:      n,
 		rng:      rand.New(rand.NewSource(seed)),
@@ -371,8 +462,7 @@ func NewSim(n *Net, seed int64) *Sim {
 		immSet:   bitsets[: nc*words : nc*words],
 		nonzero:  bitsets[nc*words:],
 		words:    words,
-		heap:     ids[:0:n.nTimed],
-		affected: ids[n.nTimed:n.nTimed],
+		heap:     make([]TransID, 0, n.nTimed),
 	}
 	for i, p := range n.places {
 		s.marking[i] = p.initial
@@ -415,14 +505,9 @@ func (s *Sim) TimeAvgTokens(p PlaceID) float64 {
 
 // enabled reports whether transition t may fire in the current marking.
 func (s *Sim) enabled(t TransID) bool {
-	tr := &s.net.trans[t]
-	for _, a := range tr.in {
-		if s.marking[a.place] < a.mult {
-			return false
-		}
-	}
-	for _, a := range tr.inhibit {
-		if s.marking[a.place] >= a.mult {
+	n := s.net
+	for _, b := range n.tests[n.rows[t].test:n.rows[t+1].test] {
+		if m := s.marking[b.p]; m < b.lo || m > b.hi {
 			return false
 		}
 	}
@@ -431,12 +516,9 @@ func (s *Sim) enabled(t TransID) bool {
 
 // fire consumes and produces tokens for transition t.
 func (s *Sim) fire(t TransID) {
-	tr := &s.net.trans[t]
-	for _, a := range tr.in {
-		s.addTokens(a.place, -a.mult)
-	}
-	for _, a := range tr.out {
-		s.addTokens(a.place, a.mult)
+	n := s.net
+	for _, d := range n.deltas[n.rows[t].delta:n.rows[t+1].delta] {
+		s.addTokens(d.p, d.d)
 	}
 	s.firings[t]++
 }
@@ -489,47 +571,21 @@ func (s *Sim) refreshImmediate(t TransID, tr *transition) {
 }
 
 // rescheduleAffected brings the enabling state up to date after t
-// fired. Only transitions with an input or inhibitor arc on a place t's
-// arcs changed can have flipped: the immediates among them are
-// re-tested into their class sets, and the timed ones — plus t itself
-// when timed, which must resample even when it has no input arcs at all
-// (a source transition is in no dep list) — are rescheduled. Timed
-// candidates are processed in ascending id order after deduplication,
-// so the exponential transitions that sample here consume the RNG
-// stream in exactly the order a full rescan would: identical firings
-// and markings for a fixed seed.
+// fired, from the lists the net derived when it was sealed: each
+// affected immediate is re-tested into its class set once, and the
+// affected timed transitions, t itself among them when timed, are
+// rescheduled in ascending id order, so the exponential transitions
+// that sample here consume the RNG stream in exactly the order a full
+// rescan would: identical firings and markings for a fixed seed.
 func (s *Sim) rescheduleAffected(t TransID) {
 	n := s.net
-	tr := &n.trans[t]
-	aff := s.affected[:0]
-	for _, arcs := range [2][]arc{tr.in, tr.out} {
-		for _, a := range arcs {
-			for _, u := range n.immDep(a.place) {
-				s.refreshImmediate(u, &n.trans[u])
-			}
-			aff = append(aff, n.dep(a.place)...)
-		}
+	imm, timed := n.affected(t)
+	for _, u := range imm {
+		s.refreshImmediate(u, &n.trans[u])
 	}
-	if tr.kind != Immediate {
-		aff = append(aff, t)
-	}
-	// Insertion sort: the affected sets of the cpumodel nets are a
-	// handful of entries, and sort.Slice would allocate its closure on
-	// every event.
-	for i := 1; i < len(aff); i++ {
-		for j := i; j > 0 && aff[j] < aff[j-1]; j-- {
-			aff[j], aff[j-1] = aff[j-1], aff[j]
-		}
-	}
-	prev := TransID(-1)
-	for _, u := range aff {
-		if u == prev {
-			continue
-		}
-		prev = u
+	for _, u := range timed {
 		s.applySchedule(u, &n.trans[u])
 	}
-	s.affected = aff[:0]
 }
 
 func (s *Sim) sample(tr *transition) float64 {
@@ -562,14 +618,14 @@ settle:
 		var totalW float64
 		for wi, w := range set {
 			for ; w != 0; w &= w - 1 {
-				totalW += s.net.trans[wi<<6|bits.TrailingZeros64(w)].weight
+				totalW += s.net.weight[wi<<6|bits.TrailingZeros64(w)]
 			}
 		}
 		pick := s.rng.Float64() * totalW
 		for wi, w := range set {
 			for ; w != 0; w &= w - 1 {
 				t := TransID(wi<<6 | bits.TrailingZeros64(w))
-				pick -= s.net.trans[t].weight
+				pick -= s.net.weight[t]
 				if pick <= 0 {
 					s.fire(t)
 					s.rescheduleAffected(t)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -783,38 +784,119 @@ func fuzzNet(data []byte) (*Net, int64) {
 	return n, int64(next())
 }
 
-// FuzzSimEquivalence runs Sim and the reference simulator in lockstep
-// over random small nets: any divergence in state or in ErrDeadlock /
-// ErrLivelock is a bug in the incremental event loop.
-func FuzzSimEquivalence(f *testing.F) {
-	f.Add([]byte{})
+// simSeeds are FuzzSimEquivalence's corpus seeds, in fuzzNet's
+// encoding. TestSealTables also checks their nets' tables.
+var simSeeds = [][]byte{
+	{},
 	// A timed loop feeding a weighted immediate conflict, one side
 	// inhibited by its own output, drained by a second timed transition.
-	f.Add([]byte{3, 1, 0, 0, 0, 3,
+	{3, 1, 0, 0, 0, 3,
 		1, 0, 3, 0, 0, 0, 1, 0, 0, 1, 1, 0,
 		0, 2, 0, 3, 0, 1, 0, 1, 2, 0, 2, 2, 2,
 		0, 0, 0, 2, 0, 1, 0, 1, 3, 0,
 		1, 1, 1, 0, 2, 1,
-		7})
+		7},
 	// Two equal-delay servers racing for one queue (heap ties), an
 	// exponential source and a drain consuming two tokens at once.
-	f.Add([]byte{1, 2, 0, 3,
+	{1, 2, 0, 3,
 		1, 1, 2, 0, 0, 0, 1, 1, 0,
 		1, 1, 2, 0, 0, 0, 1, 1, 0,
 		2, 1, 1, 1, 0, 0,
 		1, 0, 1, 0, 1, 1,
-		3})
+		3},
 	// Three priority classes competing for tokens a timed loop supplies.
-	f.Add([]byte{4, 3, 0, 0, 0, 1, 3,
+	{4, 3, 0, 0, 0, 1, 3,
 		0, 0, 0, 2, 0, 0, 0, 1, 1, 0,
 		0, 1, 1, 3, 0, 0, 0, 1, 2, 0, 2, 2, 1,
 		0, 3, 2, 3, 0, 0, 0, 1, 3, 0, 2, 3, 0,
 		1, 0, 3, 0, 4, 0, 1, 4, 0, 1, 0, 0,
-		5})
+		5},
+	// The cpumodel issue loop: a timed issue takes and returns the run
+	// token (an input and an output arc on one place), and both an
+	// exponential stall and a priority-1 immediate (by an inhibitor arc)
+	// read that place, so one firing reaches each of them twice.
+	// Places run=1, instr=1, decide, ldOut, stalled. Transitions: issue
+	// (timed), other and load (immediate), stall (exponential), drain
+	// (immediate, inhibited by run), resume and ldDone (timed).
+	{4, 1, 1, 0, 0, 0,
+		6,
+		1, 0, 4, 0, 1, 0, 0, 0, 0, 1, 2, 0, 1, 0, 0,
+		0, 2, 0, 2, 0, 2, 0, 1, 1, 0,
+		0, 0, 0, 3, 0, 2, 0, 1, 1, 0, 1, 3, 0,
+		2, 1, 4, 0, 0, 0, 0, 3, 0, 1, 4, 0, 1, 3, 0,
+		0, 1, 1, 2, 0, 3, 0, 2, 0, 0,
+		1, 1, 2, 0, 4, 0, 1, 0, 0,
+		1, 1, 1, 0, 3, 0,
+		9},
+}
+
+// FuzzSimEquivalence runs Sim and the reference simulator in lockstep
+// over random small nets: any divergence in state or in ErrDeadlock /
+// ErrLivelock is a bug in the incremental event loop.
+func FuzzSimEquivalence(f *testing.F) {
+	for _, seed := range simSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		n, seed := fuzzNet(data)
 		lockstep(t, n, seed, 200)
 	})
+}
+
+// TestSealTables derives by brute force from each transition's arcs
+// the immediates and the timed transitions its firing must revisit:
+// those with an input or inhibitor arc on a place it has an input or
+// output arc on, plus itself when timed. The sealed lists must hold
+// exactly those, the immediates without duplicates and the timed ones
+// strictly ascending, the order the RNG-stream equivalence needs.
+func TestSealTables(t *testing.T) {
+	nets := map[string]*Net{"mixed": buildMixedNet()}
+	for _, banks := range []int{2, 16, 64} {
+		for _, l2 := range []bool{false, true} {
+			nets[fmt.Sprintf("banks%d-l2=%v", banks, l2)] = buildBankNet(banks, l2)
+		}
+	}
+	for i, data := range simSeeds {
+		nets[fmt.Sprintf("fuzz-seed%d", i)], _ = fuzzNet(data)
+	}
+	for name, n := range nets {
+		t.Run(name, func(t *testing.T) {
+			NewSim(n, 1)
+			for ti := range n.trans {
+				tr := &n.trans[ti]
+				touched := append(append([]arc(nil), tr.in...), tr.out...)
+				var wantImm, wantTimed []TransID
+				for ui := range n.trans {
+					u := &n.trans[ui]
+					reads := ui == ti && u.kind != Immediate
+					for _, a := range append(append([]arc(nil), u.in...), u.inhibit...) {
+						for _, b := range touched {
+							reads = reads || a.place == b.place
+						}
+					}
+					switch {
+					case !reads:
+					case u.kind == Immediate:
+						wantImm = append(wantImm, TransID(ui))
+					default:
+						wantTimed = append(wantTimed, TransID(ui))
+					}
+				}
+				imm, timed := n.affected(TransID(ti))
+				for i := 1; i < len(timed); i++ {
+					if timed[i] <= timed[i-1] {
+						t.Fatalf("%s: timed list %v not strictly ascending", n.TransName(TransID(ti)), timed)
+					}
+				}
+				sortedImm := slices.Clone(imm)
+				slices.Sort(sortedImm)
+				if !slices.Equal(sortedImm, wantImm) || !slices.Equal(timed, wantTimed) {
+					t.Fatalf("%s: sealed lists imm %v timed %v, want imm %v timed %v",
+						n.TransName(TransID(ti)), imm, timed, wantImm, wantTimed)
+				}
+			}
+		})
+	}
 }
 
 // TestStepZeroAllocs: after warm-up, a Step of a 64-bank net allocates
@@ -880,8 +962,17 @@ func TestSharedNetConcurrentSims(t *testing.T) {
 }
 
 // BenchmarkSimStep measures the per-event cost of the simulator loop.
-func BenchmarkSimStep(b *testing.B) {
-	s := NewSim(buildMixedNet(), 1)
+func BenchmarkSimStep(b *testing.B) { benchSteps(b, buildMixedNet()) }
+
+// BenchmarkSimStepBanks is BenchmarkSimStep on a 16-bank net shaped
+// like the cpumodel nets: most events fire a handful of immediates and
+// revisit transitions of both kinds.
+func BenchmarkSimStepBanks(b *testing.B) { benchSteps(b, buildBankNet(16, false)) }
+
+// benchSteps times b.N Steps of one Sim of n and reports its firings,
+// timed and immediate, per second.
+func benchSteps(b *testing.B, n *Net) {
+	s := NewSim(n, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -889,6 +980,11 @@ func BenchmarkSimStep(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	var fired int64
+	for _, f := range s.firings {
+		fired += f
+	}
+	b.ReportMetric(float64(fired)/b.Elapsed().Seconds()/1e6, "Mfiring/s")
 }
 
 // BenchmarkSimStepFullRescan is the same loop on the reference

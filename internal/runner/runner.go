@@ -20,6 +20,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/coherence"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/obs"
@@ -128,8 +129,8 @@ func ExpandNames(names []string) []string {
 // unknown experiment names and "all" beside other names, then
 // everything Options rejects — an unparsable or invalid machine
 // description (the core.FromJSON validation errors, verbatim),
-// non-positive processor counts and design-space axes longer than
-// MaxAxisValues. The daemon surfaces these as 400s.
+// processor counts outside 1..coherence.MaxNodes and design-space axes
+// longer than MaxAxisValues. The daemon surfaces these as 400s.
 func (r Request) Validate() error {
 	if len(r.Experiments) == 0 {
 		return fmt.Errorf("runner: no experiments requested")
@@ -161,8 +162,8 @@ func (r Request) Options() (experiments.Options, error) {
 	}
 	if len(r.Procs) > 0 {
 		for _, p := range r.Procs {
-			if p < 1 {
-				return experiments.Options{}, fmt.Errorf("runner: bad processor count %d", p)
+			if p < 1 || p > coherence.MaxNodes {
+				return experiments.Options{}, fmt.Errorf("runner: processor count %d outside 1..%d", p, coherence.MaxNodes)
 			}
 		}
 		opts.Procs = append([]int(nil), r.Procs...)

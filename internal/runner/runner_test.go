@@ -33,6 +33,9 @@ func TestValidate(t *testing.T) {
 		{"all", quickReq("all"), ""},
 		{"all-with-others", quickReq("cost", "all"), `"all" must be the only experiment`},
 		{"bad-procs", Request{Experiments: []string{"fig13"}, Procs: []int{0}}, "processor count"},
+		// The directory tracks at most coherence.MaxNodes sharers.
+		{"procs-at-cap", Request{Experiments: []string{"fig14"}, Procs: []int{1, 64}}, ""},
+		{"procs-over-cap", Request{Experiments: []string{"fig14"}, Procs: []int{2, 65}}, "processor count 65 outside 1..64"},
 		{"bad-machine-json", Request{Experiments: []string{"spec"}, Machine: json.RawMessage(`{`)}, "machine config"},
 		{"unknown-machine-field", Request{Experiments: []string{"spec"}, Machine: json.RawMessage(`{"NoSuchKnob":1}`)}, "machine config"},
 		{"invalid-machine", Request{Experiments: []string{"spec"}, Machine: json.RawMessage(`{"Banks":0}`)}, "machine config"},
