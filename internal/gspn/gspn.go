@@ -25,12 +25,13 @@
 // enabled immediate transition (highest priority class first, then
 // weighted-random within the class) fires without advancing time.
 //
-// The first NewSim seals the net and derives, for every transition, the
-// tables its firings read: its enabling tests, its marking changes, and
-// the immediate and timed transitions whose enabling it can change. A
-// Step then costs what its firings touch, whatever the net size, and
-// allocates nothing; for a fixed seed it fires, marks and integrates
-// exactly as a full rescan of every transition after every firing would.
+// The first NewSim seals the net and derives which transitions a firing
+// can enable or disable: for every place, the immediates that read it,
+// and for every transition, the timed transitions its firing must
+// reschedule. A Step then costs what its firings touch, whatever the net
+// size, and allocates nothing; for a fixed seed it fires, marks and
+// integrates exactly as a full rescan of every transition after every
+// firing would.
 package gspn
 
 import (
@@ -98,9 +99,7 @@ type transition struct {
 // Net is an immutable-after-build Petri net structure. Build the net
 // with Place/Immediate/Timed/Exponential and the arc methods, then
 // create Sims from it; one Net can back many concurrent Sims. The first
-// NewSim seals the net: any later builder call panics. Sealing derives
-// per-transition tables that every firing reads, so a Sim never walks
-// the arc lists.
+// NewSim seals the net: any later builder call panics.
 type Net struct {
 	places []place
 	trans  []transition
@@ -109,92 +108,68 @@ type Net struct {
 	// The fields below are derived once, on the first NewSim, and are
 	// read-only afterwards.
 	sealOnce sync.Once
-	// rows[t] locates transition t's tables in the flat arrays below,
-	// and each table ends where rows[t+1]'s begins (rows has a closing
-	// entry): t's enabling tests (input arcs, then inhibitor arcs), the
-	// marking changes of its firing (inputs, then outputs), and the
-	// immediates and the timed transitions a firing of t must revisit,
-	// each list ascending and deduplicated.
-	rows   []row
-	tests  []bound
-	deltas []delta
-	aff    []TransID
-	// weight[t] is immediate t's conflict weight (0 for a timed one).
-	weight []float64
+	// adj holds compressed lists, list i being adj[adjOff[i]:adjOff[i+1]]:
+	// at list p, the immediate transitions whose enabling condition
+	// reads place p (an input or inhibitor arc); at list NumPlaces()+t,
+	// the timed transitions a firing of t must reschedule, ascending and
+	// deduplicated. Immediates are listed per place, not per transition:
+	// every bank selector of a cpumodel net reads one shared request
+	// place, so per-transition immediate lists would grow with the
+	// square of the bank count.
+	adj    []TransID
+	adjOff []int32
 	// prios holds the distinct immediate priorities, highest first.
 	prios []int
 	// nTimed counts the timed transitions (the timed heap's capacity).
 	nTimed int
 }
 
-// row holds the start offsets of one transition's tables: tests in
-// Net.tests, delta in Net.deltas, and imm and timed in Net.aff, where
-// its immediate list runs up to timed and its timed list up to the next
-// row's imm.
-type row struct {
-	test, delta, imm, timed int32
+// immDep lists the immediate transitions whose enabling reads place p.
+func (n *Net) immDep(p PlaceID) []TransID {
+	return n.adj[n.adjOff[p]:n.adjOff[p+1]]
 }
 
-// bound is one enabling test: place p's marking must lie in [lo, hi],
-// both ends inclusive so that every int marking tests as the arc does.
-// An input arc of multiplicity m is [m, MaxInt], an inhibitor arc
-// [MinInt, m-1].
-type bound struct {
-	p      PlaceID
-	lo, hi int
-}
-
-// delta is one marking change of a firing: d tokens into place p.
-type delta struct {
-	p PlaceID
-	d int
-}
-
-// affected returns the immediates and the timed transitions a firing of
-// t must revisit.
-func (n *Net) affected(t TransID) (imm, timed []TransID) {
-	r := &n.rows[t]
-	return n.aff[r.imm:r.timed], n.aff[r.timed:n.rows[t+1].imm]
+// timedAffected lists the timed transitions a firing of t must
+// reschedule, in ascending id order.
+func (n *Net) timedAffected(t TransID) []TransID {
+	i := len(n.places) + int(t)
+	return n.adj[n.adjOff[i]:n.adjOff[i+1]]
 }
 
 // seal freezes the net and derives the priority classes, the timed
-// heap's size and every transition's tables, in a fixed few allocations
-// whatever the net size.
+// heap's size and the adjacency lists.
 //
 // A firing changes only the places on its own input and output arcs, so
 // only transitions with an input or inhibitor arc on one of those places
-// can change enabling: those are t's affected lists. A timed t is in its
-// own timed list, since it must resample after firing even when it has
-// no input arcs at all (a source transition reads no place). The timed
+// can change enabling. The immediates among them are found at firing
+// time from the per-place lists; re-testing one twice changes nothing.
+// The timed ones are merged here into one list per transition, t itself
+// included when timed, since it must resample after firing even when it
+// has no input arcs at all (a source transition reads no place). That
 // list is ascending, which the reschedule relies on to sample newly
 // enabled transitions in the same order as a full scan (RNG-stream
 // equivalence).
 func (n *Net) seal() {
 	n.sealed = true
 	np, nt := len(n.places), len(n.trans)
-	// Reader lists as compressed rows: list p holds the timed
-	// transitions that read place p (an input or inhibitor arc), list
-	// np+p the immediate ones. Count each list's length, turn the counts
-	// into list ends, then place transitions in descending id order,
-	// moving each list's offset down to its start, so lists come out
-	// ascending.
+	// Reader lists as compressed rows: list p holds the immediate
+	// transitions that read place p, list np+p the timed ones. Count
+	// each list's length, turn the counts into list ends, then place
+	// each transition, moving its lists' ends down to their starts.
 	list := func(tr *transition, p PlaceID) int {
 		if tr.kind == Immediate {
-			return np + int(p)
+			return int(p)
 		}
-		return int(p)
+		return np + int(p)
 	}
 	off := make([]int32, 2*np+1)
 	var reads []PlaceID
-	var nTests, nDeltas int
 	for ti := range n.trans {
 		tr := &n.trans[ti]
 		reads = tr.readPlaces(reads)
 		for _, p := range reads {
 			off[list(tr, p)]++
 		}
-		nTests += len(tr.in) + len(tr.inhibit)
-		nDeltas += len(tr.in) + len(tr.out)
 		if tr.kind != Immediate {
 			n.nTimed++
 		} else if !slices.Contains(n.prios, tr.priority) {
@@ -205,7 +180,7 @@ func (n *Net) seal() {
 		off[i] += off[i-1]
 	}
 	readers := make([]TransID, off[2*np])
-	for ti := nt - 1; ti >= 0; ti-- {
+	for ti := range n.trans {
 		tr := &n.trans[ti]
 		reads = tr.readPlaces(reads)
 		for _, p := range reads {
@@ -214,73 +189,32 @@ func (n *Net) seal() {
 			readers[off[i]] = TransID(ti)
 		}
 	}
-	timedReaders := func(p PlaceID) []TransID { return readers[off[p]:off[p+1]] }
-	immReaders := func(p PlaceID) []TransID { return readers[off[np+int(p)]:off[np+int(p)+1]] }
 
 	slices.Sort(n.prios)
 	slices.Reverse(n.prios)
-	// Every touched place's readers, plus the transition itself, bound
-	// the affected lists before deduplication.
-	nAff := nt
+	// The immediate reader lists carry over as they are; each
+	// transition's timed list follows them.
+	n.adj = slices.Clone(readers[:off[np]])
+	n.adjOff = make([]int32, np+nt+1)
+	copy(n.adjOff, off[:np+1])
 	for ti := range n.trans {
 		tr := &n.trans[ti]
-		for _, arcs := range [2][]arc{tr.in, tr.out} {
-			for _, a := range arcs {
-				nAff += len(timedReaders(a.place)) + len(immReaders(a.place))
-			}
-		}
-	}
-	n.rows = make([]row, nt+1)
-	n.tests = make([]bound, 0, nTests)
-	n.deltas = make([]delta, 0, nDeltas)
-	n.aff = make([]TransID, 0, nAff)
-	n.weight = make([]float64, nt)
-	// set sorts and deduplicates the list n.aff[from:].
-	set := func(from int32) {
-		slices.Sort(n.aff[from:])
-		n.aff = n.aff[:int(from)+len(slices.Compact(n.aff[from:]))]
-	}
-	for ti := range n.trans {
-		tr := &n.trans[ti]
-		r := &n.rows[ti]
-		r.test, r.delta = int32(len(n.tests)), int32(len(n.deltas))
-		for _, a := range tr.in {
-			n.tests = append(n.tests, bound{a.place, a.mult, math.MaxInt})
-		}
-		for _, a := range tr.inhibit {
-			n.tests = append(n.tests, bound{a.place, math.MinInt, a.mult - 1})
-		}
-		for _, a := range tr.in {
-			n.deltas = append(n.deltas, delta{a.place, -a.mult})
-		}
-		for _, a := range tr.out {
-			n.deltas = append(n.deltas, delta{a.place, a.mult})
-		}
-
-		r.imm = int32(len(n.aff))
-		for _, arcs := range [2][]arc{tr.in, tr.out} {
-			for _, a := range arcs {
-				n.aff = append(n.aff, immReaders(a.place)...)
-			}
-		}
-		set(r.imm)
-		r.timed = int32(len(n.aff))
-		if tr.kind != Immediate {
-			n.aff = append(n.aff, TransID(ti))
-		}
-		for _, arcs := range [2][]arc{tr.in, tr.out} {
-			for _, a := range arcs {
-				n.aff = append(n.aff, timedReaders(a.place)...)
-			}
-		}
-		set(r.timed)
-
 		if tr.kind == Immediate {
 			tr.class = int32(slices.Index(n.prios, tr.priority))
-			n.weight[ti] = tr.weight
 		}
+		from := len(n.adj)
+		if tr.kind != Immediate {
+			n.adj = append(n.adj, TransID(ti))
+		}
+		for _, arcs := range [2][]arc{tr.in, tr.out} {
+			for _, a := range arcs {
+				n.adj = append(n.adj, readers[off[np+int(a.place)]:off[np+int(a.place)+1]]...)
+			}
+		}
+		slices.Sort(n.adj[from:])
+		n.adj = n.adj[:from+len(slices.Compact(n.adj[from:]))]
+		n.adjOff[np+ti+1] = int32(len(n.adj))
 	}
-	n.rows[nt] = row{int32(len(n.tests)), int32(len(n.deltas)), int32(len(n.aff)), int32(len(n.aff))}
 }
 
 // readPlaces returns buf refilled with the distinct places tr's
@@ -505,9 +439,14 @@ func (s *Sim) TimeAvgTokens(p PlaceID) float64 {
 
 // enabled reports whether transition t may fire in the current marking.
 func (s *Sim) enabled(t TransID) bool {
-	n := s.net
-	for _, b := range n.tests[n.rows[t].test:n.rows[t+1].test] {
-		if m := s.marking[b.p]; m < b.lo || m > b.hi {
+	tr := &s.net.trans[t]
+	for _, a := range tr.in {
+		if s.marking[a.place] < a.mult {
+			return false
+		}
+	}
+	for _, a := range tr.inhibit {
+		if s.marking[a.place] >= a.mult {
 			return false
 		}
 	}
@@ -516,9 +455,12 @@ func (s *Sim) enabled(t TransID) bool {
 
 // fire consumes and produces tokens for transition t.
 func (s *Sim) fire(t TransID) {
-	n := s.net
-	for _, d := range n.deltas[n.rows[t].delta:n.rows[t+1].delta] {
-		s.addTokens(d.p, d.d)
+	tr := &s.net.trans[t]
+	for _, a := range tr.in {
+		s.addTokens(a.place, -a.mult)
+	}
+	for _, a := range tr.out {
+		s.addTokens(a.place, a.mult)
 	}
 	s.firings[t]++
 }
@@ -571,19 +513,23 @@ func (s *Sim) refreshImmediate(t TransID, tr *transition) {
 }
 
 // rescheduleAffected brings the enabling state up to date after t
-// fired, from the lists the net derived when it was sealed: each
-// affected immediate is re-tested into its class set once, and the
-// affected timed transitions, t itself among them when timed, are
-// rescheduled in ascending id order, so the exponential transitions
-// that sample here consume the RNG stream in exactly the order a full
-// rescan would: identical firings and markings for a fixed seed.
+// fired. The immediates that read a place on t's arcs are re-tested into
+// their class sets, and the timed transitions the net listed for t when
+// it was sealed, t itself among them when timed, are rescheduled in
+// ascending id order, so the exponential transitions that sample here
+// consume the RNG stream in exactly the order a full rescan would:
+// identical firings and markings for a fixed seed.
 func (s *Sim) rescheduleAffected(t TransID) {
 	n := s.net
-	imm, timed := n.affected(t)
-	for _, u := range imm {
-		s.refreshImmediate(u, &n.trans[u])
+	tr := &n.trans[t]
+	for _, arcs := range [2][]arc{tr.in, tr.out} {
+		for _, a := range arcs {
+			for _, u := range n.immDep(a.place) {
+				s.refreshImmediate(u, &n.trans[u])
+			}
+		}
 	}
-	for _, u := range timed {
+	for _, u := range n.timedAffected(t) {
 		s.applySchedule(u, &n.trans[u])
 	}
 }
@@ -618,14 +564,14 @@ settle:
 		var totalW float64
 		for wi, w := range set {
 			for ; w != 0; w &= w - 1 {
-				totalW += s.net.weight[wi<<6|bits.TrailingZeros64(w)]
+				totalW += s.net.trans[wi<<6|bits.TrailingZeros64(w)].weight
 			}
 		}
 		pick := s.rng.Float64() * totalW
 		for wi, w := range set {
 			for ; w != 0; w &= w - 1 {
 				t := TransID(wi<<6 | bits.TrailingZeros64(w))
-				pick -= s.net.weight[t]
+				pick -= s.net.trans[t].weight
 				if pick <= 0 {
 					s.fire(t)
 					s.rescheduleAffected(t)

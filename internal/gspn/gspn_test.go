@@ -843,12 +843,13 @@ func FuzzSimEquivalence(f *testing.F) {
 	})
 }
 
-// TestSealTables derives by brute force from each transition's arcs
-// the immediates and the timed transitions its firing must revisit:
-// those with an input or inhibitor arc on a place it has an input or
-// output arc on, plus itself when timed. The sealed lists must hold
-// exactly those, the immediates without duplicates and the timed ones
-// strictly ascending, the order the RNG-stream equivalence needs.
+// TestSealTables derives the sealed lists again by brute force from the
+// arcs. Each place's immediate list must hold exactly the immediates
+// with an input or inhibitor arc on it, once each. Each transition's
+// timed list must hold exactly the timed transitions with such an arc
+// on a place the transition has an input or output arc on, plus itself
+// when timed, strictly ascending: the order the RNG-stream equivalence
+// needs.
 func TestSealTables(t *testing.T) {
 	nets := map[string]*Net{"mixed": buildMixedNet()}
 	for _, banks := range []int{2, 16, 64} {
@@ -859,43 +860,78 @@ func TestSealTables(t *testing.T) {
 	for i, data := range simSeeds {
 		nets[fmt.Sprintf("fuzz-seed%d", i)], _ = fuzzNet(data)
 	}
+	reads := func(u *transition, p PlaceID) bool {
+		for _, a := range append(slices.Clone(u.in), u.inhibit...) {
+			if a.place == p {
+				return true
+			}
+		}
+		return false
+	}
 	for name, n := range nets {
 		t.Run(name, func(t *testing.T) {
 			NewSim(n, 1)
-			for ti := range n.trans {
-				tr := &n.trans[ti]
-				touched := append(append([]arc(nil), tr.in...), tr.out...)
-				var wantImm, wantTimed []TransID
+			for p := range n.places {
+				var want []TransID
 				for ui := range n.trans {
-					u := &n.trans[ui]
-					reads := ui == ti && u.kind != Immediate
-					for _, a := range append(append([]arc(nil), u.in...), u.inhibit...) {
-						for _, b := range touched {
-							reads = reads || a.place == b.place
-						}
-					}
-					switch {
-					case !reads:
-					case u.kind == Immediate:
-						wantImm = append(wantImm, TransID(ui))
-					default:
-						wantTimed = append(wantTimed, TransID(ui))
+					if u := &n.trans[ui]; u.kind == Immediate && reads(u, PlaceID(p)) {
+						want = append(want, TransID(ui))
 					}
 				}
-				imm, timed := n.affected(TransID(ti))
+				got := slices.Clone(n.immDep(PlaceID(p)))
+				slices.Sort(got)
+				if !slices.Equal(got, want) {
+					t.Fatalf("place %s: immediate readers %v, want %v", n.PlaceName(PlaceID(p)), got, want)
+				}
+			}
+			for ti := range n.trans {
+				tr := &n.trans[ti]
+				touched := append(slices.Clone(tr.in), tr.out...)
+				var want []TransID
+				for ui := range n.trans {
+					u := &n.trans[ui]
+					if u.kind == Immediate {
+						continue
+					}
+					hit := ui == ti
+					for _, a := range touched {
+						hit = hit || reads(u, a.place)
+					}
+					if hit {
+						want = append(want, TransID(ui))
+					}
+				}
+				timed := n.timedAffected(TransID(ti))
 				for i := 1; i < len(timed); i++ {
 					if timed[i] <= timed[i-1] {
 						t.Fatalf("%s: timed list %v not strictly ascending", n.TransName(TransID(ti)), timed)
 					}
 				}
-				sortedImm := slices.Clone(imm)
-				slices.Sort(sortedImm)
-				if !slices.Equal(sortedImm, wantImm) || !slices.Equal(timed, wantTimed) {
-					t.Fatalf("%s: sealed lists imm %v timed %v, want imm %v timed %v",
-						n.TransName(TransID(ti)), imm, timed, wantImm, wantTimed)
+				if !slices.Equal(timed, want) {
+					t.Fatalf("%s: timed list %v, want %v", n.TransName(TransID(ti)), timed, want)
 				}
 			}
 		})
+	}
+}
+
+// TestSealTablesLinear: the sealed lists of a bank net grow in step with
+// its bank count. Every selector of a bank path takes its token from one
+// shared request place, so lists that copied each touched place's
+// readers into every transition would grow with the square of the bank
+// count instead.
+func TestSealTablesLinear(t *testing.T) {
+	for _, l2 := range []bool{false, true} {
+		n := buildBankNet(1024, l2)
+		NewSim(n, 1)
+		arcs := 0
+		for _, tr := range n.trans {
+			arcs += len(tr.in) + len(tr.out) + len(tr.inhibit)
+		}
+		if len(n.adj) > arcs {
+			t.Errorf("l2=%v: %d transitions with %d arcs seal into %d list entries, want at most one per arc",
+				l2, len(n.trans), arcs, len(n.adj))
+		}
 	}
 }
 
