@@ -19,6 +19,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -172,8 +173,10 @@ func (e *Engine) cacheCounters() cacheCounters {
 // execUnit runs one unit through the result cache when the unit is
 // cacheable, otherwise directly. Acquire single-flights the key for
 // the whole lookup-or-compute-and-store span, so N concurrent units
-// sharing a key cost one computation and N-1 decodes.
-func (e *Engine) execUnit(u *Unit, cc *cacheCounters) (interface{}, error) {
+// sharing a key cost one computation and N-1 decodes. A panic in the
+// unit becomes its error (see recovered) and stores nothing.
+func (e *Engine) execUnit(u *Unit, cc *cacheCounters) (v interface{}, err error) {
+	defer recovered(&err)
 	if e.Cache == nil || u.Key == "" || u.Codec == nil {
 		return u.Run()
 	}
@@ -190,7 +193,7 @@ func (e *Engine) execUnit(u *Unit, cc *cacheCounters) (interface{}, error) {
 		cc.decodeFailures.Inc()
 	}
 	cc.misses.Inc()
-	v, err := u.Run()
+	v, err = u.Run()
 	if err != nil {
 		return nil, err
 	}
@@ -203,6 +206,16 @@ func (e *Engine) execUnit(u *Unit, cc *cacheCounters) (interface{}, error) {
 		cc.encodeFailures.Inc()
 	}
 	return v, nil
+}
+
+// recovered, deferred, turns a panic in the calling function into its
+// error, carrying the panic value and the stack, so a panic in one
+// unit or assembly fails that run like any other error instead of
+// ending the process (the daemon included).
+func recovered(err *error) {
+	if p := recover(); p != nil {
+		*err = fmt.Errorf("panic: %v\n\n%s", p, debug.Stack())
+	}
 }
 
 // errCanceled marks units skipped after the first failure.
@@ -312,7 +325,7 @@ func (e *Engine) Run(ctx context.Context, jobs []Job, emit func(JobResult) error
 	flush := func() {
 		for next < len(jobs) && remaining[next] == 0 && firstErr == nil {
 			j := jobs[next]
-			v, err := j.Assemble(parts[next])
+			v, err := assemble(j, parts[next])
 			if err != nil {
 				firstErr = fmt.Errorf("%s: %w", j.Name, err)
 				stop.Store(true)
@@ -392,6 +405,12 @@ func (e *Engine) Run(ctx context.Context, jobs []Job, emit func(JobResult) error
 	}
 	flush() // jobs with zero units after the last task
 	return firstErr
+}
+
+// assemble runs j's Assemble, turning a panic in it into its error.
+func assemble(j Job, parts []interface{}) (v interface{}, err error) {
+	defer recovered(&err)
+	return j.Assemble(parts)
 }
 
 // RunJob runs a single job through the engine and returns its

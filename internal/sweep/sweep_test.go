@@ -169,6 +169,83 @@ func TestAssembleError(t *testing.T) {
 	}
 }
 
+// TestPanicsFailTheRun: a panic in a unit or in an assembly fails the
+// run like an error, instead of ending the process. The error names the
+// unit or job and carries the panic value and the stack, the failed
+// unit is counted, later units are skipped, and the panicking cacheable
+// unit leaves no result-store entry and releases its key.
+func TestPanicsFailTheRun(t *testing.T) {
+	t.Run("unit", func(t *testing.T) {
+		const trailing = 50
+		var ran atomic.Int64
+		after := make([]Unit, trailing)
+		for i := range after {
+			after[i] = Unit{Name: fmt.Sprintf("after/u%d", i), Run: func() (interface{}, error) {
+				time.Sleep(time.Millisecond)
+				ran.Add(1)
+				return 0, nil
+			}}
+		}
+		jobs := []Job{
+			{Name: "bad", Units: []Unit{{Name: "bad/panics", Key: "bad-key", Codec: intCodec{},
+				Run: func() (interface{}, error) { panic("boom") }}},
+				Assemble: func(parts []interface{}) (interface{}, error) { return parts[0], nil }},
+			{Name: "after", Units: after, Assemble: func(parts []interface{}) (interface{}, error) { return len(parts), nil }},
+		}
+		cache := newMapCache()
+		reg := obs.NewRegistry()
+		var failed []UnitEvent
+		e := &Engine{Workers: 1, Cache: cache, Obs: reg, OnUnit: func(ev UnitEvent) {
+			if ev.Err != nil {
+				failed = append(failed, ev)
+			}
+		}}
+		err := e.Run(context.Background(), jobs, func(r JobResult) error {
+			t.Errorf("emitted %s after a unit panicked", r.Name)
+			return nil
+		})
+		if err == nil {
+			t.Fatal("a panicking unit did not fail the run")
+		}
+		for _, want := range []string{"bad/panics", "panic: boom", "TestPanicsFailTheRun"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error does not carry %q:\n%v", want, err)
+			}
+		}
+		if len(failed) != 1 || failed[0].Unit != "bad/panics" {
+			t.Errorf("failed unit events %+v, want one for bad/panics", failed)
+		}
+		if got := reg.Counter("sweep", "units_failed").Value(); got != 1 {
+			t.Errorf("units_failed = %d, want 1", got)
+		}
+		if got := reg.Counter("sweep", "units_skipped").Value(); got == 0 || ran.Load()+got != trailing {
+			t.Errorf("%d units skipped and %d ran after the panic, want skips accounting for the rest of %d", got, ran.Load(), trailing)
+		}
+		if _, ok := cache.Get("bad-key"); ok {
+			t.Error("the panicking unit wrote a result-store entry")
+		}
+		cache.Acquire("bad-key")() // hangs if the panic left the key held
+	})
+
+	t.Run("assembly", func(t *testing.T) {
+		j := Job{
+			Name:     "asm",
+			Units:    []Unit{{Name: "asm/u", Run: func() (interface{}, error) { return 1, nil }}},
+			Assemble: func(parts []interface{}) (interface{}, error) { panic(fmt.Sprintf("bad part %v", parts[0])) },
+		}
+		e := &Engine{Workers: 2}
+		_, err := e.RunJob(context.Background(), j)
+		if err == nil {
+			t.Fatal("a panicking assembly did not fail the run")
+		}
+		for _, want := range []string{"asm: panic: bad part 1", "TestPanicsFailTheRun"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error does not carry %q:\n%v", want, err)
+			}
+		}
+	})
+}
+
 // TestEmitError: an emit failure stops the sweep and is returned,
 // wrapped with the job name exactly like Assemble errors are.
 func TestEmitError(t *testing.T) {
