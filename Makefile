@@ -47,14 +47,17 @@ bench:
 # (replay-fed), the stack-distance profiling layer alone (Figure 7/8
 # CacheSet and a design-space family, in Mref/s), the mpsim
 # coordinator alone, and the GSPN event loop alone (a small mixed net
-# and a 16-bank net shaped like the cpumodel nets, in Mfiring/s), with
-# allocation stats. The coordinator and GSPN benchmarks report ns per
-# operation or step, so they run a fixed million of them rather than
-# two.
+# and a 16-bank net shaped like the cpumodel nets, in Mfiring/s), and
+# the trace codec alone (decode and encode of one recorded workload
+# stream in Mref/s, and the replay-time integrity check in bytes/s),
+# with allocation stats. The coordinator and GSPN benchmarks report ns
+# per operation or step, so they run a fixed million of them rather
+# than two; the trace benchmarks run a fixed hundred passes.
 bench-figures:
 	$(GO) test -run '^$$' -bench 'Designspace$$|Fig[78](Replay|ReplayCold|Warm)?$$|Fig12$$|Table3$$|Fig1[3-7]|CacheSetRefs$$' -benchmem -benchtime 2x . ./internal/workload
 	$(GO) test -run '^$$' -bench 'CoordinatorOps$$' -benchmem -benchtime 1000000x ./internal/mpsim
 	$(GO) test -run '^$$' -bench 'SimStep(Banks)?$$' -benchmem -benchtime 1000000x ./internal/gspn
+	$(GO) test -run '^$$' -bench '(Reader|Writer)Refs$$|Check$$' -benchmem -benchtime 100x ./internal/trace
 
 # Record the current Fig7/Fig8 numbers as the checked-in baseline.
 bench-baseline:
@@ -66,7 +69,7 @@ bench-baseline:
 # (deterministic). -require keeps the guard honest: the acceptance
 # benchmarks must actually run, so the observability hooks cannot
 # regress them unnoticed by a pattern that matches nothing.
-BENCH_REQUIRED = BenchmarkFig7,BenchmarkFig8,BenchmarkFig7Replay,BenchmarkFig7ReplayCold,BenchmarkFig8Replay,BenchmarkFig7Warm,BenchmarkTable3,BenchmarkFig12,BenchmarkFig13LU,BenchmarkFig14MP3D,BenchmarkFig15Ocean,BenchmarkFig16Water,BenchmarkFig17Pthor,BenchmarkDesignspace,BenchmarkCacheSetRefs,BenchmarkFamilyCacheSetRefs,BenchmarkCoordinatorOps,BenchmarkSimStep,BenchmarkSimStepBanks
+BENCH_REQUIRED = BenchmarkFig7,BenchmarkFig8,BenchmarkFig7Replay,BenchmarkFig7ReplayCold,BenchmarkFig8Replay,BenchmarkFig7Warm,BenchmarkTable3,BenchmarkFig12,BenchmarkFig13LU,BenchmarkFig14MP3D,BenchmarkFig15Ocean,BenchmarkFig16Water,BenchmarkFig17Pthor,BenchmarkDesignspace,BenchmarkCacheSetRefs,BenchmarkFamilyCacheSetRefs,BenchmarkCoordinatorOps,BenchmarkSimStep,BenchmarkSimStepBanks,BenchmarkReaderRefs,BenchmarkWriterRefs,BenchmarkCheck
 
 bench-check:
 	$(MAKE) -s bench-figures | $(GO) run ./cmd/benchguard -baseline BENCH_baseline.json -threshold 0.20 -require $(BENCH_REQUIRED)
@@ -74,13 +77,14 @@ bench-check:
 bench-check-ci:
 	$(MAKE) -s bench-figures | $(GO) run ./cmd/benchguard -baseline BENCH_baseline.json -time=false -require $(BENCH_REQUIRED)
 
-# Exercise the trace codec, assembler, GSPN equivalence and designspace
-# axis-flag fuzz targets for a minute each (CI runs a 10-second smoke;
-# this is the pre-commit depth).
+# Exercise the trace codec, trace-store replay, assembler, GSPN
+# equivalence and designspace axis-flag fuzz targets for a minute each
+# (CI runs a 10-second smoke; this is the pre-commit depth).
 FUZZTIME ?= 60s
 fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzReaderNext -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzFileRoundTrip -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/tracestore -run '^$$' -fuzz FuzzStoreReplay -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/asm -run '^$$' -fuzz FuzzAssemble -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/gspn -run '^$$' -fuzz FuzzSimEquivalence -fuzztime $(FUZZTIME)
 	$(GO) test ./cmd/iramsim -run '^$$' -fuzz FuzzParseAxis -fuzztime $(FUZZTIME)

@@ -153,8 +153,10 @@ func BenchmarkFig7Replay(b *testing.B) {
 
 // BenchmarkFig7ReplayCold is BenchmarkFig7Replay as every new process
 // runs it: each iteration opens a fresh tracestore.Store on the
-// recorded directory, so it pays the verify-before-replay pass that a
-// reused Store's memo lets BenchmarkFig7Replay skip.
+// recorded directory, so it pays the whole-file check before each
+// entry's first replay (trace.Check: header, end-of-trace record,
+// CRC-32C, no decode) that a reused Store's memo lets
+// BenchmarkFig7Replay skip. The gap between the two is that check.
 func BenchmarkFig7ReplayCold(b *testing.B) {
 	o := tracedOpts(b)
 	run[*experiments.Fig7Result](b, "fig7", o, experiments.NewMeasurementSet(o)) // untimed recording pass populates the cache

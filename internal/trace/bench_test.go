@@ -101,3 +101,18 @@ func BenchmarkWriterRefs(b *testing.B) {
 	}
 	b.ReportMetric(float64(len(refs))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mref/s")
 }
+
+// BenchmarkCheck runs the replay-time integrity check over the same
+// encoding in memory: header, end-of-trace record and CRC-32C, no
+// record decoded, in bytes per second.
+func BenchmarkCheck(b *testing.B) {
+	_, data := benchStream()
+	r := bytes.NewReader(data)
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := trace.Check(r, int64(len(data))); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -76,6 +76,10 @@ const window = 1 << 16
 // payload (the end-of-trace opcode and its count are as long).
 const maxRecord = 9
 
+// trailerLen is the length of a file's last record, the end-of-trace
+// opcode and its count, plus the 4-byte checksum after it.
+const trailerLen = maxRecord + 4
+
 // maxEmptyReads bounds consecutive (0, nil) reads from a source before
 // the Reader gives up with io.ErrNoProgress, as bufio.Reader does.
 const maxEmptyReads = 100
@@ -247,15 +251,86 @@ func NewReader(r io.Reader) (*Reader, error) {
 		}
 		return nil, fmt.Errorf("%w: missing header", ErrBadTrace)
 	}
-	if magic := [8]byte(t.buf[:8]); magic != fileMagic {
-		if [7]byte(magic[:7]) == [7]byte(fileMagic[:7]) {
-			return nil, fmt.Errorf("%w: unsupported format version %c (want %c)",
-				ErrBadTrace, magic[7], fileMagic[7])
-		}
-		return nil, fmt.Errorf("%w: bad magic", ErrBadTrace)
+	if err := checkMagic(t.buf[:len(fileMagic)]); err != nil {
+		return nil, err
 	}
 	t.pos = len(fileMagic)
 	return t, nil
+}
+
+// checkMagic validates a file's first 8 bytes: the magic and the
+// format version.
+func checkMagic(b []byte) error {
+	if magic := [8]byte(b); magic != fileMagic {
+		if [7]byte(magic[:7]) == [7]byte(fileMagic[:7]) {
+			return fmt.Errorf("%w: unsupported format version %c (want %c)",
+				ErrBadTrace, magic[7], fileMagic[7])
+		}
+		return fmt.Errorf("%w: bad magic", ErrBadTrace)
+	}
+	return nil
+}
+
+// Check validates a whole trace file of size bytes without decoding
+// its records: the magic and format version, the end-of-trace opcode
+// where a complete file has it, and the CRC-32C of every byte before
+// the checksum against the checksum. It reads one window-sized block
+// at a time, so its memory does not grow with the file. Every failure
+// wraps ErrBadTrace, except a read error, which it returns as is.
+//
+// A file that passes can still hold records that do not decode or a
+// count that does not match them, because the checksum covers only
+// what the writer wrote: the Writer never produces such a file, but
+// one made by hand can. The Reader checks every record, the count and
+// the checksum again as it decodes.
+func Check(r io.ReaderAt, size int64) error {
+	if size < int64(len(fileMagic)) {
+		return fmt.Errorf("%w: missing header", ErrBadTrace)
+	}
+	buf := make([]byte, window)
+	if err := readAt(r, buf[:len(fileMagic)], 0); err != nil {
+		return err
+	}
+	if err := checkMagic(buf[:len(fileMagic)]); err != nil {
+		return err
+	}
+	if size < int64(len(fileMagic)+trailerLen) {
+		return fmt.Errorf("%w: missing end-of-trace record in %d bytes: %w",
+			ErrBadTrace, size, io.ErrUnexpectedEOF)
+	}
+	if err := readAt(r, buf[:trailerLen], size-trailerLen); err != nil {
+		return err
+	}
+	if buf[0] != endMarker {
+		return fmt.Errorf("%w: no end-of-trace record at offset %d", ErrBadTrace, size-trailerLen)
+	}
+	want := binary.LittleEndian.Uint32(buf[maxRecord:trailerLen])
+	var crc uint32
+	for off, end := int64(0), size-4; off < end; {
+		b := buf[:min(int64(window), end-off)]
+		if err := readAt(r, b, off); err != nil {
+			return err
+		}
+		crc = crc32.Update(crc, crcTable, b)
+		off += int64(len(b))
+	}
+	if crc != want {
+		return fmt.Errorf("%w: checksum %08x, computed %08x", ErrBadTrace, want, crc)
+	}
+	return nil
+}
+
+// readAt fills b from r at offset off. Input that ends first is a
+// truncated file.
+func readAt(r io.ReaderAt, b []byte, off int64) error {
+	n, err := r.ReadAt(b, off)
+	switch {
+	case n == len(b):
+		return nil
+	case err != nil && err != io.EOF:
+		return err
+	}
+	return fmt.Errorf("%w: input ends at offset %d: %w", ErrBadTrace, off+int64(n), io.ErrUnexpectedEOF)
 }
 
 // refill folds the decoded bytes into the checksum, moves the

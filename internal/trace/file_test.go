@@ -2,8 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"strings"
@@ -254,6 +256,89 @@ func TestFileRejectsOldVersion(t *testing.T) {
 	_, err := NewReader(bytes.NewReader([]byte("iramtrc1")))
 	if !errors.Is(err, ErrBadTrace) || !strings.Contains(err.Error(), "version") {
 		t.Errorf("v1 header: err %v, want ErrBadTrace naming the version", err)
+	}
+}
+
+// checkBytes runs Check over an in-memory file.
+func checkBytes(data []byte) error { return Check(bytes.NewReader(data), int64(len(data))) }
+
+// TestCheck: Check passes every file the Writer produces, within one
+// block or across many, and fails every corruption the decoder fails,
+// every cut included, with an error wrapping ErrBadTrace.
+func TestCheck(t *testing.T) {
+	for _, n := range []int{0, 1, 1000, 100_000} {
+		if err := checkBytes(encode(t, mixedStream(n))); err != nil {
+			t.Errorf("%d references: %v", n, err)
+		}
+	}
+	full := encode(t, mixedStream(100_000))
+	if len(full) <= 2*window {
+		t.Fatalf("%d-byte stream does not span three blocks", len(full))
+	}
+	flip := func(i int, mask byte) []byte {
+		b := bytes.Clone(full)
+		b[i] ^= mask
+		return b
+	}
+	for name, bad := range map[string][]byte{
+		"empty":            nil,
+		"header only":      full[:8],
+		"bad magic":        append([]byte("notatrc2"), full[8:]...),
+		"stale version":    append([]byte("iramtrc1"), full[8:]...),
+		"cut 5 bytes":      full[:len(full)-5],
+		"bitflip":          flip(len(full)/2, 0x40),
+		"last block":       flip(len(full)-20, 0x01),
+		"count":            flip(len(full)-12, 0x01),
+		"checksum":         flip(len(full)-1, 0x80),
+		"trailing garbage": append(bytes.Clone(full), 0),
+	} {
+		if err := checkBytes(bad); !errors.Is(err, ErrBadTrace) {
+			t.Errorf("%s: Check = %v, want ErrBadTrace", name, err)
+		}
+		if r, err := NewReader(bytes.NewReader(bad)); err == nil {
+			if _, err := r.Replay(Discard); err == nil {
+				t.Errorf("%s: the decoder accepts what Check rejects", name)
+			}
+		}
+	}
+	small := encode(t, mixedStream(10))
+	for cut := range len(small) {
+		if err := checkBytes(small[:cut]); !errors.Is(err, ErrBadTrace) {
+			t.Fatalf("cut at %d of %d bytes: Check = %v, want ErrBadTrace", cut, len(small), err)
+		}
+	}
+}
+
+// TestCheckTrustsTheChecksum pins what Check leaves to the decoder:
+// records that do not decode under a checksum that holds. The Writer
+// never produces such a file; the Reader rejects it.
+func TestCheckTrustsTheChecksum(t *testing.T) {
+	full := encode(t, mixedStream(1000))
+	// Replace the end-of-trace record with a record in address mode
+	// 14, which no version defines, and write a new trailer over it.
+	bad := append(bytes.Clone(full[:len(full)-trailerLen]), 0x0e, endMarker)
+	bad = binary.LittleEndian.AppendUint64(bad, 1000)
+	bad = binary.LittleEndian.AppendUint32(bad, crc32.Checksum(bad, crcTable))
+	if err := checkBytes(bad); err != nil {
+		t.Fatalf("Check = %v on a file whose checksum holds", err)
+	}
+	if _, err := drain(t, bad); !errors.Is(err, ErrBadTrace) || !strings.Contains(err.Error(), "address mode 14") {
+		t.Errorf("decode: err %v, want ErrBadTrace naming address mode 14", err)
+	}
+}
+
+// failingReaderAt fails every read with err.
+type failingReaderAt struct{ err error }
+
+func (f failingReaderAt) ReadAt([]byte, int64) (int, error) { return 0, f.err }
+
+// TestCheckReadError: a read error is returned as is, not as a corrupt
+// file.
+func TestCheckReadError(t *testing.T) {
+	readErr := errors.New("disk on fire")
+	err := Check(failingReaderAt{readErr}, 100)
+	if !errors.Is(err, readErr) || errors.Is(err, ErrBadTrace) {
+		t.Errorf("Check = %v, want the read error and not ErrBadTrace", err)
 	}
 }
 

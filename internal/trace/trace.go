@@ -152,7 +152,8 @@ func (d DataOnly) Ref(r Ref) {
 }
 
 // Discard drops every reference. Useful as a placeholder, and as the
-// sink of a decode that only verifies a trace: it takes whole batches.
+// sink of a replay that only times or checks the decode: it takes
+// whole batches.
 var Discard Sink = discard{}
 
 type discard struct{}

@@ -1,6 +1,18 @@
 // Package tracestore caches recorded reference streams on disk so a
 // workload is executed once and replayed into every subsequent
 // measurement: generate once, replay everywhere.
+//
+// What is checked when: before an entry's first replay in a Store,
+// trace.Check reads the whole file once in 64 KiB blocks and checks
+// its header, its end-of-trace record and its CRC-32C without
+// decoding a record, so a truncated, bit-flipped, empty, stale or
+// overlong entry is a miss before any reference reaches the sink.
+// The replay then decodes the entry once, straight into the sink,
+// and the decoder checks every record, the count and the CRC-32C
+// again. A file that passes the checksum but does not decode (the
+// Writer never commits one) fails in that decode, after the sink may
+// have seen references: the entry is removed and the error is not a
+// miss, so the run fails and the next one re-records it.
 package tracestore
 
 import (
@@ -26,12 +38,12 @@ import (
 // The embedded blobstore.Store owns the directory of ".trc" entries,
 // their atomic commit, Prune and Size; readers only ever observe absent
 // or complete entries. This layer adds the trace encoding and its
-// verification.
+// checks.
 //
-// Replays verify the entry (full decode, end-of-trace record, count
-// cross-check) before any reference reaches the caller's sink, so a
-// corrupt or truncated entry is re-recorded rather than trusted — and
-// never pollutes a measurement. Verification results are memoised per
+// Replays check the entry (header, end-of-trace record, CRC-32C; see
+// the package comment) before any reference reaches the caller's sink,
+// so a corrupt or truncated entry is re-recorded rather than trusted —
+// and never pollutes a measurement. A passed check is memoised per
 // path for the life of the Store.
 type Store struct {
 	*blobstore.Store
@@ -115,9 +127,13 @@ func (s *Store) Record(k Key, gen func(trace.Sink) error, sink trace.Sink) (trac
 	return counts, nil
 }
 
-// ReplayTo replays the cached entry for k into sink. A missing entry
-// returns ErrMiss; a corrupt or truncated one returns ErrMiss wrapping
-// the decode error, in both cases before sink sees a single reference.
+// ReplayTo replays the cached entry for k into sink, decoding it once.
+// A missing entry returns ErrMiss, and so does one that fails
+// trace.Check, in both cases before sink sees a single reference. An
+// entry whose checksum holds but whose records do not decode fails in
+// the decode, possibly after sink has seen references: ReplayTo
+// removes it and returns an error that wraps trace.ErrBadTrace and not
+// ErrMiss.
 func (s *Store) ReplayTo(k Key, sink trace.Sink) (trace.Counts, error) {
 	path := s.Path(k)
 	f, err := os.Open(path)
@@ -126,44 +142,51 @@ func (s *Store) ReplayTo(k Key, sink trace.Sink) (trace.Counts, error) {
 	}
 	defer f.Close()
 
-	// Verify the whole file before the first reference reaches sink:
-	// scan once against trace.Discard (memoised per path), then rewind and
-	// replay for real. The held descriptor pins the verified bytes even
-	// if a concurrent recorder renames a new file over the path.
+	// Check the whole file before the first reference reaches sink
+	// (memoised per path). The check reads at explicit offsets, so the
+	// decode below starts from the same descriptor's first byte. The
+	// held descriptor pins the checked bytes even if a concurrent
+	// recorder renames a new file over the path.
 	s.mu.Lock()
 	ok := s.verified[path]
 	s.mu.Unlock()
 	if !ok {
-		if err := verify(f); err != nil {
+		fi, err := f.Stat()
+		if err == nil {
+			err = trace.Check(f, fi.Size())
+		}
+		if err != nil {
 			return trace.Counts{}, fmt.Errorf("%w: invalid entry %s: %w", ErrMiss, filepath.Base(path), err)
 		}
 		s.mu.Lock()
 		s.verified[path] = true
 		s.mu.Unlock()
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return trace.Counts{}, fmt.Errorf("trace: store: %w", err)
-		}
 	}
 
-	r, err := trace.NewReader(f)
-	if err != nil {
-		return trace.Counts{}, fmt.Errorf("trace: store: %s: %w", filepath.Base(path), err)
-	}
 	var counts trace.Counts
-	if _, err := r.ReplayBatch(trace.Tee{&counts, sink}, nil); err != nil {
+	r, err := trace.NewReader(f)
+	if err == nil {
+		_, err = r.ReplayBatch(trace.Tee{&counts, sink}, nil)
+	}
+	if err != nil {
+		if errors.Is(err, trace.ErrBadTrace) {
+			// The entry is bad, not the read: drop it so the next
+			// run re-records it. A removal that fails leaves a file
+			// the next decode rejects the same way.
+			s.forget(path)
+			os.Remove(path)
+		}
 		return counts, fmt.Errorf("trace: store: %s: %w", filepath.Base(path), err)
 	}
 	return counts, nil
 }
 
-// verify decodes f end to end, checking the end-of-trace record.
-func verify(f *os.File) error {
-	r, err := trace.NewReader(f)
-	if err != nil {
-		return err
-	}
-	_, err = r.ReplayBatch(trace.Discard, nil)
-	return err
+// forget drops path's memoised check, so the next replay checks the
+// file again.
+func (s *Store) forget(path string) {
+	s.mu.Lock()
+	delete(s.verified, path)
+	s.mu.Unlock()
 }
 
 // Fetch delivers the stream for k into sink: from the cache when a
@@ -176,14 +199,14 @@ func (s *Store) Fetch(k Key, gen func(trace.Sink) error, sink trace.Sink) (count
 		return counts, true, nil
 	}
 	if !errors.Is(rerr, ErrMiss) {
-		// The replay failed after references reached sink (e.g. the
-		// file vanished mid-read); regenerating into the same sink
-		// would double-count, so surface the error instead.
+		// The replay failed after references may have reached sink
+		// (records that do not decode under a valid checksum, or a
+		// read error); regenerating into the same sink would
+		// double-count, so surface the error instead. A removed
+		// entry is re-recorded by the next Fetch.
 		return counts, false, rerr
 	}
-	s.mu.Lock()
-	delete(s.verified, s.Path(k))
-	s.mu.Unlock()
+	s.forget(s.Path(k))
 	counts, err = s.Record(k, gen, sink)
 	return counts, false, err
 }

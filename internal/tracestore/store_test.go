@@ -2,7 +2,9 @@ package tracestore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -313,4 +315,155 @@ func TestStoreGenError(t *testing.T) {
 	if len(entries) != 0 {
 		t.Errorf("failed recording left files: %v", entries)
 	}
+}
+
+// encodeStream returns testStream(n) as the Writer encodes it.
+func encodeStream(t testing.TB, n int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := trace.NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := testStream(n)(w); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// malformedEntry returns testStream(n)'s encoding with its end-of-trace
+// record replaced by a record in address mode 14, which no format
+// version defines, and a new end-of-trace record and CRC-32C written
+// after it. trace.Check passes it and the decoder fails on it, after
+// every earlier reference; the Writer never produces such a file.
+func malformedEntry(t testing.TB, n int) []byte {
+	t.Helper()
+	const trailer = 1 + 8 + 4 // end-of-trace opcode, count, checksum
+	b := encodeStream(t, n)
+	b = append(b[:len(b)-trailer], 0x0e, 0xc0)
+	b = binary.LittleEndian.AppendUint64(b, uint64(n))
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli)))
+}
+
+// TestStoreMalformedEntry covers the late failure: an entry whose
+// checksum holds but whose records do not decode fails inside the one
+// decode, after the sink has seen references. The error wraps
+// trace.ErrBadTrace and is not ErrMiss, so Fetch surfaces it rather
+// than re-recording into a sink that already holds references; the
+// entry is removed, and the next run's Fetch re-records it.
+func TestStoreMalformedEntry(t *testing.T) {
+	s := newStore(t)
+	k := Key{Workload: "m", Budget: 2000, Seed: 1}
+	path := s.Path(k)
+	if err := os.WriteFile(path, malformedEntry(t, 2000), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var sink collect
+	_, hit, err := s.Fetch(k, testStream(2000), &sink)
+	if !errors.Is(err, trace.ErrBadTrace) || errors.Is(err, ErrMiss) || hit {
+		t.Fatalf("Fetch over a malformed entry: hit=%v err %v, want an error wrapping trace.ErrBadTrace and not ErrMiss", hit, err)
+	}
+	if len(sink.refs) == 0 {
+		t.Error("the sink saw no reference: the entry failed before the decode")
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("malformed entry still on disk: %v", err)
+	}
+
+	var want trace.Counts
+	if err := testStream(2000)(&want); err != nil {
+		t.Fatal(err)
+	}
+	next, err := NewStore(s.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again collect
+	counts, hit, err := next.Fetch(k, testStream(2000), &again)
+	if err != nil || hit || counts != want || int64(len(again.refs)) != want.Total() {
+		t.Fatalf("next Fetch: hit=%v counts %+v (sink %d refs) err %v, want a re-record of %+v",
+			hit, counts, len(again.refs), err, want)
+	}
+	if got, err := next.ReplayTo(k, trace.Discard); err != nil || got != want {
+		t.Errorf("replay after re-record: counts %+v err %v", got, err)
+	}
+}
+
+// FuzzStoreReplay writes arbitrary bytes as an entry, replays them
+// through a fresh Store and decodes them directly with trace.NewReader
+// and ReplayBatch. The replay contract: ErrMiss means the sink saw no
+// reference and the direct decode fails; nil means the sink holds
+// exactly the direct decode's references and counts; any other error
+// means the direct decode fails too, the sink holds what it delivered
+// before failing, and a corrupt entry is gone from the store.
+func FuzzStoreReplay(f *testing.F) {
+	valid := encodeStream(f, 300)
+	f.Add(valid)
+	// TestStoreCorruptionRerecords' corruptions of that entry.
+	f.Add(valid[:len(valid)-5])
+	flipped := bytes.Clone(valid)
+	flipped[len(flipped)/2] ^= 0x40
+	f.Add(flipped)
+	f.Add([]byte{})
+	stale := bytes.Clone(valid)
+	stale[7] = '1'
+	f.Add(stale)
+	f.Add(malformedEntry(f, 300))
+
+	dir := f.TempDir()
+	k := Key{Workload: "fuzz", Budget: 1, Seed: 1}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := NewStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(s.Path(k), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var got collect
+		counts, err := s.ReplayTo(k, &got)
+
+		var want collect
+		var wantCounts trace.Counts
+		r, derr := trace.NewReader(bytes.NewReader(data))
+		if derr == nil {
+			_, derr = r.ReplayBatch(trace.Tee{&want, &wantCounts}, nil)
+		}
+
+		switch {
+		case errors.Is(err, ErrMiss):
+			if len(got.refs) != 0 {
+				t.Fatalf("ErrMiss after the sink saw %d references", len(got.refs))
+			}
+			if derr == nil {
+				t.Fatalf("ErrMiss (%v) on bytes that decode", err)
+			}
+			return
+		case err == nil:
+			if derr != nil {
+				t.Fatalf("replay succeeded on bytes that do not decode: %v", derr)
+			}
+			if counts != wantCounts {
+				t.Fatalf("replay counts %+v, direct decode %+v", counts, wantCounts)
+			}
+		default:
+			if derr == nil {
+				t.Fatalf("replay failed (%v) on bytes that decode", err)
+			}
+			if _, serr := os.Stat(s.Path(k)); errors.Is(err, trace.ErrBadTrace) && !os.IsNotExist(serr) {
+				t.Fatalf("corrupt entry left on disk after %v", err)
+			}
+		}
+		if len(got.refs) != len(want.refs) {
+			t.Fatalf("sink saw %d references, direct decode %d", len(got.refs), len(want.refs))
+		}
+		for i := range want.refs {
+			if got.refs[i] != want.refs[i] {
+				t.Fatalf("ref %d: replayed %+v, decoded %+v", i, got.refs[i], want.refs[i])
+			}
+		}
+	})
 }
