@@ -46,16 +46,19 @@ bench:
 # SPLASH runs (Figures 13-17), the family-shared design-space search
 # (replay-fed), the stack-distance profiling layer alone (Figure 7/8
 # CacheSet and a design-space family, in Mref/s), the mpsim
-# coordinator alone, and the GSPN event loop alone (a small mixed net
-# and a 16-bank net shaped like the cpumodel nets, in Mfiring/s), and
-# the trace codec alone (decode and encode of one recorded workload
-# stream in Mref/s, and the replay-time integrity check in bytes/s),
-# with allocation stats. The coordinator and GSPN benchmarks report ns
-# per operation or step, so they run a fixed million of them rather
-# than two; the trace benchmarks run a fixed hundred passes.
+# coordinator alone, the coherence model alone (a recorded OCEAN access
+# stream replayed into a fresh machine, in Mop/s), and the GSPN event
+# loop alone (a small mixed net and a 16-bank net shaped like the
+# cpumodel nets, in Mfiring/s), and the trace codec alone (decode and
+# encode of one recorded workload stream in Mref/s, and the replay-time
+# integrity check in bytes/s), with allocation stats. The coordinator
+# and GSPN benchmarks report ns per operation or step, so they run a
+# fixed million of them rather than two; the trace and coherence
+# benchmarks run a fixed hundred passes.
 bench-figures:
 	$(GO) test -run '^$$' -bench 'Designspace$$|Fig[78](Replay|ReplayCold|Warm)?$$|Fig12$$|Table3$$|Fig1[3-7]|CacheSetRefs$$' -benchmem -benchtime 2x . ./internal/workload
 	$(GO) test -run '^$$' -bench 'CoordinatorOps$$' -benchmem -benchtime 1000000x ./internal/mpsim
+	$(GO) test -run '^$$' -bench 'MachineAccess$$' -benchmem -benchtime 100x ./internal/coherence
 	$(GO) test -run '^$$' -bench 'SimStep(Banks)?$$' -benchmem -benchtime 1000000x ./internal/gspn
 	$(GO) test -run '^$$' -bench '(Reader|Writer)Refs$$|Check$$' -benchmem -benchtime 100x ./internal/trace
 
@@ -69,7 +72,7 @@ bench-baseline:
 # (deterministic). -require keeps the guard honest: the acceptance
 # benchmarks must actually run, so the observability hooks cannot
 # regress them unnoticed by a pattern that matches nothing.
-BENCH_REQUIRED = BenchmarkFig7,BenchmarkFig8,BenchmarkFig7Replay,BenchmarkFig7ReplayCold,BenchmarkFig8Replay,BenchmarkFig7Warm,BenchmarkTable3,BenchmarkFig12,BenchmarkFig13LU,BenchmarkFig14MP3D,BenchmarkFig15Ocean,BenchmarkFig16Water,BenchmarkFig17Pthor,BenchmarkDesignspace,BenchmarkCacheSetRefs,BenchmarkFamilyCacheSetRefs,BenchmarkCoordinatorOps,BenchmarkSimStep,BenchmarkSimStepBanks,BenchmarkReaderRefs,BenchmarkWriterRefs,BenchmarkCheck
+BENCH_REQUIRED = BenchmarkFig7,BenchmarkFig8,BenchmarkFig7Replay,BenchmarkFig7ReplayCold,BenchmarkFig8Replay,BenchmarkFig7Warm,BenchmarkTable3,BenchmarkFig12,BenchmarkFig13LU,BenchmarkFig14MP3D,BenchmarkFig15Ocean,BenchmarkFig16Water,BenchmarkFig17Pthor,BenchmarkDesignspace,BenchmarkCacheSetRefs,BenchmarkFamilyCacheSetRefs,BenchmarkCoordinatorOps,BenchmarkMachineAccess,BenchmarkSimStep,BenchmarkSimStepBanks,BenchmarkReaderRefs,BenchmarkWriterRefs,BenchmarkCheck
 
 bench-check:
 	$(MAKE) -s bench-figures | $(GO) run ./cmd/benchguard -baseline BENCH_baseline.json -threshold 0.20 -require $(BENCH_REQUIRED)
@@ -77,15 +80,16 @@ bench-check:
 bench-check-ci:
 	$(MAKE) -s bench-figures | $(GO) run ./cmd/benchguard -baseline BENCH_baseline.json -time=false -require $(BENCH_REQUIRED)
 
-# Exercise the trace codec, trace-store replay, assembler, GSPN
-# equivalence and designspace axis-flag fuzz targets for a minute each
-# (CI runs a 10-second smoke; this is the pre-commit depth).
+# Exercise the trace codec, trace-store replay, assembler, VM step,
+# GSPN equivalence and designspace axis-flag fuzz targets for a minute
+# each (CI runs a 10-second smoke; this is the pre-commit depth).
 FUZZTIME ?= 60s
 fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzReaderNext -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzFileRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tracestore -run '^$$' -fuzz FuzzStoreReplay -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/asm -run '^$$' -fuzz FuzzAssemble -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/vm -run '^$$' -fuzz FuzzStep -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/gspn -run '^$$' -fuzz FuzzSimEquivalence -fuzztime $(FUZZTIME)
 	$(GO) test ./cmd/iramsim -run '^$$' -fuzz FuzzParseAxis -fuzztime $(FUZZTIME)
 

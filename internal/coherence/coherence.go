@@ -86,7 +86,7 @@ func LatenciesFor(d core.Device) Latencies {
 // SyncCosts derives the multiprocessor synchronisation costs from the
 // fabric latencies: uncontended lock acquires, lock handoffs, and
 // barrier releases are all remote round trips (Table 6's RemoteLoad
-// scale, which is where mpsim.DefaultSyncCosts' 80s come from).
+// scale: 80 cycles each on the paper's machine).
 func (l Latencies) SyncCosts() mpsim.SyncCosts {
 	return mpsim.SyncCosts{
 		LockAcquire: l.RemoteLoad,

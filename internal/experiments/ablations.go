@@ -269,7 +269,8 @@ func ablateUnitMicro(o Options) ([]UnitRow, error) {
 	var rows []UnitRow
 	for _, u := range []uint64{32, 128, 512} {
 		m := unitMachine(o, u)
-		r := mpsim.Run(ablateUnitProcs, m, m.Lat.SyncCosts(), func(p *mpsim.Proc) {
+		// Each counter's address is fixed, so the body runs ahead.
+		r := mpsim.RunAhead(ablateUnitProcs, m, m.Lat.SyncCosts(), func(p *mpsim.Proc) {
 			addr := uint64(0x1000 + p.ID*coherence.BlockSize)
 			for i := 0; i < 400; i++ {
 				p.Read(addr)

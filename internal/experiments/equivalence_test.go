@@ -45,8 +45,9 @@ func TestConfigEquivalence(t *testing.T) {
 	if got := coherence.LatenciesFor(prop); got != wantLat {
 		t.Errorf("LatenciesFor(Proposed) = %+v, want Table 6 literals %+v", got, wantLat)
 	}
-	if got, want := coherence.LatenciesFor(prop).SyncCosts(), mpsim.DefaultSyncCosts(); got != want {
-		t.Errorf("SyncCosts from device = %+v, want DefaultSyncCosts %+v", got, want)
+	wantSync := mpsim.SyncCosts{LockAcquire: 80, LockHandoff: 80, Barrier: 80}
+	if got := coherence.LatenciesFor(prop).SyncCosts(); got != wantSync {
+		t.Errorf("SyncCosts from device = %+v, want Table 6 round trips %+v", got, wantSync)
 	}
 
 	// DRAM timing: 6 cycles at 200 MHz is the paper's 30 ns.

@@ -24,10 +24,11 @@
 // scale of the paper's remote operations.
 //
 // Admission structure: each body runs as an iter.Pull coroutine, and
-// Run is one driver loop. A body posts an operation into its
-// processor's preallocated slot, so the hot path is allocation-free.
-// serve is the one routine that applies an operation (access latency,
-// lock acquire, handoff and release, barrier arrival and release) and
+// Run is one driver loop. A body posts each operation into its
+// processor's preallocated queue, so the hot path is allocation-free.
+// serve is the one routine that applies the operation that ends a
+// queue, which under Run is every operation (access latency, lock
+// acquire, handoff and release, barrier arrival and release), and
 // grants the bodies it releases. The driver resumes every granted body
 // until the body posts its next operation, pops the earliest posted
 // operation from a binary min-heap keyed by (virtual time, processor
@@ -40,13 +41,30 @@
 // switch only where a lock or barrier blocks or releases another body,
 // and the service order is the one the heap alone would give.
 //
+// Run-ahead: under Run a body's queue holds one operation, so it
+// yields at every access. Under RunAhead it holds a run of them: a
+// body queues each access with its compute gap and goes on, and it
+// yields only at its next lock, unlock, barrier or end, or when the
+// queue is full. Serving a queued access with more queued behind it
+// puts the next one in service at time + latency + gap and sifts the
+// processor down from the heap's top in place, without resuming the
+// body; the driver resumes the body once the operation that closed
+// the queue has been served. Every processor's next unserved operation
+// is in the heap whenever the driver picks one, in both modes, so the
+// memory model sees the same calls in the same (time, id) order.
+//
 // Concurrency invariant: exactly one body or the driver runs at a
-// time. A body runs only between its grant and its next post, the
+// time. A body runs only between its grant and its next yield, the
 // driver resumes granted bodies one after another, and a body serves
 // itself only while it is the one body the driver resumed. Workload
 // code may therefore update shared host-side data (matrices, particle
-// arrays) without locking; all updates are totally ordered by the
-// service order.
+// arrays) without locking. Under Run, where a body posts one operation
+// at a time, all host-side updates are totally ordered by the service
+// order. Under RunAhead a body's host code between two
+// synchronisations runs before its queued accesses are served, ahead
+// of other processors' operations that sort earlier: its host writes
+// there must be its own, and what it posts there must not depend on
+// data another processor writes between the same synchronisations.
 package mpsim
 
 import (
@@ -74,11 +92,6 @@ type SyncCosts struct {
 	Barrier     uint64 // barrier release after the last arrival
 }
 
-// DefaultSyncCosts uses the paper's remote round-trip scale (Table 6).
-func DefaultSyncCosts() SyncCosts {
-	return SyncCosts{LockAcquire: 80, LockHandoff: 80, Barrier: 80}
-}
-
 // Proc is a simulated processor handle passed to workload bodies.
 // Its methods must be called only from the body itself, never from a
 // goroutine the body starts: a call may suspend the body's coroutine.
@@ -87,8 +100,14 @@ type Proc struct {
 	N  int // total processors
 
 	sim     *sim
-	pending uint64              // accumulated compute cycles not yet posted
-	yield   func(struct{}) bool // suspends the body until the driver grants it
+	pending uint64    // accumulated compute cycles not yet posted
+	queue   []request // its length is the queue size
+	posted  int       // queue[:posted] holds the operations posted since the body last went on
+	head    int       // queue[head] is the operation in service
+
+	yield  func(struct{}) bool     // suspends the body until the driver grants it
+	resume func() (struct{}, bool) // runs the body until it yields or ends
+	stop   func()                  // unwinds the body if it is suspended
 }
 
 // Read issues a shared-memory load.
@@ -126,44 +145,66 @@ const (
 	opDone
 )
 
-// request is one posted operation. Each processor owns one slot in
-// sim.slots for its lifetime: the body fills the slot while posting,
-// and the driver reads it when it serves the operation — so no request
-// is ever copied or heap-allocated per operation.
+// request is one posted operation. Each processor's queue is its own
+// region of one slice allocated per run: the body fills it while
+// posting, and the driver reads it when it serves the operation — so
+// no request is ever copied or heap-allocated per operation.
 type request struct {
 	kind   opKind
 	write  bool
 	addr   uint64
 	lockID int
+	gap    uint64 // compute cycles between the previous operation and this one
 }
 
+// op queues one operation. An access goes on queueing while the queue
+// has room; anything else closes the queue and hands it to the driver.
 func (p *Proc) op(kind opKind, addr uint64, write bool, lockID int) {
+	p.queue[p.posted] = request{kind: kind, write: write, addr: addr, lockID: lockID, gap: p.pending}
+	p.posted++
+	p.pending = 0
+	if kind == opAccess && p.posted < len(p.queue) {
+		return
+	}
 	s := p.sim
-	pid := p.post(kind, addr, write, lockID)
-	if s.alone && (len(s.heap) == 0 || s.less(pid, s.heap[0])) {
-		// The driver would pop this operation next: serve it here.
-		s.serve(pid)
-		if len(s.ready) == 1 { // granted this body alone
-			s.ready = s.ready[:0]
-			s.selfServes++
+	pid := s.start(p)
+	if s.alone {
+		// While this body's operation sorts first, the driver would pop
+		// it next: serve it here.
+		for s.queuedBehind(pid) && s.first(pid) {
+			s.serveQueued(pid)
+		}
+		if s.first(pid) {
+			s.serve(pid)
+			if len(s.ready) == 1 { // granted this body alone
+				s.ready = s.ready[:0]
+				s.selfServes++
+				p.posted = 0
+				return
+			}
+			p.wait()
 			return
 		}
-	} else {
-		s.push(pid)
 	}
+	s.push(pid)
+	p.wait()
+}
+
+// wait suspends the body until the driver resumes it, which happens
+// only once its queue has been served.
+func (p *Proc) wait() {
 	if !p.yield(struct{}{}) {
 		panic(errStopped)
 	}
+	p.posted = 0
 }
 
-// post fills the processor's slot and advances its clock by the
-// compute cycles accumulated since its last operation.
-func (p *Proc) post(kind opKind, addr uint64, write bool, lockID int) int32 {
-	pid := int32(p.ID)
-	p.sim.slots[pid] = request{kind: kind, write: write, addr: addr, lockID: lockID}
-	p.sim.time[pid] += p.pending
-	p.pending = 0
-	return pid
+// start puts p's first queued operation in service: it advances p's
+// clock by the compute cycles posted before it.
+func (s *sim) start(p *Proc) int32 {
+	p.head = 0
+	s.time[p.ID] += p.queue[0].gap
+	return int32(p.ID)
 }
 
 // Result summarises one simulation run.
@@ -179,14 +220,16 @@ type Result struct {
 
 // CoordStats is the admission machinery's own accounting: how bodies
 // went on after their operations were served (running on after serving
-// themselves, or resumed by the driver) and how deep the admission heap
-// got. It is bookkeeping about the simulator, not the simulated machine.
-// Every field is exact, as deterministic as the rest of Result: each
-// access, lock operation and barrier arrival ends in exactly one
-// self-serve or one grant.
+// themselves, resumed by the driver, or not stopped at all because
+// more of their queue was waiting) and how deep the admission heap
+// got. It is bookkeeping about the simulator, not the simulated
+// machine. Every field is exact, as deterministic as the rest of
+// Result: each access, lock operation and barrier arrival ends in
+// exactly one self-serve, one grant or one queued serve.
 type CoordStats struct {
 	SelfServes   int64 // operations a body served itself and ran on from
 	Grants       int64 // bodies the driver resumed after serve released them
+	Queued       int64 // accesses served with more of the body's queue behind them
 	MaxHeapDepth int   // admission heap high-water mark
 }
 
@@ -199,6 +242,7 @@ func (c CoordStats) Publish(reg *obs.Registry) {
 	}
 	reg.Counter("mpsim", "self_serves").Add(c.SelfServes)
 	reg.Counter("mpsim", "grants").Add(c.Grants)
+	reg.Counter("mpsim", "queued_serves").Add(c.Queued)
 	reg.Gauge("mpsim", "heap_depth_max").SetMax(int64(c.MaxHeapDepth))
 }
 
@@ -208,7 +252,7 @@ type sim struct {
 	mem   Memory
 	costs SyncCosts
 
-	slots []request // per-proc posted-operation slots
+	procs []Proc
 	time  []uint64
 	heap  []int32 // min-heap of posted procs keyed by (time, proc id)
 	ready []int32 // procs serve granted, resumed before the driver pops again
@@ -225,6 +269,7 @@ type sim struct {
 	// Coordinator accounting (see CoordStats).
 	selfServes int64
 	grants     int64
+	queued     int64
 	maxHeap    int
 }
 
@@ -240,42 +285,61 @@ type barrierState struct {
 	maxTime uint64
 }
 
-// Run executes body on n simulated processors over the memory model.
-// It returns when every body has finished. A panic out of a body, a
-// deadlock or a lock misuse is re-raised to the caller after every
-// other body has been stopped.
+// aheadQueue is the number of operations a RunAhead body queues before
+// it yields even without reaching a synchronisation.
+const aheadQueue = 256
+
+// Run executes body on n simulated processors over the memory model,
+// one posted operation at a time. It returns when every body has
+// finished. A panic out of a body, a deadlock or a lock misuse is
+// re-raised to the caller after every other body has been stopped.
 func Run(n int, mem Memory, costs SyncCosts, body func(p *Proc)) Result {
+	return drive(n, mem, costs, body, 1)
+}
+
+// RunAhead is Run for bodies that run ahead to their next
+// synchronisation, queueing their accesses (see the package doc). It
+// serves the same accesses in the same order as Run, provided that
+// what a body posts between two synchronisations depends on no host
+// data another processor writes in between.
+func RunAhead(n int, mem Memory, costs SyncCosts, body func(p *Proc)) Result {
+	return drive(n, mem, costs, body, aheadQueue)
+}
+
+// drive is the one driver loop behind Run and RunAhead; queue is the
+// number of operations each body may post before it yields.
+func drive(n int, mem Memory, costs SyncCosts, body func(p *Proc), queue int) Result {
 	if n < 1 {
 		panic("mpsim: need at least one processor")
 	}
 	s := &sim{
 		mem:   mem,
 		costs: costs,
-		slots: make([]request, n),
+		procs: make([]Proc, n),
 		time:  make([]uint64, n),
 		heap:  make([]int32, 0, n),
 		ready: make([]int32, 0, n),
 		bar:   barrierState{waiting: make([]int32, 0, n)},
 		alive: n,
 	}
-	next := make([]func() (struct{}, bool), n)
-	stops := make([]func(), n)
-	for i := range n {
-		p := &Proc{ID: i, N: n, sim: s}
-		next[i], stops[i] = iter.Pull(p.coroutine(body))
+	queues := make([]request, n*queue)
+	for i := range s.procs {
+		p := &s.procs[i]
+		*p = Proc{ID: i, N: n, sim: s, queue: queues[i*queue : (i+1)*queue]}
+		p.resume, p.stop = iter.Pull(p.coroutine(body))
 	}
 	// Stopping a finished coroutine is a no-op. After a panic it unwinds
 	// every body still suspended, so none outlives Run.
 	defer func() {
-		for _, stop := range stops {
-			stop()
+		for i := range s.procs {
+			s.procs[i].stop()
 		}
 	}()
 
-	// Every body runs to its first post; a sole processor runs alone.
+	// Every body runs to its first yield; a sole processor runs alone.
 	s.alone = n == 1
-	for _, resume := range next {
-		resume()
+	for i := range s.procs {
+		s.procs[i].resume()
 	}
 	run := make([]int32, 0, n)
 	for s.alive > 0 {
@@ -284,6 +348,11 @@ func Run(n int, mem Memory, costs SyncCosts, body func(p *Proc)) Result {
 				// Everyone alive is blocked: this is a workload deadlock
 				// (e.g. a barrier not joined by all procs). Fail loudly.
 				panic("mpsim: deadlock — all processors blocked")
+			}
+			if top := s.heap[0]; s.queuedBehind(top) {
+				s.serveQueued(top)
+				s.down(0) // the top's clock advanced: restore heap order in place
+				continue
 			}
 			s.serve(s.pop())
 			continue
@@ -294,7 +363,7 @@ func Run(n int, mem Memory, costs SyncCosts, body func(p *Proc)) Result {
 		s.alone = len(run) == 1
 		s.grants += int64(len(run))
 		for _, pid := range run {
-			next[pid]()
+			s.procs[pid].resume()
 		}
 	}
 
@@ -307,6 +376,7 @@ func Run(n int, mem Memory, costs SyncCosts, body func(p *Proc)) Result {
 		Coord: CoordStats{
 			SelfServes:   s.selfServes,
 			Grants:       s.grants,
+			Queued:       s.queued,
 			MaxHeapDepth: s.maxHeap,
 		},
 	}
@@ -322,8 +392,9 @@ func Run(n int, mem Memory, costs SyncCosts, body func(p *Proc)) Result {
 // way out of a panic; the body's own coroutine recovers it.
 var errStopped = errors.New("mpsim: run stopped")
 
-// coroutine is p's body as a sequence for iter.Pull: it yields at every
-// post, and its final done-post returns without yielding.
+// coroutine is p's body as a sequence for iter.Pull: it yields while it
+// waits for its queue to be served, and its final done-post returns
+// without yielding.
 func (p *Proc) coroutine(body func(*Proc)) iter.Seq[struct{}] {
 	return func(yield func(struct{}) bool) {
 		defer func() {
@@ -333,7 +404,9 @@ func (p *Proc) coroutine(body func(*Proc)) iter.Seq[struct{}] {
 		}()
 		p.yield = yield
 		body(p)
-		p.sim.push(p.post(opDone, 0, false, 0))
+		p.queue[p.posted] = request{kind: opDone, gap: p.pending}
+		p.posted++
+		p.sim.push(p.sim.start(p))
 	}
 }
 
@@ -369,28 +442,32 @@ func (s *sim) pop() int32 {
 	top := h[0]
 	last := len(h) - 1
 	h[0] = h[last]
-	h = h[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < len(h) && s.less(h[l], h[min]) {
-			min = l
-		}
-		if r < len(h) && s.less(h[r], h[min]) {
-			min = r
-		}
-		if min == i {
-			break
-		}
-		h[i], h[min] = h[min], h[i]
-		i = min
-	}
-	s.heap = h
+	s.heap = h[:last]
+	s.down(0)
 	return top
 }
 
-// grant releases the proc to run its body until its next post.
+// down sifts the proc at heap index i down to its place.
+func (s *sim) down(i int) {
+	h := s.heap
+	for {
+		l, r := 2*i+1, 2*i+2
+		least := i
+		if l < len(h) && s.less(h[l], h[least]) {
+			least = l
+		}
+		if r < len(h) && s.less(h[r], h[least]) {
+			least = r
+		}
+		if least == i {
+			return
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
+}
+
+// grant releases the proc to run its body until its next yield.
 func (s *sim) grant(pid int32) {
 	s.ready = append(s.ready, pid)
 }
@@ -407,12 +484,39 @@ func (s *sim) lock(id int) *lockState {
 	return &s.locks[id]
 }
 
-// serve applies the operation in pid's slot and grants every body it
-// releases. It is the only code that applies an operation: the driver
-// calls it on the heap's minimum, and a body the driver resumed alone
-// calls it on itself when its operation sorts before the heap's top.
+// queuedBehind reports whether more of pid's queue waits behind its
+// operation in service. Only an access can be followed in a queue.
+func (s *sim) queuedBehind(pid int32) bool {
+	p := &s.procs[pid]
+	return p.head+1 < p.posted
+}
+
+// first reports whether pid's operation in service sorts before every
+// posted one, so the driver would serve it next.
+func (s *sim) first(pid int32) bool {
+	return len(s.heap) == 0 || s.less(pid, s.heap[0])
+}
+
+// serveQueued serves pid's access in service, which has more of the
+// queue behind it: it applies the access's latency and puts the next
+// queued operation in service at time + latency + gap.
+func (s *sim) serveQueued(pid int32) {
+	p := &s.procs[pid]
+	r := &p.queue[p.head]
+	p.head++
+	s.time[pid] += s.mem.AccessAt(int(pid), r.addr, r.write, s.time[pid]) + p.queue[p.head].gap
+	s.accesses++
+	s.queued++
+}
+
+// serve applies pid's operation in service, the last of its queue, and
+// grants every body it releases. It is the only code that applies a
+// lock, unlock, barrier or end: the driver calls it on the heap's
+// minimum, and a body the driver resumed alone calls it on itself when
+// its operation sorts before the heap's top.
 func (s *sim) serve(pid int32) {
-	r := &s.slots[pid]
+	p := &s.procs[pid]
+	r := &p.queue[p.head]
 	switch r.kind {
 	case opAccess:
 		s.time[pid] += s.mem.AccessAt(int(pid), r.addr, r.write, s.time[pid])

@@ -6,6 +6,13 @@ import (
 	"testing"
 )
 
+// DefaultSyncCosts uses the paper's remote round-trip scale (Table 6),
+// the costs coherence.Latencies.SyncCosts derives for the paper's
+// machine.
+func DefaultSyncCosts() SyncCosts {
+	return SyncCosts{LockAcquire: 80, LockHandoff: 80, Barrier: 80}
+}
+
 // flatMemory charges a fixed latency for every access.
 type flatMemory struct {
 	lat   uint64
@@ -120,10 +127,10 @@ func TestUnlockWithoutHoldPanics(t *testing.T) {
 }
 
 // TestRunPanicReleasesBodies: a body panic, a deadlock and an unlock
-// of a lock not held each re-raise out of Run with their own value,
-// and Run leaves no body behind — the goroutine count returns to its
-// level before the run, so a caller that recovers does not leak the
-// other processors.
+// of a lock not held each re-raise out of Run and RunAhead with their
+// own value, and the run leaves no body behind — the goroutine count
+// returns to its level before the run, so a caller that recovers does
+// not leak the other processors.
 func TestRunPanicReleasesBodies(t *testing.T) {
 	const procs = 4
 	boom := errors.New("body failed")
@@ -154,19 +161,23 @@ func TestRunPanicReleasesBodies(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			before := runtime.NumGoroutine()
-			got := func() (r any) {
-				defer func() { r = recover() }()
-				Run(procs, &flatMemory{lat: 1}, DefaultSyncCosts(), tc.body)
-				return nil
-			}()
-			if got != tc.want {
-				t.Fatalf("Run panicked with %v, want %v", got, tc.want)
-			}
-			// A stopped coroutine's goroutine has exited by the time
-			// Run returns, so any goroutine left over is a leaked body.
-			if after := runtime.NumGoroutine(); after > before {
-				t.Errorf("%d goroutines after the run, %d before: bodies leaked", after, before)
+			for _, mode := range modes {
+				before := runtime.NumGoroutine()
+				got := func() (r any) {
+					defer func() { r = recover() }()
+					mode.run(procs, &flatMemory{lat: 1}, DefaultSyncCosts(), tc.body)
+					return nil
+				}()
+				if got != tc.want {
+					t.Fatalf("%s: run panicked with %v, want %v", mode.name, got, tc.want)
+				}
+				// A stopped coroutine's goroutine has exited by the time
+				// the run returns, so any goroutine left over is a leaked
+				// body.
+				if after := runtime.NumGoroutine(); after > before {
+					t.Errorf("%s: %d goroutines after the run, %d before: bodies leaked",
+						mode.name, after, before)
+				}
 			}
 		})
 	}
@@ -247,22 +258,25 @@ func TestSplashStyleImbalanceLow(t *testing.T) {
 
 // TestSingleProcessorNeverYields: a processor running alone serves
 // every operation itself, its first one and barrier releases included,
-// so the driver never resumes it.
+// so the driver never resumes it. Running ahead, it serves each access
+// with more of its queue behind it straight from the queue.
 func TestSingleProcessorNeverYields(t *testing.T) {
-	r := Run(1, &flatMemory{lat: 1}, DefaultSyncCosts(), func(p *Proc) {
-		for i := 0; i < 10; i++ {
-			p.Read(uint64(i))
-			p.Lock(0)
-			p.Unlock(0)
+	for _, mode := range modes {
+		r := mode.run(1, &flatMemory{lat: 1}, DefaultSyncCosts(), func(p *Proc) {
+			for i := 0; i < 10; i++ {
+				p.Read(uint64(i))
+				p.Lock(0)
+				p.Unlock(0)
+			}
+			p.Barrier()
+			p.Read(0)
+		})
+		if r.Coord.Grants != 0 {
+			t.Errorf("%s: grants = %d, want 0", mode.name, r.Coord.Grants)
 		}
-		p.Barrier()
-		p.Read(0)
-	})
-	if r.Coord.Grants != 0 {
-		t.Errorf("grants = %d, want 0", r.Coord.Grants)
-	}
-	if ops := r.Accesses + r.LockOps + r.Barriers; ops != 32 || r.Coord.SelfServes != ops {
-		t.Errorf("self-serves = %d, accesses+lock ops+barriers = %d, want 32 each",
-			r.Coord.SelfServes, ops)
+		if ops := r.Accesses + r.LockOps + r.Barriers; ops != 32 || r.Coord.SelfServes+r.Coord.Queued != ops {
+			t.Errorf("%s: self-serves+queued = %d, accesses+lock ops+barriers = %d, want 32 each",
+				mode.name, r.Coord.SelfServes+r.Coord.Queued, ops)
+		}
 	}
 }

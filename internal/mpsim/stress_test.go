@@ -59,65 +59,132 @@ func stressBody(p *Proc) {
 	}
 }
 
+// modes are the two ways a body can post: one operation at a time, or
+// running ahead to its next synchronisation.
+var modes = []struct {
+	name string
+	run  func(n int, mem Memory, costs SyncCosts, body func(p *Proc)) Result
+}{{"posting", Run}, {"run-ahead", RunAhead}}
+
 // TestCoordinatorStress runs many coroutine-backed processors through
-// a lock/barrier-heavy workload and checks the properties the sweep
-// engine's determinism rests on: service timestamps never move
-// backwards, every operation is self-served or granted exactly once,
-// and repeated runs produce the identical access trace and result,
-// coordinator accounting included (run with -race to also check that
-// the driver and the bodies never touch the simulation state
-// concurrently).
+// a lock/barrier-heavy workload, posting and running ahead, and checks
+// the properties the sweep engine's determinism rests on: service
+// timestamps never move backwards, every operation is self-served,
+// granted or served from its queue exactly once, and repeated runs
+// produce the identical access trace and result, coordinator
+// accounting included (run with -race to also check that the driver
+// and the bodies never touch the simulation state concurrently).
 func TestCoordinatorStress(t *testing.T) {
 	const procs = 32
-	run := func() (Result, []traceEntry) {
-		mem := &tracingMemory{lat: 4}
-		r := Run(procs, mem, DefaultSyncCosts(), stressBody)
-		return r, mem.trace
-	}
+	for _, mode := range modes {
+		t.Run(mode.name, func(t *testing.T) {
+			run := func() (Result, []traceEntry) {
+				mem := &tracingMemory{lat: 4}
+				r := mode.run(procs, mem, DefaultSyncCosts(), stressBody)
+				return r, mem.trace
+			}
 
-	ref, refTrace := run()
-	if ref.Accesses != int64(len(refTrace)) {
-		t.Fatalf("result counts %d accesses, trace has %d", ref.Accesses, len(refTrace))
-	}
-	// 8 rounds × (6 loop accesses + 2 critical-section accesses) per proc.
-	if want := int64(procs * 8 * 8); ref.Accesses != want {
-		t.Fatalf("accesses = %d, want %d", ref.Accesses, want)
-	}
-	if want := int64(procs * 8); ref.Barriers != want {
-		t.Fatalf("barriers = %d, want %d", ref.Barriers, want)
-	}
+			ref, refTrace := run()
+			if ref.Accesses != int64(len(refTrace)) {
+				t.Fatalf("result counts %d accesses, trace has %d", ref.Accesses, len(refTrace))
+			}
+			// 8 rounds × (6 loop accesses + 2 critical-section accesses) per proc.
+			if want := int64(procs * 8 * 8); ref.Accesses != want {
+				t.Fatalf("accesses = %d, want %d", ref.Accesses, want)
+			}
+			if want := int64(procs * 8); ref.Barriers != want {
+				t.Fatalf("barriers = %d, want %d", ref.Barriers, want)
+			}
 
-	// Conservative discrete-event invariant: the coordinator serves
-	// operations in global virtual-time order.
-	for i := 1; i < len(refTrace); i++ {
-		if refTrace[i].Now < refTrace[i-1].Now {
-			t.Fatalf("service time moved backwards at access %d: %+v after %+v",
-				i, refTrace[i], refTrace[i-1])
-		}
-	}
-
-	// Conservation: every access, lock operation and barrier arrival is
-	// either served inline or granted by the driver, exactly once.
-	if got, want := ref.Coord.SelfServes+ref.Coord.Grants, ref.Accesses+ref.LockOps+ref.Barriers; got != want {
-		t.Errorf("self-serves+grants = %d, want accesses+lock ops+barriers = %d", got, want)
-	}
-	if ref.Coord.MaxHeapDepth > procs {
-		t.Errorf("heap depth %d exceeds processor count %d", ref.Coord.MaxHeapDepth, procs)
-	}
-
-	for rep := 0; rep < 3; rep++ {
-		r, trace := run()
-		if !reflect.DeepEqual(r, ref) {
-			t.Fatalf("rep %d: result %+v != %+v (nondeterministic)", rep, r, ref)
-		}
-		if !reflect.DeepEqual(trace, refTrace) {
-			for i := range refTrace {
-				if trace[i] != refTrace[i] {
-					t.Fatalf("rep %d: access %d = %+v, want %+v", rep, i, trace[i], refTrace[i])
+			// Conservative discrete-event invariant: the coordinator serves
+			// operations in global virtual-time order.
+			for i := 1; i < len(refTrace); i++ {
+				if refTrace[i].Now < refTrace[i-1].Now {
+					t.Fatalf("service time moved backwards at access %d: %+v after %+v",
+						i, refTrace[i], refTrace[i-1])
 				}
 			}
-			t.Fatalf("rep %d: traces differ in length: %d vs %d", rep, len(trace), len(refTrace))
+
+			// Conservation: every access, lock operation and barrier
+			// arrival is served inline, granted by the driver or served
+			// from its queue, exactly once.
+			c := ref.Coord
+			if got, want := c.SelfServes+c.Grants+c.Queued, ref.Accesses+ref.LockOps+ref.Barriers; got != want {
+				t.Errorf("self-serves+grants+queued = %d, want accesses+lock ops+barriers = %d", got, want)
+			}
+			if ref.Coord.MaxHeapDepth > procs {
+				t.Errorf("heap depth %d exceeds processor count %d", ref.Coord.MaxHeapDepth, procs)
+			}
+
+			for rep := 0; rep < 3; rep++ {
+				r, trace := run()
+				if !reflect.DeepEqual(r, ref) {
+					t.Fatalf("rep %d: result %+v != %+v (nondeterministic)", rep, r, ref)
+				}
+				if !reflect.DeepEqual(trace, refTrace) {
+					for i := range refTrace {
+						if trace[i] != refTrace[i] {
+							t.Fatalf("rep %d: access %d = %+v, want %+v", rep, i, trace[i], refTrace[i])
+						}
+					}
+					t.Fatalf("rep %d: traces differ in length: %d vs %d", rep, len(trace), len(refTrace))
+				}
+			}
+		})
+	}
+}
+
+// TestRunAheadMatchesPosting: a body whose posts depend on nothing
+// another processor writes gets the same served accesses, in the same
+// order at the same times, and the same Result apart from the
+// coordinator accounting, whether it posts or runs ahead. longRunBody
+// queues more accesses between two barriers than a queue holds, so the
+// full-queue path is covered as well as the synchronisation that
+// closes a queue.
+func TestRunAheadMatchesPosting(t *testing.T) {
+	for _, body := range []struct {
+		name string
+		fn   func(p *Proc)
+	}{{"stress", stressBody}, {"long runs", longRunBody}, {"ops", opsBody(1500)}} {
+		for _, procs := range []int{1, 2, 3, 8, 32} {
+			posted := &tracingMemory{lat: 4}
+			ahead := &tracingMemory{lat: 4}
+			want := Run(procs, posted, DefaultSyncCosts(), body.fn)
+			got := RunAhead(procs, ahead, DefaultSyncCosts(), body.fn)
+			if got.Coord.Queued == 0 {
+				t.Errorf("%s p=%d: no access was served from a queue", body.name, procs)
+			}
+			want.Coord, got.Coord = CoordStats{}, CoordStats{}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s p=%d: run-ahead result %+v, posting %+v", body.name, procs, got, want)
+			}
+			if !reflect.DeepEqual(ahead.trace, posted.trace) {
+				t.Errorf("%s p=%d: run-ahead served %d accesses in another order or at other times than posting (%d)",
+					body.name, procs, len(ahead.trace), len(posted.trace))
+			}
 		}
+	}
+}
+
+// longRunBody queues 2.5 queues' worth of accesses between barriers,
+// with a lock taken and released in the middle of the second stretch.
+func longRunBody(p *Proc) {
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 5*aheadQueue/2; i++ {
+			a := uint64(p.ID*100_003 + round*7919 + i)
+			if i%5 == 0 {
+				p.Write(a)
+			} else {
+				p.Read(a)
+			}
+			p.Compute(uint64(i % 3))
+			if round == 1 && i == aheadQueue {
+				p.Lock(0)
+				p.Write(42)
+				p.Unlock(0)
+			}
+		}
+		p.Barrier()
 	}
 }
 

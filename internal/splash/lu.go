@@ -117,7 +117,7 @@ func runLU(nproc int, m *coherence.Machine, sz Size) mpsim.Result {
 	orig := make([]float64, len(a))
 	copy(orig, a)
 
-	res := mpsim.Run(nproc, m, m.Lat.SyncCosts(), body)
+	res := runAhead(nproc, m, m.Lat.SyncCosts(), body)
 
 	// Execution-driven means the computation is real: for small data
 	// sets (tests), verify that L·U reconstructs the original matrix.
@@ -169,11 +169,4 @@ func verifyLU(orig, lu []float64, n int) error {
 		return fmt.Errorf("max residual %g", worst)
 	}
 	return nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

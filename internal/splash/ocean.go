@@ -81,7 +81,7 @@ func runOcean(nproc int, m *coherence.Machine, sz Size) mpsim.Result {
 			p.Barrier()
 		}
 	}
-	res := mpsim.Run(nproc, m, m.Lat.SyncCosts(), body)
+	res := runAhead(nproc, m, m.Lat.SyncCosts(), body)
 	_ = resVal
 	return res
 }

@@ -123,6 +123,15 @@ func ByName(name string) (Benchmark, error) {
 	return Benchmark{}, fmt.Errorf("splash: unknown benchmark %q", name)
 }
 
+// runAhead is how a kernel opts in to mpsim.RunAhead: LU, OCEAN and
+// WATER call it, because what they post between two synchronisations
+// follows from loop indices alone, never from data another processor
+// writes. MP3D (its collision test reads cell counters every processor
+// bumps) and PTHOR (it evaluates gates from values other processors
+// publish in the same step) call mpsim.Run and post one operation at a
+// time. Tests replace it to run the opted-in kernels both ways.
+var runAhead = mpsim.RunAhead
+
 // array maps indices of a shared Go-side slice to simulated addresses.
 type array struct {
 	base uint64

@@ -100,5 +100,5 @@ func runWater(nproc int, m *coherence.Machine, sz Size) mpsim.Result {
 			p.Barrier()
 		}
 	}
-	return mpsim.Run(nproc, m, m.Lat.SyncCosts(), body)
+	return runAhead(nproc, m, m.Lat.SyncCosts(), body)
 }
