@@ -160,14 +160,12 @@ type request struct {
 // op queues one operation. An access goes on queueing while the queue
 // has room; anything else closes the queue and hands it to the driver.
 func (p *Proc) op(kind opKind, addr uint64, write bool, lockID int) {
-	p.queue[p.posted] = request{kind: kind, write: write, addr: addr, lockID: lockID, gap: p.pending}
-	p.posted++
-	p.pending = 0
+	p.post(kind, addr, write, lockID)
 	if kind == opAccess && p.posted < len(p.queue) {
 		return
 	}
 	s := p.sim
-	pid := s.start(p)
+	pid := int32(p.ID)
 	if s.alone {
 		// While this body's operation sorts first, the driver would pop
 		// it next: serve it here.
@@ -179,7 +177,7 @@ func (p *Proc) op(kind opKind, addr uint64, write bool, lockID int) {
 			if len(s.ready) == 1 { // granted this body alone
 				s.ready = s.ready[:0]
 				s.selfServes++
-				p.posted = 0
+				p.posted, p.head = 0, 0
 				return
 			}
 			p.wait()
@@ -196,15 +194,23 @@ func (p *Proc) wait() {
 	if !p.yield(struct{}{}) {
 		panic(errStopped)
 	}
-	p.posted = 0
+	p.posted, p.head = 0, 0
 }
 
-// start puts p's first queued operation in service: it advances p's
-// clock by the compute cycles posted before it.
-func (s *sim) start(p *Proc) int32 {
-	p.head = 0
-	s.time[p.ID] += p.queue[0].gap
-	return int32(p.ID)
+// post writes one operation into p's queue. The first operation of a
+// queue is in service at once, so the compute cycles before it go
+// straight onto p's clock; a later one keeps them as its gap until
+// serveQueued puts it in service.
+func (p *Proc) post(kind opKind, addr uint64, write bool, lockID int) {
+	if p.posted == 0 {
+		p.sim.time[p.ID] += p.pending
+	}
+	// Field by field: a five-field composite literal is built on the
+	// stack and copied with wide loads that stall on its narrow stores.
+	r := &p.queue[p.posted]
+	r.kind, r.write, r.addr, r.lockID, r.gap = kind, write, addr, lockID, p.pending
+	p.posted++
+	p.pending = 0
 }
 
 // Result summarises one simulation run.
@@ -257,6 +263,7 @@ type sim struct {
 	heap  []int32 // min-heap of posted procs keyed by (time, proc id)
 	ready []int32 // procs serve granted, resumed before the driver pops again
 	alone bool    // the driver resumed one body, which may serve itself
+	ahead bool    // queues hold more than one operation (RunAhead)
 	alive int     // procs that have not finished
 
 	locks []lockState // keyed by lock id
@@ -320,6 +327,7 @@ func drive(n int, mem Memory, costs SyncCosts, body func(p *Proc), queue int) Re
 		heap:  make([]int32, 0, n),
 		ready: make([]int32, 0, n),
 		bar:   barrierState{waiting: make([]int32, 0, n)},
+		ahead: queue > 1,
 		alive: n,
 	}
 	queues := make([]request, n*queue)
@@ -404,9 +412,8 @@ func (p *Proc) coroutine(body func(*Proc)) iter.Seq[struct{}] {
 		}()
 		p.yield = yield
 		body(p)
-		p.queue[p.posted] = request{kind: opDone, gap: p.pending}
-		p.posted++
-		p.sim.push(p.sim.start(p))
+		p.post(opDone, 0, false, 0)
+		p.sim.push(int32(p.ID))
 	}
 }
 
@@ -485,8 +492,12 @@ func (s *sim) lock(id int) *lockState {
 }
 
 // queuedBehind reports whether more of pid's queue waits behind its
-// operation in service. Only an access can be followed in a queue.
+// operation in service. Only an access can be followed in a queue, and
+// nothing can in a queue of one.
 func (s *sim) queuedBehind(pid int32) bool {
+	if !s.ahead {
+		return false
+	}
 	p := &s.procs[pid]
 	return p.head+1 < p.posted
 }

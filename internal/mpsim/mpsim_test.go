@@ -258,11 +258,20 @@ func TestSplashStyleImbalanceLow(t *testing.T) {
 
 // TestSingleProcessorNeverYields: a processor running alone serves
 // every operation itself, its first one and barrier releases included,
-// so the driver never resumes it. Running ahead, it serves each access
-// with more of its queue behind it straight from the queue.
+// so the driver never resumes it. Running ahead, each of its 11 reads
+// is queued ahead of the lock or end that closes its queue and served
+// from the queue, and the 21 lock operations and barriers are
+// self-served.
 func TestSingleProcessorNeverYields(t *testing.T) {
-	for _, mode := range modes {
-		r := mode.run(1, &flatMemory{lat: 1}, DefaultSyncCosts(), func(p *Proc) {
+	for _, tc := range []struct {
+		name               string
+		run                func(n int, mem Memory, costs SyncCosts, body func(p *Proc)) Result
+		selfServes, queued int64
+	}{
+		{"posting", Run, 32, 0},
+		{"run-ahead", RunAhead, 21, 11},
+	} {
+		r := tc.run(1, &flatMemory{lat: 1}, DefaultSyncCosts(), func(p *Proc) {
 			for i := 0; i < 10; i++ {
 				p.Read(uint64(i))
 				p.Lock(0)
@@ -271,12 +280,12 @@ func TestSingleProcessorNeverYields(t *testing.T) {
 			p.Barrier()
 			p.Read(0)
 		})
-		if r.Coord.Grants != 0 {
-			t.Errorf("%s: grants = %d, want 0", mode.name, r.Coord.Grants)
+		if ops := r.Accesses + r.LockOps + r.Barriers; ops != 32 {
+			t.Errorf("%s: accesses+lock ops+barriers = %d, want 32", tc.name, ops)
 		}
-		if ops := r.Accesses + r.LockOps + r.Barriers; ops != 32 || r.Coord.SelfServes+r.Coord.Queued != ops {
-			t.Errorf("%s: self-serves+queued = %d, accesses+lock ops+barriers = %d, want 32 each",
-				mode.name, r.Coord.SelfServes+r.Coord.Queued, ops)
+		if c := r.Coord; c.Grants != 0 || c.SelfServes != tc.selfServes || c.Queued != tc.queued {
+			t.Errorf("%s: grants, self-serves, queued = %d, %d, %d, want 0, %d, %d",
+				tc.name, c.Grants, c.SelfServes, c.Queued, tc.selfServes, tc.queued)
 		}
 	}
 }
