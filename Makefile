@@ -15,7 +15,9 @@ vet:
 
 # Static analysis beyond vet, pinned so local and CI agree. Fetches the
 # tool through the module proxy on first use (needs network; CI runs it,
-# offline sandboxes can skip).
+# offline sandboxes can skip). Production functions that only tests call
+# are gated offline too, by the root package's TestNoTestOnlyFunctions,
+# which `make test` and CI's vet step run.
 STATICCHECK_VERSION ?= 2024.1.1
 lint:
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./...
@@ -49,18 +51,23 @@ bench:
 # coordinator alone, the coherence model alone (a recorded OCEAN access
 # stream replayed into a fresh machine, in Mop/s), and the GSPN event
 # loop alone (a small mixed net and a 16-bank net shaped like the
-# cpumodel nets, in Mfiring/s), and the trace codec alone (decode and
+# cpumodel nets, in Mfiring/s), the trace codec alone (decode and
 # encode of one recorded workload stream in Mref/s, and the replay-time
-# integrity check in bytes/s), with allocation stats. The coordinator
-# and GSPN benchmarks report ns per operation or step, so they run a
-# fixed million of them rather than two; the trace and coherence
-# benchmarks run a fixed hundred passes.
+# integrity check in bytes/s), the Figure 2 memory-hierarchy walk alone
+# (ns per access), and the VM alone (one workload program at a fixed
+# instruction budget, in Minstr/s), with allocation stats. The
+# coordinator, GSPN and memory-hierarchy benchmarks report ns per
+# operation, step or access, so they run a fixed million of them rather
+# than two; the trace, coherence and VM benchmarks run a fixed hundred
+# passes.
 bench-figures:
 	$(GO) test -run '^$$' -bench 'Designspace$$|Fig[78](Replay|ReplayCold|Warm)?$$|Fig12$$|Table3$$|Fig1[3-7]|CacheSetRefs$$' -benchmem -benchtime 2x . ./internal/workload
 	$(GO) test -run '^$$' -bench 'CoordinatorOps$$' -benchmem -benchtime 1000000x ./internal/mpsim
 	$(GO) test -run '^$$' -bench 'MachineAccess$$' -benchmem -benchtime 100x ./internal/coherence
 	$(GO) test -run '^$$' -bench 'SimStep(Banks)?$$' -benchmem -benchtime 1000000x ./internal/gspn
 	$(GO) test -run '^$$' -bench '(Reader|Writer)Refs$$|Check$$' -benchmem -benchtime 100x ./internal/trace
+	$(GO) test -run '^$$' -bench 'AccessNs$$' -benchmem -benchtime 1000000x ./internal/memsys
+	$(GO) test -run '^$$' -bench 'RunProgram$$' -benchmem -benchtime 100x ./internal/vm
 
 # Record the current Fig7/Fig8 numbers as the checked-in baseline.
 bench-baseline:
@@ -72,7 +79,7 @@ bench-baseline:
 # (deterministic). -require keeps the guard honest: the acceptance
 # benchmarks must actually run, so the observability hooks cannot
 # regress them unnoticed by a pattern that matches nothing.
-BENCH_REQUIRED = BenchmarkFig7,BenchmarkFig8,BenchmarkFig7Replay,BenchmarkFig7ReplayCold,BenchmarkFig8Replay,BenchmarkFig7Warm,BenchmarkTable3,BenchmarkFig12,BenchmarkFig13LU,BenchmarkFig14MP3D,BenchmarkFig15Ocean,BenchmarkFig16Water,BenchmarkFig17Pthor,BenchmarkDesignspace,BenchmarkCacheSetRefs,BenchmarkFamilyCacheSetRefs,BenchmarkCoordinatorOps,BenchmarkMachineAccess,BenchmarkSimStep,BenchmarkSimStepBanks,BenchmarkReaderRefs,BenchmarkWriterRefs,BenchmarkCheck
+BENCH_REQUIRED = BenchmarkFig7,BenchmarkFig8,BenchmarkFig7Replay,BenchmarkFig7ReplayCold,BenchmarkFig8Replay,BenchmarkFig7Warm,BenchmarkTable3,BenchmarkFig12,BenchmarkFig13LU,BenchmarkFig14MP3D,BenchmarkFig15Ocean,BenchmarkFig16Water,BenchmarkFig17Pthor,BenchmarkDesignspace,BenchmarkCacheSetRefs,BenchmarkFamilyCacheSetRefs,BenchmarkCoordinatorOps,BenchmarkMachineAccess,BenchmarkSimStep,BenchmarkSimStepBanks,BenchmarkReaderRefs,BenchmarkWriterRefs,BenchmarkCheck,BenchmarkAccessNs,BenchmarkRunProgram
 
 bench-check:
 	$(MAKE) -s bench-figures | $(GO) run ./cmd/benchguard -baseline BENCH_baseline.json -threshold 0.20 -require $(BENCH_REQUIRED)
@@ -81,8 +88,9 @@ bench-check-ci:
 	$(MAKE) -s bench-figures | $(GO) run ./cmd/benchguard -baseline BENCH_baseline.json -time=false -require $(BENCH_REQUIRED)
 
 # Exercise the trace codec, trace-store replay, assembler, VM step,
-# GSPN equivalence and designspace axis-flag fuzz targets for a minute
-# each (CI runs a 10-second smoke; this is the pre-commit depth).
+# GSPN equivalence, designspace axis-flag, machine-description and
+# daemon-request fuzz targets for a minute each (CI runs a 10-second
+# smoke; this is the pre-commit depth).
 FUZZTIME ?= 60s
 fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzReaderNext -fuzztime $(FUZZTIME)
@@ -92,6 +100,8 @@ fuzz:
 	$(GO) test ./internal/vm -run '^$$' -fuzz FuzzStep -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/gspn -run '^$$' -fuzz FuzzSimEquivalence -fuzztime $(FUZZTIME)
 	$(GO) test ./cmd/iramsim -run '^$$' -fuzz FuzzParseAxis -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzFromJSON -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/runner -run '^$$' -fuzz FuzzRequest -fuzztime $(FUZZTIME)
 
 # Pre-record every workload's reference stream into the local trace
 # cache; later `iramsim -trace-dir $(TRACE_DIR) ...` runs skip the VM.

@@ -222,8 +222,11 @@ func BenchmarkFig12(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ms := experiments.NewMeasurementSet(o)
 		r := run[*experiments.LatencyResult](b, "fig12", o, ms)
-		if v, ok := r.CPIAt("126.gcc", 0, 6); ok {
-			cpi30ns = v
+		for _, p := range r.Points {
+			if p.Bench == "126.gcc" && p.MemCycles == 6 {
+				cpi30ns = p.CPI
+				break
+			}
 		}
 	}
 	b.ReportMetric(cpi30ns, "gcc_cpi_at_30ns")

@@ -49,23 +49,21 @@ func TestPruneZeroEmptiesStore(t *testing.T) {
 	s := newStore(t)
 	commitSized(t, s, "a", 10, time.Hour)
 	commitSized(t, s, "b", 10, time.Hour)
-	if size, _ := s.Size(); size != 20 {
-		t.Fatalf("store size = %d, want 20", size)
+	if removed, freed, err := s.Prune(0); err != nil || removed != 2 || freed != 20 {
+		t.Fatalf("Prune(0) = (%d, %d, %v), want 2 entries of 20 bytes", removed, freed, err)
 	}
-	if removed, _, err := s.Prune(0); err != nil || removed != 2 {
-		t.Fatalf("Prune(0) removed %d (err %v), want 2", removed, err)
-	}
-	if size, _ := s.Size(); size != 0 {
-		t.Errorf("store size after Prune(0) = %d", size)
+	if ents, err := os.ReadDir(s.dir); err != nil || len(ents) != 0 {
+		t.Errorf("store after Prune(0) holds %d files (err %v)", len(ents), err)
 	}
 }
 
 // TestPruneSweepsStaleTemps: an orphaned temp file from a crashed
 // writer is removed once clearly stale; a fresh one (possibly an
 // in-flight Commit from another process) is left alone, and neither
-// counts toward the store's size.
+// counts toward the size Prune caps.
 func TestPruneSweepsStaleTemps(t *testing.T) {
 	s := newStore(t)
+	commitSized(t, s, "a", 10, time.Hour)
 	stale := filepath.Join(s.dir, "crashed.tmp")
 	fresh := filepath.Join(s.dir, "inflight.tmp")
 	for _, p := range []string{stale, fresh} {
@@ -77,12 +75,13 @@ func TestPruneSweepsStaleTemps(t *testing.T) {
 	if err := os.Chtimes(stale, old, old); err != nil {
 		t.Fatal(err)
 	}
-	if size, _ := s.Size(); size != 0 {
-		t.Errorf("temp files counted toward store size: %d", size)
-	}
 
-	if _, _, err := s.Prune(1 << 20); err != nil {
-		t.Fatal(err)
+	// The entry alone fills the cap: only the stale temp file goes.
+	if removed, _, err := s.Prune(10); err != nil || removed != 1 {
+		t.Fatalf("Prune(10) = (%d, %v), want only the stale temp file removed", removed, err)
+	}
+	if _, err := os.Stat(s.Path("a")); err != nil {
+		t.Errorf("entry evicted, so temp files counted toward the cap: %v", err)
 	}
 	if _, err := os.Stat(stale); !os.IsNotExist(err) {
 		t.Error("stale temp file survived prune")

@@ -86,21 +86,3 @@ func (s *Store) Prune(maxBytes int64) (removed int, freed int64, err error) {
 	}
 	return removed, freed, nil
 }
-
-// Size returns the store's total size in bytes across complete entries.
-func (s *Store) Size() (int64, error) {
-	ents, err := os.ReadDir(s.dir)
-	if err != nil {
-		return 0, err
-	}
-	var total int64
-	for _, e := range ents {
-		if e.IsDir() || filepath.Ext(e.Name()) != s.ext {
-			continue
-		}
-		if info, ierr := e.Info(); ierr == nil {
-			total += info.Size()
-		}
-	}
-	return total, nil
-}

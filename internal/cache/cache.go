@@ -40,15 +40,6 @@ func (s Stats) Data() stats.Counter {
 	return c
 }
 
-// All returns the combined counter over every reference kind. Like
-// Data, the result is an independent copy; callers may accumulate into
-// it freely.
-func (s Stats) All() stats.Counter {
-	c := s.Data()
-	c.Add(s.Ifetch)
-	return c
-}
-
 func (s *Stats) record(kind trace.Kind, miss bool) {
 	var c *stats.Counter
 	switch kind {
@@ -176,15 +167,6 @@ func (c *SetAssoc) Name() string { return c.name }
 
 // Stats implements Cache.
 func (c *SetAssoc) Stats() Stats { return c.stats }
-
-// LineSize returns the cache's line size in bytes.
-func (c *SetAssoc) LineSize() uint64 { return c.lineSize }
-
-// Sets returns the number of sets.
-func (c *SetAssoc) Sets() uint64 { return c.sets }
-
-// Ways returns the associativity.
-func (c *SetAssoc) Ways() int { return c.ways }
 
 // Access implements Cache.
 func (c *SetAssoc) Access(addr uint64, kind trace.Kind) bool {
@@ -417,11 +399,4 @@ func (w *WithVictim) Access(addr uint64, kind trace.Kind) bool {
 	w.Main.fill(addr, isStore)
 	w.stats.record(kind, true)
 	return false
-}
-
-// Invalidate removes addr's block from both structures (coherence).
-func (w *WithVictim) Invalidate(addr uint64) bool {
-	m := w.Main.Invalidate(addr)
-	v := w.Vic.Invalidate(addr)
-	return m || v
 }

@@ -86,7 +86,7 @@ func TestStatsPerKind(t *testing.T) {
 	if s.Ifetch.Events != 1 || s.Ifetch.Total != 1 {
 		t.Errorf("ifetch stats = %+v", s.Ifetch)
 	}
-	if s.Data().Total != 4 || s.All().Total != 5 {
+	if s.Data().Total != 4 {
 		t.Errorf("aggregates wrong: %+v", s)
 	}
 }
@@ -107,14 +107,14 @@ func TestInvalidate(t *testing.T) {
 
 func TestProposedGeometries(t *testing.T) {
 	ic := paperICache()
-	if ic.Sets() != 16 || ic.Ways() != 1 || ic.LineSize() != 512 {
+	if ic.sets != 16 || ic.ways != 1 || ic.lineSize != 512 {
 		t.Errorf("I-cache geometry: %d sets, %d ways, %d B lines",
-			ic.Sets(), ic.Ways(), ic.LineSize())
+			ic.sets, ic.ways, ic.lineSize)
 	}
 	dc := paperDCache()
-	if dc.Sets() != 16 || dc.Ways() != 2 || dc.LineSize() != 512 {
+	if dc.sets != 16 || dc.ways != 2 || dc.lineSize != 512 {
 		t.Errorf("D-cache geometry: %d sets, %d ways, %d B lines",
-			dc.Sets(), dc.Ways(), dc.LineSize())
+			dc.sets, dc.ways, dc.lineSize)
 	}
 	v := paperVictim()
 	if len(v.entries) != 16 || v.lineSize != 32 {
@@ -401,9 +401,9 @@ func TestStreamBufferPanics(t *testing.T) {
 	NewStreamBuffer(0, 4)
 }
 
-// TestStatsCopySemantics is the regression test for the Data()/All()
-// value-copy contract: the returned counters are independent copies, so
-// accumulating into them must never corrupt the underlying Stats. Every
+// TestStatsCopySemantics is the regression test for the Data()
+// value-copy contract: the returned counter is an independent copy, so
+// accumulating into it must never corrupt the underlying Stats. Every
 // call site in the repo relies on this when it chains .Percent()/.Rate()
 // off the result or folds several caches' counters together.
 func TestStatsCopySemantics(t *testing.T) {
@@ -416,17 +416,13 @@ func TestStatsCopySemantics(t *testing.T) {
 	d := c.Stats().Data()
 	d.Events += 100
 	d.Total += 100
-	a := c.Stats().All()
-	a.Add(d)
+	d.Add(c.Stats().Data())
 
 	if got := c.Stats(); got != before {
-		t.Errorf("mutating Data()/All() results changed Stats: %+v -> %+v", before, got)
+		t.Errorf("mutating a Data() result changed Stats: %+v -> %+v", before, got)
 	}
 	if got := c.Stats().Data(); got.Total != 2 {
 		t.Errorf("Data total = %d, want 2", got.Total)
-	}
-	if got := c.Stats().All(); got.Total != 3 {
-		t.Errorf("All total = %d, want 3", got.Total)
 	}
 }
 

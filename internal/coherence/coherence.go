@@ -373,9 +373,6 @@ func NewINCGeom(capacityBytes, unitBytes uint64, ways, unitsPerSet int) *INC {
 
 func (c *INC) set(block uint64) int { return int(block % uint64(c.sets)) }
 
-// Sets returns the number of sets (for tests and ablations).
-func (c *INC) Sets() int { return c.sets }
-
 // row returns the block's set as flat-array slices.
 func (c *INC) row(block uint64) (blocks []uint64, valid []bool) {
 	s := c.set(block) * c.ways

@@ -181,7 +181,7 @@ func TestLocalVictimHonoursPoison(t *testing.T) {
 
 func TestINCSevenWayAssociativity(t *testing.T) {
 	inc := newPaperINC(512 * 8)
-	sets := uint64(inc.Sets())
+	sets := uint64(inc.sets)
 	if sets < 2 {
 		t.Fatalf("degenerate INC: %d sets", sets)
 	}
@@ -218,7 +218,7 @@ func TestINCInvalidate(t *testing.T) {
 // by Insert, and Invalidates counts only blocks actually removed.
 func TestINCEventAccounting(t *testing.T) {
 	inc := newPaperINC(512 * 8)
-	sets := uint64(inc.Sets())
+	sets := uint64(inc.sets)
 	// Filling the seven ways of set 0 evicts nothing.
 	for i := uint64(0); i < 7; i++ {
 		inc.Insert(i * sets)

@@ -335,6 +335,12 @@ func (d Device) Validate() error {
 	if d.INCWays < 1 {
 		return fmt.Errorf("core: INC associativity %d, want >= 1", d.INCWays)
 	}
+	// The INC is held in the DRAM array (Figure 6), like the column
+	// buffers, so it cannot outgrow it.
+	if d.INCBytes <= 0 || uint64(d.INCBytes) > d.DRAM.CapacityBytes {
+		return fmt.Errorf("core: INC %d B outside 1..%d B (the DRAM array)",
+			d.INCBytes, d.DRAM.CapacityBytes)
+	}
 	if d.INCBytes%d.DRAM.ColumnBytes != 0 {
 		return fmt.Errorf("core: INC %d B not a multiple of the %d B column",
 			d.INCBytes, d.DRAM.ColumnBytes)

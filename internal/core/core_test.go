@@ -1,8 +1,11 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/cache"
 )
 
 func TestProposedValidates(t *testing.T) {
@@ -80,6 +83,12 @@ func TestValidateCatchesImbalance(t *testing.T) {
 		// banks × column wraps to zero, so only an overflow-free
 		// buffer product sees the size.
 		"wrapped banks": func(d *Device) { *d = d.WithOrganisation(1<<60, 512, 16, 2) },
+		// The INC lives in the DRAM array: a 64 GiB one would have
+		// NewINCGeom allocate gigabytes of tags per node, and a
+		// negative one panics it.
+		"64 GiB INC":   func(d *Device) { d.INCBytes = 64 << 30 },
+		"negative INC": func(d *Device) { d.INCBytes = -512 },
+		"empty INC":    func(d *Device) { d.INCBytes = 0 },
 	}
 	for name, mutate := range mutations {
 		d := Proposed()
@@ -112,8 +121,9 @@ func TestValidateRejectsBadParams(t *testing.T) {
 
 func TestCachesMatchSpec(t *testing.T) {
 	dc, vc := Proposed().DCache()
-	if dc.Sets() != 16 || dc.Ways() != 2 || dc.LineSize() != 512 {
-		t.Errorf("D-cache instantiation: %d sets, %d ways, %d B", dc.Sets(), dc.Ways(), dc.LineSize())
+	// 16 sets of two 512 B ways: one column buffer per way in each bank.
+	if want := cache.NewSetAssoc(dc.Name(), 16*2*512, 512, 2); !reflect.DeepEqual(dc, want) {
+		t.Errorf("D-cache instantiation %q is not 16 sets of two 512 B ways", dc.Name())
 	}
 	if vc == nil {
 		t.Fatal("paper device built without its victim cache")
@@ -183,4 +193,38 @@ func TestAreaMM2(t *testing.T) {
 	if less := base.WithGeometry(16, 512, 0); less.AreaMM2() >= a {
 		t.Error("dropping the victim cache must save area")
 	}
+}
+
+// FuzzFromJSON feeds arbitrary machine descriptions, the -machine file
+// and the daemon's "machine" field, to FromJSON: bad input must come
+// back as an error, never a panic, and a device it accepts must keep
+// its Inter-Node Cache inside the DRAM array that holds it.
+func FuzzFromJSON(f *testing.F) {
+	for _, seed := range []string{
+		`{}`,
+		`{"Name": "32-bank 256Mbit PE (256 B columns)", "DRAM": {"Banks": 32, "ColumnBytes": 256},
+		  "ICacheBytes": 8192, "ICacheLineBytes": 256, "DCacheBytes": 16384, "DCacheLineBytes": 256,
+		  "VictimEntries": 8}`,
+		`{"INCBytes": 68719476736}`,
+		`{"INCBytes": -512}`,
+		`{"INCBytes": 0}`,
+		`{"INCWays": 0}`,
+		`{"DRAM": {"PrechargeCycles": 0}}`,
+		`{"DRAM": {"Banks": 1152921504606846976}}`,
+		`{"Integrated": false, "L2Bytes": 1000, "L2Ways": 3, "L2LineBytes": 7, "L2Cycles": 1}`,
+		`{"NoSuchKnob": 1}`,
+		`{"DRAM": `,
+		`null`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, err := FromJSON(data)
+		if err != nil {
+			return
+		}
+		if d.Integrated && (d.INCBytes <= 0 || uint64(d.INCBytes) > d.DRAM.CapacityBytes) {
+			t.Fatalf("FromJSON accepted a %d B INC in a %d B array", d.INCBytes, d.DRAM.CapacityBytes)
+		}
+	})
 }

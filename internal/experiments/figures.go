@@ -144,16 +144,6 @@ func (r *LatencyResult) Table() *report.Table {
 	return t
 }
 
-// CPIAt returns the CPI for a bench at given latencies (0 = any).
-func (r *LatencyResult) CPIAt(bench string, slc, mem float64) (float64, bool) {
-	for _, p := range r.Points {
-		if p.Bench == bench && (slc == 0 || p.SLCCycles == slc) && p.MemCycles == mem {
-			return p.CPI, true
-		}
-	}
-	return 0, false
-}
-
 // ---------------------------------------------------------------------
 // Section 5.6: bank-count sensitivity.
 // ---------------------------------------------------------------------

@@ -319,12 +319,6 @@ func (n *Net) checkArc(t TransID, p PlaceID, mult int) {
 	}
 }
 
-// PlaceName returns the place's name.
-func (n *Net) PlaceName(p PlaceID) string { return n.places[p].name }
-
-// TransName returns the transition's name.
-func (n *Net) TransName(t TransID) string { return n.trans[t].name }
-
 // NumPlaces returns the number of places.
 func (n *Net) NumPlaces() int { return len(n.places) }
 
@@ -422,12 +416,6 @@ func NewSim(n *Net, seed int64) *Sim {
 
 // Now returns the current simulation time.
 func (s *Sim) Now() float64 { return s.now }
-
-// Marking returns the current token count of a place.
-func (s *Sim) Marking(p PlaceID) int { return s.marking[p] }
-
-// Firings returns how many times a transition has fired.
-func (s *Sim) Firings(t TransID) int64 { return s.firings[t] }
 
 // TimeAvgTokens returns the time-averaged token count of a place.
 func (s *Sim) TimeAvgTokens(p PlaceID) float64 {
@@ -696,25 +684,6 @@ func (s *Sim) RunUntilFirings(t TransID, n int64) error {
 		}
 	}
 	return nil
-}
-
-// RunUntilTime advances the simulation until the clock reaches at least
-// the given time.
-func (s *Sim) RunUntilTime(t float64) error {
-	for s.now < t {
-		if err := s.Step(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Throughput returns firings of t per unit time.
-func (s *Sim) Throughput(t TransID) float64 {
-	if s.now == 0 {
-		return 0
-	}
-	return float64(s.firings[t]) / s.now
 }
 
 // TransKind returns the transition's timing class.

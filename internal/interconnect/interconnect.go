@@ -6,8 +6,6 @@
 // and aggregate bandwidth.
 package interconnect
 
-import "fmt"
-
 // LinkParams describes one serial link.
 type LinkParams struct {
 	GbitPerSec float64 // raw signalling rate (2.5 in a 0.25 µm process)
@@ -40,11 +38,6 @@ func NewNode(n int, p LinkParams) *Node {
 	return &Node{Links: n, Params: p}
 }
 
-// PeakBytesPerSec returns the node's aggregate usable bandwidth.
-func (n *Node) PeakBytesPerSec() float64 {
-	return float64(n.Links) * n.Params.GbitPerSec * 1e9 * n.Params.Efficiency / 8
-}
-
 // bytesPerNs returns the usable payload bandwidth of one link.
 func (n *Node) bytesPerNs() float64 {
 	return n.Params.GbitPerSec * n.Params.Efficiency / 8
@@ -61,17 +54,4 @@ func (n *Node) RemoteReadNs(blockBytes, hops int) float64 {
 	req := float64(headerBytes)/bw + n.Params.FlightNs + float64(hops)*n.Params.RouteNs
 	resp := float64(blockBytes+headerBytes)/bw + n.Params.FlightNs + float64(hops)*n.Params.RouteNs
 	return req + resp
-}
-
-// Check verifies the paper's headline claims about the fabric; it
-// returns a descriptive error when a claim does not hold under the
-// given parameters (used by tests as executable documentation).
-func Check(n *Node) error {
-	if got := n.PeakBytesPerSec(); got < 0.9e9 {
-		return fmt.Errorf("interconnect: peak bandwidth %.3g B/s too low for the paper's ~1 GB/s-class fabric", got)
-	}
-	if rt := n.RemoteReadNs(32, 2); rt > 200 {
-		return fmt.Errorf("interconnect: remote read %.1f ns exceeds the paper's sub-200 ns claim", rt)
-	}
-	return nil
 }

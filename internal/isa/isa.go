@@ -192,12 +192,6 @@ func (o Op) IsStore() bool { return o >= OpSb && o <= OpSd }
 // IsBranch reports whether the opcode is a conditional branch.
 func (o Op) IsBranch() bool { return o >= OpBeq && o <= OpBgeu }
 
-// IsJump reports whether the opcode is an unconditional control transfer.
-func (o Op) IsJump() bool { return o == OpJal || o == OpJalr }
-
-// IsFloat reports whether the opcode is a floating-point operation.
-func (o Op) IsFloat() bool { return o >= OpFAdd && o <= OpFSlt }
-
 // MemSize returns the access width in bytes for a load or store, or 0.
 func (o Op) MemSize() int {
 	switch o {
@@ -263,9 +257,6 @@ type Segment struct {
 	Base  uint64
 	Bytes []byte
 }
-
-// CodeSize returns the code footprint in bytes.
-func (p *Program) CodeSize() int { return len(p.Code) * WordSize }
 
 // InstrAt returns the instruction at the given address.
 // ok is false if the address is outside the code segment or unaligned.

@@ -9,28 +9,26 @@ func TestOpClassification(t *testing.T) {
 	cases := []struct {
 		op              Op
 		load, store, br bool
-		jump, flt       bool
 		memSize         int
 	}{
-		{OpAdd, false, false, false, false, false, 0},
-		{OpLb, true, false, false, false, false, 1},
-		{OpLh, true, false, false, false, false, 2},
-		{OpLw, true, false, false, false, false, 4},
-		{OpLd, true, false, false, false, false, 8},
-		{OpSb, false, true, false, false, false, 1},
-		{OpSd, false, true, false, false, false, 8},
-		{OpBeq, false, false, true, false, false, 0},
-		{OpBgeu, false, false, true, false, false, 0},
-		{OpJal, false, false, false, true, false, 0},
-		{OpJalr, false, false, false, true, false, 0},
-		{OpFAdd, false, false, false, false, true, 0},
-		{OpFSlt, false, false, false, false, true, 0},
-		{OpHalt, false, false, false, false, false, 0},
+		{OpAdd, false, false, false, 0},
+		{OpLb, true, false, false, 1},
+		{OpLh, true, false, false, 2},
+		{OpLw, true, false, false, 4},
+		{OpLd, true, false, false, 8},
+		{OpSb, false, true, false, 1},
+		{OpSd, false, true, false, 8},
+		{OpBeq, false, false, true, 0},
+		{OpBgeu, false, false, true, 0},
+		{OpJal, false, false, false, 0},
+		{OpJalr, false, false, false, 0},
+		{OpFAdd, false, false, false, 0},
+		{OpFSlt, false, false, false, 0},
+		{OpHalt, false, false, false, 0},
 	}
 	for _, c := range cases {
 		if c.op.IsLoad() != c.load || c.op.IsStore() != c.store ||
-			c.op.IsBranch() != c.br || c.op.IsJump() != c.jump ||
-			c.op.IsFloat() != c.flt || c.op.MemSize() != c.memSize {
+			c.op.IsBranch() != c.br || c.op.MemSize() != c.memSize {
 			t.Errorf("%v classification wrong", c.op)
 		}
 	}
@@ -82,9 +80,6 @@ func TestProgramInstrAt(t *testing.T) {
 	}
 	if _, ok := p.InstrAt(0x1002); ok {
 		t.Error("unaligned InstrAt should fail")
-	}
-	if p.CodeSize() != 8 {
-		t.Errorf("CodeSize = %d", p.CodeSize())
 	}
 }
 

@@ -31,7 +31,7 @@ const magic = "iramres1"
 
 // Store is an on-disk, content-addressed cache of encoded unit results.
 // The embedded blobstore.Store owns the directory of ".res" entries,
-// their atomic commit, Path, Prune and Size; this layer adds the entry
+// their atomic commit, Path and Prune; this layer adds the entry
 // framing (magic, SHA-256 of the payload, payload) and in-process
 // single-flight.
 //

@@ -39,6 +39,8 @@ func TestValidate(t *testing.T) {
 		{"bad-machine-json", Request{Experiments: []string{"spec"}, Machine: json.RawMessage(`{`)}, "machine config"},
 		{"unknown-machine-field", Request{Experiments: []string{"spec"}, Machine: json.RawMessage(`{"NoSuchKnob":1}`)}, "machine config"},
 		{"invalid-machine", Request{Experiments: []string{"spec"}, Machine: json.RawMessage(`{"Banks":0}`)}, "machine config"},
+		// The Inter-Node Cache lives in the 32 MiB DRAM array.
+		{"inc-over-array", Request{Experiments: []string{"fig13"}, Machine: json.RawMessage(`{"INCBytes":68719476736}`)}, "INC 68719476736 B outside"},
 		// Each design-space axis takes up to MaxAxisValues values, the
 		// cap the iramsim -ds-* flags enforce.
 		{"ds_banks-at-cap", Request{Experiments: []string{"designspace"}, DSBanks: make([]int, MaxAxisValues)}, ""},
@@ -64,6 +66,39 @@ func TestValidate(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzRequest decodes arbitrary bodies the way iramsimd's POST /v1/runs
+// does (unknown fields rejected) and validates them: bad input must
+// come back as an error, never a panic.
+func FuzzRequest(f *testing.F) {
+	for _, seed := range []string{
+		`{"experiments":["fig7"],"quick":true,"budget":50000}`,
+		`{"experiments":["all"]}`,
+		`{"experiments":["cost","all"]}`,
+		`{"experiments":["fig14"],"procs":[1,64]}`,
+		`{"experiments":["fig14"],"procs":[0,65]}`,
+		`{"experiments":["designspace"],"ds_banks":[8,16],"ds_columns":[512],"ds_ways":[1,2],"ds_victims":[0,16],"ds_coarse":2,"ds_refine":1}`,
+		`{"experiments":["spec"],"machine":{"DRAM":{"Banks":32,"ColumnBytes":256},"ICacheBytes":8192,"ICacheLineBytes":256,"DCacheBytes":16384,"DCacheLineBytes":256,"VictimEntries":8}}`,
+		`{"experiments":["fig13"],"machine":{"INCBytes":68719476736}}`,
+		`{"experiments":["fig13"],"machine":{"INCBytes":-512}}`,
+		`{"experiments":["fig13"],"machine":{"INCBytes":0}}`,
+		`{"experiments":["spec"],"machine":{"DRAM":{"PrechargeCycles":0}}}`,
+		`{"experiments":["fig7"],"bogus":1}`,
+		`{"experiments":`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		var req Request
+		if err := dec.Decode(&req); err != nil {
+			return
+		}
+		_ = req.Validate() // an error is the daemon's 400; only a panic fails
+	})
 }
 
 func TestExpandNames(t *testing.T) {

@@ -142,14 +142,6 @@ func (p *SetProfiler) TrackerIndex(sets uint64) int {
 	return -1
 }
 
-// Trackers returns the number of distinct set counts profiled — the
-// per-reference scan cost, and the denominator of the family-sharing
-// win: one pass answers every (set count, ways <= tracker ways) point.
-func (p *SetProfiler) Trackers() int { return len(p.trackers) }
-
-// LineSize returns the profiler's line size in bytes.
-func (p *SetProfiler) LineSize() uint64 { return p.lineSize }
-
 // Pos returns the LRU position the latest Access hit at in tracker ti
 // (TrackerIndex order), or -1 on a miss. It lets callers route
 // fall-back structures (the reference system's L2 sees only

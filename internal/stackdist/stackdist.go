@@ -170,9 +170,6 @@ func (p *Profiler) compact() {
 // Footprint returns the number of distinct lines touched so far.
 func (p *Profiler) Footprint() int { return len(p.last) }
 
-// LineSize returns the profiler's line size in bytes.
-func (p *Profiler) LineSize() uint64 { return p.lineSize }
-
 // MissCounter returns the exact miss statistics a fully-associative
 // LRU cache with capacityLines lines (a power of two) would have seen
 // for the given reference kind. A reference misses iff its stack

@@ -143,8 +143,8 @@ func matchReplay(t *testing.T, geoms []Geometry, refs []trace.Ref) {
 func TestSetProfilerSharedTracker(t *testing.T) {
 	geoms := []Geometry{{Sets: 64, Ways: 1}, {Sets: 64, Ways: 2}}
 	p := NewSetProfiler(32, geoms)
-	if p.Trackers() != 1 {
-		t.Fatalf("expected 1 merged tracker, got %d", p.Trackers())
+	if len(p.trackers) != 1 {
+		t.Fatalf("expected 1 merged tracker, got %d", len(p.trackers))
 	}
 	dm := cache.NewSetAssoc("dm", 64*32, 32, 1)
 	tw := cache.NewSetAssoc("2w", 64*2*32, 32, 2)
@@ -244,8 +244,8 @@ func TestProfilerMatchesFullyAssociative(t *testing.T) {
 				}
 				for i, capacity := range capacities {
 					s := replicas[i].Stats()
-					var all cache.Stats = s
-					want := all.All()
+					want := s.Data()
+					want.Add(s.Ifetch)
 					got := p.MissCounterAll(capacity)
 					if got != want {
 						t.Errorf("capacity %d: profiler %+v, replay %+v", capacity, got, want)

@@ -359,20 +359,6 @@ func (t *Reader) refill() {
 // stopped after an error.
 func (t *Reader) Offset() int64 { return t.base + int64(t.pos) }
 
-// Next returns the next reference. At a verified end-of-trace record it
-// returns io.EOF; every other end of input is corruption. In particular
-// a partial trailing record — or input that stops at a record boundary
-// without the end marker — returns an error wrapping both ErrBadTrace
-// and io.ErrUnexpectedEOF, carrying the byte offset of the failure, and
-// never a bare io.EOF.
-func (t *Reader) Next() (Ref, error) {
-	var one [1]Ref
-	if _, err := t.Refs(one[:]); err != nil {
-		return Ref{}, err
-	}
-	return one[0], nil
-}
-
 // BatchLen is the default replay staging-buffer length, matched to the
 // VM run loop's batch size so replayed and live streams hit BatchSink
 // consumers with the same slice granularity.
@@ -380,7 +366,11 @@ const BatchLen = 256
 
 // Refs decodes up to len(buf) references into buf, returning how many
 // were filled. It returns io.EOF (possibly with n > 0) at a verified
-// end of trace, and otherwise exactly the errors Next returns.
+// end-of-trace record; every other end of input is corruption. In
+// particular a partial trailing record — or input that stops at a
+// record boundary without the end marker — returns an error wrapping
+// both ErrBadTrace and io.ErrUnexpectedEOF, carrying the byte offset of
+// the failure, and never a bare io.EOF.
 func (t *Reader) Refs(buf []Ref) (int, error) {
 	if t.done {
 		return 0, io.EOF
@@ -509,7 +499,7 @@ func (t *Reader) finish(head byte, decoded int64) error {
 
 // Replay streams the remaining references into a sink, returning the
 // count delivered. Decode errors carry the byte offset at which the
-// trace went bad (see Next).
+// trace went bad (see Refs).
 func (t *Reader) Replay(sink Sink) (int64, error) {
 	return t.ReplayBatch(sink, nil)
 }

@@ -32,7 +32,7 @@ func roundTrip(t *testing.T, refs []Ref) []Ref {
 	}
 	var out []Ref
 	for {
-		ref, err := r.Next()
+		ref, err := r.next()
 		if err == io.EOF {
 			break
 		}
@@ -154,7 +154,7 @@ func drain(t *testing.T, data []byte) (int, error) {
 	}
 	n := 0
 	for {
-		if _, err := r.Next(); err != nil {
+		if _, err := r.next(); err != nil {
 			return n, err
 		}
 		n++

@@ -30,11 +30,21 @@ func seedCorpus(f *testing.F) {
 	}
 }
 
-// FuzzReaderNext feeds arbitrary bytes to the decoder. The contract
-// under attack: Next never panics, never loops without consuming
-// input, and classifies every malformed stream as an error — a
-// downstream cache model can trust that whatever Next returns was a
-// validly encoded record.
+// next decodes one reference through Refs, the way a consumer with a
+// one-slot buffer reads the stream.
+func (t *Reader) next() (Ref, error) {
+	var one [1]Ref
+	if _, err := t.Refs(one[:]); err != nil {
+		return Ref{}, err
+	}
+	return one[0], nil
+}
+
+// FuzzReaderNext feeds arbitrary bytes to the decoder one reference at
+// a time. The contract under attack: the decoder never panics, never
+// loops without consuming input, and classifies every malformed stream
+// as an error — a downstream cache model can trust that whatever it
+// returns was a validly encoded record.
 func FuzzReaderNext(f *testing.F) {
 	seedCorpus(f)
 	// Headerless garbage and a corrupted header round out the seeds.
@@ -48,19 +58,19 @@ func FuzzReaderNext(f *testing.F) {
 			}
 			return
 		}
-		// Each Next consumes at least one byte or terminates, so the
+		// Each next consumes at least one byte or terminates, so the
 		// record count is bounded by the input length.
 		for i := 0; ; i++ {
 			if i > len(data)+1 {
 				t.Fatalf("decoder failed to terminate after %d records on %d input bytes", i, len(data))
 			}
-			_, err := r.Next()
+			_, err := r.next()
 			if err == io.EOF {
 				return
 			}
 			if err != nil {
 				if !errors.Is(err, ErrBadTrace) {
-					t.Fatalf("Next: non-trace error %v", err)
+					t.Fatalf("next: non-trace error %v", err)
 				}
 				return
 			}
@@ -98,7 +108,7 @@ func FuzzFileRoundTrip(f *testing.F) {
 			t.Fatal(err)
 		}
 		for i := range refs {
-			got, err := r.Next()
+			got, err := r.next()
 			if err != nil {
 				t.Fatalf("ref %d/%d: %v", i, len(refs), err)
 			}
@@ -106,7 +116,7 @@ func FuzzFileRoundTrip(f *testing.F) {
 				t.Fatalf("ref %d: got %+v, want %+v", i, got, refs[i])
 			}
 		}
-		if _, err := r.Next(); err != io.EOF {
+		if _, err := r.next(); err != io.EOF {
 			t.Fatalf("after %d refs: err %v, want io.EOF", len(refs), err)
 		}
 	})

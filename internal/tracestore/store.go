@@ -36,7 +36,7 @@ import (
 // a stale stream.
 //
 // The embedded blobstore.Store owns the directory of ".trc" entries,
-// their atomic commit, Prune and Size; readers only ever observe absent
+// their atomic commit and Prune; readers only ever observe absent
 // or complete entries. This layer adds the trace encoding and its
 // checks.
 //

@@ -118,9 +118,6 @@ func (m *Memory) Write(addr uint64, size int, v uint64) {
 	}
 }
 
-// PagesAllocated returns how many 64 KiB pages have been touched.
-func (m *Memory) PagesAllocated() int { return len(m.pages) }
-
 // CPU executes one program.
 type CPU struct {
 	Regs [isa.NumRegs]uint64

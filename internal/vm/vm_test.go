@@ -297,8 +297,8 @@ func TestSparseMemory(t *testing.T) {
 	if got := m.Read(0x999999999, 4); got != 0 {
 		t.Errorf("untouched memory = %#x, want 0", got)
 	}
-	if m.PagesAllocated() > 3 {
-		t.Errorf("pages allocated = %d, want sparse (<=3)", m.PagesAllocated())
+	if len(m.pages) > 3 {
+		t.Errorf("pages allocated = %d, want sparse (<=3)", len(m.pages))
 	}
 }
 

@@ -65,9 +65,6 @@ func (f *FamilyCacheSet) Summary(w Workload, instr int64, points []FamilyPoint) 
 // Compounds reports the in-pass victim replays the original pass made.
 func (s *FamilySummary) Compounds() int { return s.Compound }
 
-// RefCounts tallies the reference stream by kind.
-func (s *FamilySummary) RefCounts() trace.Counts { return s.Refs }
-
 // IStats returns the I-cache statistics for the given bank count.
 func (s *FamilySummary) IStats(banks int) cache.Stats {
 	st, ok := s.IBanks[banks]
