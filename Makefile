@@ -15,9 +15,12 @@ vet:
 
 # Static analysis beyond vet, pinned so local and CI agree. Fetches the
 # tool through the module proxy on first use (needs network; CI runs it,
-# offline sandboxes can skip). Production functions that only tests call
-# are gated offline too, by the root package's TestNoTestOnlyFunctions,
-# which `make test` and CI's vet step run.
+# offline sandboxes can skip). Production code that only tests reach is
+# gated offline too, by the root package's TestNoTestOnlyFunctions, which
+# `make test` and CI's vet step run: functions and methods (a method
+# that satisfies an interface only while production converts its
+# receiver type to one), package-level types, constants and variables,
+# and unexported struct fields that production never reads.
 STATICCHECK_VERSION ?= 2024.1.1
 lint:
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./...
@@ -56,17 +59,18 @@ bench:
 # integrity check in bytes/s), the Figure 2 memory-hierarchy walk alone
 # (ns per access), and the VM alone (one workload program at a fixed
 # instruction budget, in Minstr/s), with allocation stats. The
-# coordinator, GSPN and memory-hierarchy benchmarks report ns per
-# operation, step or access, so they run a fixed million of them rather
-# than two; the trace, coherence and VM benchmarks run a fixed hundred
-# passes.
+# coordinator and GSPN benchmarks report ns per operation or step, so
+# they run a fixed million of them rather than two, and the
+# memory-hierarchy benchmark ten million accesses (about half a second,
+# where a million took 40-60 ms and read 38-62 ns each); the trace,
+# coherence and VM benchmarks run a fixed hundred passes.
 bench-figures:
 	$(GO) test -run '^$$' -bench 'Designspace$$|Fig[78](Replay|ReplayCold|Warm)?$$|Fig12$$|Table3$$|Fig1[3-7]|CacheSetRefs$$' -benchmem -benchtime 2x . ./internal/workload
 	$(GO) test -run '^$$' -bench 'CoordinatorOps$$' -benchmem -benchtime 1000000x ./internal/mpsim
 	$(GO) test -run '^$$' -bench 'MachineAccess$$' -benchmem -benchtime 100x ./internal/coherence
 	$(GO) test -run '^$$' -bench 'SimStep(Banks)?$$' -benchmem -benchtime 1000000x ./internal/gspn
 	$(GO) test -run '^$$' -bench '(Reader|Writer)Refs$$|Check$$' -benchmem -benchtime 100x ./internal/trace
-	$(GO) test -run '^$$' -bench 'AccessNs$$' -benchmem -benchtime 1000000x ./internal/memsys
+	$(GO) test -run '^$$' -bench 'AccessNs$$' -benchmem -benchtime 10000000x ./internal/memsys
 	$(GO) test -run '^$$' -bench 'RunProgram$$' -benchmem -benchtime 100x ./internal/vm
 
 # Record the current Fig7/Fig8 numbers as the checked-in baseline.
@@ -87,9 +91,9 @@ bench-check:
 bench-check-ci:
 	$(MAKE) -s bench-figures | $(GO) run ./cmd/benchguard -baseline BENCH_baseline.json -time=false -require $(BENCH_REQUIRED)
 
-# Exercise the trace codec, trace-store replay, assembler, VM step,
-# GSPN equivalence, designspace axis-flag, machine-description and
-# daemon-request fuzz targets for a minute each (CI runs a 10-second
+# Exercise the trace codec, trace-store replay, assembler, program
+# image, VM step, GSPN equivalence, designspace axis-flag,
+# machine-description and daemon-request fuzz targets for a minute each (CI runs a 10-second
 # smoke; this is the pre-commit depth).
 FUZZTIME ?= 60s
 fuzz:
@@ -97,6 +101,7 @@ fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzFileRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tracestore -run '^$$' -fuzz FuzzStoreReplay -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/asm -run '^$$' -fuzz FuzzAssemble -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/isa -run '^$$' -fuzz FuzzReadImage -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/vm -run '^$$' -fuzz FuzzStep -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/gspn -run '^$$' -fuzz FuzzSimEquivalence -fuzztime $(FUZZTIME)
 	$(GO) test ./cmd/iramsim -run '^$$' -fuzz FuzzParseAxis -fuzztime $(FUZZTIME)

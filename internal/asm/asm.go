@@ -78,14 +78,12 @@ const (
 
 // item is a parsed source statement retained between passes.
 type item struct {
-	line    int
-	sec     section
-	addr    uint64
-	op      string   // instruction or directive (without '.')
-	args    []string // raw operand strings
-	isDir   bool
-	nInstrs int // instructions this item expands to (text section)
-	nBytes  int // bytes this item occupies (data section)
+	line  int
+	sec   section
+	addr  uint64
+	op    string   // instruction or directive (without '.')
+	args  []string // raw operand strings
+	isDir bool
 }
 
 type assembler struct {
@@ -200,7 +198,7 @@ func (a *assembler) pass1(src string) error {
 		}
 		a.items = append(a.items, item{
 			line: line, sec: secText, addr: a.textLoc,
-			op: op, args: args, nInstrs: n,
+			op: op, args: args,
 		})
 		a.textLoc += uint64(n * isa.WordSize)
 	}
@@ -261,14 +259,13 @@ func (a *assembler) directive1(line int, dir string, args []string) error {
 			return a.errf(line, ".org 0x%x not instruction-aligned in text", v)
 		}
 		// The location counter never precedes the section base, so with
-		// the span check here v-base (and hence every later nBytes and
+		// the span check here v-base (and hence every later size and
 		// index computation) is bounded and cannot wrap.
 		if err := a.checkSpan(line, v); err != nil {
 			return err
 		}
 		a.items = append(a.items, item{line: line, sec: a.cur, addr: *a.loc(),
-			op: "org", args: args, isDir: true,
-			nBytes: int(v - *a.loc())})
+			op: "org", args: args, isDir: true})
 		*a.loc() = v
 		return nil
 	case "align":
@@ -287,7 +284,7 @@ func (a *assembler) directive1(line int, dir string, args []string) error {
 			return err
 		}
 		a.items = append(a.items, item{line: line, sec: a.cur, addr: cur,
-			op: "align", args: args, isDir: true, nBytes: int(pad)})
+			op: "align", args: args, isDir: true})
 		*a.loc() = cur + pad
 		return nil
 	case "word", "dword", "double", "byte", "space":
@@ -302,7 +299,7 @@ func (a *assembler) directive1(line int, dir string, args []string) error {
 			return err
 		}
 		a.items = append(a.items, item{line: line, sec: secData, addr: a.dataLoc,
-			op: dir, args: args, isDir: true, nBytes: size})
+			op: dir, args: args, isDir: true})
 		a.dataLoc += uint64(size)
 		return nil
 	default:

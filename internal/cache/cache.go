@@ -66,25 +66,10 @@ type Cache interface {
 	Name() string
 }
 
-// Sink adapts a Cache to trace.Sink so it can be fed directly from the
-// functional simulator.
-type Sink struct{ C Cache }
-
-// Ref implements trace.Sink.
-func (s Sink) Ref(r trace.Ref) { s.C.Access(r.Addr, r.Kind) }
-
-// Refs implements trace.BatchSink.
-func (s Sink) Refs(rs []trace.Ref) {
-	for i := range rs {
-		s.C.Access(rs[i].Addr, rs[i].Kind)
-	}
-}
-
 // line is one cache line's bookkeeping.
 type line struct {
 	tag     uint64
 	valid   bool
-	dirty   bool
 	lastSub uint32 // byte offset within line of the most recent access
 }
 
@@ -93,11 +78,10 @@ type line struct {
 type Eviction struct {
 	Addr    uint64 // base address of the evicted line
 	LastSub uint32 // offset of the most recently accessed sub-block byte
-	Dirty   bool
 }
 
 // SetAssoc is an N-way set-associative cache with true-LRU replacement.
-// ways == 1 gives a direct-mapped cache. It also implements the
+// One way gives a direct-mapped cache. It also implements the
 // column-buffer caches: the proposed I-cache is SetAssoc{16 sets, 1 way,
 // 512 B lines} and the proposed D-cache is SetAssoc{16 sets (= banks),
 // 2 ways (= column buffers per bank), 512 B lines}: selecting the set by
@@ -107,7 +91,6 @@ type SetAssoc struct {
 	name     string
 	lineSize uint64
 	sets     uint64
-	ways     int
 	lines    [][]line // [set][way], way order = MRU first
 	stats    Stats
 
@@ -139,7 +122,7 @@ func NewSetAssoc(name string, size, lineSize uint64, ways int) *SetAssoc {
 			name, size, lineSize, ways))
 	}
 	sets := size / (lineSize * uint64(ways))
-	c := &SetAssoc{name: name, lineSize: lineSize, sets: sets, ways: ways}
+	c := &SetAssoc{name: name, lineSize: lineSize, sets: sets}
 	if lineSize&(lineSize-1) == 0 {
 		c.linePow2 = true
 		c.lineShift = uint(bits.TrailingZeros64(lineSize))
@@ -170,7 +153,10 @@ func (c *SetAssoc) Stats() Stats { return c.stats }
 
 // Access implements Cache.
 func (c *SetAssoc) Access(addr uint64, kind trace.Kind) bool {
-	hit := c.access(addr, kind == trace.Store)
+	hit := c.lookup(addr)
+	if !hit {
+		c.fill(addr)
+	}
 	c.stats.record(kind, !hit)
 	return hit
 }
@@ -204,24 +190,13 @@ func (c *SetAssoc) Probe(addr uint64) bool {
 	return false
 }
 
-func (c *SetAssoc) access(addr uint64, isStore bool) bool {
-	if c.lookup(addr, isStore) {
-		return true
-	}
-	c.fill(addr, isStore)
-	return false
-}
-
-// lookup probes for addr, updating LRU and dirty state on a hit.
-func (c *SetAssoc) lookup(addr uint64, isStore bool) bool {
+// lookup probes for addr, updating LRU state on a hit.
+func (c *SetAssoc) lookup(addr uint64) bool {
 	lineAddr, set, sub := c.locate(addr)
 	for i := range set {
 		if set[i].valid && set[i].tag == lineAddr {
 			l := set[i]
 			l.lastSub = sub
-			if isStore {
-				l.dirty = true
-			}
 			copy(set[1:i+1], set[:i])
 			set[0] = l
 			return true
@@ -232,18 +207,14 @@ func (c *SetAssoc) lookup(addr uint64, isStore bool) bool {
 
 // fill allocates a line for addr at MRU, evicting the set's LRU line
 // (reported to OnEvict when valid).
-func (c *SetAssoc) fill(addr uint64, isStore bool) {
+func (c *SetAssoc) fill(addr uint64) {
 	lineAddr, set, sub := c.locate(addr)
 	victim := set[len(set)-1]
 	if victim.valid && c.OnEvict != nil {
-		c.OnEvict(Eviction{
-			Addr:    victim.tag * c.lineSize,
-			LastSub: victim.lastSub,
-			Dirty:   victim.dirty,
-		})
+		c.OnEvict(Eviction{Addr: victim.tag * c.lineSize, LastSub: victim.lastSub})
 	}
 	copy(set[1:], set[:len(set)-1])
-	set[0] = line{tag: lineAddr, valid: true, dirty: isStore, lastSub: sub}
+	set[0] = line{tag: lineAddr, valid: true, lastSub: sub}
 	c.Fills++
 }
 
@@ -279,9 +250,6 @@ func (c *SetAssoc) Flush() {
 type Victim struct {
 	lineSize uint64
 	entries  []line // MRU first
-	stats    Stats
-	// Hits counts victim-cache hits (i.e. main-cache misses absorbed).
-	Hits int64
 }
 
 // VictimLineSize is the sub-block size of the proposed victim cache.
@@ -303,7 +271,6 @@ func (v *Victim) Lookup(addr uint64) bool {
 			l := v.entries[i]
 			copy(v.entries[1:i+1], v.entries[:i])
 			v.entries[0] = l
-			v.Hits++
 			return true
 		}
 	}
@@ -377,10 +344,9 @@ func (w *WithVictim) Stats() Stats { return w.stats }
 
 // Access implements Cache.
 func (w *WithVictim) Access(addr uint64, kind trace.Kind) bool {
-	isStore := kind == trace.Store
 	// Both arrays are probed in parallel in hardware; a main hit takes
 	// priority and leaves the victim LRU untouched.
-	if w.Main.lookup(addr, isStore) {
+	if w.Main.lookup(addr) {
 		w.stats.record(kind, false)
 		return true
 	}
@@ -396,7 +362,7 @@ func (w *WithVictim) Access(addr uint64, kind trace.Kind) bool {
 	// the DRAM array; the evicted line's most-recently-accessed 32 B
 	// sub-block is copied into the victim cache via OnEvict during the
 	// DRAM access window.
-	w.Main.fill(addr, isStore)
+	w.Main.fill(addr)
 	w.stats.record(kind, true)
 	return false
 }

@@ -107,14 +107,14 @@ func TestInvalidate(t *testing.T) {
 
 func TestProposedGeometries(t *testing.T) {
 	ic := paperICache()
-	if ic.sets != 16 || ic.ways != 1 || ic.lineSize != 512 {
+	if ic.sets != 16 || len(ic.lines[0]) != 1 || ic.lineSize != 512 {
 		t.Errorf("I-cache geometry: %d sets, %d ways, %d B lines",
-			ic.sets, ic.ways, ic.lineSize)
+			ic.sets, len(ic.lines[0]), ic.lineSize)
 	}
 	dc := paperDCache()
-	if dc.sets != 16 || dc.ways != 2 || dc.lineSize != 512 {
+	if dc.sets != 16 || len(dc.lines[0]) != 2 || dc.lineSize != 512 {
 		t.Errorf("D-cache geometry: %d sets, %d ways, %d B lines",
-			dc.sets, dc.ways, dc.lineSize)
+			dc.sets, len(dc.lines[0]), dc.lineSize)
 	}
 	v := paperVictim()
 	if len(v.entries) != 16 || v.lineSize != 32 {
@@ -286,12 +286,12 @@ func TestEvictionCallback(t *testing.T) {
 	c := NewDirectMapped("t", 64, 32) // 2 sets
 	var evictions []Eviction
 	c.OnEvict = func(e Eviction) { evictions = append(evictions, e) }
-	c.Access(0, trace.Store) // fill, dirty
+	c.Access(8, trace.Store) // fill line 0
 	c.Access(64, trace.Load) // evicts line 0
 	if len(evictions) != 1 {
 		t.Fatalf("got %d evictions, want 1", len(evictions))
 	}
-	if evictions[0].Addr != 0 || !evictions[0].Dirty {
+	if evictions[0] != (Eviction{Addr: 0, LastSub: 8}) {
 		t.Errorf("eviction = %+v", evictions[0])
 	}
 }
@@ -324,34 +324,26 @@ func TestBadGeometryPanics(t *testing.T) {
 	}
 }
 
-func TestSinkAdapter(t *testing.T) {
-	c := NewDirectMapped("t", 1024, 32)
-	s := Sink{C: c}
-	s.Ref(trace.Ref{Kind: trace.Load, Addr: 0, Size: 8})
-	s.Ref(trace.Ref{Kind: trace.Load, Addr: 0, Size: 8})
-	if c.Stats().Load.Total != 2 || c.Stats().Load.Events != 1 {
-		t.Errorf("sink adapter stats: %+v", c.Stats().Load)
-	}
-}
-
 func TestStreamBufferSequentialStream(t *testing.T) {
-	sb := NewStreamBuffer(4, 4)
+	sb := NewStreamBuffer(4)
 	// Miss at block 0 allocates a stream; blocks 1,2,3... then hit.
 	if sb.Lookup(0) {
 		t.Fatal("cold lookup hit")
 	}
+	hits := 0
 	for b := uint64(1); b < 10; b++ {
 		if !sb.Lookup(b * VictimLineSize) {
 			t.Fatalf("sequential block %d missed the stream buffer", b)
 		}
+		hits++
 	}
-	if sb.Hits != 9 {
-		t.Errorf("hits = %d, want 9", sb.Hits)
+	if hits != 9 {
+		t.Errorf("hits = %d, want 9", hits)
 	}
 }
 
 func TestStreamBufferMultipleStreams(t *testing.T) {
-	sb := NewStreamBuffer(2, 4)
+	sb := NewStreamBuffer(2)
 	sb.Lookup(0)       // stream A
 	sb.Lookup(1 << 20) // stream B
 	if !sb.Lookup(VictimLineSize) {
@@ -362,7 +354,7 @@ func TestStreamBufferMultipleStreams(t *testing.T) {
 	}
 	// A third allocation evicts the LRU stream (A, B was just used).
 	sb.Lookup(2 << 20)
-	if sb.Lookup(2*VictimLineSize) && sb.Hits > 3 {
+	if sb.Lookup(2 * VictimLineSize) {
 		t.Error("evicted stream still hitting")
 	}
 }
@@ -374,9 +366,12 @@ func TestStreamBufferMultipleStreams(t *testing.T) {
 // next sequential ones.
 func TestVictimBeatsStreamOnConflicts(t *testing.T) {
 	vic := paperWithVictim()
-	str := NewWithStream(paperDCache(), NewStreamBuffer(4, 4))
+	str := NewWithStream(paperDCache(), NewStreamBuffer(4))
 	bases := []uint64{0x100000, 0x102000, 0x104000} // same proposed set
-	run := func(c Cache) float64 {
+	run := func(c interface {
+		Access(uint64, trace.Kind) bool
+		Stats() Stats
+	}) float64 {
 		for i := uint64(0); i < 4096; i += 8 {
 			for _, b := range bases {
 				c.Access(b+i, trace.Load)
@@ -398,7 +393,7 @@ func TestStreamBufferPanics(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	NewStreamBuffer(0, 4)
+	NewStreamBuffer(0)
 }
 
 // TestStatsCopySemantics is the regression test for the Data()

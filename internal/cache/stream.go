@@ -10,30 +10,27 @@ import "repro/internal/trace"
 // eviction-driven fill beats sequential prefetch (the 512 B column
 // fills already deliver the sequential prefetch a stream buffer would).
 //
-// Model: N buffers of Depth sequential 32 B blocks. A main-cache miss
-// that hits the HEAD of a buffer is serviced from the buffer (1 cycle);
-// the buffer then shifts and prefetches the next sequential block. A
-// miss that hits no buffer reallocates the LRU buffer to prefetch the
-// blocks after the missing one.
+// Model: N buffers of sequential 32 B blocks. A main-cache miss that
+// hits the HEAD of a buffer is serviced from the buffer (1 cycle); the
+// buffer then shifts and prefetches the next sequential block. A miss
+// that hits no buffer reallocates the LRU buffer to prefetch the blocks
+// after the missing one. Only heads are compared, so how many blocks a
+// buffer holds behind its head changes no hit or miss.
 type StreamBuffer struct {
 	blockSize uint64
-	depth     int
 	// heads[i] is the next expected block of buffer i; buffers are in
 	// MRU order.
 	heads []uint64
 	valid []bool
-	Hits  int64
 }
 
-// NewStreamBuffer builds n stream buffers of the given depth over
-// 32-byte blocks.
-func NewStreamBuffer(n, depth int) *StreamBuffer {
-	if n < 1 || depth < 1 {
+// NewStreamBuffer builds n stream buffers over 32-byte blocks.
+func NewStreamBuffer(n int) *StreamBuffer {
+	if n < 1 {
 		panic("cache: invalid stream buffer geometry")
 	}
 	return &StreamBuffer{
 		blockSize: VictimLineSize,
-		depth:     depth,
 		heads:     make([]uint64, n),
 		valid:     make([]bool, n),
 	}
@@ -51,7 +48,6 @@ func (s *StreamBuffer) Lookup(addr uint64) bool {
 			copy(s.valid[1:i+1], s.valid[:i])
 			s.heads[0] = head
 			s.valid[0] = true
-			s.Hits++
 			return true
 		}
 	}
@@ -70,24 +66,20 @@ type WithStream struct {
 	Main   *SetAssoc
 	Stream *StreamBuffer
 	stats  Stats
-	name   string
 }
 
 // NewWithStream wires a main cache to stream buffers.
 func NewWithStream(main *SetAssoc, sb *StreamBuffer) *WithStream {
-	return &WithStream{Main: main, Stream: sb, name: main.Name() + " + stream"}
+	return &WithStream{Main: main, Stream: sb}
 }
 
-// Name implements Cache.
-func (w *WithStream) Name() string { return w.name }
-
-// Stats implements Cache.
+// Stats returns accumulated hit/miss statistics, as Cache.Stats does.
 func (w *WithStream) Stats() Stats { return w.stats }
 
-// Access implements Cache.
+// Access simulates one reference and reports whether it hit, as
+// Cache.Access does.
 func (w *WithStream) Access(addr uint64, kind trace.Kind) bool {
-	isStore := kind == trace.Store
-	if w.Main.lookup(addr, isStore) {
+	if w.Main.lookup(addr) {
 		w.stats.record(kind, false)
 		return true
 	}
@@ -96,11 +88,11 @@ func (w *WithStream) Access(addr uint64, kind trace.Kind) bool {
 		// (unlike the victim cache, block and line sizes permit it in
 		// Jouppi's design only for equal lines; with 512 B lines the
 		// fill happens from DRAM anyway, so we model a main fill).
-		w.Main.fill(addr, isStore)
+		w.Main.fill(addr)
 		w.stats.record(kind, false)
 		return true
 	}
-	w.Main.fill(addr, isStore)
+	w.Main.fill(addr)
 	w.stats.record(kind, true)
 	return false
 }

@@ -8,9 +8,12 @@ import (
 
 // FromJSON decodes a machine description, overlaying the supplied
 // fields onto the paper's Proposed() device so a config file only
-// needs to name what it changes. Unknown fields are rejected, and the
-// result must pass Validate(): a file cannot describe a device whose
-// column-buffer caches don't match its DRAM organisation.
+// needs to name what it changes. Unknown fields are rejected,
+// "Integrated": false is rejected (the experiments build integrated
+// nodes and column-buffer caches from the description, so it cannot
+// describe the reference system), and the result must pass Validate():
+// a file cannot describe a device whose column-buffer caches don't
+// match its DRAM organisation.
 //
 // The field names are the Go field names of Device (and DRAM /
 // costmodel.Inputs for the nested structs), e.g.:
@@ -28,6 +31,9 @@ func FromJSON(data []byte) (Device, error) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&d); err != nil {
 		return Device{}, fmt.Errorf("core: machine config: %w", err)
+	}
+	if !d.Integrated {
+		return Device{}, fmt.Errorf(`core: machine config: "Integrated": false, but the experiments build integrated nodes from it`)
 	}
 	if err := d.Validate(); err != nil {
 		return Device{}, fmt.Errorf("core: machine config: %w", err)

@@ -197,8 +197,9 @@ func TestAreaMM2(t *testing.T) {
 
 // FuzzFromJSON feeds arbitrary machine descriptions, the -machine file
 // and the daemon's "machine" field, to FromJSON: bad input must come
-// back as an error, never a panic, and a device it accepts must keep
-// its Inter-Node Cache inside the DRAM array that holds it.
+// back as an error, never a panic, and a device it accepts must be
+// integrated and keep its Inter-Node Cache inside the DRAM array that
+// holds it.
 func FuzzFromJSON(f *testing.F) {
 	for _, seed := range []string{
 		`{}`,
@@ -212,6 +213,8 @@ func FuzzFromJSON(f *testing.F) {
 		`{"DRAM": {"PrechargeCycles": 0}}`,
 		`{"DRAM": {"Banks": 1152921504606846976}}`,
 		`{"Integrated": false, "L2Bytes": 1000, "L2Ways": 3, "L2LineBytes": 7, "L2Cycles": 1}`,
+		`{"Integrated": false, "INCBytes": 68719476736}`,
+		`{"Integrated": false, "INCBytes": -512}`,
 		`{"NoSuchKnob": 1}`,
 		`{"DRAM": `,
 		`null`,
@@ -223,7 +226,10 @@ func FuzzFromJSON(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if d.Integrated && (d.INCBytes <= 0 || uint64(d.INCBytes) > d.DRAM.CapacityBytes) {
+		if !d.Integrated {
+			t.Fatal("FromJSON accepted a device that is not integrated")
+		}
+		if d.INCBytes <= 0 || uint64(d.INCBytes) > d.DRAM.CapacityBytes {
 			t.Fatalf("FromJSON accepted a %d B INC in a %d B array", d.INCBytes, d.DRAM.CapacityBytes)
 		}
 	})

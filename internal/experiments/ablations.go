@@ -531,7 +531,7 @@ func ablateJouppiBench(o Options, name string) (JouppiRow, error) {
 		vic = cache.NewWithVictim(dc, vc)
 	}
 	sc, _ := dev.DCache()
-	str := cache.NewWithStream(sc, cache.NewStreamBuffer(4, 4))
+	str := cache.NewWithStream(sc, cache.NewStreamBuffer(4))
 	sink := trace.SinkFunc(func(r trace.Ref) {
 		if r.Kind == trace.Ifetch {
 			return

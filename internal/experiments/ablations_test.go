@@ -27,7 +27,7 @@ func TestAblateLineSize(t *testing.T) {
 	if get("101.tomcatv", 512) <= get("101.tomcatv", 64) {
 		t.Error("tomcatv should degrade with 512 B lines (16 sets)")
 	}
-	if r.Table().String() == "" {
+	if rendered(r.Table()) == "" {
 		t.Error("empty table")
 	}
 }
@@ -156,7 +156,7 @@ func TestAblateJouppi(t *testing.T) {
 func TestAblationTablesRender(t *testing.T) {
 	ms := NewMeasurementSet(topts)
 	for _, name := range []string{"ablate-victim", "ablate-unit", "ablate-scoreboard", "ablate-inc", "ablate-engines", "ablate-jouppi"} {
-		if run[interface{ Table() *report.Table }](t, name, topts, ms).Table().String() == "" {
+		if rendered(run[interface{ Table() *report.Table }](t, name, topts, ms).Table()) == "" {
 			t.Errorf("%s: empty table", name)
 		}
 	}
@@ -167,7 +167,7 @@ func TestSCOMAEndToEnd(t *testing.T) {
 	if len(r.Rows) != 5 {
 		t.Fatalf("%d rows", len(r.Rows))
 	}
-	out := r.Table().String()
+	out := rendered(r.Table())
 	for _, b := range []string{"LU", "WATER", "S-COMA"} {
 		if !strings.Contains(out, b) {
 			t.Errorf("scoma table missing %q", b)

@@ -303,14 +303,13 @@ func DesignspaceJob(o Options, _ *MeasurementSet) sweep.Job {
 					return nil, err
 				}
 				f := workload.NewFamilyCacheSet(col, pts)
-				instr, err := o.source().Stream(w, o.Budget, f)
-				if err != nil {
+				if _, err := o.source().Stream(w, o.Budget, f); err != nil {
 					return nil, err
 				}
 				// Distil the live profiler state down to the
 				// serializable summary the assembly (and the result
 				// cache) consumes.
-				return f.Summary(w, instr, pts), nil
+				return f.Summary(w, pts), nil
 			}, "pts="+familyPointsFingerprint(col, pts)))
 		}
 	}

@@ -8,9 +8,17 @@ import (
 	"testing"
 
 	"repro/internal/coherence"
+	"repro/internal/report"
 	"repro/internal/sweep"
 	"repro/internal/workload"
 )
+
+// rendered returns what t's Render writes.
+func rendered(t *report.Table) string {
+	var b strings.Builder
+	t.Render(&b)
+	return b.String()
+}
 
 // Shared quick options + measurement cache for the whole package test.
 var (
@@ -44,7 +52,7 @@ func TestFig7EndToEnd(t *testing.T) {
 	if len(r.Rows) != 22 {
 		t.Fatalf("%d rows, want 22 (SPEC + synopsys + real kernels)", len(r.Rows))
 	}
-	tbl := r.Table().String()
+	tbl := rendered(r.Table())
 	for _, want := range []string{"Figure 7", "145.fpppp", "125.turb3d", "gemm", "bfs", "hashjoin"} {
 		if !strings.Contains(tbl, want) {
 			t.Errorf("table missing %q", want)
@@ -128,10 +136,10 @@ func TestTables34EndToEnd(t *testing.T) {
 		t.Errorf("mean CPI error vs paper %.4f over %d rows, want at most 0.071 over 36", drift, rows)
 	}
 	// Rendering includes the Alpha column only for Table 4.
-	if strings.Contains(t3.Table().String(), "Alpha") {
+	if strings.Contains(rendered(t3.Table()), "Alpha") {
 		t.Error("Table 3 must not include the Alpha column")
 	}
-	if !strings.Contains(t4.Table().String(), "Alpha") {
+	if !strings.Contains(rendered(t4.Table()), "Alpha") {
 		t.Error("Table 4 must include the Alpha column")
 	}
 }
@@ -155,7 +163,7 @@ func TestRealCPIEndToEnd(t *testing.T) {
 			t.Errorf("%s: integrated system not faster (speedup %.2f)", row.Bench, row.Speedup)
 		}
 	}
-	tbl := r.Table().String()
+	tbl := rendered(r.Table())
 	for _, want := range []string{"gemm", "bfs", "hashjoin", "speedup"} {
 		if !strings.Contains(tbl, want) {
 			t.Errorf("table missing %q", want)
@@ -296,7 +304,7 @@ func TestSplashFigures(t *testing.T) {
 		if _, ok := r.Cycles(coherence.IntegratedVictim, 4); !ok {
 			t.Errorf("%s: missing victim config", name)
 		}
-		if !strings.Contains(r.Table().String(), r.Bench) {
+		if !strings.Contains(rendered(r.Table()), r.Bench) {
 			t.Errorf("%s: table missing benchmark name", name)
 		}
 	}
@@ -306,7 +314,7 @@ func TestSplashFigures(t *testing.T) {
 }
 
 func TestCostTable(t *testing.T) {
-	out := Cost().String()
+	out := rendered(Cost())
 	for _, want := range []string{"$800", "ECC", "mm2"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("cost table missing %q:\n%s", want, out)
@@ -344,7 +352,7 @@ func TestFabricExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := tab.String()
+	out := rendered(tab)
 	for _, want := range []string{"bisection", "256", "200"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("fabric table missing %q", want)
@@ -381,7 +389,7 @@ func TestGeoMeans(t *testing.T) {
 	if fm/fp > 1.2 || fp/fm > 1.2 {
 		t.Errorf("SPECfp geomean %0.1f vs paper %0.1f", fm, fp)
 	}
-	if !strings.Contains(r.Table().String(), "geometric means") {
+	if !strings.Contains(rendered(r.Table()), "geometric means") {
 		t.Error("geomeans missing from rendered table")
 	}
 }

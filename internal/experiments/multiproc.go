@@ -211,12 +211,12 @@ func (r *SCOMAResult) Table() *report.Table {
 // bisection bandwidth growing with the machine, and remote latency
 // against the paper's sub-200 ns budget.
 func Fabric(d core.Device) (*report.Table, error) {
-	rows, err := interconnect.ScalingStudy(interconnect.Torus2D, []int{4, 16, 64, 256}, d.Fabric())
+	rows, err := interconnect.ScalingStudy([]int{4, 16, 64, 256}, d.Fabric())
 	if err != nil {
 		return nil, err
 	}
 	t := report.NewTable(
-		fmt.Sprintf("Extension: S-Connect fabric scaling (%s, %d × %g Gbit/s links)", interconnect.Torus2D, d.Links, d.LinkGbit),
+		fmt.Sprintf("Extension: S-Connect fabric scaling (2-D torus, %d × %g Gbit/s links)", d.Links, d.LinkGbit),
 		"nodes", "mean hops", "diameter", "bisection GB/s", "remote read ns", "< 200ns")
 	for _, r := range rows {
 		t.Row(r.Nodes, fmt.Sprintf("%.2f", r.MeanHops), r.Diameter,

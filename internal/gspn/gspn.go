@@ -60,31 +60,12 @@ const (
 	Exponential
 )
 
-func (k Kind) String() string {
-	switch k {
-	case Immediate:
-		return "immediate"
-	case Deterministic:
-		return "deterministic"
-	case Exponential:
-		return "exponential"
-	default:
-		return "unknown"
-	}
-}
-
 type arc struct {
 	place PlaceID
 	mult  int
 }
 
-type place struct {
-	name    string
-	initial int
-}
-
 type transition struct {
-	name     string
 	kind     Kind
 	class    int32   // Immediate: index of priority in Net.prios (set by seal)
 	delay    float64 // Deterministic
@@ -97,13 +78,14 @@ type transition struct {
 }
 
 // Net is an immutable-after-build Petri net structure. Build the net
-// with Place/Immediate/Timed/Exponential and the arc methods, then
-// create Sims from it; one Net can back many concurrent Sims. The first
-// NewSim seals the net: any later builder call panics.
+// with Place/Immediate/Timed/Exponential and the arc methods (a name
+// labels only the builder's panic message), then create Sims from it;
+// one Net can back many concurrent Sims. The first NewSim seals the
+// net: any later builder call panics.
 type Net struct {
-	places []place
-	trans  []transition
-	sealed bool
+	initial []int // initial marking, by place
+	trans   []transition
+	sealed  bool
 
 	// The fields below are derived once, on the first NewSim, and are
 	// read-only afterwards.
@@ -132,7 +114,7 @@ func (n *Net) immDep(p PlaceID) []TransID {
 // timedAffected lists the timed transitions a firing of t must
 // reschedule, in ascending id order.
 func (n *Net) timedAffected(t TransID) []TransID {
-	i := len(n.places) + int(t)
+	i := len(n.initial) + int(t)
 	return n.adj[n.adjOff[i]:n.adjOff[i+1]]
 }
 
@@ -151,7 +133,7 @@ func (n *Net) timedAffected(t TransID) []TransID {
 // equivalence).
 func (n *Net) seal() {
 	n.sealed = true
-	np, nt := len(n.places), len(n.trans)
+	np, nt := len(n.initial), len(n.trans)
 	// Reader lists as compressed rows: list p holds the immediate
 	// transitions that read place p, list np+p the timed ones. Count
 	// each list's length, turn the counts into list ends, then place
@@ -248,8 +230,8 @@ func (n *Net) Place(name string, initial int) PlaceID {
 	if initial < 0 {
 		panic(fmt.Sprintf("gspn: place %s: negative initial marking", name))
 	}
-	n.places = append(n.places, place{name: name, initial: initial})
-	return PlaceID(len(n.places) - 1)
+	n.initial = append(n.initial, initial)
+	return PlaceID(len(n.initial) - 1)
 }
 
 // Immediate adds an immediate transition. Weight resolves conflicts
@@ -261,7 +243,7 @@ func (n *Net) Immediate(name string, weight float64, priority int) TransID {
 		panic(fmt.Sprintf("gspn: transition %s: weight must be positive", name))
 	}
 	n.trans = append(n.trans, transition{
-		name: name, kind: Immediate, weight: weight, priority: priority,
+		kind: Immediate, weight: weight, priority: priority,
 	})
 	return TransID(len(n.trans) - 1)
 }
@@ -272,7 +254,7 @@ func (n *Net) Timed(name string, delay float64) TransID {
 	if !(delay > 0) {
 		panic(fmt.Sprintf("gspn: transition %s: delay must be positive", name))
 	}
-	n.trans = append(n.trans, transition{name: name, kind: Deterministic, delay: delay})
+	n.trans = append(n.trans, transition{kind: Deterministic, delay: delay})
 	return TransID(len(n.trans) - 1)
 }
 
@@ -283,7 +265,7 @@ func (n *Net) Exponential(name string, rate float64) TransID {
 	if !(rate > 0) {
 		panic(fmt.Sprintf("gspn: transition %s: rate must be positive", name))
 	}
-	n.trans = append(n.trans, transition{name: name, kind: Exponential, rate: rate})
+	n.trans = append(n.trans, transition{kind: Exponential, rate: rate})
 	return TransID(len(n.trans) - 1)
 }
 
@@ -311,7 +293,7 @@ func (n *Net) checkArc(t TransID, p PlaceID, mult int) {
 	if int(t) < 0 || int(t) >= len(n.trans) {
 		panic("gspn: arc references unknown transition")
 	}
-	if int(p) < 0 || int(p) >= len(n.places) {
+	if int(p) < 0 || int(p) >= len(n.initial) {
 		panic("gspn: arc references unknown place")
 	}
 	if mult < 1 {
@@ -320,7 +302,7 @@ func (n *Net) checkArc(t TransID, p PlaceID, mult int) {
 }
 
 // NumPlaces returns the number of places.
-func (n *Net) NumPlaces() int { return len(n.places) }
+func (n *Net) NumPlaces() int { return len(n.initial) }
 
 // NumTrans returns the number of transitions.
 func (n *Net) NumTrans() int { return len(n.trans) }
@@ -372,7 +354,7 @@ type Sim struct {
 // NewSim creates a simulation of the net with the given random seed.
 func NewSim(n *Net, seed int64) *Sim {
 	n.sealOnce.Do(n.seal)
-	np, nt, nc := len(n.places), len(n.trans), len(n.prios)
+	np, nt, nc := len(n.initial), len(n.trans), len(n.prios)
 	words := (nt + 63) / 64
 	// One backing array per element type, each at its final size.
 	ints := make([]int, np+nt+nc)
@@ -392,9 +374,9 @@ func NewSim(n *Net, seed int64) *Sim {
 		words:    words,
 		heap:     make([]TransID, 0, n.nTimed),
 	}
-	for i, p := range n.places {
-		s.marking[i] = p.initial
-		if p.initial != 0 {
+	for i, m := range n.initial {
+		s.marking[i] = m
+		if m != 0 {
 			s.nonzero[i>>6] |= 1 << (uint(i) & 63)
 		}
 	}

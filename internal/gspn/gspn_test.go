@@ -288,18 +288,25 @@ func TestNamesAndCounts(t *testing.T) {
 	tr := n.Timed("mytrans", 2)
 	n.In(tr, p, 1)
 	n.Out(tr, p, 1)
-	if n.places[p].name != "myplace" || n.trans[tr].name != "mytrans" {
-		t.Error("names lost")
-	}
 	if n.NumPlaces() != 1 || n.NumTrans() != 1 {
 		t.Error("counts wrong")
 	}
 	if n.TransKind(tr) != Deterministic {
 		t.Error("kind wrong")
 	}
-	if Immediate.String() != "immediate" || Exponential.String() != "exponential" ||
-		Kind(9).String() != "unknown" {
-		t.Error("kind strings")
+	// A builder names what it rejects.
+	for want, build := range map[string]func(){
+		"gspn: place myplace: negative initial marking":    func() { n.Place("myplace", -1) },
+		"gspn: transition mytrans: delay must be positive": func() { n.Timed("mytrans", 0) },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != want {
+					t.Errorf("recovered %v, want %q", r, want)
+				}
+			}()
+			build()
+		}()
 	}
 }
 
@@ -509,14 +516,12 @@ func newRefSim(n *Net, seed int64) *refSim {
 	s := &refSim{
 		net:     n,
 		rng:     rand.New(rand.NewSource(seed)),
-		marking: make([]int, len(n.places)),
+		marking: make([]int, len(n.initial)),
 		sched:   make([]float64, len(n.trans)),
 		firings: make([]int64, len(n.trans)),
-		tokTime: make([]float64, len(n.places)),
+		tokTime: make([]float64, len(n.initial)),
 	}
-	for i, p := range n.places {
-		s.marking[i] = p.initial
-	}
+	copy(s.marking, n.initial)
 	for i := range s.sched {
 		s.sched[i] = math.Inf(1)
 	}
@@ -658,7 +663,6 @@ func (s *refSim) Step() error {
 // token count. step is -1 before the first Step.
 func requireSameState(t testing.TB, seed int64, step int, sim *Sim, ref *refSim) {
 	t.Helper()
-	n := sim.net
 	fail := func(what string, got, want any) {
 		t.Helper()
 		t.Fatalf("seed %d step %d: %s = %v, reference %v", seed, step, what, got, want)
@@ -668,16 +672,16 @@ func requireSameState(t testing.TB, seed int64, step int, sim *Sim, ref *refSim)
 	}
 	for i := range ref.firings {
 		if got, want := sim.firings[i], ref.firings[i]; got != want {
-			fail("firings of "+n.trans[i].name, got, want)
+			fail(fmt.Sprint("firings of transition ", i), got, want)
 		}
 	}
 	for i := range ref.marking {
 		p := PlaceID(i)
 		if got, want := sim.marking[p], ref.marking[i]; got != want {
-			fail("marking of "+n.places[p].name, got, want)
+			fail(fmt.Sprint("marking of place ", p), got, want)
 		}
 		if got, want := sim.TimeAvgTokens(p), ref.TimeAvgTokens(p); got != want {
-			fail("TimeAvgTokens of "+n.places[p].name, got, want)
+			fail(fmt.Sprint("TimeAvgTokens of place ", p), got, want)
 		}
 	}
 }
@@ -864,7 +868,7 @@ func TestSealTables(t *testing.T) {
 	for name, n := range nets {
 		t.Run(name, func(t *testing.T) {
 			NewSim(n, 1)
-			for p := range n.places {
+			for p := range n.initial {
 				var want []TransID
 				for ui := range n.trans {
 					if u := &n.trans[ui]; u.kind == Immediate && reads(u, PlaceID(p)) {
@@ -874,7 +878,7 @@ func TestSealTables(t *testing.T) {
 				got := slices.Clone(n.immDep(PlaceID(p)))
 				slices.Sort(got)
 				if !slices.Equal(got, want) {
-					t.Fatalf("place %s: immediate readers %v, want %v", n.places[p].name, got, want)
+					t.Fatalf("place %d: immediate readers %v, want %v", p, got, want)
 				}
 			}
 			for ti := range n.trans {
@@ -897,11 +901,11 @@ func TestSealTables(t *testing.T) {
 				timed := n.timedAffected(TransID(ti))
 				for i := 1; i < len(timed); i++ {
 					if timed[i] <= timed[i-1] {
-						t.Fatalf("%s: timed list %v not strictly ascending", n.trans[ti].name, timed)
+						t.Fatalf("transition %d: timed list %v not strictly ascending", ti, timed)
 					}
 				}
 				if !slices.Equal(timed, want) {
-					t.Fatalf("%s: timed list %v, want %v", n.trans[ti].name, timed, want)
+					t.Fatalf("transition %d: timed list %v, want %v", ti, timed, want)
 				}
 			}
 		})

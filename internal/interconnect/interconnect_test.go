@@ -43,29 +43,8 @@ func TestNewNodePanics(t *testing.T) {
 	NewNode(0, Default())
 }
 
-func TestRingHops(t *testing.T) {
-	f, err := NewFabric(Ring, 8, paperNode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := map[[2]int]int{
-		{0, 0}: 0, {0, 1}: 1, {0, 4}: 4, {0, 7}: 1, {2, 6}: 4,
-	}
-	for pair, want := range cases {
-		if got := f.Hops(pair[0], pair[1]); got != want {
-			t.Errorf("ring hops(%d,%d) = %d, want %d", pair[0], pair[1], got, want)
-		}
-	}
-	if f.Diameter() != 4 {
-		t.Errorf("ring-8 diameter = %d, want 4", f.Diameter())
-	}
-	if f.BisectionLinks() != 2 {
-		t.Errorf("ring bisection = %d links, want 2", f.BisectionLinks())
-	}
-}
-
 func TestTorusHops(t *testing.T) {
-	f, err := NewFabric(Torus2D, 16, paperNode()) // 4x4
+	f, err := NewFabric(16, paperNode()) // 4x4
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,10 +62,13 @@ func TestTorusHops(t *testing.T) {
 	if f.Diameter() != 4 {
 		t.Errorf("4x4 torus diameter = %d, want 4", f.Diameter())
 	}
+	if f.BisectionLinks() != 8 {
+		t.Errorf("4x4 torus bisection = %d links, want 8", f.BisectionLinks())
+	}
 }
 
 func TestBisectionGrowsWithMachine(t *testing.T) {
-	rows, err := ScalingStudy(Torus2D, []int{4, 16, 64, 256}, paperNode())
+	rows, err := ScalingStudy([]int{4, 16, 64, 256}, paperNode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +89,11 @@ func TestBisectionGrowsWithMachine(t *testing.T) {
 // TestFabricStripesOverNodeLinks: the fabric's remote latency follows
 // the link count of its nodes, not a fixed four.
 func TestFabricStripesOverNodeLinks(t *testing.T) {
-	four, err := NewFabric(Torus2D, 16, paperNode())
+	four, err := NewFabric(16, paperNode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	two, err := NewFabric(Torus2D, 16, NewNode(2, Default()))
+	two, err := NewFabric(16, NewNode(2, Default()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,35 +104,22 @@ func TestFabricStripesOverNodeLinks(t *testing.T) {
 }
 
 func TestFabricErrors(t *testing.T) {
-	if _, err := NewFabric(Ring, 1, paperNode()); err == nil {
+	if _, err := NewFabric(1, paperNode()); err == nil {
 		t.Error("1-node fabric accepted")
 	}
-	if _, err := NewFabric(Torus2D, 7, paperNode()); err == nil {
+	if _, err := NewFabric(7, paperNode()); err == nil {
 		t.Error("non-tiling torus accepted")
-	}
-}
-
-func TestTopologyString(t *testing.T) {
-	if Ring.String() == "" || Torus2D.String() == "" || Topology(9).String() == "" {
-		t.Error("topology strings")
 	}
 }
 
 // TestMeanHopsMatchesPairwise checks the O(n) vertex-transitive
 // MeanHops shortcut against the brute-force mean over all distinct
-// pairs, across both topologies and square plus rectangular tori.
+// pairs, on square and rectangular tori.
 func TestMeanHopsMatchesPairwise(t *testing.T) {
-	cases := []struct {
-		topo  Topology
-		nodes int
-	}{
-		{Ring, 2}, {Ring, 5}, {Ring, 8}, {Ring, 33},
-		{Torus2D, 4}, {Torus2D, 16}, {Torus2D, 12}, {Torus2D, 64}, {Torus2D, 256},
-	}
-	for _, c := range cases {
-		f, err := NewFabric(c.topo, c.nodes, paperNode())
+	for _, nodes := range []int{2, 4, 16, 12, 64, 256} {
+		f, err := NewFabric(nodes, paperNode())
 		if err != nil {
-			t.Fatalf("%v/%d: %v", c.topo, c.nodes, err)
+			t.Fatalf("%d nodes: %v", nodes, err)
 		}
 		var sum, pairs int
 		for a := 0; a < f.Nodes; a++ {
@@ -161,7 +130,7 @@ func TestMeanHopsMatchesPairwise(t *testing.T) {
 		}
 		want := float64(sum) / float64(pairs)
 		if got := f.MeanHops(); got != want {
-			t.Errorf("%v/%d nodes: MeanHops = %v, pairwise mean = %v", c.topo, c.nodes, got, want)
+			t.Errorf("%d nodes: MeanHops = %v, pairwise mean = %v", nodes, got, want)
 		}
 	}
 }

@@ -5,38 +5,15 @@ import (
 	"math"
 )
 
-// Topology models the S-Connect fabric at the system level (Section 8,
+// Fabric models the S-Connect fabric at the system level (Section 8,
 // Figure 18): processing elements plugged into a silicon-less
-// motherboard whose sockets wire a point-to-point network with four
-// links per node. The paper's scaling claim — "the system's
-// bi-sectional bandwidth increases as components are added" — and its
-// sub-200 ns remote-latency budget both depend on the topology, so
-// this model computes hop distances, average/worst-case remote
+// motherboard whose sockets wire a 2-D torus, each node using its four
+// links for its four neighbours. The paper's scaling claim — "the
+// system's bi-sectional bandwidth increases as components are added" —
+// and its sub-200 ns remote-latency budget both depend on that wiring,
+// so this model computes hop distances, average/worst-case remote
 // latencies, and bisection bandwidth as the machine grows.
-type Topology int
-
-// Supported topologies. With four links per node, the natural choices
-// are a 2-D torus (4 neighbours — the motherboard grid of Figure 18)
-// and a ring (2 links used, the degenerate small-system wiring).
-const (
-	Ring Topology = iota
-	Torus2D
-)
-
-func (t Topology) String() string {
-	switch t {
-	case Ring:
-		return "ring"
-	case Torus2D:
-		return "2-D torus"
-	default:
-		return fmt.Sprintf("Topology(%d)", int(t))
-	}
-}
-
-// Fabric is a sized instance of a topology.
 type Fabric struct {
-	Topo  Topology
 	Nodes int
 	// PE is every node's link interface.
 	PE *Node
@@ -44,53 +21,36 @@ type Fabric struct {
 	Cols int
 }
 
-// NewFabric lays out n nodes, each with the link interface pe, on the
-// topology.
-func NewFabric(t Topology, n int, pe *Node) (*Fabric, error) {
+// NewFabric lays out n nodes, each with the link interface pe, on a
+// 2-D torus.
+func NewFabric(n int, pe *Node) (*Fabric, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("interconnect: a fabric needs at least 2 nodes")
 	}
-	f := &Fabric{Topo: t, Nodes: n, PE: pe}
-	if t == Torus2D {
-		f.Cols = int(math.Round(math.Sqrt(float64(n))))
-		if f.Cols < 2 {
-			f.Cols = 2
-		}
-		if n%f.Cols != 0 {
-			return nil, fmt.Errorf("interconnect: %d nodes do not tile a %d-wide torus", n, f.Cols)
-		}
+	f := &Fabric{Nodes: n, PE: pe, Cols: int(math.Round(math.Sqrt(float64(n))))}
+	if f.Cols < 2 {
+		f.Cols = 2
+	}
+	if n%f.Cols != 0 {
+		return nil, fmt.Errorf("interconnect: %d nodes do not tile a %d-wide torus", n, f.Cols)
 	}
 	return f, nil
 }
 
 // Hops returns the minimal hop count between two nodes.
 func (f *Fabric) Hops(a, b int) int {
-	if a == b {
-		return 0
+	rows := f.Nodes / f.Cols
+	ax, ay := a%f.Cols, a/f.Cols
+	bx, by := b%f.Cols, b/f.Cols
+	dx := abs(ax - bx)
+	if w := f.Cols - dx; w < dx {
+		dx = w
 	}
-	switch f.Topo {
-	case Ring:
-		d := abs(a - b)
-		if w := f.Nodes - d; w < d {
-			d = w
-		}
-		return d
-	case Torus2D:
-		rows := f.Nodes / f.Cols
-		ax, ay := a%f.Cols, a/f.Cols
-		bx, by := b%f.Cols, b/f.Cols
-		dx := abs(ax - bx)
-		if w := f.Cols - dx; w < dx {
-			dx = w
-		}
-		dy := abs(ay - by)
-		if w := rows - dy; w < dy {
-			dy = w
-		}
-		return dx + dy
-	default:
-		panic("interconnect: unknown topology")
+	dy := abs(ay - by)
+	if w := rows - dy; w < dy {
+		dy = w
 	}
+	return dx + dy
 }
 
 func abs(v int) int {
@@ -101,7 +61,7 @@ func abs(v int) int {
 }
 
 // MeanHops returns the average hop count over all distinct node pairs.
-// Rings and tori are vertex-transitive — the distance profile is the
+// Tori are vertex-transitive — the distance profile is the
 // same from every node — so the mean over all pairs equals the mean
 // distance from node 0, computed in O(n) instead of O(n²).
 func (f *Fabric) MeanHops() float64 {
@@ -123,24 +83,11 @@ func (f *Fabric) Diameter() int {
 	return max
 }
 
-// BisectionLinks counts links crossing the best balanced cut.
+// BisectionLinks counts links crossing the best balanced cut: between
+// two row-halves, 2×Cols wrap+cross links; between two column halves,
+// 2×rows. The bisection is the smaller cut.
 func (f *Fabric) BisectionLinks() int {
-	switch f.Topo {
-	case Ring:
-		return 2
-	case Torus2D:
-		rows := f.Nodes / f.Cols
-		// Cut between two row-halves: 2×Cols wrap+cross links; or
-		// between column halves: 2×rows. Bisection = the smaller cut.
-		byRows := 2 * f.Cols
-		byCols := 2 * rows
-		if byCols < byRows {
-			return byCols
-		}
-		return byRows
-	default:
-		panic("interconnect: unknown topology")
-	}
+	return 2 * min(f.Cols, f.Nodes/f.Cols)
 }
 
 // BisectionBytesPerSec returns the usable bisection bandwidth.
@@ -168,10 +115,10 @@ type ScalingRow struct {
 // ScalingStudy evaluates the fabric of pe nodes across machine sizes
 // (the paper's Lego-block growth story: plug in more PEs, bandwidth
 // grows).
-func ScalingStudy(t Topology, sizes []int, pe *Node) ([]ScalingRow, error) {
+func ScalingStudy(sizes []int, pe *Node) ([]ScalingRow, error) {
 	rows := make([]ScalingRow, 0, len(sizes))
 	for _, n := range sizes {
-		f, err := NewFabric(t, n, pe)
+		f, err := NewFabric(n, pe)
 		if err != nil {
 			return nil, err
 		}

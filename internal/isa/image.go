@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 )
 
@@ -33,10 +34,13 @@ var imageMagic = [8]byte{'i', 'r', 'a', 'm', 'i', 'm', 'g', '1'}
 var ErrBadImage = errors.New("isa: bad program image")
 
 // imageLimit bounds decoded sizes to keep corrupt inputs from
-// allocating absurd amounts (16M instructions / 1 GiB data).
+// allocating absurd amounts (16M instructions / 1 GiB data). Within
+// them, the decoder allocates as instructions and bytes arrive, at most
+// imageChunk of them ahead, never what a count merely claims.
 const (
 	imageMaxCode = 16 << 20
 	imageMaxData = 1 << 30
+	imageChunk   = 4 << 10
 )
 
 // WriteImage serializes the program.
@@ -142,8 +146,8 @@ func ReadImage(r io.Reader) (*Program, error) {
 	if nCode > imageMaxCode {
 		return nil, fmt.Errorf("%w: %d instructions exceeds limit", ErrBadImage, nCode)
 	}
-	p.Code = make([]Instr, nCode)
-	for i := range p.Code {
+	p.Code = make([]Instr, 0, min(nCode, imageChunk))
+	for i := uint64(0); i < nCode; i++ {
 		var hdr [4]byte
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			return nil, fmt.Errorf("%w: truncated instruction", ErrBadImage)
@@ -159,7 +163,7 @@ func ReadImage(r io.Reader) (*Program, error) {
 		if hdr[1] >= NumRegs || hdr[2] >= NumRegs || hdr[3] >= NumRegs {
 			return nil, fmt.Errorf("%w: register out of range", ErrBadImage)
 		}
-		p.Code[i] = Instr{Op: op, Rd: hdr[1], Rs1: hdr[2], Rs2: hdr[3], Imm: imm}
+		p.Code = append(p.Code, Instr{Op: op, Rd: hdr[1], Rs1: hdr[2], Rs2: hdr[3], Imm: imm})
 	}
 	nData, err := getU()
 	if err != nil {
@@ -179,9 +183,14 @@ func ReadImage(r io.Reader) (*Program, error) {
 		if total > imageMaxData {
 			return nil, fmt.Errorf("%w: data exceeds limit", ErrBadImage)
 		}
-		seg := Segment{Base: base, Bytes: make([]byte, length)}
-		if _, err := io.ReadFull(br, seg.Bytes); err != nil {
-			return nil, fmt.Errorf("%w: truncated data segment", ErrBadImage)
+		seg := Segment{Base: base, Bytes: make([]byte, 0, min(length, imageChunk))}
+		for uint64(len(seg.Bytes)) < length {
+			n := int(min(length-uint64(len(seg.Bytes)), imageChunk))
+			seg.Bytes = slices.Grow(seg.Bytes, n)
+			if _, err := io.ReadFull(br, seg.Bytes[len(seg.Bytes):len(seg.Bytes)+n]); err != nil {
+				return nil, fmt.Errorf("%w: truncated data segment", ErrBadImage)
+			}
+			seg.Bytes = seg.Bytes[:len(seg.Bytes)+n]
 		}
 		p.Data = append(p.Data, seg)
 	}

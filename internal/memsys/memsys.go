@@ -240,15 +240,6 @@ func (h *Hierarchy) Reset() {
 	h.haveLast = false
 }
 
-// String describes the hierarchy.
-func (h *Hierarchy) String() string {
-	s := h.Name + ":"
-	for _, l := range h.Levels {
-		s += fmt.Sprintf(" %s @%gns →", l.Cache.Name(), l.LatencyNs)
-	}
-	return s + fmt.Sprintf(" memory @%gns", h.MemoryNs)
-}
-
 // WalkResult is one cell of the Figure 2 latency surface.
 type WalkResult struct {
 	ArrayBytes uint64

@@ -101,12 +101,6 @@ func TestEstimator(t *testing.T) {
 	}
 }
 
-func TestStringDescribes(t *testing.T) {
-	if s := SS10().String(); s == "" {
-		t.Error("empty description")
-	}
-}
-
 // TestAccessNsZeroAllocs is the -benchmem guard for the walk loop: the
 // per-call defer closure that used to live in AccessNs cost one
 // allocation per reference, which dominates Figure 2's tens of millions

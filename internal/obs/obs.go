@@ -25,7 +25,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"sync"
@@ -351,18 +350,4 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r.Snapshot())
-}
-
-// String summarises the registry ("3 families, 42 metrics").
-func (r *Registry) String() string {
-	if r == nil {
-		return "obs: off"
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	metrics := 0
-	for _, f := range r.families {
-		metrics += len(f.counters) + len(f.gauges) + len(f.runnings) + len(f.histograms)
-	}
-	return fmt.Sprintf("obs: %d families, %d metrics", len(r.families), metrics)
 }

@@ -91,10 +91,3 @@ func (t *Table) Render(w io.Writer) {
 	}
 	fmt.Fprintln(w)
 }
-
-// String renders to a string.
-func (t *Table) String() string {
-	var b strings.Builder
-	t.Render(&b)
-	return b.String()
-}

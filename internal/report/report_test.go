@@ -1,16 +1,24 @@
 package report
 
 import (
+	"io"
 	"strings"
 	"testing"
 )
+
+// rendered returns what r's Render writes.
+func rendered(r interface{ Render(io.Writer) }) string {
+	var b strings.Builder
+	r.Render(&b)
+	return b.String()
+}
 
 func TestTableRender(t *testing.T) {
 	tab := NewTable("My Table", "name", "value")
 	tab.Row("alpha", 1.5)
 	tab.Row("beta", "text")
 	tab.Note("a footnote")
-	out := tab.String()
+	out := rendered(tab)
 	for _, want := range []string{"My Table", "name", "value", "alpha", "1.5", "beta", "text", "note: a footnote"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
@@ -21,7 +29,7 @@ func TestTableRender(t *testing.T) {
 func TestTableColumnAlignment(t *testing.T) {
 	tab := NewTable("", "a", "b")
 	tab.Row("longer-cell", "x")
-	out := tab.String()
+	out := rendered(tab)
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	// Header and row must place column b at the same offset.
 	head := lines[0]
@@ -52,7 +60,7 @@ func TestSeriesRender(t *testing.T) {
 		s.Add("reference", p, 100/p)
 		s.Add("integrated", p, 80/p)
 	}
-	out := s.String()
+	out := rendered(s)
 	for _, want := range []string{"Speedup", "procs", "reference", "integrated", "*", "o"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("series plot missing %q:\n%s", want, out)
@@ -76,7 +84,7 @@ func TestSeriesRender(t *testing.T) {
 
 func TestSeriesEmpty(t *testing.T) {
 	s := NewSeries("empty", "x", "y")
-	if !strings.Contains(s.String(), "no data") {
+	if !strings.Contains(rendered(s), "no data") {
 		t.Error("empty series must say so")
 	}
 }
@@ -85,7 +93,7 @@ func TestSeriesFlatLine(t *testing.T) {
 	s := NewSeries("flat", "x", "y")
 	s.Add("a", 1, 5)
 	s.Add("a", 2, 5)
-	if out := s.String(); !strings.Contains(out, "*") {
+	if out := rendered(s); !strings.Contains(out, "*") {
 		t.Errorf("flat series lost its points:\n%s", out)
 	}
 }
@@ -94,7 +102,7 @@ func TestSeriesOverlapMarker(t *testing.T) {
 	s := NewSeries("overlap", "x", "y")
 	s.Add("a", 1, 5)
 	s.Add("b", 1, 5)
-	if out := s.String(); !strings.Contains(out, "&") {
+	if out := rendered(s); !strings.Contains(out, "&") {
 		t.Errorf("overlapping points not marked:\n%s", out)
 	}
 }

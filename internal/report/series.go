@@ -135,10 +135,3 @@ func (s *Series) Render(w io.Writer) {
 	}
 	fmt.Fprintln(w)
 }
-
-// String renders to a string.
-func (s *Series) String() string {
-	var b strings.Builder
-	s.Render(&b)
-	return b.String()
-}

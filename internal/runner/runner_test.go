@@ -41,6 +41,9 @@ func TestValidate(t *testing.T) {
 		{"invalid-machine", Request{Experiments: []string{"spec"}, Machine: json.RawMessage(`{"Banks":0}`)}, "machine config"},
 		// The Inter-Node Cache lives in the 32 MiB DRAM array.
 		{"inc-over-array", Request{Experiments: []string{"fig13"}, Machine: json.RawMessage(`{"INCBytes":68719476736}`)}, "INC 68719476736 B outside"},
+		// The SPLASH units build integrated nodes from any machine, so
+		// one that is not integrated cannot dodge the INC bound.
+		{"not-integrated", Request{Experiments: []string{"fig13"}, Machine: json.RawMessage(`{"Integrated":false,"INCBytes":68719476736}`)}, `"Integrated": false`},
 		// Each design-space axis takes up to MaxAxisValues values, the
 		// cap the iramsim -ds-* flags enforce.
 		{"ds_banks-at-cap", Request{Experiments: []string{"designspace"}, DSBanks: make([]int, MaxAxisValues)}, ""},
@@ -82,6 +85,7 @@ func FuzzRequest(f *testing.F) {
 		`{"experiments":["spec"],"machine":{"DRAM":{"Banks":32,"ColumnBytes":256},"ICacheBytes":8192,"ICacheLineBytes":256,"DCacheBytes":16384,"DCacheLineBytes":256,"VictimEntries":8}}`,
 		`{"experiments":["fig13"],"machine":{"INCBytes":68719476736}}`,
 		`{"experiments":["fig13"],"machine":{"INCBytes":-512}}`,
+		`{"experiments":["fig13"],"machine":{"Integrated":false,"INCBytes":-512}}`,
 		`{"experiments":["fig13"],"machine":{"INCBytes":0}}`,
 		`{"experiments":["spec"],"machine":{"DRAM":{"PrechargeCycles":0}}}`,
 		`{"experiments":["fig7"],"bogus":1}`,

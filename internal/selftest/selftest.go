@@ -29,7 +29,6 @@ type Result struct {
 	Instructions int64
 	MemoryBytes  uint64 // memory window exercised
 	CacheFills   int64  // column-buffer fills observed
-	VictimHits   int64
 }
 
 // Config sizes the self-test.
@@ -38,9 +37,6 @@ type Config struct {
 	// a full tester pass over 32 MB is the same loop with a larger
 	// constant, exactly as on the real device).
 	WindowBytes uint64
-	// FaultAddr, when non-zero, injects a stuck-at-zero byte at the
-	// given offset inside the window (for testing the tester).
-	FaultAddr uint64
 }
 
 // phase result codes written by the program into r28.
@@ -54,9 +50,11 @@ const (
 	codeWalkingOne = 6
 )
 
+// windowBase is the address of the window's first byte.
+const windowBase = 0x1000000
+
 // source generates the self-test program.
 func source(windowBytes uint64) string {
-	const base = 0x1000000
 	return fmt.Sprintf(`
 	.text 0x1000
 main:	li r28, %d              # presumed-failing phase: ALU
@@ -146,59 +144,46 @@ wbit:	sd r5, 0(r10)
 	li r28, %d               # all phases passed
 	halt
 fail:	halt
-`, codeALU, codeMarchUp, base, windowBytes, codeMarchDn, base, codeChecksum, base,
-		codeChecker, base, base, codeWalkingOne, base, codeOK)
+`, codeALU, codeMarchUp, windowBase, windowBytes, codeMarchDn, windowBase,
+		codeChecksum, windowBase, codeChecker, windowBase, windowBase,
+		codeWalkingOne, windowBase, codeOK)
 }
+
+// maxInstructions bounds a self-test run.
+const maxInstructions = 200_000_000
 
 // Run executes the self-test against the device model.
 func Run(cfg Config) (*Result, error) {
+	cpu, dcache, err := load(&cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := cpu.Run(maxInstructions); err != nil {
+		return nil, err
+	}
+	return summarise(cpu, cfg, dcache), nil
+}
+
+// load defaults cfg's window and loads the self-test program for it
+// into a CPU whose data references feed the proposed D-cache.
+func load(cfg *Config) (*vm.CPU, *cache.WithVictim, error) {
 	if cfg.WindowBytes == 0 {
 		cfg.WindowBytes = 64 << 10
 	}
 	if cfg.WindowBytes%8 != 0 {
-		return nil, fmt.Errorf("selftest: window must be a multiple of 8 bytes")
+		return nil, nil, fmt.Errorf("selftest: window must be a multiple of 8 bytes")
 	}
 	prog, err := asm.Assemble(source(cfg.WindowBytes))
 	if err != nil {
-		return nil, fmt.Errorf("selftest: generator bug: %w", err)
+		return nil, nil, fmt.Errorf("selftest: generator bug: %w", err)
 	}
-
 	dcache := cache.NewWithVictim(core.Proposed().DCache())
 	sink := trace.SinkFunc(func(r trace.Ref) {
 		if r.Kind != trace.Ifetch {
 			dcache.Access(r.Addr, r.Kind)
 		}
 	})
-	cpu := vm.New(prog, sink)
-
-	if cfg.FaultAddr != 0 {
-		// Inject a stuck-at fault: run the march-up phase normally and
-		// corrupt the cell afterwards by intercepting below. Simplest
-		// faithful model: pre-poison the cell and re-poison after every
-		// store by stepping manually.
-		return runWithFault(cpu, cfg, dcache)
-	}
-
-	if err := cpu.Run(200_000_000); err != nil {
-		return nil, err
-	}
-	return summarise(cpu, cfg, dcache), nil
-}
-
-// runWithFault steps the CPU, forcing the faulty byte to zero after
-// every store (a stuck-at-zero cell).
-func runWithFault(cpu *vm.CPU, cfg Config, dcache *cache.WithVictim) (*Result, error) {
-	const base = 0x1000000
-	faulty := base + cfg.FaultAddr
-	for i := 0; i < 200_000_000 && !cpu.Halted(); i++ {
-		if err := cpu.Step(); err != nil {
-			return nil, err
-		}
-		if cpu.Mem.Load8(faulty) != 0 {
-			cpu.Mem.Store8(faulty, 0)
-		}
-	}
-	return summarise(cpu, cfg, dcache), nil
+	return vm.New(prog, sink), dcache, nil
 }
 
 func summarise(cpu *vm.CPU, cfg Config, dcache *cache.WithVictim) *Result {
@@ -208,7 +193,6 @@ func summarise(cpu *vm.CPU, cfg Config, dcache *cache.WithVictim) *Result {
 		Instructions: cpu.Instructions,
 		MemoryBytes:  cfg.WindowBytes,
 		CacheFills:   dcache.Main.Fills,
-		VictimHits:   dcache.Vic.Hits,
 	}
 	switch code {
 	case codeOK:

@@ -21,8 +21,28 @@ func TestHealthyDevicePasses(t *testing.T) {
 	}
 }
 
+// runWithFault runs the self-test with a stuck-at-zero byte at the
+// given offset inside the window: it steps the CPU and forces the
+// byte back to zero after every instruction.
+func runWithFault(cfg Config, faultAddr uint64) (*Result, error) {
+	cpu, dcache, err := load(&cfg)
+	if err != nil {
+		return nil, err
+	}
+	faulty := windowBase + faultAddr
+	for i := 0; i < maxInstructions && !cpu.Halted(); i++ {
+		if err := cpu.Step(); err != nil {
+			return nil, err
+		}
+		if cpu.Mem.Load8(faulty) != 0 {
+			cpu.Mem.Store8(faulty, 0)
+		}
+	}
+	return summarise(cpu, cfg, dcache), nil
+}
+
 func TestStuckAtFaultDetected(t *testing.T) {
-	r, err := Run(Config{WindowBytes: 16 << 10, FaultAddr: 4096})
+	r, err := runWithFault(Config{WindowBytes: 16 << 10}, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +58,7 @@ func TestStuckAtFaultDetected(t *testing.T) {
 }
 
 func TestFaultAtWindowEdge(t *testing.T) {
-	r, err := Run(Config{WindowBytes: 16 << 10, FaultAddr: 16<<10 - 8})
+	r, err := runWithFault(Config{WindowBytes: 16 << 10}, 16<<10-8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,9 +57,7 @@ func Quick() Size {
 
 // Benchmark is one SPLASH application.
 type Benchmark struct {
-	Name        string
-	Description string
-	DataSet     string
+	Name string
 	// kernel executes the benchmark on n processors over the machine.
 	kernel func(n int, m *coherence.Machine, sz Size) mpsim.Result
 }
@@ -77,39 +75,15 @@ func (b Benchmark) RunMachine(n int, m *coherence.Machine, sz Size) mpsim.Result
 }
 
 // All returns the five benchmarks in the paper's figure order
-// (Figures 13–17).
+// (Figures 13–17), each commented with its Table 5 description and
+// data set.
 func All() []Benchmark {
 	return []Benchmark{
-		{
-			Name:        "LU",
-			Description: "LU decomposition",
-			DataSet:     "200x200 matrix",
-			kernel:      runLU,
-		},
-		{
-			Name:        "MP3D",
-			Description: "3-D particle-based wind-tunnel simulator",
-			DataSet:     "10 K particles, 10 steps",
-			kernel:      runMP3D,
-		},
-		{
-			Name:        "OCEAN",
-			Description: "Ocean basin simulator",
-			DataSet:     "128x128 grids",
-			kernel:      runOcean,
-		},
-		{
-			Name:        "WATER",
-			Description: "N-body water molecular dynamics simulation",
-			DataSet:     "288 molecules, 4 time steps",
-			kernel:      runWater,
-		},
-		{
-			Name:        "PTHOR",
-			Description: "Distributed-time digital circuit simulator",
-			DataSet:     "RISC-like circuit",
-			kernel:      runPthor,
-		},
+		{Name: "LU", kernel: runLU},       // LU decomposition; 200x200 matrix
+		{Name: "MP3D", kernel: runMP3D},   // 3-D particle-based wind-tunnel simulator; 10 K particles, 10 steps
+		{Name: "OCEAN", kernel: runOcean}, // Ocean basin simulator; 128x128 grids
+		{Name: "WATER", kernel: runWater}, // N-body water molecular dynamics simulation; 288 molecules, 4 time steps
+		{Name: "PTHOR", kernel: runPthor}, // Distributed-time digital circuit simulator; RISC-like circuit
 	}
 }
 

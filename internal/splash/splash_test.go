@@ -36,9 +36,6 @@ func TestRegistry(t *testing.T) {
 		if b.Name != want[i] {
 			t.Errorf("order[%d] = %s, want %s", i, b.Name, want[i])
 		}
-		if b.Description == "" || b.DataSet == "" {
-			t.Errorf("%s: missing metadata", b.Name)
-		}
 	}
 	if _, err := ByName("nonesuch"); err == nil {
 		t.Error("ByName accepted an unknown benchmark")

@@ -237,13 +237,3 @@ func (p *SetProfiler) MissCounter(sets uint64, ways int, kind trace.Kind) stats.
 	}
 	return p.counter(ti, ways, kind)
 }
-
-// Ref implements trace.Sink.
-func (p *SetProfiler) Ref(r trace.Ref) { p.Access(r.Addr, r.Kind) }
-
-// Refs implements trace.BatchSink.
-func (p *SetProfiler) Refs(rs []trace.Ref) {
-	for i := range rs {
-		p.Access(rs[i].Addr, rs[i].Kind)
-	}
-}

@@ -7,10 +7,7 @@
 // error is meaningful.
 package stats
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Running accumulates a stream of float64 samples using Welford's
 // algorithm, giving numerically stable mean and variance without storing
@@ -88,11 +85,6 @@ func (r *Running) StdErr() float64 {
 // the Monte-Carlo runners, which are in the thousands).
 func (r *Running) CI95() float64 { return 1.96 * r.StdErr() }
 
-// String formats the accumulator as "mean ± ci95 (n=N)".
-func (r *Running) String() string {
-	return fmt.Sprintf("%.4g ± %.2g (n=%d)", r.Mean(), r.CI95(), r.N())
-}
-
 // Counter is a monotonically increasing event counter paired with a
 // population counter, reporting a rate. It is the basic unit of
 // cache-miss accounting.
@@ -116,11 +108,6 @@ func (c Counter) Percent() float64 { return 100 * c.Rate() }
 func (c *Counter) Add(o Counter) {
 	c.Events += o.Events
 	c.Total += o.Total
-}
-
-// String formats the counter as "events/total (rate%)".
-func (c Counter) String() string {
-	return fmt.Sprintf("%d/%d (%.3f%%)", c.Events, c.Total, c.Percent())
 }
 
 // Histogram is a fixed-bucket histogram over float64 values in

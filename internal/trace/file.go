@@ -499,20 +499,12 @@ func (t *Reader) finish(head byte, decoded int64) error {
 
 // Replay streams the remaining references into a sink, returning the
 // count delivered. Decode errors carry the byte offset at which the
-// trace went bad (see Refs).
+// trace went bad (see Refs). References are decoded into one BatchLen
+// buffer and handed to the sink in slices via the BatchSink fast path
+// where the sink supports it, so replay costs no allocation per
+// reference.
 func (t *Reader) Replay(sink Sink) (int64, error) {
-	return t.ReplayBatch(sink, nil)
-}
-
-// ReplayBatch is Replay with an explicit staging buffer: references are
-// decoded into buf and handed to the sink in slices via the BatchSink
-// fast path where the sink supports it, so replay costs zero
-// allocations per reference. A nil or empty buf allocates a BatchLen
-// buffer.
-func (t *Reader) ReplayBatch(sink Sink, buf []Ref) (int64, error) {
-	if len(buf) == 0 {
-		buf = make([]Ref, BatchLen)
-	}
+	buf := make([]Ref, BatchLen)
 	var n int64
 	for {
 		m, err := t.Refs(buf)

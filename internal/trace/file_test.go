@@ -394,11 +394,10 @@ func mixedStream(n int) []Ref {
 }
 
 // TestReplayZeroAllocs pins the decoder's allocation contract: a replay
-// with a caller-supplied batch buffer allocates once per stream (the
-// reader and its window), never per reference, so 10x the references
-// cost the same allocations.
+// allocates once per stream (the reader, its window and the batch
+// buffer), never per reference, so 10x the references cost the same
+// allocations.
 func TestReplayZeroAllocs(t *testing.T) {
-	buf := make([]Ref, BatchLen)
 	allocs := func(n int) float64 {
 		data := encode(t, mixedStream(n))
 		var c Counts
@@ -407,7 +406,7 @@ func TestReplayZeroAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, err := r.ReplayBatch(&c, buf); err != nil || got != int64(n) {
+			if got, err := r.Replay(&c); err != nil || got != int64(n) {
 				t.Fatalf("replayed %d of %d references: %v", got, n, err)
 			}
 		})

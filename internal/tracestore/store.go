@@ -64,29 +64,21 @@ func NewStore(dir string) (*Store, error) {
 	return &Store{Store: b, verified: make(map[string]bool)}, nil
 }
 
-// Key identifies one recorded stream. Version selects the file format
-// generation; leave it zero for the current trace.FormatVersion.
+// Key identifies one recorded stream.
 type Key struct {
 	Workload string
 	Budget   int64
 	Seed     int64
-	Version  int
 }
 
-func (k Key) normalized() Key {
-	if k.Version == 0 {
-		k.Version = trace.FormatVersion
-	}
-	return k
-}
-
-// entryName names k's entry: every key component plus a hash of the
-// canonical key string, so humans can read the cache directory and
-// collisions cannot alias two keys.
+// entryName names k's entry: every key component and the file format
+// generation (trace.FormatVersion, so a format bump misses every older
+// entry) plus a hash of the canonical key string, so humans can read
+// the cache directory and collisions cannot alias two keys.
 func entryName(k Key) string {
-	k = k.normalized()
-	sum := sha256.Sum256([]byte(fmt.Sprintf("%s|%d|%d|%d", k.Workload, k.Budget, k.Seed, k.Version)))
-	return fmt.Sprintf("%s-b%d-s%d-v%d-%x", k.Workload, k.Budget, k.Seed, k.Version, sum[:6])
+	const v = trace.FormatVersion
+	sum := sha256.Sum256([]byte(fmt.Sprintf("%s|%d|%d|%d", k.Workload, k.Budget, k.Seed, v)))
+	return fmt.Sprintf("%s-b%d-s%d-v%d-%x", k.Workload, k.Budget, k.Seed, v, sum[:6])
 }
 
 // Path returns the file path an entry for k lives at (whether or not
@@ -99,11 +91,6 @@ func (s *Store) Path(k Key) string { return s.Store.Path(entryName(k)) }
 // references recorded. An existing entry is replaced; a failing gen
 // installs nothing and its error is returned as is.
 func (s *Store) Record(k Key, gen func(trace.Sink) error, sink trace.Sink) (trace.Counts, error) {
-	k = k.normalized()
-	if k.Version != trace.FormatVersion {
-		return trace.Counts{}, fmt.Errorf("trace: store: cannot record format version %d (writer is version %d)",
-			k.Version, trace.FormatVersion)
-	}
 	var counts trace.Counts
 	err := s.Commit(entryName(k), func(f io.Writer) error {
 		w, err := trace.NewWriter(f)
@@ -138,7 +125,7 @@ func (s *Store) ReplayTo(k Key, sink trace.Sink) (trace.Counts, error) {
 	path := s.Path(k)
 	f, err := os.Open(path)
 	if err != nil {
-		return trace.Counts{}, fmt.Errorf("%w: %s", ErrMiss, k.normalized().Workload)
+		return trace.Counts{}, fmt.Errorf("%w: %s", ErrMiss, k.Workload)
 	}
 	defer f.Close()
 
@@ -166,7 +153,7 @@ func (s *Store) ReplayTo(k Key, sink trace.Sink) (trace.Counts, error) {
 	var counts trace.Counts
 	r, err := trace.NewReader(f)
 	if err == nil {
-		_, err = r.ReplayBatch(trace.Tee{&counts, sink}, nil)
+		_, err = r.Replay(trace.Tee{&counts, sink})
 	}
 	if err != nil {
 		if errors.Is(err, trace.ErrBadTrace) {

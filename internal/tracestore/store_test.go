@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -80,9 +81,10 @@ func TestStoreMiss(t *testing.T) {
 	}
 }
 
-// TestStoreKeyComponents verifies each key component (and the format
-// version in particular) addresses a distinct entry: a bumped version
-// misses rather than replaying a stale stream.
+// TestStoreKeyComponents verifies each key component addresses a
+// distinct entry, and that the format version is part of the entry's
+// name, so a bumped version misses rather than replaying a stale
+// stream.
 func TestStoreKeyComponents(t *testing.T) {
 	s := newStore(t)
 	base := Key{Workload: "w", Budget: 100, Seed: 1}
@@ -93,7 +95,6 @@ func TestStoreKeyComponents(t *testing.T) {
 		"workload": {Workload: "w2", Budget: 100, Seed: 1},
 		"budget":   {Workload: "w", Budget: 101, Seed: 1},
 		"seed":     {Workload: "w", Budget: 100, Seed: 2},
-		"version":  {Workload: "w", Budget: 100, Seed: 1, Version: trace.FormatVersion + 1},
 	} {
 		if _, err := s.ReplayTo(k, trace.Discard); !errors.Is(err, ErrMiss) {
 			t.Errorf("%s changed: err %v, want ErrMiss", name, err)
@@ -102,11 +103,8 @@ func TestStoreKeyComponents(t *testing.T) {
 	if _, err := s.ReplayTo(base, trace.Discard); err != nil {
 		t.Errorf("unchanged key: %v", err)
 	}
-	// Recording an entry for a format this writer cannot produce is
-	// refused rather than silently written as the current version.
-	legacy := Key{Workload: "w", Budget: 100, Seed: 1, Version: trace.FormatVersion + 1}
-	if _, err := s.Record(legacy, testStream(1), trace.Discard); err == nil {
-		t.Error("recording a foreign format version was accepted")
+	if v := fmt.Sprintf("-v%d-", trace.FormatVersion); !strings.Contains(filepath.Base(s.Path(base)), v) {
+		t.Errorf("entry %s does not name format version %d", s.Path(base), trace.FormatVersion)
 	}
 }
 
@@ -394,7 +392,7 @@ func TestStoreMalformedEntry(t *testing.T) {
 
 // FuzzStoreReplay writes arbitrary bytes as an entry, replays them
 // through a fresh Store and decodes them directly with trace.NewReader
-// and ReplayBatch. The replay contract: ErrMiss means the sink saw no
+// and Replay. The replay contract: ErrMiss means the sink saw no
 // reference and the direct decode fails; nil means the sink holds
 // exactly the direct decode's references and counts; any other error
 // means the direct decode fails too, the sink holds what it delivered
@@ -430,7 +428,7 @@ func FuzzStoreReplay(f *testing.F) {
 		var wantCounts trace.Counts
 		r, derr := trace.NewReader(bytes.NewReader(data))
 		if derr == nil {
-			_, derr = r.ReplayBatch(trace.Tee{&want, &wantCounts}, nil)
+			_, derr = r.Replay(trace.Tee{&want, &wantCounts})
 		}
 
 		switch {

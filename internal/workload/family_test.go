@@ -35,7 +35,7 @@ func TestFamilyMatchesPerPoint(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sum := fam.Summary(w, instr, points)
+			sum := fam.Summary(w, points)
 			for _, p := range points {
 				dev := core.Proposed().WithOrganisation(p.Banks, col, p.VictimEntries, p.Ways)
 				if err := dev.Validate(); err != nil {
@@ -103,7 +103,7 @@ func TestLineSetCollapse(t *testing.T) {
 		}
 		ref := trace.Ref{Addr: *last&^31 + uint64(rng.Intn(32)), Kind: kind}
 		s.ref(ref)
-		full.Ref(ref)
+		full.Access(ref.Addr, ref.Kind)
 	}
 	if got, want := s.iStats(64), setStats(fullI, 64, 1); got != want {
 		t.Errorf("I 64x1: collapsed %+v, full %+v", got, want)

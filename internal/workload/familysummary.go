@@ -28,7 +28,6 @@ type FamilySummary struct {
 	Bench    string
 	BaseCPI  float64
 	Refs     trace.Counts
-	Instr    int64
 	Compound int // in-pass victim compounds the pass carried
 
 	IBanks map[int]cache.Stats         // banks -> I-cache stats
@@ -36,17 +35,16 @@ type FamilySummary struct {
 	DVic   map[FamilyPoint]cache.Stats // victim-bearing point -> stats
 }
 
-// Summary distills the set, after w's stream of instr instructions has
-// passed through it, for the given registered points. The points must
+// Summary distills the set, after w's stream has passed through it,
+// for the given registered points. The points must
 // be (a subset of) those the family set was built with; statistics for
 // unregistered geometries would panic exactly as they do on
 // FamilyCacheSet.
-func (f *FamilyCacheSet) Summary(w Workload, instr int64, points []FamilyPoint) *FamilySummary {
+func (f *FamilyCacheSet) Summary(w Workload, points []FamilyPoint) *FamilySummary {
 	s := &FamilySummary{
 		Bench:    w.Name,
 		BaseCPI:  w.BaseCPI,
 		Refs:     f.RefCounts(),
-		Instr:    instr,
 		Compound: f.Compounds(),
 		IBanks:   make(map[int]cache.Stats),
 		DGeom:    make(map[FamilyGeom]cache.Stats),
