@@ -57,13 +57,15 @@ bench:
 # cpumodel nets, in Mfiring/s), the trace codec alone (decode and
 # encode of one recorded workload stream in Mref/s, and the replay-time
 # integrity check in bytes/s), the Figure 2 memory-hierarchy walk alone
-# (ns per access), and the VM alone (one workload program at a fixed
-# instruction budget, in Minstr/s), with allocation stats. The
+# (ns per access), the VM alone (one workload program at a fixed
+# instruction budget, in Minstr/s), and a warm iramsimd-style run (the
+# serve-warm request over one warm result store, in ms per run), with
+# allocation stats. The
 # coordinator and GSPN benchmarks report ns per operation or step, so
 # they run a fixed million of them rather than two, and the
 # memory-hierarchy benchmark ten million accesses (about half a second,
 # where a million took 40-60 ms and read 38-62 ns each); the trace,
-# coherence and VM benchmarks run a fixed hundred passes.
+# coherence, VM and warm-run benchmarks run a fixed hundred passes.
 bench-figures:
 	$(GO) test -run '^$$' -bench 'Designspace$$|Fig[78](Replay|ReplayCold|Warm)?$$|Fig12$$|Table3$$|Fig1[3-7]|CacheSetRefs$$' -benchmem -benchtime 2x . ./internal/workload
 	$(GO) test -run '^$$' -bench 'CoordinatorOps$$' -benchmem -benchtime 1000000x ./internal/mpsim
@@ -72,6 +74,7 @@ bench-figures:
 	$(GO) test -run '^$$' -bench '(Reader|Writer)Refs$$|Check$$' -benchmem -benchtime 100x ./internal/trace
 	$(GO) test -run '^$$' -bench 'AccessNs$$' -benchmem -benchtime 10000000x ./internal/memsys
 	$(GO) test -run '^$$' -bench 'RunProgram$$' -benchmem -benchtime 100x ./internal/vm
+	$(GO) test -run '^$$' -bench 'ServeWarm$$' -benchmem -benchtime 100x ./internal/runner
 
 # Record the current Fig7/Fig8 numbers as the checked-in baseline.
 bench-baseline:
@@ -83,7 +86,7 @@ bench-baseline:
 # (deterministic). -require keeps the guard honest: the acceptance
 # benchmarks must actually run, so the observability hooks cannot
 # regress them unnoticed by a pattern that matches nothing.
-BENCH_REQUIRED = BenchmarkFig7,BenchmarkFig8,BenchmarkFig7Replay,BenchmarkFig7ReplayCold,BenchmarkFig8Replay,BenchmarkFig7Warm,BenchmarkTable3,BenchmarkFig12,BenchmarkFig13LU,BenchmarkFig14MP3D,BenchmarkFig15Ocean,BenchmarkFig16Water,BenchmarkFig17Pthor,BenchmarkDesignspace,BenchmarkCacheSetRefs,BenchmarkFamilyCacheSetRefs,BenchmarkCoordinatorOps,BenchmarkMachineAccess,BenchmarkSimStep,BenchmarkSimStepBanks,BenchmarkReaderRefs,BenchmarkWriterRefs,BenchmarkCheck,BenchmarkAccessNs,BenchmarkRunProgram
+BENCH_REQUIRED = BenchmarkFig7,BenchmarkFig8,BenchmarkFig7Replay,BenchmarkFig7ReplayCold,BenchmarkFig8Replay,BenchmarkFig7Warm,BenchmarkTable3,BenchmarkFig12,BenchmarkFig13LU,BenchmarkFig14MP3D,BenchmarkFig15Ocean,BenchmarkFig16Water,BenchmarkFig17Pthor,BenchmarkDesignspace,BenchmarkCacheSetRefs,BenchmarkFamilyCacheSetRefs,BenchmarkCoordinatorOps,BenchmarkMachineAccess,BenchmarkSimStep,BenchmarkSimStepBanks,BenchmarkReaderRefs,BenchmarkWriterRefs,BenchmarkCheck,BenchmarkAccessNs,BenchmarkRunProgram,BenchmarkServeWarm
 
 bench-check:
 	$(MAKE) -s bench-figures | $(GO) run ./cmd/benchguard -baseline BENCH_baseline.json -threshold 0.20 -require $(BENCH_REQUIRED)
@@ -91,17 +94,20 @@ bench-check:
 bench-check-ci:
 	$(MAKE) -s bench-figures | $(GO) run ./cmd/benchguard -baseline BENCH_baseline.json -time=false -require $(BENCH_REQUIRED)
 
-# Exercise the trace codec, trace-store replay, assembler, program
-# image, VM step, GSPN equivalence, designspace axis-flag,
-# machine-description and daemon-request fuzz targets for a minute each (CI runs a 10-second
+# Exercise the trace codec, trace-store replay, result-store read,
+# assembler, program image, disassembler round trip, VM step, GSPN
+# equivalence, designspace axis-flag, machine-description and
+# daemon-request fuzz targets for a minute each (CI runs a 10-second
 # smoke; this is the pre-commit depth).
 FUZZTIME ?= 60s
 fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzReaderNext -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzFileRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tracestore -run '^$$' -fuzz FuzzStoreReplay -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/resultstore -run '^$$' -fuzz FuzzStoreGet -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/asm -run '^$$' -fuzz FuzzAssemble -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/isa -run '^$$' -fuzz FuzzReadImage -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/dis -run '^$$' -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/vm -run '^$$' -fuzz FuzzStep -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/gspn -run '^$$' -fuzz FuzzSimEquivalence -fuzztime $(FUZZTIME)
 	$(GO) test ./cmd/iramsim -run '^$$' -fuzz FuzzParseAxis -fuzztime $(FUZZTIME)

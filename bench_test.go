@@ -104,14 +104,18 @@ func BenchmarkFig8(b *testing.B) {
 // BenchmarkFig7Warm is BenchmarkFig7 against a pre-populated result
 // cache: every unit decodes its assembled row instead of simulating, so
 // this measures the warm-rerun floor (store read + versioned gob
-// decode). The gap to BenchmarkFig7 is what a rerun saves.
+// decode). The gap to BenchmarkFig7 is what a rerun saves. Each pass
+// opens a fresh Store over the warm directory, as a new process does:
+// one Store kept across passes would answer from the values it already
+// decoded, which is what internal/runner's BenchmarkServeWarm times.
 func BenchmarkFig7Warm(b *testing.B) {
-	store, err := resultstore.NewStore(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
+	dir := b.TempDir()
 	o := quickOpts()
 	run := func() {
+		store, err := resultstore.NewStore(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
 		eng := &sweep.Engine{Workers: 4, Cache: store}
 		job := experiments.Fig7Job(o, experiments.NewMeasurementSet(o))
 		if err := eng.Run(context.Background(), []sweep.Job{job}, func(sweep.JobResult) error { return nil }); err != nil {

@@ -3,11 +3,16 @@
 // /v1/runs and stream structured progress back; every run shares one
 // on-disk result cache, so a fleet of overlapping requests costs one
 // simulation per distinct unit and warm requests are answered without
-// simulating at all.
+// simulating at all, from the results the daemon already decoded once
+// it has read each entry.
+//
+// The daemon keeps its runs in memory, each with its event log and
+// output, but only the latest 64 finished ones: the oldest finished run
+// is evicted first, and an evicted id answers 404.
 //
 //	POST   /v1/runs            submit a run ({"experiments":["fig7"],"quick":true});
 //	                           ?stream=1 streams progress and cancels on disconnect
-//	GET    /v1/runs            list runs
+//	GET    /v1/runs            list the kept runs
 //	GET    /v1/runs/{id}        run status
 //	GET    /v1/runs/{id}/events progress stream (NDJSON, or SSE via Accept)
 //	GET    /v1/runs/{id}/output rendered output (blocks until the run finishes)

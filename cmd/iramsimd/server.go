@@ -31,6 +31,14 @@ type serverConfig struct {
 	RunFn func(context.Context, runner.Request, runner.Config) error
 }
 
+// keptRuns is how many finished runs the daemon keeps for GET. Each
+// holds its event log and rendered output (about 72 KB for the quick
+// fig7 fig8 fig11 fig12 table3 table4 banks request), so without a cap
+// memory grows with every request. The oldest finished run goes first;
+// a queued or running run is never evicted, and an evicted id answers
+// 404. A constant rather than a flag: one value serves every use.
+const keptRuns = 64
+
 // server is the simulation service: a bounded queue of runs drained by
 // a fixed executor pool, every run sharing one result store so
 // overlapping requests single-flight their common units. All state
@@ -44,6 +52,7 @@ type server struct {
 	draining bool
 	queue    chan *run
 	runs     map[string]*run
+	finished []string // ids of the kept finished runs, oldest first
 	nextID   int
 	wg       sync.WaitGroup // executors
 
@@ -55,6 +64,7 @@ type server struct {
 	mCompleted  *obs.Counter
 	mFailed     *obs.Counter
 	mCacheHits  *obs.Counter
+	mCacheMem   *obs.Counter
 	mCacheMiss  *obs.Counter
 }
 
@@ -155,6 +165,7 @@ func newServer(cfg serverConfig) *server {
 		mCompleted:  cfg.Obs.Counter("iramsimd", "runs_completed"),
 		mFailed:     cfg.Obs.Counter("iramsimd", "runs_failed"),
 		mCacheHits:  cfg.Obs.Counter("iramsimd", "cache_hits"),
+		mCacheMem:   cfg.Obs.Counter("iramsimd", "cache_memory_hits"),
 		mCacheMiss:  cfg.Obs.Counter("iramsimd", "cache_misses"),
 	}
 	mux := http.NewServeMux()
@@ -217,12 +228,25 @@ func (s *server) executor() {
 	}
 }
 
+// retire moves the run to a terminal state and keeps it among the
+// finished runs, evicting the oldest finished run beyond keptRuns.
+func (s *server) retire(ru *run, state, errMsg string) {
+	ru.finish(state, errMsg)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.finished = append(s.finished, ru.id)
+	for len(s.finished) > keptRuns {
+		delete(s.runs, s.finished[0])
+		s.finished = s.finished[1:]
+	}
+}
+
 // execute runs one dequeued request to its terminal state.
 func (s *server) execute(ru *run) {
 	if ru.ctx.Err() != nil { // canceled while still queued
 		s.mCanceled.Inc()
 		ru.appendEvent(map[string]interface{}{"type": "done", "run": ru.id, "state": "canceled"})
-		ru.finish("canceled", context.Canceled.Error())
+		s.retire(ru, "canceled", context.Canceled.Error())
 		return
 	}
 	s.mActive.Add(1)
@@ -271,8 +295,10 @@ func (s *server) execute(ru *run) {
 	})
 
 	hits := reg.Counter("resultcache", "hits").Value()
+	memHits := reg.Counter("resultcache", "memory_hits").Value()
 	misses := reg.Counter("resultcache", "misses").Value()
 	s.mCacheHits.Add(hits)
+	s.mCacheMem.Add(memHits)
 	s.mCacheMiss.Add(misses)
 
 	state, errMsg := "done", ""
@@ -289,13 +315,14 @@ func (s *server) execute(ru *run) {
 	_, _, _, outBytes := ru.snapshot()
 	ev := map[string]interface{}{
 		"type": "done", "run": ru.id, "state": state,
-		"cache_hits": hits, "cache_misses": misses, "output_bytes": outBytes,
+		"cache_hits": hits, "cache_memory_hits": memHits, "cache_misses": misses,
+		"output_bytes": outBytes,
 	}
 	if errMsg != "" {
 		ev["error"] = errMsg
 	}
 	ru.appendEvent(ev)
-	ru.finish(state, errMsg)
+	s.retire(ru, state, errMsg)
 
 	if s.cfg.CacheMaxBytes > 0 && s.cfg.Store != nil {
 		_, _, _ = s.cfg.Store.Prune(s.cfg.CacheMaxBytes)
@@ -391,7 +418,7 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleList lists every run in submission order.
+// handleList lists the kept runs in submission order.
 func (s *server) handleList(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	runs := make([]*run, 0, len(s.runs))

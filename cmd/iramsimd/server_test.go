@@ -293,6 +293,122 @@ func TestListSubmissionOrder(t *testing.T) {
 	}
 }
 
+// TestFinishedRunsEvicted: past keptRuns finished runs the oldest
+// finished run is evicted and answers 404 on every route, the kept ones
+// still serve their output, and a run still running is never evicted
+// however old it is.
+func TestFinishedRunsEvicted(t *testing.T) {
+	release := make(chan struct{})
+	stub := func(ctx context.Context, req runner.Request, cfg runner.Config) error {
+		if req.Experiments[0] == "fig13" {
+			<-release
+		}
+		fmt.Fprintf(cfg.Out, "run %d\n", req.Seed)
+		return nil
+	}
+	_, ts := newTestServer(t, serverConfig{MaxRuns: 2, RunFn: stub})
+	status := func(method, path string) int {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	output := func(id string) string {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/runs/" + id + "/output")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s output: %s: %s", id, resp.Status, b)
+		}
+		return string(b)
+	}
+
+	// The oldest run holds one executor; the rest go one after another
+	// through the other.
+	blocker := submitID(t, ts, runner.Request{Experiments: []string{"fig13"}})
+	const extra = 3
+	var ids []string
+	for i := 0; i < keptRuns+extra; i++ {
+		id := submitID(t, ts, runner.Request{Experiments: []string{"cost"}, Seed: int64(i + 1)})
+		if got := waitState(t, ts, id); got != "done" {
+			t.Fatalf("%s ended %q", id, got)
+		}
+		ids = append(ids, id)
+	}
+
+	listed := func() []string {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/runs")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var runs []struct {
+			ID    string `json:"id"`
+			State string `json:"state"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&runs); err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, ru := range runs {
+			out = append(out, ru.ID+"="+ru.State)
+		}
+		return out
+	}
+	want := []string{blocker + "=running"}
+	for _, id := range ids[extra:] {
+		want = append(want, id+"=done")
+	}
+	if got := listed(); strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("listed %v, want %v", got, want)
+	}
+	for _, id := range ids[:extra] {
+		for _, route := range []struct{ method, path string }{
+			{http.MethodGet, "/v1/runs/" + id},
+			{http.MethodGet, "/v1/runs/" + id + "/events"},
+			{http.MethodGet, "/v1/runs/" + id + "/output"},
+			{http.MethodDelete, "/v1/runs/" + id},
+		} {
+			if got := status(route.method, route.path); got != http.StatusNotFound {
+				t.Errorf("%s %s = %d after eviction, want 404", route.method, route.path, got)
+			}
+		}
+	}
+	for i, id := range ids[extra:] {
+		if got, want := output(id), fmt.Sprintf("run %d\n", extra+i+1); got != want {
+			t.Errorf("%s output = %q, want %q", id, got, want)
+		}
+	}
+
+	// Once the blocker finishes it is the newest finished run, so the
+	// oldest kept one makes room for it.
+	close(release)
+	if got := waitState(t, ts, blocker); got != "done" {
+		t.Fatalf("%s ended %q", blocker, got)
+	}
+	if got := output(blocker); got != "run 0\n" {
+		t.Errorf("%s output = %q", blocker, got)
+	}
+	if got := status(http.MethodGet, "/v1/runs/"+ids[extra]); got != http.StatusNotFound {
+		t.Errorf("GET %s = %d after the blocker finished, want 404", ids[extra], got)
+	}
+	if got := len(listed()); got != keptRuns {
+		t.Errorf("%d runs kept, want %d", got, keptRuns)
+	}
+}
+
 // TestQueueFullRejects: with one executor blocked and the queue full,
 // the next submission is shed with 429 + Retry-After — and accepted
 // runs still complete once the blockage clears.

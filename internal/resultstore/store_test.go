@@ -2,14 +2,25 @@ package resultstore
 
 import (
 	"bytes"
+	"context"
+	"crypto/sha256"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
+	"repro/internal/sweep"
 )
+
+// The store is the engine's in-memory source of decoded values.
+var _ sweep.DecodedCache = (*Store)(nil)
 
 func newStore(t *testing.T) *Store {
 	t.Helper()
@@ -278,4 +289,124 @@ func TestPruneEvictsOldestFirst(t *testing.T) {
 			t.Errorf("entry %q evicted out of order", key)
 		}
 	}
+}
+
+// decimal is a sweep.Codec of ints as decimal text.
+type decimal struct{}
+
+func (decimal) Encode(v interface{}) ([]byte, error) { return []byte(strconv.Itoa(v.(int))), nil }
+
+func (decimal) Decode(data []byte) (interface{}, error) { return strconv.Atoi(string(data)) }
+
+// TestKeptValuesBounded: warm runs over more keys than keptMax keep at
+// most keptMax decoded values, and every key is still answered, from
+// memory or from its entry, without running a unit.
+func TestKeptValuesBounded(t *testing.T) {
+	s := newStore(t)
+	n := keptMax + 64
+	units := make([]sweep.Unit, n)
+	for i := range units {
+		key := fmt.Sprintf("k%d", i)
+		if err := s.Put(key, []byte(strconv.Itoa(i))); err != nil {
+			t.Fatal(err)
+		}
+		units[i] = sweep.Unit{Name: key, Key: key, Codec: decimal{},
+			Run: func() (interface{}, error) { return nil, errors.New("ran a cached unit") }}
+	}
+	job := sweep.Job{Name: "bound", Units: units,
+		Assemble: func(parts []interface{}) (interface{}, error) { return parts, nil }}
+	for run := 0; run < 3; run++ {
+		reg := obs.NewRegistry()
+		e := &sweep.Engine{Workers: 2, Cache: s, Obs: reg}
+		v, err := e.RunJob(context.Background(), job)
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		for i, p := range v.([]interface{}) {
+			if p.(int) != i {
+				t.Fatalf("run %d: unit %d = %v", run, i, p)
+			}
+		}
+		if hits, misses := reg.Counter("resultcache", "hits").Value(), reg.Counter("resultcache", "misses").Value(); hits != int64(n) || misses != 0 {
+			t.Errorf("run %d: %d hits, %d misses; want %d and 0", run, hits, misses, n)
+		}
+		s.mu.Lock()
+		kept, listed := len(s.kept), s.lru.Len()
+		s.mu.Unlock()
+		if kept != keptMax || listed != kept {
+			t.Errorf("run %d: %d values kept (%d listed), want %d", run, kept, listed, keptMax)
+		}
+	}
+}
+
+// TestKeepEvictsLeastRecentlyUsed: past keptMax, Keep drops the value
+// used longest ago; a Decoded lookup counts as a use.
+func TestKeepEvictsLeastRecentlyUsed(t *testing.T) {
+	s := newStore(t)
+	for i := 0; i < keptMax; i++ {
+		s.Keep(fmt.Sprintf("k%d", i), i)
+	}
+	if v, ok := s.Decoded("k0"); !ok || v.(int) != 0 {
+		t.Fatalf("Decoded(k0) = %v, %v", v, ok)
+	}
+	s.Keep("new", -1)
+	if _, ok := s.Decoded("k1"); ok {
+		t.Error("k1, the least recently used, survived")
+	}
+	for _, key := range []string{"k0", "k2", "new"} {
+		if _, ok := s.Decoded(key); !ok {
+			t.Errorf("%s was evicted", key)
+		}
+	}
+	if len(s.kept) != keptMax {
+		t.Errorf("%d values kept, want %d", len(s.kept), keptMax)
+	}
+}
+
+// FuzzStoreGet writes arbitrary bytes as an entry's file. Get must not
+// panic, must hit only when the magic and the SHA-256 of the payload
+// hold, and must then return exactly the payload.
+func FuzzStoreGet(f *testing.F) {
+	s, err := NewStore(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := s.Put("seed", []byte("unit result bytes")); err != nil {
+		f.Fatal(err)
+	}
+	valid, err := os.ReadFile(s.Path("seed"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	for _, n := range []int{len(valid) - 1, len(magic) + sha256.Size, len(magic) + 3, len(magic), 3} {
+		f.Add(valid[:n])
+	}
+	for _, i := range []int{len(valid) - 1, len(magic) + sha256.Size - 1} {
+		flipped := append([]byte(nil), valid...)
+		flipped[i] ^= 0x01 // in the payload, then in the digest
+		f.Add(flipped)
+	}
+	badMagic := append([]byte(nil), valid...)
+	badMagic[0] ^= 0xff
+	f.Add(badMagic)
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if err := os.WriteFile(s.Path("k"), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, ok := s.Get("k")
+		head := len(magic) + sha256.Size
+		valid := len(raw) >= head && string(raw[:len(magic)]) == magic
+		if valid {
+			sum := sha256.Sum256(raw[head:])
+			valid = bytes.Equal(raw[len(magic):head], sum[:])
+		}
+		switch {
+		case ok != valid:
+			t.Fatalf("Get hit = %v on an entry whose framing holds = %v", ok, valid)
+		case ok && !bytes.Equal(got, raw[head:]):
+			t.Fatalf("Get returned %d bytes, not the %d-byte payload", len(got), len(raw)-head)
+		}
+	})
 }

@@ -5,11 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/resultstore"
 	"repro/internal/sweep"
@@ -222,6 +225,94 @@ func TestRunWarmCache(t *testing.T) {
 	}
 }
 
+// TestRunWarmSharedValues: warm runs through one store share the values
+// it decoded, across runs and render modes, so each must print the cold
+// output, and afterwards every kept value must still deep-equal a fresh
+// decode of its entry: no Assemble, table or JSON path wrote into a
+// row, map, slice or summary it was given. The experiments cover every
+// codec type that carries a reference: maps in rows (fig7, fig8,
+// mattson), a slice per unit (fig12) and a shared pointer (the
+// designspace family summaries). The other unit results are plain
+// values, which the assemblies' type assertions copy.
+func TestRunWarmSharedValues(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real simulation run")
+	}
+	store, err := resultstore.NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := quickReq("fig7", "fig8", "fig12", "mattson", "designspace")
+	render := func(jsonMode bool) ([]byte, *obs.Registry) {
+		t.Helper()
+		var out bytes.Buffer
+		reg := obs.NewRegistry()
+		if err := Run(context.Background(), req, Config{
+			Out: &out, Obs: reg, ResultCache: store, Workers: 4, JSON: jsonMode,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return out.Bytes(), reg
+	}
+	cold, _ := render(false)
+	var firstJSON []byte
+	for i, jsonMode := range []bool{false, true, false, true} {
+		out, reg := render(jsonMode)
+		if misses := reg.Counter("resultcache", "misses").Value(); misses != 0 {
+			t.Errorf("warm run %d: %d misses", i, misses)
+		}
+		if i > 0 && reg.Counter("resultcache", "memory_hits").Value() == 0 {
+			t.Errorf("warm run %d: no memory hits", i)
+		}
+		switch {
+		case !jsonMode && !bytes.Equal(out, cold):
+			t.Errorf("warm run %d printed other bytes than the cold run", i)
+		case jsonMode && firstJSON == nil:
+			firstJSON = out
+		case jsonMode && !bytes.Equal(out, firstJSON):
+			t.Errorf("warm run %d printed other JSON than the first JSON run", i)
+		}
+	}
+
+	opts, err := req.Options()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := experiments.NewMeasurementSet(opts)
+	checked := 0
+	for _, name := range req.Experiments {
+		j, err := experiments.JobFor(name, opts, ms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, u := range j.Units {
+			if u.Key == "" {
+				continue
+			}
+			kept, ok := store.Decoded(u.Key)
+			if !ok {
+				t.Errorf("%s: no value kept", u.Name)
+				continue
+			}
+			data, ok := store.Get(u.Key)
+			if !ok {
+				t.Fatalf("%s: entry missing", u.Name)
+			}
+			fresh, err := u.Codec.Decode(data)
+			if err != nil {
+				t.Fatalf("%s: %v", u.Name, err)
+			}
+			if !reflect.DeepEqual(kept, fresh) {
+				t.Errorf("%s: kept value changed after it was shared:\nkept  %+v\nentry %+v", u.Name, kept, fresh)
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no keyed units checked")
+	}
+}
+
 // TestRunFrontierExport: the designspace frontier lands at
 // Config.FrontierPath without any CLI globals involved.
 func TestRunFrontierExport(t *testing.T) {
@@ -239,4 +330,29 @@ func TestRunFrontierExport(t *testing.T) {
 	if lines := bytes.Count(data, []byte("\n")); lines < 2 {
 		t.Errorf("frontier CSV has %d lines, want header + rows:\n%s", lines, data)
 	}
+}
+
+// BenchmarkServeWarm reruns the serve-warm request of bench/iramperf
+// (quick fig7 fig8 fig11 fig12 table3 table4 banks) over one warm store
+// with one sweep worker, as an iramsimd run answers it: every unit is a
+// result-cache hit, and from the second run on a memory hit. What is
+// left is job building, assembly and rendering.
+func BenchmarkServeWarm(b *testing.B) {
+	store, err := resultstore.NewStore(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	req := Request{Experiments: []string{"fig7", "fig8", "fig11", "fig12", "table3", "table4", "banks"}, Quick: true}
+	run := func() {
+		if err := Run(context.Background(), req, Config{Out: io.Discard, ResultCache: store, Workers: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	run() // untimed cold pass populates the store
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	b.ReportMetric(float64(b.Elapsed())/float64(b.N)/1e6, "ms/op")
 }

@@ -75,6 +75,30 @@ type ResultCache interface {
 	Acquire(key string) (release func())
 }
 
+// DecodedCache is an optional extension of ResultCache for stores that
+// also keep in memory the unit results this process decoded from their
+// entries (implemented by internal/resultstore). The engine
+// type-asserts its Cache to DecodedCache, as a trace producer does a
+// trace.Sink to trace.BatchSink: a unit whose key has a kept value
+// takes it with no Get and no Decode, and every successful Decode is
+// offered to Keep. Only decoded values are kept, never a value a unit
+// computed, so a run over a fresh cache keeps nothing.
+//
+// A kept value goes to every later unit with its key, in the same run
+// and in any later run on the store, concurrently in the daemon, so it
+// is read-only: no Assemble, render or JSON path may write into a row,
+// map, slice or pointer a unit result carries. The key covers the
+// codec schema, so a kept value always has the type its key's codec
+// decodes.
+type DecodedCache interface {
+	ResultCache
+	// Decoded returns the value kept for key, if any.
+	Decoded(key string) (interface{}, bool)
+	// Keep keeps v, the value Codec.Decode returned for key's entry.
+	// The store may drop it at any time.
+	Keep(key string, v interface{})
+}
+
 // Job is one experiment: an ordered list of units plus an assembly
 // step that combines the partial results (given in unit order) into
 // the experiment's final value.
@@ -115,9 +139,11 @@ type Engine struct {
 	Obs *obs.Registry
 	// Cache, when non-nil, memoizes unit results on disk: units
 	// carrying a Key and a Codec decode a stored result instead of
-	// running, and commit their result after running. Metrics appear
-	// under the "resultcache" family. Store failures are non-fatal —
-	// a broken cache degrades to recomputation, never to an error.
+	// running, and commit their result after running. A Cache that is
+	// also a DecodedCache serves the results it already decoded from
+	// memory. Metrics appear under the "resultcache" family. Store
+	// failures are non-fatal — a broken cache degrades to
+	// recomputation, never to an error.
 	Cache ResultCache
 	// OnUnit, when non-nil, receives one structured event per unit as
 	// it completes (or is skipped after a failure/cancellation). It is
@@ -151,16 +177,20 @@ type UnitEvent struct {
 }
 
 // cacheCounters holds the resolved "resultcache" metric handles; all
-// nil-safe no-ops when the engine has no registry.
+// nil-safe no-ops when the engine has no registry. hits counts every
+// unit served without running, memoryHits those of them a
+// DecodedCache served from memory, and bytesRead only bytes read from
+// the store's entries.
 type cacheCounters struct {
-	hits, misses, stores           *obs.Counter
-	bytesRead, bytesWritten        *obs.Counter
-	decodeFailures, encodeFailures *obs.Counter
+	hits, memoryHits, misses, stores *obs.Counter
+	bytesRead, bytesWritten          *obs.Counter
+	decodeFailures, encodeFailures   *obs.Counter
 }
 
 func (e *Engine) cacheCounters() cacheCounters {
 	return cacheCounters{
 		hits:           e.Obs.Counter("resultcache", "hits"),
+		memoryHits:     e.Obs.Counter("resultcache", "memory_hits"),
 		misses:         e.Obs.Counter("resultcache", "misses"),
 		stores:         e.Obs.Counter("resultcache", "stores"),
 		bytesRead:      e.Obs.Counter("resultcache", "bytes_read"),
@@ -172,9 +202,13 @@ func (e *Engine) cacheCounters() cacheCounters {
 
 // execUnit runs one unit through the result cache when the unit is
 // cacheable, otherwise directly. Acquire single-flights the key for
-// the whole lookup-or-compute-and-store span, so N concurrent units
-// sharing a key cost one computation and N-1 decodes. A panic in the
-// unit becomes its error (see recovered) and stores nothing.
+// the whole lookup-or-compute-and-store span. With a DecodedCache, N
+// concurrent units sharing a key therefore cost one computation or one
+// decode: the first computes (cold) or decodes (warm), after a cold
+// first the second decodes the entry it stored, and every other unit
+// takes the kept value. Without one, every unit after the first
+// decodes. A panic in the unit becomes its error (see recovered) and
+// stores nothing.
 func (e *Engine) execUnit(u *Unit, cc *cacheCounters) (v interface{}, err error) {
 	defer recovered(&err)
 	if e.Cache == nil || u.Key == "" || u.Codec == nil {
@@ -182,10 +216,21 @@ func (e *Engine) execUnit(u *Unit, cc *cacheCounters) (v interface{}, err error)
 	}
 	release := e.Cache.Acquire(u.Key)
 	defer release()
+	kept, _ := e.Cache.(DecodedCache)
+	if kept != nil {
+		if v, ok := kept.Decoded(u.Key); ok {
+			cc.hits.Inc()
+			cc.memoryHits.Inc()
+			return v, nil
+		}
+	}
 	if data, ok := e.Cache.Get(u.Key); ok {
 		cc.bytesRead.Add(int64(len(data)))
 		if v, err := u.Codec.Decode(data); err == nil {
 			cc.hits.Inc()
+			if kept != nil {
+				kept.Keep(u.Key, v)
+			}
 			return v, nil
 		}
 		// Stale schema, foreign type, or garbled gob: recompute and

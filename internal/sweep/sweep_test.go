@@ -517,6 +517,115 @@ func TestEngineCacheDecodeFailure(t *testing.T) {
 	}
 }
 
+// keptCache is a mapCache that is also a DecodedCache, counting the
+// Gets it answers and the values it is asked to keep.
+type keptCache struct {
+	*mapCache
+	gets, keeps int64
+	kept        sync.Map
+}
+
+func (c *keptCache) Get(key string) ([]byte, bool) {
+	atomic.AddInt64(&c.gets, 1)
+	return c.mapCache.Get(key)
+}
+
+func (c *keptCache) Decoded(key string) (interface{}, bool) { return c.kept.Load(key) }
+
+func (c *keptCache) Keep(key string, v interface{}) {
+	atomic.AddInt64(&c.keeps, 1)
+	c.kept.Store(key, v)
+}
+
+// TestEngineDecodedCache: with a DecodedCache, a cold run keeps nothing
+// it computed, a warm run keeps every value it decodes, and the run
+// after that takes every value from memory with no Get: memory_hits
+// counts them among the hits, and bytes_read stays at what the disk
+// gave. A corrupt entry is neither kept nor served.
+func TestEngineDecodedCache(t *testing.T) {
+	cache := &keptCache{mapCache: newMapCache()}
+	reg := obs.NewRegistry()
+	var ran int64
+	e := &Engine{Workers: 4, Cache: cache, Obs: reg}
+	counters := func() map[string]int64 {
+		out := map[string]int64{"ran": atomic.LoadInt64(&ran), "gets": cache.gets, "keeps": cache.keeps}
+		for _, name := range []string{"hits", "memory_hits", "misses", "decode_failures", "bytes_read"} {
+			out[name] = reg.Counter("resultcache", name).Value()
+		}
+		return out
+	}
+	run := func(want int) {
+		t.Helper()
+		v, err := e.RunJob(context.Background(), cachedJob("k", 6, &ran))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.(int) != want {
+			t.Errorf("value = %v, want %d", v, want)
+		}
+	}
+
+	run(55)
+	if got := counters(); got["ran"] != 6 || got["keeps"] != 0 || got["memory_hits"] != 0 {
+		t.Errorf("cold run: %v, want 6 ran and nothing kept", got)
+	}
+	run(55)
+	warm := counters()
+	if warm["ran"] != 6 || warm["hits"] != 6 || warm["keeps"] != 6 || warm["memory_hits"] != 0 || warm["bytes_read"] == 0 {
+		t.Errorf("warm run: %v, want 6 hits decoded and kept", warm)
+	}
+	run(55)
+	got := counters()
+	if got["ran"] != 6 || got["hits"] != 12 || got["memory_hits"] != 6 || got["gets"] != warm["gets"] ||
+		got["bytes_read"] != warm["bytes_read"] || got["keeps"] != 6 {
+		t.Errorf("run after warm: %v, want 6 memory hits and no Get (warm: %v)", got, warm)
+	}
+
+	// Entries that no longer decode: nothing new is kept from them,
+	// and the units recompute.
+	fresh := &keptCache{mapCache: cache.mapCache}
+	for k := range fresh.m {
+		fresh.m[k] = []byte("not a number")
+	}
+	e.Cache = fresh
+	run(55)
+	if fresh.keeps != 0 || atomic.LoadInt64(&ran) != 12 {
+		t.Errorf("corrupt entries: %d kept, %d units ran; want 0 kept and 6 more ran", fresh.keeps, ran-6)
+	}
+}
+
+// TestEngineDecodedCacheSharedKey: units of one run that share a key
+// cost one decode between them; the rest take the kept value.
+func TestEngineDecodedCacheSharedKey(t *testing.T) {
+	cache := &keptCache{mapCache: newMapCache()}
+	if err := cache.Put("shared", []byte("7")); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	units := make([]Unit, 8)
+	for i := range units {
+		units[i] = Unit{Name: fmt.Sprintf("s/u%d", i), Key: "shared", Codec: intCodec{},
+			Run: func() (interface{}, error) { return nil, errors.New("ran a cached unit") }}
+	}
+	e := &Engine{Workers: 4, Cache: cache, Obs: reg}
+	v, err := e.RunJob(context.Background(), Job{Name: "s", Units: units,
+		Assemble: func(parts []interface{}) (interface{}, error) { return parts, nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range v.([]interface{}) {
+		if p.(int) != 7 {
+			t.Errorf("unit %d = %v, want 7", i, p)
+		}
+	}
+	if cache.gets != 1 || cache.keeps != 1 {
+		t.Errorf("%d Gets and %d keeps for one shared key, want 1 and 1", cache.gets, cache.keeps)
+	}
+	if got := reg.Counter("resultcache", "memory_hits").Value(); got != 7 {
+		t.Errorf("memory_hits = %d, want 7", got)
+	}
+}
+
 // TestEngineCacheUnkeyedUnits: units without Key or Codec bypass the
 // cache entirely.
 func TestEngineCacheUnkeyedUnits(t *testing.T) {
