@@ -81,8 +81,8 @@ var benchStream = sync.OnceValue(func() recording {
 // accesses per second: each iteration replays the recorded OCEAN
 // stream through Machine.Access into a fresh machine that homes every
 // page where the recording machine did. Building the machine,
-// allocating the directory and bitset chunks the replay will touch and
-// a collection are left out of the time, so the timed replay allocates
+// allocating the directory, bitset and INC pages the replay will touch
+// and a collection are left out of the time, so the timed replay allocates
 // nothing (allocs/op reads 0) and starts no collection, whose
 // background work would allocate on other cores.
 func BenchmarkMachineAccess(b *testing.B) {

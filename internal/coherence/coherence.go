@@ -120,9 +120,9 @@ type Machine struct {
 	// configurable for the false-sharing ablation of EXPERIMENTS.md).
 	Unit uint64
 
-	dir  dirTable  // block number -> directory entry (paged dense array)
-	home homeTable // explicit page placement (page -> node)
-	eng  *engines  // optional protocol-engine occupancy model
+	dir  paged[dirEntry] // block number -> directory entry
+	home homeTable       // explicit page placement (page -> node)
+	eng  *engines        // optional protocol-engine occupancy model
 
 	// Stats
 	RemoteLoads   int64
@@ -175,30 +175,34 @@ func (m *Machine) HomeOf(addr uint64) int {
 // Place assigns the pages covering [base, base+size) to the given
 // node, overriding the default interleaving. Parallel workloads use it
 // to co-locate each processor's partition with its node, as the
-// paper's simulations (and any real CC-NUMA allocator) would.
+// paper's simulations (and any real CC-NUMA allocator) would. The
+// region must end below MaxAddr.
 func (m *Machine) Place(base, size uint64, node int) {
 	if node < 0 || node >= len(m.Nodes) {
 		panic(fmt.Sprintf("coherence: Place on unknown node %d", node))
 	}
-	for page := base / PageSize; page <= (base+size-1)/PageSize; page++ {
+	last := base + size - 1
+	if base >= MaxAddr || size > MaxAddr || last >= MaxAddr {
+		panic(fmt.Sprintf("coherence: Place [%#x, +%#x) reaches MaxAddr (%#x)", base, size, uint64(MaxAddr)))
+	}
+	for page := base / PageSize; page <= last/PageSize; page++ {
 		m.home.set(page, node)
 	}
-}
-
-func (m *Machine) entry(block uint64) *dirEntry {
-	return m.dir.entry(block)
 }
 
 // Access services one memory reference from proc and returns its
 // latency in cycles. The protocol actions (invalidations, ownership
 // transfer) are applied immediately; their cost is the fixed Table 6
-// round-trip latencies.
+// round-trip latencies. addr must lie below MaxAddr.
 func (m *Machine) Access(proc int, addr uint64, write bool) uint64 {
+	if addr >= MaxAddr {
+		panicAddr(addr)
+	}
 	m.Accesses++
 	block := addr / m.Unit
 	home := m.HomeOf(addr)
 	local := home == proc
-	e := m.entry(block)
+	e := m.dir.at(block)
 
 	var coherencePenalty uint64
 
@@ -330,14 +334,16 @@ func kindOf(write bool) trace.Kind {
 // ---------------------------------------------------------------------
 
 // INC is the Inter-Node Cache: 7-way set-associative over 32 B blocks,
-// seven blocks plus a tag block per 512 B DRAM column (Figure 6). The
-// tag state is two flat arrays indexed by set*ways+way (MRU first
-// within a set) — one allocation each, not one per set.
+// seven blocks plus a tag block per 512 B DRAM column (Figure 6). Each
+// way's tag is one uint64 holding block+1, 0 marking an invalid way
+// (blocks lie below MaxAddr, so block+1 never wraps), with a set's ways
+// MRU first. The tags live in pages of incPageSets sets, each allocated
+// by the first Insert into one of its sets: a machine pays for the sets
+// its run fills, not for every node's whole INC.
 type INC struct {
 	sets   int
 	ways   int
-	blocks []uint64 // block numbers, set-major, MRU first within a set
-	valid  []bool
+	pages  [][]uint64 // incPageSets*ways tags each, nil until first Insert
 	Hits   int64
 	Misses int64
 	// Evictions counts valid LRU ways displaced by Insert; Invalidates
@@ -346,6 +352,9 @@ type INC struct {
 	Evictions   int64
 	Invalidates int64
 }
+
+// incPageSets is the number of INC sets per tag page.
+const incPageSets = 64
 
 // NewINCGeom builds an INC whose sets each span unitsPerSet units of
 // capacity — one DRAM column in the device organisation, so for a
@@ -363,31 +372,28 @@ func NewINCGeom(capacityBytes, unitBytes uint64, ways, unitsPerSet int) *INC {
 	if sets < 1 {
 		sets = 1
 	}
-	return &INC{
-		sets:   sets,
-		ways:   ways,
-		blocks: make([]uint64, sets*ways),
-		valid:  make([]bool, sets*ways),
-	}
+	return &INC{sets: sets, ways: ways, pages: make([][]uint64, (sets+incPageSets-1)/incPageSets)}
 }
 
-func (c *INC) set(block uint64) int { return int(block % uint64(c.sets)) }
-
-// row returns the block's set as flat-array slices.
-func (c *INC) row(block uint64) (blocks []uint64, valid []bool) {
-	s := c.set(block) * c.ways
-	return c.blocks[s : s+c.ways], c.valid[s : s+c.ways]
+// row returns the tags of the block's set, or nil while its page is
+// untouched (every way invalid).
+func (c *INC) row(block uint64) []uint64 {
+	s := int(block % uint64(c.sets))
+	pg := c.pages[s/incPageSets]
+	if pg == nil {
+		return nil
+	}
+	o := s % incPageSets * c.ways
+	return pg[o : o+c.ways]
 }
 
 // Lookup probes the INC for the block, updating LRU on a hit.
 func (c *INC) Lookup(block uint64) bool {
-	blocks, valid := c.row(block)
-	for w := 0; w < c.ways; w++ {
-		if valid[w] && blocks[w] == block {
-			copy(blocks[1:w+1], blocks[:w])
-			copy(valid[1:w+1], valid[:w])
-			blocks[0] = block
-			valid[0] = true
+	tags := c.row(block)
+	for w, t := range tags {
+		if t == block+1 {
+			copy(tags[1:w+1], tags[:w])
+			tags[0] = t
 			c.Hits++
 			return true
 		}
@@ -398,29 +404,32 @@ func (c *INC) Lookup(block uint64) bool {
 
 // Insert places the block at MRU, evicting the set's LRU way.
 func (c *INC) Insert(block uint64) {
-	blocks, valid := c.row(block)
-	if valid[c.ways-1] {
+	tags := c.row(block)
+	if tags == nil {
+		c.pages[int(block%uint64(c.sets))/incPageSets] = make([]uint64, incPageSets*c.ways)
+		tags = c.row(block)
+	}
+	if tags[c.ways-1] != 0 {
 		c.Evictions++
 	}
-	copy(blocks[1:], blocks[:c.ways-1])
-	copy(valid[1:], valid[:c.ways-1])
-	blocks[0] = block
-	valid[0] = true
+	copy(tags[1:], tags[:c.ways-1])
+	tags[0] = block + 1
 }
 
-// Invalidate removes the block if present.
+// Invalidate removes the block if present. It also drops the set's LRU
+// way: the last way is cleared before the compaction as well as after,
+// so invalidating any other block of a full set loses the LRU block
+// too, and no counter records it. This known defect stays until a fix,
+// which moves ablate-inc's rows, is settled (ROADMAP.md, the coherence
+// oracle).
 func (c *INC) Invalidate(block uint64) bool {
-	blocks, valid := c.row(block)
-	for w := 0; w < c.ways; w++ {
-		if valid[w] && blocks[w] == block {
+	tags := c.row(block)
+	for w, t := range tags {
+		if t == block+1 {
 			c.Invalidates++
-			copy(blocks[w:], blocks[w+1:])
-			// The LRU way is dropped along with the invalidated block
-			// (cleared before the flag compaction, so the way shifted
-			// into the last slot comes up invalid as well).
-			valid[c.ways-1] = false
-			copy(valid[w:], valid[w+1:])
-			valid[c.ways-1] = false
+			tags[c.ways-1] = 0
+			copy(tags[w:], tags[w+1:])
+			tags[c.ways-1] = 0
 			return true
 		}
 	}

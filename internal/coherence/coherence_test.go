@@ -1,6 +1,9 @@
 package coherence
 
 import (
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -412,5 +415,70 @@ func TestAccessZeroAllocs(t *testing.T) {
 		if got := perSweep / (region / stride); got > 0.01 {
 			t.Errorf("%s: %.3f allocations per filling access, want 0", cfg, got)
 		}
+	}
+}
+
+// allocatedBytes is the process's cumulative heap allocation.
+func allocatedBytes() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc
+}
+
+// TestMachineBuildBytes: building the paper's 8-node integrated+victim
+// machine allocates under a tenth of the 1,046,780 B it took when every
+// node's INC tags were allocated up front. Directory pages, node bitset
+// pages and INC tag pages come later, as a run touches them.
+func TestMachineBuildBytes(t *testing.T) {
+	const runs = 10
+	machines := make([]*Machine, runs)
+	before := allocatedBytes()
+	for i := range machines {
+		machines[i] = NewConfiguredMachine(IntegratedVictim, 8)
+	}
+	if per := (allocatedBytes() - before) / runs; per >= 1_046_780/10 {
+		t.Errorf("building an 8-node machine allocates %d B, want under %d", per, 1_046_780/10)
+	}
+}
+
+// TestAddressBound: the last coherence unit below MaxAddr is served
+// like any other, and an access or placement at or above MaxAddr
+// panics naming the bound. Either way the tables allocate under 1 MB;
+// without the bound, the top level of the directory for an access near
+// 1<<62 would take 256 GB.
+func TestAddressBound(t *testing.T) {
+	m := NewConfiguredMachine(IntegratedVictim, 2)
+	before := allocatedBytes()
+	m.Place(MaxAddr-PageSize, PageSize, 1)
+	if got := m.Access(0, MaxAddr-BlockSize, true); got != m.Lat.RemoteLoad {
+		t.Errorf("remote write to the last unit = %d, want %d", got, m.Lat.RemoteLoad)
+	}
+	if got := allocatedBytes() - before; got >= 1<<20 {
+		t.Errorf("serving the last unit allocated %d B, want under 1 MB", got)
+	}
+	bound := fmt.Sprintf("MaxAddr (%#x)", uint64(MaxAddr))
+	for name, f := range map[string]func(){
+		"Access at MaxAddr":       func() { m.Access(0, MaxAddr, false) },
+		"AccessAt at 1<<44":       func() { m.AccessAt(1, 1<<44, true, 0) },
+		"Access at 1<<62":         func() { m.Access(1, 1<<62, false) },
+		"Place across MaxAddr":    func() { m.Place(MaxAddr-PageSize, PageSize+1, 0) },
+		"Place wrapping past 0":   func() { m.Place(PageSize, 1<<63, 0) },
+		"Place starting at 1<<44": func() { m.Place(1<<44, PageSize, 0) },
+	} {
+		before := allocatedBytes()
+		msg := func() (msg string) {
+			defer func() { msg = fmt.Sprint(recover()) }()
+			f()
+			return
+		}()
+		if !strings.Contains(msg, bound) {
+			t.Errorf("%s: panic %q does not name %s", name, msg, bound)
+		}
+		if got := allocatedBytes() - before; got >= 1<<20 {
+			t.Errorf("%s: allocated %d B before panicking, want under 1 MB", name, got)
+		}
+	}
+	if m.Accesses != 1 {
+		t.Errorf("accesses = %d, want 1: a refused access must not count", m.Accesses)
 	}
 }

@@ -1,132 +1,114 @@
 package coherence
 
+import "fmt"
+
 // Flat per-reference state. The SPLASH address spaces are a handful of
-// contiguous regions (internal/splash lays every array in a
-// gigabyte-aligned window), so the directory, page-placement, and
-// per-node block-validity state that used to live in Go maps is kept
-// in sparse paged arrays instead: a lookup is two slice indexings and
-// a mask, and steady-state accesses never allocate or hash. Chunks are
-// allocated lazily the first time an index inside them is touched, so
-// the tables cost memory proportional to the address span actually
-// used, not to the 40-bit simulated address space.
+// small regions (internal/splash lays every array in a gigabyte-aligned
+// window), so the directory, page-placement and per-node block-validity
+// state is kept in sparse paged arrays instead of Go maps: a lookup is
+// three indexings and a mask, and steady-state accesses never allocate
+// or hash. A page of 4,096 elements, and the 1,024-slot middle array
+// above it, are allocated by the first write that reaches them, so a
+// table costs memory in proportion to the elements a run touches (one
+// 64 KB directory page per 128 KB of referenced address space), not to
+// the span between its regions. MaxAddr bounds the top level.
+
+// MaxAddr bounds the simulated address space at 40 bits (1 TiB).
+// Access, AccessAt and Place panic on an address at or above it, which
+// keeps the top level of each paged table within 8,192 pointers.
+const MaxAddr = 1 << 40
 
 const (
-	// dirChunkShift: 128 Ki directory entries (2 MB) per chunk,
-	// covering 4 MB of address space at the 32 B coherence unit.
-	dirChunkShift = 17
-	dirChunkMask  = 1<<dirChunkShift - 1
-
-	// bitsChunkShift: 1 Mi bits (128 KB) per chunk.
-	bitsChunkShift = 20
-	bitsChunkMask  = 1<<bitsChunkShift - 1
-
-	// homeChunkShift: 16 Ki page entries (32 KB) per chunk, covering
-	// 64 MB of address space at the 4 KB page size.
-	homeChunkShift = 14
-	homeChunkMask  = 1<<homeChunkShift - 1
+	pageShift = 12 // 4,096 elements per page
+	pageLen   = 1 << pageShift
+	midShift  = 10 // 1,024 pages per middle array
+	midLen    = 1 << midShift
 )
 
-// dirTable is the home directory as a sparse paged array of dirEntry,
-// indexed by block number. The zero entry is dirHome with no sharers —
+// paged is a sparse array over uint64 indices. An element reads as the
+// zero T until written: the zero dirEntry is dirHome with no sharers,
 // exactly the state of a never-referenced block.
-type dirTable struct {
-	chunks [][]dirEntry
+type paged[T any] struct {
+	mids []*[midLen]*[pageLen]T
 }
 
-// entry returns the directory entry for the block, allocating its
-// chunk on first touch.
-func (t *dirTable) entry(block uint64) *dirEntry {
-	ci := block >> dirChunkShift
-	for uint64(len(t.chunks)) <= ci {
-		t.chunks = append(t.chunks, nil)
+// page returns the page holding element i, or nil while no write has
+// reached it.
+func (p *paged[T]) page(i uint64) *[pageLen]T {
+	m := i >> (pageShift + midShift)
+	if m >= uint64(len(p.mids)) || p.mids[m] == nil {
+		return nil
 	}
-	c := t.chunks[ci]
-	if c == nil {
-		c = make([]dirEntry, 1<<dirChunkShift)
-		t.chunks[ci] = c
+	return p.mids[m][i>>pageShift%midLen]
+}
+
+// at returns element i for writing, allocating its page on first touch.
+func (p *paged[T]) at(i uint64) *T {
+	if pg := p.page(i); pg != nil {
+		return &pg[i%pageLen]
 	}
-	return &c[block&dirChunkMask]
+	return p.grow(i)
+}
+
+// grow allocates the middle array and page holding element i. It is
+// kept out of line so that at's body stays the page lookup plus a call
+// taken only on a page's first touch. (at's generic body still costs
+// more than the inliner's budget, because any call costs 57 of its 80;
+// the lookups page, get, clear and homeTable.get do inline.)
+//
+//go:noinline
+func (p *paged[T]) grow(i uint64) *T {
+	m := i >> (pageShift + midShift)
+	for uint64(len(p.mids)) <= m {
+		p.mids = append(p.mids, nil)
+	}
+	if p.mids[m] == nil {
+		p.mids[m] = new([midLen]*[pageLen]T)
+	}
+	pg := &p.mids[m][i>>pageShift%midLen]
+	if *pg == nil {
+		*pg = new([pageLen]T)
+	}
+	return &(*pg)[i%pageLen]
 }
 
 // pagedBits is a sparse bitset over uint64 indices (block or page
-// numbers). get on an untouched chunk is false without allocating.
-type pagedBits struct {
-	chunks [][]uint64
-}
+// numbers), 64 bits to an element. get and clear on an untouched page
+// allocate nothing.
+type pagedBits struct{ paged[uint64] }
 
 func (b *pagedBits) get(i uint64) bool {
-	ci := i >> bitsChunkShift
-	if ci >= uint64(len(b.chunks)) {
-		return false
-	}
-	c := b.chunks[ci]
-	if c == nil {
-		return false
-	}
-	w := i & bitsChunkMask
-	return c[w>>6]&(1<<(w&63)) != 0
+	pg := b.page(i / 64)
+	return pg != nil && pg[i/64%pageLen]&(1<<(i%64)) != 0
 }
 
-func (b *pagedBits) set(i uint64) {
-	ci := i >> bitsChunkShift
-	for uint64(len(b.chunks)) <= ci {
-		b.chunks = append(b.chunks, nil)
-	}
-	c := b.chunks[ci]
-	if c == nil {
-		c = make([]uint64, 1<<(bitsChunkShift-6))
-		b.chunks[ci] = c
-	}
-	w := i & bitsChunkMask
-	c[w>>6] |= 1 << (w & 63)
-}
+func (b *pagedBits) set(i uint64) { *b.at(i / 64) |= 1 << (i % 64) }
 
 func (b *pagedBits) clear(i uint64) {
-	ci := i >> bitsChunkShift
-	if ci >= uint64(len(b.chunks)) {
-		return
+	if pg := b.page(i / 64); pg != nil {
+		pg[i/64%pageLen] &^= 1 << (i % 64)
 	}
-	c := b.chunks[ci]
-	if c == nil {
-		return
-	}
-	w := i & bitsChunkMask
-	c[w>>6] &^= 1 << (w & 63)
 }
 
 // homeTable is the explicit page-placement table (page number -> node),
-// stored as node+1 in int16 chunks so the zero value means "unplaced".
-type homeTable struct {
-	chunks [][]int16
-}
+// stored as node+1 so the zero value means "unplaced".
+type homeTable struct{ paged[int16] }
 
 // get returns the placed node for the page, or ok=false when the page
 // falls back to the default interleaving.
 func (h *homeTable) get(page uint64) (int, bool) {
-	ci := page >> homeChunkShift
-	if ci >= uint64(len(h.chunks)) {
-		return 0, false
+	if pg := h.page(page); pg != nil && pg[page%pageLen] != 0 {
+		return int(pg[page%pageLen] - 1), true
 	}
-	c := h.chunks[ci]
-	if c == nil {
-		return 0, false
-	}
-	v := c[page&homeChunkMask]
-	if v == 0 {
-		return 0, false
-	}
-	return int(v - 1), true
+	return 0, false
 }
 
-func (h *homeTable) set(page uint64, node int) {
-	ci := page >> homeChunkShift
-	for uint64(len(h.chunks)) <= ci {
-		h.chunks = append(h.chunks, nil)
-	}
-	c := h.chunks[ci]
-	if c == nil {
-		c = make([]int16, 1<<homeChunkShift)
-		h.chunks[ci] = c
-	}
-	c[page&homeChunkMask] = int16(node + 1)
+func (h *homeTable) set(page uint64, node int) { *h.at(page) = int16(node + 1) }
+
+// panicAddr reports an access at or above MaxAddr. It is kept out of
+// line so that the bound check costs Access a compare and a branch.
+//
+//go:noinline
+func panicAddr(addr uint64) {
+	panic(fmt.Sprintf("coherence: access to %#x at or above MaxAddr (%#x)", addr, uint64(MaxAddr)))
 }

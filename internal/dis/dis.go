@@ -124,6 +124,12 @@ func validate(p *isa.Program) error {
 	if len(p.Code) > 16<<20 {
 		return fmt.Errorf("dis: %d instructions exceeds the assembler's text cap", len(p.Code))
 	}
+	for i, in := range p.Code {
+		if in.Rd >= isa.NumRegs || in.Rs1 >= isa.NumRegs || in.Rs2 >= isa.NumRegs {
+			return fmt.Errorf("dis: instruction at 0x%x names a register above r%d",
+				p.CodeBase+uint64(i)*isa.WordSize, isa.NumRegs-1)
+		}
+	}
 	if main, ok := p.Symbols["main"]; ok {
 		if p.Entry != main {
 			return fmt.Errorf("dis: entry 0x%x does not match the \"main\" symbol 0x%x", p.Entry, main)

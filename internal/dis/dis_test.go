@@ -136,6 +136,9 @@ func TestNonCanonicalRejected(t *testing.T) {
 		},
 		"entry contradicts main": func(p *isa.Program) { p.Symbols["main"] = 0x1004 },
 		"bad symbol name":        func(p *isa.Program) { p.Symbols["no spaces"] = 0x1000 },
+		"register out of range": func(p *isa.Program) { // add r200, r31, r31
+			p.Code[0] = isa.Instr{Op: isa.OpAdd, Rd: 200, Rs1: 31, Rs2: 31}
+		},
 		"imm on rrr op": func(p *isa.Program) {
 			p.Code[0] = isa.Instr{Op: isa.OpAdd, Rd: 1, Rs1: 2, Rs2: 3, Imm: 7}
 		},

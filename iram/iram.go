@@ -221,9 +221,11 @@ func RunSPLASH(name string, procs int, cfg MPConfig, quick bool) (*MPResult, err
 	return &MPResult{Benchmark: name, Procs: procs, Cycles: r.Cycles, Accesses: r.Accesses}, nil
 }
 
-// Machine exposes the coherence machine + execution-driven simulator
-// for custom parallel workloads: body runs once per simulated
-// processor and issues references through the Proc handle.
+// RunParallel exposes the coherence machine + execution-driven
+// simulator for custom parallel workloads: body runs once per simulated
+// processor and issues references through the Proc handle. Addresses
+// must lie below coherence.MaxAddr (1<<40); a reference at or above it
+// panics.
 func RunParallel(procs int, cfg MPConfig, body func(p *Proc)) *MPResult {
 	m := coherence.NewConfiguredMachine(coherence.Config(cfg), procs)
 	r := mpsim.Run(procs, m, m.Lat.SyncCosts(), func(p *mpsim.Proc) {

@@ -1,6 +1,8 @@
 package iram
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -112,6 +114,26 @@ func TestRunParallel(t *testing.T) {
 	})
 	if r.Accesses != 20 {
 		t.Errorf("accesses = %d, want 20", r.Accesses)
+	}
+}
+
+// TestRunParallelAddressBound: a read at 1<<44, past the simulated
+// 40-bit address space, panics in the caller's goroutine, and the run
+// allocates under 1 MB on the way.
+func TestRunParallelAddressBound(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	msg := func() (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		RunParallel(2, IntegratedVictim, func(p *Proc) { p.Read(1 << 44) })
+		return
+	}()
+	runtime.ReadMemStats(&after)
+	if !strings.Contains(msg, "MaxAddr") {
+		t.Errorf("panic %q does not name MaxAddr", msg)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("allocated %d B before panicking, want under 1 MB", got)
 	}
 }
 
