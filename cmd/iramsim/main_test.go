@@ -18,17 +18,18 @@ import (
 	"repro/internal/obs"
 	"repro/internal/resultstore"
 	"repro/internal/runner"
+	"repro/internal/sweep"
 )
 
 // runJobs renders names through runner.RunJobs, the layer main's
 // runner.Run call shares with the daemon, against opts (its registry
-// and result cache included) and a fresh MeasurementSet, and returns
-// the deterministic output.
+// included) and a fresh MeasurementSet, and returns the deterministic
+// output.
 func runJobs(t *testing.T, names []string, opts experiments.Options, cfg runner.Config) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	cfg.Out = &buf
-	cfg.Obs, cfg.ResultCache = opts.Obs, opts.ResultCache
+	cfg.Obs = opts.Obs
 	if err := runner.RunJobs(context.Background(), names, opts, experiments.NewMeasurementSet(opts), cfg); err != nil {
 		t.Fatalf("%v: %v", names, err)
 	}
@@ -114,13 +115,13 @@ func quickOpts() experiments.Options {
 }
 
 // sweepOutput runs a representative experiment mix through the worker
-// pool and returns the deterministic stream, as tables or as JSON. A
-// fresh MeasurementSet per call makes every run recompute from its
-// seeds.
-func sweepOutput(t *testing.T, workers int, opts experiments.Options, jsonMode bool) []byte {
+// pool and returns the deterministic stream, as tables or as JSON, over
+// the result cache in cache (nil for none). A fresh MeasurementSet per
+// call makes every run recompute from its seeds.
+func sweepOutput(t *testing.T, workers int, cache sweep.ResultCache, jsonMode bool) []byte {
 	t.Helper()
 	names := []string{"spec", "cost", "table1", "fig7", "fig8", "table3", "realcpi", "fig13", "ablate-scoreboard", "designspace", "fabric"}
-	return runJobs(t, names, opts, runner.Config{Workers: workers, JSON: jsonMode})
+	return runJobs(t, names, quickOpts(), runner.Config{Workers: workers, ResultCache: cache, JSON: jsonMode})
 }
 
 // TestSweepDeterminism: the sweep's experiment output is byte-identical
@@ -128,22 +129,21 @@ func sweepOutput(t *testing.T, workers int, opts experiments.Options, jsonMode b
 // parallel runs of the same configuration (seed stability), in both
 // table and JSON modes.
 func TestSweepDeterminism(t *testing.T) {
-	opts := quickOpts()
-	serial := sweepOutput(t, 1, opts, false)
+	serial := sweepOutput(t, 1, nil, false)
 	if len(serial) == 0 {
 		t.Fatal("serial sweep produced no output")
 	}
-	parallel := sweepOutput(t, 8, opts, false)
+	parallel := sweepOutput(t, 8, nil, false)
 	if !bytes.Equal(serial, parallel) {
 		t.Errorf("-j 1 and -j 8 output differ:\n--- j1 ---\n%s\n--- j8 ---\n%s", serial, parallel)
 	}
-	again := sweepOutput(t, 8, opts, false)
+	again := sweepOutput(t, 8, nil, false)
 	if !bytes.Equal(parallel, again) {
 		t.Errorf("two -j 8 runs of the same configuration differ")
 	}
 
-	j1 := sweepOutput(t, 1, opts, true)
-	j8 := sweepOutput(t, 8, opts, true)
+	j1 := sweepOutput(t, 1, nil, true)
+	j8 := sweepOutput(t, 8, nil, true)
 	if !bytes.Equal(j1, j8) {
 		t.Errorf("JSON output differs between -j 1 and -j 8")
 	}
@@ -154,26 +154,23 @@ func TestSweepDeterminism(t *testing.T) {
 // warm reruns at several worker counts must all reproduce the uncached
 // stream byte-for-byte, in table and JSON modes.
 func TestSweepDeterminismWithCache(t *testing.T) {
-	opts := quickOpts()
-	baseline := sweepOutput(t, 4, opts, false)
+	baseline := sweepOutput(t, 4, nil, false)
 
 	store, err := resultstore.NewStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.ResultCache = store
-	if cold := sweepOutput(t, 1, opts, false); !bytes.Equal(baseline, cold) {
+	if cold := sweepOutput(t, 1, store, false); !bytes.Equal(baseline, cold) {
 		t.Errorf("cold cached run differs from uncached baseline:\n--- plain ---\n%s\n--- cold ---\n%s", baseline, cold)
 	}
 	for _, w := range []int{2, 8} {
-		if warm := sweepOutput(t, w, opts, false); !bytes.Equal(baseline, warm) {
+		if warm := sweepOutput(t, w, store, false); !bytes.Equal(baseline, warm) {
 			t.Errorf("warm cached run (-j %d) differs from uncached baseline:\n%s", w, firstDiff(baseline, warm))
 		}
 	}
 
-	plain := quickOpts()
-	j1 := sweepOutput(t, 1, plain, true)
-	if warm := sweepOutput(t, 8, opts, true); !bytes.Equal(j1, warm) {
+	j1 := sweepOutput(t, 1, nil, true)
+	if warm := sweepOutput(t, 8, store, true); !bytes.Equal(j1, warm) {
 		t.Errorf("JSON output differs between uncached and warm cached runs")
 	}
 }

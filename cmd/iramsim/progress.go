@@ -49,8 +49,8 @@ func (p *progress) unit(ev sweep.UnitEvent) {
 }
 
 // summary closes the progress lines of a sweep that succeeded. The
-// engine never runs more workers than units, so neither does the count
-// printed here.
+// engine never starts more workers than units, and the last event's
+// Total counts every wave's units, so neither does the count here.
 func (p *progress) summary() {
 	if p.total == 0 {
 		return

@@ -278,10 +278,12 @@ func (l *designLattice) neighbors(i int) []int {
 
 // DesignspaceJob builds the search as a sweep job: one unit per
 // (column family, benchmark) making the family's single trace pass, and
-// an Assemble step that runs screening, adaptive refinement, and the
-// GSPN stage over the completed histograms. Unit count — and therefore
-// trace-pass count — is families × benches regardless of how many
-// lattice points the axes span.
+// an Assemble step that runs screening and adaptive refinement over the
+// completed histograms, then returns the GSPN stage as a second wave:
+// one unit per screened (point, bench) pair, whose Assemble builds the
+// result. The first wave's unit count — and therefore the trace-pass
+// count — is families × benches regardless of how many lattice points
+// the axes span.
 func DesignspaceJob(o Options, _ *MeasurementSet) sweep.Job {
 	lat := newDesignLattice(o)
 	columns, byColumn := lat.families()
@@ -409,9 +411,9 @@ func DesignspaceJob(o Options, _ *MeasurementSet) sweep.Job {
 		// GSPN stage: screening picks the (point, bench) candidates;
 		// small grids run exhaustively so the classic table stays fully
 		// populated. Large searches cap the Monte-Carlo budget per bench
-		// at the gspnCapPerBench best rows by estimated CPI. The nested
-		// sweep keeps evaluation order — and therefore output —
-		// deterministic for any worker count.
+		// at the gspnCapPerBench best rows by estimated CPI. The
+		// evaluations are the job's second wave, whose results come back
+		// in unit order, so output is deterministic for any worker count.
 		type gspnPair struct{ i, bi int }
 		var gPairs []gspnPair
 		if len(selected)*len(designspaceBenches) <= gspnAllMax {
@@ -470,43 +472,39 @@ func DesignspaceJob(o Options, _ *MeasurementSet) sweep.Job {
 				return cpumodel.Evaluate(cpumodel.ConfigFor(dev), rates, o.GSPNInstr, o.Seed)
 			}, "pdev="+deviceHash(dev))
 		}
-		gJob := job("designspace/gspn", gUnits, func(rs []cpumodel.Result) (interface{}, error) { return rs, nil })
-		eng := &sweep.Engine{Workers: o.Workers, Cache: o.ResultCache}
-		gv, err := eng.RunJob(o.ctx(), gJob)
-		if err != nil {
-			return nil, err
-		}
-		for gi, r := range gv.([]cpumodel.Result) {
-			pr := gPairs[gi]
-			row := &rows[pr.i][pr.bi]
-			row.MemCPI = r.MemCPI
-			row.TotalCPI = r.TotalCPI
-			row.HasCPI = true
-		}
-
-		res := &DesignspaceResult{
-			Benches: designspaceBenches,
-			Accounting: DesignAccounting{
-				Lattice:   len(lat.points),
-				Evaluated: len(selected),
-				Families:  len(columns),
-				Benches:   len(designspaceBenches),
-				Passes:    len(parts),
-				Compounds: compounds,
-				GSPNEvals: len(gUnits),
-				Rounds:    rounds,
-			},
-			rowIdx: make(map[designKey]int, len(selected)*len(designspaceBenches)),
-		}
-		for _, i := range selected {
-			res.Points = append(res.Points, lat.points[i])
-			for bi := range designspaceBenches {
-				res.rowIdx[designKey{rows[i][bi].Point, rows[i][bi].Bench}] = len(res.Rows)
-				res.Rows = append(res.Rows, rows[i][bi])
+		return job("designspace", gUnits, func(rs []cpumodel.Result) (interface{}, error) {
+			for gi, r := range rs {
+				pr := gPairs[gi]
+				row := &rows[pr.i][pr.bi]
+				row.MemCPI = r.MemCPI
+				row.TotalCPI = r.TotalCPI
+				row.HasCPI = true
 			}
-		}
-		res.Frontier = paretoFrontier(res)
-		return res, nil
+
+			res := &DesignspaceResult{
+				Benches: designspaceBenches,
+				Accounting: DesignAccounting{
+					Lattice:   len(lat.points),
+					Evaluated: len(selected),
+					Families:  len(columns),
+					Benches:   len(designspaceBenches),
+					Passes:    len(parts),
+					Compounds: compounds,
+					GSPNEvals: len(gUnits),
+					Rounds:    rounds,
+				},
+				rowIdx: make(map[designKey]int, len(selected)*len(designspaceBenches)),
+			}
+			for _, i := range selected {
+				res.Points = append(res.Points, lat.points[i])
+				for bi := range designspaceBenches {
+					res.rowIdx[designKey{rows[i][bi].Point, rows[i][bi].Bench}] = len(res.Rows)
+					res.Rows = append(res.Rows, rows[i][bi])
+				}
+			}
+			res.Frontier = paretoFrontier(res)
+			return res, nil
+		}), nil
 	}
 
 	return job("designspace", units, assemble)

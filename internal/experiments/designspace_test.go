@@ -2,12 +2,10 @@ package experiments
 
 import (
 	"bytes"
-	"context"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/cpumodel"
-	"repro/internal/sweep"
 	"repro/internal/workload"
 )
 
@@ -147,18 +145,11 @@ func TestDesignspaceRefinementConverges(t *testing.T) {
 
 // TestDesignspaceDeterministicAcrossWorkers: the assembled search —
 // grid rows, frontier, accounting — must be byte-identical for any
-// worker count, including workers > families (the family units plus
-// the nested GSPN stage all racing).
+// worker count, including workers > families (the family units racing
+// each other, then the GSPN wave's units racing each other).
 func TestDesignspaceDeterministicAcrossWorkers(t *testing.T) {
 	render := func(workers int) []byte {
-		o := dsQuick()
-		o.Workers = workers
-		eng := &sweep.Engine{Workers: workers}
-		v, err := eng.RunJob(context.Background(), DesignspaceJob(o, nil))
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := v.(*DesignspaceResult)
+		res := runJob(t, DesignspaceJob(dsQuick(), nil), workers, nil).(*DesignspaceResult)
 		var buf bytes.Buffer
 		for _, tab := range res.Tables() {
 			tab.Render(&buf)

@@ -53,10 +53,6 @@ type Options struct {
 	// DSRefine bounds the adaptive-refinement rounds that expand the
 	// lattice neighbours of the screening frontier (0 = no refinement).
 	DSRefine int
-	// Workers sizes the nested sweeps some experiments fan out from
-	// their assembly step (the designspace GSPN stage); <= 0 means
-	// serial. runner.Run copies it from Config.Workers.
-	Workers int
 	// TraceSource, when non-nil, supplies every workload's reference
 	// stream instead of live VM execution — the trace record/replay
 	// pipeline behind the iramsim -record/-trace-dir flags.
@@ -68,25 +64,13 @@ type Options struct {
 	// accounting (the iramsim -metrics flag). Nil costs one pointer
 	// check at each publication site and changes no experiment output.
 	Obs *obs.Registry
-	// ResultCache, when non-nil, is consulted by nested sweeps some
-	// experiments fan out from their assembly step (the designspace
-	// GSPN stage). The CLI sets it alongside the top-level engine's
-	// cache from -result-cache; cached and uncached runs produce
-	// byte-identical output.
+	// Workers, ResultCache and Ctx are unread: the run's one engine
+	// (runner.Config and the context of runner.Run) sizes the pool,
+	// consults the cache and cancels every unit, designspace's GSPN wave
+	// included. They stay until the benchmark harness stops setting them.
+	Workers     int
 	ResultCache sweep.ResultCache
-	// Ctx, when non-nil, cancels the nested sweeps some experiments fan
-	// out from their assembly step: the runner sets it to the run's
-	// context so an abandoned request stops the designspace GSPN stage
-	// too, not just the outer unit queue. Nil means never canceled.
-	Ctx context.Context
-}
-
-// ctx returns the cancellation context nested sweeps run under.
-func (o Options) ctx() context.Context {
-	if o.Ctx != nil {
-		return o.Ctx
-	}
-	return context.Background()
+	Ctx         context.Context
 }
 
 // Device returns the integrated device the experiments run against.

@@ -255,7 +255,7 @@ func TestGSPNCodecReadsParentEntry(t *testing.T) {
 }
 
 // TestDesignspaceCachedMatchesUncached: the search with a result cache
-// — cold, then warm, including the nested GSPN stage — must reproduce
+// — cold, then warm, including the GSPN wave — must reproduce
 // the uncached search exactly, accounting included. The accounting
 // counts the passes the search is built from, so a warm run that
 // decodes every family summary reports the same ledger as a cold one;
@@ -268,8 +268,6 @@ func TestDesignspaceCachedMatchesUncached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.ResultCache = store
-	o.Workers = 4
 	cold := runJob(t, DesignspaceJob(o, nil), 4, store).(*DesignspaceResult)
 	warm := runJob(t, DesignspaceJob(o, nil), 2, store).(*DesignspaceResult)
 

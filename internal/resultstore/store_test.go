@@ -318,8 +318,11 @@ func TestKeptValuesBounded(t *testing.T) {
 	for run := 0; run < 3; run++ {
 		reg := obs.NewRegistry()
 		e := &sweep.Engine{Workers: 2, Cache: s, Obs: reg}
-		v, err := e.RunJob(context.Background(), job)
-		if err != nil {
+		var v interface{}
+		if err := e.Run(context.Background(), []sweep.Job{job}, func(r sweep.JobResult) error {
+			v = r.Value
+			return nil
+		}); err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}
 		for i, p := range v.([]interface{}) {

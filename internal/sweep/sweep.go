@@ -13,6 +13,10 @@
 // finished jobs strictly in submission order as their frontier
 // completes. Determinism therefore holds for any worker count,
 // including 1, which is the serial reference.
+//
+// A job whose assembly picks further work (the design-space search picks
+// its GSPN runs) returns it as a second wave on the same pool, so a run
+// is scheduled here alone, never again inside an experiment's assembly.
 package sweep
 
 import (
@@ -107,7 +111,10 @@ type Job struct {
 	Units []Unit
 	// Assemble combines the unit results, parts[i] being Units[i]'s
 	// return value. It runs on the coordinating goroutine, exactly
-	// once, after every unit of the job has completed.
+	// once, after every unit of the job has completed. It may instead
+	// return a Job, a second wave: its units run and are reported as the
+	// first wave's, under the first wave's Name (its own is not used),
+	// and its Assemble finishes the job.
 	Assemble func(parts []interface{}) (interface{}, error)
 }
 
@@ -124,8 +131,8 @@ func Single(name string, run func() (interface{}, error)) Job {
 type JobResult struct {
 	Name    string
 	Value   interface{}
-	Units   int
-	Elapsed time.Duration // summed unit wall time (not wall-clock)
+	Units   int           // units of all the job's waves
+	Elapsed time.Duration // their summed unit wall time (not wall-clock)
 }
 
 // Engine schedules units across workers.
@@ -159,9 +166,10 @@ type Engine struct {
 type UnitEvent struct {
 	// Job and Unit name the completed unit.
 	Job, Unit string
-	// Completed counts units finished so far (this one included);
-	// Total is the sweep's unit count. Completed never skips numbers:
-	// skipped and failed units count too.
+	// Completed counts units finished so far (this one included), never
+	// skipping a number: skipped and failed units count too. Total
+	// counts the units queued so far: it grows when a job queues a
+	// second wave, and never shrinks.
 	Completed, Total int
 	// Worker is the pool worker (0-based) that ran or skipped the
 	// unit, and Start is when that worker picked it up.
@@ -266,8 +274,11 @@ func recovered(err *error) {
 // errCanceled marks units skipped after the first failure.
 var errCanceled = errors.New("sweep: canceled")
 
-// task addresses one unit in the flattened schedule.
-type task struct{ job, unit int }
+// task addresses one unit of a job's current wave.
+type task struct {
+	job, unit int
+	u         *Unit
+}
 
 type completion struct {
 	t      task
@@ -279,7 +290,7 @@ type completion struct {
 }
 
 // Run executes every unit of every job across the worker pool and
-// calls emit for each job, in job order, as soon as the job's units
+// calls emit for each job, in job order, as soon as the job's waves
 // and every earlier job are complete (so output streams during the
 // sweep). It returns the first unit or assembly error; emit may have
 // been called for jobs that finished before the failure.
@@ -295,123 +306,135 @@ type completion struct {
 // abandoned HTTP request cancels its sweep this way, freeing the
 // worker pool for the next queued run.
 func (e *Engine) Run(ctx context.Context, jobs []Job, emit func(JobResult) error) error {
-	workers := e.Workers
-	if workers < 1 {
-		workers = 1
-	}
-
-	var tasks []task
-	for ji := range jobs {
-		for ui := range jobs[ji].Units {
-			tasks = append(tasks, task{ji, ui})
-		}
-	}
-	if workers > len(tasks) && len(tasks) > 0 {
-		workers = len(tasks)
-	}
+	workers := max(e.Workers, 1)
 
 	// Metric handles are resolved once here; all of them are nil-safe
 	// no-ops when e.Obs is nil.
+	cTotal := e.Obs.Counter("sweep", "units_total")
 	cCompleted := e.Obs.Counter("sweep", "units_completed")
 	cFailed := e.Obs.Counter("sweep", "units_failed")
 	cSkipped := e.Obs.Counter("sweep", "units_skipped")
 	cEmitted := e.Obs.Counter("sweep", "jobs_emitted")
 	rUnit := e.Obs.Running("sweep", "unit_seconds")
 	rJob := e.Obs.Running("sweep", "job_seconds")
+	gWorkers := e.Obs.Gauge("sweep", "workers")
 	gQueue := e.Obs.Gauge("sweep", "queue_depth")
 	gQueueMax := e.Obs.Gauge("sweep", "queue_depth_max")
-	e.Obs.Gauge("sweep", "workers").Set(int64(workers))
-	e.Obs.Counter("sweep", "units_total").Add(int64(len(tasks)))
 	cc := e.cacheCounters()
 
-	// queue_depth tracks outstanding (queued + running) units live and
-	// queue_depth_max is its high-water mark: it rises as tasks are
-	// submitted below and falls as completions drain, so across every
-	// Run sharing a registry it reads as the most units outstanding at
-	// once, and it returns to zero when all sweeps are done.
-	taskCh := make(chan task, len(tasks))
-	for _, t := range tasks {
-		taskCh <- t
-		gQueueMax.SetMax(gQueue.Add(1))
+	// Per job: its current wave, that wave's results and units still
+	// out, and the units and unit time of all its waves.
+	type jobState struct {
+		wave             Job
+		parts            []interface{}
+		remaining, units int
+		elapsed          time.Duration
 	}
-	close(taskCh)
+	st := make([]jobState, len(jobs))
+	var queue []task
+	total, started := 0, 0
+	// enqueue makes w job ji's current wave and queues its units.
+	// queue_depth counts outstanding (queued + running) units; its
+	// high-water mark over every Run on the registry is queue_depth_max.
+	enqueue := func(ji int, w Job) {
+		s := &st[ji]
+		s.wave, s.parts, s.remaining = w, make([]interface{}, len(w.Units)), len(w.Units)
+		s.units += len(w.Units)
+		for ui := range w.Units {
+			queue = append(queue, task{ji, ui, &w.Units[ui]})
+			gQueueMax.SetMax(gQueue.Add(1))
+		}
+		total += len(w.Units)
+		cTotal.Add(int64(len(w.Units)))
+	}
+	for ji := range jobs {
+		enqueue(ji, jobs[ji])
+	}
 
-	doneCh := make(chan completion, workers+1)
+	// taskCh has room for every first-wave unit, so workers never wait
+	// on this goroutine for one; a second wave's units wait in queue
+	// until fill finds room. doneCh holds one completion per worker.
+	taskCh := make(chan task, max(workers, total))
+	doneCh := make(chan completion, workers)
 	var stop atomic.Bool
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for t := range taskCh {
-				start := time.Now()
-				if stop.Load() || ctx.Err() != nil {
-					doneCh <- completion{t: t, worker: w, start: start, err: errCanceled}
-					continue
-				}
-				v, err := e.execUnit(&jobs[t.job].Units[t.unit], &cc)
-				doneCh <- completion{t: t, worker: w, start: start, val: v, err: err, dur: time.Since(start)}
+	work := func(w int) {
+		defer wg.Done()
+		for t := range taskCh {
+			start := time.Now()
+			if stop.Load() || ctx.Err() != nil {
+				doneCh <- completion{t: t, worker: w, start: start, err: errCanceled}
+				continue
 			}
-		}(w)
+			v, err := e.execUnit(t.u, &cc)
+			doneCh <- completion{t: t, worker: w, start: start, val: v, err: err, dur: time.Since(start)}
+		}
 	}
-
-	parts := make([][]interface{}, len(jobs))
-	elapsed := make([]time.Duration, len(jobs))
-	remaining := make([]int, len(jobs))
-	for ji := range jobs {
-		parts[ji] = make([]interface{}, len(jobs[ji].Units))
-		remaining[ji] = len(jobs[ji].Units)
+	// fill starts workers up to the pool size, never more than there are
+	// units, and hands them queued units while taskCh has room.
+	fill := func() {
+		for ; started < min(workers, total); started++ {
+			wg.Add(1)
+			go work(started)
+		}
+		gWorkers.Set(int64(started))
+		for len(queue) > 0 {
+			select {
+			case taskCh <- queue[0]:
+				queue = queue[1:]
+			default:
+				return
+			}
+		}
 	}
 
 	next := 0 // frontier: next job to assemble and emit
 	var firstErr error
-
-	// flush assembles and emits every complete job at the frontier.
+	// flush assembles and emits every complete job at the frontier; a job
+	// whose Assemble returns a wave stays there until the wave completes.
 	flush := func() {
-		for next < len(jobs) && remaining[next] == 0 && firstErr == nil {
-			j := jobs[next]
-			v, err := assemble(j, parts[next])
+		for next < len(jobs) && st[next].remaining == 0 && firstErr == nil {
+			s, name := &st[next], jobs[next].Name
+			v, err := assemble(s.wave, s.parts)
+			if w, ok := v.(Job); ok && err == nil {
+				enqueue(next, w)
+				continue
+			}
+			if err == nil && emit != nil {
+				err = emit(JobResult{Name: name, Value: v, Units: s.units, Elapsed: s.elapsed})
+			}
 			if err != nil {
-				firstErr = fmt.Errorf("%s: %w", j.Name, err)
+				firstErr = fmt.Errorf("%s: %w", name, err)
 				stop.Store(true)
 				return
 			}
-			if emit != nil {
-				if err := emit(JobResult{Name: j.Name, Value: v, Units: len(j.Units), Elapsed: elapsed[next]}); err != nil {
-					// Wrapped with the job name just like Assemble
-					// errors, so callers see which job's emit failed.
-					firstErr = fmt.Errorf("%s: %w", j.Name, err)
-					stop.Store(true)
-					return
-				}
-			}
 			cEmitted.Inc()
-			rJob.Add(elapsed[next].Seconds())
-			parts[next] = nil // release partials once assembled
+			rJob.Add(s.elapsed.Seconds())
+			s.parts = nil // release partials once assembled
 			next++
 		}
 	}
 	flush() // zero-unit jobs at the head of the queue
+	fill()
 
-	completed := 0
-	for range tasks {
+	for completed := 1; completed <= total; completed++ {
 		c := <-doneCh
-		completed++
 		gQueue.Add(-1)
 		ev := UnitEvent{
 			Job:       jobs[c.t.job].Name,
-			Unit:      jobs[c.t.job].Units[c.t.unit].Name,
+			Unit:      c.t.u.Name,
 			Completed: completed,
-			Total:     len(tasks),
+			Total:     total,
 			Worker:    c.worker,
 			Start:     c.start,
 			Elapsed:   c.dur,
 		}
 		switch {
 		case c.err == nil:
-			parts[c.t.job][c.t.unit] = c.val
-			elapsed[c.t.job] += c.dur
-			remaining[c.t.job]--
+			s := &st[c.t.job]
+			s.parts[c.t.unit] = c.val
+			s.elapsed += c.dur
+			s.remaining--
 			cCompleted.Inc()
 			rUnit.Add(c.dur.Seconds())
 		case errors.Is(c.err, errCanceled):
@@ -436,7 +459,9 @@ func (e *Engine) Run(ctx context.Context, jobs []Job, emit func(JobResult) error
 		if c.err == nil {
 			flush()
 		}
+		fill()
 	}
+	close(taskCh)
 	wg.Wait()
 
 	if firstErr != nil {
@@ -445,11 +470,7 @@ func (e *Engine) Run(ctx context.Context, jobs []Job, emit func(JobResult) error
 	// A canceled sweep reports the cancellation, not success: whatever
 	// was skipped is missing from the output, and callers (the daemon)
 	// key their run state off errors.Is(err, context.Canceled).
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	flush() // jobs with zero units after the last task
-	return firstErr
+	return ctx.Err()
 }
 
 // assemble runs j's Assemble, turning a panic in it into its error.
@@ -458,24 +479,10 @@ func assemble(j Job, parts []interface{}) (v interface{}, err error) {
 	return j.Assemble(parts)
 }
 
-// RunJob runs a single job through the engine and returns its
-// assembled value. It is the one-job convenience over Run, used by the
-// design-space search to fan its screened GSPN evaluations out from
-// its assembly step instead of hand-rolling a goroutine pool.
-// Canceling ctx abandons the job's queued units, as for Run.
-func (e *Engine) RunJob(ctx context.Context, j Job) (interface{}, error) {
-	var out interface{}
-	err := e.Run(ctx, []Job{j}, func(r JobResult) error {
-		out = r.Value
-		return nil
-	})
-	return out, err
-}
-
 // RunSerial executes one job's units in order on the calling
-// goroutine and assembles the result. It is the serial reference
-// implementation: Engine.Run with any worker count produces the same
-// values.
+// goroutine and assembles the result, running a wave that Assemble
+// returns the same way. It is the serial reference implementation:
+// Engine.Run with any worker count produces the same values.
 func RunSerial(j Job) (interface{}, error) {
 	parts := make([]interface{}, len(j.Units))
 	for i, u := range j.Units {
@@ -485,5 +492,9 @@ func RunSerial(j Job) (interface{}, error) {
 		}
 		parts[i] = v
 	}
-	return j.Assemble(parts)
+	v, err := j.Assemble(parts)
+	if w, ok := v.(Job); ok && err == nil {
+		return RunSerial(w)
+	}
+	return v, err
 }

@@ -52,18 +52,50 @@ func runAll(t *testing.T, workers int, jobs []Job) []JobResult {
 	return got
 }
 
+// runJob runs one job through e and returns its assembled value.
+func runJob(ctx context.Context, e *Engine, j Job) (interface{}, error) {
+	var out interface{}
+	err := e.Run(ctx, []Job{j}, func(r JobResult) error {
+		out = r.Value
+		return nil
+	})
+	return out, err
+}
+
+// chain returns first with wave as its second wave: first's Assemble
+// returns wave, whose int result is then added to first's.
+func chain(first, wave Job) Job {
+	return Job{Name: first.Name, Units: first.Units, Assemble: func(parts []interface{}) (interface{}, error) {
+		base, err := first.Assemble(parts)
+		if err != nil {
+			return nil, err
+		}
+		return Job{Name: wave.Name, Units: wave.Units, Assemble: func(parts []interface{}) (interface{}, error) {
+			v, err := wave.Assemble(parts)
+			if err != nil {
+				return nil, err
+			}
+			return base.(int) + v.(int), nil
+		}}, nil
+	}}
+}
+
 // TestOrderingAcrossWorkerCounts: jobs are emitted in submission order
 // with identical values regardless of the worker count, even when unit
-// completion order is reversed by construction.
+// completion order is reversed by construction, and a job with a
+// second wave counts the units of both.
 func TestOrderingAcrossWorkerCounts(t *testing.T) {
 	mk := func() []Job {
-		return []Job{slowFirst("a", 5), slowFirst("b", 3), slowFirst("c", 4)}
+		return []Job{slowFirst("a", 5), chain(slowFirst("w", 2), slowFirst("w/wave", 4)), slowFirst("b", 3), slowFirst("c", 4)}
 	}
 	ref := runAll(t, 1, mk())
-	if len(ref) != 3 {
-		t.Fatalf("got %d results, want 3", len(ref))
+	if len(ref) != 4 {
+		t.Fatalf("got %d results, want 4", len(ref))
 	}
-	for _, workers := range []int{2, 4, 16} {
+	if w := ref[1]; w.Name != "w" || w.Units != 6 || w.Value != 1+14 {
+		t.Errorf("two-wave job = (%s, %v, %d units), want (w, 15, 6 units)", w.Name, w.Value, w.Units)
+	}
+	for _, workers := range []int{2, 3, 4, 8, 16} {
 		got := runAll(t, workers, mk())
 		if len(got) != len(ref) {
 			t.Fatalf("workers=%d: got %d results, want %d", workers, len(got), len(ref))
@@ -80,15 +112,22 @@ func TestOrderingAcrossWorkerCounts(t *testing.T) {
 }
 
 // TestRunSerialParity: Engine.Run and RunSerial assemble the same
-// values from the same job.
+// values from the same job, a job with a second wave included.
 func TestRunSerialParity(t *testing.T) {
-	serial, err := RunSerial(slowFirst("p", 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := runAll(t, 8, []Job{slowFirst("p", 4)})
-	if !reflect.DeepEqual(got[0].Value, serial) {
-		t.Errorf("parallel %v != serial %v", got[0].Value, serial)
+	for _, mk := range []func() Job{
+		func() Job { return slowFirst("p", 4) },
+		func() Job { return chain(slowFirst("p", 1), slowFirst("p/wave", 8)) },
+	} {
+		serial, err := RunSerial(mk())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 3, 8} {
+			got := runAll(t, workers, []Job{mk()})
+			if !reflect.DeepEqual(got[0].Value, serial) {
+				t.Errorf("%s at %d workers: %v != serial %v", got[0].Name, workers, got[0].Value, serial)
+			}
+		}
 	}
 }
 
@@ -234,13 +273,47 @@ func TestPanicsFailTheRun(t *testing.T) {
 			Assemble: func(parts []interface{}) (interface{}, error) { panic(fmt.Sprintf("bad part %v", parts[0])) },
 		}
 		e := &Engine{Workers: 2}
-		_, err := e.RunJob(context.Background(), j)
+		_, err := runJob(context.Background(), e, j)
 		if err == nil {
 			t.Fatal("a panicking assembly did not fail the run")
 		}
 		for _, want := range []string{"asm: panic: bad part 1", "TestPanicsFailTheRun"} {
 			if !strings.Contains(err.Error(), want) {
 				t.Errorf("error does not carry %q:\n%v", want, err)
+			}
+		}
+	})
+
+	// A second wave fails the run like the first: a wave unit's error or
+	// panic names the unit, and a panic in the wave's Assemble names the
+	// job by the first wave's name.
+	t.Run("wave", func(t *testing.T) {
+		ok := func() (interface{}, error) { return 1, nil }
+		sum := func(parts []interface{}) (interface{}, error) { return len(parts), nil }
+		for _, c := range []struct {
+			name  string
+			wave  Job
+			wants []string
+		}{
+			{"unit error", Job{Units: []Unit{{Name: "w/ok", Run: ok}, {Name: "w/fails",
+				Run: func() (interface{}, error) { return nil, errors.New("no rates") }}}, Assemble: sum},
+				[]string{"w/fails: no rates"}},
+			{"unit panic", Job{Units: []Unit{{Name: "w/panics",
+				Run: func() (interface{}, error) { panic("boom") }}}, Assemble: sum},
+				[]string{"w/panics: panic: boom", "TestPanicsFailTheRun"}},
+			{"assembly panic", Job{Units: []Unit{{Name: "w/ok", Run: ok}},
+				Assemble: func([]interface{}) (interface{}, error) { panic("bad wave") }},
+				[]string{"w: panic: bad wave", "TestPanicsFailTheRun"}},
+		} {
+			e := &Engine{Workers: 2}
+			_, err := runJob(context.Background(), e, chain(slowFirst("w", 2), c.wave))
+			if err == nil {
+				t.Fatalf("%s: the run did not fail", c.name)
+			}
+			for _, want := range c.wants {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("%s: error does not carry %q:\n%v", c.name, want, err)
+				}
 			}
 		}
 	})
@@ -308,22 +381,28 @@ func TestSingle(t *testing.T) {
 
 // TestEngineObs: the engine publishes unit/job accounting into the
 // registry, and each unit event names the worker that ran it and when
-// that worker picked it up.
+// that worker picked it up. The units of a second wave are counted and
+// reported like the first wave's, under the first wave's job name, and
+// the event's Total grows when the wave is queued.
 func TestEngineObs(t *testing.T) {
 	reg := obs.NewRegistry()
 	var events []UnitEvent
+	var results []JobResult
 	before := time.Now()
 	e := &Engine{Workers: 2, Obs: reg, OnUnit: func(ev UnitEvent) { events = append(events, ev) }}
-	jobs := []Job{slowFirst("a", 3), slowFirst("b", 2)}
-	if err := e.Run(context.Background(), jobs, func(JobResult) error { return nil }); err != nil {
+	jobs := []Job{slowFirst("a", 3), slowFirst("b", 2), chain(slowFirst("w", 1), slowFirst("w/wave", 3))}
+	if err := e.Run(context.Background(), jobs, func(r JobResult) error {
+		results = append(results, r)
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	for name, want := range map[string]int64{
-		"units_total":     5,
-		"units_completed": 5,
+		"units_total":     9,
+		"units_completed": 9,
 		"units_failed":    0,
 		"units_skipped":   0,
-		"jobs_emitted":    2,
+		"jobs_emitted":    3,
 	} {
 		if got := reg.Counter("sweep", name).Value(); got != want {
 			t.Errorf("sweep/%s = %d, want %d", name, got, want)
@@ -333,19 +412,41 @@ func TestEngineObs(t *testing.T) {
 		t.Errorf("workers gauge = %d, want 2", got)
 	}
 	snap := reg.Running("sweep", "unit_seconds").Snapshot()
-	if snap.N() != 5 {
-		t.Errorf("unit_seconds n = %d, want 5", snap.N())
+	if snap.N() != 9 {
+		t.Errorf("unit_seconds n = %d, want 9", snap.N())
 	}
-	if len(events) != 5 {
-		t.Fatalf("got %d unit events, want 5", len(events))
+	if len(events) != 9 {
+		t.Fatalf("got %d unit events, want 9", len(events))
 	}
-	for _, ev := range events {
+	waveUnits := 0
+	for i, ev := range events {
 		if ev.Worker < 0 || ev.Worker >= 2 {
 			t.Errorf("%s: Worker = %d, want 0 or 1", ev.Unit, ev.Worker)
 		}
 		if ev.Start.Before(before) {
 			t.Errorf("%s: Start %v not set to the pickup time", ev.Unit, ev.Start)
 		}
+		if ev.Completed != i+1 {
+			t.Errorf("event %d: Completed = %d, want %d", i, ev.Completed, i+1)
+		}
+		// The wave is queued once w's first wave assembles, so every
+		// event before its first unit counts the 6 first-wave units.
+		if strings.HasPrefix(ev.Unit, "w/wave/") {
+			waveUnits++
+			if ev.Job != "w" {
+				t.Errorf("%s: Job = %q, want the first wave's name w", ev.Unit, ev.Job)
+			}
+		}
+		if want := 6 + 3*min(waveUnits, 1); ev.Total != want {
+			t.Errorf("event %d (%s): Total = %d, want %d", i, ev.Unit, ev.Total, want)
+		}
+	}
+	if waveUnits != 3 {
+		t.Errorf("%d wave unit events, want 3", waveUnits)
+	}
+	// w's units sleep 1 ms, then 3 + 2 + 1 ms in the wave.
+	if len(results) != 3 || results[2].Units != 4 || results[2].Elapsed < 7*time.Millisecond {
+		t.Errorf("results %+v, want w last with 4 units and at least 7ms, the unit time of both waves", results)
 	}
 }
 
@@ -435,19 +536,22 @@ func cachedJob(name string, n int, ran *int64) Job {
 
 // TestEngineCache: a cold run computes and stores every keyed unit; a
 // warm run decodes every one without calling Run, with identical
-// assembled values, and the resultcache metrics account for both.
+// assembled values, and the resultcache metrics account for both. Half
+// the units belong to a second wave, which goes through the cache like
+// the first.
 func TestEngineCache(t *testing.T) {
 	cache := newMapCache()
 	reg := obs.NewRegistry()
 	var ran int64
+	mk := func() Job { return chain(cachedJob("c", 3, &ran), cachedJob("c/wave", 3, &ran)) }
 
 	e := &Engine{Workers: 4, Cache: cache, Obs: reg}
-	cold, err := e.RunJob(context.Background(), cachedJob("c", 6, &ran))
+	cold, err := runJob(context.Background(), e, mk())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ran != 6 {
-		t.Fatalf("cold run executed %d units, want 6", ran)
+	if ran != 6 || cold != (0+1+4)*2 {
+		t.Fatalf("cold run executed %d units for %v, want 6 units for 10", ran, cold)
 	}
 	for name, want := range map[string]int64{
 		"hits": 0, "misses": 6, "stores": 6, "decode_failures": 0,
@@ -457,7 +561,7 @@ func TestEngineCache(t *testing.T) {
 		}
 	}
 
-	warm, err := e.RunJob(context.Background(), cachedJob("c", 6, &ran))
+	warm, err := runJob(context.Background(), e, mk())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,13 +593,13 @@ func TestEngineCacheDecodeFailure(t *testing.T) {
 	var ran int64
 
 	e := &Engine{Workers: 2, Cache: cache, Obs: reg}
-	if _, err := e.RunJob(context.Background(), cachedJob("d", 3, &ran)); err != nil {
+	if _, err := runJob(context.Background(), e, cachedJob("d", 3, &ran)); err != nil {
 		t.Fatal(err)
 	}
 	for k := range cache.m {
 		cache.m[k] = []byte("not a number")
 	}
-	v, err := e.RunJob(context.Background(), cachedJob("d", 3, &ran))
+	v, err := runJob(context.Background(), e, cachedJob("d", 3, &ran))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,7 +613,7 @@ func TestEngineCacheDecodeFailure(t *testing.T) {
 		t.Errorf("decode_failures = %d, want 3", got)
 	}
 	// The recompute overwrote the corrupt entries: a third run hits.
-	if _, err := e.RunJob(context.Background(), cachedJob("d", 3, &ran)); err != nil {
+	if _, err := runJob(context.Background(), e, cachedJob("d", 3, &ran)); err != nil {
 		t.Fatal(err)
 	}
 	if ran != 6 {
@@ -556,7 +660,7 @@ func TestEngineDecodedCache(t *testing.T) {
 	}
 	run := func(want int) {
 		t.Helper()
-		v, err := e.RunJob(context.Background(), cachedJob("k", 6, &ran))
+		v, err := runJob(context.Background(), e, cachedJob("k", 6, &ran))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -608,7 +712,7 @@ func TestEngineDecodedCacheSharedKey(t *testing.T) {
 			Run: func() (interface{}, error) { return nil, errors.New("ran a cached unit") }}
 	}
 	e := &Engine{Workers: 4, Cache: cache, Obs: reg}
-	v, err := e.RunJob(context.Background(), Job{Name: "s", Units: units,
+	v, err := runJob(context.Background(), e, Job{Name: "s", Units: units,
 		Assemble: func(parts []interface{}) (interface{}, error) { return parts, nil }})
 	if err != nil {
 		t.Fatal(err)
@@ -642,7 +746,7 @@ func TestEngineCacheUnkeyedUnits(t *testing.T) {
 	}
 	e := &Engine{Workers: 1, Cache: cache}
 	for i := 0; i < 2; i++ {
-		if _, err := e.RunJob(context.Background(), mk()); err != nil {
+		if _, err := runJob(context.Background(), e, mk()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -684,15 +788,23 @@ func TestQueueDepth(t *testing.T) {
 // TestRunContextCancel: canceling mid-sweep skips everything still
 // queued with the same accounting as post-failure skips (counted,
 // reported, Completed never skips numbers), leaves no cache entry for a
-// unit that never ran, and returns ctx.Err().
+// unit that never ran, and returns ctx.Err(). The cancellation comes
+// either in a job's only wave or in its second wave, after a keyed
+// one-unit first wave.
 func TestRunContextCancel(t *testing.T) {
+	for _, lead := range []int{0, 1} {
+		t.Run(fmt.Sprintf("lead=%d", lead), func(t *testing.T) { testRunContextCancel(t, lead) })
+	}
+}
+
+func testRunContextCancel(t *testing.T, lead int) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cache := newMapCache()
 	reg := obs.NewRegistry()
 
 	started := make(chan struct{}, 2)
 	release := make(chan struct{})
-	var lateRan int64
+	var lateRan, leadRan int64
 	units := make([]Unit, 4)
 	for i := range units {
 		i := i
@@ -717,6 +829,11 @@ func TestRunContextCancel(t *testing.T) {
 	job := Job{Name: "cancel", Units: units, Assemble: func(parts []interface{}) (interface{}, error) {
 		return len(parts), nil
 	}}
+	if lead > 0 {
+		first := cachedJob("cancel/lead", lead, &leadRan)
+		first.Name = job.Name
+		job = chain(first, job)
+	}
 
 	emitted := 0
 	var events []UnitEvent
@@ -737,8 +854,8 @@ func TestRunContextCancel(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run = %v, want context.Canceled", err)
 	}
-	if lateRan != 0 {
-		t.Errorf("queued units ran %d times after cancellation, want 0", lateRan)
+	if lateRan != 0 || leadRan != int64(lead) {
+		t.Errorf("queued units ran %d times after cancellation and the first wave %d times, want 0 and %d", lateRan, leadRan, lead)
 	}
 	if emitted != 0 {
 		t.Errorf("job with skipped units was emitted %d times, want 0", emitted)
@@ -746,20 +863,27 @@ func TestRunContextCancel(t *testing.T) {
 	if got := reg.Counter("sweep", "units_skipped").Value(); got != 2 {
 		t.Errorf("units_skipped = %d, want 2", got)
 	}
-	if got := reg.Counter("sweep", "units_completed").Value(); got != 2 {
-		t.Errorf("units_completed = %d, want 2", got)
+	if got := reg.Counter("sweep", "units_completed").Value(); got != int64(2+lead) {
+		t.Errorf("units_completed = %d, want %d", got, 2+lead)
 	}
 	skipped := 0
 	for i, ev := range events {
-		if ev.Completed != i+1 || ev.Total != 4 {
-			t.Errorf("event %d: Completed/Total = %d/%d, want %d/4", i, ev.Completed, ev.Total, i+1)
+		total := lead + 4
+		if i < lead {
+			total = lead // the wave is not queued yet
+		}
+		if ev.Completed != i+1 || ev.Total != total {
+			t.Errorf("event %d: Completed/Total = %d/%d, want %d/%d", i, ev.Completed, ev.Total, i+1, total)
+		}
+		if ev.Job != "cancel" {
+			t.Errorf("event %d: Job = %q, want cancel", i, ev.Job)
 		}
 		if ev.Skipped {
 			skipped++
 		}
 	}
-	if len(events) != 4 || skipped != 2 {
-		t.Errorf("got %d events with %d skipped, want 4 with 2 skipped", len(events), skipped)
+	if len(events) != lead+4 || skipped != 2 {
+		t.Errorf("got %d events with %d skipped, want %d with 2 skipped", len(events), skipped, lead+4)
 	}
 	// In-flight units committed their results; skipped units must not
 	// have partial (or any) entries.
@@ -768,6 +892,46 @@ func TestRunContextCancel(t *testing.T) {
 		if want := i < 2; ok != want {
 			t.Errorf("cache entry for %s: present=%v, want %v", u.Name, ok, want)
 		}
+	}
+	if len(cache.m) != 2+lead {
+		t.Errorf("%d cache entries, want %d", len(cache.m), 2+lead)
+	}
+}
+
+// TestWaveRunsOnWholePool: a second wave is not held to the first
+// wave's size. After a one-unit first wave, eight wave units on eight
+// workers all run at once: each waits at a barrier that opens only when
+// all eight have arrived.
+func TestWaveRunsOnWholePool(t *testing.T) {
+	const n = 8
+	var arrived atomic.Int64
+	all := make(chan struct{})
+	units := make([]Unit, n)
+	for i := range units {
+		units[i] = Unit{Name: fmt.Sprintf("pool/wave/u%d", i), Run: func() (interface{}, error) {
+			if arrived.Add(1) == n {
+				close(all)
+			}
+			select {
+			case <-all:
+				return 1, nil
+			case <-time.After(10 * time.Second):
+				return nil, fmt.Errorf("only %d of %d wave units ran at once", arrived.Load(), n)
+			}
+		}}
+	}
+	wave := Job{Units: units, Assemble: func(parts []interface{}) (interface{}, error) { return len(parts), nil }}
+	reg := obs.NewRegistry()
+	e := &Engine{Workers: n, Obs: reg}
+	v, err := runJob(context.Background(), e, chain(slowFirst("pool", 1), wave))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v != n {
+		t.Errorf("value = %v, want %d", v, n)
+	}
+	if got := reg.Gauge("sweep", "workers").Value(); got != n {
+		t.Errorf("workers gauge = %d, want %d", got, n)
 	}
 }
 
@@ -778,9 +942,9 @@ func TestRunContextPreCanceled(t *testing.T) {
 	cancel()
 	var ran int64
 	e := &Engine{Workers: 4}
-	v, err := e.RunJob(ctx, cachedJob("pre", 6, &ran))
+	v, err := runJob(ctx, e, cachedJob("pre", 6, &ran))
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunJob = (%v, %v), want context.Canceled", v, err)
+		t.Fatalf("Run = (%v, %v), want context.Canceled", v, err)
 	}
 	if ran != 0 {
 		t.Errorf("%d units ran under a pre-canceled context", ran)
