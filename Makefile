@@ -96,9 +96,9 @@ bench-check-ci:
 
 # Exercise the trace codec, trace-store replay, result-store read,
 # assembler, program image, disassembler round trip, VM step, GSPN
-# equivalence, designspace axis-flag, machine-description and
-# daemon-request fuzz targets for a minute each (CI runs a 10-second
-# smoke; this is the pre-commit depth).
+# equivalence, designspace axis-flag, machine-description,
+# daemon-request and iramasm -cache spec fuzz targets for a minute each
+# (CI runs a 10-second smoke; this is the pre-commit depth).
 FUZZTIME ?= 60s
 fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzReaderNext -fuzztime $(FUZZTIME)
@@ -113,6 +113,7 @@ fuzz:
 	$(GO) test ./cmd/iramsim -run '^$$' -fuzz FuzzParseAxis -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzFromJSON -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/runner -run '^$$' -fuzz FuzzRequest -fuzztime $(FUZZTIME)
+	$(GO) test ./cmd/iramasm -run '^$$' -fuzz FuzzParseCacheSpec -fuzztime $(FUZZTIME)
 
 # Pre-record every workload's reference stream into the local trace
 # cache; later `iramsim -trace-dir $(TRACE_DIR) ...` runs skip the VM.

@@ -398,9 +398,11 @@ func cmdReplay(args []string) error {
 	return nil
 }
 
-// maxCacheSize bounds -cache sizes: a simulated cache larger than
-// 1 GiB is certainly a typo and would allocate its tag array for real.
-const maxCacheSize = 1 << 30
+// maxCacheLines bounds -cache geometries by line count, which is what a
+// simulated cache costs in host memory: at most 40 B per line (tag state
+// and set headers), allocated at construction. The paper's caches hold
+// at most 256 KB.
+const maxCacheLines = 1 << 20
 
 // parseCacheSpec validates a -cache flag completely at parse time so
 // a bad spec is a CLI error with a precise message, never a panic or a
@@ -425,14 +427,14 @@ func parseCacheSpec(s string) (cache.Cache, error) {
 	if err != nil || ways < 1 {
 		return nil, fmt.Errorf("bad -cache spec %q: ways %q is not a positive integer", s, parts[2])
 	}
-	if size > maxCacheSize {
-		return nil, fmt.Errorf("bad -cache spec %q: size %d exceeds the 1 GiB limit", s, size)
-	}
 	if line&(line-1) != 0 {
 		return nil, fmt.Errorf("bad -cache spec %q: line size %d is not a power of two", s, line)
 	}
 	if line > size {
 		return nil, fmt.Errorf("bad -cache spec %q: line size %d exceeds cache size %d", s, line, size)
+	}
+	if size/line > maxCacheLines {
+		return nil, fmt.Errorf("bad -cache spec %q: %d lines exceed the limit of %d", s, size/line, maxCacheLines)
 	}
 	// Bound ways before multiplying so line*ways cannot overflow.
 	if uint64(ways) > size/line {

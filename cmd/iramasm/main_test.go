@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -31,7 +32,9 @@ func TestParseCacheSpec(t *testing.T) {
 		"96:32:1",                       // 3 sets: non-power-of-two set count
 		"16:32:1",                       // line larger than cache
 		"16384:32:1024",                 // more ways than lines
-		"2147483648:32:1",               // over the 1 GiB limit
+		"2147483648:32:1",               // 2^26 lines, over the line limit
+		"2097152:1:1",                   // 2^21 one-byte lines
+		"1073741824:1:1",                // 2^30 lines: would take ~24 GiB
 		"18446744073709551615:32:1",     // uint64 max size
 		"16384:18446744073709551615:1",  // uint64 max line
 		"16384:32:18446744073709551616", // ways overflows int
@@ -42,12 +45,36 @@ func TestParseCacheSpec(t *testing.T) {
 			t.Errorf("bad spec %q: error %q missing 'bad -cache spec' prefix", bad, err)
 		}
 	}
-	// Fully-associative and direct-mapped extremes remain valid.
-	for _, good := range []string{"16384:512:2", "512:512:1", "1024:32:32"} {
+	// Fully-associative and direct-mapped extremes remain valid, and so
+	// does a cache of exactly maxCacheLines lines, of any byte size.
+	for _, good := range []string{"16384:512:2", "512:512:1", "1024:32:32", "1048576:1:1", "2147483648:2048:16"} {
 		if _, err := parseCacheSpec(good); err != nil {
 			t.Errorf("good spec %q rejected: %v", good, err)
 		}
 	}
+}
+
+// FuzzParseCacheSpec: any -cache value is refused with an error or
+// builds a cache of at most maxCacheLines lines, never a panic.
+func FuzzParseCacheSpec(f *testing.F) {
+	for _, seed := range []string{
+		"proposed", "16384:32:2", "1024:32:32", "1048576:1:1", "2097152:1:1",
+		"1073741824:1:1", "96:32:1", "16384:32:1024", "16384:32:-2",
+		"18446744073709551615:32:1", "16384:18446744073709551615:1", "::", "",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if _, err := parseCacheSpec(s); err != nil || s == "proposed" {
+			return
+		}
+		parts := strings.Split(s, ":")
+		size, _ := strconv.ParseUint(parts[0], 10, 64)
+		line, _ := strconv.ParseUint(parts[1], 10, 64)
+		if size/line > maxCacheLines {
+			t.Errorf("accepted %q: %d lines, over the limit of %d", s, size/line, maxCacheLines)
+		}
+	})
 }
 
 func TestCacheSpecsFlag(t *testing.T) {
