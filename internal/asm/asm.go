@@ -166,7 +166,7 @@ func (a *assembler) pass1(src string) error {
 				break
 			}
 			name := strings.TrimSpace(s[:i])
-			if !isIdent(name) {
+			if !IsIdent(name) {
 				break
 			}
 			if _, dup := a.symbols[name]; dup {
@@ -742,7 +742,9 @@ func parseUint(s string) (uint64, error) {
 	return uint64(v), nil
 }
 
-func isIdent(s string) bool {
+// IsIdent reports whether s is a label the assembler accepts: letters,
+// digits, '_' and '.', not starting with a digit.
+func IsIdent(s string) bool {
 	if s == "" {
 		return false
 	}

@@ -31,6 +31,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/asm"
 	"repro/internal/isa"
 )
 
@@ -139,7 +140,7 @@ func validate(p *isa.Program) error {
 			p.Entry, p.CodeBase)
 	}
 	for name := range p.Symbols {
-		if !isIdent(name) {
+		if !asm.IsIdent(name) {
 			return fmt.Errorf("dis: symbol name %q is not an assembler identifier", name)
 		}
 	}
@@ -369,23 +370,4 @@ func emitBytes(b *strings.Builder, addr uint64, bytes []byte) {
 		bytes = bytes[n*8:]
 	}
 	emitByteRun(bytes)
-}
-
-// isIdent matches the assembler's label grammar.
-func isIdent(s string) bool {
-	if s == "" {
-		return false
-	}
-	for i, c := range s {
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c == '_', c == '.':
-		case c >= '0' && c <= '9':
-			if i == 0 {
-				return false
-			}
-		default:
-			return false
-		}
-	}
-	return true
 }
