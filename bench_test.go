@@ -205,7 +205,7 @@ func BenchmarkDesignspace(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := run[*experiments.DesignspaceResult](b, "designspace", o, nil)
 		a := r.Accounting
-		pointsPerPass = float64(a.Evaluated*a.Benches) / float64(a.Passes)
+		pointsPerPass = float64(a.Lattice*a.Benches) / float64(a.Passes)
 	}
 	b.ReportMetric(pointsPerPass, "points_per_pass")
 }

@@ -75,8 +75,6 @@ type cliConfig struct {
 	dsColumns     string
 	dsWays        string
 	dsVictims     string
-	dsCoarse      int
-	dsRefine      int
 	dsFrontier    string
 	cpuprofile    string
 	memprofile    string
@@ -103,8 +101,6 @@ func main() {
 	flag.StringVar(&c.dsColumns, "ds-columns", "", "designspace column-size axis (bytes), same range syntax")
 	flag.StringVar(&c.dsWays, "ds-ways", "", "designspace D-cache associativity axis, same range syntax")
 	flag.StringVar(&c.dsVictims, "ds-victims", "", "designspace victim-entry axis (0 = no victim cache), same range syntax")
-	flag.IntVar(&c.dsCoarse, "ds-coarse", 0, "designspace coarse-grid stride: evaluate every k-th lattice index per axis first (<=1 = exhaustive)")
-	flag.IntVar(&c.dsRefine, "ds-refine", 0, "designspace adaptive-refinement rounds around the screening frontier")
 	flag.StringVar(&c.dsFrontier, "ds-frontier", "", "write the designspace Pareto frontier to this file (.json or .csv)")
 	flag.StringVar(&c.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
 	flag.StringVar(&c.memprofile, "memprofile", "", "write a heap profile to this file on exit")
@@ -155,8 +151,6 @@ func request(c cliConfig) (runner.Request, error) {
 		Quick:       c.quick,
 		Budget:      c.budget,
 		Seed:        c.seed,
-		DSCoarse:    c.dsCoarse,
-		DSRefine:    c.dsRefine,
 	}
 	if c.procs != "" {
 		for _, s := range strings.Split(c.procs, ",") {
@@ -397,8 +391,8 @@ func usage() {
 	fmt.Fprintln(os.Stderr, "experiments:", strings.Join(experiments.Names(), " "), "all")
 	fmt.Fprintln(os.Stderr, "machine descriptions: -machine examples/machine-32bank.json (see examples/)")
 	fmt.Fprintln(os.Stderr, "trace cache: -trace-dir/-record <dir> (record-all: iramsim -record <dir>)")
-	fmt.Fprintln(os.Stderr, "design-space search: iramsim designspace -ds-banks 8..128:8 -ds-columns 256..4096:*2 \\")
-	fmt.Fprintln(os.Stderr, "  -ds-ways 1,2,4 -ds-victims 0,16 -ds-coarse 4 -ds-refine 2 -ds-frontier pareto.json")
+	fmt.Fprintln(os.Stderr, "design-space search: iramsim -ds-banks 8..128:8 -ds-columns 256..4096:*2 \\")
+	fmt.Fprintln(os.Stderr, "  -ds-ways 1,2,4 -ds-victims 0,16 -ds-frontier pareto.json designspace")
 	fmt.Fprintln(os.Stderr, "  (points group into column-size families; each family costs ONE trace pass per bench)")
 	fmt.Fprintln(os.Stderr, "result cache: on by default under .result-cache; -no-result-cache disables,")
 	fmt.Fprintln(os.Stderr, "  -result-cache-max-bytes prunes (cache-gc: iramsim -result-cache-max-bytes N)")

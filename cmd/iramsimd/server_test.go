@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -172,7 +173,10 @@ func TestHealthz(t *testing.T) {
 }
 
 func TestSubmitBadRequests(t *testing.T) {
-	_, ts := newTestServer(t, serverConfig{})
+	_, ts := newTestServer(t, serverConfig{RunFn: func(context.Context, runner.Request, runner.Config) error {
+		t.Error("a refused request started a run")
+		return nil
+	}})
 	cases := []struct {
 		name, body, want string
 	}{
@@ -191,6 +195,9 @@ func TestSubmitBadRequests(t *testing.T) {
 		// About 10 KB, well under the body limit: the axis cap, not the
 		// size limit, must reject it.
 		{"axis-over-cap", `{"experiments":["designspace"],"ds_banks":[8` + strings.Repeat(",8", 4999) + `]}`, "ds_banks has 5000 values"},
+		{"axis-value-repeated", `{"experiments":["designspace"],"quick":true,"ds_banks":[8,8],"ds_columns":[512],"ds_victims":[0]}`, "ds_banks value 8 repeated"},
+		// 4,096 banks x 16 columns x the default 1 way and 2 victim sizes.
+		{"lattice-over-cap", `{"experiments":["designspace"],"ds_banks":[` + axisJSON(4096) + `],"ds_columns":[` + axisJSON(16) + `]}`, "design-space lattice has 131072 points, more than 65536"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -208,6 +215,15 @@ func TestSubmitBadRequests(t *testing.T) {
 			}
 		})
 	}
+}
+
+// axisJSON renders the n distinct axis values 1..n as a JSON list body.
+func axisJSON(n int) string {
+	vals := make([]string, n)
+	for i := range vals {
+		vals[i] = strconv.Itoa(i + 1)
+	}
+	return strings.Join(vals, ",")
 }
 
 // TestSubmitStreamsEvents: a stubbed run's unit events, result event,

@@ -23,7 +23,7 @@ import (
 // 10^4-10^5 reachable organisations of a 256 Mbit die actually pay off,
 // and what do they cost in silicon?
 //
-// The search engine stands on three legs:
+// The search engine stands on two legs:
 //
 //  1. Family-shared trace passes. Design points are grouped into
 //     families by column size (= profiler line size); each
@@ -33,13 +33,7 @@ import (
 //     whose in-pass victim compounds answer the victim-bearing points
 //     bit-for-bit. N points cost F ≪ N passes: O(families × refs)
 //     instead of O(points × refs).
-//  2. Coarse grid → adaptive refinement. With -ds-coarse k, only every
-//     k-th lattice index per axis (plus the endpoints) is evaluated
-//     first; each refinement round then expands the lattice neighbours
-//     of the current screening frontier. Because the family passes
-//     register the full lattice up front, refinement re-reads the
-//     histograms — it never costs another trace pass.
-//  3. Miss-rate screening before GSPN. Every evaluated point gets miss
+//  2. Miss-rate screening before GSPN. Every lattice point gets miss
 //     rates, a die-area proxy, and an analytic CPI estimate (a
 //     queueing-style formula over the same rates the GSPN consumes —
 //     cheap, deterministic, and monotone in the right directions) from
@@ -64,7 +58,7 @@ func (p DesignPoint) String() string {
 	return fmt.Sprintf("b=%d/col=%d/w=%d/vic=%d", p.Banks, p.ColumnBytes, p.Ways, p.VictimEntries)
 }
 
-// DesignRow is one (geometry, benchmark) evaluation. Every evaluated
+// DesignRow is one (geometry, benchmark) evaluation. Every lattice
 // point carries miss rates and the area proxy; MemCPI/TotalCPI are only
 // meaningful when HasCPI is set (the point survived miss-rate screening
 // or the grid was small enough to evaluate exhaustively).
@@ -92,29 +86,27 @@ type FrontierRow struct {
 
 // DesignAccounting is the search's cost ledger — the numbers that prove
 // the family sharing did its job (Passes = Families × Benches, however
-// large Evaluated grows). It describes the search, not the run: a warm
+// large Lattice grows). It describes the search, not the run: a warm
 // result cache reports the same ledger as a cold run, and the work a
 // run actually did shows up as result-cache misses in its metrics.
 type DesignAccounting struct {
 	Lattice   int // valid points in the full axis lattice
-	Evaluated int // points with assembled miss-rate rows
 	Families  int // distinct column sizes
 	Benches   int
 	Passes    int // trace passes the search is built from, one per family unit
 	Compounds int // in-pass victim replays across all families
 	GSPNEvals int // (point, bench) GSPN evaluations
-	Rounds    int // refinement rounds that added points
 }
 
 func (a DesignAccounting) String() string {
-	return fmt.Sprintf("accounting: lattice=%d evaluated=%d families=%d benches=%d passes=%d compounds=%d gspn=%d rounds=%d",
-		a.Lattice, a.Evaluated, a.Families, a.Benches, a.Passes, a.Compounds, a.GSPNEvals, a.Rounds)
+	return fmt.Sprintf("accounting: lattice=%d families=%d benches=%d passes=%d compounds=%d gspn=%d",
+		a.Lattice, a.Families, a.Benches, a.Passes, a.Compounds, a.GSPNEvals)
 }
 
 // DesignspaceResult is the assembled search.
 type DesignspaceResult struct {
 	Benches    []string
-	Points     []DesignPoint // evaluated points, lattice order
+	Points     []DesignPoint // lattice points, lattice order
 	Rows       []DesignRow   // point-major, bench-minor: len = Points × Benches
 	Frontier   []FrontierRow // final Pareto frontier, bench-major
 	Accounting DesignAccounting
@@ -133,7 +125,7 @@ type designKey struct {
 var designspaceBenches = []string{"126.gcc", "101.tomcatv"}
 
 // gspnAllMax is the row count (points × benches) up to which every
-// evaluated row is GSPN-evaluated (the classic exhaustive table);
+// row is GSPN-evaluated (the classic exhaustive table);
 // above it, only screening-frontier candidates are.
 const gspnAllMax = 64
 
@@ -146,8 +138,9 @@ const gspnAllMax = 64
 // reports evaluated rows.
 const gspnCapPerBench = 48
 
-// designspaceAxes returns the sweep axes, honouring Options overrides.
-func designspaceAxes(o Options) (banks, columns, ways, victims []int) {
+// DesignspaceAxes returns the search axes, honouring Options overrides;
+// the lattice is their cross-product.
+func DesignspaceAxes(o Options) (banks, columns, ways, victims []int) {
 	banks, columns, ways, victims = o.DSBanks, o.DSColumns, o.DSWays, o.DSVictims
 	if len(banks) == 0 {
 		banks = []int{8, 16, 32}
@@ -165,37 +158,28 @@ func designspaceAxes(o Options) (banks, columns, ways, victims []int) {
 }
 
 // designLattice is the validated axis cross-product: the full space the
-// search can reach. Invalid geometries (e.g. a victim line that does
-// not divide the column) are dropped at enumeration time, so the
-// lattice — and everything derived from it — is deterministic.
+// search screens. Invalid geometries (e.g. a victim line that does not
+// divide the column) are dropped at enumeration time, so the lattice —
+// and everything derived from it — is deterministic.
 type designLattice struct {
 	points []DesignPoint
 	devs   []core.Device
-	axes   [][4]int            // per point: axis indices (banks, col, ways, vic)
-	index  map[DesignPoint]int // point -> lattice index
-	values [4][]int            // axis values (banks, col, ways, vic)
 }
 
 func newDesignLattice(o Options) *designLattice {
-	bankAxis, colAxis, wayAxis, vicAxis := designspaceAxes(o)
+	bankAxis, colAxis, wayAxis, vicAxis := DesignspaceAxes(o)
 	base := o.Device()
-	l := &designLattice{
-		index:  make(map[DesignPoint]int),
-		values: [4][]int{bankAxis, colAxis, wayAxis, vicAxis},
-	}
-	for bi, b := range bankAxis {
-		for ci, c := range colAxis {
-			for wi, w := range wayAxis {
-				for vi, v := range vicAxis {
+	l := &designLattice{}
+	for _, b := range bankAxis {
+		for _, c := range colAxis {
+			for _, w := range wayAxis {
+				for _, v := range vicAxis {
 					dev := base.WithOrganisation(b, c, v, w)
 					if err := dev.Validate(); err != nil {
 						continue
 					}
-					p := DesignPoint{Banks: b, ColumnBytes: c, Ways: w, VictimEntries: v}
-					l.index[p] = len(l.points)
-					l.points = append(l.points, p)
+					l.points = append(l.points, DesignPoint{Banks: b, ColumnBytes: c, Ways: w, VictimEntries: v})
 					l.devs = append(l.devs, dev)
-					l.axes = append(l.axes, [4]int{bi, ci, wi, vi})
 				}
 			}
 		}
@@ -220,66 +204,10 @@ func (l *designLattice) families() (columns []int, byColumn map[int][]workload.F
 	return columns, byColumn
 }
 
-// coarseSelection returns the lattice indices of the round-0 grid:
-// every point whose axis indices all lie on the stride-k subsample
-// (always including each axis's first and last index). stride <= 1
-// selects the whole lattice.
-func (l *designLattice) coarseSelection(stride int) []int {
-	if stride <= 1 {
-		sel := make([]int, len(l.points))
-		for i := range sel {
-			sel[i] = i
-		}
-		return sel
-	}
-	on := func(axis, idx int) bool {
-		return idx%stride == 0 || idx == len(l.values[axis])-1
-	}
-	var sel []int
-	for i, ax := range l.axes {
-		if on(0, ax[0]) && on(1, ax[1]) && on(2, ax[2]) && on(3, ax[3]) {
-			sel = append(sel, i)
-		}
-	}
-	return sel
-}
-
-// neighbors returns the lattice indices one axis step (±1 on a single
-// axis) away from the given point, sorted ascending.
-func (l *designLattice) neighbors(i int) []int {
-	var out []int
-	ax := l.axes[i]
-	p := l.points[i]
-	for axis, vals := range l.values {
-		for _, d := range []int{-1, 1} {
-			ni := ax[axis] + d
-			if ni < 0 || ni >= len(vals) {
-				continue
-			}
-			q := p
-			switch axis {
-			case 0:
-				q.Banks = vals[ni]
-			case 1:
-				q.ColumnBytes = vals[ni]
-			case 2:
-				q.Ways = vals[ni]
-			case 3:
-				q.VictimEntries = vals[ni]
-			}
-			if j, ok := l.index[q]; ok {
-				out = append(out, j)
-			}
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
 // DesignspaceJob builds the search as a sweep job: one unit per
 // (column family, benchmark) making the family's single trace pass, and
-// an Assemble step that runs screening and adaptive refinement over the
-// completed histograms, then returns the GSPN stage as a second wave:
+// an Assemble step that screens every lattice point over the completed
+// histograms, then returns the GSPN stage as a second wave:
 // one unit per screened (point, bench) pair, whose Assemble builds the
 // result. The first wave's unit count — and therefore the trace-pass
 // count — is families × benches regardless of how many lattice points
@@ -291,8 +219,8 @@ func DesignspaceJob(o Options, _ *MeasurementSet) sweep.Job {
 	// The family units' names encode only (column, bench); the axes come
 	// from Options, so the registered point set is fingerprinted into
 	// the cache key — widening an axis re-keys every affected family,
-	// and a refinement re-run with wider axes reuses any family whose
-	// registration list is unchanged.
+	// and a re-run with wider axes reuses any family whose registration
+	// list is unchanged.
 	famK := newKeyer("designspace", o, fmt.Sprintf("budget=%d", o.Budget))
 	var units []sweep.Unit
 	for _, col := range columns {
@@ -331,109 +259,58 @@ func DesignspaceJob(o Options, _ *MeasurementSet) sweep.Job {
 			compounds += meas[col][designspaceBenches[0]].Compounds()
 		}
 
-		// rowsFor reads one point's per-bench miss rates and area out of
-		// the family histograms — no trace pass, no GSPN.
-		rowsFor := func(i int) []DesignRow {
-			p := lat.points[i]
+		// Screening reads every lattice point's per-bench miss rates, area
+		// and analytic CPI estimate (the same rates the GSPN will consume,
+		// no Monte Carlo) out of the family histograms — no trace pass.
+		// rows and ests are point-major, bench-minor: index i*nb+bi is
+		// lattice point i on bench bi.
+		nb := len(designspaceBenches)
+		rows := make([]DesignRow, 0, len(lat.points)*nb)
+		ests := make([]float64, 0, len(lat.points)*nb)
+		for i, p := range lat.points {
 			fp := workload.FamilyPoint{Banks: p.Banks, Ways: p.Ways, VictimEntries: p.VictimEntries}
 			area := lat.devs[i].AreaMM2()
-			out := make([]DesignRow, len(designspaceBenches))
-			for bi, bench := range designspaceBenches {
+			cfg := cpumodel.ConfigFor(lat.devs[i])
+			for _, bench := range designspaceBenches {
 				set := meas[p.ColumnBytes][bench]
 				d := set.DStats(p.Banks, p.Ways)
 				if p.VictimEntries > 0 {
 					d = set.DVictimStats(fp)
 				}
-				out[bi] = DesignRow{
+				rows = append(rows, DesignRow{
 					Point:    p,
 					Bench:    bench,
 					IMissPct: set.IStats(p.Banks).Ifetch.Percent(),
 					DMissPct: d.Data().Percent(),
 					AreaMM2:  area,
-				}
+				})
+				ests = append(ests, estimateCPI(cfg, set.Rates(fp)))
 			}
-			return out
 		}
 
-		// estsFor computes the analytic CPI estimate that drives
-		// screening — same rates the GSPN will consume, no Monte Carlo.
-		estsFor := func(i int) []float64 {
-			p := lat.points[i]
-			fp := workload.FamilyPoint{Banks: p.Banks, Ways: p.Ways, VictimEntries: p.VictimEntries}
-			cfg := cpumodel.ConfigFor(lat.devs[i])
-			out := make([]float64, len(designspaceBenches))
-			for bi, bench := range designspaceBenches {
-				out[bi] = estimateCPI(cfg, meas[p.ColumnBytes][bench].Rates(fp))
-			}
-			return out
-		}
-
-		// Round 0: the coarse grid.
-		selected := lat.coarseSelection(o.DSCoarse)
-		inSel := make(map[int]bool, len(selected))
-		rows := make(map[int][]DesignRow, len(selected))
-		ests := make(map[int][]float64, len(selected))
-		for _, i := range selected {
-			inSel[i] = true
-			rows[i] = rowsFor(i)
-			ests[i] = estsFor(i)
-		}
-
-		// Adaptive refinement: expand lattice neighbours of the current
-		// screening frontier until the frontier stops moving or the
-		// round budget runs out. Purely histogram reads — pass count is
-		// already fixed.
-		rounds := 0
-		for r := 0; r < o.DSRefine; r++ {
-			frontier := screeningFrontier(selected, rows, ests)
-			var fresh []int
-			for _, i := range frontier {
-				for _, n := range lat.neighbors(i) {
-					if !inSel[n] {
-						inSel[n] = true
-						fresh = append(fresh, n)
-					}
-				}
-			}
-			if len(fresh) == 0 {
-				break
-			}
-			sort.Ints(fresh)
-			for _, i := range fresh {
-				rows[i] = rowsFor(i)
-				ests[i] = estsFor(i)
-			}
-			selected = append(selected, fresh...)
-			rounds++
-		}
-		sort.Ints(selected)
-
-		// GSPN stage: screening picks the (point, bench) candidates;
-		// small grids run exhaustively so the classic table stays fully
-		// populated. Large searches cap the Monte-Carlo budget per bench
-		// at the gspnCapPerBench best rows by estimated CPI. The
+		// GSPN stage: screening picks the rows to evaluate; small grids run
+		// exhaustively so the classic table stays fully populated. Large
+		// searches cap the Monte-Carlo budget per bench at gspnCapPerBench
+		// rows strided across the screening frontier by estimated CPI. The
 		// evaluations are the job's second wave, whose results come back
 		// in unit order, so output is deterministic for any worker count.
-		type gspnPair struct{ i, bi int }
-		var gPairs []gspnPair
-		if len(selected)*len(designspaceBenches) <= gspnAllMax {
-			for _, i := range selected {
-				for bi := range designspaceBenches {
-					gPairs = append(gPairs, gspnPair{i, bi})
-				}
+		var gRows []int // indices into rows, ascending
+		if len(rows) <= gspnAllMax {
+			for r := range rows {
+				gRows = append(gRows, r)
 			}
 		} else {
 			for bi := range designspaceBenches {
-				cand := append([]int(nil), benchFrontier(selected, rows, ests, bi)...)
+				cand := benchFrontier(rows, ests, nb, bi)
 				sort.Slice(cand, func(a, b int) bool {
-					ia, ib := cand[a], cand[b]
-					if ests[ia][bi] != ests[ib][bi] {
-						return ests[ia][bi] < ests[ib][bi]
+					ra, rb := cand[a]*nb+bi, cand[b]*nb+bi
+					if ests[ra] != ests[rb] {
+						return ests[ra] < ests[rb]
 					}
-					if rows[ia][bi].AreaMM2 != rows[ib][bi].AreaMM2 {
-						return rows[ia][bi].AreaMM2 < rows[ib][bi].AreaMM2
+					if rows[ra].AreaMM2 != rows[rb].AreaMM2 {
+						return rows[ra].AreaMM2 < rows[rb].AreaMM2
 					}
-					return ia < ib
+					return ra < rb
 				})
 				if n := len(cand); n > gspnCapPerBench {
 					strided := make([]int, 0, gspnCapPerBench)
@@ -443,29 +320,23 @@ func DesignspaceJob(o Options, _ *MeasurementSet) sweep.Job {
 					cand = strided
 				}
 				for _, i := range cand {
-					gPairs = append(gPairs, gspnPair{i, bi})
+					gRows = append(gRows, i*nb+bi)
 				}
 			}
-			sort.Slice(gPairs, func(a, b int) bool {
-				if gPairs[a].i != gPairs[b].i {
-					return gPairs[a].i < gPairs[b].i
-				}
-				return gPairs[a].bi < gPairs[b].bi
-			})
+			sort.Ints(gRows)
 		}
 		// The GSPN inputs are fully determined by the per-point device,
 		// the rates (budget + bench, both in key or name), the run
 		// length, and the seed — the family's other registered points
 		// never reach this stage, so the key omits the axes fingerprint
-		// and refinement re-runs with wider axes still hit.
+		// and re-runs with wider axes still hit.
 		gspnK := newKeyer("designspace/gspn", o,
 			fmt.Sprintf("budget=%d", o.Budget), fmt.Sprintf("gspn=%d", o.GSPNInstr))
-		gUnits := make([]sweep.Unit, len(gPairs))
-		for gi, pr := range gPairs {
-			p := lat.points[pr.i]
+		gUnits := make([]sweep.Unit, len(gRows))
+		for gi, r := range gRows {
+			p, bench := rows[r].Point, rows[r].Bench
 			fp := workload.FamilyPoint{Banks: p.Banks, Ways: p.Ways, VictimEntries: p.VictimEntries}
-			dev := lat.devs[pr.i]
-			bench := designspaceBenches[pr.bi]
+			dev := lat.devs[r/nb]
 			uname := fmt.Sprintf("designspace/gspn/%s/%s", p, bench)
 			gUnits[gi] = cached(gspnK, uname, o.Seed, gspnCodec, func() (cpumodel.Result, error) {
 				rates := meas[p.ColumnBytes][bench].Rates(fp)
@@ -474,33 +345,24 @@ func DesignspaceJob(o Options, _ *MeasurementSet) sweep.Job {
 		}
 		return job("designspace", gUnits, func(rs []cpumodel.Result) (interface{}, error) {
 			for gi, r := range rs {
-				pr := gPairs[gi]
-				row := &rows[pr.i][pr.bi]
+				row := &rows[gRows[gi]]
 				row.MemCPI = r.MemCPI
 				row.TotalCPI = r.TotalCPI
 				row.HasCPI = true
 			}
-
 			res := &DesignspaceResult{
 				Benches: designspaceBenches,
+				Points:  lat.points,
+				Rows:    rows,
 				Accounting: DesignAccounting{
 					Lattice:   len(lat.points),
-					Evaluated: len(selected),
 					Families:  len(columns),
-					Benches:   len(designspaceBenches),
+					Benches:   nb,
 					Passes:    len(parts),
 					Compounds: compounds,
 					GSPNEvals: len(gUnits),
-					Rounds:    rounds,
 				},
-				rowIdx: make(map[designKey]int, len(selected)*len(designspaceBenches)),
-			}
-			for _, i := range selected {
-				res.Points = append(res.Points, lat.points[i])
-				for bi := range designspaceBenches {
-					res.rowIdx[designKey{rows[i][bi].Point, rows[i][bi].Bench}] = len(res.Rows)
-					res.Rows = append(res.Rows, rows[i][bi])
-				}
+				rowIdx: indexRows(rows),
 			}
 			res.Frontier = paretoFrontier(res)
 			return res, nil
@@ -528,41 +390,23 @@ func estimateCPI(cfg cpumodel.SystemConfig, app cpumodel.AppRates) float64 {
 	return app.BaseCPI + miss*(cfg.MemCycles+wait)
 }
 
-// benchFrontier returns (ascending lattice indices) the selected points
-// whose (estimated CPI, area, D-miss) triple is Pareto-non-dominated
-// for the given bench. This is the screening frontier that steers
-// refinement and nominates GSPN candidates; screening is a heuristic —
-// a point the estimate misranks can be pruned — but the reported
-// frontier only ever contains GSPN-evaluated rows, so the heuristic
-// costs recall, never correctness of what is claimed.
-func benchFrontier(selected []int, rows map[int][]DesignRow, ests map[int][]float64, bi int) []int {
-	out := nonDominated(selected, func(i int) [3]float64 {
-		return [3]float64{ests[i][bi], rows[i][bi].AreaMM2, rows[i][bi].DMissPct}
+// benchFrontier returns, in ascending lattice order, the points whose
+// (estimated CPI, area, D-miss) triple is Pareto-non-dominated for bench
+// bi, over rows and estimates laid out point-major with nb benches per
+// point. This is the screening frontier that nominates GSPN candidates;
+// screening is a heuristic — a point the estimate misranks can be
+// pruned — but the reported frontier only ever contains GSPN-evaluated
+// rows, so the heuristic costs recall, never correctness of what is
+// claimed (TestScreeningRecall measures the recall).
+func benchFrontier(rows []DesignRow, ests []float64, nb, bi int) []int {
+	points := make([]int, len(rows)/nb)
+	for i := range points {
+		points[i] = i
+	}
+	return nonDominated(points, func(i int) [3]float64 {
+		r := i*nb + bi
+		return [3]float64{ests[r], rows[r].AreaMM2, rows[r].DMissPct}
 	})
-	sort.Ints(out)
-	return out
-}
-
-// screeningFrontier is the union of the per-bench frontiers, sorted and
-// deduplicated — the refinement seed set.
-func screeningFrontier(selected []int, rows map[int][]DesignRow, ests map[int][]float64) []int {
-	nb := 0
-	for _, i := range selected {
-		nb = len(rows[i])
-		break
-	}
-	keep := map[int]bool{}
-	for bi := 0; bi < nb; bi++ {
-		for _, i := range benchFrontier(selected, rows, ests, bi) {
-			keep[i] = true
-		}
-	}
-	out := make([]int, 0, len(keep))
-	for i := range keep {
-		out = append(out, i)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // nonDominated returns, in input order, the items that no other item
@@ -635,15 +479,21 @@ func benchOrder(benches []string, b string) int {
 	return len(benches)
 }
 
+// indexRows maps each row's (point, bench) pair to its position.
+func indexRows(rows []DesignRow) map[designKey]int {
+	idx := make(map[designKey]int, len(rows))
+	for i, row := range rows {
+		idx[designKey{row.Point, row.Bench}] = i
+	}
+	return idx
+}
+
 // Row finds the evaluation for a (point, bench) pair via the index
 // built at assembly (O(1); the pre-rewrite linear scan made Table()
 // quadratic at scale).
 func (r *DesignspaceResult) Row(p DesignPoint, bench string) (DesignRow, bool) {
 	if r.rowIdx == nil {
-		r.rowIdx = make(map[designKey]int, len(r.Rows))
-		for i, row := range r.Rows {
-			r.rowIdx[designKey{row.Point, row.Bench}] = i
-		}
+		r.rowIdx = indexRows(r.Rows)
 	}
 	i, ok := r.rowIdx[designKey{p, bench}]
 	if !ok {
@@ -703,11 +553,9 @@ func (r *DesignspaceResult) FrontierTable() *report.Table {
 	}
 	t.Note(r.Accounting.String())
 	t.Note(fmt.Sprintf("family sharing: %d points answered by %d trace passes (%d column-size",
-		r.Accounting.Evaluated, r.Accounting.Passes, r.Accounting.Families))
+		r.Accounting.Lattice, r.Accounting.Passes, r.Accounting.Families))
 	t.Note(fmt.Sprintf("families x benches); above %d rows the GSPN ran only for screening-frontier", gspnAllMax))
-	t.Note(fmt.Sprintf("candidates (<= %d per bench, strided across the estimated frontier); refinement",
-		gspnCapPerBench))
-	t.Note("re-reads histograms, never re-traces")
+	t.Note(fmt.Sprintf("candidates (<= %d per bench, strided across the estimated frontier)", gspnCapPerBench))
 	return t
 }
 

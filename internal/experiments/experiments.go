@@ -46,13 +46,6 @@ type Options struct {
 	// DSBanks / DSColumns / DSWays / DSVictims override the designspace
 	// search axes (nil = built-in defaults; see DesignspaceJob).
 	DSBanks, DSColumns, DSWays, DSVictims []int
-	// DSCoarse is the designspace coarse-grid stride: round 0 evaluates
-	// every DSCoarse-th lattice index per axis (plus the endpoints).
-	// <= 1 evaluates the whole lattice.
-	DSCoarse int
-	// DSRefine bounds the adaptive-refinement rounds that expand the
-	// lattice neighbours of the screening frontier (0 = no refinement).
-	DSRefine int
 	// TraceSource, when non-nil, supplies every workload's reference
 	// stream instead of live VM execution — the trace record/replay
 	// pipeline behind the iramsim -record/-trace-dir flags.

@@ -284,9 +284,9 @@ func TestDesignspaceCachedMatchesUncached(t *testing.T) {
 		t.Errorf("warm accounting %+v != uncached %+v", warm.Accounting, plain.Accounting)
 	}
 
-	// Refinement reuse: widening an axis re-keys only the families whose
-	// registered point set changed; unchanged families decode from the
-	// store. The victim axis is shared by every column family here, so
+	// Re-runs with wider axes: widening an axis re-keys only the
+	// families whose registered point set changed; unchanged families
+	// decode from the store. The victim axis is shared by every column family here, so
 	// instead widen banks — both families change registration, but the
 	// gspn stage's keys for previously evaluated (point, bench) pairs are
 	// registration-independent and must hit.

@@ -55,10 +55,6 @@ type Request struct {
 	DSColumns []int `json:"ds_columns,omitempty"`
 	DSWays    []int `json:"ds_ways,omitempty"`
 	DSVictims []int `json:"ds_victims,omitempty"`
-	// DSCoarse / DSRefine control the designspace coarse-grid stride
-	// and adaptive-refinement rounds.
-	DSCoarse int `json:"ds_coarse,omitempty"`
-	DSRefine int `json:"ds_refine,omitempty"`
 }
 
 // MaxAxisValues caps one design-space axis (Request.DSBanks..DSVictims
@@ -66,6 +62,12 @@ type Request struct {
 // cross-product of four axes, so an unbounded axis is an unbounded
 // allocation.
 const MaxAxisValues = 4096
+
+// MaxLatticePoints caps the design-space lattice: the product of the
+// four axis lengths, an axis left empty counted at its default length.
+// The search screens every lattice point, and its screening frontier
+// costs time quadratic in the point count.
+const MaxLatticePoints = 65536
 
 // Config carries the cross-cutting wiring a caller sets up once per
 // run: the output stream, caches, observability, and progress callbacks.
@@ -130,8 +132,9 @@ func ExpandNames(names []string) []string {
 // everything Options rejects — an unparsable or invalid machine
 // description (the core.FromJSON validation errors, verbatim),
 // processor counts outside 1..coherence.MaxNodes or repeated (so a
-// list holds at most MaxNodes counts) and design-space axes longer
-// than MaxAxisValues. The daemon surfaces these as 400s.
+// list holds at most MaxNodes counts), design-space axes longer than
+// MaxAxisValues or with a repeated value, and a design-space lattice
+// of more than MaxLatticePoints. The daemon surfaces these as 400s.
 func (r Request) Validate() error {
 	if len(r.Experiments) == 0 {
 		return fmt.Errorf("runner: no experiments requested")
@@ -189,13 +192,24 @@ func (r Request) Options() (experiments.Options, error) {
 			return experiments.Options{}, fmt.Errorf("runner: %s has %d values, more than %d",
 				axis.field, len(axis.vals), MaxAxisValues)
 		}
+		// A repeated value would build every lattice point on it twice.
+		seen := make(map[int]bool, len(axis.vals))
+		for _, v := range axis.vals {
+			if seen[v] {
+				return experiments.Options{}, fmt.Errorf("runner: %s value %d repeated", axis.field, v)
+			}
+			seen[v] = true
+		}
 	}
 	opts.DSBanks = append([]int(nil), r.DSBanks...)
 	opts.DSColumns = append([]int(nil), r.DSColumns...)
 	opts.DSWays = append([]int(nil), r.DSWays...)
 	opts.DSVictims = append([]int(nil), r.DSVictims...)
-	opts.DSCoarse = r.DSCoarse
-	opts.DSRefine = r.DSRefine
+	banks, columns, ways, victims := experiments.DesignspaceAxes(opts)
+	if n := uint64(len(banks)) * uint64(len(columns)) * uint64(len(ways)) * uint64(len(victims)); n > MaxLatticePoints {
+		return experiments.Options{}, fmt.Errorf("runner: design-space lattice has %d points, more than %d",
+			n, MaxLatticePoints)
+	}
 	return opts, nil
 }
 

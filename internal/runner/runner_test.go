@@ -51,14 +51,24 @@ func TestValidate(t *testing.T) {
 		{"not-integrated", Request{Experiments: []string{"fig13"}, Machine: json.RawMessage(`{"Integrated":false,"INCBytes":68719476736}`)}, `"Integrated": false`},
 		// Each design-space axis takes up to MaxAxisValues values, the
 		// cap the iramsim -ds-* flags enforce.
-		{"ds_banks-at-cap", Request{Experiments: []string{"designspace"}, DSBanks: make([]int, MaxAxisValues)}, ""},
+		{"ds_banks-at-cap", Request{Experiments: []string{"designspace"}, DSBanks: distinct(MaxAxisValues)}, ""},
 		{"ds_banks-over-cap", Request{Experiments: []string{"designspace"}, DSBanks: make([]int, MaxAxisValues+1)}, "ds_banks has 4097 values"},
-		{"ds_columns-at-cap", Request{Experiments: []string{"designspace"}, DSColumns: make([]int, MaxAxisValues)}, ""},
+		{"ds_columns-at-cap", Request{Experiments: []string{"designspace"}, DSColumns: distinct(MaxAxisValues)}, ""},
 		{"ds_columns-over-cap", Request{Experiments: []string{"designspace"}, DSColumns: make([]int, MaxAxisValues+1)}, "ds_columns has 4097 values"},
-		{"ds_ways-at-cap", Request{Experiments: []string{"designspace"}, DSWays: make([]int, MaxAxisValues)}, ""},
+		{"ds_ways-at-cap", Request{Experiments: []string{"designspace"}, DSWays: distinct(MaxAxisValues)}, ""},
 		{"ds_ways-over-cap", Request{Experiments: []string{"designspace"}, DSWays: make([]int, MaxAxisValues+1)}, "ds_ways has 4097 values"},
-		{"ds_victims-at-cap", Request{Experiments: []string{"designspace"}, DSVictims: make([]int, MaxAxisValues)}, ""},
+		{"ds_victims-at-cap", Request{Experiments: []string{"designspace"}, DSVictims: distinct(MaxAxisValues)}, ""},
 		{"ds_victims-over-cap", Request{Experiments: []string{"designspace"}, DSVictims: make([]int, MaxAxisValues+1)}, "ds_victims has 4097 values"},
+		// A repeated axis value would build its lattice points twice.
+		{"ds_banks-repeated", Request{Experiments: []string{"designspace"}, DSBanks: []int{8, 8}}, "runner: ds_banks value 8 repeated"},
+		{"ds_victims-repeated", Request{Experiments: []string{"designspace"}, DSVictims: []int{0, 16, 0}}, "runner: ds_victims value 0 repeated"},
+		// The lattice is the product of the four axis lengths, an empty
+		// axis at its default length (ways 1, victims 2 here).
+		{"lattice-at-cap", Request{Experiments: []string{"designspace"}, DSBanks: distinct(MaxAxisValues), DSColumns: distinct(8)}, ""},
+		{"lattice-default-axes-counted", Request{Experiments: []string{"designspace"}, DSBanks: distinct(MaxAxisValues), DSColumns: distinct(16)}, "design-space lattice has 131072 points, more than 65536"},
+		// 65,537 is prime, so 3641 x 6 x 3 x 1 is the smallest lattice
+		// over the cap that axes of at most MaxAxisValues can build.
+		{"lattice-over-cap", Request{Experiments: []string{"designspace"}, DSBanks: distinct(3641), DSColumns: distinct(6), DSWays: distinct(3), DSVictims: distinct(1)}, "design-space lattice has 65538 points, more than 65536"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -76,6 +86,15 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// distinct returns the n distinct values 1..n.
+func distinct(n int) []int {
+	vals := make([]int, n)
+	for i := range vals {
+		vals[i] = i + 1
+	}
+	return vals
+}
+
 // FuzzRequest decodes arbitrary bodies the way iramsimd's POST /v1/runs
 // does (unknown fields rejected) and validates them: bad input must
 // come back as an error, never a panic.
@@ -87,7 +106,7 @@ func FuzzRequest(f *testing.F) {
 		`{"experiments":["fig14"],"procs":[1,64]}`,
 		`{"experiments":["fig14"],"procs":[0,65]}`,
 		`{"experiments":["fig13"],"procs":[4,4]}`,
-		`{"experiments":["designspace"],"ds_banks":[8,16],"ds_columns":[512],"ds_ways":[1,2],"ds_victims":[0,16],"ds_coarse":2,"ds_refine":1}`,
+		`{"experiments":["designspace"],"ds_banks":[8,16],"ds_columns":[512],"ds_ways":[1,2],"ds_victims":[0,16]}`,
 		`{"experiments":["spec"],"machine":{"DRAM":{"Banks":32,"ColumnBytes":256},"ICacheBytes":8192,"ICacheLineBytes":256,"DCacheBytes":16384,"DCacheLineBytes":256,"VictimEntries":8}}`,
 		`{"experiments":["fig13"],"machine":{"INCBytes":68719476736}}`,
 		`{"experiments":["fig13"],"machine":{"INCBytes":-512}}`,
@@ -97,6 +116,7 @@ func FuzzRequest(f *testing.F) {
 		`{"experiments":["fig7"],"bogus":1}`,
 		`{"experiments":`,
 		``,
+		`{"experiments":["designspace"],"quick":true,"budget":50000,"ds_banks":[8,8],"ds_columns":[512],"ds_victims":[0]}`,
 	} {
 		f.Add([]byte(seed))
 	}
