@@ -35,14 +35,6 @@ import (
 	"repro/internal/isa"
 )
 
-// maxBase and maxDataSpan mirror the assembler's base-address cap and
-// data-section size cap: programs beyond them would be rejected on
-// reassembly, so they are rejected here with a clearer message.
-const (
-	maxBase     = 1 << 62
-	maxDataSpan = 1 << 30
-)
-
 // Disassemble renders p as canonical assembly source.
 func Disassemble(p *isa.Program) (string, error) {
 	if err := validate(p); err != nil {
@@ -119,10 +111,10 @@ func validate(p *isa.Program) error {
 	if p.CodeBase%isa.WordSize != 0 {
 		return fmt.Errorf("dis: code base 0x%x not %d-byte aligned", p.CodeBase, isa.WordSize)
 	}
-	if p.CodeBase > maxBase {
+	if p.CodeBase > isa.MaxBaseAddr {
 		return fmt.Errorf("dis: code base 0x%x exceeds the assembler's base cap", p.CodeBase)
 	}
-	if len(p.Code) > 16<<20 {
+	if len(p.Code) > isa.MaxInstrs {
 		return fmt.Errorf("dis: %d instructions exceeds the assembler's text cap", len(p.Code))
 	}
 	for i, in := range p.Code {
@@ -149,7 +141,7 @@ func validate(p *isa.Program) error {
 		if len(seg.Bytes) == 0 {
 			return fmt.Errorf("dis: data segment %d at 0x%x is empty", i, seg.Base)
 		}
-		if seg.Base > maxBase {
+		if seg.Base > isa.MaxBaseAddr {
 			return fmt.Errorf("dis: data segment %d base 0x%x exceeds the assembler's base cap", i, seg.Base)
 		}
 		if i > 0 && seg.Base <= prevEnd {
@@ -165,88 +157,32 @@ func validate(p *isa.Program) error {
 }
 
 // renderInstr produces the canonical operand syntax for one
-// instruction, erroring on operand fields the assembler never sets for
-// the opcode (their values would be lost on reassembly).
+// instruction, erroring on operand fields its class's operands do not
+// name: the assembler never sets them, so reassembly would lose them.
 func renderInstr(ins isa.Instr, labelAt func(uint64) (string, bool)) (string, error) {
-	requireZero := func(what string, v int64) error {
-		if v != 0 {
-			return fmt.Errorf("%s has non-canonical %s %d", ins.Op, what, v)
-		}
-		return nil
+	if !ins.Op.Valid() {
+		return "", fmt.Errorf("opcode %d is not disassemblable", uint8(ins.Op))
 	}
-	target := func(imm int64) string {
-		if imm >= 0 {
-			if name, ok := labelAt(uint64(imm)); ok {
-				return name
-			}
-			return fmt.Sprintf("0x%x", uint64(imm))
+	named := isa.Instr{Op: ins.Op}
+	for _, opd := range ins.Op.Class().Operands() {
+		switch opd {
+		case isa.OpdRd:
+			named.Rd = ins.Rd
+		case isa.OpdRs1:
+			named.Rs1 = ins.Rs1
+		case isa.OpdRs2:
+			named.Rs2 = ins.Rs2
+		case isa.OpdImm, isa.OpdTarget:
+			named.Imm = ins.Imm
+		case isa.OpdMem:
+			named.Imm, named.Rs1 = ins.Imm, ins.Rs1
 		}
-		return fmt.Sprintf("%d", imm)
 	}
-	switch ins.Op.Class() {
-	case isa.ClassRRR:
-		if err := requireZero("immediate", ins.Imm); err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("%s r%d, r%d, r%d", ins.Op, ins.Rd, ins.Rs1, ins.Rs2), nil
-	case isa.ClassRRI:
-		if err := requireZero("rs2", int64(ins.Rs2)); err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("%s r%d, r%d, %d", ins.Op, ins.Rd, ins.Rs1, ins.Imm), nil
-	case isa.ClassRR:
-		if err := requireZero("rs2", int64(ins.Rs2)); err != nil {
-			return "", err
-		}
-		if err := requireZero("immediate", ins.Imm); err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("%s r%d, r%d", ins.Op, ins.Rd, ins.Rs1), nil
-	case isa.ClassRI:
-		if err := requireZero("rs1", int64(ins.Rs1)); err != nil {
-			return "", err
-		}
-		if err := requireZero("rs2", int64(ins.Rs2)); err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("%s r%d, %d", ins.Op, ins.Rd, ins.Imm), nil
-	case isa.ClassLoad:
-		if err := requireZero("rs2", int64(ins.Rs2)); err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("%s r%d, %d(r%d)", ins.Op, ins.Rd, ins.Imm, ins.Rs1), nil
-	case isa.ClassStore:
-		if err := requireZero("rd", int64(ins.Rd)); err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("%s r%d, %d(r%d)", ins.Op, ins.Rs2, ins.Imm, ins.Rs1), nil
-	case isa.ClassBranch:
-		if err := requireZero("rd", int64(ins.Rd)); err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("%s r%d, r%d, %s", ins.Op, ins.Rs1, ins.Rs2, target(ins.Imm)), nil
-	case isa.ClassJal:
-		if err := requireZero("rs1", int64(ins.Rs1)); err != nil {
-			return "", err
-		}
-		if err := requireZero("rs2", int64(ins.Rs2)); err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("jal r%d, %s", ins.Rd, target(ins.Imm)), nil
-	case isa.ClassJalr:
-		if err := requireZero("rs2", int64(ins.Rs2)); err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("jalr r%d, r%d, %d", ins.Rd, ins.Rs1, ins.Imm), nil
-	default:
-		if ins.Op != isa.OpNop && ins.Op != isa.OpHalt {
-			return "", fmt.Errorf("opcode %d is not disassemblable", uint8(ins.Op))
-		}
-		if ins.Rd != 0 || ins.Rs1 != 0 || ins.Rs2 != 0 || ins.Imm != 0 {
-			return "", fmt.Errorf("%s has non-canonical operand fields", ins.Op)
-		}
-		return ins.Op.String(), nil
+	if named != ins {
+		return "", fmt.Errorf("%s has non-canonical operand fields (rd %d, rs1 %d, rs2 %d, imm %d)",
+			ins.Op, ins.Rd, ins.Rs1, ins.Rs2, ins.Imm)
 	}
+	return ins.Format(labelAt), nil
 }
 
 // renderData walks segments and out-of-text symbols in ascending
@@ -270,11 +206,11 @@ func renderData(b *strings.Builder, segs []isa.Segment, syms []symbol) error {
 	if len(syms) > 0 && syms[len(syms)-1].addr > end {
 		end = syms[len(syms)-1].addr
 	}
-	if start > maxBase {
+	if start > isa.MaxBaseAddr {
 		return fmt.Errorf("dis: data start 0x%x exceeds the assembler's base cap", start)
 	}
-	if end-start > maxDataSpan {
-		return fmt.Errorf("dis: data spans 0x%x bytes (assembler cap 0x%x)", end-start, uint64(maxDataSpan))
+	if end-start > isa.MaxDataBytes {
+		return fmt.Errorf("dis: data spans 0x%x bytes (assembler cap 0x%x)", end-start, uint64(isa.MaxDataBytes))
 	}
 	fmt.Fprintf(b, ".data 0x%x\n", start)
 	loc := start

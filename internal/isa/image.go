@@ -33,15 +33,10 @@ var imageMagic = [8]byte{'i', 'r', 'a', 'm', 'i', 'm', 'g', '1'}
 // ErrBadImage reports a corrupt or truncated program image.
 var ErrBadImage = errors.New("isa: bad program image")
 
-// imageLimit bounds decoded sizes to keep corrupt inputs from
-// allocating absurd amounts (16M instructions / 1 GiB data). Within
-// them, the decoder allocates as instructions and bytes arrive, at most
+// The decoder refuses an image beyond MaxInstrs or MaxDataBytes, and
+// within them allocates as instructions and bytes arrive, at most
 // imageChunk of them ahead, never what a count merely claims.
-const (
-	imageMaxCode = 16 << 20
-	imageMaxData = 1 << 30
-	imageChunk   = 4 << 10
-)
+const imageChunk = 4 << 10
 
 // WriteImage serializes the program.
 func WriteImage(w io.Writer, p *Program) error {
@@ -143,7 +138,7 @@ func ReadImage(r io.Reader) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	if nCode > imageMaxCode {
+	if nCode > MaxInstrs {
 		return nil, fmt.Errorf("%w: %d instructions exceeds limit", ErrBadImage, nCode)
 	}
 	p.Code = make([]Instr, 0, min(nCode, imageChunk))
@@ -157,7 +152,7 @@ func ReadImage(r io.Reader) (*Program, error) {
 			return nil, fmt.Errorf("%w: truncated immediate", ErrBadImage)
 		}
 		op := Op(hdr[0])
-		if op == OpInvalid || op >= numOps {
+		if !op.Valid() {
 			return nil, fmt.Errorf("%w: invalid opcode %d", ErrBadImage, hdr[0])
 		}
 		if hdr[1] >= NumRegs || hdr[2] >= NumRegs || hdr[3] >= NumRegs {
@@ -180,7 +175,7 @@ func ReadImage(r io.Reader) (*Program, error) {
 			return nil, err
 		}
 		total += length
-		if total > imageMaxData {
+		if total > MaxDataBytes {
 			return nil, fmt.Errorf("%w: data exceeds limit", ErrBadImage)
 		}
 		seg := Segment{Base: base, Bytes: make([]byte, 0, min(length, imageChunk))}

@@ -15,7 +15,10 @@
 // fetch addresses, cache line mappings, and code footprints are exact.
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // WordSize is the size of one instruction in the simulated address
 // space, in bytes.
@@ -137,10 +140,29 @@ func (o Op) String() string {
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
 
+// Valid reports whether o is an opcode of the instruction set.
+func (o Op) Valid() bool { return o > OpInvalid && o < numOps }
+
+var opsByName = func() map[string]Op {
+	m := make(map[string]Op, numOps)
+	for o := OpInvalid + 1; o < numOps; o++ {
+		m[opNames[o]] = o
+	}
+	return m
+}()
+
+// OpByName returns the opcode whose mnemonic is name. OpInvalid's name
+// is not a mnemonic.
+func OpByName(name string) (Op, bool) {
+	o, ok := opsByName[name]
+	return o, ok
+}
+
 // OperandClass describes which operand fields an opcode uses and how
-// the assembler writes them. It is the single classification shared by
-// the assembler (parsing), the disassembler (rendering), and tooling;
-// the VM's Step dispatch is consistent with it by construction.
+// the assembler writes them: Operands lists them in assembly order. The
+// assembler parses native mnemonics with it, the disassembler and
+// Instr.String render with it, and the VM's Step dispatch is consistent
+// with it by construction.
 type OperandClass uint8
 
 const (
@@ -155,6 +177,36 @@ const (
 	ClassJal                        // jal rd, target
 	ClassJalr                       // jalr rd, rs1, imm
 )
+
+// Operand is one operand as the assembler writes it, naming the
+// instruction fields it sets.
+type Operand uint8
+
+const (
+	OpdRd     Operand = iota // register rd
+	OpdRs1                   // register rs1
+	OpdRs2                   // register rs2
+	OpdImm                   // immediate
+	OpdTarget                // branch or jump target: an absolute address in imm
+	OpdMem                   // imm(rs1)
+)
+
+var classOperands = [...][]Operand{
+	ClassNone:   nil,
+	ClassRRR:    {OpdRd, OpdRs1, OpdRs2},
+	ClassRRI:    {OpdRd, OpdRs1, OpdImm},
+	ClassRR:     {OpdRd, OpdRs1},
+	ClassRI:     {OpdRd, OpdImm},
+	ClassLoad:   {OpdRd, OpdMem},
+	ClassStore:  {OpdRs2, OpdMem},
+	ClassBranch: {OpdRs1, OpdRs2, OpdTarget},
+	ClassJal:    {OpdRd, OpdTarget},
+	ClassJalr:   {OpdRd, OpdRs1, OpdImm},
+}
+
+// Operands returns the class's operands in assembly order. Every field
+// they do not name is zero in an assembled instruction.
+func (c OperandClass) Operands() []Operand { return classOperands[c] }
 
 // Class returns the operand class of the opcode.
 func (o Op) Class() OperandClass {
@@ -216,31 +268,63 @@ type Instr struct {
 	Imm      int64
 }
 
-// String renders the instruction in assembler syntax.
-func (i Instr) String() string {
-	switch i.Op.Class() {
-	case ClassLoad:
-		return fmt.Sprintf("%s r%d, %d(r%d)", i.Op, i.Rd, i.Imm, i.Rs1)
-	case ClassStore:
-		return fmt.Sprintf("%s r%d, %d(r%d)", i.Op, i.Rs2, i.Imm, i.Rs1)
-	case ClassBranch:
-		return fmt.Sprintf("%s r%d, r%d, 0x%x", i.Op, i.Rs1, i.Rs2, i.Imm)
-	case ClassJal:
-		return fmt.Sprintf("jal r%d, 0x%x", i.Rd, i.Imm)
-	case ClassJalr:
-		return fmt.Sprintf("jalr r%d, r%d, %d", i.Rd, i.Rs1, i.Imm)
-	case ClassRI:
-		return fmt.Sprintf("%s r%d, %d", i.Op, i.Rd, i.Imm)
-	case ClassRR:
-		return fmt.Sprintf("%s r%d, r%d", i.Op, i.Rd, i.Rs1)
-	case ClassRRI:
-		return fmt.Sprintf("%s r%d, r%d, %d", i.Op, i.Rd, i.Rs1, i.Imm)
-	case ClassRRR:
-		return fmt.Sprintf("%s r%d, r%d, r%d", i.Op, i.Rd, i.Rs1, i.Rs2)
-	default:
-		return i.Op.String()
+// String renders the instruction in assembler syntax, with a branch or
+// jump target as a number.
+func (i Instr) String() string { return i.Format(nil) }
+
+// Format renders the instruction in assembler syntax, writing each
+// operand of its class in order. A branch or jump target is written as
+// the name label returns for it, when label is non-nil and has one;
+// otherwise as a hex address, or in decimal when negative.
+func (i Instr) Format(label func(addr uint64) (string, bool)) string {
+	var b strings.Builder
+	b.WriteString(i.Op.String())
+	for n, opd := range i.Op.Class().Operands() {
+		if n == 0 {
+			b.WriteByte(' ')
+		} else {
+			b.WriteString(", ")
+		}
+		switch opd {
+		case OpdRd:
+			fmt.Fprintf(&b, "r%d", i.Rd)
+		case OpdRs1:
+			fmt.Fprintf(&b, "r%d", i.Rs1)
+		case OpdRs2:
+			fmt.Fprintf(&b, "r%d", i.Rs2)
+		case OpdImm:
+			fmt.Fprintf(&b, "%d", i.Imm)
+		case OpdMem:
+			fmt.Fprintf(&b, "%d(r%d)", i.Imm, i.Rs1)
+		case OpdTarget:
+			name, ok := "", false
+			if label != nil && i.Imm >= 0 {
+				name, ok = label(uint64(i.Imm))
+			}
+			switch {
+			case ok:
+				b.WriteString(name)
+			case i.Imm < 0:
+				fmt.Fprintf(&b, "%d", i.Imm)
+			default:
+				fmt.Fprintf(&b, "0x%x", i.Imm)
+			}
+		}
 	}
+	return b.String()
 }
+
+// Program limits, for ReadImage, the assembler and the disassembler.
+// ReadImage refuses an image with more instructions or data bytes. The
+// assembler refuses a text or data section that spans more, or a base
+// above MaxBaseAddr; with both caps, base+span cannot overflow uint64
+// and every span fits in an int. The disassembler refuses a program the
+// assembler would.
+const (
+	MaxInstrs    = 16 << 20 // instructions in one program
+	MaxDataBytes = 1 << 30  // an image's data bytes; a data section's span
+	MaxBaseAddr  = 1 << 62  // highest text or data base address
+)
 
 // Program is an assembled program: instructions at a base address plus
 // initialised data segments.
