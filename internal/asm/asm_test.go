@@ -178,6 +178,8 @@ func TestPseudoOps(t *testing.T) {
 		j end
 		call fn
 	fn:	ret
+		ble r1, r2, fn
+		bgt r3, r4, end
 	end:	halt
 	`)
 	if err != nil {
@@ -188,7 +190,8 @@ func TestPseudoOps(t *testing.T) {
 		op isa.Op
 	}{
 		{0, isa.OpAdd}, {1, isa.OpXori}, {2, isa.OpSub},
-		{3, isa.OpJal}, {4, isa.OpJal}, {5, isa.OpJalr}, {6, isa.OpHalt},
+		{3, isa.OpJal}, {4, isa.OpJal}, {5, isa.OpJalr}, {6, isa.OpBge},
+		{7, isa.OpBlt}, {8, isa.OpHalt},
 	}
 	for _, c := range checks {
 		if p.Code[c.i].Op != c.op {
@@ -201,6 +204,13 @@ func TestPseudoOps(t *testing.T) {
 	if p.Code[3].Rd != isa.RegZero {
 		t.Errorf("j must not link, got r%d", p.Code[3].Rd)
 	}
+	// ble a, b, l is bge b, a, l; bgt a, b, l is blt b, a, l.
+	if ins, want := p.Code[6], (isa.Instr{Op: isa.OpBge, Rs1: 2, Rs2: 1, Imm: int64(p.Symbols["fn"])}); ins != want {
+		t.Errorf("ble = %+v, want %+v", ins, want)
+	}
+	if ins, want := p.Code[7], (isa.Instr{Op: isa.OpBlt, Rs1: 4, Rs2: 3, Imm: int64(p.Symbols["end"])}); ins != want {
+		t.Errorf("bgt = %+v, want %+v", ins, want)
+	}
 }
 
 func TestErrors(t *testing.T) {
@@ -208,6 +218,7 @@ func TestErrors(t *testing.T) {
 		name, src, wantSub string
 	}{
 		{"unknown instr", "main: frobnicate r1, r2", "unknown instruction"},
+		{"invalid opcode name", "main: invalid", "unknown instruction"},
 		{"bad register", "main: add r1, r2, r99\nhalt", "bad register"},
 		{"undefined label", "main: j nowhere", "undefined symbol"},
 		{"duplicate label", "a: nop\na: nop", "duplicate label"},

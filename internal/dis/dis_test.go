@@ -37,6 +37,8 @@ func TestRoundTripHandwritten(t *testing.T) {
 		call fn
 		j out
 	fn:	ret
+		ble r1, r2, fn
+		bgt r3, r4, out
 	out:	halt
 	.data
 	buf:	.space 16, 0xab
