@@ -10,6 +10,7 @@ import (
 	"repro/internal/cpumodel"
 	"repro/internal/memsys"
 	"repro/internal/mpsim"
+	"repro/internal/paperref"
 	"repro/internal/sweep"
 )
 
@@ -37,16 +38,25 @@ func TestConfigEquivalence(t *testing.T) {
 		t.Errorf("ConfigFor(Reference) = %+v, want pre-refactor literals %+v", got, wantRef)
 	}
 
-	// Multiprocessor latencies (Table 6) and synchronisation costs.
+	// Multiprocessor latencies (every cell of the paper's Table 6, plus
+	// the three the table leaves implicit) and synchronisation costs.
+	// CacheHit is both the proposed node's column-buffer hit and the
+	// reference node's FLC hit.
+	t6 := paperref.Table6
+	lat := coherence.LatenciesFor(prop)
 	wantLat := coherence.Latencies{
-		CacheHit: 1, FlitCycles: 5, VictimHit: 1, LocalMem: 6, INCExtra: 1,
-		SLCHit: 6, LocalCold: 12, RemoteLoad: 80, InvalRT: 80,
+		CacheHit: uint64(t6.ColumnBufferHit), FlitCycles: 5, VictimHit: uint64(t6.VictimHit),
+		LocalMem: uint64(t6.LocalMemory), INCExtra: 1, SLCHit: uint64(t6.SLCHit), LocalCold: 12,
+		RemoteLoad: uint64(t6.RemoteLoad), InvalRT: uint64(t6.InvalidationRT),
 	}
-	if got := coherence.LatenciesFor(prop); got != wantLat {
-		t.Errorf("LatenciesFor(Proposed) = %+v, want Table 6 literals %+v", got, wantLat)
+	if lat != wantLat {
+		t.Errorf("LatenciesFor(Proposed) = %+v, want Table 6 %+v", lat, wantLat)
+	}
+	if lat.CacheHit != uint64(t6.FLCHit) {
+		t.Errorf("LatenciesFor(Proposed).CacheHit = %d, want Table 6's FLC hit %d", lat.CacheHit, t6.FLCHit)
 	}
 	wantSync := mpsim.SyncCosts{LockAcquire: 80, LockHandoff: 80, Barrier: 80}
-	if got := coherence.LatenciesFor(prop).SyncCosts(); got != wantSync {
+	if got := lat.SyncCosts(); got != wantSync {
 		t.Errorf("SyncCosts from device = %+v, want Table 6 round trips %+v", got, wantSync)
 	}
 
