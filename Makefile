@@ -95,10 +95,11 @@ bench-check-ci:
 	$(MAKE) -s bench-figures | $(GO) run ./cmd/benchguard -baseline BENCH_baseline.json -time=false -require $(BENCH_REQUIRED)
 
 # Exercise the trace codec, trace-store replay, result-store read,
-# assembler, program image, disassembler round trip, VM step, GSPN
-# equivalence, designspace axis-flag, machine-description,
-# daemon-request and iramasm -cache spec fuzz targets for a minute each
-# (CI runs a 10-second smoke; this is the pre-commit depth).
+# assembler, program image, disassembler round trip, VM run against
+# its reference interpreter, GSPN equivalence, designspace axis-flag,
+# machine-description, daemon-request and iramasm -cache spec fuzz
+# targets for a minute each (CI runs a 10-second smoke; this is the
+# pre-commit depth).
 FUZZTIME ?= 60s
 fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzReaderNext -fuzztime $(FUZZTIME)
@@ -108,7 +109,7 @@ fuzz:
 	$(GO) test ./internal/asm -run '^$$' -fuzz FuzzAssemble -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/isa -run '^$$' -fuzz FuzzReadImage -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dis -run '^$$' -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/vm -run '^$$' -fuzz FuzzStep -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/vm -run '^$$' -fuzz FuzzRunMatchesReference -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/gspn -run '^$$' -fuzz FuzzSimEquivalence -fuzztime $(FUZZTIME)
 	$(GO) test ./cmd/iramsim -run '^$$' -fuzz FuzzParseAxis -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzFromJSON -fuzztime $(FUZZTIME)

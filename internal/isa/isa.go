@@ -244,22 +244,6 @@ func (o Op) IsStore() bool { return o >= OpSb && o <= OpSd }
 // IsBranch reports whether the opcode is a conditional branch.
 func (o Op) IsBranch() bool { return o >= OpBeq && o <= OpBgeu }
 
-// MemSize returns the access width in bytes for a load or store, or 0.
-func (o Op) MemSize() int {
-	switch o {
-	case OpLb, OpLbu, OpSb:
-		return 1
-	case OpLh, OpLhu, OpSh:
-		return 2
-	case OpLw, OpLwu, OpSw:
-		return 4
-	case OpLd, OpSd:
-		return 8
-	default:
-		return 0
-	}
-}
-
 // Instr is one decoded instruction.
 type Instr struct {
 	Op       Op

@@ -9,26 +9,24 @@ func TestOpClassification(t *testing.T) {
 	cases := []struct {
 		op              Op
 		load, store, br bool
-		memSize         int
 	}{
-		{OpAdd, false, false, false, 0},
-		{OpLb, true, false, false, 1},
-		{OpLh, true, false, false, 2},
-		{OpLw, true, false, false, 4},
-		{OpLd, true, false, false, 8},
-		{OpSb, false, true, false, 1},
-		{OpSd, false, true, false, 8},
-		{OpBeq, false, false, true, 0},
-		{OpBgeu, false, false, true, 0},
-		{OpJal, false, false, false, 0},
-		{OpJalr, false, false, false, 0},
-		{OpFAdd, false, false, false, 0},
-		{OpFSlt, false, false, false, 0},
-		{OpHalt, false, false, false, 0},
+		{OpAdd, false, false, false},
+		{OpLb, true, false, false},
+		{OpLh, true, false, false},
+		{OpLw, true, false, false},
+		{OpLd, true, false, false},
+		{OpSb, false, true, false},
+		{OpSd, false, true, false},
+		{OpBeq, false, false, true},
+		{OpBgeu, false, false, true},
+		{OpJal, false, false, false},
+		{OpJalr, false, false, false},
+		{OpFAdd, false, false, false},
+		{OpFSlt, false, false, false},
+		{OpHalt, false, false, false},
 	}
 	for _, c := range cases {
-		if c.op.IsLoad() != c.load || c.op.IsStore() != c.store ||
-			c.op.IsBranch() != c.br || c.op.MemSize() != c.memSize {
+		if c.op.IsLoad() != c.load || c.op.IsStore() != c.store || c.op.IsBranch() != c.br {
 			t.Errorf("%v classification wrong", c.op)
 		}
 	}

@@ -1,6 +1,11 @@
 package selftest
 
-import "testing"
+import (
+	"errors"
+	"testing"
+
+	"repro/internal/vm"
+)
 
 func TestHealthyDevicePasses(t *testing.T) {
 	r, err := Run(Config{WindowBytes: 16 << 10})
@@ -22,8 +27,8 @@ func TestHealthyDevicePasses(t *testing.T) {
 }
 
 // runWithFault runs the self-test with a stuck-at-zero byte at the
-// given offset inside the window: it steps the CPU and forces the
-// byte back to zero after every instruction.
+// given offset inside the window: it runs the CPU one instruction at a
+// time and forces the byte back to zero after every instruction.
 func runWithFault(cfg Config, faultAddr uint64) (*Result, error) {
 	cpu, dcache, err := load(&cfg)
 	if err != nil {
@@ -31,7 +36,7 @@ func runWithFault(cfg Config, faultAddr uint64) (*Result, error) {
 	}
 	faulty := windowBase + faultAddr
 	for i := 0; i < maxInstructions && !cpu.Halted(); i++ {
-		if err := cpu.Step(); err != nil {
+		if err := cpu.Run(cpu.Instructions + 1); err != nil && !errors.Is(err, vm.ErrBudget) {
 			return nil, err
 		}
 		if cpu.Mem.Load8(faulty) != 0 {

@@ -128,9 +128,9 @@ func TestMemoryRoundTripProperty(t *testing.T) {
 
 // TestMemoryRejectsBadSizeProperty: every access width outside
 // {1,2,4,8} panics with a clear message instead of silently reading or
-// writing a garbage-sized value. Step() can never produce such a width
-// (it passes isa.Op.MemSize(), which is 1/2/4/8 for every load/store
-// opcode), so this guards direct Memory users.
+// writing a garbage-sized value. Run can never produce such a width
+// (it passes 1, 2, 4 or 8, the width of a load or store opcode), so
+// this guards direct Memory users.
 func TestMemoryRejectsBadSizeProperty(t *testing.T) {
 	valid := map[int]bool{1: true, 2: true, 4: true, 8: true}
 	mustPanic := func(fn func()) (panicked bool) {

@@ -395,3 +395,46 @@ func TestRemByZeroFaults(t *testing.T) {
 		t.Errorf("err = %v", err)
 	}
 }
+
+// TestRunSteadyStateZeroAllocs: once a program has touched its pages,
+// Run allocates nothing, whatever its budget. The loop stores to and
+// loads from four pages, reads four never-written pages and four pages
+// 64 pages further on, which share page-cache entries with the first
+// four, so the page cache misses on every iteration.
+func TestRunSteadyStateZeroAllocs(t *testing.T) {
+	p := asm.MustAssemble(`
+	main:	li r2, 0x200000
+	loop:	andi r3, r1, 0x3fff8
+		add r4, r2, r3
+		ld r5, 0(r4)
+		addi r5, r5, 1
+		sd r5, 0(r4)
+		ld r6, 0x40000(r4)
+		ld r7, 0x400000(r4)
+		addi r1, r1, 8
+		j loop
+	`)
+	var counts trace.Counts
+	c := New(p, &counts)
+	// 32768 iterations of nine instructions sweep the whole window.
+	if err := c.Run(400_000); !errors.Is(err, ErrBudget) {
+		t.Fatalf("warm-up Run = %v, want ErrBudget", err)
+	}
+	for _, n := range []int64{10_000, 100_000} {
+		var err error
+		allocs := testing.AllocsPerRun(5, func() {
+			if e := c.Run(c.Instructions + n); !errors.Is(e, ErrBudget) {
+				err = e
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs != 0 {
+			t.Errorf("Run of %d instructions allocates %v times, want 0", n, allocs)
+		}
+	}
+	if pages := len(c.Mem.pages); pages != 4 {
+		t.Errorf("%d pages allocated, want 4", pages)
+	}
+}
