@@ -1,6 +1,8 @@
 package asm
 
 import (
+	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -228,6 +230,16 @@ func TestErrors(t *testing.T) {
 		{"bad align", ".text\n.align 3", "power of two"},
 		{"org backwards", ".text 0x1000\nnop\n.org 0x500", "moves backwards"},
 		{"bad mem operand", "main: lw r1, r2", "memory operand"},
+		{"byte above range", ".data\nb: .byte 300", ".byte value 300 out of range -128..255"},
+		{"byte below range", ".data\nb: .byte 1, -129", ".byte value -129 out of range"},
+		{"space fill above range", ".data\ns: .space 4, 256", ".space fill 256 out of range -128..255"},
+		{"space fill below range", ".data\ns: .space 4, -200", ".space fill -200 out of range"},
+		{"word above range", ".data\nw: .word 0x100000000", ".word value 4294967296 out of range -2147483648..4294967295"},
+		{"word below range", ".data\nw: .word -2147483649", ".word value -2147483649 out of range"},
+		{"word label above range", ".data 0x100000000\nw: .word w", ".word value 4294967296 out of range"},
+		{"negative literal below -2^63", "main: li r1, -9223372036854775809", "literal -9223372036854775809 out of range"},
+		{"negative literal of 2^64-1", "main: li r1, -18446744073709551615", "out of range"},
+		{"negative dword below -2^63", ".data\nd: .dword -0x8000000000000001", "out of range"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -354,6 +366,35 @@ func TestNegativeHexImmediate(t *testing.T) {
 	}
 	if p.Code[0].Imm != -16 {
 		t.Errorf("imm = %d, want -16", p.Code[0].Imm)
+	}
+}
+
+// TestLiteralLimits: every value at the edge of its field assembles to
+// its two's-complement bytes; TestErrors has the values just past them.
+func TestLiteralLimits(t *testing.T) {
+	p, err := Assemble(`
+	main:	li r1, -9223372036854775808
+		li r2, 0xFFFFFFFFFFFFFFFF
+		li r3, 18446744073709551615
+		halt
+		.data
+	d:	.byte -128, 255
+		.space 2, -1
+		.word -2147483648, 4294967295
+		.dword -9223372036854775808, 0xFFFFFFFFFFFFFFFF
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []int64{math.MinInt64, -1, -1} {
+		if got := p.Code[i].Imm; got != want {
+			t.Errorf("li r%d imm = %d, want %d", i+1, got, want)
+		}
+	}
+	want := []byte{0x80, 0xff, 0xff, 0xff, 0, 0, 0, 0x80, 0xff, 0xff, 0xff, 0xff,
+		0, 0, 0, 0, 0, 0, 0, 0x80, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
+	if got := p.Data[0].Bytes; !bytes.Equal(got, want) {
+		t.Errorf("data = % x, want % x", got, want)
 	}
 }
 
