@@ -16,8 +16,12 @@ import (
 // pins: the datasheet, both cache-miss figures, a CPI table, a GSPN
 // shape line, and one multiprocessor figure — together they cross every
 // layer the machine-description refactor touched (core, workload,
-// cpumodel, coherence/mpsim, experiments, CLI rendering).
-var goldenNames = []string{"spec", "fig7", "fig8", "table3", "realcpi", "fig910", "fig13"}
+// cpumodel, coherence/mpsim, experiments, CLI rendering) — then every
+// experiment that replays its trace into one simulated cache per
+// configuration (the line-size, victim and Jouppi ablations and the
+// self-test) and the two memory-hierarchy studies (Figure 2, Table 1).
+var goldenNames = []string{"spec", "fig7", "fig8", "table3", "realcpi", "fig910", "fig13",
+	"ablate-linesize", "ablate-victim", "ablate-jouppi", "selftest", "fig2", "table1"}
 
 // TestQuickGolden locks the default-device output byte-for-byte against
 // testdata/quick_golden.txt. Any change to a derivation formula that
