@@ -358,7 +358,7 @@ func cmdReplay(args []string) error {
 		specs = cacheSpecs{"proposed", "16384:32:1", "16384:32:2"}
 	}
 
-	caches := make([]cache.Cache, 0, len(specs))
+	caches := make(cache.Replay, 0, len(specs))
 	for _, s := range specs {
 		c, err := parseCacheSpec(s)
 		if err != nil {
@@ -376,20 +376,12 @@ func cmdReplay(args []string) error {
 	if err != nil {
 		return err
 	}
-	var counts trace.Counts
-	n, err := r.Replay(trace.SinkFunc(func(ref trace.Ref) {
-		counts.Ref(ref)
-		if ref.Kind == trace.Ifetch {
-			return
-		}
-		for _, c := range caches {
-			c.Access(ref.Addr, ref.Kind)
-		}
-	}))
+	n, err := r.Replay(caches)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("replayed %d references (%d data)\n", n, counts.Loads+counts.Stores)
+	// Every cache sees every load and store.
+	fmt.Printf("replayed %d references (%d data)\n", n, caches[0].Stats().Data().Total)
 	for _, c := range caches {
 		s := c.Stats()
 		fmt.Printf("  %-28s  load %6.3f%%  store %6.3f%%  total %6.3f%%\n",

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/trace"
 	"repro/iram"
 )
 
@@ -49,15 +48,7 @@ func main() {
 	plain, _ := core.Proposed().DCache()                      // column buffers only
 	conv := cache.NewDirectMapped("conv 16KB", 16<<10, 32)
 
-	sink := trace.SinkFunc(func(r trace.Ref) {
-		if r.Kind == trace.Ifetch {
-			return
-		}
-		proposed.Access(r.Addr, r.Kind)
-		plain.Access(r.Addr, r.Kind)
-		conv.Access(r.Addr, r.Kind)
-	})
-	if _, err := iram.RawRun(prog, sink, 0); err != nil {
+	if _, err := iram.RawRun(prog, cache.Replay{proposed, plain, conv}, 0); err != nil {
 		log.Fatal(err)
 	}
 

@@ -59,7 +59,7 @@ func main() {
 	// ending with the paper device's D-cache, without and with its
 	// victim cache.
 	plain, _ := core.Proposed().DCache()
-	sweep := []cache.Cache{
+	sweep := cache.Replay{
 		cache.NewDirectMapped("16KB DM 32B", 16<<10, 32),
 		cache.NewSetAssoc("16KB 2W 32B", 16<<10, 32, 2),
 		plain,
@@ -74,14 +74,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := tr.Replay(trace.SinkFunc(func(r trace.Ref) {
-		if r.Kind == trace.Ifetch {
-			return
-		}
-		for _, c := range sweep {
-			c.Access(r.Addr, r.Kind)
-		}
-	})); err != nil {
+	if _, err := tr.Replay(sweep); err != nil {
 		log.Fatal(err)
 	}
 

@@ -73,11 +73,13 @@ func NewWithStream(main *SetAssoc, sb *StreamBuffer) *WithStream {
 	return &WithStream{Main: main, Stream: sb}
 }
 
-// Stats returns accumulated hit/miss statistics, as Cache.Stats does.
+// Name implements Cache.
+func (w *WithStream) Name() string { return w.Main.Name() + " + stream buffers" }
+
+// Stats implements Cache.
 func (w *WithStream) Stats() Stats { return w.stats }
 
-// Access simulates one reference and reports whether it hit, as
-// Cache.Access does.
+// Access implements Cache.
 func (w *WithStream) Access(addr uint64, kind trace.Kind) bool {
 	if w.Main.lookup(addr) {
 		w.stats.record(kind, false)

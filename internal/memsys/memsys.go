@@ -63,52 +63,13 @@ type hierObs struct {
 	latency        *obs.Histogram
 }
 
-// LevelSpec is the declarative description of one cache level.
-type LevelSpec struct {
-	Name      string
-	Bytes     uint64
-	LineBytes uint64
-	Ways      int
-	LatencyNs float64
-}
-
-// Spec is the declarative description of a hierarchy; Build turns it
-// into a runnable Hierarchy. The workstation models (SS5, SS10) and the
-// device-derived Integrated hierarchy are all expressed this way.
-type Spec struct {
-	Name           string
-	Levels         []LevelSpec
-	MemoryNs       float64
-	ClockMHz       float64
-	BaseCPI        float64
-	PrefetchStride uint64
-}
-
-// Build instantiates the spec with fresh cache state.
-func (s Spec) Build() *Hierarchy {
-	h := &Hierarchy{
-		Name:           s.Name,
-		MemoryNs:       s.MemoryNs,
-		ClockMHz:       s.ClockMHz,
-		BaseCPI:        s.BaseCPI,
-		PrefetchStride: s.PrefetchStride,
-	}
-	for _, l := range s.Levels {
-		h.Levels = append(h.Levels, Level{
-			Cache:     cache.NewSetAssoc(l.Name, l.Bytes, l.LineBytes, l.Ways),
-			LatencyNs: l.LatencyNs,
-		})
-	}
-	return h
-}
-
-// SS5Spec describes the SparcStation 5: single-level on-chip caches
-// with the memory controller integrated on the CPU (low memory latency).
-func SS5Spec() Spec {
-	return Spec{
+// SS5 models the SparcStation 5: single-level on-chip caches with the
+// memory controller integrated on the CPU (low memory latency).
+func SS5() *Hierarchy {
+	return &Hierarchy{
 		Name: "SS-5",
-		Levels: []LevelSpec{
-			{Name: "SS-5 L1D 8KB", Bytes: 8 << 10, LineBytes: 16, Ways: 1, LatencyNs: 12},
+		Levels: []Level{
+			{Cache: cache.NewDirectMapped("SS-5 L1D 8KB", 8<<10, 16), LatencyNs: 12},
 		},
 		MemoryNs: 280, // integrated memory controller: short path to DRAM
 		ClockMHz: 85,
@@ -116,18 +77,14 @@ func SS5Spec() Spec {
 	}
 }
 
-// SS5 builds the SparcStation 5 model.
-func SS5() *Hierarchy { return SS5Spec().Build() }
-
-// SS10Spec describes the SparcStation 10/61: two cache levels,
-// higher-latency main memory behind the MBus, plus a small-stride
-// prefetch unit.
-func SS10Spec() Spec {
-	return Spec{
+// SS10 models the SparcStation 10/61: two cache levels, higher-latency
+// main memory behind the MBus, plus a small-stride prefetch unit.
+func SS10() *Hierarchy {
+	return &Hierarchy{
 		Name: "SS-10/61",
-		Levels: []LevelSpec{
-			{Name: "SS-10 L1D 16KB", Bytes: 16 << 10, LineBytes: 32, Ways: 1, LatencyNs: 17},
-			{Name: "SS-10 L2 1MB", Bytes: 1 << 20, LineBytes: 32, Ways: 1, LatencyNs: 100},
+		Levels: []Level{
+			{Cache: cache.NewDirectMapped("SS-10 L1D 16KB", 16<<10, 32), LatencyNs: 17},
+			{Cache: cache.NewDirectMapped("SS-10 L2 1MB", 1<<20, 32), LatencyNs: 100},
 		},
 		// Main memory sits behind the L2 controller and the MBus; the
 		// end-to-end load latency is several times the SS-5's — this
@@ -139,36 +96,25 @@ func SS10Spec() Spec {
 	}
 }
 
-// SS10 builds the SparcStation 10/61 model.
-func SS10() *Hierarchy { return SS10Spec().Build() }
-
-// SpecFor describes a machine-description device as a flat hierarchy
-// for Figure 2-style comparisons: its data column buffers (one-cycle
-// access at the device clock) in front of the DRAM array.
-func SpecFor(d core.Device) Spec {
-	return Spec{
-		Name: "Integrated",
-		Levels: []LevelSpec{{
-			Name:      fmt.Sprintf("%s D-cache", d.Name),
-			Bytes:     uint64(d.DCacheBytes),
-			LineBytes: uint64(d.DCacheLineBytes),
-			Ways:      d.DCacheWays,
-			LatencyNs: 1000 / float64(d.ClockMHz),
-		}},
+// IntegratedFrom models a machine-description device as a flat
+// hierarchy for Figure 2-style comparisons: its data column buffers
+// (one-cycle access at the device clock) in front of the DRAM array.
+func IntegratedFrom(d core.Device) *Hierarchy {
+	dc, _ := d.DCache()
+	return &Hierarchy{
+		Name:     "Integrated",
+		Levels:   []Level{{Cache: dc, LatencyNs: 1000 / float64(d.ClockMHz)}},
 		MemoryNs: d.DRAM.AccessNanos(),
 		ClockMHz: float64(d.ClockMHz),
 		BaseCPI:  1.0,
 	}
 }
 
-// IntegratedFrom builds the hierarchy model of a device specification.
-func IntegratedFrom(d core.Device) *Hierarchy { return SpecFor(d).Build() }
-
 // Instrument publishes the hierarchy's per-level hit counts, prefetch
 // and memory access counts, and its access latency distribution into
 // reg's "cache" family (metric names are prefixed with the hierarchy
 // name, so several hierarchies share one registry). Fresh hierarchies
-// built from the same spec resolve to the same metrics, so sweeps that
+// of the same machine resolve to the same metrics, so sweeps that
 // rebuild per unit accumulate one series per machine. A nil registry
 // leaves the hierarchy uninstrumented.
 func (h *Hierarchy) Instrument(reg *obs.Registry) {

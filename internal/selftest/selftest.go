@@ -18,7 +18,6 @@ import (
 	"repro/internal/asm"
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/trace"
 	"repro/internal/vm"
 )
 
@@ -178,12 +177,7 @@ func load(cfg *Config) (*vm.CPU, *cache.WithVictim, error) {
 		return nil, nil, fmt.Errorf("selftest: generator bug: %w", err)
 	}
 	dcache := cache.NewWithVictim(core.Proposed().DCache())
-	sink := trace.SinkFunc(func(r trace.Ref) {
-		if r.Kind != trace.Ifetch {
-			dcache.Access(r.Addr, r.Kind)
-		}
-	})
-	return vm.New(prog, sink), dcache, nil
+	return vm.New(prog, cache.Replay{dcache}), dcache, nil
 }
 
 func summarise(cpu *vm.CPU, cfg Config, dcache *cache.WithVictim) *Result {

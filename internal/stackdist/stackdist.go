@@ -24,7 +24,8 @@
 //
 // Organisations the profilers cannot express — the victim cache, whose
 // contents depend on eviction order, and conditional second-level
-// streams — fall back to the per-config replay in internal/cache.
+// streams — fall back to replaying the stream into internal/cache's
+// models, one per configuration (cache.Replay).
 package stackdist
 
 import (

@@ -141,16 +141,6 @@ func (c *Counts) StoreFrac() float64 {
 	return float64(c.Stores) / float64(c.Ifetches)
 }
 
-// DataOnly forwards loads and stores (not ifetches) to the inner sink.
-type DataOnly struct{ Next Sink }
-
-// Ref implements Sink.
-func (d DataOnly) Ref(r Ref) {
-	if r.Kind != Ifetch {
-		d.Next.Ref(r)
-	}
-}
-
 // Discard drops every reference. Useful as a placeholder, and as the
 // sink of a replay that only times or checks the decode: it takes
 // whole batches.

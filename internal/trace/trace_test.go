@@ -32,17 +32,6 @@ func TestTee(t *testing.T) {
 	}
 }
 
-func TestDataOnly(t *testing.T) {
-	var c Counts
-	d := DataOnly{Next: &c}
-	d.Ref(Ref{Kind: Ifetch})
-	d.Ref(Ref{Kind: Load})
-	d.Ref(Ref{Kind: Store})
-	if c.Ifetches != 0 || c.Total() != 2 {
-		t.Errorf("DataOnly: %+v", c)
-	}
-}
-
 func TestSinkFuncAndDiscard(t *testing.T) {
 	n := 0
 	SinkFunc(func(Ref) { n++ }).Ref(Ref{})
