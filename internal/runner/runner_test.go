@@ -44,6 +44,8 @@ func TestValidate(t *testing.T) {
 		{"bad-machine-json", Request{Experiments: []string{"spec"}, Machine: json.RawMessage(`{`)}, "machine config"},
 		{"unknown-machine-field", Request{Experiments: []string{"spec"}, Machine: json.RawMessage(`{"NoSuchKnob":1}`)}, "machine config"},
 		{"invalid-machine", Request{Experiments: []string{"spec"}, Machine: json.RawMessage(`{"Banks":0}`)}, "machine config"},
+		// Every fig8 unit would panic building a 100 B-line profiler.
+		{"dcache-line-off-column", Request{Experiments: []string{"fig8"}, Machine: json.RawMessage(`{"DCacheLineBytes":100}`)}, "D-cache line 100 != column 512"},
 		// The Inter-Node Cache lives in the 32 MiB DRAM array.
 		{"inc-over-array", Request{Experiments: []string{"fig13"}, Machine: json.RawMessage(`{"INCBytes":68719476736}`)}, "INC 68719476736 B outside"},
 		// The SPLASH units build integrated nodes from any machine, so
