@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/coherence"
+	"repro/internal/obs"
 	"repro/internal/report"
 )
 
@@ -72,6 +73,24 @@ func TestAblateCoherenceUnit(t *testing.T) {
 	big := get("falseshare (micro)", 512)
 	if big < 10*small {
 		t.Errorf("false sharing not visible: 32B=%d, 512B=%d", small, big)
+	}
+}
+
+// TestAblateUnitMicroPublishes: the false-sharing microbenchmark
+// publishes its machines' protocol and coordinator statistics, as
+// runSplash does for every SPLASH run.
+func TestAblateUnitMicroPublishes(t *testing.T) {
+	o := topts
+	o.Obs = obs.NewRegistry()
+	if _, err := ablateUnitMicro(o); err != nil {
+		t.Fatal(err)
+	}
+	// Three runs of four processors, 400 reads and 400 writes each.
+	if got, want := o.Obs.Counter("coherence", "accesses").Value(), int64(3*4*800); got != want {
+		t.Errorf("coherence/accesses = %d, want %d", got, want)
+	}
+	if got := o.Obs.Counter("mpsim", "grants").Value(); got == 0 {
+		t.Error("mpsim/grants = 0: the coordinator statistics were not published")
 	}
 }
 

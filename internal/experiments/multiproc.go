@@ -65,7 +65,8 @@ func SplashJob(name, bench string) func(Options, *MeasurementSet) sweep.Job {
 // runSplash runs SPLASH benchmark bench on np processors of machine m
 // at the options' data-set size, and publishes the machine's protocol
 // and coordinator statistics to o.Obs. Every experiment's SPLASH runs
-// go through here, so -metrics covers each of them.
+// go through here, so -metrics covers each of them (ablate-unit's
+// false-sharing micro-benchmark publishes its own the same way).
 func (o Options) runSplash(bench string, np int, m *coherence.Machine) (mpsim.Result, error) {
 	b, err := splash.ByName(bench)
 	if err != nil {
