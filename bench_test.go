@@ -32,16 +32,19 @@ func quickOpts() experiments.Options {
 	return o
 }
 
-// run builds the named experiment from the registry and runs it
-// serially, the engine's reference schedule.
+// run builds the named experiment from the registry and runs it on a
+// one-worker engine.
 func run[T any](b *testing.B, name string, o experiments.Options, ms *experiments.MeasurementSet) T {
 	b.Helper()
 	j, err := experiments.JobFor(name, o, ms)
 	if err != nil {
 		b.Fatal(err)
 	}
-	v, err := sweep.RunSerial(j)
-	if err != nil {
+	var v interface{}
+	if err := (&sweep.Engine{Workers: 1}).Run(context.Background(), []sweep.Job{j}, func(r sweep.JobResult) error {
+		v = r.Value
+		return nil
+	}); err != nil {
 		b.Fatal(err)
 	}
 	return v.(T)

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -19,14 +20,17 @@ import (
 )
 
 // run builds the named experiment from the registry and runs its units
-// serially on this goroutine.
+// on a one-worker sweep engine.
 func run(name string, opts experiments.Options) interface{} {
 	j, err := experiments.JobFor(name, opts, experiments.NewMeasurementSet(opts))
 	if err != nil {
 		log.Fatal(err)
 	}
-	v, err := sweep.RunSerial(j)
-	if err != nil {
+	var v interface{}
+	if err := (&sweep.Engine{Workers: 1}).Run(context.Background(), []sweep.Job{j}, func(r sweep.JobResult) error {
+		v = r.Value
+		return nil
+	}); err != nil {
 		log.Fatal(err)
 	}
 	return v

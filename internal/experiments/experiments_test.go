@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/coherence"
 	"repro/internal/report"
-	"repro/internal/sweep"
 	"repro/internal/workload"
 )
 
@@ -32,19 +31,15 @@ var (
 	tms = NewMeasurementSet(topts)
 )
 
-// run builds the named experiment from the registry and runs it
-// serially, the engine's reference schedule.
+// run builds the named experiment from the registry and runs it on a
+// one-worker engine.
 func run[T any](t testing.TB, name string, o Options, ms *MeasurementSet) T {
 	t.Helper()
 	j, err := JobFor(name, o, ms)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := sweep.RunSerial(j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return v.(T)
+	return runJob(t, j, 1, nil).(T)
 }
 
 func TestFig7EndToEnd(t *testing.T) {

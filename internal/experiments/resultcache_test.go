@@ -25,7 +25,7 @@ func rcQuick() Options {
 
 // runJob executes one job through a cache-equipped engine and returns
 // the assembled value.
-func runJob(t *testing.T, j sweep.Job, workers int, cache sweep.ResultCache) interface{} {
+func runJob(t testing.TB, j sweep.Job, workers int, cache sweep.ResultCache) interface{} {
 	t.Helper()
 	eng := &sweep.Engine{Workers: workers, Cache: cache}
 	var got interface{}

@@ -478,23 +478,3 @@ func assemble(j Job, parts []interface{}) (v interface{}, err error) {
 	defer recovered(&err)
 	return j.Assemble(parts)
 }
-
-// RunSerial executes one job's units in order on the calling
-// goroutine and assembles the result, running a wave that Assemble
-// returns the same way. It is the serial reference implementation:
-// Engine.Run with any worker count produces the same values.
-func RunSerial(j Job) (interface{}, error) {
-	parts := make([]interface{}, len(j.Units))
-	for i, u := range j.Units {
-		v, err := u.Run()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", u.Name, err)
-		}
-		parts[i] = v
-	}
-	v, err := j.Assemble(parts)
-	if w, ok := v.(Job); ok && err == nil {
-		return RunSerial(w)
-	}
-	return v, err
-}

@@ -111,14 +111,34 @@ func TestOrderingAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestRunSerialParity: Engine.Run and RunSerial assemble the same
-// values from the same job, a job with a second wave included.
+// runSerial executes one job's units in order on the calling goroutine
+// and assembles the result, running a wave that Assemble returns the
+// same way. It is the serial reference implementation: Engine.Run with
+// any worker count must produce the same values.
+func runSerial(j Job) (interface{}, error) {
+	parts := make([]interface{}, len(j.Units))
+	for i, u := range j.Units {
+		v, err := u.Run()
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", u.Name, err)
+		}
+		parts[i] = v
+	}
+	v, err := j.Assemble(parts)
+	if w, ok := v.(Job); ok && err == nil {
+		return runSerial(w)
+	}
+	return v, err
+}
+
+// TestRunSerialParity: Engine.Run and the serial reference assemble
+// the same values from the same job, a job with a second wave included.
 func TestRunSerialParity(t *testing.T) {
 	for _, mk := range []func() Job{
 		func() Job { return slowFirst("p", 4) },
 		func() Job { return chain(slowFirst("p", 1), slowFirst("p/wave", 8)) },
 	} {
-		serial, err := RunSerial(mk())
+		serial, err := runSerial(mk())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -373,9 +393,9 @@ func TestSingle(t *testing.T) {
 	if len(j.Units) != 1 || j.Units[0].Name != "one" {
 		t.Fatalf("bad job %+v", j)
 	}
-	v, err := RunSerial(j)
+	v, err := runSerial(j)
 	if err != nil || v != "v" {
-		t.Fatalf("RunSerial = %v, %v", v, err)
+		t.Fatalf("runSerial = %v, %v", v, err)
 	}
 }
 
